@@ -1,61 +1,28 @@
-# Developer targets.
+# Developer targets, one line each; EXPERIMENTS.md says what each battery
+# proves and records the numbers (RESILIENCE.md for the chaos targets).
 #
-#   make tier1        - the gate every PR must keep green (build + vet + tests)
-#   make race         - race-detector pass over the concurrent experiment
-#                       runner, the simulator entry points, and the serve/
-#                       HTTP service
-#   make coverage     - full-module coverage profile (coverage.out); fails
-#                       if the total drops below the recorded baseline
-#   make bench        - run the kernel performance harness over the full
-#                       nine-benchmark x seven-design matrix and write
-#                       BENCH_PR6.json (with speedups vs BENCH_PR3.json)
-#   make bench-smoke  - one-rep bench harness pass over the golden benchmark
-#                       subset (CI's sanity check; numbers are noise there)
-#   make bench-compare - re-measure the golden benchmark subset and fail if
-#                       wall time regressed >25% geomean against the
-#                       checked-in BENCH_PR6.json baseline
-#   make gobench      - one `go test -bench` pass over the paper-reproduction
-#                       benchmarks
-#   make serve-diff   - the serve differential battery: streamed and
-#                       non-streamed /run plus /sweep must produce
-#                       byte-identical metrics across cold, cached, and
-#                       coalesced paths
-#   make serve-diff-noff - the same with HFSTREAM_NO_FASTFORWARD=1, proving
-#                       progress/streaming delivery is invariant to the
-#                       fast-forward optimization
-#   make scaling      - the N-core scaling differential battery under the
-#                       race detector: every cell of the 2/3/4-core grid
-#                       (k-stage chains + parallel-stage points) must be
-#                       byte-identical across serial vs parallel runners,
-#                       fast-forward on vs off, and direct vs served
-#   make serve-cluster - cluster correctness: consistent-hash ring
-#                       properties, peer fill/store/replication, and the
-#                       owner-death degradation race, under the race
-#                       detector, plus the cluster differential rows
-#   make load-smoke   - hfload against in-process 1- and 3-replica
-#                       clusters; fails unless the 3-replica phase shows
-#                       >=2x modeled throughput and live peer cache hits
-#   make bench-serve  - regenerate BENCH_SERVE.json, the serving-tier SLO
-#                       report (latency percentiles, shed rate, hit-ratio
-#                       split, throughput vs replicas)
-#   make ci           - everything CI runs: tier1, race, coverage, formatting,
-#                       goldens (with fast-forward on and off), serve
-#                       differentials, bench regression gate
-#   make golden       - regenerate the metrics snapshots in testdata/golden/
-#   make golden-check - rebuild the snapshots into a temp dir and diff them
-#                       against the checked-in goldens
-#   make golden-check-noff - the same with HFSTREAM_NO_FASTFORWARD=1, proving
-#                       the fast-forward optimization is invisible in output
-#   make chaos        - full fault-injection sweep (20 seeds, 6 plans each,
-#                       all designs); see RESILIENCE.md for the contract
-#   make chaos-smoke  - the CI corpus (seeds 1-6, 4 plans), fast-forward on
-#                       and off
-#   make chaos-cluster - service-tier chaos smoke: the cluster_seeds.json
-#                       corpus subset under the race detector (faulted
-#                       hfserve clusters; peer-fill integrity, breaker,
-#                       retry/backoff under seeded network faults)
-#   make fuzz-smoke   - 30s of native Go fuzzing per target (assembler parse,
-#                       software-queue lowering)
+#   make tier1              build + vet + tests: the gate every PR keeps green
+#   make spine-test         the nested bench/spine module's tests (tier1 does not enter it)
+#   make race               race-detector pass over exp, sim and serve
+#   make coverage           coverage.out, failing under COVERAGE_BASELINE
+#   make fmtcheck           gofmt -l must print nothing
+#   make golden             regenerate testdata/golden/ (EXPERIMENTS.md "Golden metrics snapshots")
+#   make golden-check       rebuild the snapshots in a temp dir and diff them
+#   make golden-check-noff  the same with HFSTREAM_NO_FASTFORWARD=1
+#   make serve-diff         served vs direct byte-identity (EXPERIMENTS.md "Differential battery")
+#   make serve-diff-noff    the same with HFSTREAM_NO_FASTFORWARD=1
+#   make serve-cluster      ring/peering under -race plus the cluster differential rows
+#   make scaling            the N-core differential under -race (EXPERIMENTS.md "Scaling curves")
+#   make load-smoke         hfload against in-process 1- and 3-replica clusters
+#   make bench              kernel wall-time matrix -> BENCH_PR6.json (EXPERIMENTS.md "Wall-clock benchmarking")
+#   make bench-compare      re-measure equake,mcf; fail on >25% geomean regression vs BENCH_PR6.json
+#   make bench-serve        regenerate BENCH_SERVE.json
+#   make gobench            one `go test -bench` pass over the reproduction benchmarks
+#   make chaos              full fault-injection sweep (RESILIENCE.md)
+#   make chaos-smoke        the CI chaos corpus, fast-forward on and off
+#   make chaos-cluster      service-tier chaos smoke under -race
+#   make fuzz-smoke         30s of native fuzzing per target
+#   make ci                 everything CI runs
 
 GO ?= go
 
@@ -70,7 +37,7 @@ GOLDEN_BENCHES = bzip2,adpcmdec
 # real regression. Raise it as coverage grows.
 COVERAGE_BASELINE = 72.0
 
-.PHONY: tier1 vet build test race coverage bench bench-smoke bench-compare bench-serve gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
+.PHONY: tier1 vet build test spine-test race coverage bench bench-compare bench-serve gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
 
 tier1: build vet test
 
@@ -82,6 +49,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench/spine is its own module (replace hfstream => ../..), so `go test
+# ./...` at the root never compiles it; it builds against internal/exp,
+# internal/design and exp.Pool, and this is what notices when they move.
+spine-test:
+	cd bench/spine && $(GO) test ./...
 
 race:
 	$(GO) vet ./...
@@ -99,10 +72,6 @@ coverage:
 bench:
 	$(GO) run ./bench -out BENCH_PR6.json -baseline BENCH_PR3.json -label pr6
 
-# Quick harness exercise for CI: one rep over the two fastest benchmarks.
-bench-smoke:
-	$(GO) run ./bench -benches $(GOLDEN_BENCHES) -reps 1 -out -
-
 # CI regression gate: re-measure a benchmark subset and fail if wall
 # time regressed more than 25% (geomean over matched pairs) against the
 # checked-in BENCH_PR6.json. The subset is the two *slowest* benchmarks
@@ -117,7 +86,7 @@ bench-compare:
 gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-ci: tier1 race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling bench-compare chaos-smoke chaos-cluster
+ci: tier1 spine-test race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling bench-compare chaos-smoke chaos-cluster
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -71,43 +71,21 @@ func CentralizedStore(consumeToUse int) Design {
 // variants — "REGMAPPED", "NETQUEUE_<h>hop" (network-backed queues for
 // cores h hops apart, h >= 1), and "HEAVYWT_CENTRAL" (the centralized
 // dedicated store, with its default 4-cycle consume-to-use latency) —
-// the parallel-stage points "MPMC" and "MPMC_Q64", and any standard
-// point with a "_<k>CORE" suffix (3 <= k <= 8), which retargets it to a
-// k-stage pipeline on k cores (e.g. "SYNCOPTI_SC+Q64_4CORE"). The
-// unsuffixed name is the paper's dual-core machine, so "_2CORE" is
-// rejected rather than aliased to it.
+// the parallel-stage points "MPMC" and "MPMC_Q64", and any of those with
+// exactly one "_<k>CORE" suffix (3 <= k <= 8), which retargets it to k
+// cores (e.g. "SYNCOPTI_SC+Q64_4CORE"). The suffix is omitted at the
+// point's own core count: the bare name is the paper's dual-core machine
+// (so "_2CORE" is no name at all), and "MPMC_4CORE" resolves to "MPMC".
 func DesignByName(name string) (Design, error) {
-	for _, d := range Designs() {
-		if d.Name() == name {
-			return d, nil
-		}
+	if d, ok := baseDesign(name); ok {
+		return d, nil
 	}
-	switch {
-	case name == "REGMAPPED":
-		return RegMapped(), nil
-	case name == "HEAVYWT_CENTRAL":
-		return CentralizedStore(centralConsumeToUse), nil
-	case name == "MPMC":
-		return MPMC, nil
-	case name == "MPMC_Q64":
-		return MPMCQ64, nil
-	case strings.HasPrefix(name, "NETQUEUE_") && strings.HasSuffix(name, "hop"):
-		h, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "NETQUEUE_"), "hop"))
-		if err == nil && h >= 1 {
-			return NetQueue(h), nil
-		}
-	case strings.HasSuffix(name, "CORE"):
-		rest := strings.TrimSuffix(name, "CORE")
-		if i := strings.LastIndex(rest, "_"); i > 0 {
-			if k, err := strconv.Atoi(rest[i+1:]); err == nil {
-				if k < 3 || k > maxCustomCores {
-					return Design{}, fmt.Errorf("hfstream: design %q: core-count suffix must be 3..%d (the unsuffixed name is the dual-core machine)", name, maxCustomCores)
+	if rest, ok := strings.CutSuffix(name, "CORE"); ok {
+		if i := strings.LastIndexByte(rest, '_'); i > 0 {
+			if k, err := strconv.Atoi(rest[i+1:]); err == nil && k != 2 {
+				if base, ok := baseDesign(rest[:i]); ok {
+					return base.retarget(k)
 				}
-				base, err := DesignByName(rest[:i])
-				if err != nil {
-					return Design{}, err
-				}
-				return base.WithCores(k), nil
 			}
 		}
 	}
@@ -115,11 +93,48 @@ func DesignByName(name string) (Design, error) {
 		name, strings.Join(DesignNames(), ", "))
 }
 
+// baseDesign resolves the names that carry no core-count suffix.
+func baseDesign(name string) (Design, bool) {
+	for _, d := range Designs() {
+		if d.Name() == name {
+			return d, true
+		}
+	}
+	switch {
+	case name == "REGMAPPED":
+		return RegMapped(), true
+	case name == "HEAVYWT_CENTRAL":
+		return CentralizedStore(centralConsumeToUse), true
+	case name == "MPMC":
+		return MPMC, true
+	case name == "MPMC_Q64":
+		return MPMCQ64, true
+	case strings.HasPrefix(name, "NETQUEUE_") && strings.HasSuffix(name, "hop"):
+		h, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "NETQUEUE_"), "hop"))
+		if err == nil && h >= 1 {
+			return NetQueue(h), true
+		}
+	}
+	return Design{}, false
+}
+
+// retarget is WithCores for a count that arrived as data — a name suffix
+// or a Spec's stages alias — and so has to be range-checked.
+func (d Design) retarget(k int) (Design, error) {
+	if k < 3 || k > maxCustomCores {
+		return Design{}, fmt.Errorf("hfstream: design %s: core count %d out of range 3..%d (the unsuffixed name is the dual-core machine)",
+			d.Name(), k, maxCustomCores)
+	}
+	return d.WithCores(k), nil
+}
+
 // DesignNames enumerates every form DesignByName accepts: the seven
 // standard points in evaluation order followed by the §3 variant forms
-// ("NETQUEUE_<h>hop" is a template — substitute the hop count). The
-// DesignByName error message lists exactly these names, and Spec
-// canonicalization resolves aliases against them.
+// ("NETQUEUE_<h>hop" is a template — substitute the hop count) and the
+// suffix template "<design>_<k>CORE": one suffix, k in 3..8, omitted at
+// the point's own core count. The DesignByName error message lists
+// exactly these names, and Spec canonicalization resolves aliases against
+// them.
 func DesignNames() []string {
 	names := make([]string, 0, len(Designs())+6)
 	for _, d := range Designs() {
@@ -161,10 +176,11 @@ func (d Design) WithQueues(depth, qlu int) Design {
 	return d
 }
 
-// WithCores returns a copy retargeted to an n-core machine with the
-// "_<n>CORE"-suffixed label. Pipelined runs then partition the kernel
-// into n stages (or, on parallel-stage designs, n-1 workers plus a
-// merger) instead of the paper's two.
+// WithCores returns a copy retargeted to an n-core machine (2..8; 3..8 on
+// parallel-stage designs — runs on anything else fail). Pipelined runs
+// then partition the kernel into n stages (or n-1 workers plus a merger)
+// instead of the paper's two, and Name gains the "_<n>CORE" suffix unless
+// n is the point's own count.
 func (d Design) WithCores(n int) Design {
 	d.cfg = d.cfg.WithCores(n)
 	return d
@@ -172,12 +188,7 @@ func (d Design) WithCores(n int) Design {
 
 // Cores returns the design's core count for pipelined runs (2 for the
 // paper's dual-core machine).
-func (d Design) Cores() int {
-	if d.cfg.Cores == 0 {
-		return 2
-	}
-	return d.cfg.Cores
-}
+func (d Design) Cores() int { return d.cfg.Cores }
 
 // ParallelStage reports whether pipelined runs use the parallel-stage
 // (replicated workers + merger) shape rather than a k-stage chain.
@@ -395,12 +406,11 @@ func RunSingleThreaded(b Benchmark) (Result, error) {
 	return RunSingleThreadedCtx(context.Background(), b)
 }
 
-// RunStaged partitions the benchmark into the given number of pipeline
-// stages and runs it on a machine with that many cores — the multi-stage
-// extension of the paper's dual-core evaluation. It fails for kernels
-// whose dependence structure cannot fill the requested stages (and for
-// the hand-partitioned bzip2). Like Run, the result is verified against
-// the functional oracle. It is RunStagedCtx without cancellation or
+// RunStaged runs the benchmark on the design retargeted to that many
+// cores, one pipeline stage each — the multi-stage extension of the
+// paper's dual-core evaluation. It fails for kernels whose dependence
+// structure cannot fill the requested stages (and, past two, for the
+// hand-partitioned bzip2). It is RunStagedCtx without cancellation or
 // options.
 func RunStaged(b Benchmark, d Design, stages int) (Result, error) {
 	return RunStagedCtx(context.Background(), b, d, stages)

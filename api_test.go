@@ -44,6 +44,12 @@ func TestDesignByNameTable(t *testing.T) {
 		{name: "NETQUEUE_1hop"},
 		{name: "NETQUEUE_2hop"},
 		{name: "NETQUEUE_16hop"},
+		{name: "MPMC"},
+		{name: "MPMC_Q64"},
+		{name: "SYNCOPTI_SC+Q64_4CORE"},
+		{name: "NETQUEUE_2hop_8CORE"},
+		{name: "MPMC_Q64_3CORE"},
+		{name: "MPMC_4CORE", want: "MPMC"}, // the point's own count
 	}
 	for _, tc := range resolves {
 		d, err := DesignByName(tc.name)
@@ -62,23 +68,58 @@ func TestDesignByNameTable(t *testing.T) {
 
 	rejects := []string{
 		"",
-		"existing",          // names are case-sensitive paper labels
-		" EXISTING",         // no trimming
-		"SYNCOPTI_SC+Q64 ",  // no trimming
-		"SYNCOPTI-SC",       // wrong separator
-		"NETQUEUE_0hop",     // hops start at 1
-		"NETQUEUE_-1hop",    // negative hops
-		"NETQUEUE_hop",      // missing count
-		"NETQUEUE_xhop",     // non-numeric count
-		"NETQUEUE_2",        // missing suffix
-		"NETQUEUE_2hops",    // wrong suffix
-		"HEAVYWT_CENTRAL_4", // latency is not encodable in the name
-		"SINGLE",            // a result annotation, not a design
-		"totally-made-up",   // arbitrary garbage
+		"existing",            // names are case-sensitive paper labels
+		" EXISTING",           // no trimming
+		"SYNCOPTI_SC+Q64 ",    // no trimming
+		"SYNCOPTI-SC",         // wrong separator
+		"NETQUEUE_0hop",       // hops start at 1
+		"NETQUEUE_-1hop",      // negative hops
+		"NETQUEUE_hop",        // missing count
+		"NETQUEUE_xhop",       // non-numeric count
+		"NETQUEUE_2",          // missing suffix
+		"NETQUEUE_2hops",      // wrong suffix
+		"HEAVYWT_CENTRAL_4",   // latency is not encodable in the name
+		"SINGLE",              // a result annotation, not a design
+		"totally-made-up",     // arbitrary garbage
+		"HEAVYWT_2CORE",       // the bare name is the dual-core machine
+		"MPMC_2CORE",          // a merger needs two workers
+		"HEAVYWT_1CORE",       // below the range
+		"HEAVYWT_9CORE",       // past the cap
+		"HEAVYWT_3CORE_4CORE", // exactly one suffix
+		"MPMC_4CORE_4CORE",
+		"_3CORE", // no base
+		"HEAVYWT_CORE",
 	}
 	for _, name := range rejects {
 		if _, err := DesignByName(name); err == nil {
 			t.Errorf("DesignByName(%q) succeeded, want error", name)
+		}
+	}
+}
+
+// TestDesignNameRoundTrips: core count lives in the design alone, so the
+// name a design renders must resolve back to it — for every standard,
+// §3-variant and parallel-stage point at every core count it can run.
+func TestDesignNameRoundTrips(t *testing.T) {
+	bases := append(Designs(), RegMapped(), NetQueue(3), CentralizedStore(centralConsumeToUse), MPMC, MPMCQ64)
+	for _, base := range bases {
+		if got := base.WithCores(base.Cores()); got.Name() != base.Name() {
+			t.Errorf("%s.WithCores(%d) renamed it %s", base.Name(), base.Cores(), got.Name())
+		}
+		lo := 2
+		if base.ParallelStage() {
+			lo = 3
+		}
+		for k := lo; k <= 8; k++ {
+			d := base.WithCores(k)
+			got, err := DesignByName(d.Name())
+			if err != nil {
+				t.Errorf("%s at %d cores: DesignByName(%q): %v", base.Name(), k, d.Name(), err)
+				continue
+			}
+			if got != d {
+				t.Errorf("DesignByName(%q) = %+v, want %+v", d.Name(), got, d)
+			}
 		}
 	}
 }

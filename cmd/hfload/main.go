@@ -16,7 +16,7 @@
 //	                             replicas (one phase, no capacity model).
 //
 // The workload is a closed loop: -conc workers each pick a spec from the
-// (benches x designs x single x stages) cell universe via a seeded Zipf
+// (benches x designs x single) cell universe via a seeded Zipf
 // draw (-skew; sweeps make some specs orders of magnitude hotter than
 // others, and Zipf models that), round-robin across replicas — a
 // load-balancer's view of the cluster — and issue /v1/run through the
@@ -72,7 +72,6 @@ func main() {
 		benchesFlag = flag.String("benches", "bzip2,adpcmdec", "comma list of benchmarks, or *")
 		designsFlag = flag.String("designs", "*", "comma list of design points, or *")
 		single      = flag.Bool("single", true, "include each benchmark's single-threaded baseline cell")
-		stagesFlag  = flag.String("stages", "", "comma list of staged-pipeline stage counts to add per (bench,design)")
 		conc        = flag.Int("conc", 24, "closed-loop worker count (offered concurrency)")
 		retries     = flag.Int("retries", 0, "retry attempts per request beyond the first (0 = no retry layer)")
 		duration    = flag.Duration("duration", 3*time.Second, "measurement duration per phase")
@@ -94,7 +93,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cells, err := expandCells(*benchesFlag, *designsFlag, *single, *stagesFlag)
+	cells, err := expandCells(*benchesFlag, *designsFlag, *single)
 	if err != nil {
 		fatal(err)
 	}
@@ -118,7 +117,6 @@ func main() {
 	rep.Config.Benches = splitList(*benchesFlag)
 	rep.Config.Designs = splitList(*designsFlag)
 	rep.Config.Single = *single
-	rep.Config.Stages = mustStages(*stagesFlag)
 	rep.Config.Cells = len(cells)
 	rep.Config.Conc = *conc
 	rep.Config.DurationSec = duration.Seconds()
@@ -244,17 +242,10 @@ func parseInts(raw string) ([]int, error) {
 	return out, nil
 }
 
-func mustStages(raw string) []int {
-	st, err := parseInts(raw)
-	if raw != "" && err != nil {
-		fatal(fmt.Errorf("bad -stages: %v", err))
-	}
-	return st
-}
-
 // expandCells builds the normalized spec universe the Zipf draw indexes
-// — the same grid semantics as /v1/sweep.
-func expandCells(benchesRaw, designsRaw string, single bool, stagesRaw string) ([]hfstream.Spec, error) {
+// — the same grid semantics as /v1/sweep. N-core machines join it by
+// design name ("HEAVYWT_3CORE", "MPMC").
+func expandCells(benchesRaw, designsRaw string, single bool) ([]hfstream.Spec, error) {
 	benches := splitList(benchesRaw)
 	if len(benches) == 1 && benches[0] == "*" {
 		benches = benches[:0]
@@ -269,7 +260,6 @@ func expandCells(benchesRaw, designsRaw string, single bool, stagesRaw string) (
 			designs = append(designs, d.Name())
 		}
 	}
-	stages := mustStages(stagesRaw)
 	var cells []hfstream.Spec
 	add := func(s hfstream.Spec) error {
 		n, err := s.Normalize()
@@ -288,11 +278,6 @@ func expandCells(benchesRaw, designsRaw string, single bool, stagesRaw string) (
 		for _, design := range designs {
 			if err := add(hfstream.Spec{Bench: bench, Design: design}); err != nil {
 				return nil, err
-			}
-			for _, st := range stages {
-				if err := add(hfstream.Spec{Bench: bench, Design: design, Stages: st}); err != nil {
-					return nil, err
-				}
 			}
 		}
 	}
@@ -331,7 +316,6 @@ type report struct {
 		Benches           []string `json:"benches"`
 		Designs           []string `json:"designs"`
 		Single            bool     `json:"single"`
-		Stages            []int    `json:"stages,omitempty"`
 		Cells             int      `json:"cells"`
 		Conc              int      `json:"conc"`
 		DurationSec       float64  `json:"duration_sec"`

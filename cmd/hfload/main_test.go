@@ -46,9 +46,9 @@ func TestParseInts(t *testing.T) {
 }
 
 func TestExpandCells(t *testing.T) {
-	// Explicit benches x designs, plus single and a staged variant:
-	// 1 bench x (1 single + 2 designs + 2 staged) = 5 cells.
-	cells, err := expandCells("bzip2", "EXISTING,SYNCOPTI", true, "3")
+	// Explicit benches x designs (N-core machines included, by name),
+	// plus single: 1 bench x (1 single + 4 designs) = 5 cells.
+	cells, err := expandCells("adpcmdec", "EXISTING,SYNCOPTI,EXISTING_3CORE,MPMC", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestExpandCells(t *testing.T) {
 	}
 
 	// Wildcards expand to the full registries.
-	all, err := expandCells("*", "*", false, "")
+	all, err := expandCells("*", "*", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,10 @@ func TestExpandCells(t *testing.T) {
 		t.Fatalf("wildcard universe = %d cells, want %d", len(all), want)
 	}
 
-	if _, err := expandCells("nosuchbench", "EXISTING", false, ""); err == nil {
+	if _, err := expandCells("nosuchbench", "EXISTING", false); err == nil {
 		t.Fatal("unknown bench accepted")
 	}
-	if _, err := expandCells("bzip2", "", false, ""); err == nil {
+	if _, err := expandCells("bzip2", "", false); err == nil {
 		t.Fatal("empty universe accepted")
 	}
 }
@@ -145,7 +145,7 @@ func TestRunInprocPhases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real simulations")
 	}
-	cells, err := expandCells("bzip2", "EXISTING,MEMOPTI", true, "")
+	cells, err := expandCells("bzip2", "EXISTING,MEMOPTI", true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,6 +68,26 @@ import (
 	"hfstream/serve/cluster"
 )
 
+// Connection budgets. A client that stalls in its headers or body, or
+// idles on a keep-alive connection, is cut off; request bodies are small
+// (and capped by MaxBytesReader), so seconds are generous. There is no
+// write timeout: ?stream=ndjson and /v1/sweep responses live as long as
+// their simulations, and the read deadline is lifted once the body is in.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 15 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // parsePeers decodes the -peers flag: comma-separated id=url pairs.
 func parsePeers(raw string) (map[string]string, error) {
 	peers := make(map[string]string)
@@ -142,7 +162,7 @@ func main() {
 		cfg.Peer = peering
 	}
 	s := serve.New(cfg)
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := newHTTPServer(s.Handler())
 
 	// Listen before serving so -addr :0 resolves to a concrete port we
 	// can announce; tests and hfload parse this line to find the replica.

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hfstream/internal/asm"
+	"hfstream/internal/design"
 	"hfstream/internal/interp"
 	"hfstream/internal/isa"
 	"hfstream/internal/lower"
@@ -65,7 +66,7 @@ func (c *CustomRun) Read(addr uint64) uint64 { return c.image.Read8(addr) }
 // programs and handed to the fabric as explicit routes, so any core
 // count up to the cap works. The cap itself just bounds the machines the
 // experiment layer is calibrated for.
-const maxCustomCores = 8
+const maxCustomCores = design.MaxCores
 
 // CoreCountError reports a RunPrograms call with more programs than the
 // design point's machine has cores for.

@@ -237,14 +237,15 @@ func TestDifferentialServeStaged(t *testing.T) {
 		t.Skip("staged grid")
 	}
 	// adpcmdec partitions into three stages (see the multistage tests);
-	// the served staged run must match RunStagedCtx byte for byte.
+	// the served stages alias must match the direct run on the retargeted
+	// design byte for byte.
 	b, err := hfstream.BenchmarkByName("adpcmdec")
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := hfstream.SyncOptiSCQ64
 	var direct bytes.Buffer
-	if _, err := hfstream.RunStagedCtx(context.Background(), b, d, 3,
+	if _, err := hfstream.RunCtx(context.Background(), b, d.WithCores(3),
 		hfstream.WithMetrics(&direct)); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestDifferentialServeStaged(t *testing.T) {
 	res := mustRun(t, client.New(ts.URL),
 		hfstream.Spec{Bench: "adpcmdec", Design: d.Name(), Stages: 3})
 	if !bytes.Equal(res.Body, direct.Bytes()) {
-		t.Error("staged serve body differs from RunStagedCtx snapshot")
+		t.Error("staged serve body differs from the RunCtx(d.WithCores(3)) snapshot")
 	}
 }
 
@@ -630,7 +631,7 @@ func TestDifferentialCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	var direct bytes.Buffer
-	if _, err := hfstream.RunStagedCtx(context.Background(), b, hfstream.SyncOptiSCQ64, 3,
+	if _, err := hfstream.RunCtx(context.Background(), b, hfstream.SyncOptiSCQ64.WithCores(3),
 		hfstream.WithMetrics(&direct)); err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +656,7 @@ func TestDifferentialCluster(t *testing.T) {
 			t.Fatalf("coalesced cluster request %d failed", i)
 		}
 		if !bytes.Equal(res.Body, direct.Bytes()) {
-			t.Errorf("coalesced cluster request %d: body differs from RunStagedCtx snapshot", i)
+			t.Errorf("coalesced cluster request %d: body differs from the RunCtx(WithCores(3)) snapshot", i)
 		}
 	}
 	if ran := c.servers[0].Metrics().Runs - before; ran != 1 {

@@ -40,69 +40,41 @@ func RunExperiment(name string) (string, error) {
 	return RunExperimentCtx(context.Background(), name)
 }
 
+// experiments maps each name to its runner, rendered as a text table.
+var experiments = map[string]func(context.Context) (string, error){
+	ExpTable1:  func(context.Context) (string, error) { return exp.Table1(), nil },
+	ExpTable2:  func(context.Context) (string, error) { return exp.Table2(), nil },
+	ExpFig3:    func(context.Context) (string, error) { return exp.Fig3().Table(), nil },
+	ExpFig6:    tableOf(exp.Fig6Ctx),
+	ExpFig7:    tableOf(exp.Fig7Ctx),
+	ExpFig8:    tableOf(exp.Fig8Ctx),
+	ExpFig9:    tableOf(exp.Fig9Ctx),
+	ExpFig10:   tableOf(exp.Fig10Ctx),
+	ExpFig11:   tableOf(exp.Fig11Ctx),
+	ExpFig12:   tableOf(exp.Fig12Ctx),
+	ExpScaling: tableOf(exp.ScalingCtx),
+}
+
+func tableOf[T interface{ Table() string }](run func(context.Context) (T, error)) func(context.Context) (string, error) {
+	return func(ctx context.Context) (string, error) {
+		r, err := run(ctx)
+		if err != nil {
+			return "", err
+		}
+		return r.Table(), nil
+	}
+}
+
 // RunExperimentCtx is RunExperiment with cancellation: once ctx is done,
 // in-flight simulations abort and the experiment returns an error. The
 // table experiments (table1, table2, fig3) are pure computations and
 // finish regardless of ctx.
 func RunExperimentCtx(ctx context.Context, name string) (string, error) {
-	switch name {
-	case ExpTable1:
-		return exp.Table1(), nil
-	case ExpTable2:
-		return exp.Table2(), nil
-	case ExpFig3:
-		return exp.Fig3().Table(), nil
-	case ExpFig6:
-		r, err := exp.Fig6Ctx(ctx)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case ExpFig7:
-		r, err := exp.Fig7Ctx(ctx)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case ExpFig8:
-		r, err := exp.Fig8Ctx(ctx)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case ExpFig9:
-		r, err := exp.Fig9Ctx(ctx)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case ExpFig10:
-		r, err := exp.Fig10Ctx(ctx)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case ExpFig11:
-		r, err := exp.Fig11Ctx(ctx)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case ExpFig12:
-		r, err := exp.Fig12Ctx(ctx)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case ExpScaling:
-		r, err := exp.ScalingCtx(ctx)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	default:
+	run, ok := experiments[name]
+	if !ok {
 		return "", errUnknownExperiment(name)
 	}
+	return run(ctx)
 }
 
 type errUnknownExperiment string

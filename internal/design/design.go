@@ -5,6 +5,7 @@ package design
 
 import (
 	"fmt"
+	"strconv"
 
 	"hfstream/internal/core"
 	"hfstream/internal/memsys"
@@ -52,7 +53,7 @@ func (p Point) String() string {
 type Config struct {
 	Point Point
 	// Label distinguishes variants (e.g. "SYNCOPTI_SC+Q64"); empty means
-	// Point.String().
+	// Point.String(). It never carries the core count (see Name).
 	Label string
 
 	NumQueues  int // 64
@@ -84,10 +85,10 @@ type Config struct {
 	// (0 = default).
 	ProbeTimeout int
 
-	// Cores selects the machine's core count for pipelined benchmarks.
-	// 0 and 2 mean the paper's dual-core machine; 3 and up run k-stage
-	// DSWP pipelines (one stage per core). Single-threaded runs ignore
-	// it.
+	// Cores and Parallel are the one representation of pipeline shape:
+	// names, specs and the experiment harness all derive from them. 2 is
+	// the paper's dual-core machine, 3 and up run k-stage DSWP pipelines
+	// (one stage per core), and 1 runs the unpartitioned loop.
 	Cores int
 	// Parallel selects the parallel-stage (PS-DSWP) shape instead of a
 	// k-stage chain: Cores-1 replicated workers plus a merger. Requires
@@ -95,12 +96,31 @@ type Config struct {
 	Parallel bool
 }
 
-// Name returns the variant label.
-func (c Config) Name() string {
-	if c.Label != "" {
-		return c.Label
+// MaxCores is the largest machine the experiment layer is calibrated for.
+const MaxCores = 8
+
+// defaultCores is the core count the point's bare label stands for: four
+// on the parallel-stage points (MPMCConfig), the paper's two elsewhere.
+func (c Config) defaultCores() int {
+	if c.Parallel {
+		return 4
 	}
-	return c.Point.String()
+	return 2
+}
+
+// Name returns the variant label, with a "_<k>CORE" suffix when the core
+// count differs from the one the bare label stands for — the only place
+// the suffix is ever produced (e.g. "SYNCOPTI_SC+Q64_4CORE", but "MPMC"
+// at its own four cores).
+func (c Config) Name() string {
+	name := c.Label
+	if name == "" {
+		name = c.Point.String()
+	}
+	if c.Cores != c.defaultCores() {
+		name += "_" + strconv.Itoa(c.Cores) + "CORE"
+	}
+	return name
 }
 
 func base(p Point) Config {
@@ -113,6 +133,7 @@ func base(p Point) Config {
 		BusCPB:          1,
 		BusWidth:        16,
 		BusPipelined:    true,
+		Cores:           2,
 	}
 }
 
@@ -264,12 +285,12 @@ func (c Config) SoftwareQueues() bool {
 	return c.Point == Existing || c.Point == MemOpti
 }
 
-// WithCores returns the configuration retargeted to an n-core machine
-// (n >= 3 runs n-stage pipelines) with the suffixed label the design
-// registry uses, e.g. "SYNCOPTI_SC+Q64_4CORE".
+// WithCores returns the configuration retargeted to an n-core machine:
+// chains run one DSWP stage per core, parallel-stage points n-1 workers
+// plus a merger. Name derives the suffix, so WithCores(2) names the
+// paper's machine and MPMCConfig().WithCores(4) is still "MPMC".
 func (c Config) WithCores(n int) Config {
 	c.Cores = n
-	c.Label = fmt.Sprintf("%s_%dCORE", c.Name(), n)
 	return c
 }
 

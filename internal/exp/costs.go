@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"hfstream/internal/design"
@@ -29,11 +30,11 @@ type CostResult struct {
 // Costs computes the hardware/OS cost table and joins it with measured
 // performance from the Figure 12 sweep.
 func Costs() (*CostResult, error) {
-	f12, err := Fig12()
+	f12, err := Fig12Ctx(context.TODO())
 	if err != nil {
 		return nil, err
 	}
-	f7, err := Fig7()
+	f7, err := Fig7Ctx(context.TODO())
 	if err != nil {
 		return nil, err
 	}

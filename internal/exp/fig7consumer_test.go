@@ -1,6 +1,9 @@
 package exp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestFig7ConsumerMatchesProducerOverall reproduces the paper's remark:
 // "the overall performance of the consumer core was the same as for the
@@ -9,7 +12,7 @@ func TestFig7ConsumerMatchesProducerOverall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	prod, err := Fig7()
+	prod, err := Fig7Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

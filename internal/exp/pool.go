@@ -5,9 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
-
-	"hfstream/internal/ring"
 )
 
 // Pool is a long-lived bounded worker pool. Unlike Runner.Run, which
@@ -24,47 +21,22 @@ var (
 	ErrPoolClosed = errors.New("exp: pool closed")
 )
 
-// Pool runs submitted functions on a fixed set of worker goroutines. The
-// data path is wait-free SPSC rings (package ring) in the FastFlow
-// emitter style: TrySubmit (serialized by mu, so a single logical
-// producer) pushes into the intake ring; a dispatcher goroutine pops it
-// and hands each task to an idle worker's one-slot mailbox ring, so a
-// task is only ever committed to a worker that is free to run it.
-// Channels carry only wakeup signals, never tasks.
+// Pool runs submitted functions on a fixed set of worker goroutines that
+// range over one buffered channel, whose buffer is the queue: a task holds
+// a slot from TrySubmit until a worker receives it. (The FastFlow-style
+// ring → dispatcher → mailbox hand-off this replaces cost 0.76-1.0 µs per
+// submit against 0.36-0.46 µs for the channel, and either vanishes against
+// millisecond simulations.)
 type Pool struct {
-	depth   int
-	intake  *ring.SPSC[func()]
-	workers []*poolWorker
-
-	// submitted wakes the dispatcher (coalescing token: a pending token
-	// means "re-scan intake", so lost duplicates are harmless). freed
-	// wakes it when a worker finishes and may accept new work. stop is
-	// closed by the dispatcher once the pool is closed and every accepted
-	// task has been assigned; workers drain their mailbox and exit.
-	submitted chan struct{}
-	freed     chan struct{}
-	stop      chan struct{}
+	tasks chan func()
 
 	mu      sync.Mutex
 	closed  bool
-	queued  int // accepted, not yet picked up by a worker
 	pending int // accepted, not yet finished
 	// drained is lazily created by Wait and closed when the pool is
 	// closed with no pending work; Wait never spawns a goroutine, so a
-	// canceled Wait leaks nothing (the old implementation parked one
-	// goroutine per call on workers.Wait() forever).
+	// canceled Wait leaks nothing.
 	drained chan struct{}
-}
-
-// poolWorker is one worker goroutine's endpoint: a one-slot mailbox ring
-// (dispatcher is the producer, the worker the consumer) plus its wake
-// signal. busy tells the dispatcher the worker is running a task; the
-// instant between popping the mailbox and setting busy can at worst
-// double-book a worker, never lose a task.
-type poolWorker struct {
-	box  *ring.SPSC[func()]
-	wake chan struct{}
-	busy atomic.Bool
 }
 
 // NewPool starts a pool with the given worker count (<= 0 means
@@ -77,19 +49,10 @@ func NewPool(workers, depth int) *Pool {
 	if depth < 1 {
 		depth = 1
 	}
-	p := &Pool{
-		depth:     depth,
-		intake:    ring.New[func()](depth),
-		submitted: make(chan struct{}, 1),
-		freed:     make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-	}
+	p := &Pool{tasks: make(chan func(), depth)}
 	for w := 0; w < workers; w++ {
-		pw := &poolWorker{box: ring.New[func()](1), wake: make(chan struct{}, 1)}
-		p.workers = append(p.workers, pw)
-		go p.work(pw)
+		go p.work()
 	}
-	go p.dispatch()
 	return p
 }
 
@@ -98,37 +61,38 @@ func NewPool(workers, depth int) *Pool {
 // worker goroutine on success.
 func (p *Pool) TrySubmit(fn func()) error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return ErrPoolClosed
 	}
-	if p.queued >= p.depth {
-		p.mu.Unlock()
+	select {
+	case p.tasks <- fn:
+		p.pending++
+		return nil
+	default:
 		return ErrPoolFull
 	}
-	// Cannot fail: the intake ring holds >= depth items and never holds
-	// more than queued (tasks leave it when the dispatcher pops them).
-	p.intake.TryPush(fn)
-	p.queued++
-	p.pending++
-	p.mu.Unlock()
-	signal(p.submitted)
-	return nil
 }
 
 // Close stops intake: subsequent TrySubmit calls fail with ErrPoolClosed,
 // while already-queued tasks still run. Idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		if p.pending == 0 && p.drained != nil {
-			close(p.drained)
-			p.drained = nil
-		}
+	defer p.mu.Unlock()
+	if p.closed {
+		return
 	}
-	p.mu.Unlock()
-	signal(p.submitted) // let a parked dispatcher notice the close
+	p.closed = true
+	close(p.tasks) // sends happen under mu, so none can race the close
+	p.signalDrained()
+}
+
+// signalDrained releases Wait once the pool is closed and idle; mu held.
+func (p *Pool) signalDrained() {
+	if p.closed && p.pending == 0 && p.drained != nil {
+		close(p.drained)
+		p.drained = nil
+	}
 }
 
 // Wait blocks until the pool is closed and every accepted task has
@@ -161,108 +125,16 @@ func (p *Pool) Pending() int {
 }
 
 // QueueLen returns the number of tasks waiting for a worker.
-func (p *Pool) QueueLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.queued
-}
+func (p *Pool) QueueLen() int { return len(p.tasks) }
 
-// signal performs a coalescing non-blocking send on a capacity-1 token
-// channel: if a token is already pending the receiver will re-scan
-// anyway, so dropping the duplicate is safe.
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
+// work is one worker's loop; it exits when Close has closed the channel
+// and the queue has drained.
+func (p *Pool) work() {
+	for fn := range p.tasks {
+		fn()
+		p.mu.Lock()
+		p.pending--
+		p.signalDrained()
+		p.mu.Unlock()
 	}
-}
-
-// dispatch is the emitter loop: it moves tasks from the intake ring to
-// idle workers' mailboxes, parks when there is nothing to move, and
-// closes stop once the pool is closed and fully assigned.
-func (p *Pool) dispatch() {
-	for {
-		fn, ok := p.intake.TryPop()
-		if !ok {
-			p.mu.Lock()
-			closed := p.closed
-			p.mu.Unlock()
-			if closed {
-				// TrySubmit checks closed under mu before pushing, so after
-				// observing closed one final pop sees every accepted task.
-				if fn, ok := p.intake.TryPop(); ok {
-					p.assign(fn)
-					continue
-				}
-				close(p.stop)
-				for _, w := range p.workers {
-					signal(w.wake)
-				}
-				return
-			}
-			<-p.submitted
-			continue
-		}
-		p.assign(fn)
-	}
-}
-
-// assign hands fn to an idle worker, waiting for one to free up when all
-// are busy. A worker with an empty mailbox and busy unset is claimed by
-// the push itself: until the worker picks the task up, its non-empty
-// mailbox keeps every later scan away.
-func (p *Pool) assign(fn func()) {
-	for {
-		for _, w := range p.workers {
-			if !w.busy.Load() && w.box.Len() == 0 {
-				w.box.TryPush(fn)
-				signal(w.wake)
-				return
-			}
-		}
-		<-p.freed
-	}
-}
-
-// work is one worker's loop: pop the mailbox, run, repeat; park on wake
-// when the mailbox is empty; after stop closes, drain and exit.
-func (p *Pool) work(w *poolWorker) {
-	for {
-		fn, ok := w.box.TryPop()
-		if !ok {
-			select {
-			case <-w.wake:
-				continue
-			case <-p.stop:
-				// The dispatcher assigned everything before closing stop;
-				// one final drain catches a task that raced the shutdown.
-				for {
-					fn, ok := w.box.TryPop()
-					if !ok {
-						return
-					}
-					p.run(w, fn)
-				}
-			}
-		}
-		p.run(w, fn)
-	}
-}
-
-// run executes one task with the pickup/finish bookkeeping.
-func (p *Pool) run(w *poolWorker, fn func()) {
-	w.busy.Store(true)
-	p.mu.Lock()
-	p.queued--
-	p.mu.Unlock()
-	fn()
-	w.busy.Store(false)
-	p.mu.Lock()
-	p.pending--
-	if p.pending == 0 && p.closed && p.drained != nil {
-		close(p.drained)
-		p.drained = nil
-	}
-	p.mu.Unlock()
-	signal(p.freed)
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -21,19 +22,19 @@ func TestAllFigureRenderers(t *testing.T) {
 		}
 	}
 
-	f6, err := Fig6()
+	f6, err := Fig6Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checks("fig6", f6.Table())
 
-	f8, err := Fig8()
+	f8, err := Fig8Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checks("fig8", f8.Table())
 
-	f9, err := Fig9()
+	f9, err := Fig9Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestAllFigureRenderers(t *testing.T) {
 		t.Error("fig9 rendering broken")
 	}
 
-	f12, err := Fig12()
+	f12, err := Fig12Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

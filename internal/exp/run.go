@@ -13,25 +13,15 @@ import (
 
 	"hfstream/fault"
 	"hfstream/internal/design"
+	"hfstream/internal/dswp"
 	"hfstream/internal/isa"
 	"hfstream/internal/lower"
 	"hfstream/internal/mem"
+	"hfstream/internal/memsys"
 	"hfstream/internal/sim"
 	"hfstream/internal/workloads"
 	"hfstream/trace"
 )
-
-// RunBenchmark executes the pipelined version of b on the given design
-// point and verifies the output region against the functional oracle.
-func RunBenchmark(b *workloads.Benchmark, cfg design.Config) (*sim.Result, error) {
-	return RunBenchmarkSampledCtx(context.Background(), b, cfg, 0)
-}
-
-// RunBenchmarkSampled is RunBenchmark with per-interval time-series
-// collection (sampleInterval cycles per sample; 0 disables).
-func RunBenchmarkSampled(b *workloads.Benchmark, cfg design.Config, sampleInterval uint64) (*sim.Result, error) {
-	return RunBenchmarkSampledCtx(context.Background(), b, cfg, sampleInterval)
-}
 
 // RunOpts bundles the optional observability knobs a run can enable.
 type RunOpts struct {
@@ -61,94 +51,108 @@ func (o RunOpts) Apply(simCfg *sim.Config) {
 	simCfg.DisableFastForward = o.DisableFastForward
 }
 
-// RunBenchmarkSampledCtx is RunBenchmarkSampled with cancellation: the
-// simulation aborts with a *sim.CanceledError once ctx is done, so a
-// deadlocked or slow job cannot outlive its caller's deadline.
-func RunBenchmarkSampledCtx(ctx context.Context, b *workloads.Benchmark, cfg design.Config, sampleInterval uint64) (*sim.Result, error) {
-	return RunBenchmarkOpts(ctx, b, cfg, RunOpts{SampleInterval: sampleInterval})
+// RunBenchmarkOpts runs the pipelined version of b on the design point
+// and verifies the output region against the functional oracle. The
+// pipeline's shape is cfg's alone (see plan); the simulation aborts with a
+// *sim.CanceledError once ctx is done, so a deadlocked or slow job cannot
+// outlive its caller's deadline.
+func RunBenchmarkOpts(ctx context.Context, b *workloads.Benchmark, cfg design.Config, opts RunOpts) (*sim.Result, error) {
+	if cfg.Cores < 2 {
+		return nil, fmt.Errorf("exp: %s/%s: pipelined runs need 2..%d cores", b.Name, cfg.Name(), design.MaxCores)
+	}
+	return run(ctx, b, cfg, cfg.Name(), opts)
 }
 
-// RunBenchmarkOpts runs the pipelined version of b on the given design
-// point with the requested observability options and verifies the output
-// region against the functional oracle. Multi-core configurations
-// dispatch to the matching partition shape: Parallel runs Cores-1
-// replicated workers plus a merger, Cores >= 3 runs a Cores-stage
-// pipeline, and everything else is the paper's dual-core machine.
-func RunBenchmarkOpts(ctx context.Context, b *workloads.Benchmark, cfg design.Config, opts RunOpts) (*sim.Result, error) {
-	if cfg.Parallel {
-		if cfg.Cores < 3 {
-			return nil, fmt.Errorf("exp: %s/%s: parallel-stage designs need Cores >= 3 (got %d)", b.Name, cfg.Name(), cfg.Cores)
-		}
-		return RunParallelOpts(ctx, b, cfg, cfg.Cores-1, opts)
-	}
-	if cfg.Cores >= 3 {
-		return RunStagedOpts(ctx, b, cfg, cfg.Cores, opts)
-	}
-	threads, _, err := b.Pipelined()
+// RunSingleOpts runs the single-threaded baseline of b on one core of the
+// EXISTING machine and verifies its output.
+func RunSingleOpts(ctx context.Context, b *workloads.Benchmark, opts RunOpts) (*sim.Result, error) {
+	return run(ctx, b, design.ExistingConfig().WithCores(1), "single", opts)
+}
+
+// run is the one path every simulation of a benchmark takes: plan the
+// shape, then execute it; label names the run in errors.
+func run(ctx context.Context, b *workloads.Benchmark, cfg design.Config, label string, opts RunOpts) (*sim.Result, error) {
+	threads, routes, err := plan(b, cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, label, err)
 	}
-	progs := threads[:]
-	if cfg.SoftwareQueues() {
-		layout := cfg.Layout()
-		lowered := make([]*isa.Program, len(progs))
-		for i, p := range progs {
-			lowered[i], err = lower.Lower(p, layout)
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, cfg.Name(), err)
+	return execute(ctx, b, cfg, label, threads, routes, opts)
+}
+
+// plan turns the shape cfg describes into the threads that realize it and
+// the queue routes a machine past two cores needs: one core runs the
+// unpartitioned loop, two the benchmark's own pipeline (DSWP's two stages,
+// or bzip2's hand partition) over the implicit dual-core routing, Cores >=
+// 3 a Cores-stage DSWP chain, and Parallel Cores-1 replicated workers plus
+// a merger. Software-queue designs get their threads lowered (which
+// leaves the queue-free single-core loop as it is).
+func plan(b *workloads.Benchmark, cfg design.Config) ([]sim.Thread, []memsys.QueueRoute, error) {
+	var progs []*isa.Program
+	var routes []dswp.QueueRoute
+	var err error
+	n := cfg.Cores
+	switch {
+	case n < 1 || n > design.MaxCores:
+		err = fmt.Errorf("core count %d out of range 1..%d", n, design.MaxCores)
+	case cfg.Parallel && n < 3:
+		err = fmt.Errorf("parallel-stage designs need Cores >= 3 (got %d)", n)
+	case n == 1:
+		var p *isa.Program
+		p, err = b.Single()
+		progs = []*isa.Program{p}
+	case n == 2:
+		var pair [2]*isa.Program
+		pair, _, err = b.Pipelined()
+		progs = pair[:]
+	case b.Loop == nil:
+		err = fmt.Errorf("hand-partitioned; %d-core shapes need an IR kernel", n)
+	default:
+		var pr *dswp.Result
+		if cfg.Parallel {
+			pr, err = dswp.PartitionParallel(b.Loop, n-1)
+		} else {
+			pr, err = dswp.PartitionN(b.Loop, n)
+		}
+		if err == nil {
+			progs, routes = pr.Threads, pr.Routes
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	threads := make([]sim.Thread, len(progs))
+	for i, p := range progs {
+		if cfg.SoftwareQueues() {
+			if p, err = lower.Lower(p, cfg.Layout()); err != nil {
+				return nil, nil, err
 			}
 		}
-		progs = lowered
+		threads[i] = sim.Thread{Prog: p}
 	}
+	qr := make([]memsys.QueueRoute, len(routes))
+	for i, rt := range routes {
+		qr[i] = memsys.QueueRoute{Producer: rt.Producer, Consumer: rt.Consumer}
+	}
+	return threads, qr, nil
+}
+
+// execute builds the benchmark's memory image, simulates the threads on
+// cfg's machine and checks the output region against the oracle. It is the
+// package's only caller of sim.Run.
+func execute(ctx context.Context, b *workloads.Benchmark, cfg design.Config, label string, threads []sim.Thread, routes []memsys.QueueRoute, opts RunOpts) (*sim.Result, error) {
 	img := mem.New()
 	b.Setup(img)
-	var ths []sim.Thread
-	for _, p := range progs {
-		ths = append(ths, sim.Thread{Prog: p})
-	}
 	simCfg := cfg.SimConfig()
 	simCfg.Preload = b.InputRegions
 	opts.Apply(&simCfg)
 	simCfg.Cancel = ctx.Done()
-	res, err := sim.Run(simCfg, img, ths)
+	simCfg.Mem.QueueRoutes = routes
+	res, err := sim.Run(simCfg, img, threads)
+	if err == nil {
+		err = CheckOutput(b, img)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, cfg.Name(), err)
-	}
-	if err := CheckOutput(b, img); err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, cfg.Name(), err)
-	}
-	return res, nil
-}
-
-// RunSingle executes the single-threaded baseline of b on the EXISTING
-// machine (one core) and verifies its output.
-func RunSingle(b *workloads.Benchmark) (*sim.Result, error) {
-	return RunSingleCtx(context.Background(), b)
-}
-
-// RunSingleCtx is RunSingle with cancellation (see RunBenchmarkSampledCtx).
-func RunSingleCtx(ctx context.Context, b *workloads.Benchmark) (*sim.Result, error) {
-	return RunSingleOpts(ctx, b, RunOpts{})
-}
-
-// RunSingleOpts is RunSingle with observability options.
-func RunSingleOpts(ctx context.Context, b *workloads.Benchmark, opts RunOpts) (*sim.Result, error) {
-	prog, err := b.Single()
-	if err != nil {
-		return nil, err
-	}
-	img := mem.New()
-	b.Setup(img)
-	simCfg := design.ExistingConfig().SimConfig()
-	simCfg.Preload = b.InputRegions
-	opts.Apply(&simCfg)
-	simCfg.Cancel = ctx.Done()
-	res, err := sim.Run(simCfg, img, []sim.Thread{{Prog: prog}})
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s/single: %w", b.Name, err)
-	}
-	if err := CheckOutput(b, img); err != nil {
-		return nil, fmt.Errorf("exp: %s/single: %w", b.Name, err)
+		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, label, err)
 	}
 	return res, nil
 }

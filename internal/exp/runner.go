@@ -89,8 +89,8 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 		exec = runJob
 	}
 
-	var done atomic.Int64
 	var progressMu sync.Mutex
+	done := 0 // guarded by progressMu, so Progress sees 1, 2, 3, ... in call order
 	pool := NewPool(workers, len(jobs))
 	for i := range jobs {
 		// The pool is freshly created with room for every job, so
@@ -120,10 +120,10 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 			if errors.As(err, &dl) && dl.Diag != nil {
 				diagnosef(j.Name(), dl.Diag)
 			}
-			n := int(done.Add(1))
 			if r.Progress != nil {
 				progressMu.Lock()
-				r.Progress(n, len(jobs), results[i])
+				done++
+				r.Progress(done, len(jobs), results[i])
 				progressMu.Unlock()
 			}
 		})
@@ -139,10 +139,11 @@ func runJob(ctx context.Context, j Job) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	opts := RunOpts{SampleInterval: j.SampleInterval}
 	if j.Single {
-		return RunSingleCtx(ctx, b)
+		return RunSingleOpts(ctx, b, opts)
 	}
-	return RunBenchmarkSampledCtx(ctx, b, j.Config, j.SampleInterval)
+	return RunBenchmarkOpts(ctx, b, j.Config, opts)
 }
 
 // FirstErr returns the first error in input order, or nil.

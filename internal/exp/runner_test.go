@@ -144,13 +144,13 @@ func TestOracleRunsOncePerBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBenchmark(b, design.HeavyWTConfig()); err != nil {
+	if _, err := RunBenchmarkOpts(context.Background(), b, design.HeavyWTConfig(), RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBenchmark(b, design.SyncOptiConfig()); err != nil {
+	if _, err := RunBenchmarkOpts(context.Background(), b, design.SyncOptiConfig(), RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSingle(b); err != nil {
+	if _, err := RunSingleOpts(context.Background(), b, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := oracleRuns.Load(); n != 1 {
@@ -161,7 +161,7 @@ func TestOracleRunsOncePerBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSingle(fir); err != nil {
+	if _, err := RunSingleOpts(context.Background(), fir, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := oracleRuns.Load(); n != 2 {
@@ -275,7 +275,7 @@ func TestRunnerSerialMatchesLegacyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunBenchmark(b, design.HeavyWTConfig())
+	direct, err := RunBenchmarkOpts(context.Background(), b, design.HeavyWTConfig(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

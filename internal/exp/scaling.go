@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hfstream/internal/design"
-	"hfstream/internal/dswp"
 	"hfstream/internal/stats"
 	"hfstream/internal/workloads"
 )
@@ -57,47 +56,35 @@ type ScalingResult struct {
 	Rows  []ScalingRow
 }
 
-// Scaling runs the full scaling study on the default runner.
-func Scaling() (*ScalingResult, error) { return ScalingCtx(context.Background()) }
-
-// ScalingCtx is Scaling with cancellation. The single-core baseline is
-// run once per benchmark and shared across that benchmark's rows.
+// ScalingCtx runs the full scaling study on the default runner. The
+// single-core baseline is run once per benchmark and shared across that
+// benchmark's rows.
 func ScalingCtx(ctx context.Context) (*ScalingResult, error) {
 	res := &ScalingResult{Cores: ScalingCores}
 	var jobs []Job
 	type slot struct{ row, cell, job int }
 	var slots []slot
-	singleJob := map[string]int{}
 	for _, bname := range ScalingBenches {
 		b, err := workloads.ByName(bname)
 		if err != nil {
 			return nil, err
 		}
+		single := len(jobs)
+		jobs = append(jobs, Job{Bench: bname, Single: true})
 		for _, cfg := range ScalingDesigns() {
 			row := ScalingRow{Benchmark: bname, Design: cfg.Name(),
 				Cells: make([]ScalingCell, len(ScalingCores))}
 			ri := len(res.Rows)
 			res.Rows = append(res.Rows, row)
 			for ci, cores := range ScalingCores {
-				if !scalingSupported(b, cfg, cores) {
-					continue
-				}
-				var ji int
-				switch {
-				case cores == 1:
-					idx, ok := singleJob[bname]
-					if !ok {
-						idx = len(jobs)
-						jobs = append(jobs, Job{Bench: bname, Single: true})
-						singleJob[bname] = idx
+				ji := single
+				if cores > 1 {
+					shape := cfg.WithCores(cores)
+					if !shapeSupported(b, shape) {
+						continue
 					}
-					ji = idx
-				case cores == 2:
 					ji = len(jobs)
-					jobs = append(jobs, Job{Bench: bname, Config: cfg})
-				default:
-					ji = len(jobs)
-					jobs = append(jobs, Job{Bench: bname, Config: cfg.WithCores(cores)})
+					jobs = append(jobs, Job{Bench: bname, Config: shape})
 				}
 				slots = append(slots, slot{row: ri, cell: ci, job: ji})
 			}
@@ -114,26 +101,11 @@ func ScalingCtx(ctx context.Context) (*ScalingResult, error) {
 	return res, nil
 }
 
-// scalingSupported reports whether the kernel's dependence structure can
-// fill the requested shape on the given design; unsupported cells render
-// "n/a" rather than failing the study.
-func scalingSupported(b *workloads.Benchmark, cfg design.Config, cores int) bool {
-	if cores == 1 {
-		return true
-	}
-	if cores == 2 {
-		// Every workload ships a working dual-core pipeline; a parallel
-		// shape would leave a single worker, which PS-DSWP rejects.
-		return !cfg.Parallel
-	}
-	if b.Loop == nil {
-		return false // hand-partitioned kernels are dual-core only
-	}
-	if cfg.Parallel {
-		_, err := dswp.PartitionParallel(b.Loop, cores-1)
-		return err == nil
-	}
-	_, err := dswp.PartitionN(b.Loop, cores)
+// shapeSupported reports whether the kernel's dependence structure can
+// fill the shape cfg asks for; studies render the rest "n/a" rather than
+// failing.
+func shapeSupported(b *workloads.Benchmark, cfg design.Config) bool {
+	_, _, err := plan(b, cfg)
 	return err == nil
 }
 

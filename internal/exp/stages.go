@@ -5,12 +5,6 @@ import (
 	"fmt"
 
 	"hfstream/internal/design"
-	"hfstream/internal/dswp"
-	"hfstream/internal/isa"
-	"hfstream/internal/lower"
-	"hfstream/internal/mem"
-	"hfstream/internal/memsys"
-	"hfstream/internal/sim"
 	"hfstream/internal/stats"
 	"hfstream/internal/workloads"
 )
@@ -31,9 +25,9 @@ type StagesResult struct {
 	Rows []StageRow
 }
 
-// AblationStages partitions each IR benchmark into 1, 2 and 3 pipeline
-// stages and runs each on a HEAVYWT machine with that many cores.
-// Kernels whose dependence structure cannot fill three stages are marked
+// AblationStages runs each IR benchmark on HEAVYWT machines of 1, 2 and 3
+// cores (the unpartitioned loop, then one DSWP stage per core). Kernels
+// whose dependence structure cannot fill three stages are marked
 // unsupported rather than failed.
 func AblationStages() (*StagesResult, error) {
 	res := &StagesResult{}
@@ -42,159 +36,21 @@ func AblationStages() (*StagesResult, error) {
 			continue // hand-partitioned nested loop
 		}
 		row := StageRow{Benchmark: b.Name, Cycles: make([]uint64, 3), Supported: make([]bool, 3)}
-
-		single, err := b.Single()
-		if err != nil {
-			return nil, err
-		}
-		c, err := runThreads(b, []sim.Thread{{Prog: single}})
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s/1-stage: %w", b.Name, err)
-		}
-		row.Cycles[0], row.Supported[0] = c, true
-
-		for _, stages := range []int{2, 3} {
-			pr, err := dswp.PartitionN(b.Loop, stages)
+		for d := range row.Cycles {
+			cfg := design.HeavyWTConfig().WithCores(d + 1)
+			threads, routes, err := plan(b, cfg)
 			if err != nil {
 				continue // structurally unsupported
 			}
-			var ths []sim.Thread
-			for _, p := range pr.Threads {
-				ths = append(ths, sim.Thread{Prog: p})
-			}
-			c, err := runThreads(b, ths)
+			r, err := execute(context.TODO(), b, cfg, cfg.Name(), threads, routes, RunOpts{})
 			if err != nil {
-				return nil, fmt.Errorf("exp: %s/%d-stage: %w", b.Name, stages, err)
+				return nil, err
 			}
-			row.Cycles[stages-1], row.Supported[stages-1] = c, true
+			row.Cycles[d], row.Supported[d] = r.Cycles, true
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// runThreads executes prepared threads for the benchmark on a HEAVYWT
-// machine with len(threads) cores, verifying the output.
-func runThreads(b *workloads.Benchmark, threads []sim.Thread) (uint64, error) {
-	img := mem.New()
-	b.Setup(img)
-	cfg := design.HeavyWTConfig().SimConfig()
-	cfg.Preload = b.InputRegions
-	r, err := sim.Run(cfg, img, threads)
-	if err != nil {
-		return 0, err
-	}
-	if err := CheckOutput(b, img); err != nil {
-		return 0, err
-	}
-	return r.Cycles, nil
-}
-
-// RunStaged partitions b into the given number of pipeline stages with
-// DSWP and runs it on the design point with that many cores, verifying
-// the output against the oracle. Software-queue designs are lowered; the
-// partition's queue routes steer SYNCOPTI's memory-side streaming.
-func RunStaged(b *workloads.Benchmark, cfg design.Config, stages int) (*sim.Result, error) {
-	return RunStagedOpts(context.Background(), b, cfg, stages, RunOpts{})
-}
-
-// RunStagedOpts is RunStaged with cancellation and observability options
-// (see RunBenchmarkOpts).
-func RunStagedOpts(ctx context.Context, b *workloads.Benchmark, cfg design.Config, stages int, opts RunOpts) (*sim.Result, error) {
-	if b.Loop == nil {
-		return nil, fmt.Errorf("exp: %s is hand-partitioned; staged runs need an IR kernel", b.Name)
-	}
-	pr, err := dswp.PartitionN(b.Loop, stages)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", b.Name, err)
-	}
-	progs := pr.Threads
-	if cfg.SoftwareQueues() {
-		lowered := make([]*isa.Program, len(progs))
-		for i, p := range progs {
-			lowered[i], err = lower.Lower(p, cfg.Layout())
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, cfg.Name(), err)
-			}
-		}
-		progs = lowered
-	}
-	simCfg := cfg.SimConfig()
-	simCfg.Preload = b.InputRegions
-	opts.Apply(&simCfg)
-	simCfg.Cancel = ctx.Done()
-	for _, rt := range pr.Routes {
-		simCfg.Mem.QueueRoutes = append(simCfg.Mem.QueueRoutes,
-			memsys.QueueRoute{Producer: rt.Producer, Consumer: rt.Consumer})
-	}
-	img := mem.New()
-	b.Setup(img)
-	var ths []sim.Thread
-	for _, p := range progs {
-		ths = append(ths, sim.Thread{Prog: p})
-	}
-	r, err := sim.Run(simCfg, img, ths)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s/%d-stage: %w", b.Name, cfg.Name(), stages, err)
-	}
-	if err := CheckOutput(b, img); err != nil {
-		return nil, fmt.Errorf("exp: %s/%s/%d-stage: %w", b.Name, cfg.Name(), stages, err)
-	}
-	return r, nil
-}
-
-// RunParallel partitions b into `workers` replicated parallel-stage
-// workers plus a merger (PS-DSWP) and runs it on the design point with
-// workers+1 cores, verifying the output against the oracle.
-func RunParallel(b *workloads.Benchmark, cfg design.Config, workers int) (*sim.Result, error) {
-	return RunParallelOpts(context.Background(), b, cfg, workers, RunOpts{})
-}
-
-// RunParallelOpts is RunParallel with cancellation and observability
-// options. The partition emits only SPSC lanes (one per worker per
-// crossing value), so every design point runs it; the lanes' routes are
-// handed to the fabric for the designs that need explicit routing.
-func RunParallelOpts(ctx context.Context, b *workloads.Benchmark, cfg design.Config, workers int, opts RunOpts) (*sim.Result, error) {
-	if b.Loop == nil {
-		return nil, fmt.Errorf("exp: %s is hand-partitioned; parallel-stage runs need an IR kernel", b.Name)
-	}
-	pr, err := dswp.PartitionParallel(b.Loop, workers)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", b.Name, err)
-	}
-	progs := pr.Threads
-	if cfg.SoftwareQueues() {
-		lowered := make([]*isa.Program, len(progs))
-		for i, p := range progs {
-			lowered[i], err = lower.Lower(p, cfg.Layout())
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, cfg.Name(), err)
-			}
-		}
-		progs = lowered
-	}
-	simCfg := cfg.SimConfig()
-	simCfg.Preload = b.InputRegions
-	opts.Apply(&simCfg)
-	simCfg.Cancel = ctx.Done()
-	for _, rt := range pr.Routes {
-		simCfg.Mem.QueueRoutes = append(simCfg.Mem.QueueRoutes,
-			memsys.QueueRoute{Producer: rt.Producer, Consumer: rt.Consumer})
-	}
-	img := mem.New()
-	b.Setup(img)
-	var ths []sim.Thread
-	for _, p := range progs {
-		ths = append(ths, sim.Thread{Prog: p})
-	}
-	r, err := sim.Run(simCfg, img, ths)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s/%d-worker: %w", b.Name, cfg.Name(), workers, err)
-	}
-	if err := CheckOutput(b, img); err != nil {
-		return nil, fmt.Errorf("exp: %s/%s/%d-worker: %w", b.Name, cfg.Name(), workers, err)
-	}
-	return r, nil
 }
 
 // Table renders the pipeline-depth comparison.

@@ -8,6 +8,12 @@
 //
 // The contract is strict SPSC: exactly one goroutine may call TryPush and
 // exactly one may call TryPop. The two sides may run concurrently.
+//
+// Nothing in this module imports the package any more: exp.Pool went back
+// to a buffered channel once bench/spine measured the ring hand-off slower
+// per submit. It stays only because the frozen bench/spine/probes.go
+// imports it for ring.spsc_push_pop_ns and ring.spsc_handoff_ns; the next
+// benchmark PR should drop those probes and this package together.
 package ring
 
 import "sync/atomic"

@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"context"
 	"testing"
 
 	"hfstream/internal/design"
@@ -61,7 +62,7 @@ func TestAllDesignsAllBenchmarks(t *testing.T) {
 		for _, cfg := range configs {
 			b, cfg := b, cfg
 			t.Run(b.Name+"/"+cfg.Name(), func(t *testing.T) {
-				res, err := exp.RunBenchmark(b, cfg)
+				res, err := exp.RunBenchmarkOpts(context.Background(), b, cfg, exp.RunOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +78,7 @@ func TestSingleThreadedRuns(t *testing.T) {
 	for _, b := range workloads.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			res, err := exp.RunSingle(b)
+			res, err := exp.RunSingleOpts(context.Background(), b, exp.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

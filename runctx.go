@@ -7,8 +7,9 @@ import (
 	"hfstream/internal/sim"
 )
 
-// RunCtx executes the pipelined (two-thread) version of the benchmark on
-// the design point, with cancellation and per-run observability options.
+// RunCtx executes the pipelined version of the benchmark on the design
+// point — two threads on the paper's machine, Cores() of them on a
+// retargeted one — with cancellation and per-run observability options.
 // The run aborts with an error once ctx is done, so a deadlocked or slow
 // simulation cannot outlive its caller's deadline. Like Run, the memory
 // image is verified against the functional-interpreter oracle.
@@ -21,15 +22,10 @@ func RunCtx(ctx context.Context, b Benchmark, d Design, opts ...RunOpt) (Result,
 	return finishRun(res, b.Name(), d.Name(), o)
 }
 
-// RunStagedCtx is RunStaged with cancellation and observability options
-// (see RunCtx).
+// RunStagedCtx is RunStaged with cancellation and observability options:
+// RunCtx on d.WithCores(stages).
 func RunStagedCtx(ctx context.Context, b Benchmark, d Design, stages int, opts ...RunOpt) (Result, error) {
-	o := gatherOpts(opts)
-	res, err := exp.RunStagedOpts(ctx, b.b, d.cfg, stages, o.expOpts())
-	if err != nil {
-		return Result{}, err
-	}
-	return finishRun(res, b.Name(), d.Name(), o)
+	return RunCtx(ctx, b, d.WithCores(stages), opts...)
 }
 
 // RunSingleThreadedCtx is RunSingleThreaded with cancellation and

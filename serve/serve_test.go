@@ -81,6 +81,31 @@ func TestServeRoundTripMatchesDirectAPI(t *testing.T) {
 	}
 }
 
+// TestServeStagesAliasSharesTheSuffixedEntry: stages is an input alias
+// for the design name's core count, so the two spellings of one machine
+// are one cache entry and one simulation.
+func TestServeStagesAliasSharesTheSuffixedEntry(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	status, named, src := post(t, ts.URL, `{"bench":"adpcmdec","design":"HEAVYWT_3CORE"}`)
+	if status != 200 || src != "miss" {
+		t.Fatalf("suffixed name: status=%d src=%q, want 200/miss", status, src)
+	}
+	runs := s.Metrics().Runs
+	status, staged, src := post(t, ts.URL, `{"bench":"adpcmdec","design":"HEAVYWT","stages":3}`)
+	if status != 200 || src != "hit" {
+		t.Fatalf("stages alias: status=%d src=%q, want 200/hit", status, src)
+	}
+	if !bytes.Equal(staged, named) {
+		t.Fatal("stages alias body differs from the suffixed name's")
+	}
+	if got := s.Metrics().Runs; got != runs {
+		t.Fatalf("stages alias started %d new runs, want 0", got-runs)
+	}
+}
+
 func TestServeBadRequests(t *testing.T) {
 	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -98,6 +123,8 @@ func TestServeBadRequests(t *testing.T) {
 		{"negative stages", `{"bench":"wc","design":"EXISTING","stages":-2}`},
 		{"single with design", `{"bench":"wc","design":"EXISTING","single":true}`},
 		{"single with stages", `{"bench":"wc","single":true,"stages":3}`},
+		{"stages past the cap", `{"bench":"wc","design":"EXISTING","stages":9}`},
+		{"stacked suffix", `{"bench":"wc","design":"EXISTING_3CORE_4CORE"}`},
 	}
 	for _, tc := range cases {
 		status, body, _ := post(t, ts.URL, tc.body)

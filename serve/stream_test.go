@@ -351,6 +351,41 @@ func TestSweepStreamsCellsAndCachesByCell(t *testing.T) {
 	}
 }
 
+// TestSweepStagesAxisAddsNoNewCells: a stages axis names machines the
+// suffixed design names already do, so after a sweep over those names it
+// has nothing left to simulate.
+func TestSweepStagesAxisAddsNoNewCells(t *testing.T) {
+	named, err := expandSweep(SweepRequest{Benches: []string{"adpcmdec"}, Designs: []string{"HEAVYWT", "HEAVYWT_3CORE"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := expandSweep(SweepRequest{Benches: []string{"adpcmdec"}, Designs: []string{"HEAVYWT"}, Stages: []int{2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(staged) != len(named) {
+		t.Fatalf("stages axis expands to %d cells, the suffixed names to %d", len(staged), len(named))
+	}
+	for i := range named {
+		if staged[i] != named[i] {
+			t.Errorf("cell %d: stages axis gives %+v, suffixed names %+v", i, staged[i], named[i])
+		}
+	}
+
+	s := New(Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	readStream(t, ts.URL, "/sweep", `{"benches":["adpcmdec"],"designs":["HEAVYWT","HEAVYWT_3CORE"]}`)
+	runs := s.Metrics().Runs
+	events := readStream(t, ts.URL, "/sweep", `{"benches":["adpcmdec"],"designs":["HEAVYWT"],"stages":[2,3]}`)
+	if done := events[len(events)-1]; done.Cells != 2 || done.Hits != 2 || done.Ran != 0 {
+		t.Fatalf("stages sweep tallies = %+v, want 2 cells, 2 hits, 0 ran", done)
+	}
+	if got := s.Metrics().Runs; got != runs {
+		t.Fatalf("stages sweep started %d new runs, want 0", got-runs)
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())

@@ -28,9 +28,10 @@ type Spec struct {
 	// Single runs the unpartitioned single-threaded baseline instead of
 	// the pipelined two-thread version.
 	Single bool `json:"single,omitempty"`
-	// Stages, when >= 2, partitions the kernel into that many pipeline
-	// stages (see RunStaged); 0 is the standard two-thread run. 1 is
-	// rejected rather than aliased to either mode.
+	// Stages is an input alias for the design's core count (see
+	// RunStaged): 2 is the design itself, k in 3..8 its "_<k>CORE" name.
+	// Normalize folds it into Design, so the canonical form and the key
+	// never carry it. 1 is rejected rather than aliased to Single.
 	Stages int `json:"stages,omitempty"`
 }
 
@@ -59,8 +60,16 @@ func (s Spec) Normalize() (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	if s.Stages >= 2 && (d.cfg.Cores >= 3 || d.cfg.Parallel) {
-		return Spec{}, fmt.Errorf("hfstream: spec stages=%d conflicts with multi-core design %q (its core count is part of the design name)", s.Stages, d.Name())
+	if s.Stages != 0 {
+		if d.Cores() != 2 {
+			return Spec{}, fmt.Errorf("hfstream: spec stages=%d conflicts with multi-core design %q (its core count is part of the design name)", s.Stages, d.Name())
+		}
+		if s.Stages > 2 {
+			if d, err = d.retarget(s.Stages); err != nil {
+				return Spec{}, err
+			}
+		}
+		s.Stages = 0
 	}
 	s.Design = d.Name()
 	return s, nil
@@ -92,10 +101,10 @@ func (s Spec) Key() (string, error) {
 }
 
 // RunCtx executes the described run: RunSingleThreadedCtx for Single,
-// RunStagedCtx when Stages >= 2, and the standard pipelined RunCtx
-// otherwise. Options pass through unchanged, so a Spec round-tripped
-// through the serve package produces byte-identical WithMetrics output to
-// calling the API directly.
+// and otherwise RunCtx on the normalized design, which alone says how many
+// cores the pipeline spans. Options pass through unchanged, so a Spec
+// round-tripped through the serve package produces byte-identical
+// WithMetrics output to calling the API directly.
 func (s Spec) RunCtx(ctx context.Context, opts ...RunOpt) (Result, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -111,9 +120,6 @@ func (s Spec) RunCtx(ctx context.Context, opts ...RunOpt) (Result, error) {
 	d, err := DesignByName(n.Design)
 	if err != nil {
 		return Result{}, err
-	}
-	if n.Stages >= 2 {
-		return RunStagedCtx(ctx, b, d, n.Stages, opts...)
 	}
 	return RunCtx(ctx, b, d, opts...)
 }

@@ -2,6 +2,7 @@ package hfstream
 
 import (
 	"encoding/json"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -21,6 +22,35 @@ func TestSpecCanonicalAliases(t *testing.T) {
 		{
 			{Bench: "fir", Design: "NETQUEUE_2hop"},
 		},
+		// stages is an alias for the core count the design name carries:
+		// 2 is the bare design, k its _<k>CORE name.
+		{
+			{Bench: "fft2", Design: "HEAVYWT"},
+			{Bench: "fft2", Design: "HEAVYWT", Stages: 2},
+		},
+		{
+			// hand-partitioned, and still the dual-core machine it names
+			{Bench: "bzip2", Design: "EXISTING"},
+			{Bench: "bzip2", Design: "EXISTING", Stages: 2},
+		},
+		{
+			// the suffix is omitted at the point's own core count
+			{Bench: "fft2", Design: "MPMC"},
+			{Bench: "fft2", Design: "MPMC_4CORE"},
+		},
+		{
+			{Bench: "fft2", Design: "MPMC_Q64_3CORE"},
+		},
+	}
+	for _, b := range Benchmarks() {
+		for _, d := range append(Designs(), RegMapped(), NetQueue(2), CentralizedStore(centralConsumeToUse)) {
+			for k := 3; k <= 8; k++ {
+				classes = append(classes, []Spec{
+					{Bench: b.Name(), Design: fmt.Sprintf("%s_%dCORE", d.Name(), k)},
+					{Bench: b.Name(), Design: d.Name(), Stages: k},
+				})
+			}
+		}
 	}
 	keys := map[string]string{}
 	for _, class := range classes {
@@ -29,6 +59,10 @@ func TestSpecCanonicalAliases(t *testing.T) {
 			c, err := s.Canonical()
 			if err != nil {
 				t.Fatalf("%+v: %v", s, err)
+			}
+			n, _ := s.Normalize()
+			if nn, err := n.Normalize(); err != nil || nn != n {
+				t.Errorf("Normalize not idempotent on %+v: %+v then %+v (%v)", s, n, nn, err)
 			}
 			if i == 0 {
 				first = c
@@ -48,11 +82,12 @@ func TestSpecCanonicalAliases(t *testing.T) {
 }
 
 func TestSpecCanonicalIsCompactAndOrdered(t *testing.T) {
+	// The canonical form never carries stages: it is folded into the name.
 	c, err := Spec{Bench: "wc", Design: "HEAVYWT", Stages: 3}.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"bench":"wc","design":"HEAVYWT","stages":3}`; string(c) != want {
+	if want := `{"bench":"wc","design":"HEAVYWT_3CORE"}`; string(c) != want {
 		t.Fatalf("canonical form %s, want %s", c, want)
 	}
 	// JSON field order must survive a decode/encode cycle through Spec.
@@ -97,6 +132,12 @@ func TestSpecRejects(t *testing.T) {
 		{"negative stages", Spec{Bench: "wc", Design: "EXISTING", Stages: -1}, "stages"},
 		{"single with design", Spec{Bench: "wc", Design: "EXISTING", Single: true}, "must not name a design"},
 		{"single with stages", Spec{Bench: "wc", Single: true, Stages: 2}, "cannot be staged"},
+		{"stages on a multi-core name", Spec{Bench: "wc", Design: "HEAVYWT_3CORE", Stages: 3}, "conflicts"},
+		{"stages on a parallel point", Spec{Bench: "wc", Design: "MPMC", Stages: 2}, "conflicts"},
+		{"stages past the cap", Spec{Bench: "wc", Design: "HEAVYWT", Stages: 9}, "out of range 3..8"},
+		{"suffix past the cap", Spec{Bench: "wc", Design: "HEAVYWT_9CORE"}, "out of range 3..8"},
+		{"stacked suffix", Spec{Bench: "wc", Design: "HEAVYWT_3CORE_4CORE"}, "unknown design"},
+		{"dual-core suffix", Spec{Bench: "wc", Design: "HEAVYWT_2CORE"}, "unknown design"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.Normalize(); err == nil {
