@@ -3,6 +3,8 @@
 #
 #   make tier1              build + vet + tests: the gate every PR keeps green
 #   make spine-test         the nested bench/spine module's tests (tier1 does not enter it)
+#   make spine              the repository's benchmark, every workload (bench/spine/README.md)
+#   make spine-pairs BASE=<rev> WORKLOAD=<name>   ten parent/change pairs of it, medians and quartiles
 #   make race               race-detector pass over exp, sim and serve
 #   make coverage           coverage.out, failing under COVERAGE_BASELINE
 #   make fmtcheck           gofmt -l must print nothing
@@ -37,7 +39,7 @@ GOLDEN_BENCHES = bzip2,adpcmdec
 # real regression. Raise it as coverage grows.
 COVERAGE_BASELINE = 72.0
 
-.PHONY: tier1 vet build test spine-test race coverage bench bench-compare bench-serve gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
+.PHONY: tier1 vet build test spine-test spine spine-pairs race coverage bench bench-compare bench-serve gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
 
 tier1: build vet test
 
@@ -55,6 +57,21 @@ test:
 # internal/design and exp.Pool, and this is what notices when they move.
 spine-test:
 	cd bench/spine && $(GO) test ./...
+
+spine:
+	bash bench/spine/run.sh
+
+# A/B protocol for a performance claim: BASE is checked out into a git
+# worktree under .bench_build/, each tree runs its own bench/spine, and
+# the pairs alternate which side goes first (bench/pairs). WORKLOAD takes
+# a comma-separated list (empty: all six); OUT=<file> also writes a JSON
+# report with every run made, adding to the pairs the file already holds.
+# BENCH_PR13.json is ncore at the default ten pairs plus one to three
+# pairs of each other workload (PAIRS=1 ... PAIRS=3):
+#   make spine-pairs BASE=9634bad WORKLOAD=ncore OUT=BENCH_PR13.json
+PAIRS ?= 10
+spine-pairs:
+	$(GO) run ./bench/pairs -base "$(BASE)" -workload "$(WORKLOAD)" -pairs $(PAIRS) -out "$(OUT)"
 
 race:
 	$(GO) vet ./...
@@ -143,7 +160,7 @@ bench-serve:
 		-out BENCH_SERVE.json -label pr8
 
 # The N-core scaling differential battery (scaling_differential_test.go):
-# fft2/equake x {2,3,4}-core chains and parallel-stage points, every
+# fft2/equake x {2,3,4,6,8}-core chains and parallel-stage points, every
 # snapshot byte-identical across runner parallelism, fast-forward mode,
 # and a serve round trip — under the race detector, so the parallel
 # pool's interleavings are exercised while equality is asserted.

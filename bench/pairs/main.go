@@ -1,0 +1,293 @@
+// Command pairs measures a change against a baseline revision with the
+// repository's benchmark (bench/spine): it checks the baseline out into a
+// git worktree under .bench_build/, runs `bash bench/spine/run.sh
+// -workload W` in both trees as parent/change pairs, alternating which
+// side goes first, and reports each side's median and quartiles per
+// end-to-end metric of BENCHMARK.json, with the pairs the change won. It
+// is the harness behind `make spine-pairs` and the BENCH_PR13.json file.
+//
+// Each tree runs its own copy of the benchmark, so the comparison is only
+// meaningful while the change leaves bench/spine alone — which is what a
+// change that claims a gain has to do anyway.
+//
+// Usage:
+//
+//	go run ./bench/pairs -base HEAD~1 -workload ncore
+//	go run ./bench/pairs -base 9634bad -workload matrix2,referee -pairs 1 -out BENCH_PR13.json
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+
+	"hfstream/internal/stats"
+)
+
+// Run is one `run.sh -workload` process set: the driver line it printed.
+type Run struct {
+	Attempted int                `json:"attempted"`
+	Failed    int                `json:"failed"`
+	Metrics   map[string]float64 `json:"metrics"`
+}
+
+// Pair is one baseline run and one change run made back to back.
+type Pair struct {
+	First  string `json:"first"` // "base" or "change": the side that ran first
+	Base   Run    `json:"base"`
+	Change Run    `json:"change"`
+}
+
+// Spread is the median and quartiles of one side's runs.
+type Spread struct {
+	Q1     float64 `json:"q1"`
+	Median float64 `json:"median"`
+	Q3     float64 `json:"q3"`
+}
+
+// Summary compares the two sides on one end-to-end metric.
+type Summary struct {
+	Metric string `json:"metric"`
+	Unit   string `json:"unit"`
+	Better string `json:"better"`
+	Base   Spread `json:"base"`
+	Change Spread `json:"change"`
+	// Wins, Losses and Ties count pairs by which side read better.
+	Wins   int `json:"wins"`
+	Losses int `json:"losses"`
+	Ties   int `json:"ties"`
+}
+
+// Workload holds every run made on one workload and their summary.
+type Workload struct {
+	Pairs   []Pair    `json:"pairs"`
+	Summary []Summary `json:"summary"`
+}
+
+// Report is the BENCH_PR13.json schema.
+type Report struct {
+	Base      string               `json:"base"`
+	Change    string               `json:"change"`
+	Workloads map[string]*Workload `json:"workloads"`
+}
+
+// metric is one end_to_end entry of BENCHMARK.json.
+type metric struct {
+	Name   string `json:"name"`
+	Unit   string `json:"unit"`
+	Better string `json:"better"`
+}
+
+func main() {
+	base := flag.String("base", "", "baseline revision (required)")
+	workloads := flag.String("workload", "", "comma-separated workloads; default: every workload of BENCHMARK.json")
+	pairs := flag.Int("pairs", 10, "parent/change pairs per workload")
+	out := flag.String("out", "", "JSON report to write; pairs already in the file are kept and the new ones added")
+	flag.Parse()
+	if err := run(*base, *workloads, *pairs, *out); err != nil {
+		fmt.Fprintln(os.Stderr, "pairs:", err)
+		os.Exit(1)
+	}
+}
+
+func run(base, workloads string, pairs int, out string) error {
+	if base == "" || pairs < 1 {
+		return fmt.Errorf("need -base <rev> and -pairs >= 1")
+	}
+	root, err := git(".", "rev-parse", "--show-toplevel")
+	if err != nil {
+		return err
+	}
+	var decl struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
+		EndToEnd []metric `json:"end_to_end"`
+	}
+	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	var names []string
+	for _, w := range decl.Workloads {
+		names = append(names, w.Name)
+	}
+	if workloads != "" {
+		names = strings.Split(workloads, ",")
+	}
+
+	rep := &Report{Workloads: map[string]*Workload{}}
+	if out != "" {
+		if old, err := os.ReadFile(out); err == nil {
+			if err := json.Unmarshal(old, rep); err != nil {
+				return fmt.Errorf("%s: %w", out, err)
+			}
+		}
+	}
+	baseRev, err := git(root, "rev-parse", "--short=12", base)
+	if err != nil {
+		return err
+	}
+	changeRev, err := git(root, "rev-parse", "--short=12", "HEAD")
+	if err != nil {
+		return err
+	}
+	if dirty, _ := git(root, "status", "--porcelain"); dirty != "" {
+		changeRev += "+uncommitted"
+	}
+	if len(rep.Workloads) > 0 && (rep.Base != baseRev || rep.Change != changeRev) {
+		return fmt.Errorf("%s holds runs of %s against %s, not %s against %s", out, rep.Change, rep.Base, changeRev, baseRev)
+	}
+	rep.Base, rep.Change = baseRev, changeRev
+
+	baseDir := filepath.Join(root, ".bench_build", "base")
+	removeWorktree(root, baseDir) // left behind by an interrupted run
+	if _, err := git(root, "worktree", "add", "--detach", baseDir, rep.Base); err != nil {
+		return err
+	}
+	defer removeWorktree(root, baseDir)
+	dirs := map[string]string{"base": baseDir, "change": root}
+
+	for _, name := range names {
+		w := rep.Workloads[name]
+		if w == nil {
+			w = &Workload{}
+			rep.Workloads[name] = w
+		}
+		w.Summary = nil
+		for i, end := len(w.Pairs), len(w.Pairs)+pairs; i < end; i++ {
+			order := []string{"base", "change"}
+			if i%2 == 1 {
+				order = []string{"change", "base"}
+			}
+			p := Pair{First: order[0]}
+			for _, side := range order {
+				r, err := measure(dirs[side], name)
+				if err != nil {
+					return fmt.Errorf("%s, pair %d, %s: %w", name, i+1, side, err)
+				}
+				if side == "base" {
+					p.Base = r
+				} else {
+					p.Change = r
+				}
+			}
+			w.Pairs = append(w.Pairs, p)
+			fmt.Fprintf(os.Stderr, "pairs: %s pair %d of %d done (%s first)\n", name, i+1, end, p.First)
+		}
+		for _, m := range decl.EndToEnd {
+			w.Summary = append(w.Summary, summarize(m, w.Pairs))
+		}
+		printSummary(name, rep, w)
+	}
+
+	if out == "" {
+		return nil
+	}
+	enc, err := json.MarshalIndent(rep, "", " ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(out, append(enc, '\n'), 0o644)
+}
+
+// measure runs one workload in the tree at dir and decodes the driver's
+// line, the last one on standard output.
+func measure(dir, workload string) (Run, error) {
+	cmd := exec.Command("bash", "bench/spine/run.sh", "-workload", workload)
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		return Run{}, fmt.Errorf("%w\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	var line struct {
+		Attempted int `json:"attempted"`
+		Failed    int `json:"failed"`
+		Metrics   map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &line); err != nil {
+		return Run{}, fmt.Errorf("driver line: %w", err)
+	}
+	r := Run{Attempted: line.Attempted, Failed: line.Failed, Metrics: map[string]float64{}}
+	for name, m := range line.Metrics {
+		r.Metrics[name] = m.Value
+	}
+	return r, nil
+}
+
+func summarize(m metric, pairs []Pair) Summary {
+	s := Summary{Metric: m.Name, Unit: m.Unit, Better: m.Better}
+	var base, change []float64
+	for _, p := range pairs {
+		b, c := p.Base.Metrics[m.Name], p.Change.Metrics[m.Name]
+		base, change = append(base, b), append(change, c)
+		switch {
+		case b == c:
+			s.Ties++
+		case (c < b) == (m.Better == "lower"):
+			s.Wins++
+		default:
+			s.Losses++
+		}
+	}
+	s.Base, s.Change = spread(base), spread(change)
+	return s
+}
+
+func spread(v []float64) Spread {
+	sort.Float64s(v)
+	at := func(q float64) float64 {
+		pos := q * float64(len(v)-1)
+		lo := int(pos)
+		if lo+1 >= len(v) {
+			return v[len(v)-1]
+		}
+		return v[lo] + (pos-float64(lo))*(v[lo+1]-v[lo])
+	}
+	return Spread{Q1: at(0.25), Median: at(0.5), Q3: at(0.75)}
+}
+
+func printSummary(name string, rep *Report, w *Workload) {
+	t := stats.NewTable(
+		fmt.Sprintf("%s: %d pairs, base %s, change %s", name, len(w.Pairs), rep.Base, rep.Change),
+		"metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "change/base", "won", "lost", "tied")
+	for _, s := range w.Summary {
+		t.AddRowf(s.Metric, s.Unit,
+			fmt.Sprintf("%.4g [%.4g, %.4g]", s.Base.Median, s.Base.Q1, s.Base.Q3),
+			fmt.Sprintf("%.4g [%.4g, %.4g]", s.Change.Median, s.Change.Q1, s.Change.Q3),
+			s.Change.Median/s.Base.Median, s.Wins, s.Losses, s.Ties)
+	}
+	fmt.Println(t.String())
+}
+
+func git(dir string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	outb, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w: %s", strings.Join(args, " "), err, strings.TrimSpace(stderr.String()))
+	}
+	return strings.TrimSpace(string(outb)), nil
+}
+
+// removeWorktree drops the baseline worktree if there is one; errors mean
+// there was none.
+func removeWorktree(root, dir string) {
+	_, _ = git(root, "worktree", "remove", "--force", dir)
+	_, _ = git(root, "worktree", "prune")
+}

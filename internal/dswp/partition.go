@@ -64,6 +64,34 @@ func Partition(l *ir.Loop) (*Result, error) { return PartitionN(l, 2) }
 // dependence. Stages beyond the paper's two exercise larger CMPs (the
 // HEAVYWT substrate runs any number of cores).
 func PartitionN(l *ir.Loop, n int) (*Result, error) {
+	sp, err := newCutSpace(l, n)
+	if err != nil {
+		return nil, err
+	}
+	cuts := sp.bestCut()
+	if cuts == nil {
+		return nil, fmt.Errorf("dswp: loop %s: no valid %d-stage cut (check pins)", l.Name, n)
+	}
+	return sp.emit(cuts)
+}
+
+// cutSpace is the search space of one PartitionN call: the loop's SCCs in
+// pipeline order, split into those every cut must leave in stage 0 and
+// those a cut distributes. A cut is n-1 strictly increasing positions in
+// free; cuts[i] is the first free SCC of stage i+1.
+type cutSpace struct {
+	l *ir.Loop
+	n int
+	// forced SCCs hold a non-replicable exit slice and stay in stage 0
+	// (control flows forward only); free SCCs are assigned by the cut.
+	forced, free [][]int
+	// slice is the exit node's backward closure; when replicable (no
+	// memory operations) every thread recomputes it.
+	slice      map[int]bool
+	replicable bool
+}
+
+func newCutSpace(l *ir.Loop, n int) (*cutSpace, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("dswp: need at least 2 stages, got %d", n)
 	}
@@ -76,52 +104,74 @@ func PartitionN(l *ir.Loop, n int) (*Result, error) {
 		return nil, fmt.Errorf("dswp: loop %s has %d SCCs; cannot form %d stages", l.Name, len(comps), n)
 	}
 
-	nodeByID := map[int]*ir.Node{}
-	for _, nd := range l.Body {
-		nodeByID[nd.ID] = nd
-	}
-
 	// Replicable control slice: the backward closure of the exit node, if
 	// it contains no memory operations, is cheap to recompute in every
 	// thread (the DSWP branch-replication rule).
-	slice := exitSlice(l)
-	replicable := true
-	for id := range slice {
-		op := nodeByID[id].Op
-		if op == isa.Ld || op == isa.St {
-			replicable = false
+	sp := &cutSpace{l: l, n: n, slice: exitSlice(l), replicable: true}
+	for _, nd := range l.Body {
+		if sp.slice[nd.ID] && (nd.Op == isa.Ld || nd.Op == isa.St) {
+			sp.replicable = false
 			break
 		}
 	}
 
-	// Split SCCs into those pinned to stage 0 (a non-replicable control
-	// slice: control flows forward only) and the freely assignable rest.
-	var forced, free [][]int
 	for _, comp := range comps {
 		allSlice := true
 		hasSlice := false
 		for _, id := range comp {
-			if slice[id] {
+			if sp.slice[id] {
 				hasSlice = true
 			} else {
 				allSlice = false
 			}
 		}
 		switch {
-		case replicable && allSlice:
+		case sp.replicable && allSlice:
 			// Replicated into every thread at codegen.
-		case !replicable && hasSlice:
-			forced = append(forced, comp)
+		case !sp.replicable && hasSlice:
+			sp.forced = append(sp.forced, comp)
 		default:
-			free = append(free, comp)
+			sp.free = append(sp.free, comp)
 		}
 	}
-	if len(free) < n-1 {
+	// Stages 1..n-1 each take a free SCC, and so does stage 0 when
+	// nothing is forced into it.
+	need := n - 1
+	if len(sp.forced) == 0 {
+		need = n
+	}
+	if len(sp.free) < need {
 		return nil, fmt.Errorf("dswp: loop %s has too little partitionable work for %d stages", l.Name, n)
 	}
-	assign := bestCut(l, nodeByID, forced, free, slice, replicable, n)
-	if assign == nil {
-		return nil, fmt.Errorf("dswp: loop %s: no valid %d-stage cut (check pins)", l.Name, n)
+	return sp, nil
+}
+
+// fillStages sets stageOf[i] to the stage free SCC i falls in under cuts.
+func fillStages(stageOf, cuts []int) {
+	s := 0
+	for i := range stageOf {
+		for s < len(cuts) && i >= cuts[s] {
+			s++
+		}
+		stageOf[i] = s
+	}
+}
+
+// emit generates the thread programs of the partition a cut describes.
+func (sp *cutSpace) emit(cuts []int) (*Result, error) {
+	l, n, slice, replicable := sp.l, sp.n, sp.slice, sp.replicable
+	assign := map[int]int{}
+	for _, comp := range sp.forced {
+		for _, id := range comp {
+			assign[id] = 0
+		}
+	}
+	stageOf := make([]int, len(sp.free))
+	fillStages(stageOf, cuts)
+	for i, comp := range sp.free {
+		for _, id := range comp {
+			assign[id] = stageOf[i]
+		}
 	}
 
 	// Cross-partition dependences become queues: one per
@@ -209,151 +259,6 @@ func PartitionN(l *ir.Loop, n int) (*Result, error) {
 		res.Threads = append(res.Threads, prog)
 	}
 	return res, nil
-}
-
-// bestCut enumerates every monotone split of the free SCCs into n
-// consecutive segments (forced SCCs always join stage 0) and returns the
-// assignment minimizing the estimated bottleneck-stage time.
-func bestCut(l *ir.Loop, nodeByID map[int]*ir.Node, forced, free [][]int,
-	slice map[int]bool, replicable bool, n int) map[int]int {
-
-	baseT0 := map[int]bool{}
-	for _, comp := range forced {
-		for _, id := range comp {
-			baseT0[id] = true
-		}
-	}
-
-	bestScore := -1.0
-	var best map[int]int
-
-	// cuts[i] is the first free-SCC index of stage i+1; enumerate all
-	// strictly increasing (n-1)-tuples over [minFirst .. len(free)].
-	cuts := make([]int, n-1)
-	var enumerate func(level, from int)
-	enumerate = func(level, from int) {
-		if level == n-1 {
-			assign := map[int]int{}
-			for id := range baseT0 {
-				assign[id] = 0
-			}
-			for i, comp := range free {
-				th := 0
-				for c := n - 2; c >= 0; c-- {
-					if i >= cuts[c] {
-						th = c + 1
-						break
-					}
-				}
-				for _, id := range comp {
-					assign[id] = th
-				}
-			}
-			// Stage 0 must be non-empty.
-			if cuts[0] == 0 && len(baseT0) == 0 {
-				return
-			}
-			if violatesPins(l, assign) {
-				return
-			}
-			score := 0.0
-			for th := 0; th < n; th++ {
-				c := stageCost(l, nodeByID, assign, th, slice, replicable)
-				if c > score {
-					score = c
-				}
-			}
-			if bestScore < 0 || score < bestScore {
-				bestScore = score
-				best = assign
-			}
-			return
-		}
-		// Strictly increasing cuts, with the last stage non-empty:
-		// cuts[level] leaves room for the remaining n-2-level cuts and
-		// cuts[n-2] <= len(free)-1.
-		for p := from; p <= len(free)-1-(n-2-level); p++ {
-			cuts[level] = p
-			enumerate(level+1, p+1)
-		}
-	}
-	enumerate(0, 0)
-	return best
-}
-
-// violatesPins reports whether an assignment contradicts the loop's
-// partitioner hints.
-func violatesPins(l *ir.Loop, assign map[int]int) bool {
-	for id, stage := range l.Pins {
-		if th, ok := assign[id]; ok && th != stage {
-			return true
-		}
-	}
-	return false
-}
-
-// stageCost estimates one stage's per-iteration time: the maximum of its
-// issue-bandwidth bound (total latency-weighted work over an effective
-// width) and its dependence-chain bound, plus per-queue COMM-OP cost for
-// the values it imports and exports.
-func stageCost(l *ir.Loop, nodeByID map[int]*ir.Node, assign map[int]int,
-	th int, slice map[int]bool, replicable bool) float64 {
-
-	width := 3.0 // effective sustained issue on the in-order core
-	work := 0
-	depth := map[int]int{}
-	maxChain := 0
-	comm := map[[3]int]bool{} // (src, carriedBit, dest) endpoints touching th
-	for _, n := range l.Body {
-		nt, repl := threadOf(n.ID, assign, slice, replicable)
-		if !repl && nt != th {
-			// Still scan its operands for edges produced by this stage.
-			if !repl {
-				for _, a := range n.Args {
-					if a.Node == nil || a.Node.ID == n.ID {
-						continue
-					}
-					st, slocal := threadOf(a.Node.ID, assign, slice, replicable)
-					if !slocal && st == th && st != nt {
-						cb := 0
-						if a.Carried {
-							cb = 1
-						}
-						comm[[3]int{a.Node.ID, cb, nt}] = true
-					}
-				}
-			}
-			continue
-		}
-		work += n.Weight()
-		d := 0
-		for _, a := range n.Args {
-			if a.Node == nil || a.Carried {
-				continue
-			}
-			if pd, ok := depth[a.Node.ID]; ok && pd > d {
-				d = pd
-			}
-			st, slocal := threadOf(a.Node.ID, assign, slice, replicable)
-			if !repl && !slocal && st != th {
-				cb := 0
-				if a.Carried {
-					cb = 1
-				}
-				comm[[3]int{a.Node.ID, cb, th}] = true
-			}
-		}
-		d += n.Weight()
-		depth[n.ID] = d
-		if d > maxChain {
-			maxChain = d
-		}
-	}
-	cost := float64(work) / width
-	if float64(maxChain) > cost {
-		cost = float64(maxChain)
-	}
-	return cost + 1.5*float64(len(comm))
 }
 
 // threadOf returns the stage of a node and whether it is replicated

@@ -17,7 +17,7 @@ import (
 // exactly when the kernel's dependence structure cannot fill that shape.
 
 // ScalingCores is the core-count axis of the scaling study.
-var ScalingCores = []int{1, 2, 3, 4}
+var ScalingCores = []int{1, 2, 3, 4, 6, 8}
 
 // ScalingBenches names the kernels of the study: two StreamIt/SPEC
 // kernels with enough SCC structure to fill deep pipelines.

@@ -1,7 +1,7 @@
 package hfstream_test
 
 // The N-core extension of the differential battery: over two IR kernels
-// x {2,3,4} cores x the k-stage and parallel-stage design points, every
+// x {2,3,4,6,8} cores x the k-stage and parallel-stage design points, every
 // way of producing a metrics snapshot must be byte-identical —
 //
 //	(a) serial vs parallel experiment runner,
@@ -9,7 +9,7 @@ package hfstream_test
 //	(c) direct library API vs a serve/ HTTP round trip,
 //
 // mirroring differential_test.go for the machines the dual-core battery
-// cannot reach: 3- and 4-stage DSWP chains and the PS-DSWP replicated
+// cannot reach: 3- to 8-stage DSWP chains and the PS-DSWP replicated
 // worker shape, each with auto-derived queue routes. Determinism is the
 // repo's load-bearing invariant (memoized oracles, golden CI,
 // content-addressed serving); these rows pin it for N-core topologies.
@@ -27,22 +27,25 @@ import (
 	"hfstream/serve/client"
 )
 
-// scaleBenches are IR kernels whose dependence structure fills four
+// scaleBenches are IR kernels whose dependence structure fills eight
 // pipeline stages and replicates for parallel-stage workers.
 var scaleBenches = []string{"fft2", "equake"}
 
-// scaleConfigs enumerates the N-core grid: each chain design at 2, 3 and
-// 4 cores, plus the parallel-stage point at 3 and 4 cores (its minimum
-// is 3: two workers and a merger).
+// scaleConfigs enumerates the N-core grid along the scaling study's axis
+// (exp.ScalingCores): each chain design at every count from the paper's 2
+// up, plus the parallel-stage point from 3 cores (its minimum: two
+// workers and a merger).
 func scaleConfigs() []design.Config {
 	var out []design.Config
-	for _, cfg := range []design.Config{design.SyncOptiSCQ64Config(), design.HeavyWTConfig()} {
-		out = append(out, cfg) // the paper's dual-core machine
-		for _, k := range []int{3, 4} {
-			out = append(out, cfg.WithCores(k))
+	for _, k := range exp.ScalingCores {
+		if k >= 2 {
+			out = append(out, design.SyncOptiSCQ64Config().WithCores(k), design.HeavyWTConfig().WithCores(k))
+		}
+		if k >= 3 {
+			out = append(out, design.MPMCQ64Config().WithCores(k))
 		}
 	}
-	return append(out, design.MPMCQ64Config().WithCores(3), design.MPMCQ64Config())
+	return out
 }
 
 func scaleJobs() []exp.Job {
