@@ -4,7 +4,7 @@
 #   make tier1              build + vet + tests: the gate every PR keeps green
 #   make spine-test         the nested bench/spine module's tests (tier1 does not enter it)
 #   make spine              the repository's benchmark, every workload (bench/spine/README.md)
-#   make spine-pairs BASE=<rev> WORKLOAD=<name>   ten parent/change pairs of it, medians and quartiles
+#   make spine-pairs BASE=<rev> WORKLOAD=<name>   ten parent/change pairs of it; fails on a loss beyond a BENCHMARK.json bound
 #   make race               race-detector pass over exp, sim and serve
 #   make coverage           coverage.out, failing under COVERAGE_BASELINE
 #   make fmtcheck           gofmt -l must print nothing
@@ -16,15 +16,13 @@
 #   make serve-cluster      ring/peering under -race plus the cluster differential rows
 #   make scaling            the N-core differential under -race (EXPERIMENTS.md "Scaling curves")
 #   make load-smoke         hfload against in-process 1- and 3-replica clusters
-#   make bench              kernel wall-time matrix -> BENCH_PR6.json (EXPERIMENTS.md "Wall-clock benchmarking")
-#   make bench-compare      re-measure equake,mcf; fail on >25% geomean regression vs BENCH_PR6.json
 #   make bench-serve        regenerate BENCH_SERVE.json
 #   make gobench            one `go test -bench` pass over the reproduction benchmarks
 #   make chaos              full fault-injection sweep (RESILIENCE.md)
 #   make chaos-smoke        the CI chaos corpus, fast-forward on and off
 #   make chaos-cluster      service-tier chaos smoke under -race
 #   make fuzz-smoke         30s of native fuzzing per target
-#   make ci                 everything CI runs
+#   make ci                 everything CI runs (BASE=<rev> for the spine-pairs gate; default HEAD~1)
 
 GO ?= go
 
@@ -39,7 +37,7 @@ GOLDEN_BENCHES = bzip2,adpcmdec
 # real regression. Raise it as coverage grows.
 COVERAGE_BASELINE = 72.0
 
-.PHONY: tier1 vet build test spine-test spine spine-pairs race coverage bench bench-compare bench-serve gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
+.PHONY: tier1 vet build test spine-test spine spine-pairs race coverage bench-serve gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
 
 tier1: build vet test
 
@@ -66,9 +64,12 @@ spine:
 # the pairs alternate which side goes first (bench/pairs). WORKLOAD takes
 # a comma-separated list (empty: all six); OUT=<file> also writes a JSON
 # report with every run made, adding to the pairs the file already holds.
-# BENCH_PR13.json is ncore at the default ten pairs plus one to three
-# pairs of each other workload (PAIRS=1 ... PAIRS=3):
-#   make spine-pairs BASE=9634bad WORKLOAD=ncore OUT=BENCH_PR13.json
+# It is also the regression gate: the exit status is non-zero when the
+# change's median of an end-to-end metric is worse than BASE's by more than
+# the metric's bound in BENCHMARK.json, or the change failed a larger share
+# of its operations. BENCH_PR14.json is matrix2, ncore and referee at the
+# default ten pairs plus three pairs of each other workload:
+#   make spine-pairs BASE=116731a WORKLOAD=matrix2,ncore,referee OUT=BENCH_PR14.json
 PAIRS ?= 10
 spine-pairs:
 	$(GO) run ./bench/pairs -base "$(BASE)" -workload "$(WORKLOAD)" -pairs $(PAIRS) -out "$(OUT)"
@@ -86,24 +87,13 @@ coverage:
 	awk -v t="$$total" -v b="$(COVERAGE_BASELINE)" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }' || \
 		{ echo "coverage regressed below the $(COVERAGE_BASELINE)% baseline"; exit 1; }
 
-bench:
-	$(GO) run ./bench -out BENCH_PR6.json -baseline BENCH_PR3.json -label pr6
-
-# CI regression gate: re-measure a benchmark subset and fail if wall
-# time regressed more than 25% (geomean over matched pairs) against the
-# checked-in BENCH_PR6.json. The subset is the two *slowest* benchmarks
-# (unlike the golden pair, their multi-millisecond runs don't drown in
-# timer noise) and the 25% headroom absorbs the rest; a real scheduling
-# or allocation regression blows well past it.
-BENCH_COMPARE_BENCHES = equake,mcf
-bench-compare:
-	$(GO) run ./bench -benches $(BENCH_COMPARE_BENCHES) -reps 5 -out - \
-		-label compare -baseline BENCH_PR6.json -maxregress 25
-
 gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-ci: tier1 spine-test race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling bench-compare chaos-smoke chaos-cluster
+# The last step is CI's regression gate: the dual-core matrix, an N-core
+# cell and a service number against the parent commit.
+ci: tier1 spine-test race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos-smoke chaos-cluster
+	$(MAKE) spine-pairs BASE=$(or $(BASE),HEAD~1) WORKLOAD=matrix2,ncore,serve_mix PAIRS=3
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -176,9 +166,10 @@ chaos:
 # 7 designs plus 3 MPMC shared-queue seeds (>= 100) on the 3
 # ticket-discipline designs — with fast-forwarding on and off: fault
 # triggers are occurrence-based, so both must agree.
+CHAOS_SEEDS = 1,2,3,4,5,6,101,102,103
 chaos-smoke:
-	$(GO) run ./cmd/hfchaos -seeds 1,2,3,4,5,6,101,102,103 -plans 4
-	HFSTREAM_NO_FASTFORWARD=1 $(GO) run ./cmd/hfchaos -seeds 1,2,3,4,5,6,101,102,103 -plans 4
+	$(GO) run ./cmd/hfchaos -seeds $(CHAOS_SEEDS) -plans 4
+	HFSTREAM_NO_FASTFORWARD=1 $(GO) run ./cmd/hfchaos -seeds $(CHAOS_SEEDS) -plans 4
 
 # Service-tier chaos smoke: the first corpus seed's scenario set (see
 # chaos/testdata/cluster_seeds.json) against real faulted hfserve

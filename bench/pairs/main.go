@@ -3,8 +3,13 @@
 // git worktree under .bench_build/, runs `bash bench/spine/run.sh
 // -workload W` in both trees as parent/change pairs, alternating which
 // side goes first, and reports each side's median and quartiles per
-// end-to-end metric of BENCHMARK.json, with the pairs the change won. It
-// is the harness behind `make spine-pairs` and the BENCH_PR13.json file.
+// end-to-end metric of BENCHMARK.json, with the pairs the change won and
+// each side's share of failed operations. It is the harness behind `make
+// spine-pairs` and the BENCH_PR<n>.json files, and it is the regression
+// gate: it exits non-zero when, on a workload it ran, the change's median
+// of an end-to-end metric is worse than the baseline's by more than that
+// metric's bound in BENCHMARK.json, or the change failed a larger share of
+// its operations.
 //
 // Each tree runs its own copy of the benchmark, so the comparison is only
 // meaningful while the change leaves bench/spine alone — which is what a
@@ -21,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -53,11 +59,12 @@ type Spread struct {
 
 // Summary compares the two sides on one end-to-end metric.
 type Summary struct {
-	Metric string `json:"metric"`
-	Unit   string `json:"unit"`
-	Better string `json:"better"`
-	Base   Spread `json:"base"`
-	Change Spread `json:"change"`
+	Metric string  `json:"metric"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+	Base   Spread  `json:"base"`
+	Change Spread  `json:"change"`
 	// Wins, Losses and Ties count pairs by which side read better.
 	Wins   int `json:"wins"`
 	Losses int `json:"losses"`
@@ -68,9 +75,13 @@ type Summary struct {
 type Workload struct {
 	Pairs   []Pair    `json:"pairs"`
 	Summary []Summary `json:"summary"`
+	// BaseFailed and ChangeFailed are each side's failed operations over
+	// the operations it attempted, summed across the pairs.
+	BaseFailed   float64 `json:"base_failed_share"`
+	ChangeFailed float64 `json:"change_failed_share"`
 }
 
-// Report is the BENCH_PR13.json schema.
+// Report is the BENCH_PR<n>.json schema.
 type Report struct {
 	Base      string               `json:"base"`
 	Change    string               `json:"change"`
@@ -79,9 +90,10 @@ type Report struct {
 
 // metric is one end_to_end entry of BENCHMARK.json.
 type metric struct {
-	Name   string `json:"name"`
-	Unit   string `json:"unit"`
-	Better string `json:"better"`
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
 func main() {
@@ -157,13 +169,13 @@ func run(base, workloads string, pairs int, out string) error {
 	defer removeWorktree(root, baseDir)
 	dirs := map[string]string{"base": baseDir, "change": root}
 
+	var failures []string
 	for _, name := range names {
 		w := rep.Workloads[name]
 		if w == nil {
 			w = &Workload{}
 			rep.Workloads[name] = w
 		}
-		w.Summary = nil
 		for i, end := len(w.Pairs), len(w.Pairs)+pairs; i < end; i++ {
 			order := []string{"base", "change"}
 			if i%2 == 1 {
@@ -184,20 +196,28 @@ func run(base, workloads string, pairs int, out string) error {
 			w.Pairs = append(w.Pairs, p)
 			fmt.Fprintf(os.Stderr, "pairs: %s pair %d of %d done (%s first)\n", name, i+1, end, p.First)
 		}
-		for _, m := range decl.EndToEnd {
-			w.Summary = append(w.Summary, summarize(m, w.Pairs))
+		if err := w.recompute(decl.EndToEnd); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		printSummary(name, rep, w)
+		for _, f := range w.regressions() {
+			failures = append(failures, name+": "+f)
+		}
 	}
 
-	if out == "" {
-		return nil
+	if out != "" {
+		enc, err := json.MarshalIndent(rep, "", " ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(out, append(enc, '\n'), 0o644); err != nil {
+			return err
+		}
 	}
-	enc, err := json.MarshalIndent(rep, "", " ")
-	if err != nil {
-		return err
+	if len(failures) > 0 {
+		return fmt.Errorf("the change regressed:\n  %s", strings.Join(failures, "\n  "))
 	}
-	return os.WriteFile(out, append(enc, '\n'), 0o644)
+	return nil
 }
 
 // measure runs one workload in the tree at dir and decodes the driver's
@@ -228,11 +248,59 @@ func measure(dir, workload string) (Run, error) {
 	return r, nil
 }
 
-func summarize(m metric, pairs []Pair) Summary {
-	s := Summary{Metric: m.Name, Unit: m.Unit, Better: m.Better}
+// recompute rebuilds the workload's summary and failed shares from its
+// pairs. A metric that a run did not report is an error: read as 0 it
+// would tie with, or beat, every real reading.
+func (w *Workload) recompute(metrics []metric) error {
+	w.Summary = nil
+	for _, m := range metrics {
+		s, err := summarize(m, w.Pairs)
+		if err != nil {
+			return err
+		}
+		w.Summary = append(w.Summary, s)
+	}
+	var base, change Run
+	for _, p := range w.Pairs {
+		base.Attempted += p.Base.Attempted
+		base.Failed += p.Base.Failed
+		change.Attempted += p.Change.Attempted
+		change.Failed += p.Change.Failed
+	}
+	w.BaseFailed = float64(base.Failed) / float64(base.Attempted)
+	w.ChangeFailed = float64(change.Failed) / float64(change.Attempted)
+	return nil
+}
+
+// regressions lists the reasons the change fails the gate on this
+// workload; none means it passes.
+func (w *Workload) regressions() []string {
+	var out []string
+	for _, s := range w.Summary {
+		worse := s.Change.Median - s.Base.Median
+		if s.Better == "higher" {
+			worse = -worse
+		}
+		if worse > s.Bound*math.Abs(s.Base.Median) {
+			out = append(out, fmt.Sprintf("%s median %.4g against %.4g %s, worse by more than the bound of %.0f%%",
+				s.Metric, s.Change.Median, s.Base.Median, s.Unit, 100*s.Bound))
+		}
+	}
+	if w.ChangeFailed > w.BaseFailed {
+		out = append(out, fmt.Sprintf("failed share %.4g against %.4g", w.ChangeFailed, w.BaseFailed))
+	}
+	return out
+}
+
+func summarize(m metric, pairs []Pair) (Summary, error) {
+	s := Summary{Metric: m.Name, Unit: m.Unit, Better: m.Better, Bound: m.Bound}
 	var base, change []float64
-	for _, p := range pairs {
-		b, c := p.Base.Metrics[m.Name], p.Change.Metrics[m.Name]
+	for i, p := range pairs {
+		b, okb := p.Base.Metrics[m.Name]
+		c, okc := p.Change.Metrics[m.Name]
+		if !okb || !okc {
+			return s, fmt.Errorf("pair %d: a run did not report %s", i+1, m.Name)
+		}
 		base, change = append(base, b), append(change, c)
 		switch {
 		case b == c:
@@ -244,7 +312,7 @@ func summarize(m metric, pairs []Pair) Summary {
 		}
 	}
 	s.Base, s.Change = spread(base), spread(change)
-	return s
+	return s, nil
 }
 
 func spread(v []float64) Spread {
@@ -262,7 +330,8 @@ func spread(v []float64) Spread {
 
 func printSummary(name string, rep *Report, w *Workload) {
 	t := stats.NewTable(
-		fmt.Sprintf("%s: %d pairs, base %s, change %s", name, len(w.Pairs), rep.Base, rep.Change),
+		fmt.Sprintf("%s: %d pairs, base %s (failed share %.4g), change %s (failed share %.4g)",
+			name, len(w.Pairs), rep.Base, w.BaseFailed, rep.Change, w.ChangeFailed),
 		"metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "change/base", "won", "lost", "tied")
 	for _, s := range w.Summary {
 		t.AddRowf(s.Metric, s.Unit,

@@ -1,8 +1,7 @@
 // Command hfload drives an hfserve cluster at configurable offered load
 // and Zipf key skew, and emits an SLO report (latency percentiles, shed
 // rate, cache-hit ratio split local/peer, throughput vs replicas) as
-// JSON — BENCH_SERVE.json when checked in, giving serving performance
-// the same tracked trajectory the kernel has in BENCH_PR3/PR6.json.
+// JSON — BENCH_SERVE.json when checked in.
 //
 // Two modes:
 //

@@ -275,10 +275,6 @@ func (c *Core) Done(cycle uint64) bool {
 	return true
 }
 
-// AppIssued returns the dynamic application (non-overhead) instruction
-// count.
-func (c *Core) AppIssued() uint64 { return c.Issued - c.IssuedComm }
-
 // track records a freshly issued token in the earliest-completion cache:
 // the token notifies nextDue when it completes, and a token that already
 // carries a completion cycle lowers it immediately.
@@ -624,55 +620,6 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 		return cycle + 1
 	}
 	return w
-}
-
-// ParkWake reports whether the kernel may park this core — skip its Tick
-// entirely — until the returned cycle, charging the skipped cycles via
-// FastForward. Parking is exact only when every skipped Tick is provably
-// identical to the one just executed:
-//
-//   - an operand-latency stall: the stalled instruction and its register
-//     checks cannot change until the blocking operand's ready cycle, and
-//     tokens collected mid-span write the same regs/ready values whenever
-//     collect runs;
-//   - a halted drain in which every outstanding token already has a known
-//     completion cycle: the drain bucket is then frozen until the earliest
-//     completion (a Pending token's DoneAt and Loc can still change, so
-//     any Pending token forbids parking).
-//
-// The caller must additionally ensure the core issued nothing this tick.
-func (c *Core) ParkWake(cycle uint64) (uint64, bool) {
-	if !c.halted {
-		if c.LastStall != StallOperand || c.stallWake <= cycle+1 {
-			return 0, false
-		}
-		return c.stallWake, true
-	}
-	w := uint64(port.Pending)
-	m := c.pendMask
-	for m != 0 {
-		r := bits.TrailingZeros64(m)
-		m &= m - 1
-		t := c.pend[r]
-		if t.DoneAt == port.Pending {
-			return 0, false
-		}
-		if t.DoneAt > cycle && t.DoneAt < w {
-			w = t.DoneAt
-		}
-	}
-	for _, t := range c.inflight {
-		if t.DoneAt == port.Pending {
-			return 0, false
-		}
-		if t.DoneAt > cycle && t.DoneAt < w {
-			w = t.DoneAt
-		}
-	}
-	if w <= cycle+1 || w == port.Pending {
-		return 0, false
-	}
-	return w, true
 }
 
 // note records one issued instruction. It runs before c.pc advances, so

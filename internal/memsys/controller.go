@@ -432,23 +432,6 @@ func (c *Controller) storeDone(e *ozEntry) {
 	}
 }
 
-// Debug returns a human-readable dump of the OzQ and stream state, used
-// in deadlock reports.
-func (c *Controller) Debug() string {
-	s := fmt.Sprintf("ctrl %d: ozq=%d pendingLines=%d events=%d\n", c.id, len(c.ozq), len(c.mshrs), c.events.Len())
-	for _, e := range c.ozq {
-		s += fmt.Sprintf("  %s state=%d addr=%#x q=%d slot=%d readyAt=%d\n", e.kind, e.state, e.addr, e.q, e.slot, e.readyAt)
-	}
-	for q := range c.sentCum {
-		if c.sentCum[q]+c.consumeIssueCum[q] > 0 {
-			s += fmt.Sprintf("  q%d: sent=%d done=%d acked=%d fwd=%d | consIssue=%d avail=%d consumed=%d\n",
-				q, c.sentCum[q], c.doneCum[q], c.ackedCum[q], c.forwardedCum[q],
-				c.consumeIssueCum[q], c.availCum[q], c.consumedCum[q])
-		}
-	}
-	return s
-}
-
 // OzQEntryInfo is a diagnostic snapshot of one OzQ entry.
 type OzQEntryInfo struct {
 	Kind      string

@@ -75,22 +75,14 @@ func (f *Fabric) Mem() *mem.Memory { return f.mem }
 // it with the cores and the sync array.
 func (f *Fabric) Tokens() *port.TokenPool { return f.tokens }
 
-// Preload installs a line into the shared L3 and, in shared state, into
-// every private L2. It warms the hierarchy before measurement so results
-// reflect the paper's steady-state hot loops; regions larger than a cache
-// simply wrap its LRU state and keep their natural miss behaviour.
-func (f *Fabric) Preload(lineAddr uint64) {
-	f.l3.Insert(lineAddr, cache.Shared)
-	for _, c := range f.ctrls {
-		c.l2.Insert(lineAddr, cache.Shared)
-	}
-}
-
-// PreloadRange preloads n consecutive lines starting at base, exactly as n
-// Preload calls would (each cache keeps its own LRU clock, so the per-line
-// interleaving across caches is immaterial) but in bulk: ranges larger than
-// a cache skip straight to the tail that survives. The lines must not
-// already be present anywhere (preload runs before the first access).
+// PreloadRange installs n consecutive lines starting at base into the
+// shared L3 and, in shared state, into every private L2. It warms the
+// hierarchy before measurement so results reflect the paper's steady-state
+// hot loops; regions larger than a cache wrap its LRU state and keep their
+// natural miss behaviour, so the bulk insert skips straight to the tail
+// that survives (each cache keeps its own LRU clock, so the per-line
+// interleaving across caches is immaterial). The lines must not already be
+// present anywhere (preload runs before the first access).
 func (f *Fabric) PreloadRange(base uint64, n int) {
 	f.l3.InsertRange(base, n, cache.Shared)
 	for _, c := range f.ctrls {
@@ -98,13 +90,10 @@ func (f *Fabric) PreloadRange(base uint64, n int) {
 	}
 }
 
-// Tick advances the whole memory subsystem one cycle.
-func (f *Fabric) Tick(cycle uint64) {
-	f.bus.Tick(cycle)
-	for _, c := range f.ctrls {
-		c.Tick(cycle)
-	}
-}
+// Tick is TickDue with force set. Nothing in this module calls it; it
+// stays because the frozen bench/spine probe memsys.fabric_tick_idle_ns
+// does.
+func (f *Fabric) Tick(cycle uint64) { f.TickDue(cycle, true) }
 
 // TickDue advances only the components whose cached wake time says they
 // can do work this cycle. With force set, everything ticks (the referee

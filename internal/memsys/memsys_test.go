@@ -36,7 +36,7 @@ func newRig(t *testing.T, mutate func(*Params)) *rig {
 func (r *rig) step(n int) {
 	for i := 0; i < n; i++ {
 		r.cycle++
-		r.fab.Tick(r.cycle)
+		r.fab.TickDue(r.cycle, true)
 	}
 }
 
@@ -375,7 +375,7 @@ func TestQuiesced(t *testing.T) {
 func TestPreloadWarmsCaches(t *testing.T) {
 	r := newRig(t, nil)
 	r.img.Write8(0xA000, 5)
-	r.fab.Preload(0xA000)
+	r.fab.PreloadRange(0xA000, 1)
 	c := r.fab.Controller(0)
 	r.step(1)
 	start := r.cycle
@@ -412,12 +412,12 @@ func TestL3EvictionStillCorrect(t *testing.T) {
 	}
 }
 
-func TestControllerDebugNonEmpty(t *testing.T) {
+func TestControllerSnapshotNonEmpty(t *testing.T) {
 	r := newRig(t, syncParams)
 	c := r.fab.Controller(0)
 	r.step(1)
 	c.Produce(r.cycle, 0, 1)
-	if s := c.Debug(); s == "" {
-		t.Error("empty debug dump")
+	if s := c.Snapshot(); len(s.OzQ) == 0 || len(s.Queues) == 0 {
+		t.Errorf("snapshot misses the in-flight produce: %+v", s)
 	}
 }

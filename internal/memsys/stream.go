@@ -258,19 +258,3 @@ func (c *Controller) wakeStream(cycle uint64, q int, kind ozKind) {
 		}
 	}
 }
-
-// StreamDrained reports whether all streaming state is quiescent: every
-// produced item was consumed.
-func (c *Controller) StreamDrained() bool {
-	for q := range c.sentCum {
-		if c.sentCum[q] != c.doneCum[q] {
-			return false
-		}
-	}
-	for q := range c.consumeIssueCum {
-		if c.consumeIssueCum[q] != c.consumedCum[q] {
-			return false
-		}
-	}
-	return true
-}

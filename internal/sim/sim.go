@@ -65,6 +65,8 @@ type Config struct {
 	// bus-grant/stall events from every core and the shared bus. The ring
 	// is bounded (see trace.NewBuffer), so tracing a long run keeps the
 	// most recent events; the same buffer is echoed on Result.Trace.
+	// Attaching a trace does not change how the kernel runs: the events
+	// are the same bytes with fast-forwarding on and off.
 	Trace *trace.Buffer
 
 	// Faults, when non-nil, is the per-run fault injector honoured at the
@@ -80,8 +82,7 @@ type Config struct {
 	// is identical either way (CI proves it by regenerating the golden
 	// snapshots in both modes); the knob exists for that proof and for
 	// debugging. The HFSTREAM_NO_FASTFORWARD environment variable forces
-	// it on process-wide. Tracing (Trace != nil) also disables
-	// fast-forwarding so event timestamps keep per-cycle granularity.
+	// it on process-wide; nothing else selects the per-cycle loop.
 	DisableFastForward bool
 }
 
@@ -356,11 +357,10 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		}
 	}
 
-	// Fast-forwarding is cycle-exact (golden snapshots are byte-identical
-	// either way), but tracing wants per-cycle event granularity, so the
-	// trace path keeps the classic loop.
-	fastForward := !cfg.DisableFastForward && cfg.Trace == nil &&
-		os.Getenv("HFSTREAM_NO_FASTFORWARD") == ""
+	// Fast-forwarding is cycle-exact, with or without a trace: a stall run
+	// is one coalesced KindStall event and every other event comes from a
+	// cycle that is ticked in both modes.
+	fastForward := !cfg.DisableFastForward && os.Getenv("HFSTREAM_NO_FASTFORWARD") == ""
 
 	var cycle uint64
 	lastIssued := uint64(0)
@@ -369,10 +369,6 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 	var queueOcc stats.Hist
 	prevIssued := make([]uint64, len(cores))
 	coreDone := make([]bool, len(cores))
-	// parkUntil[i], when in the future, means core i is parked: its Tick is
-	// provably a no-op until that cycle (see core.ParkWake) and the skipped
-	// cycles were already charged through FastForward when it parked.
-	parkUntil := make([]uint64, len(cores))
 	var prevGrants uint64
 	var unquiesced bool
 	var unquiescedDiag *Diagnosis
@@ -400,15 +396,6 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		allDone := true
 		var issuedNow, prodNow, consNow uint64
 		for i, c := range cores {
-			if fastForward && parkUntil[i] > cycle {
-				// Parked: the skipped Ticks were pre-charged at park time.
-				issuedNow += c.Issued
-				prodNow += c.Produces
-				consNow += c.Consumes
-				allDone = false
-				continue
-			}
-			before := c.Issued
 			c.Tick(cycle)
 			issuedNow += c.Issued
 			prodNow += c.Produces
@@ -416,12 +403,6 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 			coreDone[i] = c.Done(cycle)
 			if !coreDone[i] {
 				allDone = false
-				if fastForward && c.Issued == before {
-					if w, ok := c.ParkWake(cycle); ok {
-						c.FastForward(w - cycle - 1)
-						parkUntil[i] = w
-					}
-				}
 			}
 		}
 		queueOcc.Observe(prodNow - consNow)
@@ -490,15 +471,6 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 			if coreDone[i] {
 				continue
 			}
-			if parkUntil[i] > cycle {
-				// A parked core sleeps until its park deadline by
-				// construction; anything earlier its NextWake reports
-				// cannot change what it does.
-				if parkUntil[i] < wake {
-					wake = parkUntil[i]
-				}
-				continue
-			}
 			if w := c.NextWake(cycle); w < wake {
 				wake = w
 			}
@@ -518,8 +490,7 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		}
 		n := wake - cycle - 1
 		for i, c := range cores {
-			if coreDone[i] || parkUntil[i] > cycle {
-				// Parked cores were already charged through their deadline.
+			if coreDone[i] {
 				continue
 			}
 			c.FastForward(n)

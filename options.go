@@ -60,9 +60,10 @@ func (o runOpts) expOpts() exp.RunOpts {
 // issue, operand writeback, queue operations, bus grants and stall runs —
 // into the given sink. The sink is a bounded ring (see trace.NewSink), so
 // tracing an arbitrarily long run keeps the most recent events; export
-// them afterwards with trace.WriteChrome. Tracing disables the kernel's
-// idle-cycle fast-forward so event timestamps keep per-cycle granularity
-// (reported results are identical either way).
+// them afterwards with trace.WriteChrome. Tracing does not change how the
+// kernel runs: an idle stretch is one stall event carrying its duration,
+// so the trace and the reported results are the same bytes with and
+// without WithoutFastForward.
 func WithTrace(s *trace.Sink) RunOpt {
 	return func(o *runOpts) { o.trace = s }
 }
