@@ -91,9 +91,11 @@ gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # The last step is CI's regression gate: the dual-core matrix, an N-core
-# cell and a service number against the parent commit.
+# cell, a service number and the cache-hit path alone (serve_hot: no
+# kernel work, so a cost in decode, key, cache or encode is not diluted by
+# a simulation) against the parent commit.
 ci: tier1 spine-test race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos-smoke chaos-cluster
-	$(MAKE) spine-pairs BASE=$(or $(BASE),HEAD~1) WORKLOAD=matrix2,ncore,serve_mix PAIRS=3
+	$(MAKE) spine-pairs BASE=$(or $(BASE),HEAD~1) WORKLOAD=matrix2,ncore,serve_mix,serve_hot PAIRS=3
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -71,8 +71,8 @@ func ablate(title string, variants []string, configs []design.Config) (*Ablation
 	}
 	res := &AblationResult{Title: title, Variants: variants}
 	sums := make([][]float64, len(configs))
-	for bi, b := range workloads.All() {
-		row := AblationRow{Benchmark: b.Name}
+	for bi, name := range workloads.Names() {
+		row := AblationRow{Benchmark: name}
 		var base float64
 		for ci := range configs {
 			total := float64(grid[bi][ci].Cycles)

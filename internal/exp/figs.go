@@ -43,8 +43,8 @@ func breakdownFigure(ctx context.Context, title string, configs []design.Config,
 		return nil, err
 	}
 	sums := make([][]float64, len(configs))
-	for bi, b := range workloads.All() {
-		row := BreakdownRow{Benchmark: b.Name}
+	for bi, name := range workloads.Names() {
+		row := BreakdownRow{Benchmark: name}
 		var base float64
 		for ci, cfg := range configs {
 			bd := grid[bi][ci].Breakdowns[coreIdx]
@@ -130,10 +130,10 @@ func Fig6Ctx(ctx context.Context) (*Fig6Result, error) {
 		return nil, err
 	}
 	var g1, g10, g64 []float64
-	for bi, b := range workloads.All() {
+	for bi, name := range workloads.Names() {
 		base := float64(grid[bi][0].Cycles)
 		row := Fig6Row{
-			Benchmark: b.Name,
+			Benchmark: name,
 			Lat1Q32:   1.0,
 			Lat10Q32:  float64(grid[bi][1].Cycles) / base,
 			Lat10Q64:  float64(grid[bi][2].Cycles) / base,
@@ -205,9 +205,9 @@ func Fig8Ctx(ctx context.Context) (*Fig8Result, error) {
 		return nil, err
 	}
 	var gp, gc []float64
-	for bi, b := range workloads.All() {
+	for bi, name := range workloads.Names() {
 		r := grid[bi][0]
-		row := Fig8Row{Benchmark: b.Name, Producer: r.CommRatio(0), Consumer: r.CommRatio(1)}
+		row := Fig8Row{Benchmark: name, Producer: r.CommRatio(0), Consumer: r.CommRatio(1)}
 		res.Rows = append(res.Rows, row)
 		gp = append(gp, row.Producer)
 		gc = append(gc, row.Consumer)
@@ -258,13 +258,13 @@ type Fig9Result struct {
 // Fig9Ctx runs the speedup experiment: each benchmark's single-threaded
 // baseline and HEAVYWT run are independent jobs on the worker pool.
 func Fig9Ctx(ctx context.Context) (*Fig9Result, error) {
-	benches := workloads.All()
+	benches := workloads.Names()
 	heavy := design.HeavyWTConfig()
 	jobs := make([]Job, 0, 2*len(benches))
-	for _, b := range benches {
+	for _, name := range benches {
 		jobs = append(jobs,
-			Job{Bench: b.Name, Single: true},
-			Job{Bench: b.Name, Config: heavy})
+			Job{Bench: name, Single: true},
+			Job{Bench: name, Config: heavy})
 	}
 	results := newRunner().Run(ctx, jobs)
 	if err := FirstErr(results); err != nil {
@@ -272,10 +272,10 @@ func Fig9Ctx(ctx context.Context) (*Fig9Result, error) {
 	}
 	res := &Fig9Result{}
 	var sp []float64
-	for bi, b := range benches {
+	for bi, name := range benches {
 		single, heavyRes := results[2*bi].Res, results[2*bi+1].Res
 		row := Fig9Row{
-			Benchmark:    b.Name,
+			Benchmark:    name,
 			SingleCycles: single.Cycles,
 			HeavyCycles:  heavyRes.Cycles,
 			Speedup:      float64(single.Cycles) / float64(heavyRes.Cycles),

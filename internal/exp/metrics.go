@@ -21,13 +21,11 @@ import (
 // benchmark.
 func CollectMetrics(ctx context.Context, benches []string, configs []design.Config) ([]*sim.Metrics, error) {
 	if benches == nil {
-		for _, b := range workloads.All() {
-			benches = append(benches, b.Name)
-		}
+		benches = workloads.Names()
 	}
 	jobs := make([]Job, 0, len(benches)*len(configs))
 	for _, name := range benches {
-		if _, err := workloads.ByName(name); err != nil {
+		if err := workloads.Check(name); err != nil {
 			return nil, err
 		}
 		for _, cfg := range configs {

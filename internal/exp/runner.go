@@ -213,13 +213,13 @@ func newRunner() *Runner {
 
 // runMatrix runs every (benchmark, config) pair of the full workload set
 // on the default runner and returns results indexed [benchmark][config]
-// in workloads.All() x configs order.
+// in workloads.Names() x configs order.
 func runMatrix(ctx context.Context, configs []design.Config) ([][]*sim.Result, error) {
-	benches := workloads.All()
+	benches := workloads.Names()
 	jobs := make([]Job, 0, len(benches)*len(configs))
-	for _, b := range benches {
+	for _, name := range benches {
 		for _, cfg := range configs {
-			jobs = append(jobs, Job{Bench: b.Name, Config: cfg})
+			jobs = append(jobs, Job{Bench: name, Config: cfg})
 		}
 	}
 	results := newRunner().Run(ctx, jobs)

@@ -7,7 +7,6 @@ import (
 	"hfstream/internal/core"
 	"hfstream/internal/design"
 	"hfstream/internal/stats"
-	"hfstream/internal/workloads"
 )
 
 // StallRow is one (design, core) aggregate over the benchmark suite:
@@ -45,8 +44,8 @@ func StallBreakdown() (*StallFigure, error) {
 	for ci, cfg := range configs {
 		for coreIdx := 0; coreIdx < 2; coreIdx++ {
 			row := StallRow{Design: cfg.Name(), Core: coreIdx}
-			for bi := range workloads.All() {
-				res := grid[bi][ci]
+			for _, byConfig := range grid {
+				res := byConfig[ci]
 				row.Cycles += res.CoreCycles[coreIdx]
 				row.IssueCycles += res.IssueCycles[coreIdx]
 				for r := range res.Stalls[coreIdx] {

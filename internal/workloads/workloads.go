@@ -16,6 +16,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"hfstream/internal/dswp"
 	"hfstream/internal/ir"
@@ -91,33 +92,71 @@ func (b *Benchmark) Single() (*isa.Program, error) {
 	return p, nil
 }
 
-// ByName returns the named benchmark or an error listing valid names.
-func ByName(name string) (*Benchmark, error) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, nil
-		}
-	}
-	names := ""
-	for _, b := range All() {
-		names += " " + b.Name
-	}
-	return nil, fmt.Errorf("workloads: unknown benchmark %q (have:%s)", name, names)
+// catalog is the nine benchmarks in the paper's figure order. A name is
+// answered from it without building anything; a build function constructs
+// the loop IR, allocator and setup closure of its benchmark, which is the
+// expensive part (tens of allocations each).
+var catalog = [...]struct {
+	name  string
+	build func() *Benchmark
+}{
+	{"art", buildArt},
+	{"equake", buildEquake},
+	{"mcf", buildMcf},
+	{"bzip2", buildBzip2},
+	{"adpcmdec", buildAdpcmdec},
+	{"epicdec", buildEpicdec},
+	{"wc", buildWc},
+	{"fir", buildFir},
+	{"fft2", buildFft2},
 }
 
-// All returns the nine benchmarks in the paper's figure order.
-func All() []*Benchmark {
-	return []*Benchmark{
-		buildArt(),
-		buildEquake(),
-		buildMcf(),
-		buildBzip2(),
-		buildAdpcmdec(),
-		buildEpicdec(),
-		buildWc(),
-		buildFir(),
-		buildFft2(),
+// Names returns the benchmark names in the paper's figure order, the
+// order of All, without building a benchmark.
+func Names() []string {
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
 	}
+	return names
+}
+
+// lookup finds the named benchmark's build function without calling it;
+// the error lists the valid names.
+func lookup(name string) (func() *Benchmark, error) {
+	for _, e := range catalog {
+		if e.name == name {
+			return e.build, nil
+		}
+	}
+	return nil, fmt.Errorf("workloads: unknown benchmark %q (have: %s)", name, strings.Join(Names(), " "))
+}
+
+// Check returns nil when name is a benchmark and ByName's error when it
+// is not, without building a benchmark.
+func Check(name string) error {
+	_, err := lookup(name)
+	return err
+}
+
+// ByName builds the named benchmark, or returns an error listing valid
+// names. Every call returns a fresh instance, so concurrent users share
+// no loop IR, program or setup closure.
+func ByName(name string) (*Benchmark, error) {
+	build, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return build(), nil
+}
+
+// All builds the nine benchmarks in the paper's figure order.
+func All() []*Benchmark {
+	all := make([]*Benchmark, len(catalog))
+	for i, e := range catalog {
+		all[i] = e.build()
+	}
+	return all
 }
 
 // rng is a small deterministic xorshift64* generator so workload data is

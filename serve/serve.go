@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -256,6 +257,23 @@ func errorOutcome(status int, code, msg string, diag json.RawMessage) *outcome {
 	return &outcome{status: status, body: append(body, '\n')}
 }
 
+// decodeBody reads a request body that must be exactly one JSON value of
+// v's shape: no unknown field, at most maxRequestBytes, and nothing but
+// whitespace after the value. Decode alone stops at the end of the first
+// value, which would answer `{...} garbage` and `{...}{...}` as if only
+// the first object had been sent.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeOutcome(w, "", "", errorOutcome(http.StatusMethodNotAllowed, codeBadRequest, "POST required", nil))
@@ -269,9 +287,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec hfstream.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(w, r, &spec); err != nil {
 		writeOutcome(w, "", "", errorOutcome(http.StatusBadRequest, codeBadRequest, "request body: "+err.Error(), nil))
 		return
 	}

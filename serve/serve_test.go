@@ -150,6 +150,88 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyMustBeOneJSONValue: a request body is exactly one JSON value;
+// garbage or a second object behind a valid one is a typed 400 on every
+// route that takes a body, and trailing whitespace is not.
+func TestBodyMustBeOneJSONValue(t *testing.T) {
+	s, gate := gatedServer(Config{Workers: 1})
+	close(gate)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const run, sweep = `{"bench":"wc","design":"HEAVYWT"}`, `{"benches":["wc"],"designs":["HEAVYWT"]}`
+	endpoints := []struct{ path, body string }{
+		{"/v1/run", run}, {"/run", run}, {"/v1/sweep", sweep}, {"/sweep", sweep},
+	}
+	tails := []struct {
+		name, tail string
+		want       int
+	}{
+		{"nothing", "", http.StatusOK},
+		{"newline", "\n", http.StatusOK},
+		{"whitespace", " \r\n\t\n", http.StatusOK},
+		{"garbage", " trailing garbage", http.StatusBadRequest},
+		{"second object", `{"bench":"nope"}`, http.StatusBadRequest},
+		{"second object on its own line", "\n" + `{"bench":"wc","design":"HEAVYWT"}`, http.StatusBadRequest},
+		{"stray bracket", "]", http.StatusBadRequest},
+		{"scalar", " 0", http.StatusBadRequest},
+	}
+	for _, ep := range endpoints {
+		for _, tc := range tails {
+			status, body, _ := doReq(t, http.MethodPost, ts.URL+ep.path, ep.body+tc.tail)
+			if status != tc.want {
+				t.Errorf("%s, %s: status %d, want %d (body %s)", ep.path, tc.name, status, tc.want, body)
+				continue
+			}
+			if tc.want == http.StatusBadRequest {
+				if code := errCode(t, body); code != codeBadRequest {
+					t.Errorf("%s, %s: code %q, want %q", ep.path, tc.name, code, codeBadRequest)
+				}
+			}
+		}
+	}
+	if m := s.Metrics(); m.Runs != 1 {
+		t.Fatalf("runs = %d, want 1: the accepted bodies all name one cell, the rejected ones start nothing", m.Runs)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so what is left to
+// count in TestRunHitAllocationCeiling is the handler's own work.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestRunHitAllocationCeiling: a cache hit decodes the spec, derives its
+// key, looks it up and writes the cached bytes — about 30 allocations of
+// standard-library JSON decoding and header maps. The ceiling fails as soon
+// as the hit path builds the benchmark it names (fft2: 78 allocations).
+func TestRunHitAllocationCeiling(t *testing.T) {
+	s := New(Config{Workers: 1})
+	spec := hfstream.Spec{Bench: "fft2", Design: "SYNCOPTI_SC+Q64"}
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.Put(key, []byte("{}\n"))
+	h := s.Handler()
+	const body = `{"bench":"fft2","design":"SYNCOPTI_SC+Q64"}`
+	got := testing.AllocsPerRun(20, func() {
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+		if src := w.h.Get("X-Hfserve-Cache"); src != "hit" {
+			t.Fatalf("cache = %q, want hit", src)
+		}
+	})
+	if got > 60 {
+		t.Errorf("a /v1/run cache hit made %.0f allocations, want at most 60", got)
+	}
+	if m := s.Metrics(); m.Runs != 0 {
+		t.Fatalf("hits started %d runs", m.Runs)
+	}
+}
+
 // gatedServer overrides the run seam with a job that blocks on a gate,
 // so queue occupancy and drain ordering become deterministic. A run
 // whose context dies before the gate opens resolves to the typed

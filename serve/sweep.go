@@ -15,7 +15,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -136,9 +135,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.sweeps.Add(1)
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeOutcome(w, "", "", errorOutcome(http.StatusBadRequest, codeBadRequest, "request body: "+err.Error(), nil))
 		return
 	}

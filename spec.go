@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+
+	"hfstream/internal/workloads"
 )
 
 // Spec describes one simulation request as plain data: which benchmark,
@@ -39,11 +41,11 @@ type Spec struct {
 // resolved to its canonical label, so that any two specs describing the
 // same run normalize to identical values.
 func (s Spec) Normalize() (Spec, error) {
-	b, err := BenchmarkByName(s.Bench)
-	if err != nil {
+	// A benchmark has one spelling, so checking the name is all of its
+	// normalization; RunCtx builds the benchmark, a key never needs it.
+	if err := workloads.Check(s.Bench); err != nil {
 		return Spec{}, err
 	}
-	s.Bench = b.Name()
 	if s.Stages < 0 || s.Stages == 1 {
 		return Spec{}, fmt.Errorf("hfstream: spec stages must be 0 (pipelined) or >= 2, got %d", s.Stages)
 	}

@@ -118,6 +118,27 @@ func TestSpecKeyShape(t *testing.T) {
 	}
 }
 
+// TestSpecKeyAllocationCeiling: a key is a name check, a design lookup,
+// one JSON marshal and one hash, and every served request pays for one.
+// Building the smallest benchmark takes 27 allocations, so the ceiling
+// fails as soon as validating a name constructs anything.
+func TestSpecKeyAllocationCeiling(t *testing.T) {
+	for _, spec := range []Spec{
+		{Bench: "fft2", Design: "SYNCOPTI_SC+Q64"},
+		{Bench: "wc", Single: true},
+		{Bench: "fir", Design: "HEAVYWT", Stages: 4},
+	} {
+		got := testing.AllocsPerRun(10, func() {
+			if _, err := spec.Key(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 12 {
+			t.Errorf("%+v: Key made %.0f allocations, want at most 12", spec, got)
+		}
+	}
+}
+
 func TestSpecRejects(t *testing.T) {
 	cases := []struct {
 		name string
