@@ -91,11 +91,12 @@ gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # The last step is CI's regression gate: the dual-core matrix, an N-core
-# cell, a service number and the cache-hit path alone (serve_hot: no
-# kernel work, so a cost in decode, key, cache or encode is not diluted by
-# a simulation) against the parent commit.
+# cell, a service number, the cache-hit path alone (serve_hot: no kernel
+# work, so a cost in decode, key, cache or encode is not diluted by a
+# simulation) and the peer tier (cluster3: nothing else gated runs
+# PeerGet/PeerPut) against the parent commit.
 ci: tier1 spine-test race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos-smoke chaos-cluster
-	$(MAKE) spine-pairs BASE=$(or $(BASE),HEAD~1) WORKLOAD=matrix2,ncore,serve_mix,serve_hot PAIRS=3
+	$(MAKE) spine-pairs BASE=$(or $(BASE),HEAD~1) WORKLOAD=matrix2,ncore,serve_mix,serve_hot,cluster3 PAIRS=3
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -115,9 +116,10 @@ golden-check-noff:
 	HFSTREAM_NO_FASTFORWARD=1 $(MAKE) golden-check
 
 # The serve differential battery: every path through the HTTP service —
-# blocking /run, streamed /run?stream=ndjson (cold, cached, coalesced),
-# and /sweep cells — must produce metrics byte-identical to the direct
-# library API, and re-submitted sweeps must only simulate cache misses.
+# blocking /v1/run, streamed /v1/run?stream=ndjson (cold, cached,
+# coalesced), and /v1/sweep cells — must produce metrics byte-identical
+# to the direct library API, and re-submitted sweeps must only simulate
+# cache misses.
 serve-diff:
 	$(GO) test -count=1 -run 'TestDifferential|TestStream|TestSweep|TestServe' . ./serve/
 
@@ -180,8 +182,13 @@ chaos-smoke:
 chaos-cluster:
 	$(GO) test -count=1 -race -run 'TestClusterChaos' ./chaos/cluster/
 
-# Short native-fuzz sessions over the user-reachable text pipelines. The
-# checked-in corpora under testdata/fuzz/ replay as ordinary tests.
+# Short native-fuzz sessions over the user-reachable text pipelines and
+# the two request decoders (the Spec schema, the service's body reader).
+# The checked-in corpora under testdata/fuzz/ and the targets' seeds replay
+# as ordinary tests; -run '^$$' keeps a package's unit tests from running
+# ahead of its fuzz session.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime 30s ./internal/asm
 	$(GO) test -fuzz=FuzzLower -fuzztime 30s ./internal/lower
+	$(GO) test -run '^$$' -fuzz=FuzzSpec -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeBody -fuzztime 30s ./serve

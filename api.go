@@ -118,8 +118,8 @@ func baseDesign(name string) (Design, bool) {
 	return Design{}, false
 }
 
-// retarget is WithCores for a count that arrived as data — a name suffix
-// or a Spec's stages alias — and so has to be range-checked.
+// retarget is WithCores for a count that arrived as data — a name's
+// "_<k>CORE" suffix — and so has to be range-checked.
 func (d Design) retarget(k int) (Design, error) {
 	if k < 3 || k > maxCustomCores {
 		return Design{}, fmt.Errorf("hfstream: design %s: core count %d out of range 3..%d (the unsuffixed name is the dual-core machine)",
@@ -404,14 +404,4 @@ func Run(b Benchmark, d Design) (Result, error) {
 // RunSingleThreadedCtx without cancellation or options.
 func RunSingleThreaded(b Benchmark) (Result, error) {
 	return RunSingleThreadedCtx(context.Background(), b)
-}
-
-// RunStaged runs the benchmark on the design retargeted to that many
-// cores, one pipeline stage each — the multi-stage extension of the
-// paper's dual-core evaluation. It fails for kernels whose dependence
-// structure cannot fill the requested stages (and, past two, for the
-// hand-partitioned bzip2). It is RunStagedCtx without cancellation or
-// options.
-func RunStaged(b Benchmark, d Design, stages int) (Result, error) {
-	return RunStagedCtx(context.Background(), b, d, stages)
 }

@@ -212,12 +212,14 @@ func TestExtensionDesigns(t *testing.T) {
 	}
 }
 
-func TestRunStaged(t *testing.T) {
+// TestRunWithCores: a core count is spelled by the design, and the run
+// follows it.
+func TestRunWithCores(t *testing.T) {
 	b, err := BenchmarkByName("adpcmdec")
 	if err != nil {
 		t.Fatal(err)
 	}
-	three, err := RunStaged(b, SyncOptiSCQ64, 3)
+	three, err := Run(b, SyncOptiSCQ64.WithCores(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +233,13 @@ func TestRunStaged(t *testing.T) {
 	if three.Cycles >= two.Cycles {
 		t.Errorf("3-stage (%d) should beat 2-stage (%d) on adpcmdec", three.Cycles, two.Cycles)
 	}
-	// bzip2 is hand-partitioned: staged runs are rejected cleanly.
+	// bzip2 is hand-partitioned: runs past two cores are rejected cleanly.
 	bz, err := BenchmarkByName("bzip2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStaged(bz, HeavyWT, 3); err == nil {
-		t.Error("bzip2 staged run should be rejected")
+	if _, err := Run(bz, HeavyWT.WithCores(3)); err == nil {
+		t.Error("bzip2 3-core run should be rejected")
 	}
 }
 

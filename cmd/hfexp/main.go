@@ -139,6 +139,7 @@ func main() {
 		run func() (string, error)
 	}
 	renderFig := tableCtx[*exp.BreakdownFigure](ctx)
+	ablation := tableCtx[*exp.AblationResult](ctx)
 	if *charts {
 		renderFig = chartCtx(ctx)
 	}
@@ -154,16 +155,16 @@ func main() {
 		{*fig11 || all, renderFig(exp.Fig11Ctx)},
 		{*fig12 || all, tableCtx[*exp.Fig12Result](ctx)(exp.Fig12Ctx)},
 		{*scaling || all, tableCtx[*exp.ScalingResult](ctx)(exp.ScalingCtx)},
-		{*stalls || all, tableOf(exp.StallBreakdown)},
-		{*abl, tableOf(exp.AblationQLU)},
-		{*abl, tableOf(exp.AblationBusPipelining)},
-		{*abl, tableOf(exp.AblationRegMapped)},
-		{*abl, tableOf(exp.AblationCentralizedStore)},
-		{*abl, tableOf(exp.AblationStreamCacheSize)},
-		{*abl, tableOf(exp.AblationNetQueue)},
-		{*abl, tableOf(exp.AblationProbeTimeout)},
-		{*abl, tableOf(exp.AblationStages)},
-		{*costs, tableOf(exp.Costs)},
+		{*stalls || all, tableCtx[*exp.StallFigure](ctx)(exp.StallBreakdown)},
+		{*abl, ablation(exp.AblationQLU)},
+		{*abl, ablation(exp.AblationBusPipelining)},
+		{*abl, ablation(exp.AblationRegMapped)},
+		{*abl, ablation(exp.AblationCentralizedStore)},
+		{*abl, ablation(exp.AblationStreamCacheSize)},
+		{*abl, ablation(exp.AblationNetQueue)},
+		{*abl, ablation(exp.AblationProbeTimeout)},
+		{*abl, tableCtx[*exp.StagesResult](ctx)(exp.AblationStages)},
+		{*costs, tableCtx[*exp.CostResult](ctx)(exp.Costs)},
 	}
 	for _, j := range jobs {
 		if !j.on {
@@ -187,18 +188,9 @@ func main() {
 // tabler is any experiment result that renders itself.
 type tabler interface{ Table() string }
 
-func tableOf[T tabler](f func() (T, error)) func() (string, error) {
-	return func() (string, error) {
-		r, err := f()
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	}
-}
-
-// tableCtx is tableOf for the cancellable figure variants: it binds ctx
-// and adapts a func(ctx) (T, error) into the job runner shape.
+// tableCtx binds ctx and adapts an experiment, a func(ctx) (T, error),
+// into the job runner shape. Every experiment that simulates takes the
+// signal context, so Ctrl-C stops whichever one is running.
 func tableCtx[T tabler](ctx context.Context) func(func(context.Context) (T, error)) func() (string, error) {
 	return func(f func(context.Context) (T, error)) func() (string, error) {
 		return func() (string, error) {

@@ -92,7 +92,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cells, err := expandCells(*benchesFlag, *designsFlag, *single)
+	// The spec universe the Zipf draw indexes is a /v1/sweep grid, in the
+	// server's own expansion order. N-core machines join it by design
+	// name ("HEAVYWT_3CORE", "MPMC").
+	benches, designs := splitList(*benchesFlag), splitList(*designsFlag)
+	cells, err := serve.SweepRequest{Benches: benches, Designs: designs, Single: *single}.Cells()
 	if err != nil {
 		fatal(err)
 	}
@@ -113,8 +117,8 @@ func main() {
 		GoVersion:   runtime.Version(),
 		FastForward: os.Getenv("HFSTREAM_NO_FASTFORWARD") == "",
 	}
-	rep.Config.Benches = splitList(*benchesFlag)
-	rep.Config.Designs = splitList(*designsFlag)
+	rep.Config.Benches = benches
+	rep.Config.Designs = designs
 	rep.Config.Single = *single
 	rep.Config.Cells = len(cells)
 	rep.Config.Conc = *conc
@@ -239,51 +243,6 @@ func parseInts(raw string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// expandCells builds the normalized spec universe the Zipf draw indexes
-// — the same grid semantics as /v1/sweep. N-core machines join it by
-// design name ("HEAVYWT_3CORE", "MPMC").
-func expandCells(benchesRaw, designsRaw string, single bool) ([]hfstream.Spec, error) {
-	benches := splitList(benchesRaw)
-	if len(benches) == 1 && benches[0] == "*" {
-		benches = benches[:0]
-		for _, b := range hfstream.Benchmarks() {
-			benches = append(benches, b.Name())
-		}
-	}
-	designs := splitList(designsRaw)
-	if len(designs) == 1 && designs[0] == "*" {
-		designs = designs[:0]
-		for _, d := range hfstream.Designs() {
-			designs = append(designs, d.Name())
-		}
-	}
-	var cells []hfstream.Spec
-	add := func(s hfstream.Spec) error {
-		n, err := s.Normalize()
-		if err != nil {
-			return err
-		}
-		cells = append(cells, n)
-		return nil
-	}
-	for _, bench := range benches {
-		if single {
-			if err := add(hfstream.Spec{Bench: bench, Single: true}); err != nil {
-				return nil, err
-			}
-		}
-		for _, design := range designs {
-			if err := add(hfstream.Spec{Bench: bench, Design: design}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("empty spec universe: need benches and designs (or -single)")
-	}
-	return cells, nil
 }
 
 // retryOptions builds the client retry layer for -retries > 0: bounded
@@ -590,8 +549,7 @@ func pacedHandler(h http.Handler, capRPS float64) http.Handler {
 	}
 	p := &pacer{interval: time.Duration(float64(time.Second) / capRPS)}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case strings.HasSuffix(r.URL.Path, "/run"), strings.HasSuffix(r.URL.Path, "/sweep"):
+		if r.URL.Path == "/v1/run" || r.URL.Path == "/v1/sweep" {
 			p.wait()
 		}
 		h.ServeHTTP(w, r)

@@ -7,7 +7,8 @@ import (
 	"testing"
 	"time"
 
-	hfstream "hfstream"
+	"hfstream"
+	"hfstream/serve"
 )
 
 func TestSplitList(t *testing.T) {
@@ -45,36 +46,50 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
+// TestExpandCells: the spec universe is the server's own expansion of a
+// /v1/sweep grid over the -benches/-designs/-single flags, so a draw's
+// rank names the cell the service would name.
 func TestExpandCells(t *testing.T) {
+	universe := func(benches, designs string, single bool) ([]hfstream.Spec, error) {
+		return serve.SweepRequest{Benches: splitList(benches), Designs: splitList(designs), Single: single}.Cells()
+	}
 	// Explicit benches x designs (N-core machines included, by name),
-	// plus single: 1 bench x (1 single + 4 designs) = 5 cells.
-	cells, err := expandCells("adpcmdec", "EXISTING,SYNCOPTI,EXISTING_3CORE,MPMC", true)
+	// plus single: 1 bench x (1 single + 4 designs) = 5 cells, the
+	// baseline first and the designs in flag order.
+	cells, err := universe("adpcmdec", "EXISTING,SYNCOPTI,EXISTING_3CORE,MPMC", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 5 {
-		t.Fatalf("got %d cells, want 5", len(cells))
+	want := []hfstream.Spec{
+		{Bench: "adpcmdec", Single: true},
+		{Bench: "adpcmdec", Design: "EXISTING"}, {Bench: "adpcmdec", Design: "SYNCOPTI"},
+		{Bench: "adpcmdec", Design: "EXISTING_3CORE"}, {Bench: "adpcmdec", Design: "MPMC"},
 	}
-	for _, c := range cells {
+	if len(cells) != len(want) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(want))
+	}
+	for i, c := range cells {
+		if c != want[i] {
+			t.Errorf("cell %d is %+v, want %+v", i, c, want[i])
+		}
 		if _, err := c.Key(); err != nil {
 			t.Fatalf("cell %+v has no key: %v", c, err)
 		}
 	}
 
 	// Wildcards expand to the full registries.
-	all, err := expandCells("*", "*", false)
+	all, err := universe("*", "*", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(hfstream.Benchmarks()) * len(hfstream.Designs())
-	if len(all) != want {
-		t.Fatalf("wildcard universe = %d cells, want %d", len(all), want)
+	if n := len(hfstream.Benchmarks()) * len(hfstream.Designs()); len(all) != n {
+		t.Fatalf("wildcard universe = %d cells, want %d", len(all), n)
 	}
 
-	if _, err := expandCells("nosuchbench", "EXISTING", false); err == nil {
+	if _, err := universe("nosuchbench", "EXISTING", false); err == nil {
 		t.Fatal("unknown bench accepted")
 	}
-	if _, err := expandCells("bzip2", "", false); err == nil {
+	if _, err := universe("bzip2", "", false); err == nil {
 		t.Fatal("empty universe accepted")
 	}
 }
@@ -145,7 +160,7 @@ func TestRunInprocPhases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real simulations")
 	}
-	cells, err := expandCells("bzip2", "EXISTING,MEMOPTI", true)
+	cells, err := serve.SweepRequest{Benches: []string{"bzip2"}, Designs: []string{"EXISTING", "MEMOPTI"}, Single: true}.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,7 @@
 //	hfserve -addr :8080 -workers 8 -queue 128 -cache-mb 256 -timeout 2m
 //	hfserve -addr :0 -id r0 -peers r1=http://h1:8080,r2=http://h2:8080
 //
-// Endpoints (versioned under /v1/, with the legacy unversioned paths
-// kept as aliases; full wire contract in serve/API.md):
+// Endpoints (all under /v1/; full wire contract in serve/API.md):
 //
 //	POST /v1/run                {"bench":"wc","design":"SYNCOPTI"} -> metrics JSON
 //	POST /v1/run?stream=ndjson  same spec -> NDJSON event stream: progress
@@ -22,11 +21,11 @@
 //	                            the exact non-streaming response bytes, then
 //	                            done; failures arrive as typed error events.
 //	                            Disconnecting cancels the simulation.
-//	POST /v1/sweep              {"benches":["*"],"designs":["*"],"single":true,
-//	                            "stages":[3]} -> NDJSON stream of per-cell
-//	                            metrics/error events in completion order plus
-//	                            a closing done event with run/hit/peer/
-//	                            coalesced tallies. Cells share the /v1/run
+//	POST /v1/sweep              {"benches":["*"],"designs":["*"],"single":true}
+//	                            -> NDJSON stream of per-cell metrics/error
+//	                            events in completion order plus a closing
+//	                            done event with run/hit/peer/coalesced
+//	                            tallies. Cells share the /v1/run
 //	                            result cache, so re-submitting a sweep only
 //	                            simulates the misses.
 //	GET  /v1/metrics            service counters (incl. peering when clustered)
@@ -45,7 +44,7 @@
 // printed to stdout as "hfserve: listening on HOST:PORT" so scripts and
 // tests can spin up ephemeral-port replicas without races.
 //
-// On SIGINT/SIGTERM the server stops accepting work (new /run requests
+// On SIGINT/SIGTERM the server stops accepting work (new /v1/run requests
 // get a typed 503), finishes queued and in-flight simulations within the
 // grace period, then exits 0; if the grace period expires first the
 // remaining jobs are canceled and the exit status is 1.

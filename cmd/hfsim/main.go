@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"hfstream"
 	"hfstream/trace"
@@ -74,14 +75,12 @@ func main() {
 			fmt.Printf("  %-10s %-14s %s (%d%% of execution time)\n",
 				b.Name(), b.Suite(), b.Function(), b.ExecPct())
 		}
-		fmt.Print("designs:")
-		for _, d := range hfstream.Designs() {
-			fmt.Printf(" %s", d.Name())
-		}
-		fmt.Println(" REGMAPPED NETQUEUE_<h>hop HEAVYWT_CENTRAL")
+		fmt.Println("designs:", strings.Join(hfstream.DesignNames(), " "))
 		return
 	}
 
+	// Resolved up front so that a bad name fails before any file is
+	// created, and because the report below prints from them.
 	b, err := hfstream.BenchmarkByName(*benchName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfsim:", err)
@@ -118,12 +117,12 @@ func main() {
 		opts = append(opts, hfstream.WithMetrics(mf))
 	}
 
-	var res hfstream.Result
+	// The run itself is a Spec, executed the way the service executes one.
+	spec := hfstream.Spec{Bench: *benchName, Design: *designName}
 	if *single {
-		res, err = hfstream.RunSingleThreadedCtx(ctx, b, opts...)
-	} else {
-		res, err = hfstream.RunCtx(ctx, b, d, opts...)
+		spec = hfstream.Spec{Bench: *benchName, Single: true}
 	}
+	res, err := spec.RunCtx(ctx, opts...)
 	if err != nil {
 		// A deadlock carries the full forensic snapshot: render it, write
 		// the machine-readable form if asked, and exit with a dedicated
@@ -180,14 +179,7 @@ func main() {
 		b.Name(), label(d, *single), res.Cycles, b.Iterations(),
 		float64(res.Cycles)/float64(b.Iterations()))
 	for i := range res.Breakdowns {
-		role := "producer"
-		if i == 1 {
-			role = "consumer"
-		}
-		if *single {
-			role = "single"
-		}
-		fmt.Printf("  core %d (%s): %s\n", i, role, res.Breakdowns[i].String())
+		fmt.Printf("  core %d (%s): %s\n", i, role(d, i, len(res.Breakdowns)), res.Breakdowns[i].String())
 		fmt.Printf("    instructions: %d (comm %d, ratio %.3f)\n",
 			res.Instructions[i], res.CommInstructions[i], res.CommRatio(i))
 		fmt.Printf("    issue cycles: %d of %d; stalls: %s\n",
@@ -208,6 +200,28 @@ func main() {
 	if *sample > 0 {
 		fmt.Print(res.TimeSeriesReport(*sample))
 	}
+}
+
+// role names what core i of an n-core run does, read off the design's
+// pipeline shape: the paper's producer and consumer at two cores, "stage
+// 1/n" to "stage n/n" along a longer chain, and on a parallel-stage
+// design the workers (numbered like their lanes, from 0) and the merger
+// on the last core. One core is the single-threaded baseline, whatever
+// the design.
+func role(d hfstream.Design, i, n int) string {
+	switch {
+	case n == 1:
+		return "single"
+	case d.ParallelStage() && i == n-1:
+		return "merger"
+	case d.ParallelStage():
+		return fmt.Sprintf("worker %d", i)
+	case n > 2:
+		return fmt.Sprintf("stage %d/%d", i+1, n)
+	case i == 0:
+		return "producer"
+	}
+	return "consumer"
 }
 
 func label(d hfstream.Design, single bool) string {

@@ -237,8 +237,8 @@ func TestDifferentialServeStaged(t *testing.T) {
 		t.Skip("staged grid")
 	}
 	// adpcmdec partitions into three stages (see the multistage tests);
-	// the served stages alias must match the direct run on the retargeted
-	// design byte for byte.
+	// the served "_3CORE" name must match the direct run on the
+	// retargeted design byte for byte.
 	b, err := hfstream.BenchmarkByName("adpcmdec")
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestDifferentialServeStaged(t *testing.T) {
 	ts := httptest.NewServer(serve.New(serve.Config{Workers: 1}).Handler())
 	defer ts.Close()
 	res := mustRun(t, client.New(ts.URL),
-		hfstream.Spec{Bench: "adpcmdec", Design: d.Name(), Stages: 3})
+		hfstream.Spec{Bench: "adpcmdec", Design: d.Name() + "_3CORE"})
 	if !bytes.Equal(res.Body, direct.Bytes()) {
 		t.Error("staged serve body differs from the RunCtx(d.WithCores(3)) snapshot")
 	}
@@ -635,7 +635,7 @@ func TestDifferentialCluster(t *testing.T) {
 		hfstream.WithMetrics(&direct)); err != nil {
 		t.Fatal(err)
 	}
-	staged := hfstream.Spec{Bench: "adpcmdec", Design: hfstream.SyncOptiSCQ64.Name(), Stages: 3}
+	staged := hfstream.Spec{Bench: "adpcmdec", Design: hfstream.SyncOptiSCQ64.Name() + "_3CORE"}
 	before := c.servers[0].Metrics().Runs
 	const fanIn = 6
 	results := make([]*client.RunResult, fanIn)

@@ -3,9 +3,9 @@
 // byte-identical body), a burst of concurrent identical requests
 // (coalesced onto one simulation), a streamed run (live NDJSON progress
 // events, with the metrics event carrying the exact non-streaming
-// bytes), a /sweep over a grid plus the re-sweep that simulates nothing,
-// the typed error envelope, the /metrics counters, and finally a
-// graceful drain. Everything here works the same against a real
+// bytes), a /v1/sweep over a grid plus the re-sweep that simulates
+// nothing, the typed error envelope, the /v1/metrics counters, and finally
+// a graceful drain. Everything here works the same against a real
 // `go run ./cmd/hfserve` — swap ts.URL for its address.
 //
 //	go run ./examples/serve
@@ -55,7 +55,7 @@ func main() {
 	defer ts.Close()
 
 	post := func(body string) (int, []byte, http.Header) {
-		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -114,12 +114,12 @@ func main() {
 	fmt.Printf("coalesced: %d identical requests -> %d runs (identical bodies=%v)\n",
 		n, m.Runs-1, same) // -1: the adpcmdec run above
 
-	// Streaming mode: the same /run, but the response is NDJSON events —
+	// Streaming mode: the same /v1/run, but the response is NDJSON events —
 	// progress heartbeats while the simulation runs, then a metrics event
-	// whose body field carries the exact bytes the blocking /run would
+	// whose body field carries the exact bytes the blocking /v1/run would
 	// have returned, then done. (?progress_every tightens the cadence so
 	// even this sub-megacycle benchmark emits heartbeats.)
-	events := streamNDJSON(ts.URL, "/run?stream=ndjson&progress_every=5000",
+	events := streamNDJSON(ts.URL, "/v1/run?stream=ndjson&progress_every=5000",
 		`{"bench":"wc","design":"SYNCOPTI"}`)
 	var wcStream string
 	progress := 0
@@ -134,22 +134,22 @@ func main() {
 	fmt.Printf("streamed:  %d events (%d progress), terminal=%q\n",
 		len(events), progress, events[len(events)-1].Type)
 
-	// The streamed body and a blocking /run agree byte for byte: caching,
+	// The streamed body and a blocking /v1/run agree byte for byte: caching,
 	// coalescing and streaming all sit on one deterministic result path.
 	_, wcPlain, _ := post(`{"bench":"wc","design":"SYNCOPTI"}`)
 	fmt.Printf("stream=plain bytes=%v\n", wcStream == string(wcPlain))
 
-	// /sweep expands a (benches x designs) grid — "*" means "all" — and
+	// /v1/sweep expands a (benches x designs) grid — "*" means "all" — and
 	// streams each cell's result as it completes, closing with tallies.
 	sweep := `{"benches":["adpcmdec","wc"],"designs":["EXISTING","SYNCOPTI"]}`
-	events = streamNDJSON(ts.URL, "/sweep", sweep)
+	events = streamNDJSON(ts.URL, "/v1/sweep", sweep)
 	tally := events[len(events)-1]
 	fmt.Printf("sweep:     cells=%d ran=%d hits=%d errors=%d\n",
 		tally.Cells, tally.Ran, tally.Hits, tally.Errors)
 
-	// Cells are cache-keyed exactly like /run specs, so re-submitting the
+	// Cells are cache-keyed exactly like /v1/run specs, so re-submitting the
 	// sweep simulates nothing: every cell is a hit with identical bytes.
-	events = streamNDJSON(ts.URL, "/sweep", sweep)
+	events = streamNDJSON(ts.URL, "/v1/sweep", sweep)
 	tally = events[len(events)-1]
 	fmt.Printf("re-sweep:  cells=%d ran=%d hits=%d\n", tally.Cells, tally.Ran, tally.Hits)
 

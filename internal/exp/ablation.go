@@ -61,11 +61,11 @@ func (r *AblationResult) Value(variant string) float64 {
 
 // ablate runs every benchmark over the variants on the worker pool,
 // normalizing each row to the first variant's cycle count.
-func ablate(title string, variants []string, configs []design.Config) (*AblationResult, error) {
+func ablate(ctx context.Context, title string, variants []string, configs []design.Config) (*AblationResult, error) {
 	if len(variants) != len(configs) {
 		return nil, fmt.Errorf("exp: %d variants vs %d configs", len(variants), len(configs))
 	}
-	grid, err := runMatrix(context.Background(), configs)
+	grid, err := runMatrix(ctx, configs)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func ablate(title string, variants []string, configs []design.Config) (*Ablation
 // (no false sharing, no spatial locality) against the default dense
 // layout. The paper ran this and reported QLU 8 "uniformly better",
 // omitting the numbers; this regenerates them.
-func AblationQLU() (*AblationResult, error) {
+func AblationQLU(ctx context.Context) (*AblationResult, error) {
 	qlu8 := design.ExistingConfig()
 	qlu1 := design.ExistingConfig()
 	qlu1.Label = "EXISTING_QLU1"
@@ -103,7 +103,7 @@ func AblationQLU() (*AblationResult, error) {
 	qlu1.QueueDepth = 16 // keep the region cache-resident at 128B slots
 	qlu8b := qlu8
 	qlu8b.Label = "EXISTING_QLU8"
-	return ablate(
+	return ablate(ctx,
 		"Ablation: queue layout unit for software queues (paper §4.3, results omitted there)",
 		[]string{"QLU8", "QLU1"},
 		[]design.Config{qlu8b, qlu1})
@@ -111,7 +111,7 @@ func AblationQLU() (*AblationResult, error) {
 
 // AblationBusPipelining compares the baseline 3-stage pipelined bus with
 // a non-pipelined bus of the same latency and width (paper §3.3).
-func AblationBusPipelining() (*AblationResult, error) {
+func AblationBusPipelining(ctx context.Context) (*AblationResult, error) {
 	piped := design.SyncOptiConfig()
 	unpiped := design.SyncOptiConfig()
 	unpiped.Label = "SYNCOPTI_UNPIPED"
@@ -120,7 +120,7 @@ func AblationBusPipelining() (*AblationResult, error) {
 	piped4 := design.SyncOptiConfig()
 	piped4.Label = "SYNCOPTI_CPB4"
 	piped4.BusCPB = 4
-	return ablate(
+	return ablate(ctx,
 		"Ablation: bus pipelining (paper §3.3) on SYNCOPTI",
 		[]string{"pipelined cpb1", "pipelined cpb4", "unpipelined cpb4"},
 		[]design.Config{piped, piped4, unpiped})
@@ -129,8 +129,8 @@ func AblationBusPipelining() (*AblationResult, error) {
 // AblationRegMapped compares HEAVYWT's produce/consume instructions with
 // register-mapped queues (§3.1.3): folding queue access into the
 // defining/using instructions helps exactly the resource-bound loops.
-func AblationRegMapped() (*AblationResult, error) {
-	return ablate(
+func AblationRegMapped(ctx context.Context) (*AblationResult, error) {
+	return ablate(ctx,
 		"Ablation: register-mapped queues (paper §3.1.3) vs produce/consume instructions",
 		[]string{"HEAVYWT", "REGMAPPED"},
 		[]design.Config{design.HeavyWTConfig(), design.RegMappedConfig()})
@@ -139,8 +139,8 @@ func AblationRegMapped() (*AblationResult, error) {
 // AblationCentralizedStore compares the distributed dedicated store with
 // a centralized one (§3.5.2): the central structure is farther from the
 // consuming core, raising consume-to-use latency.
-func AblationCentralizedStore() (*AblationResult, error) {
-	return ablate(
+func AblationCentralizedStore(ctx context.Context) (*AblationResult, error) {
+	return ablate(ctx,
 		"Ablation: distributed vs centralized dedicated store (paper §3.5.2)",
 		[]string{"distributed (1cyc)", "central (4cyc)", "central (8cyc)"},
 		[]design.Config{
@@ -152,7 +152,7 @@ func AblationCentralizedStore() (*AblationResult, error) {
 
 // AblationStreamCacheSize sweeps the SYNCOPTI stream cache capacity
 // around the paper's 1 KB (64-entry) choice.
-func AblationStreamCacheSize() (*AblationResult, error) {
+func AblationStreamCacheSize(ctx context.Context) (*AblationResult, error) {
 	variants := []string{"none", "8", "16", "32", "64 (paper)", "128"}
 	var configs []design.Config
 	for _, entries := range []int{0, 8, 16, 32, 64, 128} {
@@ -161,7 +161,7 @@ func AblationStreamCacheSize() (*AblationResult, error) {
 		c.StreamCacheEntries = entries
 		configs = append(configs, c)
 	}
-	return ablate(
+	return ablate(ctx,
 		"Ablation: stream cache capacity (entries) on SYNCOPTI_Q64",
 		variants, configs)
 }
@@ -171,20 +171,20 @@ func AblationStreamCacheSize() (*AblationResult, error) {
 // proportional to core separation. Nearby cores (1 hop = 4 buffers)
 // starve bursty pipelines; distant cores approach dedicated-store
 // performance while paying transit latency the streams tolerate anyway.
-func AblationNetQueue() (*AblationResult, error) {
+func AblationNetQueue(ctx context.Context) (*AblationResult, error) {
 	variants := []string{"HEAVYWT (32q/1cyc)", "1 hop", "2 hops", "4 hops", "8 hops"}
 	configs := []design.Config{design.HeavyWTConfig()}
 	for _, hops := range []int{1, 2, 4, 8} {
 		configs = append(configs, design.NetQueueConfig(hops))
 	}
-	return ablate(
+	return ablate(ctx,
 		"Ablation: network-backed queues (paper §3.5.3) — buffering scales with core separation",
 		variants, configs)
 }
 
 // AblationProbeTimeout sweeps the consume probe timeout that elicits
 // partial-line flushes (§4.2 stream-termination handling).
-func AblationProbeTimeout() (*AblationResult, error) {
+func AblationProbeTimeout(ctx context.Context) (*AblationResult, error) {
 	variants := []string{"25", "50 (default)", "150", "400"}
 	var configs []design.Config
 	for _, to := range []int{25, 50, 150, 400} {
@@ -193,7 +193,7 @@ func AblationProbeTimeout() (*AblationResult, error) {
 		c.ProbeTimeout = to
 		configs = append(configs, c)
 	}
-	return ablate(
+	return ablate(ctx,
 		"Ablation: SYNCOPTI partial-line probe timeout (cycles)",
 		variants, configs)
 }

@@ -1,12 +1,15 @@
 package exp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestAblationQLUShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationQLU()
+	r, err := AblationQLU(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +28,7 @@ func TestAblationCentralizedStoreShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationCentralizedStore()
+	r, err := AblationCentralizedStore(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestAblationRegMappedShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationRegMapped()
+	r, err := AblationRegMapped(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func TestAblationStreamCacheSizeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationStreamCacheSize()
+	r, err := AblationStreamCacheSize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestAblationBusPipeliningShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationBusPipelining()
+	r, err := AblationBusPipelining(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +101,7 @@ func TestAblationNetQueueShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationNetQueue()
+	r, err := AblationNetQueue(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestAblationStagesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationStages()
+	r, err := AblationStages(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +165,7 @@ func TestAblationProbeTimeoutShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationProbeTimeout()
+	r, err := AblationProbeTimeout(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

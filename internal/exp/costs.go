@@ -29,12 +29,12 @@ type CostResult struct {
 
 // Costs computes the hardware/OS cost table and joins it with measured
 // performance from the Figure 12 sweep.
-func Costs() (*CostResult, error) {
-	f12, err := Fig12Ctx(context.TODO())
+func Costs(ctx context.Context) (*CostResult, error) {
+	f12, err := Fig12Ctx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	f7, err := Fig7Ctx(context.TODO())
+	f7, err := Fig7Ctx(ctx)
 	if err != nil {
 		return nil, err
 	}

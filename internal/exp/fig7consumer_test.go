@@ -16,7 +16,7 @@ func TestFig7ConsumerMatchesProducerOverall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := Fig7Consumer()
+	cons, err := Fig7Consumer(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

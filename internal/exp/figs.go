@@ -173,8 +173,8 @@ func Fig7Ctx(ctx context.Context) (*BreakdownFigure, error) {
 // Fig7Consumer is the consumer-thread companion of Figure 7 — the paper
 // omitted it "due to space constraints", noting overall consumer
 // performance matched the producer with different component breakdowns.
-func Fig7Consumer() (*BreakdownFigure, error) {
-	return breakdownFigure(context.Background(),
+func Fig7Consumer(ctx context.Context) (*BreakdownFigure, error) {
+	return breakdownFigure(ctx,
 		"Figure 7 (consumer thread; omitted in the paper for space)",
 		design.FourPoints(), 1)
 }

@@ -54,7 +54,7 @@ func TestAllFigureRenderers(t *testing.T) {
 		t.Error("fig12 consumer side missing")
 	}
 
-	costs, err := Costs()
+	costs, err := Costs(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ type StagesResult struct {
 // cores (the unpartitioned loop, then one DSWP stage per core). Kernels
 // whose dependence structure cannot fill three stages are marked
 // unsupported rather than failed.
-func AblationStages() (*StagesResult, error) {
+func AblationStages(ctx context.Context) (*StagesResult, error) {
 	res := &StagesResult{}
 	for _, b := range workloads.All() {
 		if b.Loop == nil {
@@ -42,7 +42,7 @@ func AblationStages() (*StagesResult, error) {
 			if err != nil {
 				continue // structurally unsupported
 			}
-			r, err := execute(context.TODO(), b, cfg, cfg.Name(), threads, routes, RunOpts{})
+			r, err := execute(ctx, b, cfg, cfg.Name(), threads, routes, RunOpts{})
 			if err != nil {
 				return nil, err
 			}

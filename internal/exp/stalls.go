@@ -34,9 +34,9 @@ type StallFigure struct {
 
 // StallBreakdown runs every benchmark on each standard design point and
 // aggregates per-core stall attribution across the suite.
-func StallBreakdown() (*StallFigure, error) {
+func StallBreakdown(ctx context.Context) (*StallFigure, error) {
 	configs := design.StandardConfigs()
-	grid, err := runMatrix(context.Background(), configs)
+	grid, err := runMatrix(ctx, configs)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ type ProgressEvent struct {
 	Instructions uint64
 }
 
-// RunOpt customizes a RunCtx, RunStagedCtx or RunSingleThreadedCtx call.
+// RunOpt customizes a RunCtx or RunSingleThreadedCtx call.
 type RunOpt func(*runOpts)
 
 type runOpts struct {

@@ -73,7 +73,4 @@ func TestRunCtxCanceled(t *testing.T) {
 	if _, err := RunSingleThreadedCtx(ctx, b); err == nil {
 		t.Error("canceled RunSingleThreadedCtx did not fail")
 	}
-	if _, err := RunStagedCtx(ctx, b, HeavyWT, 2); err == nil {
-		t.Error("canceled RunStagedCtx did not fail")
-	}
 }

@@ -22,12 +22,6 @@ func RunCtx(ctx context.Context, b Benchmark, d Design, opts ...RunOpt) (Result,
 	return finishRun(res, b.Name(), d.Name(), o)
 }
 
-// RunStagedCtx is RunStaged with cancellation and observability options:
-// RunCtx on d.WithCores(stages).
-func RunStagedCtx(ctx context.Context, b Benchmark, d Design, stages int, opts ...RunOpt) (Result, error) {
-	return RunCtx(ctx, b, d.WithCores(stages), opts...)
-}
-
 // RunSingleThreadedCtx is RunSingleThreaded with cancellation and
 // observability options (see RunCtx).
 func RunSingleThreadedCtx(ctx context.Context, b Benchmark, opts ...RunOpt) (Result, error) {

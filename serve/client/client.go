@@ -57,9 +57,6 @@ func New(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-// BaseURL reports the replica address this client targets.
-func (c *Client) BaseURL() string { return c.base }
-
 // APIError is a non-2xx response decoded from the typed error envelope.
 type APIError struct {
 	// Status is the HTTP status code (including 499, the
@@ -147,54 +144,68 @@ type RunResult struct {
 	Cache string
 }
 
-func (c *Client) do(req *http.Request) (*http.Response, error) {
+// send builds and issues one request to rawURL (the replica's base plus
+// a /v1 path): a non-nil body is JSON, and header lists extra request
+// headers as key, value pairs.
+func (c *Client) send(ctx context.Context, method, rawURL string, body []byte, header ...string) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, rawURL, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("hfserve: %s %s: %w", req.Method, req.URL.Path, err)
+		return nil, fmt.Errorf("hfserve: %s %s: %w", method, req.URL.Path, err)
 	}
 	return resp, nil
+}
+
+// once is a single attempt of a unary call: send, read the whole reply,
+// and turn anything but a 2xx into *APIError. Run, Metrics, PeerGet and
+// PeerPut are this under withRetry.
+func (c *Client) once(ctx context.Context, method, rawURL string, body []byte, header ...string) (http.Header, []byte, error) {
+	resp, err := c.send(ctx, method, rawURL, body, header...)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		return nil, nil, decodeAPIError(resp, out)
+	}
+	return resp.Header, out, nil
 }
 
 // Run executes spec on the replica (or serves it from cache) and
 // returns the metrics bytes. Failures are *APIError. Under WithRetry,
 // retryable failures are re-attempted with backoff.
 func (c *Client) Run(ctx context.Context, spec hfstream.Spec) (*RunResult, error) {
-	var res *RunResult
-	err := c.withRetry(ctx, func() error {
-		r, err := c.runOnce(ctx, spec)
-		res = r
-		return err
-	})
-	return res, err
-}
-
-func (c *Client) runOnce(ctx context.Context, spec hfstream.Spec) (*RunResult, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/run", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp, out)
-	}
-	return &RunResult{
-		Body:  out,
-		Key:   resp.Header.Get("X-Hfserve-Key"),
-		Cache: resp.Header.Get("X-Hfserve-Cache"),
-	}, nil
+	var res *RunResult
+	err = c.withRetry(ctx, func() error {
+		h, out, err := c.once(ctx, http.MethodPost, c.base+"/v1/run", body)
+		if err != nil {
+			return err
+		}
+		res = &RunResult{Body: out, Key: h.Get("X-Hfserve-Key"), Cache: h.Get("X-Hfserve-Cache")}
+		return nil
+	})
+	return res, err
 }
 
 // StreamOpts tunes a streaming run.
@@ -230,7 +241,7 @@ func newEventStream(body io.ReadCloser) *EventStream {
 
 // Next returns the next event, or io.EOF when the stream ends cleanly.
 // A stream that ends before its terminal event — the done event, or a
-// run-level error event (which /run streams emit instead of done; a
+// run-level error event (which /v1/run streams emit instead of done; a
 // sweep's per-cell error events carry their cell's Spec and are not
 // terminal) — returns an error matching ErrTruncatedStream instead of
 // a silent clean end.
@@ -280,12 +291,7 @@ func (s *EventStream) Close() error { return s.body.Close() }
 // responses (which only happen before the first event) decode to
 // *APIError.
 func (c *Client) stream(ctx context.Context, path string, body []byte) (*EventStream, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(req)
+	resp, err := c.send(ctx, http.MethodPost, c.base+path, body)
 	if err != nil {
 		return nil, err
 	}
@@ -326,34 +332,15 @@ func (c *Client) Sweep(ctx context.Context, req serve.SweepRequest) (*EventStrea
 
 // Metrics fetches the replica's /v1/metrics counter snapshot.
 func (c *Client) Metrics(ctx context.Context) (*serve.Metrics, error) {
-	var m *serve.Metrics
-	err := c.withRetry(ctx, func() error {
-		got, err := c.metricsOnce(ctx)
-		m = got
-		return err
-	})
-	return m, err
-}
-
-func (c *Client) metricsOnce(ctx context.Context) (*serve.Metrics, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp, out)
-	}
 	var m serve.Metrics
-	if err := json.Unmarshal(out, &m); err != nil {
+	err := c.withRetry(ctx, func() error {
+		_, out, err := c.once(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
+		if err != nil {
+			return err
+		}
+		return json.Unmarshal(out, &m)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &m, nil
@@ -370,11 +357,7 @@ type Health struct {
 // body still decodes — transport failures and non-healthz bodies are
 // the error cases.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
+	resp, err := c.send(ctx, http.MethodGet, c.base+"/v1/healthz", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -393,37 +376,22 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 // returns an *APIError matching ErrNotCached; the endpoint never
 // simulates.
 func (c *Client) PeerGet(ctx context.Context, key string) ([]byte, error) {
-	var out []byte
+	var body []byte
 	err := c.withRetry(ctx, func() error {
-		got, err := c.peerGetOnce(ctx, key)
-		out = got
-		return err
+		h, out, err := c.once(ctx, http.MethodGet, c.base+"/v1/peer/"+key, nil)
+		if err != nil {
+			return err
+		}
+		// Verified inside the attempt: a damaged transfer is retryable,
+		// and a re-fetch redraws the channel.
+		want := h.Get(serve.HeaderDigest)
+		if got := serve.Digest(out); want == "" || got != want {
+			return &IntegrityError{Key: key, Want: want, Got: got}
+		}
+		body = out
+		return nil
 	})
-	return out, err
-}
-
-func (c *Client) peerGetOnce(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/peer/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp, out)
-	}
-	want := resp.Header.Get(serve.HeaderDigest)
-	if got := serve.Digest(out); want == "" || got != want {
-		return nil, &IntegrityError{Key: key, Want: want, Got: serve.Digest(out)}
-	}
-	return out, nil
+	return body, err
 }
 
 // PeerPut publishes a computed result into this replica's cache tier,
@@ -435,27 +403,10 @@ func (c *Client) PeerPut(ctx context.Context, key string, spec hfstream.Spec, bo
 	if err != nil {
 		return err
 	}
+	digest := serve.Digest(body)
 	return c.withRetry(ctx, func() error {
-		return c.peerPutOnce(ctx, key, canon, body)
+		_, _, err := c.once(ctx, http.MethodPut, c.base+"/v1/peer/"+key, body,
+			serve.HeaderDigest, digest, serve.HeaderSpec, string(canon))
+		return err
 	})
-}
-
-func (c *Client) peerPutOnce(ctx context.Context, key string, canon, body []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+"/v1/peer/"+key, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(serve.HeaderDigest, serve.Digest(body))
-	req.Header.Set(serve.HeaderSpec, string(canon))
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		out, _ := io.ReadAll(resp.Body)
-		return decodeAPIError(resp, out)
-	}
-	return nil
 }

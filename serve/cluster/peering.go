@@ -14,7 +14,7 @@ import (
 	"hfstream/serve/client"
 )
 
-// Defaults for the zero-ish Config fields.
+// Defaults for the zero Config fields, and the tier's fixed bounds.
 const (
 	// DefaultReplication is how many owner shards a key is stored to and
 	// fetched from: 2 means a key survives one replica death without
@@ -27,7 +27,8 @@ const (
 	// microseconds — so a slow peer should lose quickly and the request
 	// degrade to local compute.
 	DefaultFillTimeout = 250 * time.Millisecond
-	// DefaultStoreTimeout bounds one async store publication.
+	// DefaultStoreTimeout bounds one async store publication (fixed: no
+	// deployment has needed another value).
 	DefaultStoreTimeout = time.Second
 	// DefaultFailThreshold is how many consecutive transport failures
 	// open a peer's circuit breaker.
@@ -51,12 +52,8 @@ type Config struct {
 	// Replication is the owner count per key (see DefaultReplication);
 	// clamped to the ring size.
 	Replication int
-	// VirtualNodes per replica on the ring (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// FillTimeout bounds one peer-fill attempt (0 = DefaultFillTimeout).
 	FillTimeout time.Duration
-	// StoreTimeout bounds one store publication (0 = DefaultStoreTimeout).
-	StoreTimeout time.Duration
 	// FailThreshold is the consecutive-failure count that opens a
 	// peer's circuit breaker (0 = DefaultFailThreshold).
 	FailThreshold int
@@ -128,9 +125,6 @@ func New(cfg Config) (*Peering, error) {
 	if cfg.FillTimeout <= 0 {
 		cfg.FillTimeout = DefaultFillTimeout
 	}
-	if cfg.StoreTimeout <= 0 {
-		cfg.StoreTimeout = DefaultStoreTimeout
-	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = DefaultFailThreshold
 	}
@@ -143,7 +137,7 @@ func New(cfg Config) (*Peering, error) {
 			ids = append(ids, id)
 		}
 	}
-	ring, err := NewRing(ids, cfg.VirtualNodes)
+	ring, err := NewRing(ids, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +272,7 @@ func (p *Peering) storeWorker() {
 			if !ok || !ps.br.allow(p.clock.Now(), p.cfg.DownDuration) {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), p.cfg.StoreTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), DefaultStoreTimeout)
 			err := ps.cl.PeerPut(ctx, req.key, req.spec, req.body)
 			cancel()
 			if err != nil {

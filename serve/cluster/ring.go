@@ -26,12 +26,11 @@ import (
 // points).
 const DefaultVirtualNodes = 64
 
-// Ring is an immutable consistent-hash ring over replica IDs. Build
-// one with NewRing; derive changed memberships with Add/Remove (the
-// property the tests pin: only keys adjacent to the changed replica's
-// points move).
+// Ring is an immutable consistent-hash ring over replica IDs. A changed
+// membership is a new NewRing over the new ID list; the property the
+// tests pin is that only keys adjacent to the changed replica's points
+// move.
 type Ring struct {
-	vnodes int
 	ids    []string
 	points []ringPoint // sorted by hash
 }
@@ -79,7 +78,7 @@ func NewRing(ids []string, vnodes int) (*Ring, error) {
 		sorted = append(sorted, id)
 	}
 	sort.Strings(sorted)
-	r := &Ring{vnodes: vnodes, ids: sorted}
+	r := &Ring{ids: sorted}
 	r.points = make([]ringPoint, 0, len(sorted)*vnodes)
 	for _, id := range sorted {
 		for i := 0; i < vnodes; i++ {
@@ -103,12 +102,9 @@ func (r *Ring) IDs() []string { return append([]string(nil), r.ids...) }
 // Size reports the replica count.
 func (r *Ring) Size() int { return len(r.ids) }
 
-// Owner returns the replica that owns key: the first ring point at or
-// after the key's hash, wrapping at the top.
-func (r *Ring) Owner(key string) string { return r.Owners(key, 1)[0] }
-
 // Owners returns up to n distinct replicas in ring order starting at
-// the key's owner — the owner first, then the replicas a clustered
+// the key's owner (the first ring point at or after the key's hash,
+// wrapping at the top) — the owner first, then the replicas a clustered
 // store replicates to and a fill fails over to.
 func (r *Ring) Owners(key string, n int) []string {
 	if n <= 0 {
@@ -129,23 +125,4 @@ func (r *Ring) Owners(key string, n int) []string {
 		}
 	}
 	return owners
-}
-
-// Add returns a new ring with id joined.
-func (r *Ring) Add(id string) (*Ring, error) {
-	return NewRing(append(r.IDs(), id), r.vnodes)
-}
-
-// Remove returns a new ring with id removed.
-func (r *Ring) Remove(id string) (*Ring, error) {
-	ids := make([]string, 0, len(r.ids))
-	for _, have := range r.ids {
-		if have != id {
-			ids = append(ids, have)
-		}
-	}
-	if len(ids) == len(r.ids) {
-		return nil, fmt.Errorf("cluster: replica %q not in ring", id)
-	}
-	return NewRing(ids, r.vnodes)
 }

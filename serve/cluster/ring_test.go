@@ -22,6 +22,9 @@ func mustRing(t *testing.T, ids []string) *Ring {
 	return r
 }
 
+// owner is the first of key's owners: the replica a lookup lands on.
+func owner(r *Ring, key string) string { return r.Owners(key, 1)[0] }
+
 func TestRingValidation(t *testing.T) {
 	if _, err := NewRing(nil, 0); err == nil {
 		t.Error("empty ring accepted")
@@ -31,9 +34,6 @@ func TestRingValidation(t *testing.T) {
 	}
 	if _, err := NewRing([]string{"a", "b", "a"}, 0); err == nil {
 		t.Error("duplicate id accepted")
-	}
-	if _, err := mustRing(t, []string{"a"}).Remove("zzz"); err == nil {
-		t.Error("removing an unknown replica succeeded")
 	}
 }
 
@@ -61,8 +61,8 @@ func TestRingOwnersDistinct(t *testing.T) {
 		if owners[0] == owners[1] || owners[0] == owners[2] || owners[1] == owners[2] {
 			t.Fatalf("key %q: duplicate owners %v", key, owners)
 		}
-		if owners[0] != r.Owner(key) {
-			t.Fatalf("key %q: Owners()[0]=%q but Owner()=%q", key, owners[0], r.Owner(key))
+		if owners[0] != owner(r, key) {
+			t.Fatalf("key %q: Owners(3)[0]=%q but Owners(1)[0]=%q", key, owners[0], owner(r, key))
 		}
 		// Requests past the replica count clamp to it.
 		if got := r.Owners(key, 99); len(got) != 3 {
@@ -85,7 +85,7 @@ func TestRingBalance(t *testing.T) {
 		keys := ringKeys(20000)
 		counts := make(map[string]int, n)
 		for _, key := range keys {
-			counts[r.Owner(key)]++
+			counts[owner(r, key)]++
 		}
 		fair := float64(len(keys)) / float64(n)
 		for id, got := range counts {
@@ -106,14 +106,11 @@ func TestRingBalance(t *testing.T) {
 // 1/(n+1).
 func TestRingMinimalMovementOnJoin(t *testing.T) {
 	before := mustRing(t, []string{"r0", "r1", "r2"})
-	after, err := before.Add("r3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := mustRing(t, []string{"r0", "r1", "r2", "r3"})
 	keys := ringKeys(20000)
 	moved := 0
 	for _, key := range keys {
-		was, now := before.Owner(key), after.Owner(key)
+		was, now := owner(before, key), owner(after, key)
 		if was == now {
 			continue
 		}
@@ -133,14 +130,11 @@ func TestRingMinimalMovementOnJoin(t *testing.T) {
 // invalidates no surviving replica's cache locality.
 func TestRingMinimalMovementOnLeave(t *testing.T) {
 	before := mustRing(t, []string{"r0", "r1", "r2", "r3"})
-	after, err := before.Remove("r1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := mustRing(t, []string{"r0", "r2", "r3"})
 	keys := ringKeys(20000)
 	moved := 0
 	for _, key := range keys {
-		was, now := before.Owner(key), after.Owner(key)
+		was, now := owner(before, key), owner(after, key)
 		if was == "r1" {
 			if now == "r1" {
 				t.Fatalf("key %q still owned by removed replica", key)
@@ -162,16 +156,10 @@ func TestRingMinimalMovementOnLeave(t *testing.T) {
 // assignment — placement depends only on membership, not history.
 func TestRingAddRemoveRoundTrip(t *testing.T) {
 	orig := mustRing(t, []string{"r0", "r1", "r2"})
-	smaller, err := orig.Remove("r2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := smaller.Add("r2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	smaller := mustRing(t, []string{"r0", "r1"})
+	back := mustRing(t, append(smaller.IDs(), "r2"))
 	for _, key := range ringKeys(2000) {
-		if orig.Owner(key) != back.Owner(key) {
+		if owner(orig, key) != owner(back, key) {
 			t.Fatalf("key %q: owner changed across remove+add round trip", key)
 		}
 	}

@@ -3,7 +3,7 @@
 // sim-level fault package. A Plan is a schedule of injectable events;
 // an HTTP channel honours it through a Transport (an
 // http.RoundTripper wrapper, pluggable into cluster.Peering and
-// serve/client via http.Client) or a wrapped net.Listener.
+// serve/client via http.Client).
 //
 // Faults come in the same two classes as the sim taxonomy, with the
 // same obligations:
@@ -26,11 +26,10 @@
 //     detectable.
 //
 // Determinism mirrors the sim injector: triggers are occurrence-based
-// — an event fires on the Nth request through its Transport (or the
-// Nth accepted connection through a wrapped listener), never on wall
-// time — so a plan's firing pattern is a pure function of the request
-// sequence, and scenario classifications agree with fast-forwarding
-// on or off.
+// — an event fires on the Nth request through its Transport, never on
+// wall time — so a plan's firing pattern is a pure function of the
+// request sequence, and scenario classifications agree with
+// fast-forwarding on or off.
 package faultnet
 
 import (
@@ -40,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -159,8 +157,8 @@ const MaxBurst = 3
 // Event is one scheduled network fault.
 type Event struct {
 	Kind Kind `json:"kind"`
-	// Nth is the 1-based request (or accepted-connection) count at
-	// which the event fires, per Transport/Listener.
+	// Nth is the 1-based request count at which the event fires, per
+	// Transport.
 	Nth uint64 `json:"nth"`
 	// DelayMs is the latency stretch for delay-class kinds.
 	DelayMs uint64 `json:"delay_ms,omitempty"`
@@ -319,10 +317,9 @@ var ErrInjectedReset = errors.New("faultnet: injected connection reset")
 // Shot records one fired network fault.
 type Shot struct {
 	Kind Kind `json:"kind"`
-	// N is the request (or connection) count at which the shot fired.
+	// N is the request count at which the shot fired.
 	N uint64 `json:"n"`
-	// Host is the target host of the affected request ("" for
-	// listener shots).
+	// Host is the target host of the affected request.
 	Host    string `json:"host,omitempty"`
 	DelayMs uint64 `json:"delay_ms,omitempty"`
 	Count   uint64 `json:"count,omitempty"`
@@ -605,70 +602,4 @@ func corruptRequest(req *http.Request) error {
 	req.Body = io.NopCloser(bytes.NewReader(raw))
 	req.ContentLength = int64(len(raw))
 	return nil
-}
-
-// Listener wraps a net.Listener with the plan's connection-level
-// events: Delay/ConnectJitter hold the Nth accepted connection before
-// handing it to the server, Reset closes it immediately (the client
-// sees a reset before any byte). Body-level kinds do not apply at the
-// listener and are ignored.
-type Listener struct {
-	net.Listener
-
-	mu      sync.Mutex
-	n       uint64
-	pending []Event
-	shots   []Shot
-}
-
-// WrapListener applies plan to ln's accepted connections.
-func WrapListener(ln net.Listener, p Plan) *Listener {
-	return &Listener{Listener: ln, pending: append([]Event(nil), p.Events...)}
-}
-
-// Shots returns the log of fired listener faults in firing order.
-func (l *Listener) Shots() []Shot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Shot(nil), l.shots...)
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	for {
-		conn, err := l.Listener.Accept()
-		if err != nil {
-			return conn, err
-		}
-		l.mu.Lock()
-		l.n++
-		n := l.n
-		var ev Event
-		fired := false
-		for i, e := range l.pending {
-			if e.Nth != n {
-				continue
-			}
-			switch e.Kind {
-			case Delay, ConnectJitter, Reset:
-				ev = e
-				l.pending = append(l.pending[:i], l.pending[i+1:]...)
-				fired = true
-			}
-			break
-		}
-		if fired {
-			l.shots = append(l.shots, Shot{Kind: ev.Kind, N: n, DelayMs: ev.DelayMs, Count: ev.Count})
-		}
-		l.mu.Unlock()
-		if !fired {
-			return conn, nil
-		}
-		if ev.Kind == Reset {
-			conn.Close()
-			continue // the server never sees the connection
-		}
-		time.Sleep(time.Duration(ev.DelayMs) * time.Millisecond)
-		return conn, nil
-	}
 }

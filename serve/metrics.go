@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Metrics is the /metrics snapshot: request-plane counters, queue and
+// Metrics is the /v1/metrics snapshot: request-plane counters, queue and
 // cache state, and the simulated work served so far, aggregated from the
 // same sim.Metrics-backed result fields (issue/stall cycle counters from
 // the observability layer) that each response body reports per run.
@@ -15,9 +15,9 @@ type Metrics struct {
 	Draining      bool    `json:"draining"`
 	Workers       int     `json:"workers"`
 
-	// Request-plane counters. Requests counts POST /run and /sweep
-	// bodies read; Streams counts the /run?stream=ndjson subset and
-	// Sweeps the /sweep subset; Runs counts simulations actually started
+	// Request-plane counters. Requests counts POST /v1/run and /v1/sweep
+	// bodies read; Streams counts the ?stream=ndjson subset and Sweeps
+	// the /v1/sweep subset; Runs counts simulations actually started
 	// (cache hits and coalesced duplicates never start one).
 	Requests         uint64 `json:"requests"`
 	Streams          uint64 `json:"streams"`
@@ -98,12 +98,12 @@ func (s *Server) Metrics() Metrics {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeOutcome(w, "", "", errorOutcome(http.StatusMethodNotAllowed, codeBadRequest, "GET required", nil))
+		writeOutcome(w, "", errorOutcome(http.StatusMethodNotAllowed, codeBadRequest, "GET required", nil))
 		return
 	}
 	buf, err := json.MarshalIndent(s.Metrics(), "", "  ")
 	if err != nil {
-		writeOutcome(w, "", "", errorOutcome(http.StatusInternalServerError, codeInternal, err.Error(), nil))
+		writeOutcome(w, "", errorOutcome(http.StatusInternalServerError, codeInternal, err.Error(), nil))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -131,7 +131,7 @@ func isSpecKey(key string) bool {
 func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/v1/peer/")
 	if !isSpecKey(key) {
-		writeOutcome(w, "", "", errorOutcome(http.StatusBadRequest, codeBadRequest,
+		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest,
 			"peer key must be a 64-char lowercase hex Spec.Key", nil))
 		return
 	}
@@ -140,33 +140,33 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			// A draining replica stops answering fills so peers fail over
 			// to local compute instead of racing its teardown.
-			writeOutcome(w, key, "", errorOutcome(http.StatusServiceUnavailable, codeDraining,
+			writeOutcome(w, key, errorOutcome(http.StatusServiceUnavailable, codeDraining,
 				"server is draining", nil).withRetryAfter(retryAfterDraining))
 			return
 		}
 		body, ok := s.cache.Get(key)
 		if !ok {
-			writeOutcome(w, key, "", errorOutcome(http.StatusNotFound, codeNotCached,
+			writeOutcome(w, key, errorOutcome(http.StatusNotFound, codeNotCached,
 				"key not cached on this shard", nil))
 			return
 		}
 		w.Header().Set(HeaderDigest, Digest(body))
-		writeOutcome(w, key, "local", &outcome{status: http.StatusOK, body: body, ok: true})
+		writeOutcome(w, key, &outcome{status: http.StatusOK, body: body, source: "local", ok: true})
 	case http.MethodPut:
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPeerBodyBytes))
 		if err != nil {
-			writeOutcome(w, key, "", errorOutcome(http.StatusBadRequest, codeBadRequest,
+			writeOutcome(w, key, errorOutcome(http.StatusBadRequest, codeBadRequest,
 				"peer body: "+err.Error(), nil))
 			return
 		}
 		if len(body) == 0 {
-			writeOutcome(w, key, "", errorOutcome(http.StatusBadRequest, codeBadRequest,
+			writeOutcome(w, key, errorOutcome(http.StatusBadRequest, codeBadRequest,
 				"peer body must be non-empty", nil))
 			return
 		}
 		if out := s.verifyPeerPut(key, r.Header, body); out != nil {
 			s.peerPutBad.Add(1)
-			writeOutcome(w, key, "", out)
+			writeOutcome(w, key, out)
 			return
 		}
 		// Determinism makes this idempotent: a re-put for a resident key
@@ -175,7 +175,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 		s.cache.Put(key, body)
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		writeOutcome(w, "", "", errorOutcome(http.StatusMethodNotAllowed, codeBadRequest,
+		writeOutcome(w, "", errorOutcome(http.StatusMethodNotAllowed, codeBadRequest,
 			"GET or PUT required", nil))
 	}
 }

@@ -356,50 +356,3 @@ func TestServePeerFillSeam(t *testing.T) {
 		t.Errorf("metrics peer view = hits:%d %+v", m.PeerHits, m.Peer)
 	}
 }
-
-// TestServeV1Aliases: the versioned and legacy paths are one surface —
-// same handlers, same bytes, same method policing.
-func TestServeV1Aliases(t *testing.T) {
-	s := New(Config{Workers: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body := `{"bench":"bzip2","single":true}`
-	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /run: status=%d err=%v", resp.StatusCode, err)
-	}
-	resp, err = http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	versioned, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/run: status=%d err=%v", resp.StatusCode, err)
-	}
-	if !bytes.Equal(legacy, versioned) {
-		t.Error("legacy and /v1 run bodies differ")
-	}
-	if resp.Header.Get("X-Hfserve-Cache") != "hit" {
-		t.Errorf("/v1/run after /run: cache=%q, want shared cache hit", resp.Header.Get("X-Hfserve-Cache"))
-	}
-
-	for _, path := range []string{"/metrics", "/v1/metrics", "/healthz", "/v1/healthz"} {
-		status, body, _ := doReq(t, http.MethodGet, ts.URL+path, "")
-		if status != http.StatusOK {
-			t.Errorf("GET %s: status=%d %s", path, status, body)
-		}
-	}
-	for _, path := range []string{"/run", "/v1/run", "/sweep", "/v1/sweep"} {
-		status, _, _ := doReq(t, http.MethodGet, ts.URL+path, "")
-		if status != http.StatusMethodNotAllowed {
-			t.Errorf("GET %s: status=%d, want 405", path, status)
-		}
-	}
-}

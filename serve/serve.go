@@ -1,5 +1,5 @@
 // Package serve turns the deterministic simulator into a long-lived HTTP
-// JSON service. POST /run accepts an hfstream.Spec (benchmark + design +
+// JSON service. POST /v1/run accepts an hfstream.Spec (benchmark + design +
 // run mode), executes it on a bounded worker pool shared with the
 // experiment harness (internal/exp.Pool), and responds with the run's
 // metrics snapshot — the exact bytes hfstream.WithMetrics writes, so a
@@ -44,7 +44,7 @@ const (
 	DefaultCacheBytes = 64 << 20
 	DefaultJobTimeout = 2 * time.Minute
 
-	// maxRequestBytes bounds a /run request body; specs are tiny and an
+	// maxRequestBytes bounds a /v1/run request body; specs are tiny and an
 	// unbounded read is a trivial memory DoS.
 	maxRequestBytes = 1 << 20
 )
@@ -102,7 +102,7 @@ type Server struct {
 
 	// run executes one spec; overridable by tests to model slow or
 	// failing jobs without real simulations (same seam as exp.Runner.run).
-	// hooks, when non-nil, carries the streaming progress callback.
+	// hooks, when non-nil, is the streaming request's progress delivery.
 	run func(ctx context.Context, spec hfstream.Spec, hooks *streamHooks) *outcome
 }
 
@@ -136,9 +136,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the service's HTTP surface. The wire contract is
-// versioned under /v1/ (documented in full in serve/API.md); the
-// original unversioned paths are kept as aliases for existing clients:
+// Handler returns the service's HTTP surface. The wire contract lives
+// under /v1/ and nowhere else (documented in full in serve/API.md):
 //
 //	POST /v1/run            run a spec (or serve it from cache), body = metrics JSON
 //	POST /v1/run?stream=ndjson  the same run as live NDJSON events (see stream.go)
@@ -152,18 +151,16 @@ func New(cfg Config) *Server {
 //	                        into this shard's cache
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"", "/v1"} {
-		mux.HandleFunc(prefix+"/run", s.handleRun)
-		mux.HandleFunc(prefix+"/sweep", s.handleSweep)
-		mux.HandleFunc(prefix+"/metrics", s.handleMetrics)
-		mux.HandleFunc(prefix+"/healthz", s.handleHealthz)
-	}
+	mux.HandleFunc("/v1/run", s.handleRun)
+	mux.HandleFunc("/v1/sweep", s.handleSweep)
+	mux.HandleFunc("/v1/metrics", s.handleMetrics)
+	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/peer/", s.handlePeer)
 	return mux
 }
 
-// BeginDrain flips the server into draining mode: new /run work is
-// rejected with a typed 503 and /healthz reports draining, while queued
+// BeginDrain flips the server into draining mode: new run work is
+// rejected with a typed 503 and /v1/healthz reports draining, while queued
 // and in-flight jobs keep running. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
@@ -235,7 +232,9 @@ type ErrorDetail struct {
 type outcome struct {
 	status int
 	body   []byte
-	source string // "miss" (fresh run) or "hit" (leader found cache)
+	// source is the cache provenance a response reports: "hit", "miss"
+	// (fresh run), "peer" or "coalesced" — "" on an error nobody joined.
+	source string
 	ok     bool
 	// retryAfter, when positive, emits a Retry-After header (seconds)
 	// telling clients when the condition is worth re-probing.
@@ -276,66 +275,93 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeOutcome(w, "", "", errorOutcome(http.StatusMethodNotAllowed, codeBadRequest, "POST required", nil))
+		writeOutcome(w, "", errorOutcome(http.StatusMethodNotAllowed, codeBadRequest, "POST required", nil))
 		return
 	}
 	s.requests.Add(1)
-	stream := r.URL.Query().Get("stream")
+	q := r.URL.Query()
+	stream := q.Get("stream")
 	if stream != "" && stream != "ndjson" {
-		writeOutcome(w, "", "", errorOutcome(http.StatusBadRequest, codeBadRequest,
+		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest,
 			fmt.Sprintf("unsupported stream mode %q (only ndjson)", stream), nil))
 		return
 	}
 	var spec hfstream.Spec
 	if err := decodeBody(w, r, &spec); err != nil {
-		writeOutcome(w, "", "", errorOutcome(http.StatusBadRequest, codeBadRequest, "request body: "+err.Error(), nil))
+		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest, "request body: "+err.Error(), nil))
 		return
 	}
 	key, err := spec.Key()
 	if err != nil {
-		writeOutcome(w, "", "", errorOutcome(http.StatusBadRequest, codeBadRequest, err.Error(), nil))
+		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest, err.Error(), nil))
 		return
 	}
 	if stream == "ndjson" {
-		s.streamRun(w, r, key, spec)
+		s.streamRun(w, r, q, key, spec)
 		return
 	}
+	out := s.resolve(s.baseCtx, key, spec, nil)
+	writeOutcome(w, key, &out)
+}
 
-	// Fast path: previously served and still resident.
+// resolve answers one content key, and is the only way a run request, a
+// stream or a sweep cell gets an answer: the resident bytes when the
+// cache holds them, otherwise the outcome of the key's flight, led by
+// runOne or joined. The provenance label and the cache_hits and
+// coalesced counters are decided here, so the three endpoints cannot
+// disagree on them. The outcome is returned by value: a joiner relabels
+// its own copy of the leader's, and a hit never reaches the heap.
+func (s *Server) resolve(ctx context.Context, key string, spec hfstream.Spec, hooks *streamHooks) outcome {
 	if body, ok := s.cache.Get(key); ok {
 		s.cacheHits.Add(1)
-		writeOutcome(w, key, "hit", &outcome{status: http.StatusOK, body: body, ok: true})
-		return
+		return outcome{status: http.StatusOK, body: body, source: "hit", ok: true}
 	}
-
-	out, joined := s.flights.do(key, func() *outcome { return s.runOne(s.baseCtx, key, spec, nil) })
-	src := out.source
+	led, joined := s.flights.do(key, func() *outcome { return s.runOne(ctx, key, spec, hooks) })
+	out := *led
 	if joined {
 		s.coalesced.Add(1)
-		src = "coalesced"
+		out.source = "coalesced"
 	}
-	writeOutcome(w, key, src, out)
+	return out
 }
 
 // runOne is the flight leader's path: admission control, pool submit,
 // and cache publication. It never runs concurrently for the same key.
-// ctx bounds the job (baseCtx for blocking requests, the joined
-// request context for streaming ones); hooks carries streaming
-// progress delivery.
+// ctx bounds the job (baseCtx for blocking requests, the request's own
+// context for streams and sweeps); hooks carries streaming progress
+// delivery.
 func (s *Server) runOne(ctx context.Context, key string, spec hfstream.Spec, hooks *streamHooks) *outcome {
 	if s.draining.Load() {
 		s.rejected.Add(1)
 		return errorOutcome(http.StatusServiceUnavailable, codeDraining,
 			"server is draining; retry against another instance", nil).withRetryAfter(retryAfterDraining)
 	}
-	// A flight for this key may have completed between the handler's
-	// cache check and this one; the leader publishes to the cache before
-	// the flight deregisters, so this re-check closes the gap.
+	// A requester that is already gone (a sweep cell reached after its
+	// client left) gets no peer fill and no worker.
+	if ctx.Err() != nil {
+		return errorOutcome(statusClientClosed, codeCanceled, "canceled before the run started", nil)
+	}
+	// A flight for this key may have completed between resolve's cache
+	// check and this one; the leader publishes to the cache before the
+	// flight deregisters, so this re-check closes the gap.
 	if body, ok := s.cache.Get(key); ok {
 		s.cacheHits.Add(1)
 		return &outcome{status: http.StatusOK, body: body, source: "hit", ok: true}
 	}
 	s.cacheMisses.Add(1)
+
+	// A request-scoped job (a stream's, a sweep cell's) ends with its
+	// requester and also when the server tears its jobs down (baseCtx, the
+	// Drain-deadline path), whichever comes first. The two are joined here
+	// and not in the handlers so that a request answered from the cache
+	// never builds a context.
+	if ctx != s.baseCtx {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		stop := context.AfterFunc(s.baseCtx, cancel)
+		defer stop()
+	}
 
 	// Cluster cache tier: on a local miss, ask the key's owner shard for
 	// the bytes before burning a worker on a simulation. Determinism makes
@@ -395,8 +421,8 @@ func (s *Server) execSpec(ctx context.Context, spec hfstream.Spec, hooks *stream
 	opts := []hfstream.RunOpt{}
 	var buf bytes.Buffer
 	opts = append(opts, hfstream.WithMetrics(&buf))
-	if hooks != nil && hooks.progress != nil {
-		opts = append(opts, hfstream.WithProgress(hooks.progress))
+	if hooks != nil {
+		opts = append(opts, hfstream.WithProgress(hooks.start()))
 		if hooks.every > 0 {
 			opts = append(opts, hfstream.WithProgressInterval(hooks.every))
 		}
@@ -447,13 +473,13 @@ func (s *Server) execSpec(ctx context.Context, spec hfstream.Spec, hooks *stream
 // writeOutcome writes one terminal response. Cache provenance rides in
 // headers, never the body, so hit/miss/coalesced bodies stay
 // byte-identical.
-func writeOutcome(w http.ResponseWriter, key, source string, out *outcome) {
+func writeOutcome(w http.ResponseWriter, key string, out *outcome) {
 	w.Header().Set("Content-Type", "application/json")
 	if key != "" {
 		w.Header().Set("X-Hfserve-Key", key)
 	}
-	if source != "" {
-		w.Header().Set("X-Hfserve-Cache", source)
+	if out.source != "" {
+		w.Header().Set("X-Hfserve-Cache", out.source)
 	}
 	if out.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(out.retryAfter))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -14,11 +15,11 @@ import (
 	"hfstream"
 )
 
-// post sends a /run request body and returns status, body and the cache
+// post sends a /v1/run request body and returns status, body and the cache
 // provenance header.
 func post(t *testing.T, url, body string) (int, []byte, string) {
 	t.Helper()
-	resp, err := http.Post(url+"/run", "application/json", strings.NewReader(body))
+	resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestServeRoundTripMatchesDirectAPI(t *testing.T) {
 
 	// Canonicalization: field order and explicit zero values must land on
 	// the same cache entry.
-	status, alias, src := post(t, ts.URL, `{"design":"EXISTING","stages":0,"bench":"adpcmdec"}`)
+	status, alias, src := post(t, ts.URL, `{"design":"EXISTING","single":false,"bench":"adpcmdec"}`)
 	if status != 200 || src != "hit" {
 		t.Fatalf("alias: status=%d src=%q, want 200/hit", status, src)
 	}
@@ -78,31 +79,6 @@ func TestServeRoundTripMatchesDirectAPI(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Runs != 1 {
 		t.Fatalf("runs = %d after three identical requests, want 1", m.Runs)
-	}
-}
-
-// TestServeStagesAliasSharesTheSuffixedEntry: stages is an input alias
-// for the design name's core count, so the two spellings of one machine
-// are one cache entry and one simulation.
-func TestServeStagesAliasSharesTheSuffixedEntry(t *testing.T) {
-	s := New(Config{Workers: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	status, named, src := post(t, ts.URL, `{"bench":"adpcmdec","design":"HEAVYWT_3CORE"}`)
-	if status != 200 || src != "miss" {
-		t.Fatalf("suffixed name: status=%d src=%q, want 200/miss", status, src)
-	}
-	runs := s.Metrics().Runs
-	status, staged, src := post(t, ts.URL, `{"bench":"adpcmdec","design":"HEAVYWT","stages":3}`)
-	if status != 200 || src != "hit" {
-		t.Fatalf("stages alias: status=%d src=%q, want 200/hit", status, src)
-	}
-	if !bytes.Equal(staged, named) {
-		t.Fatal("stages alias body differs from the suffixed name's")
-	}
-	if got := s.Metrics().Runs; got != runs {
-		t.Fatalf("stages alias started %d new runs, want 0", got-runs)
 	}
 }
 
@@ -119,12 +95,9 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown bench", `{"bench":"nope","design":"EXISTING"}`},
 		{"unknown design", `{"bench":"wc","design":"nope"}`},
 		{"missing design", `{"bench":"wc"}`},
-		{"stages one", `{"bench":"wc","design":"EXISTING","stages":1}`},
-		{"negative stages", `{"bench":"wc","design":"EXISTING","stages":-2}`},
 		{"single with design", `{"bench":"wc","design":"EXISTING","single":true}`},
-		{"single with stages", `{"bench":"wc","single":true,"stages":3}`},
-		{"stages past the cap", `{"bench":"wc","design":"EXISTING","stages":9}`},
 		{"stacked suffix", `{"bench":"wc","design":"EXISTING_3CORE_4CORE"}`},
+		{"suffix past the cap", `{"bench":"wc","design":"EXISTING_9CORE"}`},
 	}
 	for _, tc := range cases {
 		status, body, _ := post(t, ts.URL, tc.body)
@@ -140,13 +113,13 @@ func TestServeBadRequests(t *testing.T) {
 		t.Fatalf("bad requests started %d runs, want 0", m.Runs)
 	}
 
-	resp, err := http.Get(ts.URL + "/run")
+	resp, err := http.Get(ts.URL + "/v1/run")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /run: %d, want 405", resp.StatusCode)
+		t.Fatalf("GET /v1/run: %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -160,9 +133,7 @@ func TestBodyMustBeOneJSONValue(t *testing.T) {
 	defer ts.Close()
 
 	const run, sweep = `{"bench":"wc","design":"HEAVYWT"}`, `{"benches":["wc"],"designs":["HEAVYWT"]}`
-	endpoints := []struct{ path, body string }{
-		{"/v1/run", run}, {"/run", run}, {"/v1/sweep", sweep}, {"/sweep", sweep},
-	}
+	endpoints := []struct{ path, body string }{{"/v1/run", run}, {"/v1/sweep", sweep}}
 	tails := []struct {
 		name, tail string
 		want       int
@@ -207,7 +178,21 @@ func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // key, looks it up and writes the cached bytes — about 30 allocations of
 // standard-library JSON decoding and header maps. The ceiling fails as soon
 // as the hit path builds the benchmark it names (fft2: 78 allocations).
+//
+// The stream and the sweep cell take the same resolve, and the benchmark's
+// hot workload takes neither, so each has a ceiling of its own, set at what
+// the endpoint cost before the three shared a path (41 and 50; 39 and 44
+// now). A streamed hit that starts paying for the progress buffer, its
+// goroutine or a joined context — all of which wait for a simulation that
+// is really about to run — goes over.
 func TestRunHitAllocationCeiling(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates; the counts are pinned without it")
+			}
+		}
+	}
 	s := New(Config{Workers: 1})
 	spec := hfstream.Spec{Bench: "fft2", Design: "SYNCOPTI_SC+Q64"}
 	key, err := spec.Key()
@@ -216,19 +201,25 @@ func TestRunHitAllocationCeiling(t *testing.T) {
 	}
 	s.cache.Put(key, []byte("{}\n"))
 	h := s.Handler()
-	const body = `{"bench":"fft2","design":"SYNCOPTI_SC+Q64"}`
-	got := testing.AllocsPerRun(20, func() {
-		w := &discardWriter{h: http.Header{}}
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
-		if src := w.h.Get("X-Hfserve-Cache"); src != "hit" {
-			t.Fatalf("cache = %q, want hit", src)
+	const run = `{"bench":"fft2","design":"SYNCOPTI_SC+Q64"}`
+	for _, c := range []struct {
+		name, path, body string
+		ceiling          float64
+	}{
+		{"/v1/run", "/v1/run", run, 60},
+		{"streamed", "/v1/run?stream=ndjson", run, 41},
+		{"one-cell /v1/sweep", "/v1/sweep", `{"benches":["fft2"],"designs":["SYNCOPTI_SC+Q64"]}`, 50},
+	} {
+		got := testing.AllocsPerRun(20, func() {
+			w := &discardWriter{h: http.Header{}}
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		})
+		if got > c.ceiling {
+			t.Errorf("a %s cache hit made %.0f allocations, want at most %.0f", c.name, got, c.ceiling)
 		}
-	})
-	if got > 60 {
-		t.Errorf("a /v1/run cache hit made %.0f allocations, want at most 60", got)
 	}
-	if m := s.Metrics(); m.Runs != 0 {
-		t.Fatalf("hits started %d runs", m.Runs)
+	if m := s.Metrics(); m.Runs != 0 || m.CacheHits == 0 || m.CacheMisses != 0 {
+		t.Fatalf("runs=%d cache_hits=%d cache_misses=%d, want only hits", m.Runs, m.CacheHits, m.CacheMisses)
 	}
 }
 
@@ -316,7 +307,7 @@ func TestServeDrainRejectsNewAndFinishesInFlight(t *testing.T) {
 
 	// healthz flips to draining and new work is rejected with the typed
 	// 503, while the in-flight job is still running.
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +399,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	post(t, ts.URL, `{"bench":"adpcmdec","design":"EXISTING"}`)
 	post(t, ts.URL, `{"bench":"adpcmdec","design":"EXISTING"}`)
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

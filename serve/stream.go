@@ -1,6 +1,6 @@
 package serve
 
-// Streaming mode: POST /run?stream=ndjson answers with line-delimited
+// Streaming mode: POST /v1/run?stream=ndjson answers with line-delimited
 // JSON events instead of one blocking body, so a client watching a long
 // simulation sees signs of life (progress heartbeats) and the final
 // metrics the moment they exist — the "results flow as they are
@@ -20,25 +20,25 @@ package serve
 //	          cadence is the library default (every 1M simulated cycles)
 //	          or the ?progress_every=N query parameter
 //	metrics   one run's result: body carries, as a JSON string, the EXACT
-//	          bytes the non-streaming /run response would have — the
+//	          bytes the non-streaming /v1/run response would have — the
 //	          byte-equivalence the differential battery pins
-//	done      terminal success marker (for /sweep it carries the tallies)
+//	done      terminal success marker (for /v1/sweep it carries the tallies)
 //	error     a failed run, same typed detail as the non-streaming error
-//	          envelope; terminal for /run, per-cell for /sweep
+//	          envelope; terminal for /v1/run, per-cell for /v1/sweep
 //
 // The body rides as a JSON string rather than embedded JSON because
 // encoding/json compacts embedded RawMessage output, and the metrics
 // snapshot is indented; string escaping round-trips the bytes exactly.
 //
-// Cancellation: the run is executed under a context joined to the HTTP
-// request's, so a client disconnect closes sim.Config.Cancel and stops
-// the simulation within its polling bound (1024 cycles) — a canceled
-// run produces an error event with code "canceled" and is never cached.
+// Cancellation: the run is executed under the HTTP request's context,
+// so a client disconnect closes sim.Config.Cancel and stops the
+// simulation within its polling bound (1024 cycles) — a canceled run
+// produces an error event with code "canceled" and is never cached.
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"hfstream"
@@ -72,7 +72,7 @@ type StreamEvent struct {
 	Cycle        uint64 `json:"cycle,omitempty"`
 	Instructions uint64 `json:"instructions,omitempty"`
 
-	// metrics / error fields. Spec is populated on /sweep cell events so
+	// metrics / error fields. Spec is populated on /v1/sweep cell events so
 	// a client can tie a completion back to its grid cell; Key and Cache
 	// are the X-Hfserve-Key / X-Hfserve-Cache equivalents; Body is the
 	// exact non-streaming response body as a JSON string.
@@ -93,18 +93,57 @@ type StreamEvent struct {
 	Errors    int `json:"errors,omitempty"`
 }
 
-// streamHooks carries the per-request streaming knobs into the run seam:
-// the progress callback (invoked on the simulation goroutine) and its
-// cadence in cycles (0 = library default).
+// streamHooks is a streaming request's progress delivery, carried into
+// the run seam. It costs nothing until a simulation is about to run on
+// this request's behalf (start, called by execSpec): a hit, a peer fill,
+// a joined flight and a shed request never pay for the event buffer or
+// the goroutine that drains it.
 type streamHooks struct {
-	progress func(hfstream.ProgressEvent)
-	every    uint64
+	sw    streamWriter // the response; held by value so a stream is one allocation
+	every uint64       // progress cadence in cycles (0 = library default)
+
+	events chan hfstream.ProgressEvent
+	pumped chan struct{} // closed once the last buffered event is written
+}
+
+// start opens progress delivery and returns the callback the simulation
+// invokes. Events hop from the simulation goroutine to the response
+// through a bounded buffer that a goroutine of its own drains, so neither
+// the simulation nor the flight it leads waits on the client's socket.
+func (h *streamHooks) start() func(hfstream.ProgressEvent) {
+	h.events = make(chan hfstream.ProgressEvent, streamEventBuffer)
+	h.pumped = make(chan struct{})
+	go func() {
+		defer close(h.pumped)
+		for ev := range h.events {
+			h.sw.send(StreamEvent{Type: eventProgress, Cycle: ev.Cycle, Instructions: ev.Instructions})
+		}
+	}()
+	return func(ev hfstream.ProgressEvent) {
+		select {
+		case h.events <- ev:
+		default:
+		}
+	}
+}
+
+// finish ends progress delivery if it ever began and returns once every
+// buffered event is on the wire, so progress lines never trail the
+// result. The run must have returned: nothing may call the callback
+// after this.
+func (h *streamHooks) finish() {
+	if h.events != nil {
+		close(h.events)
+		<-h.pumped
+	}
 }
 
 // streamWriter serializes events onto one HTTP response with monotone
 // sequence numbers, flushing after each line. Writes after a client
 // disconnect fail; the writer goes quiet rather than erroring out, and
-// the simulation is stopped through the request context instead.
+// the simulation is stopped through the request context instead. It is
+// used by one goroutine at a time (the handler, and between
+// streamHooks.start and finish the progress pump).
 type streamWriter struct {
 	w      http.ResponseWriter
 	f      http.Flusher
@@ -112,12 +151,9 @@ type streamWriter struct {
 	failed bool
 }
 
-func newStreamWriter(w http.ResponseWriter) *streamWriter {
-	sw := &streamWriter{w: w}
-	if f, ok := w.(http.Flusher); ok {
-		sw.f = f
-	}
-	return sw
+func newStreamWriter(w http.ResponseWriter) streamWriter {
+	f, _ := w.(http.Flusher)
+	return streamWriter{w: w, f: f}
 }
 
 // begin commits the response: a stream is always HTTP 200 once event
@@ -166,10 +202,10 @@ func marshalEvent(ev StreamEvent) ([]byte, error) {
 // outcomeEvent converts a run outcome into its stream event: a metrics
 // event carrying the exact response body on success, an error event
 // carrying the typed detail otherwise.
-func outcomeEvent(out *outcome, key, source string, spec *hfstream.Spec) StreamEvent {
+func outcomeEvent(out *outcome, key string, spec *hfstream.Spec) StreamEvent {
 	if out.ok {
 		return StreamEvent{
-			Type: eventMetrics, Spec: spec, Key: key, Cache: source,
+			Type: eventMetrics, Spec: spec, Key: key, Cache: out.source,
 			Status: out.status, Body: string(out.body),
 		}
 	}
@@ -191,8 +227,8 @@ func decodeErrorDetail(body []byte) *ErrorDetail {
 
 // parseProgressEvery reads the ?progress_every query parameter (cycles
 // between progress events; 0 or absent keeps the library default).
-func parseProgressEvery(r *http.Request) (uint64, bool) {
-	raw := r.URL.Query().Get("progress_every")
+func parseProgressEvery(q url.Values) (uint64, bool) {
+	raw := q.Get("progress_every")
 	if raw == "" {
 		return 0, true
 	}
@@ -203,24 +239,14 @@ func parseProgressEvery(r *http.Request) (uint64, bool) {
 	return n, true
 }
 
-// joinRequestContext derives the job context for a streaming request:
-// canceled when the client disconnects (request context) or when the
-// server tears down jobs (baseCtx, the Drain-deadline path), whichever
-// comes first.
-func (s *Server) joinRequestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(r.Context())
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	return ctx, func() { stop(); cancel() }
-}
-
-// streamRun is the streaming half of handleRun: same admission control,
-// cache, coalescing and pool execution as the blocking path (runOne is
-// shared), with progress events interleaved while the leader's
-// simulation runs.
-func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, key string, spec hfstream.Spec) {
-	every, ok := parseProgressEvery(r)
+// streamRun is the streaming half of handleRun: the same resolve as the
+// blocking path, under the request's context so that a disconnect stops
+// the run, with progress events interleaved while a simulation this
+// request leads is running.
+func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, q url.Values, key string, spec hfstream.Spec) {
+	every, ok := parseProgressEvery(q)
 	if !ok {
-		writeOutcome(w, key, "", errorOutcome(http.StatusBadRequest, codeBadRequest,
+		writeOutcome(w, key, errorOutcome(http.StatusBadRequest, codeBadRequest,
 			"progress_every must be a non-negative integer", nil))
 		return
 	}
@@ -228,71 +254,14 @@ func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, key string, s
 
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.Header().Set("X-Hfserve-Key", key)
-	sw := newStreamWriter(w)
+	hooks := &streamHooks{sw: newStreamWriter(w), every: every}
+	sw := &hooks.sw
 	sw.begin()
 
-	// Fast path: resident in the cache — one metrics event, no run, no
-	// progress.
-	if body, ok := s.cache.Get(key); ok {
-		s.cacheHits.Add(1)
-		sw.send(outcomeEvent(&outcome{status: http.StatusOK, body: body, ok: true}, key, "hit", nil))
-		sw.send(StreamEvent{Type: eventDone, Status: http.StatusOK})
-		return
-	}
-
-	ctx, cancel := s.joinRequestContext(r)
-	defer cancel()
-
-	// Progress events hop from the simulation goroutine to this writer
-	// through a bounded buffer; the hook never blocks the simulation.
-	events := make(chan hfstream.ProgressEvent, streamEventBuffer)
-	hooks := &streamHooks{every: every, progress: func(ev hfstream.ProgressEvent) {
-		select {
-		case events <- ev:
-		default:
-		}
-	}}
-
-	type flightResult struct {
-		out    *outcome
-		joined bool
-	}
-	res := make(chan flightResult, 1)
-	go func() {
-		out, joined := s.flights.do(key, func() *outcome { return s.runOne(ctx, key, spec, hooks) })
-		res <- flightResult{out, joined}
-	}()
-
-	var fr flightResult
-	waiting := true
-	for waiting {
-		select {
-		case ev := <-events:
-			sw.send(StreamEvent{Type: eventProgress, Cycle: ev.Cycle, Instructions: ev.Instructions})
-		case fr = <-res:
-			waiting = false
-		}
-	}
-	// The simulation finished before the flight resolved, so any events
-	// still buffered precede the outcome; drain them so progress lines
-	// never trail the result.
-	for {
-		select {
-		case ev := <-events:
-			sw.send(StreamEvent{Type: eventProgress, Cycle: ev.Cycle, Instructions: ev.Instructions})
-			continue
-		default:
-		}
-		break
-	}
-
-	src := fr.out.source
-	if fr.joined {
-		s.coalesced.Add(1)
-		src = "coalesced"
-	}
-	sw.send(outcomeEvent(fr.out, key, src, nil))
-	if fr.out.ok {
+	out := s.resolve(r.Context(), key, spec, hooks)
+	hooks.finish()
+	sw.send(outcomeEvent(&out, key, nil))
+	if out.ok {
 		sw.send(StreamEvent{Type: eventDone, Status: http.StatusOK})
 	}
 }

@@ -1,6 +1,6 @@
 package serve
 
-// Streaming battery: the NDJSON /run mode and the /sweep grid endpoint.
+// Streaming battery: the NDJSON /v1/run mode and the /v1/sweep grid endpoint.
 // These run under -race via `make race` (the whole serve package does)
 // and under both fast-forward modes via `make serve-diff` /
 // `make serve-diff-noff` — the stream bodies are part of the
@@ -96,7 +96,7 @@ func TestStreamRunEmitsTypedEvents(t *testing.T) {
 	// Cold: a tight progress cadence must yield at least one heartbeat
 	// before the metrics event, and the body must be the exact
 	// non-streaming bytes.
-	events := readStream(t, ts.URL, "/run?stream=ndjson&progress_every=100", `{"bench":"adpcmdec","design":"SYNCOPTI"}`)
+	events := readStream(t, ts.URL, "/v1/run?stream=ndjson&progress_every=100", `{"bench":"adpcmdec","design":"SYNCOPTI"}`)
 	res, done := terminal(t, events)
 	if !done {
 		t.Fatalf("cold stream did not close with a done event: %+v", events[len(events)-1])
@@ -124,7 +124,7 @@ func TestStreamRunEmitsTypedEvents(t *testing.T) {
 	}
 
 	// Hot: served straight from the cache — no progress, same bytes.
-	events = readStream(t, ts.URL, "/run?stream=ndjson", `{"bench":"adpcmdec","design":"SYNCOPTI"}`)
+	events = readStream(t, ts.URL, "/v1/run?stream=ndjson", `{"bench":"adpcmdec","design":"SYNCOPTI"}`)
 	if len(events) != 2 {
 		t.Fatalf("cached stream has %d events, want metrics+done", len(events))
 	}
@@ -143,7 +143,7 @@ func TestStreamRunErrorsAreTypedEvents(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	events := readStream(t, ts.URL, "/run?stream=ndjson", `{"bench":"bzip2","design":"EXISTING"}`)
+	events := readStream(t, ts.URL, "/v1/run?stream=ndjson", `{"bench":"bzip2","design":"EXISTING"}`)
 	res, done := terminal(t, events)
 	if done {
 		t.Fatal("failed stream must not emit done")
@@ -153,7 +153,7 @@ func TestStreamRunErrorsAreTypedEvents(t *testing.T) {
 	}
 
 	// Pre-stream failures are plain HTTP errors, not streams.
-	resp, err := http.Post(ts.URL+"/run?stream=ndjson", "application/json", strings.NewReader(`{"bench":"nope"}`))
+	resp, err := http.Post(ts.URL+"/v1/run?stream=ndjson", "application/json", strings.NewReader(`{"bench":"nope"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestStreamRunErrorsAreTypedEvents(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || errCode(t, body) != codeBadRequest {
 		t.Fatalf("bad spec with stream=ndjson: status=%d body=%s, want plain 400", resp.StatusCode, body)
 	}
-	resp, err = http.Post(ts.URL+"/run?stream=sse", "application/json", strings.NewReader(`{"bench":"wc","design":"EXISTING"}`))
+	resp, err = http.Post(ts.URL+"/v1/run?stream=sse", "application/json", strings.NewReader(`{"bench":"wc","design":"EXISTING"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestStreamRunErrorsAreTypedEvents(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unsupported stream mode: status %d, want 400", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/run?stream=ndjson&progress_every=x", "application/json", strings.NewReader(`{"bench":"wc","design":"EXISTING"}`))
+	resp, err = http.Post(ts.URL+"/v1/run?stream=ndjson&progress_every=x", "application/json", strings.NewReader(`{"bench":"wc","design":"EXISTING"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestStreamClientCancelStopsRun(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/run?stream=ndjson",
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run?stream=ndjson",
 		strings.NewReader(`{"bench":"wc","design":"EXISTING"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -261,12 +261,12 @@ func TestStreamClientCancelStopsRealSimulation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req := httptest.NewRequest(http.MethodPost, "/run?stream=ndjson", nil).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/v1/run?stream=ndjson", nil).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	handlerDone := make(chan struct{})
 	go func() {
 		defer close(handlerDone)
-		s.streamRun(rec, req, key, spec)
+		s.streamRun(rec, req, req.URL.Query(), key, spec)
 	}()
 
 	// The stream is open and the job is queued behind the blocker. Kill
@@ -297,7 +297,7 @@ func TestSweepStreamsCellsAndCachesByCell(t *testing.T) {
 	defer ts.Close()
 
 	body := `{"benches":["adpcmdec"],"designs":["EXISTING","MEMOPTI"],"single":true}`
-	events := readStream(t, ts.URL, "/sweep", body)
+	events := readStream(t, ts.URL, "/v1/sweep", body)
 	if len(events) != 4 {
 		t.Fatalf("sweep produced %d events, want 3 cells + done", len(events))
 	}
@@ -335,7 +335,7 @@ func TestSweepStreamsCellsAndCachesByCell(t *testing.T) {
 	// Re-submitted sweep: zero new runs, every cell a hit with the same
 	// bytes.
 	runsBefore := s.Metrics().Runs
-	again := readStream(t, ts.URL, "/sweep", body)
+	again := readStream(t, ts.URL, "/v1/sweep", body)
 	doneAgain := again[len(again)-1]
 	if doneAgain.Hits != 3 || doneAgain.Ran != 0 {
 		t.Fatalf("re-sweep tallies = %+v, want 3 hits, 0 ran", doneAgain)
@@ -351,41 +351,6 @@ func TestSweepStreamsCellsAndCachesByCell(t *testing.T) {
 	}
 }
 
-// TestSweepStagesAxisAddsNoNewCells: a stages axis names machines the
-// suffixed design names already do, so after a sweep over those names it
-// has nothing left to simulate.
-func TestSweepStagesAxisAddsNoNewCells(t *testing.T) {
-	named, err := expandSweep(SweepRequest{Benches: []string{"adpcmdec"}, Designs: []string{"HEAVYWT", "HEAVYWT_3CORE"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged, err := expandSweep(SweepRequest{Benches: []string{"adpcmdec"}, Designs: []string{"HEAVYWT"}, Stages: []int{2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(staged) != len(named) {
-		t.Fatalf("stages axis expands to %d cells, the suffixed names to %d", len(staged), len(named))
-	}
-	for i := range named {
-		if staged[i] != named[i] {
-			t.Errorf("cell %d: stages axis gives %+v, suffixed names %+v", i, staged[i], named[i])
-		}
-	}
-
-	s := New(Config{Workers: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	readStream(t, ts.URL, "/sweep", `{"benches":["adpcmdec"],"designs":["HEAVYWT","HEAVYWT_3CORE"]}`)
-	runs := s.Metrics().Runs
-	events := readStream(t, ts.URL, "/sweep", `{"benches":["adpcmdec"],"designs":["HEAVYWT"],"stages":[2,3]}`)
-	if done := events[len(events)-1]; done.Cells != 2 || done.Hits != 2 || done.Ran != 0 {
-		t.Fatalf("stages sweep tallies = %+v, want 2 cells, 2 hits, 0 ran", done)
-	}
-	if got := s.Metrics().Runs; got != runs {
-		t.Fatalf("stages sweep started %d new runs, want 0", got-runs)
-	}
-}
-
 func TestSweepValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -398,12 +363,10 @@ func TestSweepValidation(t *testing.T) {
 		{"no designs no single", `{"benches":["wc"]}`},
 		{"unknown bench", `{"benches":["nope"],"designs":["EXISTING"]}`},
 		{"unknown design", `{"benches":["wc"],"designs":["nope"]}`},
-		{"stages without designs", `{"benches":["wc"],"single":true,"stages":[2]}`},
-		{"stage one", `{"benches":["wc"],"designs":["EXISTING"],"stages":[1]}`},
 		{"unknown field", `{"benches":["wc"],"designs":["EXISTING"],"turbo":true}`},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,12 +377,12 @@ func TestSweepValidation(t *testing.T) {
 		}
 	}
 	// Oversized grids are rejected before anything streams.
-	stages := make([]string, 0, maxSweepCells)
-	for i := 0; i < maxSweepCells; i++ {
-		stages = append(stages, "2")
+	designs := make([]string, maxSweepCells)
+	for i := range designs {
+		designs[i] = `"EXISTING"`
 	}
-	big := fmt.Sprintf(`{"benches":["wc","bzip2"],"designs":["EXISTING"],"stages":[%s]}`, strings.Join(stages, ","))
-	resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(big))
+	big := fmt.Sprintf(`{"benches":["wc","bzip2"],"designs":[%s]}`, strings.Join(designs, ","))
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,12 +391,12 @@ func TestSweepValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "too large") {
 		t.Fatalf("oversized grid: status=%d body=%s, want 400 too-large", resp.StatusCode, body)
 	}
-	if resp, err := http.Get(ts.URL + "/sweep"); err != nil {
+	if resp, err := http.Get(ts.URL + "/v1/sweep"); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("GET /sweep: %d, want 405", resp.StatusCode)
+			t.Fatalf("GET /v1/sweep: %d, want 405", resp.StatusCode)
 		}
 	}
 	if m := s.Metrics(); m.Runs != 0 {
@@ -452,7 +415,7 @@ func TestSweepCancelNeverCachesHalfWrittenCell(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	body := `{"benches":["wc"],"designs":["EXISTING","MEMOPTI","SYNCOPTI"]}`
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/sweep", strings.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sweep", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +442,7 @@ func TestSweepCancelNeverCachesHalfWrittenCell(t *testing.T) {
 	// The same sweep afterwards runs every cell from scratch.
 	close(gate)
 	runsBefore := s.Metrics().Runs
-	events := readStream(t, ts.URL, "/sweep", body)
+	events := readStream(t, ts.URL, "/v1/sweep", body)
 	done := events[len(events)-1]
 	if done.Type != eventDone || done.Ran != 3 || done.Hits != 0 {
 		t.Fatalf("post-cancel sweep tallies = %+v, want 3 fresh runs", done)
@@ -503,7 +466,7 @@ func TestSweepCoalescesAcrossConcurrentSweeps(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			streams[i] = readStream(t, ts.URL, "/sweep", body)
+			streams[i] = readStream(t, ts.URL, "/v1/sweep", body)
 		}(i)
 	}
 	wg.Wait()

@@ -1,20 +1,19 @@
 package serve
 
-// POST /sweep: a batch endpoint for the service's core use case —
+// POST /v1/sweep: a batch endpoint for the service's core use case —
 // sweeping a (benchmarks × designs × options) grid. The grid expands
-// into per-cell Specs, each cell is content-addressed exactly like a
-// /run request (same cache, same singleflight group, same pool), and
+// into per-cell Specs, each cell is answered by the same resolve as a
+// /v1/run request (same cache, same singleflight group, same pool), and
 // cell results stream back as NDJSON metrics/error events in completion
 // order, closing with a done event that tallies the sweep.
 //
-// Because cells share the /run cache keys, a re-submitted sweep only
+// Because cells share the /v1/run cache keys, a re-submitted sweep only
 // simulates the cache misses, concurrent sweeps sharing cells coalesce
 // onto one run per cell, and a sweep's cells are interchangeable with
-// individual /run requests — byte for byte, which the differential
+// individual /v1/run requests — byte for byte, which the differential
 // battery asserts.
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 
@@ -25,8 +24,9 @@ import (
 // rejected up front rather than half-streamed.
 const maxSweepCells = 4096
 
-// SweepRequest is the /sweep body: the grid axes. "*" in Benches or
-// Designs expands to every registered benchmark or design point.
+// SweepRequest is the /v1/sweep body: the grid axes. "*" in Benches or
+// Designs expands to every registered benchmark or design point; an
+// N-core machine joins the grid by its design name ("HEAVYWT_3CORE").
 type SweepRequest struct {
 	// Benches lists workload names (BenchmarkByName), or "*" for all.
 	Benches []string `json:"benches"`
@@ -36,9 +36,6 @@ type SweepRequest struct {
 	// Single additionally includes each benchmark's single-threaded
 	// baseline cell.
 	Single bool `json:"single,omitempty"`
-	// Stages additionally includes, per (bench, design) pair, a staged
-	// pipeline cell for each listed stage count (each must be >= 2).
-	Stages []int `json:"stages,omitempty"`
 }
 
 // sweepCell is one grid position: its normalized spec and content key.
@@ -47,21 +44,35 @@ type sweepCell struct {
 	key  string
 }
 
+// Cells returns the normalized specs of the request's grid, in the order
+// the server expands it — the cell universe a load generator draws from.
+func (req SweepRequest) Cells() ([]hfstream.Spec, error) {
+	cells, err := expandSweep(req)
+	if err != nil {
+		return nil, err
+	}
+	specs := make([]hfstream.Spec, len(cells))
+	for i, c := range cells {
+		specs[i] = c.spec
+	}
+	return specs, nil
+}
+
 // expandSweep turns the request into its deduplicated cell list, in
-// deterministic grid order (benches outermost, then single, designs,
-// stages). Any invalid name or stage count fails the whole sweep up
-// front — nothing has streamed yet, so the client gets a plain 400.
+// deterministic grid order (benches outermost, then single, designs).
+// Any invalid name fails the whole sweep up front — nothing has streamed
+// yet, so the client gets a plain 400.
 func expandSweep(req SweepRequest) ([]sweepCell, error) {
 	benches := req.Benches
 	if len(benches) == 1 && benches[0] == "*" {
-		benches = benches[:0]
+		benches = nil // not benches[:0]: the request's slice is the caller's
 		for _, b := range hfstream.Benchmarks() {
 			benches = append(benches, b.Name())
 		}
 	}
 	designs := req.Designs
 	if len(designs) == 1 && designs[0] == "*" {
-		designs = designs[:0]
+		designs = nil
 		for _, d := range hfstream.Designs() {
 			designs = append(designs, d.Name())
 		}
@@ -72,10 +83,7 @@ func expandSweep(req SweepRequest) ([]sweepCell, error) {
 	if len(designs) == 0 && !req.Single {
 		return nil, fmt.Errorf("sweep grid is empty: designs or single is required")
 	}
-	if len(req.Stages) > 0 && len(designs) == 0 {
-		return nil, fmt.Errorf("sweep stages require designs")
-	}
-	perBench := len(designs) * (1 + len(req.Stages))
+	perBench := len(designs)
 	if req.Single {
 		perBench++
 	}
@@ -110,38 +118,32 @@ func expandSweep(req SweepRequest) ([]sweepCell, error) {
 			if err := add(hfstream.Spec{Bench: bench, Design: design}); err != nil {
 				return nil, err
 			}
-			for _, st := range req.Stages {
-				if err := add(hfstream.Spec{Bench: bench, Design: design, Stages: st}); err != nil {
-					return nil, err
-				}
-			}
 		}
 	}
 	return cells, nil
 }
 
-// cellResult pairs a finished cell with its outcome and provenance.
+// cellResult pairs a finished cell with its outcome.
 type cellResult struct {
 	cell sweepCell
-	out  *outcome
-	src  string
+	out  outcome
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeOutcome(w, "", "", errorOutcome(http.StatusMethodNotAllowed, codeBadRequest, "POST required", nil))
+		writeOutcome(w, "", errorOutcome(http.StatusMethodNotAllowed, codeBadRequest, "POST required", nil))
 		return
 	}
 	s.requests.Add(1)
 	s.sweeps.Add(1)
 	var req SweepRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeOutcome(w, "", "", errorOutcome(http.StatusBadRequest, codeBadRequest, "request body: "+err.Error(), nil))
+		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest, "request body: "+err.Error(), nil))
 		return
 	}
 	cells, err := expandSweep(req)
 	if err != nil {
-		writeOutcome(w, "", "", errorOutcome(http.StatusBadRequest, codeBadRequest, err.Error(), nil))
+		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest, err.Error(), nil))
 		return
 	}
 
@@ -149,14 +151,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sw := newStreamWriter(w)
 	sw.begin()
 
-	ctx, cancel := s.joinRequestContext(r)
-	defer cancel()
-
 	// Fan the cells out: a bounded set of coordinator goroutines pulls
-	// grid positions and resolves each through the shared cache /
-	// singleflight / pool path, so one sweep never floods the pool queue
-	// past the worker count and every simulation still lands on the
-	// exp.Pool with normal admission control.
+	// grid positions and resolves each exactly as handleRun resolves one
+	// spec, so one sweep never floods the pool queue past the worker
+	// count and every simulation still lands on the exp.Pool with normal
+	// admission control.
 	coordinators := s.cfg.Workers
 	if coordinators > len(cells) {
 		coordinators = len(cells)
@@ -166,7 +165,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i := 0; i < coordinators; i++ {
 		go func() {
 			for cell := range work {
-				results <- s.resolveCell(ctx, cell)
+				results <- cellResult{cell, s.resolve(r.Context(), cell.key, cell.spec, nil)}
 			}
 		}()
 	}
@@ -179,48 +178,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Exactly one result arrives per cell: after a cancel, in-flight
 	// cells stop through the run context and unstarted cells resolve to
-	// immediate canceled outcomes, so this loop is bounded either way.
+	// immediate canceled outcomes (runOne never submits a dead context
+	// to the pool), so this loop is bounded either way.
 	done := StreamEvent{Type: eventDone, Status: http.StatusOK, Cells: len(cells)}
 	for received := 0; received < len(cells); received++ {
 		cr := <-results
-		spec := cr.cell.spec
-		sw.send(outcomeEvent(cr.out, cr.cell.key, cr.src, &spec))
+		sw.send(outcomeEvent(&cr.out, cr.cell.key, &cr.cell.spec))
 		switch {
 		case !cr.out.ok:
 			done.Errors++
-		case cr.src == "hit":
+		case cr.out.source == "hit":
 			done.Hits++
-		case cr.src == "peer":
+		case cr.out.source == "peer":
 			done.PeerHits++
-		case cr.src == "coalesced":
+		case cr.out.source == "coalesced":
 			done.Coalesced++
 		default:
 			done.Ran++
 		}
 	}
 	sw.send(done)
-}
-
-// resolveCell serves one grid cell exactly as handleRun serves one spec:
-// cache fast path, then singleflight onto the pool-executing runOne. A
-// cell reached after the sweep's context died short-circuits to a
-// canceled outcome — never cached, never submitted to the pool.
-func (s *Server) resolveCell(ctx context.Context, cell sweepCell) cellResult {
-	if body, ok := s.cache.Get(cell.key); ok {
-		s.cacheHits.Add(1)
-		return cellResult{cell, &outcome{status: http.StatusOK, body: body, ok: true}, "hit"}
-	}
-	if ctx.Err() != nil {
-		return cellResult{cell, errorOutcome(statusClientClosed, codeCanceled,
-			"sweep canceled before this cell ran", nil), "miss"}
-	}
-	out, joined := s.flights.do(cell.key, func() *outcome {
-		return s.runOne(ctx, cell.key, cell.spec, nil)
-	})
-	src := out.source
-	if joined {
-		s.coalesced.Add(1)
-		src = "coalesced"
-	}
-	return cellResult{cell, out, src}
 }

@@ -22,19 +22,16 @@ import (
 type Spec struct {
 	// Bench names the workload (see BenchmarkByName).
 	Bench string `json:"bench"`
-	// Design names the design point (see DesignByName). Required unless
-	// Single is set, in which case it must be empty: the single-threaded
-	// baseline always runs on the EXISTING machine, and silently accepting
-	// a design would alias two different-looking requests.
+	// Design names the design point (see DesignByName), and with it the
+	// core count: "HEAVYWT" is the paper's dual-core machine,
+	// "HEAVYWT_3CORE" its three-stage retargeting. Required unless Single
+	// is set, in which case it must be empty: the single-threaded baseline
+	// always runs on the EXISTING machine, and silently accepting a design
+	// would alias two different-looking requests.
 	Design string `json:"design,omitempty"`
 	// Single runs the unpartitioned single-threaded baseline instead of
-	// the pipelined two-thread version.
+	// the pipelined version.
 	Single bool `json:"single,omitempty"`
-	// Stages is an input alias for the design's core count (see
-	// RunStaged): 2 is the design itself, k in 3..8 its "_<k>CORE" name.
-	// Normalize folds it into Design, so the canonical form and the key
-	// never carry it. 1 is rejected rather than aliased to Single.
-	Stages int `json:"stages,omitempty"`
 }
 
 // Normalize validates the spec and returns a copy with every name
@@ -46,32 +43,15 @@ func (s Spec) Normalize() (Spec, error) {
 	if err := workloads.Check(s.Bench); err != nil {
 		return Spec{}, err
 	}
-	if s.Stages < 0 || s.Stages == 1 {
-		return Spec{}, fmt.Errorf("hfstream: spec stages must be 0 (pipelined) or >= 2, got %d", s.Stages)
-	}
 	if s.Single {
 		if s.Design != "" {
 			return Spec{}, fmt.Errorf("hfstream: single-threaded spec must not name a design (got %q; the baseline always runs on EXISTING)", s.Design)
-		}
-		if s.Stages != 0 {
-			return Spec{}, fmt.Errorf("hfstream: single-threaded spec cannot be staged (stages=%d)", s.Stages)
 		}
 		return s, nil
 	}
 	d, err := DesignByName(s.Design)
 	if err != nil {
 		return Spec{}, err
-	}
-	if s.Stages != 0 {
-		if d.Cores() != 2 {
-			return Spec{}, fmt.Errorf("hfstream: spec stages=%d conflicts with multi-core design %q (its core count is part of the design name)", s.Stages, d.Name())
-		}
-		if s.Stages > 2 {
-			if d, err = d.retarget(s.Stages); err != nil {
-				return Spec{}, err
-			}
-		}
-		s.Stages = 0
 	}
 	s.Design = d.Name()
 	return s, nil

@@ -14,7 +14,6 @@ func TestSpecCanonicalAliases(t *testing.T) {
 	classes := [][]Spec{
 		{
 			{Bench: "wc", Design: "SYNCOPTI"},
-			{Bench: "wc", Design: "SYNCOPTI", Stages: 0},
 		},
 		{
 			{Bench: "wc", Single: true},
@@ -22,16 +21,8 @@ func TestSpecCanonicalAliases(t *testing.T) {
 		{
 			{Bench: "fir", Design: "NETQUEUE_2hop"},
 		},
-		// stages is an alias for the core count the design name carries:
-		// 2 is the bare design, k its _<k>CORE name.
 		{
 			{Bench: "fft2", Design: "HEAVYWT"},
-			{Bench: "fft2", Design: "HEAVYWT", Stages: 2},
-		},
-		{
-			// hand-partitioned, and still the dual-core machine it names
-			{Bench: "bzip2", Design: "EXISTING"},
-			{Bench: "bzip2", Design: "EXISTING", Stages: 2},
 		},
 		{
 			// the suffix is omitted at the point's own core count
@@ -42,13 +33,16 @@ func TestSpecCanonicalAliases(t *testing.T) {
 			{Bench: "fft2", Design: "MPMC_Q64_3CORE"},
 		},
 	}
+	// The design name is the one carrier of a core count: every
+	// "_<k>CORE" name is its own class, with its own key.
 	for _, b := range Benchmarks() {
 		for _, d := range append(Designs(), RegMapped(), NetQueue(2), CentralizedStore(centralConsumeToUse)) {
 			for k := 3; k <= 8; k++ {
-				classes = append(classes, []Spec{
-					{Bench: b.Name(), Design: fmt.Sprintf("%s_%dCORE", d.Name(), k)},
-					{Bench: b.Name(), Design: d.Name(), Stages: k},
-				})
+				name := fmt.Sprintf("%s_%dCORE", d.Name(), k)
+				if got := d.WithCores(k).Name(); got != name {
+					t.Errorf("%s.WithCores(%d) is named %s, want %s", d.Name(), k, got, name)
+				}
+				classes = append(classes, []Spec{{Bench: b.Name(), Design: name}})
 			}
 		}
 	}
@@ -82,8 +76,7 @@ func TestSpecCanonicalAliases(t *testing.T) {
 }
 
 func TestSpecCanonicalIsCompactAndOrdered(t *testing.T) {
-	// The canonical form never carries stages: it is folded into the name.
-	c, err := Spec{Bench: "wc", Design: "HEAVYWT", Stages: 3}.Canonical()
+	c, err := Spec{Bench: "wc", Design: "HEAVYWT_3CORE"}.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +85,7 @@ func TestSpecCanonicalIsCompactAndOrdered(t *testing.T) {
 	}
 	// JSON field order must survive a decode/encode cycle through Spec.
 	var s Spec
-	if err := json.Unmarshal([]byte(`{"stages":3,"design":"HEAVYWT","bench":"wc"}`), &s); err != nil {
+	if err := json.Unmarshal([]byte(`{"single":false,"design":"HEAVYWT_3CORE","bench":"wc"}`), &s); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := s.Canonical()
@@ -100,7 +93,7 @@ func TestSpecCanonicalIsCompactAndOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(c2) != string(c) {
-		t.Fatalf("field-order alias canonicalized differently: %s vs %s", c2, c)
+		t.Fatalf("field order and an explicit zero value canonicalized differently: %s vs %s", c2, c)
 	}
 }
 
@@ -126,7 +119,7 @@ func TestSpecKeyAllocationCeiling(t *testing.T) {
 	for _, spec := range []Spec{
 		{Bench: "fft2", Design: "SYNCOPTI_SC+Q64"},
 		{Bench: "wc", Single: true},
-		{Bench: "fir", Design: "HEAVYWT", Stages: 4},
+		{Bench: "fir", Design: "HEAVYWT_4CORE"},
 	} {
 		got := testing.AllocsPerRun(10, func() {
 			if _, err := spec.Key(); err != nil {
@@ -149,13 +142,7 @@ func TestSpecRejects(t *testing.T) {
 		{"unknown bench", Spec{Bench: "nope", Design: "EXISTING"}, "unknown benchmark"},
 		{"unknown design", Spec{Bench: "wc", Design: "nope"}, "unknown design"},
 		{"missing design", Spec{Bench: "wc"}, "unknown design"},
-		{"one stage", Spec{Bench: "wc", Design: "EXISTING", Stages: 1}, "stages"},
-		{"negative stages", Spec{Bench: "wc", Design: "EXISTING", Stages: -1}, "stages"},
 		{"single with design", Spec{Bench: "wc", Design: "EXISTING", Single: true}, "must not name a design"},
-		{"single with stages", Spec{Bench: "wc", Single: true, Stages: 2}, "cannot be staged"},
-		{"stages on a multi-core name", Spec{Bench: "wc", Design: "HEAVYWT_3CORE", Stages: 3}, "conflicts"},
-		{"stages on a parallel point", Spec{Bench: "wc", Design: "MPMC", Stages: 2}, "conflicts"},
-		{"stages past the cap", Spec{Bench: "wc", Design: "HEAVYWT", Stages: 9}, "out of range 3..8"},
 		{"suffix past the cap", Spec{Bench: "wc", Design: "HEAVYWT_9CORE"}, "out of range 3..8"},
 		{"stacked suffix", Spec{Bench: "wc", Design: "HEAVYWT_3CORE_4CORE"}, "unknown design"},
 		{"dual-core suffix", Spec{Bench: "wc", Design: "HEAVYWT_2CORE"}, "unknown design"},
