@@ -8,8 +8,8 @@
 #   make race               race-detector pass over exp, sim and serve
 #   make coverage           coverage.out, failing under COVERAGE_BASELINE
 #   make fmtcheck           gofmt -l must print nothing
-#   make golden             regenerate testdata/golden/ (EXPERIMENTS.md "Golden metrics snapshots")
-#   make golden-check       rebuild the snapshots in a temp dir and diff them
+#   make golden             regenerate testdata/golden/ and internal/exp/testdata/experiments/ (EXPERIMENTS.md "Golden metrics snapshots", "Golden experiments")
+#   make golden-check       rebuild the snapshots in a temp dir and diff them; re-render every experiment and compare
 #   make golden-check-noff  the same with HFSTREAM_NO_FASTFORWARD=1
 #   make serve-diff         served vs direct byte-identity (EXPERIMENTS.md "Differential battery")
 #   make serve-diff-noff    the same with HFSTREAM_NO_FASTFORWARD=1
@@ -102,16 +102,23 @@ fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Two sets of goldens: full metrics snapshots for GOLDEN_BENCHES, and the
+# rendered table of every exp.Catalog row (all nine benchmarks, every
+# configuration and core count the evaluation simulates), which
+# TestCatalogGolden compares byte for byte.
 golden:
 	$(GO) run ./cmd/hfexp -metrics testdata/golden -benches $(GOLDEN_BENCHES)
+	$(GO) test ./internal/exp -run TestCatalogGolden -update
 
 golden-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/hfexp -metrics "$$tmp" -benches $(GOLDEN_BENCHES) && \
 	diff -ru testdata/golden "$$tmp" && echo "goldens match"
+	$(GO) test -count=1 -run TestCatalogGolden ./internal/exp
 
 # The goldens were produced with fast-forwarding on; regenerating them
-# with it off and diffing proves the optimization changes no number.
+# with it off and diffing proves the optimization changes no number — on
+# all nine benchmarks, since the experiment goldens cover them.
 golden-check-noff:
 	HFSTREAM_NO_FASTFORWARD=1 $(MAKE) golden-check
 
@@ -182,8 +189,9 @@ chaos-smoke:
 chaos-cluster:
 	$(GO) test -count=1 -race -run 'TestClusterChaos' ./chaos/cluster/
 
-# Short native-fuzz sessions over the user-reachable text pipelines and
-# the two request decoders (the Spec schema, the service's body reader).
+# Short native-fuzz sessions over the user-reachable text pipelines, the
+# two request decoders (the Spec schema, the service's body reader) and
+# the DSWP partitioner (random loops x every pipeline shape == interp).
 # The checked-in corpora under testdata/fuzz/ and the targets' seeds replay
 # as ordinary tests; -run '^$$' keeps a package's unit tests from running
 # ahead of its fuzz session.
@@ -192,3 +200,4 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLower -fuzztime 30s ./internal/lower
 	$(GO) test -run '^$$' -fuzz=FuzzSpec -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeBody -fuzztime 30s ./serve
+	$(GO) test -run '^$$' -fuzz=FuzzPartition -fuzztime 30s ./internal/dswp

@@ -380,7 +380,7 @@ func TestRunExperimentNames(t *testing.T) {
 	if _, err := RunExperiment("nope"); err == nil {
 		t.Error("expected error for unknown experiment")
 	}
-	if len(ExperimentNames()) != 11 {
-		t.Errorf("got %d experiments, want 11", len(ExperimentNames()))
+	if len(ExperimentNames()) != 22 {
+		t.Errorf("got %d experiments, want 22", len(ExperimentNames()))
 	}
 }

@@ -48,10 +48,10 @@ func BenchmarkFig6TransitDelay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		geo = r.Geomean.Lat10Q32
+		geo = r.Geomean[1]
 		for _, row := range r.Rows {
 			if row.Benchmark == "bzip2" {
-				bzip = row.Lat10Q32
+				bzip = row.Values[1]
 			}
 		}
 	}

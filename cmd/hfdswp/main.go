@@ -8,8 +8,9 @@
 //	hfdswp                      # summary for every benchmark
 //	hfdswp -bench wc -asm       # one benchmark with full listings
 //	hfdswp -bench fft2 -stages 3
-//	hfdswp -bench wc -run       # also simulate the 2-stage pipeline and
-//	                            # show where each stage stalls
+//	hfdswp -bench wc -run       # also simulate the pipeline it printed
+//	                            # (-stages cores of SYNCOPTI) and show
+//	                            # where each stage stalls
 package main
 
 import (
@@ -28,7 +29,7 @@ func main() {
 		benchName = flag.String("bench", "", "benchmark to inspect (default: all)")
 		stages    = flag.Int("stages", 2, "pipeline stages")
 		showAsm   = flag.Bool("asm", false, "print the generated thread programs")
-		runSim    = flag.Bool("run", false, "simulate the 2-stage pipeline on SYNCOPTI and print per-stage stall attribution")
+		runSim    = flag.Bool("run", false, "simulate the -stages pipeline on SYNCOPTI and print per-stage stall attribution")
 	)
 	flag.Parse()
 
@@ -48,7 +49,7 @@ func main() {
 		if b.Loop == nil {
 			fmt.Printf("%-10s hand-partitioned (nested loop); no IR to inspect\n", b.Name)
 			if *runSim {
-				simulate(b)
+				simulate(b, *stages)
 			}
 			continue
 		}
@@ -78,21 +79,22 @@ func main() {
 			}
 		}
 		if *runSim {
-			simulate(b)
+			simulate(b, *stages)
 		}
 	}
 }
 
-// simulate runs the standard 2-stage pipeline on SYNCOPTI and prints where
-// each stage spends its cycles — the partition-quality view the stage
-// assignment alone cannot give.
-func simulate(b *workloads.Benchmark) {
+// simulate runs the stages-deep pipeline on a SYNCOPTI machine of as many
+// cores — the partition main just printed — and prints where each stage
+// spends its cycles: the partition-quality view the stage assignment alone
+// cannot give.
+func simulate(b *workloads.Benchmark, stages int) {
 	pb, err := hfstream.BenchmarkByName(b.Name)
 	if err != nil {
 		fmt.Printf("           run failed: %v\n", err)
 		return
 	}
-	res, err := hfstream.RunCtx(context.Background(), pb, hfstream.SyncOpti)
+	res, err := hfstream.RunCtx(context.Background(), pb, hfstream.SyncOpti.WithCores(stages))
 	if err != nil {
 		fmt.Printf("           run failed: %v\n", err)
 		return

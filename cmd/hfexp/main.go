@@ -8,23 +8,29 @@
 // snapshot per (benchmark, design) pair — deterministic files CI diffs
 // against the checked-in goldens in testdata/golden/.
 //
+// The experiment flags are exp.Catalog's Flag column, so `hfexp -h` is the
+// list; selected experiments print in catalog order whatever order the
+// flags came in.
+//
 // Usage:
 //
-//	hfexp [-j N] [-progress] [-table1] [-table2] [-fig3] [-fig6] [-fig7]
-//	      [-fig8] [-fig9] [-fig10] [-fig11] [-fig12] [-scaling] [-stalls]
+//	hfexp [-j N] [-progress] [-charts] [-table1] [-table2] [-fig3] [-fig6]
+//	      [-fig7] ... [-scaling] [-stalls] [-ablations] [-costs]
 //	hfexp -metrics dir/ [-benches bzip2,adpcmdec]
 //	hfexp -diagnose diag.json
 //
-// Exit status: 0 on success, 1 on usage or harness errors, 3 when any
-// simulation in the grid deadlocked or finished without quiescing — the
-// first machine diagnosis is printed to stderr and, with -diagnose,
-// written as JSON.
+// Exit status: 0 on success, 1 on usage or harness errors (2 when the flag
+// package rejects the command line), 3 when any simulation in the grid
+// deadlocked or finished without quiescing — the first machine diagnosis
+// is printed to stderr and, with -diagnose, written as JSON.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -34,37 +40,47 @@ import (
 	"hfstream/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status as values.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hfexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	selected := map[string]*bool{} // by flag name; the ablation rows share one
+	for _, e := range exp.Catalog {
+		if e.Flag != "" && selected[e.Flag] == nil {
+			selected[e.Flag] = fs.Bool(e.Flag, false, e.Help)
+		}
+	}
 	var (
-		table1   = flag.Bool("table1", false, "benchmark loop information")
-		table2   = flag.Bool("table2", false, "baseline simulator configuration")
-		fig3     = flag.Bool("fig3", false, "transit vs COMM-OP delay illustration")
-		fig6     = flag.Bool("fig6", false, "transit-delay tolerance (HEAVYWT)")
-		fig7     = flag.Bool("fig7", false, "design-point execution time breakdowns")
-		fig8     = flag.Bool("fig8", false, "communication frequency")
-		fig9     = flag.Bool("fig9", false, "HEAVYWT speedup over single-threaded")
-		fig10    = flag.Bool("fig10", false, "4-cycle bus sensitivity")
-		fig11    = flag.Bool("fig11", false, "128-byte bus bandwidth")
-		fig12    = flag.Bool("fig12", false, "stream cache and queue size optimizations")
-		scaling  = flag.Bool("scaling", false, "N-core scaling curves: speedup vs core count per design")
-		abl      = flag.Bool("ablations", false, "design-space ablations beyond the paper's figures")
-		costs    = flag.Bool("costs", false, "hardware/OS cost vs performance summary")
-		stalls   = flag.Bool("stalls", false, "per-design stall-cycle attribution table")
-		charts   = flag.Bool("charts", false, "render breakdown figures as ASCII stacked bars")
-		workers  = flag.Int("j", 0, "simulation worker count (0 = all cores, 1 = serial)")
-		progress = flag.Bool("progress", false, "report each simulation's wall time and cycles to stderr")
-		metrics  = flag.String("metrics", "", "write per-(benchmark,design) metrics JSON snapshots into this directory and exit")
-		benches  = flag.String("benches", "", "comma-separated benchmark subset for -metrics (default: all)")
-		diagnose = flag.String("diagnose", "", "write the first deadlock/unquiesced diagnosis JSON to this file (\"-\" for stderr)")
+		charts   = fs.Bool("charts", false, "render breakdown figures as ASCII stacked bars")
+		workers  = fs.Int("j", 0, "simulation worker count (0 = all cores, 1 = serial)")
+		progress = fs.Bool("progress", false, "report each simulation's wall time and cycles to stderr")
+		metrics  = fs.String("metrics", "", "write per-(benchmark,design) metrics JSON snapshots into this directory and exit")
+		benches  = fs.String("benches", "", "comma-separated benchmark subset for -metrics (default: all)")
+		diagnose = fs.String("diagnose", "", "write the first deadlock/unquiesced diagnosis JSON to this file (\"-\" for stderr)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "hfexp: unexpected argument %q (experiments are flags: -fig7, not fig7; see -h)\n", fs.Arg(0))
+		return 1
+	}
+	if *benches != "" && *metrics == "" {
+		fmt.Fprintln(stderr, "hfexp: -benches selects benchmarks for -metrics and needs it")
+		return 1
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	exp.SetParallelism(*workers)
 	exp.SetWarnHook(func(msg string) {
-		fmt.Fprintln(os.Stderr, "hfexp: warning:", msg)
+		fmt.Fprintln(stderr, "hfexp: warning:", msg)
 	})
 	// Capture the first forensic snapshot any job produces: jobs run
 	// concurrently, and one bad machine is enough to explain a grid
@@ -80,38 +96,42 @@ func main() {
 			firstDiag, firstDiagJob = d, job
 		}
 	})
-	sawDiagnosis := func() bool {
+	// status is the exit status for a run that otherwise ends with code:
+	// a machine diagnosis, reported here, overrides it with 3.
+	status := func(code int) int {
 		diagMu.Lock()
 		defer diagMu.Unlock()
 		if firstDiag == nil {
-			return false
+			return code
 		}
-		fmt.Fprintf(os.Stderr, "hfexp: %s produced a machine diagnosis:\n%s", firstDiagJob, firstDiag.String())
+		fmt.Fprintf(stderr, "hfexp: %s produced a machine diagnosis:\n%s", firstDiagJob, firstDiag.String())
 		if *diagnose != "" {
 			buf, err := sim.DiagnosisJSON(firstDiag)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "hfexp:", err)
+				fmt.Fprintln(stderr, "hfexp:", err)
 			} else if *diagnose == "-" {
-				os.Stderr.Write(buf)
+				stderr.Write(buf)
 			} else if err := os.WriteFile(*diagnose, buf, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "hfexp:", err)
+				fmt.Fprintln(stderr, "hfexp:", err)
 			} else {
-				fmt.Fprintf(os.Stderr, "hfexp: wrote diagnosis to %s\n", *diagnose)
+				fmt.Fprintf(stderr, "hfexp: wrote diagnosis to %s\n", *diagnose)
 			}
 		}
-		return true
+		return 3
 	}
+	var report func(done, total int, r exp.JobResult)
 	if *progress {
-		exp.SetProgress(func(done, total int, r exp.JobResult) {
+		report = func(done, total int, r exp.JobResult) {
 			if r.Err != nil {
-				fmt.Fprintf(os.Stderr, "[%d/%d] %-28s FAILED after %7.1fms: %v\n",
+				fmt.Fprintf(stderr, "[%d/%d] %-28s FAILED after %7.1fms: %v\n",
 					done, total, r.Job.Name(), float64(r.Wall.Microseconds())/1000, r.Err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %-28s %9d cycles  %7.1fms\n",
+			fmt.Fprintf(stderr, "[%d/%d] %-28s %9d cycles  %7.1fms\n",
 				done, total, r.Job.Name(), r.Res.Cycles, float64(r.Wall.Microseconds())/1000)
-		})
+		}
 	}
+	exp.SetProgress(report)
 
 	if *metrics != "" {
 		var names []string
@@ -119,98 +139,34 @@ func main() {
 			names = strings.Split(*benches, ",")
 		}
 		if err := exp.WriteMetricsDir(ctx, *metrics, names); err != nil {
-			fmt.Fprintln(os.Stderr, "hfexp:", err)
-			if sawDiagnosis() {
-				os.Exit(3)
-			}
-			os.Exit(1)
+			fmt.Fprintln(stderr, "hfexp:", err)
+			return status(1)
 		}
-		if sawDiagnosis() {
-			os.Exit(3)
-		}
-		return
+		return status(0)
 	}
 
-	all := !(*table1 || *table2 || *fig3 || *fig6 || *fig7 || *fig8 ||
-		*fig9 || *fig10 || *fig11 || *fig12 || *scaling || *abl || *costs || *stalls)
-
-	type job struct {
-		on  bool
-		run func() (string, error)
+	all := true // no experiment flag: everything a bare hfexp regenerates
+	for _, on := range selected {
+		all = all && !*on
 	}
-	renderFig := tableCtx[*exp.BreakdownFigure](ctx)
-	ablation := tableCtx[*exp.AblationResult](ctx)
-	if *charts {
-		renderFig = chartCtx(ctx)
-	}
-	jobs := []job{
-		{*table1 || all, func() (string, error) { return exp.Table1(), nil }},
-		{*table2 || all, func() (string, error) { return exp.Table2(), nil }},
-		{*fig3 || all, func() (string, error) { return exp.Fig3().Table(), nil }},
-		{*fig6 || all, tableCtx[*exp.Fig6Result](ctx)(exp.Fig6Ctx)},
-		{*fig7 || all, renderFig(exp.Fig7Ctx)},
-		{*fig8 || all, tableCtx[*exp.Fig8Result](ctx)(exp.Fig8Ctx)},
-		{*fig9 || all, tableCtx[*exp.Fig9Result](ctx)(exp.Fig9Ctx)},
-		{*fig10 || all, renderFig(exp.Fig10Ctx)},
-		{*fig11 || all, renderFig(exp.Fig11Ctx)},
-		{*fig12 || all, tableCtx[*exp.Fig12Result](ctx)(exp.Fig12Ctx)},
-		{*scaling || all, tableCtx[*exp.ScalingResult](ctx)(exp.ScalingCtx)},
-		{*stalls || all, tableCtx[*exp.StallFigure](ctx)(exp.StallBreakdown)},
-		{*abl, ablation(exp.AblationQLU)},
-		{*abl, ablation(exp.AblationBusPipelining)},
-		{*abl, ablation(exp.AblationRegMapped)},
-		{*abl, ablation(exp.AblationCentralizedStore)},
-		{*abl, ablation(exp.AblationStreamCacheSize)},
-		{*abl, ablation(exp.AblationNetQueue)},
-		{*abl, ablation(exp.AblationProbeTimeout)},
-		{*abl, tableCtx[*exp.StagesResult](ctx)(exp.AblationStages)},
-		{*costs, tableCtx[*exp.CostResult](ctx)(exp.Costs)},
-	}
-	for _, j := range jobs {
-		if !j.on {
+	for _, e := range exp.Catalog {
+		on := e.Default
+		if !all {
+			on = e.Flag != "" && *selected[e.Flag]
+		}
+		if !on {
 			continue
 		}
-		out, err := j.run()
+		fig, err := e.Run(ctx)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfexp:", err)
-			if sawDiagnosis() {
-				os.Exit(3)
-			}
-			os.Exit(1)
+			fmt.Fprintln(stderr, "hfexp:", err)
+			return status(1)
 		}
-		fmt.Println(out)
-	}
-	if sawDiagnosis() {
-		os.Exit(3)
-	}
-}
-
-// tabler is any experiment result that renders itself.
-type tabler interface{ Table() string }
-
-// tableCtx binds ctx and adapts an experiment, a func(ctx) (T, error),
-// into the job runner shape. Every experiment that simulates takes the
-// signal context, so Ctrl-C stops whichever one is running.
-func tableCtx[T tabler](ctx context.Context) func(func(context.Context) (T, error)) func() (string, error) {
-	return func(f func(context.Context) (T, error)) func() (string, error) {
-		return func() (string, error) {
-			r, err := f(ctx)
-			if err != nil {
-				return "", err
-			}
-			return r.Table(), nil
+		out := fig.Table()
+		if c, ok := fig.(interface{ Chart() string }); ok && *charts {
+			out = c.Chart()
 		}
+		fmt.Fprintln(stdout, out)
 	}
-}
-
-func chartCtx(ctx context.Context) func(func(context.Context) (*exp.BreakdownFigure, error)) func() (string, error) {
-	return func(f func(context.Context) (*exp.BreakdownFigure, error)) func() (string, error) {
-		return func() (string, error) {
-			r, err := f(ctx)
-			if err != nil {
-				return "", err
-			}
-			return r.Chart(), nil
-		}
-	}
+	return status(0)
 }

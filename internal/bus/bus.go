@@ -250,9 +250,6 @@ func (b *Bus) Submit(cycle uint64, r *Req) {
 	}
 }
 
-// PendingFor returns the number of queued (ungranted) requests from src.
-func (b *Bus) PendingFor(src int) int { return b.queues[src].len() }
-
 // Idle reports whether the bus has no queued requests and both paths free.
 func (b *Bus) Idle(cycle uint64) bool {
 	for i := range b.queues {

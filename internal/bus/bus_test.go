@@ -141,11 +141,11 @@ func TestIdleAndPending(t *testing.T) {
 	if b.Idle(1) {
 		t.Error("bus with queued request is not idle")
 	}
-	if b.PendingFor(1) != 1 || b.PendingFor(0) != 0 {
-		t.Error("PendingFor wrong")
+	if b.queues[1].len() != 1 || b.queues[0].len() != 0 {
+		t.Error("request queued for the wrong source")
 	}
 	b.Tick(2)
-	if b.PendingFor(1) != 0 {
+	if b.queues[1].len() != 0 {
 		t.Error("request not drained")
 	}
 }

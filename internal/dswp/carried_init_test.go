@@ -44,7 +44,10 @@ func TestDistinctCarriedInits(t *testing.T) {
 
 	// Hand-computed expectation for iteration 0: u1 = v0 + 100,
 	// u2 = u1 * 7 (not *100!).
-	single := MustSingle(l)
+	single, err := Single(l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := interp.New(img, single)
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)

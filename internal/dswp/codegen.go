@@ -308,21 +308,3 @@ func Single(l *ir.Loop) (*isa.Program, error) {
 	}
 	return generate(l, 0, 1, assign, map[int]bool{}, false, nil, nil)
 }
-
-// MustPartition is Partition but panics on error.
-func MustPartition(l *ir.Loop) *Result {
-	r, err := Partition(l)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// MustSingle is Single but panics on error.
-func MustSingle(l *ir.Loop) *isa.Program {
-	p, err := Single(l)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

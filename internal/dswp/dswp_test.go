@@ -1,6 +1,7 @@
 package dswp
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -247,48 +248,84 @@ func randomLoop(seed uint32, n int) (*ir.Loop, mem.Region, mem.Region) {
 	return l, in, out
 }
 
-// TestRandomLoopsPartitionEquivalence is the DSWP correctness property:
-// for random loops, the pipelined threads compute exactly what the
-// single-threaded version computes.
+// checkRandomLoop is the DSWP correctness property on one seeded random
+// loop and one pipeline shape — a chain of n stages or, with parallel, n
+// PS-DSWP workers plus their merger: the partitioned threads, run on the
+// functional interpreter, leave the output words the single-threaded
+// program leaves. partitioned is false when the partitioner declines the
+// shape (a random loop can collapse into one SCC, or hold no parallel
+// work): a valid answer, not a failure.
+func checkRandomLoop(seed uint32, n int, parallel bool) (partitioned bool, err error) {
+	const iters = 40
+	l, in, out := randomLoop(seed, iters)
+	if err := l.Validate(); err != nil {
+		return false, fmt.Errorf("invalid loop: %v", err)
+	}
+	var res *Result
+	if parallel {
+		res, err = PartitionParallel(l, n)
+	} else {
+		res, err = PartitionN(l, n)
+	}
+	if err != nil {
+		return false, nil
+	}
+	single, err := Single(l)
+	if err != nil {
+		return true, fmt.Errorf("single codegen: %v", err)
+	}
+	img1 := setupImage(in, iters)
+	if err := interp.New(img1, single).Run(0); err != nil {
+		return true, fmt.Errorf("single run: %v", err)
+	}
+	img2 := setupImage(in, iters)
+	if err := interp.New(img2, res.Threads...).Run(0); err != nil {
+		return true, fmt.Errorf("pipelined run: %v", err)
+	}
+	for o := uint64(0); o < 24; o += 8 {
+		if img1.Read8(out.Base+o) != img2.Read8(out.Base+o) {
+			return true, fmt.Errorf("out+%d: single %#x != pipelined %#x",
+				o, img1.Read8(out.Base+o), img2.Read8(out.Base+o))
+		}
+	}
+	return true, nil
+}
+
+// TestRandomLoopsPartitionEquivalence quick-checks the property for the
+// paper's two stages; FuzzPartition draws the other shapes.
 func TestRandomLoopsPartitionEquivalence(t *testing.T) {
 	f := func(seed uint32) bool {
-		const n = 40
-		l, in, out := randomLoop(seed, n)
-		if err := l.Validate(); err != nil {
-			t.Logf("seed %d: invalid loop: %v", seed, err)
+		if _, err := checkRandomLoop(seed, 2, false); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		res, err := Partition(l)
-		if err != nil {
-			// Some random loops collapse into one SCC; that is a valid
-			// partitioner answer, not a correctness failure.
-			return true
-		}
-		single, err := Single(l)
-		if err != nil {
-			t.Logf("seed %d: single codegen: %v", seed, err)
-			return false
-		}
-		img1 := setupImage(in, n)
-		if err := interp.New(img1, single).Run(0); err != nil {
-			t.Logf("seed %d: single run: %v", seed, err)
-			return false
-		}
-		img2 := setupImage(in, n)
-		if err := interp.New(img2, res.Threads[0], res.Threads[1]).Run(0); err != nil {
-			t.Logf("seed %d: pipelined run: %v", seed, err)
-			return false
-		}
-		for o := uint64(0); o < 24; o += 8 {
-			if img1.Read8(out.Base+o) != img2.Read8(out.Base+o) {
-				t.Logf("seed %d: out+%d: single %#x != pipelined %#x",
-					seed, o, img1.Read8(out.Base+o), img2.Read8(out.Base+o))
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzPartition extends the property to every shape the machine runs:
+// shape picks a chain of 2..8 stages or PS-DSWP with 2..6 workers. The
+// partitioner declining is a skip; an interpreter error (a deadlocked or
+// runaway pipeline) or a differing output word is a failure. The seeds
+// below replay as ordinary tests; `make fuzz-smoke` keeps exploring.
+func FuzzPartition(f *testing.F) {
+	for shape := uint8(0); shape < 12; shape++ {
+		f.Add(uint32(shape)*2654435761+1, shape)
+	}
+	f.Fuzz(func(t *testing.T, seed uint32, shape uint8) {
+		n, parallel := 2+int(shape%12), false // 2..8 stages, then 9..13
+		if n > 8 {
+			n, parallel = n-7, true // 2..6 workers
+		}
+		partitioned, err := checkRandomLoop(seed, n, parallel)
+		if err != nil {
+			t.Fatalf("seed %d, n=%d, parallel=%v: %v", seed, n, parallel, err)
+		}
+		if !partitioned {
+			t.Skip("the partitioner declined this shape")
+		}
+	})
 }

@@ -13,7 +13,7 @@ import (
 // does not plot: queue layout density (§4.3 mentions QLU 1 results were
 // omitted), bus pipelining (§3.3), register-mapped queues (§3.1.3), the
 // centralized dedicated store (§3.5.2), stream-cache sizing (§5) and the
-// SYNCOPTI probe timeout (§4.2).
+// SYNCOPTI probe timeout (§4.2), and DSWP pipeline depth.
 
 // AblationRow is one benchmark's normalized execution times across the
 // ablation's variants.
@@ -196,4 +196,20 @@ func AblationProbeTimeout(ctx context.Context) (*AblationResult, error) {
 	return ablate(ctx,
 		"Ablation: SYNCOPTI partial-line probe timeout (cycles)",
 		variants, configs)
+}
+
+// AblationStages extends the paper's dual-core evaluation to DSWP depth
+// 1-3: each IR benchmark on HEAVYWT machines of 1, 2 and 3 cores (the
+// paper argues its pairwise conclusions carry to larger-scale CMPs). It
+// is the scaling study on other axes, so it is the same coreStudy.
+func AblationStages(ctx context.Context) (*ScalingResult, error) {
+	var benches []string
+	for _, b := range workloads.All() {
+		if b.Loop != nil { // bzip2's nested loop is hand-partitioned: two cores only
+			benches = append(benches, b.Name)
+		}
+	}
+	return coreStudy(ctx,
+		"Ablation: DSWP pipeline depth on HEAVYWT (cycles; speedup vs 1 core)",
+		benches, []design.Config{design.HeavyWTConfig()}, []int{1, 2, 3})
 }

@@ -139,25 +139,61 @@ func TestAblationStagesShape(t *testing.T) {
 	}
 	improved := 0
 	for _, row := range r.Rows {
-		if !row.Supported[0] || !row.Supported[1] {
+		if !row.Cells[0].Supported || !row.Cells[1].Supported {
 			t.Errorf("%s: 1/2-stage must always be supported", row.Benchmark)
 			continue
 		}
-		if !row.Supported[2] {
+		if !row.Cells[2].Supported {
 			continue
 		}
 		// A deeper pipeline must never be drastically worse than two
 		// stages, and should help at least some compute-rich kernels.
-		if float64(row.Cycles[2]) > float64(row.Cycles[1])*1.2 {
+		if float64(row.Cells[2].Cycles) > float64(row.Cells[1].Cycles)*1.2 {
 			t.Errorf("%s: 3 stages (%d) much worse than 2 (%d)",
-				row.Benchmark, row.Cycles[2], row.Cycles[1])
+				row.Benchmark, row.Cells[2].Cycles, row.Cells[1].Cycles)
 		}
-		if float64(row.Cycles[2]) < float64(row.Cycles[1])*0.9 {
+		if float64(row.Cells[2].Cycles) < float64(row.Cells[1].Cycles)*0.9 {
 			improved++
 		}
 	}
 	if improved < 2 {
 		t.Errorf("only %d kernels improved with a third stage", improved)
+	}
+}
+
+// TestAblationStagesRunsOnTheRunner: the stage-depth study is a grid like
+// any other, so every simulation it makes goes through Runner.Run — fanned
+// out under -j, reported under -progress, and in reach of the warn and
+// diagnosis hooks (TestDiagnosisHookReceivesForensics). It used to call
+// plan/execute inline and report nothing.
+func TestAblationStagesRunsOnTheRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full benchmark sweep")
+	}
+	var dones []int // Progress calls are serialized by the runner
+	total := 0
+	SetProgress(func(done, n int, _ JobResult) { dones, total = append(dones, done), n })
+	defer SetProgress(nil)
+	r, err := AblationStages(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, row := range r.Rows {
+		want++ // the benchmark's single-core baseline
+		for _, c := range row.Cells[1:] {
+			if c.Supported {
+				want++
+			}
+		}
+	}
+	if len(dones) != want || total != want {
+		t.Fatalf("progress reported %d of %d jobs for %d simulations", len(dones), total, want)
+	}
+	for i, d := range dones {
+		if d != i+1 {
+			t.Fatalf("progress call %d reported done = %d", i+1, d)
+		}
 	}
 }
 

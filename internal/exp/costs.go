@@ -14,7 +14,7 @@ type CostRow struct {
 	AddedBytes      int
 	OSContextBytes  int
 	SwitchCycles    float64
-	NormPerformance float64 // vs HEAVYWT (from Figure 7/12 data)
+	NormPerformance float64 // producer-thread geomean time vs HEAVYWT
 }
 
 // CostResult reproduces the paper's cost/performance trade-off argument:
@@ -28,33 +28,25 @@ type CostResult struct {
 }
 
 // Costs computes the hardware/OS cost table and joins it with measured
-// performance from the Figure 12 sweep.
+// performance: the producer thread's geomean time against HEAVYWT, the
+// number Figures 7 and 12 print for these designs, read off one grid.
 func Costs(ctx context.Context) (*CostResult, error) {
-	f12, err := Fig12Ctx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	f7, err := Fig7Ctx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	perf := func(name string) float64 {
-		if v := f12.Producer.NormTotal(name); v != 0 {
-			return v
-		}
-		return f7.NormTotal(name)
-	}
-
 	configs := []design.Config{
+		design.HeavyWTConfig(), // the baseline breakdownOf normalizes to
 		design.ExistingConfig(),
 		design.MemOptiConfig(),
 		design.SyncOptiConfig(),
 		design.SyncOptiSCQ64Config(),
-		design.HeavyWTConfig(),
 	}
+	grid, err := runMatrix(ctx, configs)
+	if err != nil {
+		return nil, err
+	}
+	perf := breakdownOf("", configs, grid, 0)
+
 	res := &CostResult{}
 	var heavyBytes, scq64Bytes int
-	for _, cfg := range configs {
+	for _, cfg := range append(configs[1:], configs[0]) { // cheapest first, HEAVYWT last
 		hc := cfg.Cost()
 		row := CostRow{
 			Design:         cfg.Name(),
@@ -63,7 +55,7 @@ func Costs(ctx context.Context) (*CostResult, error) {
 			// 16 bytes/cycle spill bandwidth (the L3 bus), 200 cycles to
 			// drain in-flight interconnect state.
 			SwitchCycles:    hc.ContextSwitchCycles(16, 200),
-			NormPerformance: perf(cfg.Name()),
+			NormPerformance: perf.NormTotal(cfg.Name()),
 		}
 		res.Rows = append(res.Rows, row)
 		switch cfg.Point {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hfstream/internal/design"
+	"hfstream/internal/sim"
 	"hfstream/internal/stats"
 	"hfstream/internal/workloads"
 )
@@ -34,14 +35,20 @@ type BreakdownFigure struct {
 }
 
 // breakdownFigure runs every benchmark on each config (fanned across the
-// worker pool) and normalizes each bar to the first config's (the
-// baseline's) execution time.
+// worker pool) and reads one core's bars off the grid.
 func breakdownFigure(ctx context.Context, title string, configs []design.Config, coreIdx int) (*BreakdownFigure, error) {
-	fig := &BreakdownFigure{Title: title, Core: coreIdx}
 	grid, err := runMatrix(ctx, configs)
 	if err != nil {
 		return nil, err
 	}
+	return breakdownOf(title, configs, grid, coreIdx), nil
+}
+
+// breakdownOf projects a runMatrix grid onto one core: each bar is that
+// core's breakdown normalized to the first config's (the baseline's)
+// execution time. A figure that shows both cores slices one grid twice.
+func breakdownOf(title string, configs []design.Config, grid [][]*sim.Result, coreIdx int) *BreakdownFigure {
+	fig := &BreakdownFigure{Title: title, Core: coreIdx}
 	sums := make([][]float64, len(configs))
 	for bi, name := range workloads.Names() {
 		row := BreakdownRow{Benchmark: name}
@@ -64,7 +71,7 @@ func breakdownFigure(ctx context.Context, title string, configs []design.Config,
 			Design: cfg.Name(), Total: stats.Geomean(sums[ci]),
 		})
 	}
-	return fig, nil
+	return fig
 }
 
 // Table renders the figure as text: one line per (benchmark, design).
@@ -96,68 +103,21 @@ func (f *BreakdownFigure) NormTotal(designName string) float64 {
 
 // ---- Figure 6 ----
 
-// Fig6Row holds one benchmark's normalized execution times for the three
-// HEAVYWT interconnect variants.
-type Fig6Row struct {
-	Benchmark string
-	// Lat1Q32 is the baseline (1.0 by construction), Lat10Q32 the
-	// 10-cycle interconnect, Lat10Q64 the 10-cycle interconnect with
-	// 64-entry queues.
-	Lat1Q32, Lat10Q32, Lat10Q64 float64
-}
-
-// Fig6Result reproduces Figure 6: streaming codes tolerate transit delay.
-type Fig6Result struct {
-	Rows    []Fig6Row
-	Geomean Fig6Row
-}
-
-// Fig6Ctx runs the transit-delay tolerance experiment; in-flight
-// simulations abort once ctx is done.
-func Fig6Ctx(ctx context.Context) (*Fig6Result, error) {
-	cfg1 := design.HeavyWTConfig()
-	cfg10 := design.HeavyWTConfig()
-	cfg10.InterconnectLat = 10
-	cfg10.Label = "HEAVYWT_lat10"
-	cfg10q64 := design.HeavyWTConfig()
-	cfg10q64.InterconnectLat = 10
-	cfg10q64.QueueDepth = 64
-	cfg10q64.Label = "HEAVYWT_lat10_q64"
-
-	res := &Fig6Result{Geomean: Fig6Row{Benchmark: "GeoMean"}}
-	grid, err := runMatrix(ctx, []design.Config{cfg1, cfg10, cfg10q64})
-	if err != nil {
-		return nil, err
-	}
-	var g1, g10, g64 []float64
-	for bi, name := range workloads.Names() {
-		base := float64(grid[bi][0].Cycles)
-		row := Fig6Row{
-			Benchmark: name,
-			Lat1Q32:   1.0,
-			Lat10Q32:  float64(grid[bi][1].Cycles) / base,
-			Lat10Q64:  float64(grid[bi][2].Cycles) / base,
-		}
-		res.Rows = append(res.Rows, row)
-		g1 = append(g1, row.Lat1Q32)
-		g10 = append(g10, row.Lat10Q32)
-		g64 = append(g64, row.Lat10Q64)
-	}
-	res.Geomean.Lat1Q32 = stats.Geomean(g1)
-	res.Geomean.Lat10Q32 = stats.Geomean(g10)
-	res.Geomean.Lat10Q64 = stats.Geomean(g64)
-	return res, nil
-}
-
-// Table renders Figure 6 as text.
-func (r *Fig6Result) Table() string {
-	t := stats.NewTable("Figure 6: Effect of transit delay on streaming codes (HEAVYWT, normalized)",
-		"Benchmark", "1cyc/32q", "10cyc/32q", "10cyc/64q")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Benchmark, row.Lat1Q32, row.Lat10Q32, row.Lat10Q64)
-	}
-	t.AddRowf(r.Geomean.Benchmark, r.Geomean.Lat1Q32, r.Geomean.Lat10Q32, r.Geomean.Lat10Q64)
-	return t.String()
+// Fig6Ctx runs the transit-delay tolerance experiment (Figure 6: streaming
+// codes tolerate transit delay): HEAVYWT at the baseline 1-cycle
+// interconnect, at 10 cycles, and at 10 cycles with 64-entry queues,
+// normalized to the first.
+func Fig6Ctx(ctx context.Context) (*AblationResult, error) {
+	lat10 := design.HeavyWTConfig()
+	lat10.InterconnectLat = 10
+	lat10.Label = "HEAVYWT_lat10"
+	lat10q64 := lat10
+	lat10q64.QueueDepth = 64
+	lat10q64.Label = "HEAVYWT_lat10_q64"
+	return ablate(ctx,
+		"Figure 6: Effect of transit delay on streaming codes (HEAVYWT, normalized)",
+		[]string{"1cyc/32q", "10cyc/32q", "10cyc/64q"},
+		[]design.Config{design.HeavyWTConfig(), lat10, lat10q64})
 }
 
 // ---- Figure 7 ----
@@ -337,7 +297,8 @@ type Fig12Result struct {
 }
 
 // Fig12Ctx evaluates the stream cache and queue-size optimizations:
-// HEAVYWT vs SYNCOPTI_SC+Q64 vs SYNCOPTI_SC vs SYNCOPTI_Q64 vs SYNCOPTI.
+// HEAVYWT vs SYNCOPTI_SC+Q64 vs SYNCOPTI_SC vs SYNCOPTI_Q64 vs SYNCOPTI,
+// simulated once and read off per core.
 func Fig12Ctx(ctx context.Context) (*Fig12Result, error) {
 	configs := []design.Config{
 		design.HeavyWTConfig(),
@@ -346,20 +307,22 @@ func Fig12Ctx(ctx context.Context) (*Fig12Result, error) {
 		design.SyncOptiQ64Config(),
 		design.SyncOptiConfig(),
 	}
-	prod, err := breakdownFigure(ctx,
-		"Figure 12 (producer): effect of streaming cache and queue size", configs, 0)
+	grid, err := runMatrix(ctx, configs)
 	if err != nil {
 		return nil, err
 	}
-	cons, err := breakdownFigure(ctx,
-		"Figure 12 (consumer): effect of streaming cache and queue size", configs, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig12Result{Producer: prod, Consumer: cons}, nil
+	return &Fig12Result{
+		Producer: breakdownOf("Figure 12 (producer): effect of streaming cache and queue size", configs, grid, 0),
+		Consumer: breakdownOf("Figure 12 (consumer): effect of streaming cache and queue size", configs, grid, 1),
+	}, nil
 }
 
 // Table renders both halves of Figure 12.
 func (r *Fig12Result) Table() string {
 	return r.Producer.Table() + "\n" + r.Consumer.Table()
+}
+
+// Chart renders both halves as stacked bars, producer first.
+func (r *Fig12Result) Chart() string {
+	return r.Producer.Chart() + "\n" + r.Consumer.Chart()
 }

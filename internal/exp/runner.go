@@ -29,8 +29,6 @@ type Job struct {
 	Config design.Config
 	// Single runs the unpartitioned baseline; Config is ignored.
 	Single bool
-	// SampleInterval enables per-interval time-series collection.
-	SampleInterval uint64
 }
 
 // Name labels the job for progress reports and warnings.
@@ -139,11 +137,10 @@ func runJob(ctx context.Context, j Job) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := RunOpts{SampleInterval: j.SampleInterval}
 	if j.Single {
-		return RunSingleOpts(ctx, b, opts)
+		return RunSingleOpts(ctx, b, RunOpts{})
 	}
-	return RunBenchmarkOpts(ctx, b, j.Config, opts)
+	return RunBenchmarkOpts(ctx, b, j.Config, RunOpts{})
 }
 
 // FirstErr returns the first error in input order, or nil.

@@ -49,37 +49,46 @@ type ScalingRow struct {
 	Cells     []ScalingCell
 }
 
-// ScalingResult holds the scaling-curve figure: speedup vs core count
+// ScalingResult is a core-count study: cycles and speedup vs core count
 // for every (benchmark, design) pair.
 type ScalingResult struct {
+	Title string
 	Cores []int
 	Rows  []ScalingRow
 }
 
-// ScalingCtx runs the full scaling study on the default runner. The
-// single-core baseline is run once per benchmark and shared across that
-// benchmark's rows.
+// ScalingCtx runs the full scaling study.
 func ScalingCtx(ctx context.Context) (*ScalingResult, error) {
-	res := &ScalingResult{Cores: ScalingCores}
+	return coreStudy(ctx,
+		"Scaling: speedup vs core count per design (cycles; speedup vs 1 core)",
+		ScalingBenches, ScalingDesigns(), ScalingCores)
+}
+
+// coreStudy runs benches x designs x cores as one job list on the default
+// runner. The single-core baseline is design-independent (one core
+// touches no queue), so it is run once per benchmark and shared across
+// that benchmark's rows; a shape the kernel cannot fill is left
+// unsupported rather than failed.
+func coreStudy(ctx context.Context, title string, benches []string, designs []design.Config, cores []int) (*ScalingResult, error) {
+	res := &ScalingResult{Title: title, Cores: cores}
 	var jobs []Job
 	type slot struct{ row, cell, job int }
 	var slots []slot
-	for _, bname := range ScalingBenches {
+	for _, bname := range benches {
 		b, err := workloads.ByName(bname)
 		if err != nil {
 			return nil, err
 		}
 		single := len(jobs)
 		jobs = append(jobs, Job{Bench: bname, Single: true})
-		for _, cfg := range ScalingDesigns() {
-			row := ScalingRow{Benchmark: bname, Design: cfg.Name(),
-				Cells: make([]ScalingCell, len(ScalingCores))}
+		for _, cfg := range designs {
 			ri := len(res.Rows)
-			res.Rows = append(res.Rows, row)
-			for ci, cores := range ScalingCores {
+			res.Rows = append(res.Rows, ScalingRow{Benchmark: bname, Design: cfg.Name(),
+				Cells: make([]ScalingCell, len(cores))})
+			for ci, n := range cores {
 				ji := single
-				if cores > 1 {
-					shape := cfg.WithCores(cores)
+				if n > 1 {
+					shape := cfg.WithCores(n)
 					if !shapeSupported(b, shape) {
 						continue
 					}
@@ -109,7 +118,8 @@ func shapeSupported(b *workloads.Benchmark, cfg design.Config) bool {
 	return err == nil
 }
 
-// Table renders the scaling-curve figure.
+// Table renders the study: raw cycles per cell, with the speedup over the
+// row's single-core cell beside every multi-core one.
 func (r *ScalingResult) Table() string {
 	hdr := []string{"Benchmark", "Design"}
 	for _, c := range r.Cores {
@@ -119,9 +129,7 @@ func (r *ScalingResult) Table() string {
 			hdr = append(hdr, fmt.Sprintf("%d cores", c))
 		}
 	}
-	t := stats.NewTable(
-		"Scaling: speedup vs core count per design (cycles; speedup vs 1 core)",
-		hdr...)
+	t := stats.NewTable(r.Title, hdr...)
 	for _, row := range r.Rows {
 		cells := []interface{}{row.Benchmark, row.Design}
 		var base uint64

@@ -42,9 +42,6 @@ type Operand struct {
 	Init int64
 }
 
-// IsConst reports whether the operand is a constant.
-func (o Operand) IsConst() bool { return o.Node == nil }
-
 // Loop is a single-level loop kernel.
 type Loop struct {
 	Name string
@@ -85,13 +82,6 @@ func (l *Loop) add(n *Node) *Node {
 // Op appends a generic operation node.
 func (l *Loop) Op(op isa.Op, args ...Operand) *Node {
 	return l.add(&Node{Op: op, Args: args})
-}
-
-// Named appends a generic operation node with a debug name.
-func (l *Loop) Named(name string, op isa.Op, args ...Operand) *Node {
-	n := l.Op(op, args...)
-	n.Name = name
-	return n
 }
 
 // Load appends a load of region[addr + off].
@@ -182,13 +172,4 @@ func (n *Node) Weight() int {
 	default:
 		return n.Op.Latency()
 	}
-}
-
-// TotalWeight sums node weights.
-func (l *Loop) TotalWeight() int {
-	t := 0
-	for _, n := range l.Body {
-		t += n.Weight()
-	}
-	return t
 }

@@ -95,9 +95,6 @@ func TestWeights(t *testing.T) {
 	if mul.Weight() != isa.Mul.Latency() {
 		t.Error("ALU weight should equal latency")
 	}
-	if l.TotalWeight() != ld.Weight()+st.Weight()+mul.Weight() {
-		t.Error("TotalWeight mismatch")
-	}
 }
 
 func TestPin(t *testing.T) {

@@ -158,10 +158,6 @@ func (o Op) Latency() int {
 // IsBranch reports whether the opcode redirects control flow.
 func (o Op) IsBranch() bool { return o == B || o == Beqz || o == Bnez }
 
-// IsMem reports whether the opcode accesses the memory system (including
-// streaming primitives, which occupy memory issue slots).
-func (o Op) IsMem() bool { return o.FU() == FUMem }
-
 // WritesRd reports whether the opcode writes a destination register.
 func (o Op) WritesRd() bool {
 	switch o {

@@ -70,8 +70,8 @@ func TestOperandMetadata(t *testing.T) {
 	if !B.IsBranch() || !Beqz.IsBranch() || Add.IsBranch() {
 		t.Error("IsBranch wrong")
 	}
-	if !Fence.IsMem() || !Produce.IsMem() || Add.IsMem() {
-		t.Error("IsMem wrong")
+	if Fence.FU() != FUMem || Produce.FU() != FUMem || Add.FU() == FUMem {
+		t.Error("streaming primitives and fences occupy memory issue slots; ALU ops do not")
 	}
 }
 

@@ -217,15 +217,6 @@ func LowerRoles(prog *isa.Program, layout queue.Layout, core int, roles map[int]
 	return out, nil
 }
 
-// MustLower is Lower but panics on error.
-func MustLower(prog *isa.Program, layout queue.Layout) *isa.Program {
-	p, err := Lower(prog, layout)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // produceLen is the emitted produce sequence length; the index mapping in
 // Lower depends on it. The consume length depends on the layout's QLU
 // (its batched flag clear writes one store per slot on the line).

@@ -51,9 +51,6 @@ func (l Layout) SlotBytes() int { return l.LineBytes / l.QLU }
 // QueueBytes returns the memory footprint of one queue.
 func (l Layout) QueueBytes() int { return l.Depth * l.SlotBytes() }
 
-// LinesPerQueue returns the number of cache lines holding one queue.
-func (l Layout) LinesPerQueue() int { return l.Depth / l.QLU }
-
 // SlotAddr returns the address of slot's data word in queue q.
 func (l Layout) SlotAddr(q, slot int) uint64 {
 	return Base + uint64(q)*uint64(l.QueueBytes()) + uint64(slot)*uint64(l.SlotBytes())

@@ -42,11 +42,11 @@ func TestSyncArrayMPMCLaneAllocation(t *testing.T) {
 		2: {Producers: []int{0, 1}, Consumers: []int{2, 3}},
 	}
 	sa := newSA(t, p)
-	base, ok := sa.LaneBase(2)
+	base, ok := sa.laneBase[2]
 	if !ok || base != 4 {
-		t.Fatalf("LaneBase(2) = %d,%v, want 4,true (lanes append after NumQueues)", base, ok)
+		t.Fatalf("laneBase[2] = %d,%v, want 4,true (lanes append after NumQueues)", base, ok)
 	}
-	if _, ok := sa.LaneBase(0); ok {
+	if _, ok := sa.laneBase[0]; ok {
 		t.Error("SPSC queue has lanes")
 	}
 	// Invalid routes must be rejected at construction.

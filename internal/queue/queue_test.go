@@ -34,9 +34,6 @@ func TestLayoutGeometry(t *testing.T) {
 	if l.QueueBytes() != 512 {
 		t.Errorf("QueueBytes = %d", l.QueueBytes())
 	}
-	if l.LinesPerQueue() != 4 {
-		t.Errorf("LinesPerQueue = %d", l.LinesPerQueue())
-	}
 	if !l.HasFlags() {
 		t.Error("16B slots should carry flags")
 	}

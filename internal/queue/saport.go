@@ -35,13 +35,6 @@ func (sa *SyncArray) Port(core int) *SAPort {
 	}
 }
 
-// LaneBase returns the physical ID of logical MPMC queue q's first lane,
-// and whether q has lanes at all.
-func (sa *SyncArray) LaneBase(q int) (int, bool) {
-	base, ok := sa.laneBase[q]
-	return base, ok
-}
-
 // Produce implements port.Stream. MPMC queues dispatch to the lane owning
 // this producer's next ticket; others pass through unchanged.
 func (p *SAPort) Produce(cycle uint64, q int, v uint64) (*port.Token, bool) {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -157,37 +156,6 @@ func HistLabel(i int) string {
 		return fmt.Sprintf(">=%d", 1<<(i-1))
 	default:
 		return fmt.Sprintf("%d-%d", 1<<(i-1), 1<<i-1)
-	}
-}
-
-// Counters is a named set of event counters.
-type Counters struct {
-	m map[string]uint64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]uint64)} }
-
-// Inc adds n to the named counter.
-func (c *Counters) Inc(name string, n uint64) { c.m[name] += n }
-
-// Get returns the named counter's value.
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Names returns all counter names in sorted order.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Merge adds all counters from other into c.
-func (c *Counters) Merge(other *Counters) {
-	for k, v := range other.m {
-		c.m[k] += v
 	}
 }
 

@@ -56,26 +56,6 @@ func TestBreakdownString(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a", 2)
-	c.Inc("a", 3)
-	c.Inc("b", 1)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("nope") != 0 {
-		t.Error("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v", names)
-	}
-	d := NewCounters()
-	d.Inc("a", 10)
-	c.Merge(d)
-	if c.Get("a") != 15 {
-		t.Errorf("merged a = %d", c.Get("a"))
-	}
-}
-
 func TestGeomean(t *testing.T) {
 	if g := Geomean([]float64{2, 8}); math.Abs(g-4) > 1e-9 {
 		t.Errorf("Geomean(2,8) = %v", g)
