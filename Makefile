@@ -16,7 +16,6 @@
 #   make serve-cluster      ring/peering under -race plus the cluster differential rows
 #   make scaling            the N-core differential under -race (EXPERIMENTS.md "Scaling curves")
 #   make load-smoke         hfload against in-process 1- and 3-replica clusters
-#   make bench-serve        regenerate BENCH_SERVE.json
 #   make gobench            one `go test -bench` pass over the reproduction benchmarks
 #   make chaos              full fault-injection sweep (RESILIENCE.md)
 #   make chaos-smoke        the CI chaos corpus, fast-forward on and off
@@ -37,7 +36,7 @@ GOLDEN_BENCHES = bzip2,adpcmdec
 # real regression. Raise it as coverage grows.
 COVERAGE_BASELINE = 72.0
 
-.PHONY: tier1 vet build test spine-test spine spine-pairs race coverage bench-serve gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
+.PHONY: tier1 vet build test spine-test spine spine-pairs race coverage gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
 
 tier1: build vet test
 
@@ -146,19 +145,14 @@ serve-cluster:
 	$(GO) test -count=1 -race ./serve/cluster/
 	$(GO) test -count=1 -run 'TestDifferentialCluster' .
 
-# hfload smoke: drive in-process 1- and 3-replica clusters and check the
-# SLO report — the 3-replica phase must reach >=2x the single-replica
-# modeled throughput and must have served some requests from the peer
-# cache tier (ratio > 0). See the cmd/hfload doc comment for the
-# per-replica capacity model behind -cap-rps.
+# hfload smoke: drive in-process 1- and 3-replica clusters unpaced and
+# check that the 3-replica phase served something from the peer cache
+# tier. The floor is a count because the ratio's denominator is how many
+# requests the box got through. (Zero errors and zero shed on both phases
+# is TestRunInprocPhases' assertion.)
 load-smoke:
-	$(GO) run ./cmd/hfload -scale 1,3 -duration 2s -conc 16 -cap-rps 200 \
-		-out /tmp/hfload_smoke.json -min-speedup 2 -min-peer-ratio 0.0001
-
-# Regenerate the checked-in serving-tier SLO report.
-bench-serve:
-	$(GO) run ./cmd/hfload -scale 1,3 -duration 3s -conc 24 -cap-rps 250 \
-		-out BENCH_SERVE.json -label pr8
+	$(GO) run ./cmd/hfload -scale 1,3 -duration 2s -conc 16 \
+		-out /tmp/hfload_smoke.json -min-peer-hits 1
 
 # The N-core scaling differential battery (scaling_differential_test.go):
 # fft2/equake x {2,3,4,6,8}-core chains and parallel-stage points, every

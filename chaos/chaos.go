@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hfstream"
@@ -40,7 +41,8 @@ type Config struct {
 	Progress func(done, total int, o Outcome)
 }
 
-// Classification of a single chaos run.
+// Classification of a single chaos run. chaos/cluster adds the class of
+// its own tier, loss-survived.
 const (
 	ClassBaselineOK   = "baseline-ok"   // fault-free run matched the oracle
 	ClassDelayOK      = "delay-ok"      // delay plan fired; result still oracle-exact
@@ -49,10 +51,15 @@ const (
 	ClassFail         = "fail"          // contract violation: panic, hang, silent corruption…
 )
 
-// Outcome is the classified result of one run.
+// Outcome is the classified result of one case of either tier: a kernel
+// run on a design point, or a service-tier scenario on a cluster of
+// Replicas hfserve instances.
 type Outcome struct {
-	Seed   int64
-	Design string
+	Seed int64
+	// Design names the design point of a kernel run; Replicas (> 0) is
+	// the cluster size of a service-tier scenario.
+	Design   string
+	Replicas int
 	// Plan renders the fault plan ("" for the baseline run); PlanIndex is
 	// its index for replay (-1 for the baseline).
 	Plan      string
@@ -62,7 +69,12 @@ type Outcome struct {
 	Detail string
 	// Shots lists the fault shots that fired, in firing order.
 	Shots []string
-	Wall  time.Duration
+	// Errors counts a scenario's driver requests that ended in a typed
+	// error (only ever non-zero under a loss plan), Retries the retries
+	// its driver clients performed.
+	Errors  int
+	Retries uint64
+	Wall    time.Duration
 }
 
 // Replay renders the hfchaos invocation that reruns exactly this case.
@@ -70,6 +82,10 @@ type Outcome struct {
 // name is quoted: SYNCOPTI_SC+Q64 is harmless, but a custom design label
 // with spaces or metacharacters would otherwise split or glob.
 func (o Outcome) Replay() string {
+	if o.Replicas > 0 {
+		return fmt.Sprintf("go run ./cmd/hfchaos -cluster -seeds %d -plans %d -replicas %d -v",
+			o.Seed, o.PlanIndex+1, o.Replicas)
+	}
 	return fmt.Sprintf("go run ./cmd/hfchaos -seeds %d -designs %s -plans %d -v",
 		o.Seed, shellQuote(o.Design), o.PlanIndex+1)
 }
@@ -136,10 +152,105 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  %-14s %d\n", c, byClass[c])
 	}
 	for _, o := range r.Failed() {
-		fmt.Fprintf(&b, "FAIL seed=%d design=%s plan=%q: %s\n  replay: %s\n",
-			o.Seed, o.Design, o.Plan, o.Detail, o.Replay())
+		on := "design=" + o.Design
+		if o.Replicas > 0 {
+			on = fmt.Sprintf("replicas=%d", o.Replicas)
+		}
+		fmt.Fprintf(&b, "FAIL seed=%d %s plan=%q: %s\n  replay: %s\n",
+			o.Seed, on, o.Plan, o.Detail, o.Replay())
 	}
 	return b.String()
+}
+
+// Case is one cell of a sweep grid: Outcome arrives holding the cell's
+// coordinates (seed, design or replicas, plan index), and Run executes
+// the cell under ctx and classifies it into that outcome.
+type Case struct {
+	Outcome Outcome
+	Run     func(ctx context.Context, o *Outcome)
+}
+
+// Run is the sweep driver of both tiers. It runs the cases on a pool of
+// jobs workers (default GOMAXPROCS), each case under its own timeout
+// (default 60s), and returns the outcomes in case order. A case that
+// panics, or is still running when its timeout expires, is a failure. A
+// case the caller's ctx kept from starting or cut short is no outcome at
+// all: Run then returns the outcomes it has with ctx.Err(), and Runs
+// counts the cases that ran. progress, when non-nil, is called serially
+// after every outcome.
+func Run(ctx context.Context, cases []Case, jobs int, timeout time.Duration, progress func(done, total int, o Outcome)) (*Report, error) {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
+	if timeout <= 0 {
+		timeout = 60 * time.Second
+	}
+	outcomes := make([]*Outcome, len(cases))
+	var next atomic.Int64
+	var mu sync.Mutex
+	done := 0
+	var wg sync.WaitGroup
+	for w := 0; w < jobs; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(cases) || ctx.Err() != nil {
+					return
+				}
+				o := runCase(ctx, cases[i], timeout)
+				if ctx.Err() != nil {
+					return
+				}
+				outcomes[i] = &o
+				mu.Lock()
+				done++
+				if progress != nil {
+					progress(done, len(cases), o)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	rep := &Report{}
+	for _, o := range outcomes {
+		if o == nil {
+			continue
+		}
+		rep.Outcomes = append(rep.Outcomes, *o)
+		if o.Class == ClassFail {
+			rep.Failures++
+		}
+	}
+	rep.Runs = len(rep.Outcomes)
+	return rep, ctx.Err()
+}
+
+// runCase runs one case under its deadline, timing it and turning a
+// panic or an overrun into a failure.
+func runCase(ctx context.Context, c Case, timeout time.Duration) (o Outcome) {
+	o = c.Outcome
+	cctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	start := time.Now()
+	defer func() {
+		o.Wall = time.Since(start)
+		switch r := recover(); {
+		case r != nil:
+			o.Class, o.Detail = ClassFail, fmt.Sprintf("panic: %v", r)
+		case errors.Is(cctx.Err(), context.DeadlineExceeded):
+			hang := fmt.Sprintf("hang: run exceeded %v", timeout)
+			if o.Detail != "" {
+				hang += " (" + o.Detail + ")"
+			}
+			o.Class, o.Detail = ClassFail, hang
+		}
+	}()
+	c.Run(cctx, &o)
+	return o
 }
 
 // PlanForIndex derives the i-th fault plan for a workload seed (even
@@ -153,17 +264,11 @@ func PlanForIndex(seed int64, i int) fault.Plan {
 	return fault.RandomLoss(planSeed)
 }
 
-type job struct {
-	seed      int64
-	design    hfstream.Design
-	planIndex int // -1 = baseline
-}
-
-// Sweep runs the full (seed x design x plan) grid on a worker pool and
-// returns the classified report. The error is non-nil only for setup
-// problems (a seed whose generated program fails to compile or whose
-// fault-free oracle fails); contract violations during the sweep are
-// reported per-outcome, not as an error.
+// Sweep runs the full (seed x design x plan) grid through Run and
+// returns the classified report. Beyond Run's ctx.Err(), the error is
+// non-nil only for setup problems (a seed whose generated program fails
+// to compile or whose fault-free oracle fails); contract violations
+// during the sweep are reported per-outcome, not as an error.
 func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, errors.New("chaos: no seeds")
@@ -174,73 +279,32 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	if len(cfg.Designs) == 0 {
 		cfg.Designs = hfstream.Designs()
 	}
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 60 * time.Second
-	}
 
-	// Compile and interpret each seed's workload once; the oracle is
-	// timing-free, so it is shared by every design and plan.
-	workloads := make(map[int64]*workload, len(cfg.Seeds))
+	var cases []Case
 	for _, seed := range cfg.Seeds {
+		// Compile and interpret each seed's workload once; the oracle is
+		// timing-free, so it is shared by every design and plan.
 		w, err := prepare(seed)
 		if err != nil {
 			return nil, err
 		}
-		workloads[seed] = w
-	}
-
-	var jobs []job
-	for _, seed := range cfg.Seeds {
 		for _, d := range cfg.Designs {
 			// MPMC topologies only run on designs that implement the
 			// ticket discipline; the rest reject them statically with
 			// MPMCUnsupportedError, which would never exercise a fault
 			// plan, so those grid cells are skipped rather than run.
-			if workloads[seed].gen.mpmc && !d.SupportsMPMC() {
+			if w.gen.mpmc && !d.SupportsMPMC() {
 				continue
 			}
-			jobs = append(jobs, job{seed, d, -1})
-			for i := 0; i < cfg.PlansPerSeed; i++ {
-				jobs = append(jobs, job{seed, d, i})
+			for i := -1; i < cfg.PlansPerSeed; i++ {
+				cases = append(cases, Case{
+					Outcome: Outcome{Seed: seed, Design: d.Name(), PlanIndex: i},
+					Run:     func(ctx context.Context, o *Outcome) { runOne(ctx, w, d, o) },
+				})
 			}
 		}
 	}
-
-	rep := &Report{Outcomes: make([]Outcome, len(jobs)), Runs: len(jobs)}
-	idx := make(chan int, len(jobs))
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	var done int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				j := jobs[i]
-				rep.Outcomes[i] = runOne(ctx, cfg.Timeout, workloads[j.seed], j)
-				mu.Lock()
-				done++
-				if cfg.Progress != nil {
-					cfg.Progress(done, len(jobs), rep.Outcomes[i])
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, o := range rep.Outcomes {
-		if o.Class == ClassFail {
-			rep.Failures++
-		}
-	}
-	return rep, nil
+	return Run(ctx, cases, cfg.Jobs, cfg.Timeout, cfg.Progress)
 }
 
 // workload is a compiled seed: programs, memory image seed, and the
@@ -284,86 +348,77 @@ func prepare(seed int64) (*workload, error) {
 	return &workload{gen: g, progs: progs, oracle: oracle}, nil
 }
 
-// runOne executes and classifies a single (seed, design, plan) run.
-func runOne(ctx context.Context, timeout time.Duration, w *workload, j job) (o Outcome) {
-	o = Outcome{Seed: j.seed, Design: j.design.Name(), PlanIndex: j.planIndex}
-	var plan fault.Plan
+// runOne executes one (seed, design, plan) run and classifies it into o.
+func runOne(ctx context.Context, w *workload, d hfstream.Design, o *Outcome) {
 	var inj *fault.Injector
 	var opts []hfstream.RunOpt
 	loss := false
-	if j.planIndex >= 0 {
-		plan = PlanForIndex(j.seed, j.planIndex)
+	if o.PlanIndex >= 0 {
+		plan := PlanForIndex(o.Seed, o.PlanIndex)
 		o.Plan = plan.String()
 		loss = plan.HasLoss()
 		inj = plan.Injector()
 		opts = append(opts, hfstream.WithFaultInjector(inj))
 	}
-	start := time.Now()
-	defer func() {
-		o.Wall = time.Since(start)
-		o.Shots = inj.ShotStrings()
-		if r := recover(); r != nil {
-			o.Class = ClassFail
-			o.Detail = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	rctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	run, err := hfstream.RunProgramsCtx(rctx, j.design, w.progs, w.gen.init, opts...)
+	defer func() { o.Shots = inj.ShotStrings() }()
+	run, err := hfstream.RunProgramsCtx(ctx, d, w.progs, w.gen.init, opts...)
 
-	fail := func(format string, args ...interface{}) Outcome {
+	fail := func(format string, args ...interface{}) {
 		o.Class = ClassFail
 		o.Detail = fmt.Sprintf(format, args...)
-		return o
 	}
 	if err != nil {
 		var dl *hfstream.DeadlockError
 		var ce *hfstream.CanceledError
 		switch {
 		case errors.As(err, &dl):
-			if !loss {
-				return fail("deadlock on a delay-class or baseline run: %v", err)
+			switch {
+			case !loss:
+				fail("deadlock on a delay-class or baseline run: %v", err)
+			case dl.Diag == nil:
+				fail("loss detected but DeadlockError carries no Diagnosis")
+			case !inj.LossFired():
+				fail("deadlock without a fired loss shot: %v", err)
+			default:
+				o.Class = ClassLossDetected
+				o.Detail = "deadlock: " + dl.Diag.Reason
 			}
-			if dl.Diag == nil {
-				return fail("loss detected but DeadlockError carries no Diagnosis")
-			}
-			if !inj.LossFired() {
-				return fail("deadlock without a fired loss shot: %v", err)
-			}
-			o.Class = ClassLossDetected
-			o.Detail = "deadlock: " + dl.Diag.Reason
-			return o
 		case errors.As(err, &ce):
-			return fail("hang: run exceeded %v (canceled at cycle %d)", timeout, ce.Cycle)
+			// Run decides what the cut means: a hang if the case's deadline
+			// passed, nothing at all if the caller gave up.
+			fail("canceled at cycle %d", ce.Cycle)
 		default:
-			return fail("unexpected error: %v", err)
+			fail("unexpected error: %v", err)
 		}
+		return
 	}
 
 	for _, a := range w.gen.outAddrs {
 		if got, want := run.Read(a), w.oracle[a]; got != want {
-			return fail("silent corruption at %#x: got %#x want %#x", a, got, want)
+			fail("silent corruption at %#x: got %#x want %#x", a, got, want)
+			return
 		}
 	}
 	switch {
 	case run.UnquiescedExit:
-		if !loss || !inj.LossFired() {
-			return fail("unquiesced exit without a fired loss plan: %s", run.UnquiescedDetail)
+		switch {
+		case !loss || !inj.LossFired():
+			fail("unquiesced exit without a fired loss plan: %s", run.UnquiescedDetail)
+		case run.Diagnosis == nil:
+			fail("unquiesced exit carries no Diagnosis")
+		default:
+			o.Class = ClassLossDetected
+			o.Detail = "unquiesced: " + run.Diagnosis.Reason
 		}
-		if run.Diagnosis == nil {
-			return fail("unquiesced exit carries no Diagnosis")
-		}
-		o.Class = ClassLossDetected
-		o.Detail = "unquiesced: " + run.Diagnosis.Reason
-	case j.planIndex < 0:
+	case o.PlanIndex < 0:
 		o.Class = ClassBaselineOK
 	case loss:
 		if inj.LossFired() {
-			return fail("loss shot fired but the run completed clean (absorbed loss): %v", inj.ShotStrings())
+			fail("loss shot fired but the run completed clean (absorbed loss): %v", inj.ShotStrings())
+			return
 		}
 		o.Class = ClassLossBenign
 	default:
 		o.Class = ClassDelayOK
 	}
-	return o
 }

@@ -3,8 +3,11 @@ package chaos
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"hfstream"
 )
@@ -163,5 +166,99 @@ func TestReplaySingleCase(t *testing.T) {
 				t.Errorf("loss plan on SYNCOPTI classified %q, want a loss class", o.Class)
 			}
 		}
+	}
+}
+
+// TestRunDriver: the shared driver returns outcomes in case order
+// whatever order a pool finishes them in, turns a panic and an overrun
+// into failures of that case alone, and reports progress once per
+// outcome.
+func TestRunDriver(t *testing.T) {
+	ok := func(ctx context.Context, o *Outcome) { o.Class = ClassBaselineOK }
+	cases := []Case{
+		{Outcome{Seed: 0}, func(ctx context.Context, o *Outcome) { time.Sleep(30 * time.Millisecond); ok(ctx, o) }},
+		{Outcome{Seed: 1}, func(ctx context.Context, o *Outcome) { panic("boom") }},
+		{Outcome{Seed: 2}, func(ctx context.Context, o *Outcome) { <-ctx.Done(); o.Detail = "gave up" }},
+		{Outcome{Seed: 3}, ok},
+	}
+	var dones []int
+	rep, err := Run(context.Background(), cases, 4, 100*time.Millisecond, func(done, total int, o Outcome) {
+		if total != len(cases) {
+			t.Errorf("progress total = %d, want %d", total, len(cases))
+		}
+		dones = append(dones, done)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Runs != 4 || len(rep.Outcomes) != 4 || rep.Failures != 2 {
+		t.Fatalf("runs=%d outcomes=%d failures=%d, want 4/4/2", rep.Runs, len(rep.Outcomes), rep.Failures)
+	}
+	want := []struct{ class, detail string }{
+		{ClassBaselineOK, ""},
+		{ClassFail, "panic: boom"},
+		{ClassFail, "hang: run exceeded 100ms (gave up)"},
+		{ClassBaselineOK, ""},
+	}
+	for i, o := range rep.Outcomes {
+		if o.Seed != int64(i) || o.Class != want[i].class || o.Detail != want[i].detail {
+			t.Errorf("outcome %d = seed %d %s %q, want seed %d %s %q", i, o.Seed, o.Class, o.Detail, i, want[i].class, want[i].detail)
+		}
+	}
+	if len(dones) != 4 || dones[0] != 1 || dones[3] != 4 {
+		t.Errorf("progress counts = %v, want 1..4", dones)
+	}
+	if rep.Outcomes[0].Wall < 30*time.Millisecond {
+		t.Errorf("Wall = %v for a case that slept 30ms", rep.Outcomes[0].Wall)
+	}
+}
+
+// TestCanceledSweepIsNotAFailure: a sweep whose caller gave up reports
+// what finished and the context's error. The cells that never ran, and
+// the one the cancellation cut short, are not outcomes — at the parent of
+// this test each came back as "fail: hang: run exceeded 1m0s", so Ctrl-C
+// on hfchaos printed a FAIL and a replay line per remaining cell.
+func TestCanceledSweepIsNotAFailure(t *testing.T) {
+	check := func(rep *Report, err error, wantRuns int) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if rep == nil {
+			t.Fatal("no partial report")
+		}
+		if rep.Runs != wantRuns || rep.Runs != len(rep.Outcomes) || rep.Failures != 0 || len(rep.Failed()) != 0 {
+			t.Errorf("runs=%d outcomes=%d failures=%d, want %d finished runs and no failure:\n%s",
+				rep.Runs, len(rep.Outcomes), rep.Failures, wantRuns, rep)
+		}
+		if strings.Contains(rep.String(), "FAIL") {
+			t.Errorf("a cancelled sweep printed FAIL lines:\n%s", rep)
+		}
+	}
+
+	// Cancelled before it starts: seed 1 x 7 designs x (baseline + 2
+	// plans), none of the 21 runs.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := Sweep(ctx, Config{Seeds: []int64{1}, PlansPerSeed: 2})
+	check(rep, err, 0)
+
+	// Cancelled under way: the first case finished, the second is the one
+	// cut short, the third never starts.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	started := 0
+	rep, err = Run(ctx, []Case{
+		{Outcome{}, func(ctx context.Context, o *Outcome) { started++; o.Class = ClassBaselineOK }},
+		{Outcome{}, func(ctx context.Context, o *Outcome) {
+			started++
+			cancel()
+			o.Class, o.Detail = ClassFail, "canceled at cycle 7"
+		}},
+		{Outcome{}, func(ctx context.Context, o *Outcome) { started++ }},
+	}, 1, 0, nil)
+	check(rep, err, 1)
+	if started != 2 {
+		t.Errorf("%d cases started, want 2", started)
 	}
 }

@@ -28,12 +28,12 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"hfstream"
+	"hfstream/chaos"
 	"hfstream/serve"
 	"hfstream/serve/client"
 	scluster "hfstream/serve/cluster"
@@ -51,7 +51,7 @@ type Config struct {
 	// Replicas is the cluster size per scenario (default 3).
 	Replicas int
 	// Requests is the number of driver requests per scenario (default 24,
-	// spread over a small worker pool).
+	// dealt round-robin to a small worker pool).
 	Requests int
 	// Timeout bounds one scenario's wall clock (default 60s); exceeding
 	// it is a hang, which is always a failure.
@@ -61,85 +61,15 @@ type Config struct {
 	// a hang).
 	MaxLatency time.Duration
 	// Progress, when non-nil, is called serially after every scenario.
-	Progress func(done, total int, o Outcome)
+	Progress func(done, total int, o chaos.Outcome)
 }
 
-// Classification of one scenario.
-const (
-	ClassBaselineOK   = "baseline-ok"   // no faults; all byte-correct, no errors
-	ClassDelayOK      = "delay-ok"      // delay plan; all byte-correct within the bound
-	ClassLossSurvived = "loss-survived" // loss plan; correct-or-typed, caches clean
-	ClassFail         = "fail"          // contract violation
-)
-
-// Outcome is one classified scenario.
-type Outcome struct {
-	Seed int64
-	// PlanIndex is the fault-plan index (-1 = the fault-free baseline).
-	PlanIndex int
-	// Plan renders the scenario's driver and per-replica fault plans
-	// ("" for the baseline).
-	Plan     string
-	Replicas int
-	Class    string
-	// Detail explains failures.
-	Detail string
-	// Errors is the typed-error count among driver requests (only ever
-	// non-zero on loss-class scenarios).
-	Errors int
-	// Retries is the total retry count the driver clients performed.
-	Retries uint64
-	Wall    time.Duration
-}
-
-// Replay renders the hfchaos invocation that reruns exactly this
-// scenario's (seed, plan) coordinates.
-func (o Outcome) Replay() string {
-	return fmt.Sprintf("go run ./cmd/hfchaos -cluster -seeds %d -plans %d -replicas %d -v",
-		o.Seed, o.PlanIndex+1, o.Replicas)
-}
-
-// Report aggregates a sweep.
-type Report struct {
-	Outcomes []Outcome
-	Runs     int
-	Failures int
-}
-
-// Failed returns the failing outcomes.
-func (r *Report) Failed() []Outcome {
-	var out []Outcome
-	for _, o := range r.Outcomes {
-		if o.Class == ClassFail {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// String renders the class histogram and every failure with its replay
-// command.
-func (r *Report) String() string {
-	byClass := map[string]int{}
-	for _, o := range r.Outcomes {
-		byClass[o.Class]++
-	}
-	classes := make([]string, 0, len(byClass))
-	for c := range byClass {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster chaos: %d scenarios, %d failures\n", r.Runs, r.Failures)
-	for _, c := range classes {
-		fmt.Fprintf(&b, "  %-14s %d\n", c, byClass[c])
-	}
-	for _, o := range r.Failed() {
-		fmt.Fprintf(&b, "FAIL seed=%d plan=%d %s: %s\n  replay: %s\n",
-			o.Seed, o.PlanIndex, o.Plan, o.Detail, o.Replay())
-	}
-	return b.String()
-}
+// ClassLossSurvived is the one class this tier adds to chaos's: a loss
+// plan under which every request came back byte-correct or as a typed
+// error and the caches stayed clean. A baseline scenario is
+// chaos.ClassBaselineOK, a delay one chaos.ClassDelayOK, a violation
+// chaos.ClassFail.
+const ClassLossSurvived = "loss-survived"
 
 // universe is the spec mix every scenario draws requests from: two
 // designs of one benchmark (peer-fill traffic between owners), a
@@ -185,11 +115,12 @@ type reference struct {
 	body []byte
 }
 
-// Sweep runs the (seed x plan) scenario grid sequentially (each
-// scenario owns a whole cluster; running them in parallel would just
-// contend) and returns the classified report. The error is non-nil
-// only for setup problems; contract violations are per-outcome.
-func Sweep(ctx context.Context, cfg Config) (*Report, error) {
+// Sweep runs the (seed x plan) scenario grid through chaos.Run, one
+// scenario at a time (each owns a whole cluster; running them in
+// parallel would just contend), and returns the classified report. The
+// error is Run's ctx.Err() or a setup problem; contract violations are
+// per-outcome.
+func Sweep(ctx context.Context, cfg Config) (*chaos.Report, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, errors.New("cluster chaos: no seeds")
 	}
@@ -202,15 +133,32 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 24
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 60 * time.Second
-	}
 	if cfg.MaxLatency <= 0 {
 		cfg.MaxLatency = 10 * time.Second
 	}
+	refs, err := references(ctx)
+	if err != nil {
+		if ctx.Err() != nil {
+			return &chaos.Report{}, ctx.Err()
+		}
+		return nil, err
+	}
+	var cases []chaos.Case
+	for _, seed := range cfg.Seeds {
+		for planIdx := -1; planIdx < cfg.PlansPerSeed; planIdx++ {
+			cases = append(cases, chaos.Case{
+				Outcome: chaos.Outcome{Seed: seed, PlanIndex: planIdx, Replicas: cfg.Replicas},
+				Run:     func(ctx context.Context, o *chaos.Outcome) { runScenario(ctx, cfg, refs, o) },
+			})
+		}
+	}
+	return chaos.Run(ctx, cases, 1, cfg.Timeout, cfg.Progress)
+}
 
-	// Fault-free references, computed once through the library API — the
-	// same oracle /v1/run byte-equivalence is checked against in CI.
+// references computes the universe's fault-free ground truth once,
+// through the library API — the same oracle /v1/run byte-equivalence is
+// checked against in CI.
+func references(ctx context.Context) ([]reference, error) {
 	refs := make([]reference, 0, len(universe()))
 	for _, spec := range universe() {
 		norm, err := spec.Normalize()
@@ -227,168 +175,100 @@ func Sweep(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		refs = append(refs, reference{spec: norm, key: key, body: buf.Bytes()})
 	}
-
-	total := len(cfg.Seeds) * (1 + cfg.PlansPerSeed)
-	rep := &Report{Runs: total}
-	done := 0
-	for _, seed := range cfg.Seeds {
-		for planIdx := -1; planIdx < cfg.PlansPerSeed; planIdx++ {
-			if ctx.Err() != nil {
-				return rep, ctx.Err()
-			}
-			o := runScenario(ctx, cfg, refs, seed, planIdx)
-			rep.Outcomes = append(rep.Outcomes, o)
-			if o.Class == ClassFail {
-				rep.Failures++
-			}
-			done++
-			if cfg.Progress != nil {
-				cfg.Progress(done, total, o)
-			}
-		}
-	}
-	return rep, nil
+	return refs, nil
 }
 
-// replica is one in-process hfserve instance.
-type replica struct {
-	id      string
-	srv     *serve.Server
-	peering *scluster.Peering
-	httpSrv *http.Server
-	url     string
-	peerHC  *http.Client
-}
-
-// runScenario builds a fresh faulted cluster, drives the request mix,
-// audits the caches, and tears everything down.
-func runScenario(ctx context.Context, cfg Config, refs []reference, seed int64, planIdx int) (o Outcome) {
-	o = Outcome{Seed: seed, PlanIndex: planIdx, Replicas: cfg.Replicas}
-	start := time.Now()
-	defer func() {
-		o.Wall = time.Since(start)
-		if r := recover(); r != nil {
-			o.Class = ClassFail
-			o.Detail = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	sctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
-	defer cancel()
-
-	fail := func(format string, args ...interface{}) Outcome {
-		o.Class = ClassFail
-		o.Detail = fmt.Sprintf(format, args...)
-		return o
-	}
-
-	// ---- build the cluster ------------------------------------------
-	n := cfg.Replicas
-	listeners := make([]net.Listener, n)
-	urls := make(map[string]string, n)
-	ids := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fail("listen: %v", err)
-		}
-		defer ln.Close()
-		listeners[i] = ln
-		ids[i] = fmt.Sprintf("c%d", i)
-		urls[ids[i]] = "http://" + ln.Addr().String()
-	}
-
+// runScenario builds a fresh cluster with o's fault plans on its peering
+// channels and its driver, runs the scenario against it, and tears
+// everything down.
+func runScenario(ctx context.Context, cfg Config, refs []reference, o *chaos.Outcome) {
 	var planDesc []string
-	replicas := make([]*replica, n)
-	for i := 0; i < n; i++ {
-		peerHC := &http.Client{Transport: &http.Transport{}}
-		if planIdx >= 0 {
-			plan := ReplicaPlan(seed, planIdx, i)
-			planDesc = append(planDesc, fmt.Sprintf("%s=%s", ids[i], plan))
-			peerHC = faultnet.NewTransport(plan, &http.Transport{}).Client()
+	lb, err := scluster.NewLoopback(cfg.Replicas, func(i int, pc *scluster.Config, sc *serve.Config) {
+		sc.Workers = 2
+		if o.PlanIndex >= 0 {
+			plan := ReplicaPlan(o.Seed, o.PlanIndex, i)
+			planDesc = append(planDesc, fmt.Sprintf("%s=%s", pc.Self, plan))
+			pc.HTTPClient = faultnet.NewTransport(plan, &http.Transport{}).Client()
 		}
-		peering, err := scluster.New(scluster.Config{
-			Self:       ids[i],
-			Peers:      urls,
-			HTTPClient: peerHC,
-		})
-		if err != nil {
-			return fail("peering %s: %v", ids[i], err)
-		}
-		srv := serve.New(serve.Config{Workers: 2, Peer: peering})
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		replicas[i] = &replica{
-			id: ids[i], srv: srv, peering: peering, httpSrv: httpSrv,
-			url: urls[ids[i]], peerHC: peerHC,
-		}
-		go httpSrv.Serve(listeners[i])
+	})
+	if err != nil {
+		o.Class, o.Detail = chaos.ClassFail, fmt.Sprintf("cluster: %v", err)
+		return
 	}
 	defer func() {
-		for _, r := range replicas {
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			r.httpSrv.Shutdown(shutdownCtx)
-			r.srv.Drain(shutdownCtx)
-			r.peering.Close()
-			r.peerHC.CloseIdleConnections()
-			cancel()
-		}
+		closeCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		lb.Close(closeCtx)
 	}()
 
-	// ---- the driver -------------------------------------------------
 	// One shared fault transport in front of every driver client, so
-	// occurrence counting spans the whole request mix; plus seeded
-	// retries — the layer under test for absorbing transient faults.
-	driverTransport := &http.Transport{}
-	var driverHC *http.Client
-	var driverFaults *faultnet.Transport
-	if planIdx >= 0 {
-		plan := DriverPlan(seed, planIdx)
+	// occurrence counting spans the whole request mix.
+	driverHC := &http.Client{Transport: &http.Transport{}}
+	if o.PlanIndex >= 0 {
+		plan := DriverPlan(o.Seed, o.PlanIndex)
 		planDesc = append(planDesc, "driver="+plan.String())
-		driverFaults = faultnet.NewTransport(plan, driverTransport)
-		driverHC = driverFaults.Client()
-	} else {
-		driverHC = &http.Client{Transport: driverTransport}
+		driverHC = faultnet.NewTransport(plan, driverHC.Transport).Client()
 	}
-	defer driverTransport.CloseIdleConnections()
+	defer driverHC.CloseIdleConnections()
 	o.Plan = strings.Join(planDesc, " ")
 
+	drive(ctx, cfg, refs, lb, driverHC, o)
+}
+
+// drive issues the scenario's request mix through driverHC and checks
+// the contract on the answers and on what the cluster is left holding.
+func drive(ctx context.Context, cfg Config, refs []reference, lb *scluster.Loopback, driverHC *http.Client, o *chaos.Outcome) {
+	fail := func(format string, args ...interface{}) {
+		o.Class = chaos.ClassFail
+		o.Detail = fmt.Sprintf(format, args...)
+	}
+	n := len(lb.Replicas)
+
+	// Seeded retries are the layer under test for absorbing transient
+	// faults.
 	clients := make([]*client.Client, n)
-	for i, r := range replicas {
-		clients[i] = client.New(r.url,
+	for i, r := range lb.Replicas {
+		clients[i] = client.New(r.URL,
 			client.WithHTTPClient(driverHC),
 			client.WithRetry(client.RetryPolicy{
 				MaxAttempts: 4,
 				BaseDelay:   25 * time.Millisecond,
 				MaxDelay:    250 * time.Millisecond,
-				Seed:        seed,
+				Seed:        o.Seed,
 			}))
 	}
 
-	lossy := planIdx >= 0 && planIdx%2 == 1
+	lossy := o.PlanIndex >= 0 && o.PlanIndex%2 == 1
+	kind := "delay-class"
+	if o.PlanIndex < 0 {
+		kind = "baseline"
+	}
 	type result struct {
-		spec    hfstream.Spec
+		ref     reference
 		body    []byte
 		err     error
 		latency time.Duration
 	}
+	// Worker w issues requests w, w+workers, ... from its own seeded
+	// stream, so every one of cfg.Requests goes out whatever the count.
 	const workers = 4
-	perWorker := cfg.Requests / workers
-	results := make([]result, workers*perWorker)
+	results := make([]result, cfg.Requests)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*100 + int64(w)))
-			for i := 0; i < perWorker; i++ {
+			rng := rand.New(rand.NewSource(o.Seed*100 + int64(w)))
+			for i := w; i < len(results); i += workers {
 				ref := refs[rng.Intn(len(refs))]
 				cl := clients[rng.Intn(n)]
 				t0 := time.Now()
-				res, err := cl.Run(sctx, ref.spec)
-				r := result{spec: ref.spec, err: err, latency: time.Since(t0)}
+				res, err := cl.Run(ctx, ref.spec)
+				r := result{ref: ref, err: err, latency: time.Since(t0)}
 				if err == nil {
 					r.body = res.Body
 				}
-				results[w*perWorker+i] = r
+				results[i] = r
 			}
 		}(w)
 	}
@@ -396,66 +276,63 @@ func runScenario(ctx context.Context, cfg Config, refs []reference, seed int64, 
 	for _, cl := range clients {
 		o.Retries += cl.Retries()
 	}
-	if sctx.Err() != nil {
-		return fail("hang: scenario exceeded %v", cfg.Timeout)
+	if ctx.Err() != nil {
+		// Cut short; chaos.Run tells a hang from a caller that gave up.
+		fail("scenario cut short: %v", ctx.Err())
+		return
 	}
 
 	// ---- the contract, request by request ---------------------------
-	refByKey := make(map[string][]byte, len(refs))
-	for _, r := range refs {
-		refByKey[r.key] = r.body
-	}
-	refFor := func(spec hfstream.Spec) []byte {
-		for _, r := range refs {
-			if r.spec == spec {
-				return r.body
-			}
-		}
-		return nil
-	}
 	for i, r := range results {
 		if r.err == nil {
-			if !bytes.Equal(r.body, refFor(r.spec)) {
-				return fail("request %d: silent corruption — %d bytes differ from the fault-free reference", i, len(r.body))
+			if !bytes.Equal(r.body, r.ref.body) {
+				fail("request %d: silent corruption — %d bytes differ from the fault-free reference", i, len(r.body))
+				return
 			}
 			if !lossy && r.latency > cfg.MaxLatency {
-				return fail("request %d: latency %v exceeds the %v bound on a %s scenario",
-					i, r.latency.Round(time.Millisecond), cfg.MaxLatency, o.classNameForPlan())
+				fail("request %d: latency %v exceeds the %v bound on a %s scenario",
+					i, r.latency.Round(time.Millisecond), cfg.MaxLatency, kind)
+				return
 			}
 			continue
 		}
 		if !lossy {
-			return fail("request %d: error on a %s scenario: %v", i, o.classNameForPlan(), r.err)
+			fail("request %d: error on a %s scenario: %v", i, kind, r.err)
+			return
 		}
 		if !typedError(r.err) {
-			return fail("request %d: untyped error under a loss plan: %v", i, r.err)
+			fail("request %d: untyped error under a loss plan: %v", i, r.err)
+			return
 		}
 		o.Errors++
 	}
 
 	// ---- post-run cache audit over clean channels -------------------
-	for _, rp := range replicas {
+	for _, rp := range lb.Replicas {
 		flushCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := rp.peering.Flush(flushCtx)
+		err := rp.Peering.Flush(flushCtx)
 		cancel()
 		if err != nil {
-			return fail("flush %s: %v", rp.id, err)
+			fail("flush %s: %v", rp.ID, err)
+			return
 		}
 	}
 	auditHC := &http.Client{Transport: &http.Transport{}}
 	defer auditHC.CloseIdleConnections()
-	for _, rp := range replicas {
-		auditCl := client.New(rp.url, client.WithHTTPClient(auditHC))
-		for key, want := range refByKey {
-			got, err := auditCl.PeerGet(context.Background(), key)
+	for _, rp := range lb.Replicas {
+		auditCl := client.New(rp.URL, client.WithHTTPClient(auditHC))
+		for _, ref := range refs {
+			got, err := auditCl.PeerGet(context.Background(), ref.key)
 			if errors.Is(err, client.ErrNotCached) {
 				continue // cold is clean
 			}
 			if err != nil {
-				return fail("audit %s key %s: %v", rp.id, key, err)
+				fail("audit %s key %s: %v", rp.ID, ref.key, err)
+				return
 			}
-			if !bytes.Equal(got, want) {
-				return fail("audit %s key %s: POISONED cache entry (%d bytes differ from reference)", rp.id, key, len(got))
+			if !bytes.Equal(got, ref.body) {
+				fail("audit %s key %s: POISONED cache entry (%d bytes differ from reference)", rp.ID, ref.key, len(got))
+				return
 			}
 		}
 	}
@@ -464,30 +341,22 @@ func runScenario(ctx context.Context, cfg Config, refs []reference, seed int64, 
 	// At worst every replica simulates every key locally once; a faulty
 	// peer tier must never amplify compute beyond that.
 	var runs uint64
-	for _, rp := range replicas {
-		runs += rp.srv.Metrics().Runs
+	for _, rp := range lb.Replicas {
+		runs += rp.Server.Metrics().Runs
 	}
 	if max := uint64(len(refs) * n); runs > max {
-		return fail("compute amplification: %d simulations across the cluster, bound is %d", runs, max)
+		fail("compute amplification: %d simulations across the cluster, bound is %d", runs, max)
+		return
 	}
 
 	switch {
-	case planIdx < 0:
-		o.Class = ClassBaselineOK
+	case o.PlanIndex < 0:
+		o.Class = chaos.ClassBaselineOK
 	case lossy:
 		o.Class = ClassLossSurvived
 	default:
-		o.Class = ClassDelayOK
+		o.Class = chaos.ClassDelayOK
 	}
-	return o
-}
-
-// classNameForPlan names the non-loss scenario kind for messages.
-func (o Outcome) classNameForPlan() string {
-	if o.PlanIndex < 0 {
-		return "baseline"
-	}
-	return "delay-class"
 }
 
 // typedError reports whether err is an acceptable failure shape under a

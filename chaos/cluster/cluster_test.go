@@ -3,10 +3,15 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"os"
 	"runtime"
 	"testing"
 	"time"
+
+	"hfstream/chaos"
+	scluster "hfstream/serve/cluster"
 )
 
 // corpus mirrors chaos/testdata/cluster_seeds.json.
@@ -80,7 +85,7 @@ func TestClusterChaosSmoke(t *testing.T) {
 		Seeds:        c.Seeds[:1], // CI smoke: one seed; the full corpus runs via cmd/hfchaos -cluster
 		PlansPerSeed: c.PlansPerSeed,
 		Replicas:     c.Replicas,
-		Progress: func(done, total int, o Outcome) {
+		Progress: func(done, total int, o chaos.Outcome) {
 			t.Logf("[%d/%d] seed=%d plan=%d %-14s errors=%d retries=%d %v",
 				done, total, o.Seed, o.PlanIndex, o.Class, o.Errors, o.Retries, o.Wall.Round(time.Millisecond))
 		},
@@ -100,7 +105,7 @@ func TestClusterChaosSmoke(t *testing.T) {
 	for _, o := range rep.Outcomes {
 		seen[o.Class] = true
 	}
-	for _, want := range []string{ClassBaselineOK, ClassDelayOK, ClassLossSurvived} {
+	for _, want := range []string{chaos.ClassBaselineOK, chaos.ClassDelayOK, ClassLossSurvived} {
 		if !seen[want] {
 			t.Errorf("no scenario classified %s:\n%s", want, rep.String())
 		}
@@ -116,4 +121,56 @@ func TestClusterChaosSmoke(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Errorf("goroutines: %d before sweep, %d after", before, runtime.NumGoroutine())
+}
+
+// TestCanceledClusterSweep: the service-tier sweep goes through the same
+// chaos.Run, so a caller that gave up gets context.Canceled and a report
+// with no scenario in it — not a failed one.
+func TestCanceledClusterSweep(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := Sweep(ctx, Config{Seeds: []int64{1}, PlansPerSeed: 2})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rep == nil || rep.Runs != len(rep.Outcomes) || len(rep.Failed()) != 0 {
+		t.Fatalf("report = %+v, want no failed outcome and Runs == len(Outcomes)", rep)
+	}
+}
+
+// TestScenarioIssuesEveryRequest: a scenario sends all of cfg.Requests,
+// not the largest multiple of its worker count below it. A baseline has
+// no faults and so no retries, and the audit reads /v1/peer, which the
+// request counter does not see — the replicas' counters sum to exactly
+// what the driver issued. (It was 4 of 5 when each of four workers took
+// Requests/4, and a scenario of 3 requests passed having sent none.)
+func TestScenarioIssuesEveryRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts an hfserve cluster")
+	}
+	ctx := context.Background()
+	refs, err := references(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, requests := range []int{3, 5} {
+		lb, err := scluster.NewLoopback(3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc := &http.Client{Transport: &http.Transport{}}
+		o := chaos.Outcome{Seed: 1, PlanIndex: -1, Replicas: 3}
+		drive(ctx, Config{Requests: requests, MaxLatency: 10 * time.Second}, refs, lb, hc, &o)
+		var served uint64
+		for _, r := range lb.Replicas {
+			served += r.Server.Metrics().Requests
+		}
+		hc.CloseIdleConnections()
+		if err := lb.Close(ctx); err != nil {
+			t.Error(err)
+		}
+		if o.Class != chaos.ClassBaselineOK || served != uint64(requests) {
+			t.Errorf("Requests %d: class %s (%s), replicas served %d requests", requests, o.Class, o.Detail, served)
+		}
+	}
 }

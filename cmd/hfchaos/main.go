@@ -25,8 +25,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -38,138 +40,118 @@ import (
 	clusterchaos "hfstream/chaos/cluster"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status as values, so the CLI's
+// contract can be tested: 0 when every case upheld the robustness
+// contract, 1 on a violation, a bad seed or design or an interrupted
+// sweep, 2 on a flag the flag package rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hfchaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seedList = flag.String("seeds", "1,2,3,4,5,6", "comma-separated workload seeds")
-		seed0    = flag.Int64("seed0", 0, "with -n: first seed of a contiguous range (overrides -seeds)")
-		n        = flag.Int("n", 0, "with -seed0: number of seeds")
-		plans    = flag.Int("plans", 4, "fault plans per (seed, design), on top of the fault-free baseline")
-		designs  = flag.String("designs", "", "comma-separated design points (default: all seven)")
-		jobs     = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
-		timeout  = flag.Duration("timeout", 60*time.Second, "per-run wall-clock limit; exceeding it is a failure")
-		verbose  = flag.Bool("v", false, "print every run as it completes")
+		seedList = fs.String("seeds", "1,2,3,4,5,6", "comma-separated workload seeds")
+		seed0    = fs.Int64("seed0", 0, "with -n: first seed of a contiguous range (overrides -seeds)")
+		n        = fs.Int("n", 0, "with -seed0: number of seeds")
+		plans    = fs.Int("plans", 4, "fault plans per (seed, design), on top of the fault-free baseline")
+		designs  = fs.String("designs", "", "comma-separated design points (default: all seven)")
+		jobs     = fs.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
+		timeout  = fs.Duration("timeout", 60*time.Second, "per-run wall-clock limit; exceeding it is a failure")
+		verbose  = fs.Bool("v", false, "print every run as it completes")
 
-		clusterMode = flag.Bool("cluster", false, "service-tier chaos: faulted hfserve clusters instead of kernel runs")
-		replicas    = flag.Int("replicas", 3, "with -cluster: replicas per scenario")
-		requests    = flag.Int("requests", 24, "with -cluster: driver requests per scenario")
+		clusterMode = fs.Bool("cluster", false, "service-tier chaos: faulted hfserve clusters instead of kernel runs")
+		replicas    = fs.Int("replicas", 3, "with -cluster: replicas per scenario")
+		requests    = fs.Int("requests", 24, "with -cluster: driver requests per scenario")
 	)
-	flag.Parse()
-
-	cfg := chaos.Config{
-		PlansPerSeed: *plans,
-		Jobs:         *jobs,
-		Timeout:      *timeout,
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "hfchaos:", err)
+		return 1
+	}
+
+	var seeds []int64
 	if *n > 0 {
 		for i := 0; i < *n; i++ {
-			cfg.Seeds = append(cfg.Seeds, *seed0+int64(i))
+			seeds = append(seeds, *seed0+int64(i))
 		}
 	} else {
 		for _, s := range strings.Split(*seedList, ",") {
 			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "hfchaos: bad seed %q: %v\n", s, err)
-				os.Exit(1)
+				return fatal(fmt.Errorf("bad seed %q: %v", s, err))
 			}
-			cfg.Seeds = append(cfg.Seeds, v)
+			seeds = append(seeds, v)
 		}
 	}
+
+	// Every outcome under -v, on stdout; otherwise only the failures, on
+	// stderr, as they happen (the report repeats them with replay lines).
+	progress := func(done, total int, o chaos.Outcome) {
+		w := stdout
+		if !*verbose {
+			if o.Class != chaos.ClassFail {
+				return
+			}
+			w = stderr
+		}
+		on, plan, detail := o.Design, o.Plan, ""
+		if o.Replicas > 0 {
+			on = fmt.Sprintf("replicas=%d", o.Replicas)
+		}
+		if plan == "" {
+			plan = "baseline"
+		}
+		if o.Detail != "" {
+			detail = " (" + o.Detail + ")"
+		}
+		fmt.Fprintf(w, "[%3d/%3d] seed=%-4d %-16s %-40s %s%s\n", done, total, o.Seed, on, plan, o.Class, detail)
+		if o.Replicas > 0 {
+			fmt.Fprintf(w, "          errors=%d retries=%d %v\n", o.Errors, o.Retries, o.Wall.Round(time.Millisecond))
+		}
+		for _, s := range o.Shots {
+			fmt.Fprintf(w, "          shot: %s\n", s)
+		}
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	start := time.Now()
+
+	// -cluster chooses the family of cases; the report and the exit status
+	// are the same for both.
+	var rep *chaos.Report
+	var err error
 	if *clusterMode {
-		runCluster(cfg.Seeds, *plans, *replicas, *requests, *timeout, *verbose)
-		return
-	}
-	if *designs != "" {
-		for _, name := range strings.Split(*designs, ",") {
-			d, err := hfstream.DesignByName(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "hfchaos:", err)
-				os.Exit(1)
-			}
-			cfg.Designs = append(cfg.Designs, d)
-		}
-	}
-	if *verbose {
-		cfg.Progress = func(done, total int, o chaos.Outcome) {
-			plan := o.Plan
-			if plan == "" {
-				plan = "baseline"
-			}
-			detail := ""
-			if o.Detail != "" {
-				detail = " (" + o.Detail + ")"
-			}
-			fmt.Printf("[%3d/%3d] seed=%-4d %-16s %-40s %s%s\n",
-				done, total, o.Seed, o.Design, plan, o.Class, detail)
-			for _, s := range o.Shots {
-				fmt.Printf("          shot: %s\n", s)
-			}
-		}
+		rep, err = clusterchaos.Sweep(ctx, clusterchaos.Config{
+			Seeds: seeds, PlansPerSeed: *plans, Replicas: *replicas, Requests: *requests,
+			Timeout: *timeout, Progress: progress,
+		})
 	} else {
-		cfg.Progress = func(done, total int, o chaos.Outcome) {
-			if o.Class == chaos.ClassFail {
-				fmt.Fprintf(os.Stderr, "hfchaos: FAIL seed=%d design=%s plan=%q: %s\n",
-					o.Seed, o.Design, o.Plan, o.Detail)
+		cfg := chaos.Config{Seeds: seeds, PlansPerSeed: *plans, Jobs: *jobs, Timeout: *timeout, Progress: progress}
+		if *designs != "" {
+			for _, name := range strings.Split(*designs, ",") {
+				d, err := hfstream.DesignByName(strings.TrimSpace(name))
+				if err != nil {
+					return fatal(err)
+				}
+				cfg.Designs = append(cfg.Designs, d)
 			}
 		}
+		rep, err = chaos.Sweep(ctx, cfg)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	start := time.Now()
-	rep, err := chaos.Sweep(ctx, cfg)
+	if rep != nil {
+		fmt.Fprintf(stdout, "%s(%v)\n", rep.String(), time.Since(start).Round(time.Millisecond))
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hfchaos:", err)
-		os.Exit(1)
+		return fatal(err)
 	}
-	fmt.Printf("%s(%v)\n", rep.String(), time.Since(start).Round(time.Millisecond))
 	if rep.Failures > 0 {
-		os.Exit(1)
+		return 1
 	}
-}
-
-// runCluster executes the service-tier sweep and exits with the
-// appropriate status.
-func runCluster(seeds []int64, plans, replicas, requests int, timeout time.Duration, verbose bool) {
-	cfg := clusterchaos.Config{
-		Seeds:        seeds,
-		PlansPerSeed: plans,
-		Replicas:     replicas,
-		Requests:     requests,
-		Timeout:      timeout,
-	}
-	if verbose {
-		cfg.Progress = func(done, total int, o clusterchaos.Outcome) {
-			plan := o.Plan
-			if plan == "" {
-				plan = "baseline"
-			}
-			detail := ""
-			if o.Detail != "" {
-				detail = " (" + o.Detail + ")"
-			}
-			fmt.Printf("[%3d/%3d] seed=%-4d plan=%-2d %-14s errors=%d retries=%d %v%s\n        %s\n",
-				done, total, o.Seed, o.PlanIndex, o.Class, o.Errors, o.Retries,
-				o.Wall.Round(time.Millisecond), detail, plan)
-		}
-	} else {
-		cfg.Progress = func(done, total int, o clusterchaos.Outcome) {
-			if o.Class == clusterchaos.ClassFail {
-				fmt.Fprintf(os.Stderr, "hfchaos: FAIL seed=%d plan=%d: %s\n", o.Seed, o.PlanIndex, o.Detail)
-			}
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	start := time.Now()
-	rep, err := clusterchaos.Sweep(ctx, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hfchaos:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s(%v)\n", rep.String(), time.Since(start).Round(time.Millisecond))
-	if rep.Failures > 0 {
-		os.Exit(1)
-	}
+	return 0
 }

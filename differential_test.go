@@ -25,11 +25,9 @@ package hfstream_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -460,57 +458,30 @@ func TestDifferentialSweep(t *testing.T) {
 
 // ---- cluster battery ------------------------------------------------
 
-// swapHandler lets a replica's HTTP server exist (with a concrete URL)
-// before the serve.Server it fronts — the peering layer needs every
-// replica's URL, and each serve.Server needs its peering.
-type swapHandler struct{ h atomic.Value }
-
-func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if h, ok := s.h.Load().(http.Handler); ok {
-		h.ServeHTTP(w, r)
-		return
-	}
-	http.Error(w, "replica not ready", http.StatusServiceUnavailable)
-}
-
-// diffCluster is an in-process peered cluster for the battery: n
-// replicas with full-mesh membership over httptest servers.
+// diffCluster is an in-process peered cluster for the battery: a
+// cluster.Loopback and one typed client per replica.
 type diffCluster struct {
-	ids      []string
-	servers  []*serve.Server
-	peerings []*cluster.Peering
-	ts       []*httptest.Server
-	clients  []*client.Client
+	*cluster.Loopback
+	clients []*client.Client
 }
 
 func newDiffCluster(t *testing.T, n int) *diffCluster {
 	t.Helper()
-	c := &diffCluster{}
-	urls := make(map[string]string, n)
-	swaps := make([]*swapHandler, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("n%d", i)
-		c.ids = append(c.ids, id)
-		swaps[i] = &swapHandler{}
-		ts := httptest.NewServer(swaps[i])
-		c.ts = append(c.ts, ts)
-		urls[id] = ts.URL
+	lb, err := cluster.NewLoopback(n, func(i int, pc *cluster.Config, sc *serve.Config) { sc.Workers = 1 })
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		p, err := cluster.New(cluster.Config{Self: c.ids[i], Peers: urls})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := serve.New(serve.Config{Workers: 1, Peer: p})
-		swaps[i].h.Store(srv.Handler())
-		c.peerings = append(c.peerings, p)
-		c.servers = append(c.servers, srv)
-		c.clients = append(c.clients, client.New(urls[c.ids[i]]))
+	c := &diffCluster{Loopback: lb}
+	hc := &http.Client{Transport: &http.Transport{}}
+	for _, r := range lb.Replicas {
+		c.clients = append(c.clients, client.New(r.URL, client.WithHTTPClient(hc)))
 	}
 	t.Cleanup(func() {
-		for i := range c.ts {
-			c.ts[i].Close()
-			c.peerings[i].Close()
+		hc.CloseIdleConnections()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := lb.Close(ctx); err != nil {
+			t.Error(err)
 		}
 	})
 	return c
@@ -521,8 +492,8 @@ func (c *diffCluster) flush(t *testing.T) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	for _, p := range c.peerings {
-		if err := p.Flush(ctx); err != nil {
+	for _, r := range c.Replicas {
+		if err := r.Peering.Flush(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -531,8 +502,8 @@ func (c *diffCluster) flush(t *testing.T) {
 // index maps a replica ID back to its slot.
 func (c *diffCluster) index(t *testing.T, id string) int {
 	t.Helper()
-	for i, have := range c.ids {
-		if have == id {
+	for i, r := range c.Replicas {
+		if r.ID == id {
 			return i
 		}
 	}
@@ -543,8 +514,8 @@ func (c *diffCluster) index(t *testing.T, id string) int {
 // totalRuns sums the simulation counters across the cluster.
 func (c *diffCluster) totalRuns() uint64 {
 	var total uint64
-	for _, s := range c.servers {
-		total += s.Metrics().Runs
+	for _, r := range c.Replicas {
+		total += r.Server.Metrics().Runs
 	}
 	return total
 }
@@ -573,7 +544,7 @@ func TestDifferentialCluster(t *testing.T) {
 		}
 		// The ring is identical on every replica; route like a balancer
 		// would: cold traffic lands on the key's primary owner.
-		owners := c.peerings[0].Owners(key)
+		owners := c.Replicas[0].Peering.Owners(key)
 		if len(owners) != 2 {
 			t.Fatalf("%s: %d owners, want replication 2", cse.name, len(owners))
 		}
@@ -636,7 +607,7 @@ func TestDifferentialCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	staged := hfstream.Spec{Bench: "adpcmdec", Design: hfstream.SyncOptiSCQ64.Name() + "_3CORE"}
-	before := c.servers[0].Metrics().Runs
+	before := c.Replicas[0].Server.Metrics().Runs
 	const fanIn = 6
 	results := make([]*client.RunResult, fanIn)
 	var wg sync.WaitGroup
@@ -659,7 +630,7 @@ func TestDifferentialCluster(t *testing.T) {
 			t.Errorf("coalesced cluster request %d: body differs from the RunCtx(WithCores(3)) snapshot", i)
 		}
 	}
-	if ran := c.servers[0].Metrics().Runs - before; ran != 1 {
+	if ran := c.Replicas[0].Server.Metrics().Runs - before; ran != 1 {
 		t.Errorf("coalesced fan-in simulated %d times, want 1", ran)
 	}
 }

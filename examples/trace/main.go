@@ -12,9 +12,7 @@ import (
 	"log"
 	"os"
 
-	"hfstream/internal/design"
-	"hfstream/internal/exp"
-	"hfstream/internal/workloads"
+	"hfstream"
 	"hfstream/trace"
 )
 
@@ -29,23 +27,17 @@ func main() {
 	if len(os.Args) > 3 {
 		out = os.Args[3]
 	}
-	b, err := workloads.ByName(benchName)
+	b, err := hfstream.BenchmarkByName(benchName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cfg design.Config
-	found := false
-	for _, c := range design.StandardConfigs() {
-		if c.Name() == designName {
-			cfg, found = c, true
-		}
-	}
-	if !found {
-		log.Fatalf("unknown design %q (try HEAVYWT, SYNCOPTI, EXISTING)", designName)
+	d, err := hfstream.DesignByName(designName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	buf := trace.NewBuffer(1 << 18)
-	res, err := exp.RunBenchmarkOpts(context.Background(), b, cfg, exp.RunOpts{Trace: buf})
+	res, err := hfstream.RunCtx(context.Background(), b, d, hfstream.WithTrace(buf))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,10 +52,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("%s on %s: %d cycles\n", b.Name, cfg.Name(), res.Cycles)
-	for i := range res.Stalls {
+	fmt.Printf("%s on %s: %d cycles\n", b.Name(), d.Name(), res.Cycles)
+	for i, stalls := range res.StallSummaries {
 		fmt.Printf("  core %d: %d issue cycles of %d, stalls: %s\n",
-			i, res.IssueCycles[i], res.CoreCycles[i], res.Stalls[i].Summary())
+			i, res.IssueCycles[i], res.CoreCycles[i], stalls)
 	}
 	fmt.Printf("wrote %d events to %s (%d dropped); open it in chrome://tracing or ui.perfetto.dev\n",
 		buf.Len(), out, buf.Dropped())

@@ -337,11 +337,8 @@ type Injector struct {
 	pending []Event // not yet fired
 	counts  [numSites]uint64
 
-	// Sticky severed queues per loss kind.
-	cutForward map[int]bool
-	cutAck     map[int]bool
-	cutCredit  map[int]bool
-	cutData    map[int]bool
+	// cut[k] is the set of queues a fired loss event of kind k severed.
+	cut [numKinds]map[int]bool
 
 	shots     []Shot
 	lossFired bool
@@ -349,15 +346,7 @@ type Injector struct {
 
 // Injector builds the per-run injector for the plan.
 func (p Plan) Injector() *Injector {
-	in := &Injector{
-		plan:       p,
-		pending:    append([]Event(nil), p.Events...),
-		cutForward: map[int]bool{},
-		cutAck:     map[int]bool{},
-		cutCredit:  map[int]bool{},
-		cutData:    map[int]bool{},
-	}
-	return in
+	return &Injector{plan: p, pending: append([]Event(nil), p.Events...)}
 }
 
 // Plan returns the plan the injector was built from.
@@ -368,26 +357,36 @@ func (in *Injector) Plan() Plan {
 	return in.plan
 }
 
-// take counts one occurrence at the kind's site and returns the first
-// pending event of that kind whose Nth matches, removing it.
-func (in *Injector) take(k Kind) (Event, bool) {
-	s := site(k)
+// fate decides one operation at site s for queue q (-1: the site is not
+// per-queue). loss is the site's loss kind; a site that has none passes
+// its delay kind, which no event ever severs. A queue already severed
+// keeps dropping, and that repeat drop is logged but is not an occurrence.
+// Otherwise the operation is counted and the first pending event at the
+// site whose Nth it is fires, whichever of the site's kinds it has: a
+// loss event severs q from now on, a delay event returns its stretch.
+func (in *Injector) fate(s int, loss Kind, cycle uint64, q int) (drop bool, delay, count uint64) {
+	if in.cut[loss][q] {
+		in.shots = append(in.shots, Shot{Kind: loss, Cycle: cycle, Queue: q})
+		return true, 0, 0
+	}
 	in.counts[s]++
-	n := in.counts[s]
 	for i, e := range in.pending {
-		if site(e.Kind) == s && e.Nth == n {
-			in.pending = append(in.pending[:i], in.pending[i+1:]...)
-			return e, true
+		if site(e.Kind) != s || e.Nth != in.counts[s] {
+			continue
 		}
+		in.pending = append(in.pending[:i], in.pending[i+1:]...)
+		in.shots = append(in.shots, Shot{Kind: e.Kind, Cycle: cycle, Queue: q, Delay: e.Delay, Count: e.Count})
+		if e.Kind.Class() == ClassLoss {
+			in.lossFired = true
+			if in.cut[e.Kind] == nil {
+				in.cut[e.Kind] = map[int]bool{}
+			}
+			in.cut[e.Kind][q] = true
+			return true, 0, 0
+		}
+		return false, e.Delay, e.Count
 	}
-	return Event{}, false
-}
-
-func (in *Injector) fire(e Event, cycle uint64, q int) {
-	in.shots = append(in.shots, Shot{Kind: e.Kind, Cycle: cycle, Queue: q, Delay: e.Delay, Count: e.Count})
-	if e.Kind.Class() == ClassLoss {
-		in.lossFired = true
-	}
+	return false, 0, 0
 }
 
 // BusDelay counts one bus grant and returns the extra service latency to
@@ -396,11 +395,8 @@ func (in *Injector) BusDelay(cycle uint64) uint64 {
 	if in == nil {
 		return 0
 	}
-	if e, ok := in.take(BusDelay); ok {
-		in.fire(e, cycle, -1)
-		return e.Delay
-	}
-	return 0
+	_, delay, _ := in.fate(siteBus, BusDelay, cycle, -1)
+	return delay
 }
 
 // ForwardFate counts one item-carrying stream-forward delivery for queue
@@ -410,20 +406,8 @@ func (in *Injector) ForwardFate(cycle uint64, q int) (drop bool, delay uint64) {
 	if in == nil {
 		return false, 0
 	}
-	if in.cutForward[q] {
-		in.shots = append(in.shots, Shot{Kind: ForwardDrop, Cycle: cycle, Queue: q})
-		return true, 0
-	}
-	e, ok := in.take(ForwardDelay) // site-shared lookup matches either kind
-	if !ok {
-		return false, 0
-	}
-	in.fire(e, cycle, q)
-	if e.Kind == ForwardDrop {
-		in.cutForward[q] = true
-		return true, 0
-	}
-	return false, e.Delay
+	drop, delay, _ = in.fate(siteForward, ForwardDrop, cycle, q)
+	return drop, delay
 }
 
 // AckSwallowed counts one bulk-ACK delivery for queue q and reports
@@ -432,16 +416,8 @@ func (in *Injector) AckSwallowed(cycle uint64, q int) bool {
 	if in == nil {
 		return false
 	}
-	if in.cutAck[q] {
-		in.shots = append(in.shots, Shot{Kind: StaleOccupancy, Cycle: cycle, Queue: q})
-		return true
-	}
-	if e, ok := in.take(StaleOccupancy); ok {
-		in.fire(e, cycle, q)
-		in.cutAck[q] = true
-		return true
-	}
-	return false
+	drop, _, _ := in.fate(siteAck, StaleOccupancy, cycle, q)
+	return drop
 }
 
 // CreditFate counts one synchronization-array credit delivery for queue
@@ -450,20 +426,8 @@ func (in *Injector) CreditFate(cycle uint64, q int) (drop bool, delay uint64) {
 	if in == nil {
 		return false, 0
 	}
-	if in.cutCredit[q] {
-		in.shots = append(in.shots, Shot{Kind: SACreditDrop, Cycle: cycle, Queue: q})
-		return true, 0
-	}
-	e, ok := in.take(SAAckDelay) // site-shared lookup matches either kind
-	if !ok {
-		return false, 0
-	}
-	in.fire(e, cycle, q)
-	if e.Kind == SACreditDrop {
-		in.cutCredit[q] = true
-		return true, 0
-	}
-	return false, e.Delay
+	drop, delay, _ = in.fate(siteCredit, SACreditDrop, cycle, q)
+	return drop, delay
 }
 
 // DataDropped counts one synchronization-array data delivery for queue q
@@ -472,16 +436,8 @@ func (in *Injector) DataDropped(cycle uint64, q int) bool {
 	if in == nil {
 		return false
 	}
-	if in.cutData[q] {
-		in.shots = append(in.shots, Shot{Kind: SADataDrop, Cycle: cycle, Queue: q})
-		return true
-	}
-	if e, ok := in.take(SADataDrop); ok {
-		in.fire(e, cycle, q)
-		in.cutData[q] = true
-		return true
-	}
-	return false
+	drop, _, _ := in.fate(siteData, SADataDrop, cycle, q)
+	return drop
 }
 
 // RecircStorm counts one OzQ resolution and returns the number of extra
@@ -490,11 +446,8 @@ func (in *Injector) RecircStorm(cycle uint64) uint64 {
 	if in == nil {
 		return 0
 	}
-	if e, ok := in.take(RecircStorm); ok {
-		in.fire(e, cycle, -1)
-		return e.Count
-	}
-	return 0
+	_, _, count := in.fate(siteRecirc, RecircStorm, cycle, -1)
+	return count
 }
 
 // Fired reports whether any event has fired.

@@ -271,3 +271,62 @@ func TestPlanStringAndShotString(t *testing.T) {
 		t.Errorf("Shot.String: %q", got)
 	}
 }
+
+// TestLossSeversOnlyItsOwnKindAndQueue: over all eight kinds, a fired
+// loss event severs exactly its own (kind, queue) — every other queue at
+// its site and every queue at every other site keeps delivering — and a
+// fired delay event severs nothing.
+func TestLossSeversOnlyItsOwnKindAndQueue(t *testing.T) {
+	// dropped runs one operation at site s for queue q and reports
+	// whether the injector destroyed it.
+	dropped := func(in *Injector, s, q int) bool {
+		switch s {
+		case siteBus:
+			in.BusDelay(9)
+		case siteForward:
+			drop, _ := in.ForwardFate(9, q)
+			return drop
+		case siteAck:
+			return in.AckSwallowed(9, q)
+		case siteCredit:
+			drop, _ := in.CreditFate(9, q)
+			return drop
+		case siteData:
+			return in.DataDropped(9, q)
+		case siteRecirc:
+			in.RecircStorm(9)
+		}
+		return false
+	}
+	const hit, other = 3, 4
+	for k := Kind(0); k < numKinds; k++ {
+		e := Event{Kind: k, Nth: 1}
+		switch {
+		case k == RecircStorm:
+			e.Count = 2
+		case k.Class() == ClassDelay:
+			e.Delay = 5
+		}
+		if err := e.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		in := Plan{Events: []Event{e}}.Injector()
+		loss := k.Class() == ClassLoss
+		if got := dropped(in, site(k), hit); got != loss {
+			t.Fatalf("%s: firing operation dropped=%v, want %v", k, got, loss)
+		}
+		if !in.Fired() || in.LossFired() != loss {
+			t.Fatalf("%s: Fired=%v LossFired=%v", k, in.Fired(), in.LossFired())
+		}
+		for round := 0; round < 2; round++ { // severed is sticky, spared stays spared
+			for s := 0; s < numSites; s++ {
+				for _, q := range []int{hit, other} {
+					want := loss && s == site(k) && q == hit
+					if got := dropped(in, s, q); got != want {
+						t.Errorf("%s fired on q%d: site %d q%d dropped=%v, want %v", k, hit, s, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}

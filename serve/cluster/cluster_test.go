@@ -50,6 +50,10 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "replica not ready", http.StatusServiceUnavailable)
 }
 
+// testCluster is built by hand rather than by NewLoopback because these
+// tests reach under a running replica: they swap its handler (fillGate,
+// a lying peer) and close its listener mid-fill. The shared builder has
+// no parameter for either, and must not grow one only this file uses.
 type testCluster struct {
 	closed   bool
 	ids      []string

@@ -43,28 +43,23 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"hfstream/fault"
 )
 
-// Class separates latency-only faults from channel-loss faults.
-type Class int
+// Class is the sim tier's fault class: the two tiers share the
+// delay/loss split and what each class obliges its survivor to do.
+type Class = fault.Class
 
 // The fault classes.
 const (
 	// ClassDelay faults stretch latencies; requests still complete
 	// correctly.
-	ClassDelay Class = iota
+	ClassDelay = fault.ClassDelay
 	// ClassLoss faults sever or damage the channel; the resilience
 	// layer must detect them.
-	ClassLoss
+	ClassLoss = fault.ClassLoss
 )
-
-// String names the class.
-func (c Class) String() string {
-	if c == ClassLoss {
-		return "loss"
-	}
-	return "delay"
-}
 
 // Kind identifies one injectable network fault type.
 type Kind int
@@ -286,23 +281,17 @@ func RandomDelay(seed int64, n int) Plan {
 // traffic left to hurt. The full loss alphabet includes body-damage
 // kinds, so RandomLoss plans belong on digest-protected channels (the
 // peer tier).
-func RandomLoss(seed int64) Plan {
-	rng := rand.New(rand.NewSource(seed))
-	k := lossKinds[rng.Intn(len(lossKinds))]
-	e := Event{Kind: k, Nth: 1 + uint64(rng.Intn(6))}
-	if k == Reset || k == Burst5xx {
-		e.Count = 1 + uint64(rng.Intn(MaxBurst))
-	}
-	return Plan{Seed: seed, Events: []Event{e}}
-}
+func RandomLoss(seed int64) Plan { return randomLossFrom(seed, lossKinds) }
 
 // RandomDisconnect returns a seeded plan with exactly one
 // connection-level loss event (reset, 5xx burst, or partition) —
 // safe on channels without body digests, where a truncation or
 // bit-flip would be undetectable and therefore outside the contract.
-func RandomDisconnect(seed int64) Plan {
+func RandomDisconnect(seed int64) Plan { return randomLossFrom(seed, disconnectKinds) }
+
+func randomLossFrom(seed int64, kinds []Kind) Plan {
 	rng := rand.New(rand.NewSource(seed))
-	k := disconnectKinds[rng.Intn(len(disconnectKinds))]
+	k := kinds[rng.Intn(len(kinds))]
 	e := Event{Kind: k, Nth: 1 + uint64(rng.Intn(6))}
 	if k == Reset || k == Burst5xx {
 		e.Count = 1 + uint64(rng.Intn(MaxBurst))
@@ -379,6 +368,16 @@ func NewTransport(p Plan, inner http.RoundTripper) *Transport {
 // cluster.Config.HTTPClient and serve/client.WithHTTPClient take.
 func (t *Transport) Client() *http.Client { return &http.Client{Transport: t} }
 
+// CloseIdleConnections forwards to the wrapped transport. It is the
+// method (*http.Client).CloseIdleConnections looks for on its Transport;
+// without it, closing a faulted client's idle connections does nothing
+// and they stay pooled (see RESILIENCE.md "Teardown").
+func (t *Transport) CloseIdleConnections() {
+	if c, ok := t.inner.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
+}
+
 // Shots returns the log of fired faults in firing order. Sticky
 // partitions log one shot per refused request.
 func (t *Transport) Shots() []Shot {
@@ -430,6 +429,17 @@ func synth503(req *http.Request) *http.Response {
 	}
 }
 
+// refuse answers req without reaching the wire, the way kind k fails a
+// request: a synthetic 503 for Burst5xx, an injected reset for Reset
+// and Partition.
+func refuse(k Kind, req *http.Request) (*http.Response, error) {
+	closeReqBody(req)
+	if k == Burst5xx {
+		return synth503(req), nil
+	}
+	return nil, ErrInjectedReset
+}
+
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.mu.Lock()
@@ -440,19 +450,14 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.cut[host] {
 		t.shots = append(t.shots, Shot{Kind: Partition, N: n, Host: host})
 		t.mu.Unlock()
-		closeReqBody(req)
-		return nil, ErrInjectedReset
+		return refuse(Partition, req)
 	}
 	if t.burstLeft > 0 {
 		t.burstLeft--
 		k := t.burstKind
 		t.shots = append(t.shots, Shot{Kind: k, N: n, Host: host})
 		t.mu.Unlock()
-		closeReqBody(req)
-		if k == Reset {
-			return nil, ErrInjectedReset
-		}
-		return synth503(req), nil
+		return refuse(k, req)
 	}
 
 	var ev Event
@@ -470,19 +475,10 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		switch ev.Kind {
 		case Partition:
 			t.cut[host] = true
-			t.mu.Unlock()
-			closeReqBody(req)
-			return nil, ErrInjectedReset
 		case Reset, Burst5xx:
 			if ev.Count > 1 {
 				t.burstKind, t.burstLeft = ev.Kind, ev.Count-1
 			}
-			t.mu.Unlock()
-			closeReqBody(req)
-			if ev.Kind == Reset {
-				return nil, ErrInjectedReset
-			}
-			return synth503(req), nil
 		}
 	}
 	t.mu.Unlock()
@@ -491,6 +487,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 
 	switch ev.Kind {
+	case Partition, Reset, Burst5xx:
+		return refuse(ev.Kind, req)
 	case ConnectJitter:
 		time.Sleep(time.Duration(ev.DelayMs) * time.Millisecond)
 		return t.inner.RoundTrip(req)
@@ -504,14 +502,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			resp.Body = &trickleReader{rc: resp.Body, budget: time.Duration(ev.DelayMs) * time.Millisecond}
 		}
 		return resp, err
-	case TruncateBody:
-		resp, err := t.inner.RoundTrip(req)
-		if err != nil {
-			return resp, err
-		}
-		return truncateResponse(resp), nil
-	case CorruptBody:
-		if req.Body != nil && req.ContentLength > 0 {
+	case TruncateBody, CorruptBody:
+		if ev.Kind == CorruptBody && req.Body != nil && req.ContentLength > 0 {
 			if err := corruptRequest(req); err != nil {
 				return nil, err
 			}
@@ -521,7 +513,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if err != nil {
 			return resp, err
 		}
-		return corruptResponse(resp), nil
+		return damageResponse(resp, ev.Kind), nil
 	}
 	return t.inner.RoundTrip(req) // unreachable: every kind is handled
 }
@@ -574,19 +566,16 @@ func replaceBody(resp *http.Response, raw []byte) *http.Response {
 	return resp
 }
 
-func truncateResponse(resp *http.Response) *http.Response {
+// damageResponse halves the body (TruncateBody) or flips a byte of it
+// (CorruptBody); a body that cannot be read is passed on as it came.
+func damageResponse(resp *http.Response, k Kind) *http.Response {
 	raw, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err != nil || len(raw) == 0 {
-		return replaceBody(resp, raw)
-	}
-	return replaceBody(resp, raw[:len(raw)/2])
-}
-
-func corruptResponse(resp *http.Response) *http.Response {
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err == nil {
+	switch {
+	case err != nil:
+	case k == TruncateBody:
+		raw = raw[:len(raw)/2]
+	default:
 		flipByte(raw)
 	}
 	return replaceBody(resp, raw)

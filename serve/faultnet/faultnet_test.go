@@ -275,3 +275,24 @@ func TestTransportDelayClasses(t *testing.T) {
 		t.Errorf("shots = %+v, want all three delay events fired", shots)
 	}
 }
+
+// countingTransport counts the CloseIdleConnections calls that reach it.
+type countingTransport struct {
+	http.RoundTripper
+	closed int
+}
+
+func (c *countingTransport) CloseIdleConnections() { c.closed++ }
+
+// TestTransportForwardsCloseIdleConnections: closing a faulted client's
+// idle connections must reach the transport that pools them. The
+// http.Client only forwards to a Transport that has the method, so
+// without it the call is a silent no-op and a teardown that relies on it
+// leaves connections behind for http.Server.Shutdown to wait out.
+func TestTransportForwardsCloseIdleConnections(t *testing.T) {
+	inner := &countingTransport{RoundTripper: http.DefaultTransport}
+	NewTransport(Plan{}, inner).Client().CloseIdleConnections()
+	if inner.closed != 1 {
+		t.Fatalf("inner transport saw %d CloseIdleConnections calls, want 1", inner.closed)
+	}
+}
