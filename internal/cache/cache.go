@@ -6,6 +6,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // State is a line's MSI coherence state.
@@ -92,14 +93,46 @@ type Cache struct {
 	Hits, Misses, Evictions uint64
 }
 
+// pools recycles released arrays, one sync.Pool per geometry: a simulation
+// builds the same few arrays as the one before it, and clearing one is
+// cheaper than allocating it. A sync.Pool rather than a free list so that an
+// idle process hands the arrays back to the collector.
+var pools = struct {
+	sync.Mutex
+	m map[Params]*sync.Pool
+}{m: make(map[Params]*sync.Pool)}
+
+func poolFor(p Params) *sync.Pool {
+	pools.Lock()
+	defer pools.Unlock()
+	pool := pools.m[p]
+	if pool == nil {
+		pool = new(sync.Pool)
+		pools.m[p] = pool
+	}
+	return pool
+}
+
 // New builds a cache; it panics on invalid geometry (a configuration bug).
 func New(p Params) *Cache {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
+	if c, ok := poolFor(p).Get().(*Cache); ok {
+		return c
+	}
 	sets := p.Sets()
 	return &Cache{p: p, lines: make([]Line, sets*p.Ways), setMask: uint64(sets - 1),
 		lineShift: uint(bits.TrailingZeros(uint(p.LineBytes)))}
+}
+
+// Release clears the cache and offers it to the next New of the same
+// geometry; the caller must not use it afterwards. Releasing is optional:
+// a cache that is dropped instead is ordinary garbage.
+func (c *Cache) Release() {
+	clear(c.lines)
+	c.clock, c.Hits, c.Misses, c.Evictions = 0, 0, 0, 0
+	poolFor(c.p).Put(c)
 }
 
 // Params returns the cache geometry.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -167,4 +168,48 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		}
 	}()
 	New(Params{SizeBytes: 100, Ways: 3, LineBytes: 60})
+}
+
+// TestReleasedCacheIsFresh: whatever a cache held when it was released, the
+// next New of its geometry behaves exactly like an array that was never
+// used — same victims, same line contents, same counters — under a random
+// operation sequence. The reference takes a different Latency, which keys a
+// pool nothing is ever released to.
+func TestReleasedCacheIsFresh(t *testing.T) {
+	p := Params{SizeBytes: 1024, Ways: 2, LineBytes: 64, Latency: 1}
+	ref := p
+	ref.Latency = 99
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		dirty := New(p)
+		for i := 0; i < 200; i++ {
+			if l := dirty.Lookup(uint64(rng.Intn(64)) * 64); l != nil {
+				l.StreamWritten, l.StreamConsumed = 0xff, 3
+			}
+			dirty.Insert(uint64(rng.Intn(64))*64, State(1+rng.Intn(2)))
+		}
+		dirty.Release()
+
+		got, want := New(p), New(ref)
+		if n := got.CountValid(); n != 0 || got.Hits+got.Misses+got.Evictions != 0 {
+			t.Fatalf("round %d: New returned %d valid lines, stats %d/%d/%d", round, n, got.Hits, got.Misses, got.Evictions)
+		}
+		for i := 0; i < 300; i++ {
+			a, st := uint64(rng.Intn(64))*64, State(1+rng.Intn(2))
+			gl, wl := got.Lookup(a), want.Lookup(a)
+			if (gl == nil) != (wl == nil) || gl != nil && *gl != *wl {
+				t.Fatalf("round %d op %d: Lookup(%#x) = %+v, a fresh cache gives %+v", round, i, a, gl, wl)
+			}
+			gv, ge := got.Insert(a^0x40, st)
+			wv, we := want.Insert(a^0x40, st)
+			if gv != wv || ge != we {
+				t.Fatalf("round %d op %d: Insert evicts %+v/%v, a fresh cache %+v/%v", round, i, gv, ge, wv, we)
+			}
+		}
+		if got.Hits != want.Hits || got.Misses != want.Misses || got.Evictions != want.Evictions {
+			t.Fatalf("round %d: stats %d/%d/%d, a fresh cache %d/%d/%d", round,
+				got.Hits, got.Misses, got.Evictions, want.Hits, want.Misses, want.Evictions)
+		}
+		got.Release()
+	}
 }

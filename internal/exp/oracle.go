@@ -10,17 +10,21 @@ import (
 	"hfstream/internal/workloads"
 )
 
-// The oracle cache memoizes Expected per benchmark: the functional
-// interpreter is deterministic, so its output image is a pure function of
-// the benchmark name and one run per process suffices no matter how many
-// simulations verify against it. Entries are created under a mutex and
-// computed under a sync.Once, so concurrent runner workers asking for the
-// same benchmark share a single interpreter run and block only on that
+// The image cache memoizes, per benchmark name, the two images every
+// simulation of that benchmark needs: the input (what Setup writes) and the
+// oracle (what the functional interpreter makes of it). Both are pure
+// functions of the name — Setup and the interpreter are deterministic — so
+// one build per process suffices however many simulations run. A run takes
+// a copy-on-write fork of the input, which costs it only the pages it
+// writes; the oracle is such a fork too. Entries are created under a mutex
+// and computed under a sync.Once, so concurrent runner workers asking for
+// the same benchmark share a single build and block only on that
 // benchmark's entry, never on the whole cache.
 
 type oracleEntry struct {
 	once sync.Once
-	img  *mem.Memory
+	base *mem.Memory // input image: never written after Setup, only forked
+	img  *mem.Memory // oracle image: a fork of base after the interpreter ran
 	err  error
 }
 
@@ -33,7 +37,7 @@ var oracleCache = struct {
 // tests assert exactly one per benchmark per process.
 var oracleRuns atomic.Uint64
 
-// resetOracleCache drops all memoized oracle images (tests only).
+// resetOracleCache drops all memoized images (tests only).
 func resetOracleCache() {
 	oracleCache.Lock()
 	oracleCache.m = make(map[string]*oracleEntry)
@@ -41,40 +45,47 @@ func resetOracleCache() {
 	oracleCache.Unlock()
 }
 
+// images returns the benchmark's cache entry, built on first use.
+func images(name string) *oracleEntry {
+	oracleCache.Lock()
+	e := oracleCache.m[name]
+	if e == nil {
+		e = &oracleEntry{}
+		oracleCache.m[name] = e
+	}
+	oracleCache.Unlock()
+	e.once.Do(func() { e.base, e.img, e.err = computeOracle(name) })
+	return e
+}
+
 // Expected returns the oracle memory image for b: the single-threaded
 // program run to completion on the functional interpreter. The image is
 // memoized per benchmark name and shared across goroutines; callers must
 // treat it as read-only.
 func Expected(b *workloads.Benchmark) (*mem.Memory, error) {
-	oracleCache.Lock()
-	e := oracleCache.m[b.Name]
-	if e == nil {
-		e = &oracleEntry{}
-		oracleCache.m[b.Name] = e
-	}
-	oracleCache.Unlock()
-	e.once.Do(func() { e.img, e.err = computeOracle(b.Name) })
+	e := images(b.Name)
 	return e.img, e.err
 }
 
-// computeOracle runs the interpreter on a fresh benchmark instance so the
-// oracle never shares mutable state (programs, setup closures) with
-// simulations of the same benchmark on sibling goroutines.
-func computeOracle(name string) (*mem.Memory, error) {
+// computeOracle builds both images from a fresh benchmark instance so they
+// never share mutable state (programs, setup closures) with simulations of
+// the same benchmark on sibling goroutines.
+func computeOracle(name string) (base, oracle *mem.Memory, err error) {
 	b, err := workloads.ByName(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	prog, err := b.Single()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	img := mem.New()
-	b.Setup(img)
+	base = mem.New()
+	b.Setup(base)
+	oracle = base.Fork()
 	oracleRuns.Add(1)
-	m := interp.New(img, prog)
+	m := interp.New(oracle, prog)
 	if err := m.Run(0); err != nil {
-		return nil, fmt.Errorf("exp: %s oracle: %w", b.Name, err)
+		return nil, nil, fmt.Errorf("exp: %s oracle: %w", b.Name, err)
 	}
-	return img, nil
+	return base, oracle, nil
 }

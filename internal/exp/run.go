@@ -136,12 +136,15 @@ func plan(b *workloads.Benchmark, cfg design.Config) ([]sim.Thread, []memsys.Que
 	return threads, qr, nil
 }
 
-// execute builds the benchmark's memory image, simulates the threads on
+// execute forks the benchmark's input image, simulates the threads on
 // cfg's machine and checks the output region against the oracle. It is the
 // package's only caller of sim.Run.
 func execute(ctx context.Context, b *workloads.Benchmark, cfg design.Config, label string, threads []sim.Thread, routes []memsys.QueueRoute, opts RunOpts) (*sim.Result, error) {
-	img := mem.New()
-	b.Setup(img)
+	e := images(b.Name)
+	if e.err != nil {
+		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, label, e.err)
+	}
+	img := e.base.Fork()
 	simCfg := cfg.SimConfig()
 	simCfg.Preload = b.InputRegions
 	opts.Apply(&simCfg)

@@ -33,39 +33,45 @@ type Memory struct {
 	hiBase  uint64     // first page of the high window (valid when hiPages != nil)
 	hiPages [][]uint64 // high window: pages [hiBase, hiBase+maxDirectPages)
 	far     map[uint64]uint64
-	written int
 
-	// arena carves new pages out of geometrically grown blocks, so building
-	// a multi-megabyte workload image costs a handful of large allocations
-	// instead of one 32 KiB allocation (and GC object) per page.
-	arena      []uint64
-	arenaPages int // pages in the next block (doubles up to arenaMaxPages)
+	// owned and hiOwned mark, one bit per page of the window, the pages of
+	// a Fork that are its own; the others still alias the parent's, and the
+	// first write to one copies it. Pages past a bitmap's end are owned (an
+	// image that is nobody's fork has no bitmaps).
+	owned, hiOwned []uint64
 }
 
-const (
-	pageWords     = 1 << pageShift
-	arenaMinPages = 4
-	arenaMaxPages = 64
-)
-
-// newPage returns a zeroed page carved from the arena.
-func (m *Memory) newPage() []uint64 {
-	if len(m.arena) < pageWords {
-		if m.arenaPages < arenaMinPages {
-			m.arenaPages = arenaMinPages
-		}
-		m.arena = make([]uint64, m.arenaPages*pageWords)
-		if m.arenaPages < arenaMaxPages {
-			m.arenaPages *= 2
-		}
-	}
-	p := m.arena[:pageWords:pageWords]
-	m.arena = m.arena[pageWords:]
-	return p
-}
+const pageWords = 1 << pageShift
 
 // New returns an empty memory image.
 func New() *Memory { return &Memory{} }
+
+// Fork returns a copy-on-write child of m: it reads what m holds and keeps
+// its own writes, copying a page the first time it writes to it. Any
+// number of goroutines may fork and read m at once; m itself must not be
+// written after its first Fork, since its children alias its pages.
+func (m *Memory) Fork() *Memory {
+	n, h := len(m.pages), len(m.hiPages)
+	// One table and one bitmap, carved for both windows; the capacity
+	// limits make a window that grows reallocate instead of overrunning
+	// its neighbour.
+	table := make([][]uint64, n+h)
+	copy(table, m.pages)
+	copy(table[n:], m.hiPages)
+	nw := (n + 63) / 64
+	bits := make([]uint64, nw+(h+63)/64)
+	c := &Memory{pages: table[:n:n], hiBase: m.hiBase, owned: bits[:nw:nw], hiOwned: bits[nw:]}
+	if m.hiPages != nil {
+		c.hiPages = table[n:]
+	}
+	if m.far != nil {
+		c.far = make(map[uint64]uint64, len(m.far))
+		for w, v := range m.far {
+			c.far[w] = v
+		}
+	}
+	return c
+}
 
 // Read8 returns the 8-byte word at addr (0 if never written).
 func (m *Memory) Read8(addr uint64) uint64 {
@@ -93,49 +99,54 @@ func (m *Memory) Read8(addr uint64) uint64 {
 func (m *Memory) Write8(addr, val uint64) {
 	w := addr >> 3
 	pn := w >> pageShift
-	m.written++
-	if pn < maxDirectPages {
-		if pn >= uint64(len(m.pages)) {
-			grown := make([][]uint64, pn+1)
-			copy(grown, m.pages)
-			m.pages = grown
+	table, owned := &m.pages, m.owned
+	if pn >= maxDirectPages {
+		if m.hiPages == nil {
+			// Anchor the high window at the first high page touched.
+			m.hiBase = pn
+			m.hiPages = make([][]uint64, 0, 16)
 		}
-		p := m.pages[pn]
-		if p == nil {
-			p = m.newPage()
-			m.pages[pn] = p
+		if pn -= m.hiBase; pn >= maxDirectPages {
+			if m.far == nil {
+				m.far = make(map[uint64]uint64)
+			}
+			m.far[w] = val
+			return
 		}
-		p[w&pageMask] = val
-		return
+		table, owned = &m.hiPages, m.hiOwned
 	}
-	if m.hiPages == nil {
-		// Anchor the high window at the first high page touched.
-		m.hiBase = pn
-		m.hiPages = make([][]uint64, 0, 16)
-	}
-	if hi := pn - m.hiBase; hi < maxDirectPages {
-		if hi >= uint64(len(m.hiPages)) {
-			grown := make([][]uint64, hi+1)
-			copy(grown, m.hiPages)
-			m.hiPages = grown
+	if t := *table; pn < uint64(len(t)) {
+		if p := t[pn]; p != nil && owns(owned, pn) {
+			p[w&pageMask] = val
+			return
 		}
-		p := m.hiPages[hi]
-		if p == nil {
-			p = m.newPage()
-			m.hiPages[hi] = p
-		}
-		p[w&pageMask] = val
-		return
 	}
-	if m.far == nil {
-		m.far = make(map[uint64]uint64)
-	}
-	m.far[w] = val
+	ownPage(table, owned, pn)[w&pageMask] = val
 }
 
-// Len returns the number of stores ever performed (a rough occupancy
-// signal for diagnostics and tests).
-func (m *Memory) Len() int { return m.written }
+// owns reports whether page i of a window, if present, is the image's own.
+func owns(owned []uint64, i uint64) bool {
+	return i>>6 >= uint64(len(owned)) || owned[i>>6]>>(i&63)&1 != 0
+}
+
+// ownPage is Write8's slow path: it grows the window's table to reach page
+// i (geometrically, so an image written front to back copies its table
+// O(log pages) times) and installs a page this image owns, a copy of the
+// parent's when it had one.
+func ownPage(table *[][]uint64, owned []uint64, i uint64) []uint64 {
+	t := *table
+	if i >= uint64(len(t)) {
+		t = append(t, make([][]uint64, i+1-uint64(len(t)))...)
+		*table = t
+	}
+	p := make([]uint64, pageWords)
+	copy(p, t[i])
+	t[i] = p
+	if i>>6 < uint64(len(owned)) {
+		owned[i>>6] |= 1 << (i & 63)
+	}
+	return p
+}
 
 // Region is a contiguous chunk of the address space.
 type Region struct {

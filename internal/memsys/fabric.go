@@ -52,6 +52,17 @@ func NewFabric(p Params, m *mem.Memory, n int) (*Fabric, error) {
 	return f, nil
 }
 
+// Release hands the fabric's cache arrays back for the next fabric to
+// reuse (see cache.Release); the fabric and its controllers must not be
+// used afterwards.
+func (f *Fabric) Release() {
+	f.l3.Release()
+	for _, c := range f.ctrls {
+		c.l1.Release()
+		c.l2.Release()
+	}
+}
+
 // SetFaults installs a fault injector on the fabric and its bus. Call
 // before the first Tick; a nil injector disables injection.
 func (f *Fabric) SetFaults(in *fault.Injector) {

@@ -227,43 +227,54 @@ func validate(cfg *Config, threads []Thread) error {
 	if len(threads) == 0 {
 		return &ValidationError{Reason: "no threads"}
 	}
-	usedQs := make(map[int]bool)
+	// Prog.Validate bounds every queue number by the layout's NumQueues, so
+	// a slice remembers the ones in use; walking it names the lowest
+	// offending queue whatever order the programs used them in.
+	usedQs := make([]bool, max(cfg.Mem.Layout.NumQueues, 0))
+	anyQ := false
 	for i, t := range threads {
 		if t.Prog == nil {
 			return &ValidationError{Reason: fmt.Sprintf("thread %d: nil program", i)}
 		}
-		if err := t.Prog.Validate(cfg.Mem.Layout.NumQueues); err != nil {
+		if err := t.Prog.Validate(len(usedQs)); err != nil {
 			return &ValidationError{Reason: err.Error()}
 		}
 		for _, in := range t.Prog.Instrs {
 			if in.Op == isa.Produce || in.Op == isa.Consume {
-				usedQs[in.Q] = true
+				usedQs[in.Q], anyQ = true, true
 			}
 		}
 	}
-	if len(usedQs) > 0 && !cfg.UseSyncArray && !cfg.Mem.HWQueues {
+	if anyQ && !cfg.UseSyncArray && !cfg.Mem.HWQueues {
 		return &ValidationError{Reason: "program uses produce/consume but the design has neither " +
 			"hardware queues nor a synchronization array (lower to software queues first)"}
 	}
 	if cfg.UseSyncArray {
-		for q := range usedQs {
-			if q >= cfg.SA.NumQueues {
+		for q, used := range usedQs {
+			if used && q >= cfg.SA.NumQueues {
 				return &ValidationError{Reason: fmt.Sprintf(
 					"queue %d out of range: synchronization array has %d queues", q, cfg.SA.NumQueues)}
 			}
 		}
-		for q, r := range cfg.SA.MPMC {
-			for _, c := range append(append([]int{}, r.Producers...), r.Consumers...) {
-				if c < 0 || c >= len(threads) {
-					return &ValidationError{Reason: fmt.Sprintf(
-						"queue %d MPMC route references core %d outside [0,%d)", q, c, len(threads))}
+		// A route keyed outside the array is NewSyncArray's to reject.
+		for q := 0; q < cfg.SA.NumQueues; q++ {
+			r := cfg.SA.MPMC[q]
+			for _, side := range [2][]int{r.Producers, r.Consumers} {
+				for _, c := range side {
+					if c < 0 || c >= len(threads) {
+						return &ValidationError{Reason: fmt.Sprintf(
+							"queue %d MPMC route references core %d outside [0,%d)", q, c, len(threads))}
+					}
 				}
 			}
 		}
 	} else if cfg.Mem.HWQueues && len(threads) != 2 {
 		// Without the dual-core implicit-peer default every used queue
 		// needs an explicit, in-range route.
-		for q := range usedQs {
+		for q, used := range usedQs {
+			if !used {
+				continue
+			}
 			if q >= len(cfg.Mem.QueueRoutes) {
 				return &ValidationError{Reason: fmt.Sprintf(
 					"queue %d has no route: %d cores need explicit QueueRoutes", q, len(threads))}
@@ -303,6 +314,9 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 	if err != nil {
 		return nil, &ValidationError{Reason: err.Error()}
 	}
+	// Every exit recycles the cache arrays: the Result and any Diagnosis
+	// hold values only, so nothing refers to the fabric past this call.
+	defer fab.Release()
 	fab.SetFaults(cfg.Faults)
 	lineBytes := uint64(cfg.Mem.L2.LineBytes)
 	for _, r := range cfg.Preload {

@@ -9,6 +9,8 @@ import (
 	"hfstream/internal/design"
 	"hfstream/internal/isa"
 	"hfstream/internal/mem"
+	"hfstream/internal/memsys"
+	"hfstream/internal/queue"
 	"hfstream/internal/sim"
 )
 
@@ -129,6 +131,53 @@ func TestValidatesQueueNumbers(t *testing.T) {
 	_, err := sim.Run(cfg, mem.New(), []sim.Thread{{Prog: b.MustProgram()}, {Prog: b.MustProgram()}})
 	if err == nil {
 		t.Fatal("invalid queue number accepted")
+	}
+}
+
+// TestValidationNamesLowestQueue pins the four queue-routing messages, and
+// that a configuration with two offending queues always names the lower
+// one: the programs touch the higher queue first, and a map-ordered walk
+// would name either from run to run.
+func TestValidationNamesLowestQueue(t *testing.T) {
+	b := asm.NewBuilder("two-queues")
+	b.Produce(6, 1)
+	b.Produce(2, 1)
+	b.Halt()
+	three := []sim.Thread{{Prog: b.MustProgram()}, {Prog: b.MustProgram()}, {Prog: b.MustProgram()}}
+	heavy := func(edit func(*sim.Config)) sim.Config {
+		cfg := design.HeavyWTConfig().SimConfig()
+		edit(&cfg)
+		return cfg
+	}
+	routed := design.SyncOptiConfig().SimConfig()
+	routed.Mem.QueueRoutes = make([]memsys.QueueRoute, 8)
+	routed.Mem.QueueRoutes[2] = memsys.QueueRoute{Producer: 0, Consumer: 3}
+	routed.Mem.QueueRoutes[6] = memsys.QueueRoute{Producer: -1, Consumer: 1}
+	for _, tc := range []struct {
+		name string
+		cfg  sim.Config
+		want string
+	}{
+		{"sync-array range", heavy(func(c *sim.Config) { c.SA.NumQueues = 2 }),
+			"sim: queue 2 out of range: synchronization array has 2 queues"},
+		{"MPMC route core", heavy(func(c *sim.Config) {
+			c.SA.MPMC = map[int]queue.MPMCRoute{
+				6: {Producers: []int{0, 4}, Consumers: []int{1}},
+				2: {Producers: []int{0}, Consumers: []int{1, 3}},
+			}
+		}), "sim: queue 2 MPMC route references core 3 outside [0,3)"},
+		{"missing route", design.SyncOptiConfig().SimConfig(),
+			"sim: queue 2 has no route: 3 cores need explicit QueueRoutes"},
+		{"route core range", routed,
+			"sim: queue 2 route (0 -> 3) references cores outside [0,3)"},
+	} {
+		for i := 0; i < 20; i++ {
+			_, err := sim.Run(tc.cfg, mem.New(), three)
+			var ve *sim.ValidationError
+			if !errors.As(err, &ve) || err.Error() != tc.want {
+				t.Fatalf("%s, run %d: error %v, want ValidationError %q", tc.name, i, err, tc.want)
+			}
+		}
 	}
 }
 
