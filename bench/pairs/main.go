@@ -4,12 +4,13 @@
 // -workload W` in both trees as parent/change pairs, alternating which
 // side goes first, and reports each side's median and quartiles per
 // end-to-end metric of BENCHMARK.json, with the pairs the change won and
-// each side's share of failed operations. It is the harness behind `make
-// spine-pairs` and the BENCH_PR<n>.json files, and it is the regression
-// gate: it exits non-zero when, on a workload it ran, the change's median
-// of an end-to-end metric is worse than the baseline's by more than that
-// metric's bound in BENCHMARK.json, or the change failed a larger share of
-// its operations.
+// each side's share of failed operations, as Markdown tables; -render
+// prints the same tables for a report already written. It is the harness
+// behind `make spine-pairs` and the BENCH_PR<n>.json files, and it is the
+// regression gate: it exits non-zero when, on a workload it ran, the
+// change's median of an end-to-end metric is worse than the baseline's by
+// more than that metric's bound in BENCHMARK.json, or the change failed a
+// larger share of its operations.
 //
 // Each tree runs its own copy of the benchmark, so the comparison is only
 // meaningful while the change leaves bench/spine alone — which is what a
@@ -19,6 +20,7 @@
 //
 //	go run ./bench/pairs -base HEAD~1 -workload ncore
 //	go run ./bench/pairs -base 9634bad -workload matrix2,referee -pairs 1 -out BENCH_PR13.json
+//	go run ./bench/pairs -render BENCH_PR21.json
 package main
 
 import (
@@ -26,14 +28,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
-
-	"hfstream/internal/stats"
 )
 
 // Run is one `run.sh -workload` process set: the driver line it printed.
@@ -101,8 +103,15 @@ func main() {
 	workloads := flag.String("workload", "", "comma-separated workloads; default: every workload of BENCHMARK.json")
 	pairs := flag.Int("pairs", 10, "parent/change pairs per workload")
 	out := flag.String("out", "", "JSON report to write; pairs already in the file are kept and the new ones added")
+	render := flag.String("render", "", "print this report's summary as Markdown tables instead of running pairs")
 	flag.Parse()
-	if err := run(*base, *workloads, *pairs, *out); err != nil {
+	var err error
+	if *render != "" {
+		err = renderFile(*render, os.Stdout)
+	} else {
+		err = run(*base, *workloads, *pairs, *out)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "pairs:", err)
 		os.Exit(1)
 	}
@@ -199,7 +208,7 @@ func run(base, workloads string, pairs int, out string) error {
 		if err := w.recompute(decl.EndToEnd); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		printSummary(name, rep, w)
+		markdown(os.Stdout, name, rep, w)
 		for _, f := range w.regressions() {
 			failures = append(failures, name+": "+f)
 		}
@@ -328,18 +337,51 @@ func spread(v []float64) Spread {
 	return Spread{Q1: at(0.25), Median: at(0.5), Q3: at(0.75)}
 }
 
-func printSummary(name string, rep *Report, w *Workload) {
-	t := stats.NewTable(
-		fmt.Sprintf("%s: %d pairs, base %s (failed share %.4g), change %s (failed share %.4g)",
-			name, len(w.Pairs), rep.Base, w.BaseFailed, rep.Change, w.ChangeFailed),
-		"metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "change/base", "won", "lost", "tied")
+// markdown prints one workload's summary as the table an EXPERIMENTS.md
+// section quotes: each side's median [q1, q3], the ratio of the medians and
+// the pairs the change won, lost and tied.
+func markdown(out io.Writer, name string, rep *Report, w *Workload) {
+	fmt.Fprintf(out, "`%s`: %d pairs, base %s (failed share %.4g), change %s (failed share %.4g)\n\n",
+		name, len(w.Pairs), rep.Base, w.BaseFailed, rep.Change, w.ChangeFailed)
+	fmt.Fprintln(out, "| metric | unit | base median [q1, q3] | change median [q1, q3] | change/base | won/lost/tied |")
+	fmt.Fprintln(out, "|---|---|---|---|---|---|")
+	cell := func(s Spread) string { return num(s.Median) + " [" + num(s.Q1) + ", " + num(s.Q3) + "]" }
 	for _, s := range w.Summary {
-		t.AddRowf(s.Metric, s.Unit,
-			fmt.Sprintf("%.4g [%.4g, %.4g]", s.Base.Median, s.Base.Q1, s.Base.Q3),
-			fmt.Sprintf("%.4g [%.4g, %.4g]", s.Change.Median, s.Change.Q1, s.Change.Q3),
-			s.Change.Median/s.Base.Median, s.Wins, s.Losses, s.Ties)
+		fmt.Fprintf(out, "| `%s` | %s | %s | %s | %.4g | %d/%d/%d |\n", s.Metric, s.Unit,
+			cell(s.Base), cell(s.Change), s.Change.Median/s.Base.Median, s.Wins, s.Losses, s.Ties)
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(out)
+}
+
+// num prints four significant digits, and whole numbers from 10 000 up
+// rather than an exponent.
+func num(v float64) string {
+	if math.Abs(v) >= 1e4 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
+}
+
+// renderFile prints every workload of the report at path through markdown,
+// in name order.
+func renderFile(path string, out io.Writer) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var rep Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	names := make([]string, 0, len(rep.Workloads))
+	for name := range rep.Workloads {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		markdown(out, name, &rep, rep.Workloads[name])
+	}
+	return nil
 }
 
 func git(dir string, args ...string) (string, error) {

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/render_pr21.md")
 
 // Two metrics with BENCHMARK.json's shapes: a latency that may rise 25%
 // and a throughput that may fall 20%.
@@ -102,6 +108,37 @@ func TestSummarizeMissingMetric(t *testing.T) {
 		err := w.recompute(testMetrics)
 		if err == nil || !strings.Contains(err.Error(), "ops_per_kyt") {
 			t.Errorf("%s: err = %v, want one naming ops_per_kyt", name, err)
+		}
+	}
+}
+
+// TestRenderGolden pins -render on a checked-in report: BENCH_PR21.json's
+// tables, whose matrix2 and serve_hot rows EXPERIMENTS.md "BENCH_PR21"
+// typed by hand before the flag existed.
+func TestRenderGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := renderFile(filepath.Join("..", "..", "BENCH_PR21.json"), &got); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "render_pr21.md")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-render BENCH_PR21.json differs from %s (go test ./bench/pairs -update rewrites it):\n%s", golden, got.String())
+	}
+	for _, row := range []string{
+		"| `ops_per_kyt` | ops/kyt | 19.96 [19.82, 20.2] | 21.9 [21.77, 22.08] | 1.097 | 10/0/0 |",
+		"| `alloc_kb_per_op` | KiB | 1677 [1677, 1677] | 130.5 [130.3, 131.2] | 0.0778 | 10/0/0 |",
+	} {
+		if !strings.Contains(got.String(), row) {
+			t.Errorf("-render lost the matrix2 row EXPERIMENTS.md quotes: %s", row)
 		}
 	}
 }

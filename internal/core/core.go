@@ -164,6 +164,10 @@ type Core struct {
 	loads    int           // outstanding load count
 
 	halted bool
+	// replay reports that the last Tick issued nothing and stalled on a
+	// hazard inside the core (see Replay). It shares halted's word: one
+	// more would take Core, with its allocation header, past 2 KiB.
+	replay bool
 
 	// Stats.
 	Cycles      uint64
@@ -206,6 +210,9 @@ type Core struct {
 	// becomes ready. See FastForward and NextWake.
 	lastStallBucket stats.Bucket
 	stallWake       uint64
+	// stallTok is the token the last zero-issue cycle waited on (nil
+	// unless memory-token); Replay charges its live Loc.
+	stallTok *port.Token
 
 	// nextDue is the exact earliest DoneAt over every tracked token:
 	// issue updates it when a token is recorded, Token.Complete lowers it
@@ -285,13 +292,9 @@ func (c *Core) track(t *port.Token) {
 	}
 }
 
+// collect retires every token done by cycle and recomputes nextDue. Tick
+// calls it only once cycle reaches nextDue: before that nothing is due.
 func (c *Core) collect(cycle uint64) {
-	// nextDue is the exact earliest completion over every tracked token,
-	// so an earlier cycle cannot collect anything and the scans below
-	// would be no-ops.
-	if cycle < c.nextDue {
-		return
-	}
 	due := uint64(port.Pending)
 	m := c.pendMask
 	for m != 0 {
@@ -350,17 +353,22 @@ func (c *Core) collect(cycle uint64) {
 // Tick advances the core one cycle. Call after the memory subsystem has
 // ticked.
 func (c *Core) Tick(cycle uint64) {
-	c.collect(cycle)
+	if cycle >= c.nextDue {
+		c.collect(cycle)
+	}
 	// Every pend token left is outstanding; that count is the core's
 	// in-flight load/consume limit check, recomputed each tick exactly as
 	// the old per-tick collect scan did.
 	c.loads = bits.OnesCount64(c.pendMask)
+	c.replay = false
 	if c.Done(cycle) {
 		return
 	}
 	c.Cycles++
 	if c.halted {
-		// Draining: attribute to the oldest incomplete token's location.
+		// Draining: charge the pending token of the lowest-numbered
+		// register, else the first incomplete fire-and-forget token in
+		// issue order (drainBucket).
 		b := c.drainBucket(cycle)
 		c.Breakdown.Add(b, 1)
 		c.Stalls[StallHalted]++
@@ -371,29 +379,31 @@ func (c *Core) Tick(cycle uint64) {
 		return
 	}
 
+	pc, meta := c.pc, c.meta
+	width, fus := c.p.IssueWidth, &c.p.FUs
 	issued := 0
 	commOnly := true
 	var fuUsed [isa.NumFUs]int
 	stall := StallNone
-	var stallBucket stats.Bucket = stats.PreL2
+	var stallTok *port.Token
 	var stallWake uint64
 
 issueLoop:
-	for issued < c.p.IssueWidth {
-		m := &c.meta[c.pc]
+	for issued < width {
+		m := &meta[pc]
 		in := &m.in
 		fu := m.fu
 		// Register-mapped queue operations ride on the instructions that
 		// produce or use the value: no issue slot, no FU.
 		free := m.free
-		if !free && fuUsed[fu] >= c.p.FUs[fu] {
+		if !free && fuUsed[fu] >= fus[fu] {
 			stall = StallFU
 			break
 		}
 		// Operand readiness.
 		if m.readsRa {
 			if t := c.pend[in.Ra]; t != nil {
-				stall, stallBucket = StallToken, t.Loc
+				stall, stallTok = StallToken, t
 				break
 			}
 			if c.ready[in.Ra] > cycle {
@@ -403,7 +413,7 @@ issueLoop:
 		}
 		if m.readsRb {
 			if t := c.pend[in.Rb]; t != nil {
-				stall, stallBucket = StallToken, t.Loc
+				stall, stallTok = StallToken, t
 				break
 			}
 			if c.ready[in.Rb] > cycle {
@@ -420,7 +430,7 @@ issueLoop:
 		case isa.Halt:
 			c.halted = true
 			issued++
-			c.note(cycle, in)
+			c.note(cycle, pc, in)
 			break issueLoop
 
 		case isa.B, isa.Beqz, isa.Bnez:
@@ -429,15 +439,15 @@ issueLoop:
 				(in.Op == isa.Bnez && c.regs[in.Ra] != 0)
 			fuUsed[fu]++
 			issued++
-			c.note(cycle, in)
+			c.note(cycle, pc, in)
 			if !in.Comm {
 				commOnly = false
 			}
 			if taken {
-				c.pc = int(in.Imm)
+				pc = int(in.Imm)
 				break issueLoop
 			}
-			c.pc++
+			pc++
 
 		case isa.Ld:
 			if c.loads >= c.p.MaxOutstandingLoads {
@@ -457,11 +467,11 @@ issueLoop:
 			c.IssuedLoads++
 			fuUsed[fu]++
 			issued++
-			c.note(cycle, in)
+			c.note(cycle, pc, in)
 			if !in.Comm {
 				commOnly = false
 			}
-			c.pc++
+			pc++
 
 		case isa.St:
 			if !c.memp.CanAccept() {
@@ -474,11 +484,11 @@ issueLoop:
 			c.inflight = append(c.inflight, tok)
 			fuUsed[fu]++
 			issued++
-			c.note(cycle, in)
+			c.note(cycle, pc, in)
 			if !in.Comm {
 				commOnly = false
 			}
-			c.pc++
+			pc++
 
 		case isa.Fence:
 			if !c.memp.CanAccept() {
@@ -490,8 +500,8 @@ issueLoop:
 			c.inflight = append(c.inflight, tok)
 			fuUsed[fu]++
 			issued++
-			c.note(cycle, in)
-			c.pc++
+			c.note(cycle, pc, in)
+			pc++
 
 		case isa.Produce:
 			tok, ok := c.strm.Produce(cycle, in.Q, c.regs[in.Ra])
@@ -505,8 +515,9 @@ issueLoop:
 				fuUsed[fu]++
 				issued++
 			}
-			c.note(cycle, in)
-			c.pc++
+			c.Produces++
+			c.note(cycle, pc, in)
+			pc++
 
 		case isa.Consume:
 			tok, ok := c.strm.Consume(cycle, in.Q)
@@ -521,30 +532,43 @@ issueLoop:
 				fuUsed[fu]++
 				issued++
 			}
-			c.note(cycle, in)
-			c.pc++
+			c.Consumes++
+			c.note(cycle, pc, in)
+			pc++
 
 		default:
-			c.exec(in, cycle, m.lat)
+			// A register-register instruction: evaluate it and set the
+			// destination's ready cycle from the opcode latency.
+			if in.Op != isa.Nop {
+				c.regs[in.Rd] = isa.Eval(in.Op, c.regs[in.Ra], c.regs[in.Rb], in.Imm)
+				c.ready[in.Rd] = cycle + m.lat
+			}
 			fuUsed[fu]++
 			issued++
-			c.note(cycle, in)
+			c.note(cycle, pc, in)
 			if !in.Comm {
 				commOnly = false
 			}
-			c.pc++
+			pc++
 		}
 	}
 
+	c.pc = pc
 	c.LastStall = stall
-	c.LastPC = c.pc
+	c.LastPC = pc
 	switch {
 	case issued == 0:
-		c.Breakdown.Add(stallBucket, 1)
+		b := stats.PreL2
+		if stallTok != nil {
+			b = stallTok.Loc
+		}
+		c.Breakdown.Add(b, 1)
 		c.Stalls[stall]++
-		c.StallRegions.Add(stallBucket, 1)
-		c.lastStallBucket = stallBucket
+		c.StallRegions.Add(b, 1)
+		c.lastStallBucket = b
 		c.stallWake = stallWake
+		c.stallTok = stallTok
+		c.replay = stall == StallToken || stall == StallOperand || stall == StallWAW || stall == StallLoadLimit
 		c.noteStall(cycle, stall)
 	case commOnly:
 		c.Breakdown.Add(stats.PostL2, 1)
@@ -601,6 +625,25 @@ func (c *Core) FastForward(n uint64) {
 	c.StallRegions.Add(c.lastStallBucket, n)
 }
 
+// Replay charges cycle as one more cycle of the stall the last Tick ended
+// in, instead of ticking, when that Tick issued nothing and provably
+// repeats at cycle: it stalled on a hazard inside the core (memory-token,
+// operand-latency, waw-hazard or load-limit), no tracked token is due
+// (cycle < nextDue, so collect would retire nothing) and an operand stall's
+// register is not yet ready. A token stall is charged to the blocking
+// token's live Loc, which is what Tick would read. It reports whether it
+// charged the cycle; when it did not, the caller must Tick.
+func (c *Core) Replay(cycle uint64) bool {
+	if !c.replay || cycle >= c.nextDue || (c.LastStall == StallOperand && cycle >= c.stallWake) {
+		return false
+	}
+	if c.stallTok != nil {
+		c.lastStallBucket = c.stallTok.Loc
+	}
+	c.FastForward(1)
+	return true
+}
+
 // NextWake returns the earliest future cycle at which this core's issue or
 // drain state can change without outside activity: the ready cycle of the
 // operand it stalled on, or the completion of any outstanding memory/
@@ -622,30 +665,32 @@ func (c *Core) NextWake(cycle uint64) uint64 {
 	return w
 }
 
-// note records one issued instruction. It runs before c.pc advances, so
-// c.pc still names the issuing instruction.
-func (c *Core) note(cycle uint64, in *isa.Instr) {
+// note counts one instruction issued from pc; it is small enough to inline
+// into the issue loop, leaving the tracer's event to traceIssue.
+func (c *Core) note(cycle uint64, pc int, in *isa.Instr) {
 	c.Issued++
 	if in.Comm {
 		c.IssuedComm++
 	}
-	isQueueOp := in.Op == isa.Produce || in.Op == isa.Consume
-	if in.Op == isa.Produce {
-		c.Produces++
-	} else if in.Op == isa.Consume {
-		c.Consumes++
-	}
 	if c.Tracer != nil {
-		e := trace.Event{Cycle: cycle, Kind: trace.KindIssue, Core: c.id,
-			PC: c.pc, Q: -1, Op: in.Op.String()}
-		if isQueueOp {
-			e.Kind = trace.KindQueueOp
-			e.Q = in.Q
-		}
-		c.Tracer.Add(e)
+		c.traceIssue(cycle, pc, in)
 	}
 }
 
+func (c *Core) traceIssue(cycle uint64, pc int, in *isa.Instr) {
+	e := trace.Event{Cycle: cycle, Kind: trace.KindIssue, Core: c.id,
+		PC: pc, Q: -1, Op: in.Op.String()}
+	if in.Op == isa.Produce || in.Op == isa.Consume {
+		e.Kind = trace.KindQueueOp
+		e.Q = in.Q
+	}
+	c.Tracer.Add(e)
+}
+
+// drainBucket is where a halted core's drain cycle is charged: the Loc of
+// the pending token of the lowest-numbered register not yet done, else of
+// the first fire-and-forget token in issue order not yet done, else PreL2.
+// It is not the oldest token overall; the golden snapshots pin this rule.
 func (c *Core) drainBucket(cycle uint64) stats.Bucket {
 	m := c.pendMask
 	for m != 0 {
@@ -661,14 +706,4 @@ func (c *Core) drainBucket(cycle uint64) stats.Bucket {
 		}
 	}
 	return stats.PreL2
-}
-
-// exec evaluates a register-register instruction functionally and sets the
-// destination's ready cycle from the opcode latency.
-func (c *Core) exec(in *isa.Instr, cycle, lat uint64) {
-	if in.Op == isa.Nop {
-		return
-	}
-	c.regs[in.Rd] = isa.Eval(in.Op, c.regs[in.Ra], c.regs[in.Rb], in.Imm)
-	c.ready[in.Rd] = cycle + lat
 }

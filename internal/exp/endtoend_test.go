@@ -155,8 +155,13 @@ func TestRandomLoopsFastForwardDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many simulations")
 	}
+	// MEMOPTI and plain SYNCOPTI: software queues and the controller
+	// queues are most of the evaluation's simulated time, and most of the
+	// memory-token stalls Core.Replay charges without a Tick.
 	configs := []design.Config{
 		design.ExistingConfig(),
+		design.MemOptiConfig(),
+		design.SyncOptiConfig(),
 		design.SyncOptiSCQ64Config(),
 		design.HeavyWTConfig(),
 	}

@@ -572,6 +572,11 @@ func (c *Controller) tick(cycle uint64) {
 }
 
 func (c *Controller) runEvents(cycle uint64) {
+	// Most ticks have nothing due; popping by value would still copy an
+	// event out to learn that.
+	if c.events.Min() > cycle {
+		return
+	}
 	for {
 		ev, ok := c.events.PopDue(cycle)
 		if !ok {

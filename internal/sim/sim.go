@@ -410,11 +410,18 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		allDone := true
 		var issuedNow, prodNow, consNow uint64
 		for i, c := range cores {
-			c.Tick(cycle)
+			switch {
+			case fastForward && coreDone[i]:
+				// A drained core stays drained; its Tick would do nothing.
+			case fastForward && c.Replay(cycle):
+				// A stall inside the core repeats: charged, not re-ticked.
+			default:
+				c.Tick(cycle)
+				coreDone[i] = c.Done(cycle)
+			}
 			issuedNow += c.Issued
 			prodNow += c.Produces
 			consNow += c.Consumes
-			coreDone[i] = c.Done(cycle)
 			if !coreDone[i] {
 				allDone = false
 			}
