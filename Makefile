@@ -16,7 +16,7 @@
 #   make serve-cluster      ring/peering under -race plus the cluster differential rows
 #   make scaling            the N-core differential under -race (EXPERIMENTS.md "Scaling curves")
 #   make load-smoke         hfload against in-process 1- and 3-replica clusters
-#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core and sim layer benchmarks
+#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core, sim and serve layer benchmarks
 #   make chaos              full fault-injection sweep (RESILIENCE.md)
 #   make chaos-smoke        the CI chaos corpus, fast-forward on and off
 #   make chaos-cluster      service-tier chaos smoke under -race
@@ -90,11 +90,12 @@ coverage:
 		{ echo "coverage regressed below the $(COVERAGE_BASELINE)% baseline"; exit 1; }
 
 # The layer benchmarks (core.Tick issuing and stalled, Replay against
-# Tick, sim.Run on three cells) live beside the code, outside the frozen
-# bench/spine; CI runs the second line so they keep compiling and running.
+# Tick, sim.Run on three cells, a /v1/run cache hit on the server alone and
+# through the client) live beside the code, outside the frozen bench/spine;
+# CI runs the second line so they keep compiling and running.
 gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./serve
 
 # The last step is CI's regression gate: the dual-core matrix, an N-core
 # cell, a service number, the cache-hit path alone (serve_hot: no kernel

@@ -178,7 +178,7 @@ func (c *Client) once(ctx context.Context, method, rawURL string, body []byte, h
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	out, err := readReply(resp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -186,6 +186,46 @@ func (c *Client) once(ctx context.Context, method, rawURL string, body []byte, h
 		return nil, nil, decodeAPIError(resp, out)
 	}
 	return resp.Header, out, nil
+}
+
+// TooLargeError reports a reply whose body is, or declares itself, over
+// serve.MaxBodyBytes. Such a body is never read into memory, and the call
+// is not retried: the same server would send the same bytes again.
+type TooLargeError struct {
+	// Length is the declared Content-Length, or -1 when the reply declared
+	// none and its body ran past the bound.
+	Length int64
+}
+
+func (e *TooLargeError) Error() string {
+	if e.Length < 0 {
+		return fmt.Sprintf("hfserve: reply body runs past the %d-byte bound", serve.MaxBodyBytes)
+	}
+	return fmt.Sprintf("hfserve: reply declares %d bytes, over the %d-byte bound", e.Length, serve.MaxBodyBytes)
+}
+
+// readReply reads a unary reply's body into one buffer sized from its
+// Content-Length, which hfserve always sends (serve/API.md). A length that
+// is not declared gets a read that stops one byte past the bound. A body
+// shorter than its declared length is io.ErrUnexpectedEOF, a transfer cut
+// short.
+func readReply(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n > serve.MaxBodyBytes {
+		return nil, &TooLargeError{Length: n}
+	}
+	if n < 0 {
+		out, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxBodyBytes+1))
+		if err == nil && len(out) > serve.MaxBodyBytes {
+			return nil, &TooLargeError{Length: -1}
+		}
+		return out, err
+	}
+	out := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Run executes spec on the replica (or serves it from cache) and
@@ -297,7 +337,10 @@ func (c *Client) stream(ctx context.Context, path string, body []byte) (*EventSt
 	}
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
-		out, _ := io.ReadAll(resp.Body)
+		out, err := readReply(resp)
+		if err != nil {
+			return nil, err
+		}
 		return nil, decodeAPIError(resp, out)
 	}
 	return newEventStream(resp.Body), nil
@@ -363,7 +406,7 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 	}
 	defer resp.Body.Close()
 	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, serve.MaxBodyBytes)).Decode(&h); err != nil {
 		return nil, err
 	}
 	return &h, nil

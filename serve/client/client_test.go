@@ -12,12 +12,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hfstream"
 	"hfstream/serve"
 	"hfstream/serve/client"
+	"hfstream/serve/faultnet"
 )
 
 func newServerAndClient(t *testing.T) (*serve.Server, *client.Client) {
@@ -224,6 +227,110 @@ func TestClientPeerGetDigestVerification(t *testing.T) {
 	digest = ""
 	if _, err := cl.PeerGet(ctx, key); !errors.As(err, &ie) {
 		t.Fatalf("digestless PeerGet error = %v, want *IntegrityError", err)
+	}
+}
+
+// fakeReply is a transport that answers every request with one 200 of the
+// given declared length and body, counting the requests it sees.
+type fakeReply struct {
+	length int64
+	body   func() io.Reader
+	calls  int
+}
+
+func (f *fakeReply) RoundTrip(req *http.Request) (*http.Response, error) {
+	f.calls++
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, ContentLength: f.length,
+		Body: io.NopCloser(f.body()), Request: req}, nil
+}
+
+// endless reads as an unending run of one byte.
+type endless byte
+
+func (b endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestClientReplyBound: a reply is read into one buffer of its declared
+// length, which is not trusted past serve.MaxBodyBytes, and a reply that
+// declares none is read no further than one byte past the bound. A reply
+// over the bound is a *TooLargeError, allocated by nobody and not retried;
+// a body shorter than its declared length is a cut-short transfer.
+func TestClientReplyBound(t *testing.T) {
+	short := func() io.Reader { return strings.NewReader(`{"benchmark":"wc"}`) }
+	cases := []struct {
+		name   string
+		reply  fakeReply
+		length int64 // of the *TooLargeError; 0 when none is wanted
+		cutOff bool  // want io.ErrUnexpectedEOF
+	}{
+		{"declares 1 TiB", fakeReply{length: 1 << 40, body: short}, 1 << 40, false},
+		{"declares one byte over", fakeReply{length: serve.MaxBodyBytes + 1, body: short}, serve.MaxBodyBytes + 1, false},
+		{"undeclared, runs past", fakeReply{length: -1, body: func() io.Reader { return endless('x') }}, -1, false},
+		{"declares more than it sends", fakeReply{length: 4096, body: short}, 0, true},
+	}
+	for _, c := range cases {
+		cl := client.New("http://fake", client.WithHTTPClient(&http.Client{Transport: &c.reply}),
+			client.WithRetry(client.RetryPolicy{Sleep: func(time.Duration) {}}))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := cl.Run(context.Background(), testSpec)
+		runtime.ReadMemStats(&after)
+		var tl *client.TooLargeError
+		switch {
+		case c.cutOff:
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s: err = %v, want io.ErrUnexpectedEOF", c.name, err)
+			}
+		case !errors.As(err, &tl) || tl.Length != c.length:
+			t.Errorf("%s: err = %v, want *TooLargeError{Length: %d}", c.name, err, c.length)
+		case c.reply.calls != 1:
+			t.Errorf("%s: %d attempts, want 1: an oversized reply is not retried", c.name, c.reply.calls)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; c.length > 0 && grew > 1<<20 {
+			t.Errorf("%s: the call allocated %d bytes for a reply it refused", c.name, grew)
+		}
+	}
+
+	// The bound itself is a legal size, declared or not.
+	for _, length := range []int64{serve.MaxBodyBytes, -1} {
+		f := fakeReply{length: length, body: func() io.Reader { return io.LimitReader(endless('x'), serve.MaxBodyBytes) }}
+		res, err := client.New("http://fake", client.WithHTTPClient(&http.Client{Transport: &f})).Run(context.Background(), testSpec)
+		if err != nil || len(res.Body) != serve.MaxBodyBytes {
+			t.Errorf("a reply of exactly the bound, length %d declared: %v", length, err)
+		}
+	}
+}
+
+// TestClientPeerGetTruncatedInFlight: a peer GET whose body faultnet cuts
+// in half, with a Content-Length that agrees with the half, reads as
+// complete; only the digest tells, and it does.
+func TestClientPeerGetTruncatedInFlight(t *testing.T) {
+	ts := httptest.NewServer(serve.New(serve.Config{Workers: 1}).Handler())
+	defer ts.Close()
+	owner := client.New(ts.URL)
+	spec := hfstream.Spec{Bench: "bzip2", Single: true}
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"benchmark":"bzip2","design":"SINGLE"}` + "\n")
+	ctx := context.Background()
+	if err := owner.PeerPut(ctx, key, spec, body); err != nil {
+		t.Fatal(err)
+	}
+	tr := faultnet.NewTransport(faultnet.Plan{Events: []faultnet.Event{{Kind: faultnet.TruncateBody, Nth: 1}}}, nil)
+	defer tr.CloseIdleConnections()
+	_, err = client.New(ts.URL, client.WithHTTPClient(tr.Client())).PeerGet(ctx, key)
+	var ie *client.IntegrityError
+	if !errors.As(err, &ie) {
+		t.Fatalf("truncated PeerGet: err = %v, want *IntegrityError", err)
+	}
+	if len(tr.Shots()) != 1 {
+		t.Fatalf("shots = %v, want the one truncation", tr.ShotStrings())
 	}
 }
 

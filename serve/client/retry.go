@@ -109,6 +109,12 @@ func Retryable(err error) bool {
 	if errors.As(err, &ie) {
 		return true
 	}
+	// An oversized reply is what the server sends, not what the channel
+	// did to it: asking again would only be refused again.
+	var tl *TooLargeError
+	if errors.As(err, &tl) {
+		return false
+	}
 	// Anything else is a transport-level failure (reset, refused,
 	// EOF): the request may never have reached the server.
 	return true

@@ -161,6 +161,8 @@ func TestRetryableTable(t *testing.T) {
 		{"unknown-code-501", api(501, "not_impl"), false},
 		{"unknown-code-403", api(403, "forbidden"), false},
 		{"integrity-error", &client.IntegrityError{Key: "k"}, true},
+		{"too-large", &client.TooLargeError{Length: 1 << 40}, false},
+		{"short-body", io.ErrUnexpectedEOF, true},
 		{"transport", errors.New("connection reset by peer"), true},
 	}
 	for _, c := range cases {

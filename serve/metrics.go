@@ -106,6 +106,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeOutcome(w, "", errorOutcome(http.StatusInternalServerError, codeInternal, err.Error(), nil))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(buf, '\n'))
+	writeOutcome(w, "", &outcome{status: http.StatusOK, body: append(buf, '\n'), ok: true})
 }

@@ -105,9 +105,11 @@ type PeerStats struct {
 // tell "owner is healthy but cold" from "I sent garbage".
 const codeNotCached = "not_cached"
 
-// maxPeerBodyBytes bounds a PUT /v1/peer body; metrics snapshots are a
-// few KiB, so anything near this bound is a protocol error.
-const maxPeerBodyBytes = 8 << 20
+// MaxBodyBytes bounds a metrics body in either direction: the PUT
+// /v1/peer request this server accepts, and every unary reply
+// serve/client reads. Metrics snapshots are a few KiB, so anything near
+// this bound is a protocol error.
+const MaxBodyBytes = 8 << 20
 
 // isSpecKey reports whether key has the shape of a Spec.Key: 64 bytes
 // of lowercase hex. Peer endpoints reject anything else so junk keys
@@ -153,7 +155,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderDigest, Digest(body))
 		writeOutcome(w, key, &outcome{status: http.StatusOK, body: body, source: "local", ok: true})
 	case http.MethodPut:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPeerBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		if err != nil {
 			writeOutcome(w, key, errorOutcome(http.StatusBadRequest, codeBadRequest,
 				"peer body: "+err.Error(), nil))

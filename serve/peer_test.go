@@ -229,10 +229,10 @@ func TestPeerPutSizeBoundary(t *testing.T) {
 	// Build a valid-annotation JSON body padded to exactly the cap.
 	prefix := `{"benchmark":"bzip2","design":"SINGLE","pad":"`
 	suffix := `"}`
-	pad := strings.Repeat("x", maxPeerBodyBytes-len(prefix)-len(suffix))
+	pad := strings.Repeat("x", MaxBodyBytes-len(prefix)-len(suffix))
 	atCap := prefix + pad + suffix
-	if len(atCap) != maxPeerBodyBytes {
-		t.Fatalf("test bug: body is %d bytes, want %d", len(atCap), maxPeerBodyBytes)
+	if len(atCap) != MaxBodyBytes {
+		t.Fatalf("test bug: body is %d bytes, want %d", len(atCap), MaxBodyBytes)
 	}
 	hdr := map[string]string{HeaderDigest: Digest([]byte(atCap)), HeaderSpec: string(canon)}
 	if status, body, _ := doReqH(t, http.MethodPut, peerURL(ts, key), atCap, hdr); status != http.StatusNoContent {

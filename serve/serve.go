@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -279,7 +280,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.Add(1)
-	q := r.URL.Query()
+	var q url.Values // nil reads as empty: a bare /v1/run parses nothing
+	if r.URL.RawQuery != "" {
+		q = r.URL.Query()
+	}
 	stream := q.Get("stream")
 	if stream != "" && stream != "ndjson" {
 		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest,
@@ -470,19 +474,38 @@ func (s *Server) execSpec(ctx context.Context, spec hfstream.Spec, hooks *stream
 	return &outcome{status: http.StatusOK, body: buf.Bytes(), source: "miss", ok: true}
 }
 
-// writeOutcome writes one terminal response. Cache provenance rides in
-// headers, never the body, so hit/miss/coalesced bodies stay
-// byte-identical.
+// Header values that never change. A header map holds its value slices by
+// reference, so these are shared by every response instead of allocated
+// per reply; nothing may write to them. provenance has one entry per
+// outcome.source label.
+var (
+	jsonContentType = []string{"application/json"}
+	provenance      = map[string][]string{
+		"hit": {"hit"}, "miss": {"miss"}, "peer": {"peer"}, "coalesced": {"coalesced"}, "local": {"local"},
+	}
+)
+
+// writeOutcome writes one terminal response: every unary reply goes out
+// through here. Cache provenance rides in headers, never the body, so
+// hit/miss/coalesced bodies stay byte-identical. The declared
+// Content-Length lets a client read the body into one buffer of its size.
+// Headers go in under their canonical keys, where Header.Set would
+// canonicalize each key again and allocate each value a slice; the two
+// values that vary share one array, capped so neither can grow into the
+// other, the layout Header.Clone uses.
 func writeOutcome(w http.ResponseWriter, key string, out *outcome) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	vals := []string{strconv.Itoa(len(out.body)), key}
+	h["Content-Length"] = vals[0:1:1]
 	if key != "" {
-		w.Header().Set("X-Hfserve-Key", key)
+		h["X-Hfserve-Key"] = vals[1:2:2]
 	}
 	if out.source != "" {
-		w.Header().Set("X-Hfserve-Cache", out.source)
+		h["X-Hfserve-Cache"] = provenance[out.source]
 	}
 	if out.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(out.retryAfter))
+		h["Retry-After"] = []string{strconv.Itoa(out.retryAfter)}
 	}
 	w.WriteHeader(out.status)
 	w.Write(out.body)
@@ -493,9 +516,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\"status\":%q,\"in_flight\":%d}\n", status, s.inFlight())
+	writeOutcome(w, "", &outcome{status: code,
+		body: fmt.Appendf(nil, "{\"status\":%q,\"in_flight\":%d}\n", status, s.inFlight())})
 }
 
 func (s *Server) inFlight() int {

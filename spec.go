@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"hfstream/internal/workloads"
 )
@@ -74,12 +75,56 @@ func (s Spec) Canonical() ([]byte, error) {
 // its canonical form. Because the simulator is deterministic, the key
 // fully determines the run's metrics snapshot.
 func (s Spec) Key() (string, error) {
-	c, err := s.Canonical()
+	n, err := s.Normalize()
+	if err != nil {
+		return "", err
+	}
+	if k, ok := specKeys.load(n); ok {
+		return k, nil
+	}
+	c, err := json.Marshal(n)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(c)
-	return hex.EncodeToString(sum[:]), nil
+	k := hex.EncodeToString(sum[:])
+	specKeys.store(n, k)
+	return k, nil
+}
+
+// keyMemoCap bounds the key memo. Normalize admits catalog benchmark names
+// and canonical design names up to MaxCores, which is 684 specs, except that
+// "NETQUEUE_<h>hop" takes any hop count; past the cap a key is computed and
+// not kept, so no sequence of requests can grow the memo further.
+const keyMemoCap = 4096
+
+// specKeys memoizes Key per normalized Spec, because every served request,
+// sweep cell and peer PUT derives a key, nearly always for a spec seen
+// before. It holds only what Key would compute, so no caller can tell it
+// is there.
+var specKeys keyMemo
+
+type keyMemo struct {
+	mu sync.RWMutex
+	m  map[Spec]string
+}
+
+func (m *keyMemo) load(n Spec) (string, bool) {
+	m.mu.RLock()
+	k, ok := m.m[n]
+	m.mu.RUnlock()
+	return k, ok
+}
+
+func (m *keyMemo) store(n Spec, k string) {
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = make(map[Spec]string)
+	}
+	if len(m.m) < keyMemoCap {
+		m.m[n] = k
+	}
+	m.mu.Unlock()
 }
 
 // RunCtx executes the described run: RunSingleThreadedCtx for Single,

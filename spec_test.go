@@ -1,10 +1,13 @@
 package hfstream
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -129,6 +132,77 @@ func TestSpecKeyAllocationCeiling(t *testing.T) {
 		if got > 12 {
 			t.Errorf("%+v: Key made %.0f allocations, want at most 12", spec, got)
 		}
+	}
+}
+
+// TestSpecKeyMemo: a key served from the memo is the hash of the canonical
+// form, for every spec the catalog admits and for an alias spelling, cold
+// and warm, from many goroutines at once (run it under -race). The catalog
+// fits the memo with room to spare.
+func TestSpecKeyMemo(t *testing.T) {
+	want := map[Spec]string{}
+	add := func(s Spec) {
+		n, err := s.Normalize()
+		if err != nil {
+			return // a suffix the point does not take, such as MPMC_2CORE
+		}
+		c, err := n.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(c)
+		want[s] = hex.EncodeToString(sum[:])
+	}
+	for _, b := range Benchmarks() {
+		add(Spec{Bench: b.Name(), Single: true})
+		for _, d := range append(Designs(), RegMapped(), CentralizedStore(centralConsumeToUse), MPMC, MPMCQ64, NetQueue(2)) {
+			add(Spec{Bench: b.Name(), Design: d.Name()})
+			for k := 2; k <= 8; k++ {
+				add(Spec{Bench: b.Name(), Design: fmt.Sprintf("%s_%dCORE", d.Name(), k)})
+			}
+		}
+	}
+	add(Spec{Bench: "wc", Design: "HEAVYWT_03CORE"})
+	if want[Spec{Bench: "wc", Design: "HEAVYWT_03CORE"}] != want[Spec{Bench: "wc", Design: "HEAVYWT_3CORE"}] {
+		t.Fatal("an alias spelling hashed apart from its canonical name")
+	}
+	distinct := map[string]bool{}
+	for _, k := range want {
+		distinct[k] = true
+	}
+	if len(distinct) > keyMemoCap/2 {
+		t.Errorf("the catalog has %d keys, more than half the memo's cap of %d", len(distinct), keyMemoCap)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ { // the first pass may fill the memo, the second reads it
+				for s, w := range want {
+					if k, err := s.Key(); err != nil || k != w {
+						t.Errorf("%+v: Key = %q, %v; want %q", s, k, err, w)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestKeyMemoCap: the memo keeps no more than keyMemoCap keys however many
+// distinct specs arrive, as "NETQUEUE_<h>hop" takes any hop count.
+func TestKeyMemoCap(t *testing.T) {
+	var m keyMemo
+	for i := 0; i < keyMemoCap+10; i++ {
+		m.store(Spec{Bench: "wc", Design: fmt.Sprintf("NETQUEUE_%dhop", i+1)}, "k")
+	}
+	if len(m.m) != keyMemoCap {
+		t.Fatalf("memo holds %d keys, want the cap %d", len(m.m), keyMemoCap)
+	}
+	if _, ok := m.load(Spec{Bench: "wc", Design: fmt.Sprintf("NETQUEUE_%dhop", keyMemoCap+5)}); ok {
+		t.Fatal("a spec past the cap was kept")
 	}
 }
 
