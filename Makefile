@@ -90,9 +90,10 @@ coverage:
 		{ echo "coverage regressed below the $(COVERAGE_BASELINE)% baseline"; exit 1; }
 
 # The layer benchmarks (core.Tick issuing and stalled, Replay against
-# Tick, sim.Run on three cells, a /v1/run cache hit on the server alone and
-# through the client) live beside the code, outside the frozen bench/spine;
-# CI runs the second line so they keep compiling and running.
+# Tick on a token and a full-queue stall, sim.Run on five cells, a /v1/run
+# cache hit on the server alone and through the client) live beside the
+# code, outside the frozen bench/spine; CI runs the second line so they
+# keep compiling and running.
 gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./serve

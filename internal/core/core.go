@@ -48,8 +48,9 @@ func DefaultParams() Params {
 }
 
 // StallReason summarises why issue stopped in a cycle (for debugging and
-// deadlock reports).
-type StallReason int
+// deadlock reports). It is a byte so that Core keeps LastStall and
+// stallCur in halted's word.
+type StallReason uint8
 
 // Stall reasons.
 const (
@@ -146,8 +147,7 @@ type imeta struct {
 type Core struct {
 	id   int
 	p    Params
-	prog *isa.Program
-	meta []imeta // predecoded Instrs, same indexing as prog.Instrs
+	meta []imeta // predecoded Instrs, same indexing as the program's
 	pc   int
 
 	regs  [isa.NumRegs]uint64
@@ -161,13 +161,12 @@ type Core struct {
 	strm port.Stream
 
 	inflight []*port.Token // fire-and-forget tokens (stores, fences, produces)
-	loads    int           // outstanding load count
 
-	halted bool
-	// replay reports that the last Tick issued nothing and stalled on a
-	// hazard inside the core (see Replay). It shares halted's word: one
-	// more would take Core, with its allocation header, past 2 KiB.
-	replay bool
+	// halted, LastStall and the tracer's stallCur share one word: one more
+	// would take Core, with its allocation header, past 2 KiB.
+	halted    bool
+	LastStall StallReason
+	stallCur  StallReason
 
 	// Stats.
 	Cycles      uint64
@@ -175,7 +174,6 @@ type Core struct {
 	IssuedComm  uint64
 	IssuedLoads uint64
 	Breakdown   stats.Breakdown
-	LastStall   StallReason
 	LastPC      int
 
 	// IssueCycles counts cycles in which at least one instruction issued;
@@ -201,18 +199,28 @@ type Core struct {
 	Tokens *port.TokenPool
 
 	// Stall-run coalescing for the tracer: consecutive zero-issue cycles
-	// with one reason emit a single KindStall event with a duration.
+	// with one reason (stallCur) emit a single KindStall event with a
+	// duration.
 	stallSince uint64
-	stallCur   StallReason
 
 	// Fast-forward bookkeeping: the bucket the last zero-issue cycle was
-	// charged to, and (for operand stalls) the cycle the blocking register
-	// becomes ready. See FastForward and NextWake.
+	// charged to, and the first cycle Replay must leave to Tick: 0 when the
+	// stall cannot be replayed, the blocking register's ready cycle for an
+	// operand stall, ^0 otherwise. See FastForward, Replay and NextWake.
 	lastStallBucket stats.Bucket
 	stallWake       uint64
 	// stallTok is the token the last zero-issue cycle waited on (nil
 	// unless memory-token); Replay charges its live Loc.
 	stallTok *port.Token
+	// A refused port operation repeats while *waitEp == waitSeen; for a
+	// hazard inside the core waitEp is &waitSeen. Replay reads them only
+	// while stallWake is not 0. Each repeat bumps *waitCnt, which is
+	// &noCount when no counter is bumped: a per-core sink, because
+	// simulations run in parallel.
+	waitEp   *uint64
+	waitSeen uint64
+	waitCnt  *uint64
+	noCount  uint64
 
 	// nextDue is the exact earliest DoneAt over every tracked token:
 	// issue updates it when a token is recorded, Token.Complete lowers it
@@ -240,8 +248,10 @@ func New(id int, p Params, prog *isa.Program, memp port.Mem, strm port.Stream) *
 			lat:      uint64(in.Op.Latency()),
 		}
 	}
-	return &Core{id: id, p: p, prog: prog, meta: meta, pc: 0, memp: memp, strm: strm,
+	c := &Core{id: id, p: p, meta: meta, pc: 0, memp: memp, strm: strm,
 		nextDue: port.Pending}
+	c.waitEp, c.waitCnt = &c.waitSeen, &c.noCount
+	return c
 }
 
 // ID returns the core index.
@@ -357,10 +367,9 @@ func (c *Core) Tick(cycle uint64) {
 		c.collect(cycle)
 	}
 	// Every pend token left is outstanding; that count is the core's
-	// in-flight load/consume limit check, recomputed each tick exactly as
-	// the old per-tick collect scan did.
-	c.loads = bits.OnesCount64(c.pendMask)
-	c.replay = false
+	// in-flight load/consume limit check.
+	loads := bits.OnesCount64(c.pendMask)
+	c.stallWake, c.waitCnt = 0, &c.noCount
 	if c.Done(cycle) {
 		return
 	}
@@ -450,7 +459,7 @@ issueLoop:
 			pc++
 
 		case isa.Ld:
-			if c.loads >= c.p.MaxOutstandingLoads {
+			if loads >= c.p.MaxOutstandingLoads {
 				stall = StallLoadLimit
 				break issueLoop
 			}
@@ -463,7 +472,7 @@ issueLoop:
 			c.track(tok)
 			c.pend[in.Rd] = tok
 			c.pendMask |= 1 << uint(in.Rd)
-			c.loads++
+			loads++
 			c.IssuedLoads++
 			fuUsed[fu]++
 			issued++
@@ -566,9 +575,21 @@ issueLoop:
 		c.Stalls[stall]++
 		c.StallRegions.Add(b, 1)
 		c.lastStallBucket = b
-		c.stallWake = stallWake
 		c.stallTok = stallTok
-		c.replay = stall == StallToken || stall == StallOperand || stall == StallWAW || stall == StallLoadLimit
+		var ref port.Refuser
+		switch stall {
+		case StallOperand:
+			c.stallWake, c.waitEp = stallWake, &c.waitSeen
+		case StallToken, StallWAW, StallLoadLimit:
+			c.stallWake, c.waitEp = ^uint64(0), &c.waitSeen
+		case StallQueueFull, StallQueueEmpty:
+			ref, _ = c.strm.(port.Refuser)
+		case StallOzQFull, StallFence:
+			ref, _ = c.memp.(port.Refuser)
+		}
+		if ref != nil {
+			c.refused(ref)
+		}
 		c.noteStall(cycle, stall)
 	case commOnly:
 		c.Breakdown.Add(stats.PostL2, 1)
@@ -578,6 +599,19 @@ issueLoop:
 		c.Breakdown.Add(stats.PreL2, 1)
 		c.IssueCycles++
 		c.flushStallTrace(cycle)
+	}
+}
+
+// refused records the port refusal the zero-issue cycle stalled on: the
+// counter a repeat bumps and, when the port says the refusal repeats while
+// an epoch holds still, that epoch for Replay.
+func (c *Core) refused(r port.Refuser) {
+	ep, cnt, sticky := r.Refusal()
+	if cnt != nil {
+		c.waitCnt = cnt
+	}
+	if sticky {
+		c.waitEp, c.waitSeen, c.stallWake = ep, *ep, ^uint64(0)
 	}
 }
 
@@ -615,26 +649,31 @@ func (c *Core) FinishTrace(endCycle uint64) { c.flushStallTrace(endCycle) }
 
 // FastForward accounts n skipped dead cycles exactly as n repetitions of
 // the zero-issue Tick the core just executed would have: the same stall
-// reason, breakdown bucket, and region are charged per cycle. The caller
-// (the simulator's idle fast-forward) guarantees that nothing the core
-// observes can change during the skipped cycles.
+// reason, breakdown bucket, and region are charged per cycle, and a port
+// refusal's counter (the sync array's full, empty or link count) is bumped
+// once per cycle, as each retry would have. The caller (the simulator's
+// idle fast-forward, or Replay) guarantees that nothing the core observes
+// can change during the skipped cycles.
 func (c *Core) FastForward(n uint64) {
 	c.Cycles += n
 	c.Breakdown.Add(c.lastStallBucket, n)
 	c.Stalls[c.LastStall] += n
 	c.StallRegions.Add(c.lastStallBucket, n)
+	*c.waitCnt += n
 }
 
 // Replay charges cycle as one more cycle of the stall the last Tick ended
 // in, instead of ticking, when that Tick issued nothing and provably
-// repeats at cycle: it stalled on a hazard inside the core (memory-token,
-// operand-latency, waw-hazard or load-limit), no tracked token is due
-// (cycle < nextDue, so collect would retire nothing) and an operand stall's
-// register is not yet ready. A token stall is charged to the blocking
-// token's live Loc, which is what Tick would read. It reports whether it
-// charged the cycle; when it did not, the caller must Tick.
+// repeats at cycle. That holds when no tracked token is due (cycle <
+// nextDue, so collect would retire nothing) and the stall is either a
+// hazard inside the core (memory-token, waw-hazard, load-limit, or
+// operand-latency before the register's ready cycle) or a port refusal the
+// port called sticky (queue-full, queue-empty, ozq-full, fence) whose epoch
+// has not moved. A token stall is charged to the blocking token's live
+// Loc, which is what Tick would read. It reports whether it charged the
+// cycle; when it did not, the caller must Tick.
 func (c *Core) Replay(cycle uint64) bool {
-	if !c.replay || cycle >= c.nextDue || (c.LastStall == StallOperand && cycle >= c.stallWake) {
+	if cycle >= c.stallWake || cycle >= c.nextDue || *c.waitEp != c.waitSeen {
 		return false
 	}
 	if c.stallTok != nil {

@@ -13,9 +13,11 @@ import (
 // n-th operation's token waits hop cycles in each region of routes[n] (the
 // last route repeats) and then completes. tick moves every token the way
 // the fabric does before the cores tick, so a core stalled on a token sees
-// its Loc change mid-stall.
+// its Loc change mid-stall. Its refusals are sticky, like the controller's
+// OzQ: whoever flips accepts moves epoch.
 type routeMem struct {
 	accepts bool
+	epoch   uint64
 	hop     uint64
 	routes  [][]stats.Bucket
 	toks    []routed
@@ -58,25 +60,92 @@ func (m *routeMem) CanAccept() bool                         { return m.accepts }
 func (m *routeMem) Load(cycle, addr uint64) *port.Token     { return m.op(cycle) }
 func (m *routeMem) Store(cycle, addr, v uint64) *port.Token { return m.op(cycle) }
 func (m *routeMem) Fence(cycle uint64) *port.Token          { return m.op(cycle) }
+func (m *routeMem) Refusal() (epoch, count *uint64, sticky bool) {
+	return &m.epoch, nil, true
+}
+
+// refusingStream is a fakeStream that implements port.Refuser the way the
+// sync array does: a refused operation bumps refusals and repeats until
+// epoch moves, which whoever changes the port's answer must do. With budget
+// set, a refusal is the array's port budget: no counter, never sticky.
+type refusingStream struct {
+	*fakeStream
+	epoch, refusals uint64
+	budget          bool
+}
+
+func (s *refusingStream) Produce(cycle uint64, q int, v uint64) (*port.Token, bool) {
+	return s.count(s.fakeStream.Produce(cycle, q, v))
+}
+
+func (s *refusingStream) Consume(cycle uint64, q int) (*port.Token, bool) {
+	return s.count(s.fakeStream.Consume(cycle, q))
+}
+
+func (s *refusingStream) count(tok *port.Token, ok bool) (*port.Token, bool) {
+	if !ok && !s.budget {
+		s.refusals++
+	}
+	return tok, ok
+}
+
+func (s *refusingStream) Refusal() (epoch, count *uint64, sticky bool) {
+	if s.budget {
+		return nil, nil, false
+	}
+	return &s.epoch, &s.refusals, true
+}
+
+// refuseUntil makes the stream refuse every operation before cycle, moving
+// its epoch on the cycle it lets them through.
+func refuseUntil(at uint64) func(*routeMem, *refusingStream, uint64) {
+	return func(_ *routeMem, s *refusingStream, cycle uint64) {
+		s.reject = cycle < at
+		if cycle == at {
+			s.epoch++
+		}
+	}
+}
+
+// ozqFullUntil does the same for the memory port.
+func ozqFullUntil(at uint64) func(*routeMem, *refusingStream, uint64) {
+	return func(m *routeMem, _ *refusingStream, cycle uint64) {
+		m.accepts = cycle >= at
+		if cycle == at {
+			m.epoch++
+		}
+	}
+}
 
 var preL2ToBus = []stats.Bucket{stats.PreL2, stats.L2, stats.Bus}
 
 // TestReplayLockstep is the licence for Core.Replay: two cores run one
 // program against identical ports, one always ticked, the other replayed
 // whenever Replay accepts the cycle, and after every cycle they must agree
-// on every counter a result reports. Rows whose stall depends on another
-// component must never be replayed.
+// on every counter a result reports, the ports' refusal counters included.
+// A refusal is replayed only while the refusing port's epoch holds still,
+// and only if the port implements port.Refuser and calls it sticky.
 func TestReplayLockstep(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		prog func(b *asm.Builder)
 		// stream, when set, builds each core's stream port (default: an
-		// empty fakeStream); release, when set, runs before every cycle
-		// to let a blocked port through.
-		stream  func() *fakeStream
-		release func(m *routeMem, s *fakeStream, cycle uint64)
+		// empty refusingStream); plain hands the core the bare fakeStream,
+		// which does not implement port.Refuser. release, when set, runs
+		// before every cycle to let a blocked port through.
+		stream  func() *refusingStream
+		plain   bool
+		release func(m *routeMem, s *refusingStream, cycle uint64)
 		stall   StallReason // must be charged at least one cycle
 		replays bool        // whether Replay must accept some cycle
+		// tickAt, when set, is a cycle inside a replayed stall on which the
+		// port's epoch moves: Replay must refuse exactly that cycle.
+		tickAt uint64
+		// drainDue, when set, is the cycle the halted core's last token
+		// completes: its drain cycles before then are charged through
+		// FastForward, the way sim.Run's idle jump does. The mem's
+		// single-region route keeps every drain cycle alike.
+		drainDue uint64
 	}{
 		{name: "token moves PreL2 to L2 to BUS", stall: StallToken, replays: true,
 			prog: func(b *asm.Builder) {
@@ -108,20 +177,31 @@ func TestReplayLockstep(t *testing.T) {
 				}
 				b.Halt()
 			}},
-		{name: "queue-full", stall: StallQueueFull,
-			stream: func() *fakeStream { return &fakeStream{queues: map[int][]uint64{}, reject: true} },
-			release: func(_ *routeMem, s *fakeStream, cycle uint64) {
-				s.reject = cycle < 20
+		{name: "queue-full", stall: StallQueueFull, replays: true,
+			release: refuseUntil(20),
+			prog:    produceThenHalt},
+		{name: "queue-full, port without Refusal", stall: StallQueueFull, plain: true,
+			release: refuseUntil(20),
+			prog:    produceThenHalt},
+		{name: "queue-full, only the port budget refuses", stall: StallQueueFull,
+			stream: func() *refusingStream {
+				return &refusingStream{fakeStream: newFakeStream(), budget: true}
 			},
-			prog: func(b *asm.Builder) {
-				b.MovI(1, 5)
-				b.Produce(0, 1)
-				b.Halt()
-			}},
-		{name: "queue-empty", stall: StallQueueEmpty,
-			release: func(_ *routeMem, s *fakeStream, cycle uint64) {
+			release: refuseUntil(20),
+			prog:    produceThenHalt},
+		{name: "queue-full, epoch moves mid-stall", stall: StallQueueFull, replays: true, tickAt: 10,
+			release: func(m *routeMem, s *refusingStream, cycle uint64) {
+				refuseUntil(20)(m, s, cycle)
+				if cycle == 10 {
+					s.epoch++ // an in-flight item landed: the producer's view is still full
+				}
+			},
+			prog: produceThenHalt},
+		{name: "queue-empty", stall: StallQueueEmpty, replays: true,
+			release: func(_ *routeMem, s *refusingStream, cycle uint64) {
 				if cycle == 20 {
 					s.queues[0] = append(s.queues[0], 9)
+					s.epoch++
 				}
 			},
 			prog: func(b *asm.Builder) {
@@ -129,17 +209,26 @@ func TestReplayLockstep(t *testing.T) {
 				b.Add(2, 1, 1)
 				b.Halt()
 			}},
-		{name: "ozq-full", stall: StallOzQFull,
-			release: func(m *routeMem, _ *fakeStream, cycle uint64) { m.accepts = cycle >= 20 },
+		{name: "ozq-full", stall: StallOzQFull, replays: true,
+			release: ozqFullUntil(20),
 			prog: func(b *asm.Builder) {
 				b.MovI(1, 0x100)
 				b.Ld(2, 1, 0)
 				b.Halt()
 			}},
-		{name: "fence", stall: StallFence,
-			release: func(m *routeMem, _ *fakeStream, cycle uint64) { m.accepts = cycle >= 20 },
+		{name: "fence", stall: StallFence, replays: true,
+			release: ozqFullUntil(20),
 			prog: func(b *asm.Builder) {
 				b.Fence()
+				b.Halt()
+			}},
+		// The load issues at 20 and completes after 3 hops of 4 cycles.
+		{name: "halt after a refusal, drain fast-forwarded", stall: StallHalted, replays: true, drainDue: 32,
+			release: refuseUntil(20),
+			prog: func(b *asm.Builder) {
+				b.MovI(1, 0x100)
+				b.Produce(0, 1)
+				b.Ld(2, 1, 0)
 				b.Halt()
 			}},
 	} {
@@ -148,15 +237,25 @@ func TestReplayLockstep(t *testing.T) {
 			b := asm.NewBuilder("lockstep")
 			tc.prog(b)
 			prog := b.MustProgram()
-			mems := [2]*routeMem{newRouteMem(4, preL2ToBus), newRouteMem(4, preL2ToBus)}
-			strms := [2]*fakeStream{newFakeStream(), newFakeStream()}
-			if tc.stream != nil {
-				strms = [2]*fakeStream{tc.stream(), tc.stream()}
+			route := preL2ToBus
+			if tc.drainDue != 0 {
+				route = []stats.Bucket{stats.L2, stats.L2, stats.L2}
 			}
-			ticked := New(0, p, prog, mems[0], strms[0])
-			replayed := New(0, p, prog, mems[1], strms[1])
+			mems := [2]*routeMem{newRouteMem(4, route), newRouteMem(4, route)}
+			strms := [2]*refusingStream{{fakeStream: newFakeStream()}, {fakeStream: newFakeStream()}}
+			if tc.stream != nil {
+				strms = [2]*refusingStream{tc.stream(), tc.stream()}
+			}
+			ports := [2]port.Stream{strms[0], strms[1]}
+			if tc.plain {
+				ports = [2]port.Stream{strms[0].fakeStream, strms[1].fakeStream}
+			}
+			ticked := New(0, p, prog, mems[0], ports[0])
+			replayed := New(0, p, prog, mems[1], ports[1])
 
 			replays := 0
+			replayedAt := map[uint64]bool{}
+			drained := false
 			for cycle := uint64(1); ; cycle++ {
 				if cycle > 500 {
 					t.Fatalf("did not finish (pc=%d stall=%v)", ticked.LastPC, ticked.LastStall)
@@ -170,15 +269,29 @@ func TestReplayLockstep(t *testing.T) {
 				ticked.Tick(cycle)
 				if replayed.Replay(cycle) {
 					replays++
+					replayedAt[cycle] = true
 				} else {
 					replayed.Tick(cycle)
 				}
 				assertSameCounters(t, cycle, ticked, replayed)
+				assertSameRefusals(t, cycle, strms)
 				if ticked.Done(cycle) != replayed.Done(cycle) {
 					t.Fatalf("cycle %d: Done %v ticked, %v replayed", cycle, ticked.Done(cycle), replayed.Done(cycle))
 				}
 				if ticked.Done(cycle) {
 					break
+				}
+				if replayed.LastStall == StallHalted && cycle+1 < tc.drainDue {
+					n := tc.drainDue - cycle - 1
+					for k := uint64(1); k <= n; k++ {
+						mems[0].tick(cycle + k)
+						ticked.Tick(cycle + k)
+					}
+					replayed.FastForward(n)
+					cycle += n
+					assertSameCounters(t, cycle, ticked, replayed)
+					assertSameRefusals(t, cycle, strms)
+					drained = true
 				}
 			}
 			if ticked.Stalls[tc.stall] == 0 {
@@ -188,7 +301,14 @@ func TestReplayLockstep(t *testing.T) {
 				t.Error("Replay never accepted a cycle: the row does not exercise it")
 			}
 			if !tc.replays && replays != 0 {
-				t.Errorf("Replay accepted %d cycles of a stall another component ends", replays)
+				t.Errorf("Replay accepted %d cycles of a stall the port does not call sticky", replays)
+			}
+			if tc.tickAt != 0 && (!replayedAt[tc.tickAt-1] || replayedAt[tc.tickAt] || !replayedAt[tc.tickAt+1]) {
+				t.Errorf("cycles %d, %d, %d replayed %v, %v, %v: want only the epoch's move ticked", tc.tickAt-1, tc.tickAt, tc.tickAt+1,
+					replayedAt[tc.tickAt-1], replayedAt[tc.tickAt], replayedAt[tc.tickAt+1])
+			}
+			if tc.drainDue != 0 && !drained {
+				t.Error("the drain was never fast-forwarded: the row does not exercise it")
 			}
 			for r := isa.Reg(0); r < isa.NumRegs; r++ {
 				if ticked.Reg(r) != replayed.Reg(r) {
@@ -196,6 +316,19 @@ func TestReplayLockstep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func produceThenHalt(b *asm.Builder) {
+	b.MovI(1, 5)
+	b.Produce(0, 1)
+	b.Halt()
+}
+
+func assertSameRefusals(t *testing.T, cycle uint64, s [2]*refusingStream) {
+	t.Helper()
+	if s[0].refusals != s[1].refusals {
+		t.Fatalf("cycle %d: %d refusals counted ticked, %d replayed", cycle, s[0].refusals, s[1].refusals)
 	}
 }
 

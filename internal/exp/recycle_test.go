@@ -220,12 +220,8 @@ func TestConcurrentRunsLeaveBaseImageUntouched(t *testing.T) {
 // and not its tag arrays (528 KiB per dual-core machine before they were
 // recycled).
 func TestRunAllocationCeiling(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, set := range bi.Settings {
-			if set.Key == "-race" && set.Value == "true" {
-				t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops a quarter of what it is given")
-			}
-		}
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops a quarter of what it is given")
 	}
 	cells := recycleCells()[:63]
 	pass := func(cells []cell) uint64 {
@@ -254,4 +250,16 @@ func TestRunAllocationCeiling(t *testing.T) {
 	if got := pass(mcf) >> 10; got > 256 {
 		t.Errorf("mcf/EXISTING allocates %d KiB per run, want at most 256", got)
 	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -127,6 +127,10 @@ type Controller struct {
 	events  evq.Queue[event]
 	reqFree []*bus.Req // recycled bus requests (recyclable once ReqDone returns)
 
+	// epoch counts the compact passes that retired an entry, the only way
+	// the OzQ shrinks (see Refusal).
+	epoch uint64
+
 	// wakeAt caches the earliest cycle at which ticking this controller
 	// can do anything: the next scheduled event, retry, access completion,
 	// or probe timeout. Mutations that create work lower it (noteWake);
@@ -288,6 +292,12 @@ func (c *Controller) newReq() *bus.Req {
 
 // CanAccept implements port.Mem.
 func (c *Controller) CanAccept() bool { return len(c.ozq) < c.p.OzQSize }
+
+// Refusal implements port.Refuser. The controller refuses an operation
+// only when its OzQ is full, at no cost and with no counter, and the OzQ
+// only shrinks when compact retires an entry, so the refusal repeats while
+// epoch holds still.
+func (c *Controller) Refusal() (epoch, count *uint64, sticky bool) { return &c.epoch, nil, true }
 
 // slotIdx reduces a cumulative slot index modulo the queue depth.
 func (c *Controller) slotIdx(slot uint64) int {
@@ -645,6 +655,7 @@ func (c *Controller) compact(cycle uint64) {
 		c.injectForwards(cycle)
 		return
 	}
+	c.epoch++
 	kept := c.ozq[:i]
 	for ; i < n; i++ {
 		e := c.ozq[i]

@@ -164,7 +164,20 @@ func TestOzQBackpressure(t *testing.T) {
 	if n != 4 {
 		t.Errorf("accepted %d entries, want 4", n)
 	}
-	r.step(2000)
+	// The refusal is sticky on the retire epoch: the OzQ stays full on
+	// every cycle the epoch holds still, and the first cycle it accepts
+	// again is one on which the epoch moved.
+	epoch, count, sticky := c.Refusal()
+	if epoch != &c.epoch || count != nil || !sticky {
+		t.Fatalf("Refusal() = (%p, %p, %v), want the retire epoch, no counter, sticky", epoch, count, sticky)
+	}
+	seen := *epoch
+	for i := 0; i < 2000 && !c.CanAccept(); i++ {
+		r.step(1)
+		if *epoch == seen && c.CanAccept() {
+			t.Fatalf("cycle %d: the OzQ accepts with its epoch unmoved", r.cycle)
+		}
+	}
 	if !c.CanAccept() {
 		t.Error("OzQ never drained")
 	}

@@ -76,3 +76,19 @@ type Stream interface {
 	Produce(cycle uint64, q int, v uint64) (tok *Token, ok bool)
 	Consume(cycle uint64, q int) (tok *Token, ok bool)
 }
+
+// Refuser is implemented by a Mem or Stream port that can say whether an
+// operation it just refused would be refused again. Called right after the
+// refusal, before any other component acts, Refusal reports:
+//
+//   - sticky: an identical attempt is refused, with no side effect but
+//     bumping *count, for as long as *epoch holds still;
+//   - count: the counter one more identical refusal would bump (nil for
+//     none).
+//
+// A core stalled on a sticky refusal may charge the stall instead of
+// retrying (see core.Core.Replay). Ports that do not implement Refuser are
+// always retried.
+type Refuser interface {
+	Refusal() (epoch, count *uint64, sticky bool)
+}

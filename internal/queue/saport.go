@@ -35,6 +35,11 @@ func (sa *SyncArray) Port(core int) *SAPort {
 	}
 }
 
+// Refusal implements port.Refuser. A core asks right after its own refused
+// operation, before any other port reaches the shared array, so the array's
+// last refusal is this port's; for an MPMC queue it names the lane.
+func (p *SAPort) Refusal() (epoch, count *uint64, sticky bool) { return p.sa.Refusal() }
+
 // Produce implements port.Stream. MPMC queues dispatch to the lane owning
 // this producer's next ticket; others pass through unchanged.
 func (p *SAPort) Produce(cycle uint64, q int, v uint64) (*port.Token, bool) {

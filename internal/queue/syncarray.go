@@ -74,6 +74,11 @@ type saQueue struct {
 	// (fifo = fifo[1:] reallocates on nearly every push).
 	fifo []uint64
 	head int
+	// epoch counts the data and credit deliveries to this queue: its
+	// occupancy only rises, and its producer's outstanding count only
+	// falls, through one of them, so a full or empty refusal repeats for
+	// as long as epoch holds still.
+	epoch uint64
 }
 
 // occ returns the queue's resident occupancy.
@@ -162,6 +167,9 @@ type SyncArray struct {
 	// interconnect delivery paths: credits may be delayed or dropped,
 	// data messages may be dropped (see package fault).
 	Faults *fault.Injector
+
+	// The last refused Produce or Consume, as Refusal reports it.
+	refEpoch, refCount *uint64
 
 	// Stats.
 	Produces     uint64
@@ -309,6 +317,7 @@ func (sa *SyncArray) tick(cycle uint64) {
 			continue
 		}
 		q := &sa.queues[m.q]
+		q.epoch++
 		if m.credit {
 			q.outstanding--
 			if q.outstanding < 0 {
@@ -405,9 +414,11 @@ func (sa *SyncArray) Produce(cycle uint64, q int, v uint64) (*port.Token, bool) 
 	qu := &sa.queues[q]
 	if qu.outstanding >= sa.capacityOf(q) {
 		sa.FullStalls++
+		sa.refEpoch, sa.refCount = &qu.epoch, &sa.FullStalls
 		return nil, false
 	}
 	if !sa.takeBudget(cycle) {
+		sa.refEpoch, sa.refCount = nil, nil
 		return nil, false
 	}
 	msg := saMessage{q: q, value: v}
@@ -425,7 +436,10 @@ func (sa *SyncArray) Produce(cycle uint64, q int, v uint64) (*port.Token, bool) 
 		sa.pendingData = append(sa.pendingData, msg)
 		sa.noteWake(cycle + 1)
 	default:
+		// Not sticky: the attempt took a unit of this cycle's port
+		// budget, which a skipped retry would leave to a later core.
 		sa.LinkBackpressure++
+		sa.refEpoch, sa.refCount = nil, &sa.LinkBackpressure
 		return nil, false
 	}
 	qu.outstanding++
@@ -444,9 +458,11 @@ func (sa *SyncArray) Consume(cycle uint64, q int) (*port.Token, bool) {
 	qu := &sa.queues[q]
 	if qu.occ() == 0 {
 		sa.EmptyStalls++
+		sa.refEpoch, sa.refCount = &qu.epoch, &sa.EmptyStalls
 		return nil, false
 	}
 	if !sa.takeBudget(cycle) {
+		sa.refEpoch, sa.refCount = nil, nil
 		return nil, false
 	}
 	v := qu.pop()
@@ -474,6 +490,15 @@ func (sa *SyncArray) Consume(cycle uint64, q int) (*port.Token, bool) {
 	tok := sa.Tokens.Get(stats.PreL2)
 	tok.Complete(cycle+uint64(sa.p.ConsumeToUse), v)
 	return tok, true
+}
+
+// Refusal implements port.Refuser for the last refused Produce or Consume.
+// A full or an empty queue refuses again until its epoch moves: the full
+// and empty checks come before the port budget is taken, so the refused
+// attempt changes nothing but its counter. A refusal by the per-cycle port
+// budget or by a full egress buffer is never sticky.
+func (sa *SyncArray) Refusal() (epoch, count *uint64, sticky bool) {
+	return sa.refEpoch, sa.refCount, sa.refEpoch != nil
 }
 
 // Occupancy returns the number of items resident in queue q's dedicated

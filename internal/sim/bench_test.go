@@ -13,9 +13,11 @@ import (
 	"hfstream/internal/workloads"
 )
 
-// BenchmarkRunCell times sim.Run alone on three cells of the evaluation:
-// a controller-queue design, software queues on a memory-bound kernel, and
-// a four-stage synchronization-array chain. The threads, the machine and
+// BenchmarkRunCell times sim.Run alone on five cells of the evaluation:
+// a controller-queue design, software queues on a memory-bound kernel, a
+// four-stage synchronization-array chain, and two six-stage chains whose
+// cores spend most cycles on a refused queue operation: a full array
+// queue, and an OzQ full of dormant produces. The threads, the machine and
 // the input image are built once; every iteration runs on a fresh
 // copy-on-write fork of the image, as the experiment harness does.
 func BenchmarkRunCell(b *testing.B) {
@@ -26,6 +28,8 @@ func BenchmarkRunCell(b *testing.B) {
 		{"wc", design.SyncOptiConfig()},
 		{"mcf", design.ExistingConfig()},
 		{"fft2", design.HeavyWTConfig().WithCores(4)},
+		{"art", design.HeavyWTConfig().WithCores(6)},
+		{"equake", design.SyncOptiSCQ64Config().WithCores(6)},
 	} {
 		b.Run(cell.bench+"/"+cell.design.Name(), func(b *testing.B) {
 			cfg, base, threads := buildCell(b, cell.bench, cell.design)

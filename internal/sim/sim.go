@@ -414,7 +414,7 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 			case fastForward && coreDone[i]:
 				// A drained core stays drained; its Tick would do nothing.
 			case fastForward && c.Replay(cycle):
-				// A stall inside the core repeats: charged, not re-ticked.
+				// The stall provably repeats: charged, not re-ticked.
 			default:
 				c.Tick(cycle)
 				coreDone[i] = c.Done(cycle)
@@ -511,20 +511,9 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		}
 		n := wake - cycle - 1
 		for i, c := range cores {
-			if coreDone[i] {
-				continue
-			}
-			c.FastForward(n)
-			if sa != nil {
-				// The per-cycle loop would have retried the blocked queue
-				// operation each cycle, bumping the SA's stall counter on
-				// every failed attempt.
-				switch c.LastStall {
-				case core.StallQueueFull:
-					sa.FullStalls += n
-				case core.StallQueueEmpty:
-					sa.EmptyStalls += n
-				}
+			if !coreDone[i] {
+				// Charges the blocked queue operation's retry counter too.
+				c.FastForward(n)
 			}
 		}
 		queueOcc.ObserveN(prodNow-consNow, n)
