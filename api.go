@@ -201,10 +201,7 @@ func (d Design) ParallelStage() bool { return d.cfg.Parallel }
 // slots from per-core cumulative counters, which collide with multiple
 // endpoints, so RunPrograms refuses such workloads on those designs with
 // MPMCUnsupportedError.
-func (d Design) SupportsMPMC() bool {
-	simCfg := d.cfg.SimConfig()
-	return d.cfg.SoftwareQueues() || simCfg.UseSyncArray || !simCfg.Mem.HWQueues
-}
+func (d Design) SupportsMPMC() bool { return d.cfg.SupportsMPMC() }
 
 // Benchmark is one of the paper's nine workload loops.
 type Benchmark struct {

@@ -3,17 +3,13 @@ package hfstream
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"hfstream/internal/asm"
 	"hfstream/internal/design"
+	"hfstream/internal/exp"
 	"hfstream/internal/interp"
 	"hfstream/internal/isa"
-	"hfstream/internal/lower"
 	"hfstream/internal/mem"
-	"hfstream/internal/memsys"
-	"hfstream/internal/queue"
-	"hfstream/internal/sim"
 )
 
 // Program is an assembled streaming kernel thread.
@@ -61,9 +57,9 @@ type CustomRun struct {
 func (c *CustomRun) Read(addr uint64) uint64 { return c.image.Read8(addr) }
 
 // maxCustomCores is the largest machine RunPrograms can build. Queue
-// routing no longer relies on the implicit dual-core peer mapping: each
-// queue's producer/consumer cores are derived by a static scan of the
-// programs and handed to the fabric as explicit routes, so any core
+// routing does not rely on the implicit dual-core peer mapping: exp.Execute
+// derives each queue's producer/consumer cores by a static scan of the
+// programs and hands them to the fabric as explicit routes, so any core
 // count up to the cap works. The cap itself just bounds the machines the
 // experiment layer is calibrated for.
 const maxCustomCores = design.MaxCores
@@ -82,92 +78,14 @@ func (e *CoreCountError) Error() string {
 		e.Programs, e.Max)
 }
 
-// MPMCUnsupportedError reports a workload whose statically derived queue
-// topology needs multi-producer/multi-consumer semantics on a design
-// point that cannot provide them: the SYNCOPTI in-memory queue
-// controller assigns slots from per-core cumulative produce/consume
-// counters, which collide as soon as a queue has more than one endpoint
-// on either side. Realize the topology as SPSC lanes instead (the DSWP
-// parallel-stage partitioner does exactly that), or run it on the
-// software-queue or HEAVYWT designs, which implement the ticket
-// discipline natively.
-type MPMCUnsupportedError struct {
-	Design string
-	Queues []int // MPMC queue IDs, ascending
-}
-
-// Error implements error.
-func (e *MPMCUnsupportedError) Error() string {
-	return fmt.Sprintf("hfstream: design %s cannot serve MPMC queues %v (per-core slot counters collide); use software queues, HEAVYWT, or SPSC lanes",
-		e.Design, e.Queues)
-}
-
-// deriveRoles statically scans the programs and returns, per queue, the
-// producing and consuming thread sets in ascending order — the same
-// derivation the functional interpreter uses, so the simulated machine
-// and its oracle always agree on the topology.
-func deriveRoles(progs []*isa.Program) map[int]queue.MPMCRoute {
-	roles := map[int]queue.MPMCRoute{}
-	add := func(s []int, t int) []int {
-		i := sort.SearchInts(s, t)
-		if i < len(s) && s[i] == t {
-			return s
-		}
-		s = append(s, 0)
-		copy(s[i+1:], s[i:])
-		s[i] = t
-		return s
-	}
-	for t, p := range progs {
-		for _, in := range p.Instrs {
-			switch in.Op {
-			case isa.Produce:
-				r := roles[in.Q]
-				r.Producers = add(r.Producers, t)
-				roles[in.Q] = r
-			case isa.Consume:
-				r := roles[in.Q]
-				r.Consumers = add(r.Consumers, t)
-				roles[in.Q] = r
-			}
-		}
-	}
-	return roles
-}
-
-// memRoutes converts derived roles into the fabric's SPSC route table
-// (indexed by queue ID). MPMC queues get their first endpoints: on the
-// software-queue designs the route only steers the write-forward
-// destination — a performance hint; correctness comes from coherence.
-func memRoutes(roles map[int]queue.MPMCRoute) []memsys.QueueRoute {
-	maxQ := -1
-	for q := range roles {
-		if q > maxQ {
-			maxQ = q
-		}
-	}
-	routes := make([]memsys.QueueRoute, maxQ+1)
-	for i := range routes {
-		routes[i] = memsys.QueueRoute{Producer: 0, Consumer: 1}
-	}
-	for q, r := range roles {
-		rt := memsys.QueueRoute{Producer: 0, Consumer: 1}
-		if len(r.Producers) > 0 {
-			rt.Producer = r.Producers[0]
-		}
-		if len(r.Consumers) > 0 {
-			rt.Consumer = r.Consumers[0]
-		}
-		routes[q] = rt
-	}
-	return routes
-}
-
 // RunPrograms executes custom kernel threads (one per core, up to
 // maxCustomCores) on the given design point. init seeds the functional
 // memory image before execution. It returns a *CoreCountError when progs
-// exceeds the machine's core count; a lowering failure anywhere in the
-// slice fails the call before anything runs.
+// exceeds the machine's core count, a *ValidationError for a program
+// that can run past its last instruction (end it with halt or b), and a
+// *MPMCUnsupportedError for a queue with several producers or consumers on
+// a design that cannot serve one; a lowering failure anywhere in the slice
+// fails the call before anything runs.
 func RunPrograms(d Design, progs []*Program, init map[uint64]uint64) (*CustomRun, error) {
 	return RunProgramsCtx(context.Background(), d, progs, init)
 }
@@ -187,59 +105,12 @@ func RunProgramsCtx(ctx context.Context, d Design, progs []*Program, init map[ui
 	for i, p := range progs {
 		raw[i] = p.p
 	}
-	roles := deriveRoles(raw)
-	mpmc := map[int]queue.MPMCRoute{}
-	for q, r := range roles {
-		if r.IsMPMC() {
-			mpmc[q] = r
-		}
-	}
-	simCfg := d.cfg.SimConfig()
-	if len(mpmc) > 0 {
-		switch {
-		case d.cfg.SoftwareQueues():
-			// Handled per-program by the role-aware lowering below.
-		case simCfg.UseSyncArray:
-			simCfg.SA.MPMC = mpmc
-		case simCfg.Mem.HWQueues:
-			qs := make([]int, 0, len(mpmc))
-			for q := range mpmc {
-				qs = append(qs, q)
-			}
-			sort.Ints(qs)
-			return nil, &MPMCUnsupportedError{Design: d.Name(), Queues: qs}
-		}
-	}
-	// The dual-core machine keeps the implicit peer mapping (and its
-	// byte-identical goldens); beyond it the fabric needs explicit routes.
-	if len(progs) > 2 && len(roles) > 0 {
-		simCfg.Mem.QueueRoutes = memRoutes(roles)
-	}
-	// Lower every program before building the machine, so a failure on a
-	// later program cannot leave a half-constructed run behind.
-	lowered := make([]*isa.Program, len(progs))
-	for i, p := range progs {
-		lowered[i] = p.p
-		if d.cfg.SoftwareQueues() {
-			var err error
-			lowered[i], err = lower.LowerRoles(p.p, d.cfg.Layout(), i, mpmc)
-			if err != nil {
-				return nil, fmt.Errorf("hfstream: program %d: %w", i, err)
-			}
-		}
-	}
 	image := mem.New()
 	for a, v := range init {
 		image.Write8(a, v)
 	}
-	threads := make([]sim.Thread, len(lowered))
-	for i, ip := range lowered {
-		threads[i] = sim.Thread{Prog: ip}
-	}
 	o := gatherOpts(opts)
-	o.expOpts().Apply(&simCfg)
-	simCfg.Cancel = ctx.Done()
-	res, err := sim.Run(simCfg, image, threads)
+	res, err := exp.Execute(ctx, d.cfg, raw, image, nil, o.expOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +123,8 @@ func RunProgramsCtx(ctx context.Context, d Design, progs []*Program, init map[ui
 
 // Interpret runs the programs on the timing-free functional interpreter
 // (unbounded queues) and returns the final memory image reader. It is the
-// oracle RunPrograms results can be compared against.
+// oracle RunPrograms results can be compared against, and rejects the
+// same programs that can run past their last instruction.
 func Interpret(progs []*Program, init map[uint64]uint64) (func(addr uint64) uint64, error) {
 	image := mem.New()
 	for a, v := range init {
@@ -260,6 +132,9 @@ func Interpret(progs []*Program, init map[uint64]uint64) (func(addr uint64) uint
 	}
 	raw := make([]*isa.Program, len(progs))
 	for i, p := range progs {
+		if err := p.p.CheckEnd(); err != nil {
+			return nil, fmt.Errorf("hfstream: program %d: %w", i, err)
+		}
 		raw[i] = p.p
 	}
 	m := interp.New(image, raw...)

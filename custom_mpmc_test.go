@@ -115,6 +115,34 @@ func TestRunProgramsMPMCMatchesInterpret(t *testing.T) {
 	}
 }
 
+// SupportsMPMC is one rule (every point but SYNCOPTI); it must agree with
+// what the machine each name builds can do — software queues, the
+// synchronization array, or no in-memory queue controller — on every form
+// DesignByName accepts.
+func TestSupportsMPMCEveryName(t *testing.T) {
+	var names []string
+	for _, n := range DesignNames() {
+		switch n {
+		case "NETQUEUE_<h>hop":
+			names = append(names, "NETQUEUE_1hop", "NETQUEUE_3hop")
+		case "<design>_<k>CORE":
+		default:
+			names = append(names, n, n+"_6CORE")
+		}
+	}
+	for _, name := range names {
+		d, err := DesignByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simCfg := d.cfg.SimConfig()
+		want := d.cfg.SoftwareQueues() || simCfg.UseSyncArray || !simCfg.Mem.HWQueues
+		if d.SupportsMPMC() != want {
+			t.Errorf("%s: SupportsMPMC() = %v, want %v", name, d.SupportsMPMC(), want)
+		}
+	}
+}
+
 // An endpoint count that does not divide the queue depth must fail
 // cleanly everywhere: the software lowering and the syncarray both reject
 // it instead of letting slot ownership drift across wraps.

@@ -165,6 +165,47 @@ func TestRunProgramsLoweringFailure(t *testing.T) {
 	}
 }
 
+// A program control can run past the end of is a typed error from both
+// RunPrograms and Interpret on every design point, never an index panic;
+// ending in halt or an unconditional branch is fine.
+func TestProgramEnd(t *testing.T) {
+	cases := []struct {
+		name, src string
+		ok        bool
+	}{
+		{"empty", "", false},
+		{"no halt", "movi r1, 1\n", false},
+		{"trailing bnez", "movi r1, 3\nloop:\naddi r1, r1, -1\nbnez r1, loop\n", false},
+		{"halt", "movi r1, 1\nhalt\n", true},
+		{"trailing b", "movi r1, 3\nb loop\ndone:\nhalt\nloop:\naddi r1, r1, -1\nbeqz r1, done\nb loop\n", true},
+	}
+	for _, tc := range cases {
+		progs := []*Program{mustCompile(t, "p", tc.src)}
+		if _, err := Interpret(progs, nil); (err == nil) != tc.ok {
+			t.Errorf("%s: Interpret error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		for _, d := range Designs() {
+			_, err := RunPrograms(d, progs, nil)
+			var ve *ValidationError
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s on %s: %v", tc.name, d.Name(), err)
+			case !tc.ok && (!errors.As(err, &ve) || !strings.Contains(err.Error(), "thread 0")):
+				t.Errorf("%s on %s: error %v, want a ValidationError naming thread 0", tc.name, d.Name(), err)
+			}
+		}
+	}
+	// The topology scan's queue bound is a typed error too, on software-
+	// queue designs as well as hardware ones.
+	far := []*Program{mustCompile(t, "far", "movi r1, 1\nproduce q64, r1\nhalt\n")}
+	for _, d := range Designs() {
+		var ve *ValidationError
+		if _, err := RunPrograms(d, far, nil); !errors.As(err, &ve) {
+			t.Errorf("queue 64 on %s: error %v, want a ValidationError", d.Name(), err)
+		}
+	}
+}
+
 // RunPrograms must agree with the functional interpreter on every design
 // point, including the extension designs DesignByName resolves.
 func TestRunProgramsMatchesInterpretEverywhere(t *testing.T) {

@@ -27,7 +27,7 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Cycles, res.CommRatio(1))
 //
-// The cmd/hfsim and cmd/hfexp commands wrap this API; the examples
-// directory shows custom kernels, DSWP partitioning and design-space
-// sweeps.
+// The cmd/hfsim and cmd/hfexp commands wrap this API, and cmd/hfdswp
+// inspects DSWP partitions; ExampleRunPrograms shows a custom kernel and
+// ExampleRunSingleThreaded a benchmark swept across the design points.
 package hfstream

@@ -1,6 +1,9 @@
 package hfstream
 
-import "hfstream/internal/sim"
+import (
+	"hfstream/internal/exp"
+	"hfstream/internal/sim"
+)
 
 // The simulator's typed failure modes, re-exported so callers can
 // errors.As against them without importing internal packages.
@@ -15,6 +18,11 @@ type (
 	// ValidationError reports a configuration or program the simulator
 	// rejected before running a single cycle.
 	ValidationError = sim.ValidationError
+	// MPMCUnsupportedError reports custom programs whose queue topology
+	// puts more than one producer or consumer on a queue, run on a design
+	// point that cannot serve such queues (see Design.SupportsMPMC). Queues
+	// lists the offending queue IDs in ascending order.
+	MPMCUnsupportedError = exp.MPMCUnsupportedError
 )
 
 // Diagnosis is the structured machine snapshot attached to DeadlockError

@@ -1,6 +1,6 @@
 // Package asm provides a programmatic builder and a text assembler for
 // isa.Program values. Workload kernels and the DSWP code generator use the
-// builder; tests and examples use the text form.
+// builder; tests and custom kernels use the text form.
 package asm
 
 import (

@@ -285,6 +285,13 @@ func (c Config) SoftwareQueues() bool {
 	return c.Point == Existing || c.Point == MemOpti
 }
 
+// SupportsMPMC reports whether the point can serve a queue with more than
+// one producer or consumer. The software-queue lowerings and the
+// synchronization array implement the ticket discipline natively;
+// SYNCOPTI's in-memory queue controller assigns slots from per-core
+// cumulative counters, which collide as soon as a side has two endpoints.
+func (c Config) SupportsMPMC() bool { return c.Point != SyncOpti }
+
 // WithCores returns the configuration retargeted to an n-core machine:
 // chains run one DSWP stage per core, parallel-stage points n-1 workers
 // plus a merger. Name derives the suffix, so WithCores(2) names the

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"hfstream/internal/design"
@@ -84,4 +85,52 @@ func TestRoutesMatchAssignments(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTopologyMatchesPartition: the routes Execute reads off a plan's
+// programs must be the partitioner's own dswp.Result.Routes, queue by
+// queue, on every chain and parallel shape plan accepts, and no queue may
+// come out MPMC — the parallel-stage partitioner realizes its topology as
+// SPSC lanes. bench/spine still routes its ncore cells from the partition
+// and must see the cycles RunBenchmarkOpts sees.
+func TestTopologyMatchesPartition(t *testing.T) {
+	shapes := 0
+	for _, b := range workloads.All() {
+		if b.Loop == nil {
+			continue
+		}
+		for n := 3; n <= design.MaxCores; n++ {
+			for _, cfg := range []design.Config{design.HeavyWTConfig().WithCores(n), design.MPMCConfig().WithCores(n)} {
+				progs, err := plan(b, cfg)
+				if err != nil {
+					continue
+				}
+				var pr *dswp.Result
+				if cfg.Parallel {
+					pr, err = dswp.PartitionParallel(b.Loop, n-1)
+				} else {
+					pr, err = dswp.PartitionN(b.Loop, n)
+				}
+				if err != nil {
+					t.Fatalf("%s/%s: plan succeeded but the partitioner failed: %v", b.Name, cfg.Name(), err)
+				}
+				want := make([]memsys.QueueRoute, len(pr.Routes))
+				for q, rt := range pr.Routes {
+					want[q] = memsys.QueueRoute{Producer: rt.Producer, Consumer: rt.Consumer}
+				}
+				routes, mpmc := topology(progs)
+				if !reflect.DeepEqual(routes, want) {
+					t.Errorf("%s/%s: derived routes %v, partition %v", b.Name, cfg.Name(), routes, want)
+				}
+				if len(mpmc) != 0 {
+					t.Errorf("%s/%s: derived MPMC queues %v", b.Name, cfg.Name(), mpmc)
+				}
+				shapes++
+			}
+		}
+	}
+	if shapes == 0 {
+		t.Fatal("no shape planned")
+	}
+	t.Logf("%d shapes", shapes)
 }

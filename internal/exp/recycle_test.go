@@ -132,9 +132,13 @@ func TestFailedRunsRecycleCleanly(t *testing.T) {
 			// Past validate, past the fabric and its preload; NewSyncArray
 			// then refuses the unsorted route.
 			cfg := design.HeavyWTConfig()
-			threads, _, err := plan(wc, cfg)
+			progs, err := plan(wc, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			threads := make([]sim.Thread, len(progs))
+			for i, p := range progs {
+				threads[i] = sim.Thread{Prog: p}
 			}
 			e := images(wc.Name)
 			if e.err != nil {

@@ -10,6 +10,8 @@ package exp
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"sort"
 
 	"hfstream/fault"
 	"hfstream/internal/design"
@@ -18,6 +20,7 @@ import (
 	"hfstream/internal/lower"
 	"hfstream/internal/mem"
 	"hfstream/internal/memsys"
+	"hfstream/internal/queue"
 	"hfstream/internal/sim"
 	"hfstream/internal/workloads"
 	"hfstream/trace"
@@ -70,25 +73,37 @@ func RunSingleOpts(ctx context.Context, b *workloads.Benchmark, opts RunOpts) (*
 }
 
 // run is the one path every simulation of a benchmark takes: plan the
-// shape, then execute it; label names the run in errors.
+// shape, execute it over a fork of the benchmark's input image and check
+// the output against the oracle; label names the run in errors.
 func run(ctx context.Context, b *workloads.Benchmark, cfg design.Config, label string, opts RunOpts) (*sim.Result, error) {
-	threads, routes, err := plan(b, cfg)
-	if err != nil {
+	fail := func(err error) (*sim.Result, error) {
 		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, label, err)
 	}
-	return execute(ctx, b, cfg, label, threads, routes, opts)
+	progs, err := plan(b, cfg)
+	if err != nil {
+		return fail(err)
+	}
+	e := images(b.Name)
+	if e.err != nil {
+		return fail(e.err)
+	}
+	img := e.base.Fork()
+	res, err := Execute(ctx, cfg, progs, img, b.InputRegions, opts)
+	if err == nil {
+		err = CheckOutput(b, img)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return res, nil
 }
 
-// plan turns the shape cfg describes into the threads that realize it and
-// the queue routes a machine past two cores needs: one core runs the
-// unpartitioned loop, two the benchmark's own pipeline (DSWP's two stages,
-// or bzip2's hand partition) over the implicit dual-core routing, Cores >=
-// 3 a Cores-stage DSWP chain, and Parallel Cores-1 replicated workers plus
-// a merger. Software-queue designs get their threads lowered (which
-// leaves the queue-free single-core loop as it is).
-func plan(b *workloads.Benchmark, cfg design.Config) ([]sim.Thread, []memsys.QueueRoute, error) {
+// plan turns the shape cfg describes into the programs that realize it:
+// one core runs the unpartitioned loop, two the benchmark's own pipeline
+// (DSWP's two stages, or bzip2's hand partition), Cores >= 3 a Cores-stage
+// DSWP chain, and Parallel Cores-1 replicated workers plus a merger.
+func plan(b *workloads.Benchmark, cfg design.Config) ([]*isa.Program, error) {
 	var progs []*isa.Program
-	var routes []dswp.QueueRoute
 	var err error
 	n := cfg.Cores
 	switch {
@@ -114,50 +129,140 @@ func plan(b *workloads.Benchmark, cfg design.Config) ([]sim.Thread, []memsys.Que
 			pr, err = dswp.PartitionN(b.Loop, n)
 		}
 		if err == nil {
-			progs, routes = pr.Threads, pr.Routes
+			progs = pr.Threads
 		}
 	}
-	if err != nil {
-		return nil, nil, err
+	return progs, err
+}
+
+// MPMCUnsupportedError reports a workload whose statically derived queue
+// topology needs multi-producer/multi-consumer semantics on a design
+// point that cannot provide them: the SYNCOPTI in-memory queue
+// controller assigns slots from per-core cumulative produce/consume
+// counters, which collide as soon as a queue has more than one endpoint
+// on either side. Realize the topology as SPSC lanes instead (the DSWP
+// parallel-stage partitioner does exactly that), or run it on the
+// software-queue or HEAVYWT designs, which implement the ticket
+// discipline natively.
+type MPMCUnsupportedError struct {
+	Design string
+	Queues []int // MPMC queue IDs, ascending
+}
+
+// Error implements error.
+func (e *MPMCUnsupportedError) Error() string {
+	return fmt.Sprintf("hfstream: design %s cannot serve MPMC queues %v (per-core slot counters collide); use software queues, HEAVYWT, or SPSC lanes",
+		e.Design, e.Queues)
+}
+
+// maxQueues bounds the queue numbers a program may use: every design
+// point's layout has 64 queues.
+const maxQueues = 64
+
+// Execute simulates progs, one per core and at most design.MaxCores of
+// them, on cfg's machine over img, with the preload regions warmed into
+// the caches first. It is the one caller of sim.Run outside tests, and so
+// the one place that reads each queue's producing and consuming cores off
+// the programs, admits MPMC queues (the synchronization array takes their
+// routes, the software-queue lowerings their ticket striping, and SYNCOPTI
+// refuses them with *MPMCUnsupportedError), routes the fabric past two
+// cores and lowers the programs of software-queue designs. A lowering
+// failure names its program and fails the call before anything runs.
+func Execute(ctx context.Context, cfg design.Config, progs []*isa.Program, img *mem.Memory, preload []mem.Region, opts RunOpts) (*sim.Result, error) {
+	for _, p := range progs {
+		if err := p.Validate(maxQueues); err != nil {
+			return nil, &sim.ValidationError{Reason: err.Error()}
+		}
 	}
+	routes, mpmc := topology(progs)
+	simCfg := cfg.SimConfig()
+	if len(mpmc) > 0 {
+		if !cfg.SupportsMPMC() {
+			qs := make([]int, 0, len(mpmc))
+			for q := range mpmc {
+				qs = append(qs, q)
+			}
+			sort.Ints(qs)
+			return nil, &MPMCUnsupportedError{Design: cfg.Name(), Queues: qs}
+		}
+		if simCfg.UseSyncArray {
+			simCfg.SA.MPMC = mpmc
+		}
+	}
+	simCfg.Mem.QueueRoutes = routes
 	threads := make([]sim.Thread, len(progs))
 	for i, p := range progs {
 		if cfg.SoftwareQueues() {
-			if p, err = lower.Lower(p, cfg.Layout()); err != nil {
-				return nil, nil, err
+			var err error
+			if p, err = lower.LowerRoles(p, cfg.Layout(), i, mpmc); err != nil {
+				return nil, fmt.Errorf("program %d: %w", i, err)
 			}
 		}
 		threads[i] = sim.Thread{Prog: p}
 	}
-	qr := make([]memsys.QueueRoute, len(routes))
-	for i, rt := range routes {
-		qr[i] = memsys.QueueRoute{Producer: rt.Producer, Consumer: rt.Consumer}
-	}
-	return threads, qr, nil
-}
-
-// execute forks the benchmark's input image, simulates the threads on
-// cfg's machine and checks the output region against the oracle. It is the
-// package's only caller of sim.Run.
-func execute(ctx context.Context, b *workloads.Benchmark, cfg design.Config, label string, threads []sim.Thread, routes []memsys.QueueRoute, opts RunOpts) (*sim.Result, error) {
-	e := images(b.Name)
-	if e.err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, label, e.err)
-	}
-	img := e.base.Fork()
-	simCfg := cfg.SimConfig()
-	simCfg.Preload = b.InputRegions
+	simCfg.Preload = preload
 	opts.Apply(&simCfg)
 	simCfg.Cancel = ctx.Done()
-	simCfg.Mem.QueueRoutes = routes
-	res, err := sim.Run(simCfg, img, threads)
-	if err == nil {
-		err = CheckOutput(b, img)
+	return sim.Run(simCfg, img, threads)
+}
+
+// topology reads the queue topology off the programs, which must have
+// passed Validate(maxQueues). mpmc holds each queue with more than one
+// producer or consumer, its cores in ascending order. routes is the
+// fabric's route table, indexed by queue: each queue's lowest producing
+// and consuming core (0 and 1 for a side nothing uses; an MPMC queue's
+// route only steers the software-queue write-forward destination). The
+// dual-core machine keeps the implicit peer mapping and its
+// byte-identical goldens, so routes is nil up to two cores, and an SPSC
+// run allocates nothing but the route table past them.
+func topology(progs []*isa.Program) (routes []memsys.QueueRoute, mpmc map[int]queue.MPMCRoute) {
+	var prod, cons [maxQueues]uint8 // bit t: core t produces/consumes
+	top := -1
+	for t, p := range progs {
+		for _, in := range p.Instrs {
+			switch in.Op {
+			case isa.Produce:
+				prod[in.Q] |= 1 << t
+			case isa.Consume:
+				cons[in.Q] |= 1 << t
+			default:
+				continue
+			}
+			top = max(top, in.Q)
+		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, label, err)
+	for q := 0; q <= top; q++ {
+		if bits.OnesCount8(prod[q]) > 1 || bits.OnesCount8(cons[q]) > 1 {
+			if mpmc == nil {
+				mpmc = map[int]queue.MPMCRoute{}
+			}
+			mpmc[q] = queue.MPMCRoute{Producers: coresOf(prod[q]), Consumers: coresOf(cons[q])}
+		}
 	}
-	return res, nil
+	if len(progs) > 2 && top >= 0 {
+		routes = make([]memsys.QueueRoute, top+1)
+		for q := range routes {
+			routes[q] = memsys.QueueRoute{Producer: lowest(prod[q], 0), Consumer: lowest(cons[q], 1)}
+		}
+	}
+	return routes, mpmc
+}
+
+// coresOf lists the cores of a bit set in ascending order.
+func coresOf(set uint8) []int {
+	var cores []int
+	for ; set != 0; set &= set - 1 {
+		cores = append(cores, bits.TrailingZeros8(set))
+	}
+	return cores
+}
+
+// lowest is the lowest core of a bit set, or def when it is empty.
+func lowest(set uint8, def int) int {
+	if set == 0 {
+		return def
+	}
+	return bits.TrailingZeros8(set)
 }
 
 // CheckOutput compares the benchmark's output region in img against the

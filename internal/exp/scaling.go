@@ -114,7 +114,7 @@ func coreStudy(ctx context.Context, title string, benches []string, designs []de
 // fill the shape cfg asks for; studies render the rest "n/a" rather than
 // failing.
 func shapeSupported(b *workloads.Benchmark, cfg design.Config) bool {
-	_, _, err := plan(b, cfg)
+	_, err := plan(b, cfg)
 	return err == nil
 }
 

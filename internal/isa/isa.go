@@ -271,3 +271,19 @@ func (p *Program) Validate(numQueues int) error {
 	}
 	return nil
 }
+
+// CheckEnd rejects a program that can run past its last instruction: an
+// empty one, or one whose last instruction is neither halt nor an
+// unconditional branch. Validate bounds every branch target, so the last
+// instruction is the only one control can fall through.
+func (p *Program) CheckEnd() error {
+	n := len(p.Instrs)
+	if n == 0 {
+		return fmt.Errorf("%s: empty program (end it with halt)", p.Name)
+	}
+	if last := p.Instrs[n-1]; last.Op != Halt && last.Op != B {
+		return fmt.Errorf("%s: instr %d (%s) can run past the end (end the program with halt or b)",
+			p.Name, n-1, last)
+	}
+	return nil
+}

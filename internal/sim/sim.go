@@ -239,6 +239,9 @@ func validate(cfg *Config, threads []Thread) error {
 		if err := t.Prog.Validate(len(usedQs)); err != nil {
 			return &ValidationError{Reason: err.Error()}
 		}
+		if err := t.Prog.CheckEnd(); err != nil {
+			return &ValidationError{Reason: fmt.Sprintf("thread %d: %v", i, err)}
+		}
 		for _, in := range t.Prog.Instrs {
 			if in.Op == isa.Produce || in.Op == isa.Consume {
 				usedQs[in.Q], anyQ = true, true
