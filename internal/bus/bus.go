@@ -353,31 +353,35 @@ func (b *Bus) grant(cycle uint64, r *Req) {
 
 // ReqInfo is a diagnostic snapshot of one queued (ungranted) request.
 type ReqInfo struct {
-	Kind     Kind
-	Addr     uint64
-	Src      int
-	Q        int
-	SubmitAt uint64
+	Kind     string `json:"kind"`
+	Addr     string `json:"addr"`
+	Src      int    `json:"src"`
+	Q        int    `json:"q"`
+	SubmitAt uint64 `json:"submit_at"`
 }
 
-// PendingRequests snapshots every queued request in source order, for
-// deadlock forensics.
-func (b *Bus) PendingRequests() []ReqInfo {
-	var out []ReqInfo
+// Snapshot is a diagnostic snapshot of the bus, used for deadlock
+// forensics.
+type Snapshot struct {
+	AddrFree uint64    `json:"addr_free"`         // next CPU cycle the address path is free
+	DataFree uint64    `json:"data_free"`         // next CPU cycle the data path is free
+	Pending  []ReqInfo `json:"pending,omitempty"` // queued requests in source order
+}
+
+// Snapshot captures the paths' availability and every queued request.
+func (b *Bus) Snapshot() Snapshot {
+	s := Snapshot{AddrFree: b.addrFree, DataFree: b.dataFree}
 	for i := range b.queues {
 		q := &b.queues[i]
 		for _, r := range q.reqs[q.head:] {
-			out = append(out, ReqInfo{Kind: r.Kind, Addr: r.Addr, Src: r.Src, Q: r.Q, SubmitAt: r.submitAt})
+			s.Pending = append(s.Pending, ReqInfo{
+				Kind: r.Kind.String(), Addr: fmt.Sprintf("%#x", r.Addr),
+				Src: r.Src, Q: r.Q, SubmitAt: r.submitAt,
+			})
 		}
 	}
-	return out
+	return s
 }
-
-// AddrFree returns the next CPU cycle the address path is free.
-func (b *Bus) AddrFree() uint64 { return b.addrFree }
-
-// DataFree returns the next CPU cycle the data path is free.
-func (b *Bus) DataFree() uint64 { return b.dataFree }
 
 // TotalGrants returns the number of granted transactions across kinds.
 func (b *Bus) TotalGrants() uint64 {

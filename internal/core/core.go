@@ -169,12 +169,11 @@ type Core struct {
 	stallCur  StallReason
 
 	// Stats.
-	Cycles      uint64
-	Issued      uint64
-	IssuedComm  uint64
-	IssuedLoads uint64
-	Breakdown   stats.Breakdown
-	LastPC      int
+	Cycles     uint64
+	Issued     uint64
+	IssuedComm uint64
+	Breakdown  stats.Breakdown
+	LastPC     int
 
 	// IssueCycles counts cycles in which at least one instruction issued;
 	// every other active cycle is a stall, so
@@ -473,7 +472,6 @@ issueLoop:
 			c.pend[in.Rd] = tok
 			c.pendMask |= 1 << uint(in.Rd)
 			loads++
-			c.IssuedLoads++
 			fuUsed[fu]++
 			issued++
 			c.note(cycle, pc, in)

@@ -1,7 +1,9 @@
 package dswp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hfstream/internal/asm"
@@ -14,12 +16,16 @@ import (
 // collides with generated code.
 const maxGenReg = 50
 
-// generate emits the program for one pipeline stage of the partition.
+// generate emits the program for one pipeline stage of the partition:
+// direct imports at the top of the body, exports at its end, carried
+// imports after the refresh, and the loop condition computed locally or
+// received from its owner.
 func generate(l *ir.Loop, th, stages int, assign map[int]int, slice map[int]bool,
 	replicable bool, edges []crossEdge, condQueues []int) (*isa.Program, error) {
 
 	name := fmt.Sprintf("%s.t%d", l.Name, th)
-	b := asm.NewBuilder(name)
+	g := newEmitter(name)
+	b := g.b
 
 	local := map[int]bool{}
 	for _, n := range l.Body {
@@ -49,22 +55,6 @@ func generate(l *ir.Loop, th, stages int, assign map[int]int, slice map[int]bool
 	sort.Slice(consumesDirect, func(i, j int) bool { return consumesDirect[i].queue < consumesDirect[j].queue })
 	sort.Slice(consumesCarried, func(i, j int) bool { return consumesCarried[i].queue < consumesCarried[j].queue })
 
-	// Register allocation. Carried values are keyed by (node, initial
-	// value): two carried uses of the same node with different iteration-
-	// zero values need distinct registers (they converge after the first
-	// iteration but must not share an init).
-	alloc := &regAlloc{next: 1}
-	regOf := map[int]isa.Reg{} // node value (local or direct import)
-	carryReg := map[carryKey]isa.Reg{}
-	constReg := map[int64]isa.Reg{}
-
-	needConst := func(v int64) {
-		if _, ok := constReg[v]; !ok {
-			constReg[v] = alloc.take()
-		}
-	}
-
-	// Walk local nodes to decide what registers and constants we need.
 	var bodyNodes []*ir.Node
 	for _, n := range l.Body {
 		if !local[n.ID] {
@@ -77,85 +67,22 @@ func generate(l *ir.Loop, th, stages int, assign map[int]int, slice map[int]bool
 	// the first unready instruction, exactly as the paper's Itanium 2
 	// does, so emission order matters the way compiler scheduling does.
 	bodyNodes = scheduleASAP(bodyNodes, local)
-	for _, n := range bodyNodes {
-		if n.Op != isa.St {
-			regOf[n.ID] = alloc.take()
-		}
-		for ai, a := range n.Args {
-			switch {
-			case a.Node == nil:
-				if !immFoldable(n.Op, ai) {
-					needConst(a.Const)
-				}
-			case a.Carried:
-				k := carryKey{a.Node.ID, a.Init}
-				if _, ok := carryReg[k]; !ok {
-					carryReg[k] = alloc.take()
-				}
-			default:
-				if !local[a.Node.ID] {
-					if _, ok := regOf[a.Node.ID]; !ok {
-						regOf[a.Node.ID] = alloc.take() // direct import target
-					}
-				}
-			}
-		}
-	}
+	g.assign(bodyNodes, local)
 	condStreamed := condQueues != nil && !replicable
 	condReg := isa.Reg(0)
 	if condStreamed && !local[l.Exit.ID] {
-		condReg = alloc.take()
+		condReg = g.take()
 	}
-	if alloc.next > maxGenReg {
-		return nil, fmt.Errorf("dswp: %s needs %d registers, limit %d", name, alloc.next, maxGenReg)
-	}
-
-	// Prologue: constants and carried initial values.
-	constVals := make([]int64, 0, len(constReg))
-	for v := range constReg {
-		constVals = append(constVals, v)
-	}
-	sort.Slice(constVals, func(i, j int) bool { return constVals[i] < constVals[j] })
-	for _, v := range constVals {
-		b.MovI(constReg[v], v)
-	}
-	carryKeys := make([]carryKey, 0, len(carryReg))
-	for k := range carryReg {
-		carryKeys = append(carryKeys, k)
-	}
-	sort.Slice(carryKeys, func(i, j int) bool {
-		if carryKeys[i].id != carryKeys[j].id {
-			return carryKeys[i].id < carryKeys[j].id
-		}
-		return carryKeys[i].init < carryKeys[j].init
-	})
-	for _, k := range carryKeys {
-		b.MovI(carryReg[k], k.init)
+	if err := g.prolog(name); err != nil {
+		return nil, err
 	}
 
 	b.Label("loop")
-
-	// Direct imports for this iteration.
 	for _, e := range consumesDirect {
-		b.Consume(regOf[e.src], e.queue)
+		b.Consume(g.regOf[e.src], e.queue)
 	}
-
-	// Body.
-	operand := func(n *ir.Node, ai int) isa.Reg {
-		a := n.Args[ai]
-		switch {
-		case a.Node == nil:
-			return constReg[a.Const]
-		case a.Carried:
-			return carryReg[carryKey{a.Node.ID, a.Init}]
-		default:
-			return regOf[a.Node.ID]
-		}
-	}
-	for _, n := range bodyNodes {
-		if err := emitNode(b, n, regOf, operand); err != nil {
-			return nil, err
-		}
+	if err := g.body(bodyNodes); err != nil {
+		return nil, err
 	}
 
 	// Produces go at the end of the body, in queue order: a produce stalls
@@ -167,43 +94,26 @@ func generate(l *ir.Loop, th, stages int, assign map[int]int, slice map[int]bool
 	}
 	sort.Slice(sends, func(i, j int) bool { return sends[i].queue < sends[j].queue })
 	for _, e := range sends {
-		b.Produce(e.queue, regOf[e.src])
+		b.Produce(e.queue, g.regOf[e.src])
 	}
 	if condStreamed && local[l.Exit.ID] {
 		// The control owner feeds every other stage its copy.
 		for t := 0; t < stages; t++ {
 			if condQueues[t] >= 0 {
-				b.Produce(condQueues[t], regOf[l.Exit.ID])
+				b.Produce(condQueues[t], g.regOf[l.Exit.ID])
 			}
 		}
 	}
 
-	// End of body: refresh carried values for the next iteration. Local
-	// sources copy from their result register; imported ones consume the
-	// queue once and fan the value out to every carry register of that
-	// source.
-	for _, k := range carryKeys {
-		if local[k.id] {
-			b.Mov(carryReg[k], regOf[k.id])
-		}
-	}
+	g.refresh(local)
 	for _, e := range consumesCarried {
-		var regs []isa.Reg
-		for _, k := range carryKeys {
-			if k.id == e.src {
-				regs = append(regs, carryReg[k])
-			}
-		}
-		b.Consume(regs[0], e.queue)
-		for _, r := range regs[1:] {
-			b.Mov(r, regs[0])
-		}
+		g.importCarried(e.src, func(dst isa.Reg) { b.Consume(dst, e.queue) })
 	}
 
 	// Loop back-edge.
 	switch {
 	case local[l.Exit.ID]:
-		b.Bnez(regOf[l.Exit.ID], "loop")
+		b.Bnez(g.regOf[l.Exit.ID], "loop")
 	case condStreamed && condQueues[th] >= 0:
 		b.Consume(condReg, condQueues[th])
 		b.Bnez(condReg, "loop")
@@ -251,12 +161,176 @@ type carryKey struct {
 	init int64
 }
 
-type regAlloc struct{ next isa.Reg }
+// emitter builds one thread program. Every generator — a chain stage,
+// Single, a PS-DSWP worker, the merger — takes the same steps through it:
+// assign registers to the nodes it computes and the values it reads, take
+// any registers of its own, write the prologue, then the loop body, the
+// carried-value refresh and the carried imports. A generator adds only
+// where its imports come from and its exports go, and control of its own.
+//
+// newEmitter returns it by value so the maps live in the generator's frame;
+// the thread name stays out of the struct for the same reason.
+type emitter struct {
+	b        *asm.Builder
+	next     isa.Reg         // r0 is never allocated
+	regOf    map[int]isa.Reg // node values: local results and direct imports
+	carryReg map[carryKey]isa.Reg
+	constReg map[int64]isa.Reg
+	carried  []carryKey // carryReg's keys in prologue order, set by prolog
+}
 
-func (r *regAlloc) take() isa.Reg {
-	reg := r.next
-	r.next++
-	return reg
+func newEmitter(name string) emitter {
+	return emitter{
+		b:        asm.NewBuilder(name),
+		next:     1,
+		regOf:    map[int]isa.Reg{},
+		carryReg: map[carryKey]isa.Reg{},
+		constReg: map[int64]isa.Reg{},
+	}
+}
+
+func (g *emitter) take() isa.Reg {
+	r := g.next
+	g.next++
+	return r
+}
+
+// constant returns the register materializing v, taking one on first use.
+func (g *emitter) constant(v int64) isa.Reg {
+	r, ok := g.constReg[v]
+	if !ok {
+		r = g.take()
+		g.constReg[v] = r
+	}
+	return r
+}
+
+// assign takes a register for each value node, in emission order, and for
+// each constant, carried value and import target its operands read.
+func (g *emitter) assign(nodes []*ir.Node, local map[int]bool) {
+	for _, n := range nodes {
+		if n.Op != isa.St {
+			g.regOf[n.ID] = g.take()
+		}
+		for ai, a := range n.Args {
+			switch {
+			case a.Node == nil:
+				if !immFoldable(n.Op, ai) {
+					g.constant(a.Const)
+				}
+			case a.Carried:
+				k := carryKey{a.Node.ID, a.Init}
+				if _, ok := g.carryReg[k]; !ok {
+					g.carryReg[k] = g.take()
+				}
+			case !local[a.Node.ID]:
+				if _, ok := g.regOf[a.Node.ID]; !ok {
+					g.regOf[a.Node.ID] = g.take()
+				}
+			}
+		}
+	}
+}
+
+// prolog checks the register budget, then materializes the constants and
+// the carried values' initial values, each in sorted order.
+func (g *emitter) prolog(name string) error {
+	if g.next > maxGenReg {
+		return fmt.Errorf("dswp: %s needs %d registers, limit %d", name, g.next, maxGenReg)
+	}
+	vals := make([]int64, 0, len(g.constReg))
+	for v := range g.constReg {
+		vals = append(vals, v)
+	}
+	slices.Sort(vals)
+	for _, v := range vals {
+		g.b.MovI(g.constReg[v], v)
+	}
+	keys := make([]carryKey, 0, len(g.carryReg))
+	for k := range g.carryReg {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y carryKey) int {
+		return cmp.Or(cmp.Compare(x.id, y.id), cmp.Compare(x.init, y.init))
+	})
+	for _, k := range keys {
+		g.b.MovI(g.carryReg[k], k.init)
+	}
+	g.carried = keys
+	return nil
+}
+
+// body lowers the nodes, one instruction each.
+func (g *emitter) body(nodes []*ir.Node) error {
+	for _, n := range nodes {
+		if err := g.node(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (g *emitter) node(n *ir.Node) error {
+	b, rd := g.b, g.regOf[n.ID]
+	switch n.Op {
+	case isa.MovI:
+		b.MovI(rd, n.Args[0].Const)
+	case isa.Mov, isa.I2F, isa.F2I:
+		b.Emit(isa.Instr{Op: n.Op, Rd: rd, Ra: g.operand(n, 0)})
+	case isa.AddI, isa.AndI, isa.ShlI, isa.ShrI:
+		b.Emit(isa.Instr{Op: n.Op, Rd: rd, Ra: g.operand(n, 0), Imm: n.Args[1].Const})
+	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.And, isa.Or, isa.Xor,
+		isa.CmpEQ, isa.CmpNE, isa.CmpLT,
+		isa.FAdd, isa.FSub, isa.FMul, isa.FDiv:
+		b.Emit(isa.Instr{Op: n.Op, Rd: rd, Ra: g.operand(n, 0), Rb: g.operand(n, 1)})
+	case isa.Ld:
+		b.Ld(rd, g.operand(n, 0), n.Off)
+	case isa.St:
+		b.St(g.operand(n, 0), n.Off, g.operand(n, 1))
+	default:
+		return fmt.Errorf("dswp: node %d: unsupported op %v", n.ID, n.Op)
+	}
+	return nil
+}
+
+// operand returns the register holding argument ai of n.
+func (g *emitter) operand(n *ir.Node, ai int) isa.Reg {
+	a := n.Args[ai]
+	switch {
+	case a.Node == nil:
+		return g.constReg[a.Const]
+	case a.Carried:
+		return g.carryReg[carryKey{a.Node.ID, a.Init}]
+	default:
+		return g.regOf[a.Node.ID]
+	}
+}
+
+// refresh copies each locally computed carried value into its carry
+// register for the next iteration.
+func (g *emitter) refresh(local map[int]bool) {
+	for _, k := range g.carried {
+		if local[k.id] {
+			g.b.Mov(g.carryReg[k], g.regOf[k.id])
+		}
+	}
+}
+
+// importCarried receives src's value for the next iteration once, through
+// consume, and fans it out to every other carry register of src.
+func (g *emitter) importCarried(src int, consume func(dst isa.Reg)) {
+	first := isa.Reg(0) // r0 is never allocated
+	for _, k := range g.carried {
+		if k.id != src {
+			continue
+		}
+		if first == 0 {
+			first = g.carryReg[k]
+			consume(first)
+		} else {
+			g.b.Mov(g.carryReg[k], first)
+		}
+	}
 }
 
 // immFoldable reports whether argument ai of op is encoded as an
@@ -270,30 +344,6 @@ func immFoldable(op isa.Op, ai int) bool {
 	default:
 		return false
 	}
-}
-
-// emitNode lowers one IR node to an instruction.
-func emitNode(b *asm.Builder, n *ir.Node, regOf map[int]isa.Reg, operand func(*ir.Node, int) isa.Reg) error {
-	rd := regOf[n.ID]
-	switch n.Op {
-	case isa.MovI:
-		b.MovI(rd, n.Args[0].Const)
-	case isa.Mov, isa.I2F, isa.F2I:
-		b.Emit(isa.Instr{Op: n.Op, Rd: rd, Ra: operand(n, 0)})
-	case isa.AddI, isa.AndI, isa.ShlI, isa.ShrI:
-		b.Emit(isa.Instr{Op: n.Op, Rd: rd, Ra: operand(n, 0), Imm: n.Args[1].Const})
-	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.And, isa.Or, isa.Xor,
-		isa.CmpEQ, isa.CmpNE, isa.CmpLT,
-		isa.FAdd, isa.FSub, isa.FMul, isa.FDiv:
-		b.Emit(isa.Instr{Op: n.Op, Rd: rd, Ra: operand(n, 0), Rb: operand(n, 1)})
-	case isa.Ld:
-		b.Ld(rd, operand(n, 0), n.Off)
-	case isa.St:
-		b.St(operand(n, 0), n.Off, operand(n, 1))
-	default:
-		return fmt.Errorf("dswp: node %d: unsupported op %v", n.ID, n.Op)
-	}
-	return nil
 }
 
 // Single generates the single-threaded version of the loop: the Figure 9

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hfstream/internal/asm"
 	"hfstream/internal/ir"
 	"hfstream/internal/isa"
 )
@@ -164,7 +163,7 @@ func PartitionParallel(l *ir.Loop, workers int) (*Result, error) {
 		}
 		res.Threads = append(res.Threads, prog)
 	}
-	merger, err := genMerger(l, workers, pure, slice, edges)
+	merger, err := genMerger(l, workers, pure, edges)
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +185,10 @@ type parEdge struct {
 // so turn dispatch costs two instructions per skipped iteration.
 func genWorker(l *ir.Loop, w, workers int, pure, slice map[int]bool, edges []parEdge) (*isa.Program, error) {
 	name := fmt.Sprintf("%s.w%d", l.Name, w)
-	b := asm.NewBuilder(name)
+	g := newEmitter(name)
+	b := g.b
 
 	local := map[int]bool{}
-	for _, n := range l.Body {
-		if slice[n.ID] || pure[n.ID] {
-			local[n.ID] = true
-		}
-	}
 	var sliceNodes, pureNodes []*ir.Node
 	for _, n := range l.Body {
 		switch {
@@ -201,50 +196,41 @@ func genWorker(l *ir.Loop, w, workers int, pure, slice map[int]bool, edges []par
 			sliceNodes = append(sliceNodes, n)
 		case pure[n.ID]:
 			pureNodes = append(pureNodes, n)
+		default:
+			continue
 		}
+		local[n.ID] = true
 	}
 	sliceNodes = scheduleASAP(sliceNodes, local)
 	pureNodes = scheduleASAP(pureNodes, local)
-
-	alloc := &regAlloc{next: 1}
-	regOf := map[int]isa.Reg{}
-	carryReg := map[carryKey]isa.Reg{}
-	constReg := map[int64]isa.Reg{}
-	collectRegs(append(append([]*ir.Node{}, sliceNodes...), pureNodes...), local, alloc, regOf, carryReg, constReg)
-	rCnt := alloc.take()
-	if alloc.next > maxGenReg {
-		return nil, fmt.Errorf("dswp: %s needs %d registers, limit %d", name, alloc.next, maxGenReg)
+	g.assign(sliceNodes, local)
+	g.assign(pureNodes, local)
+	rCnt := g.take()
+	if err := g.prolog(name); err != nil {
+		return nil, err
 	}
-
-	emitConstProlog(b, constReg)
-	emitCarryProlog(b, carryReg)
 	b.MovI(rCnt, int64(w))
 
 	b.Label("loop")
-	operand := operandFn(regOf, carryReg, constReg)
-	for _, n := range sliceNodes {
-		if err := emitNode(b, n, regOf, operand); err != nil {
-			return nil, err
-		}
+	if err := g.body(sliceNodes); err != nil {
+		return nil, err
 	}
 	skip := b.FreshLabel("skip")
 	b.Bnez(rCnt, skip)
-	for _, n := range pureNodes {
-		if err := emitNode(b, n, regOf, operand); err != nil {
-			return nil, err
-		}
+	if err := g.body(pureNodes); err != nil {
+		return nil, err
 	}
 	// This worker's turns are exactly the iterations its lanes carry, so
 	// every produce targets a static queue — no dispatch needed.
 	for _, e := range edges {
-		b.Produce(e.base+w, regOf[e.src])
+		b.Produce(e.base+w, g.regOf[e.src])
 	}
 	b.MovI(rCnt, int64(workers))
 	b.Label(skip)
 	b.AddI(rCnt, rCnt, -1)
 
-	emitCarryRefresh(b, carryReg, regOf, local)
-	b.Bnez(regOf[l.Exit.ID], "loop")
+	g.refresh(local)
+	b.Bnez(g.regOf[l.Exit.ID], "loop")
 	b.Halt()
 	return b.Program()
 }
@@ -252,9 +238,10 @@ func genWorker(l *ir.Loop, w, workers int, pure, slice map[int]bool, edges []par
 // genMerger emits the merger's program (thread `workers`): replicated
 // exit slice, round-robin lane consumes for every imported value, and
 // the sequential merge body in original iteration order.
-func genMerger(l *ir.Loop, workers int, pure, slice map[int]bool, edges []parEdge) (*isa.Program, error) {
+func genMerger(l *ir.Loop, workers int, pure map[int]bool, edges []parEdge) (*isa.Program, error) {
 	name := l.Name + ".m"
-	b := asm.NewBuilder(name)
+	g := newEmitter(name)
+	b := g.b
 
 	local := map[int]bool{}
 	var bodyNodes []*ir.Node
@@ -265,38 +252,26 @@ func genMerger(l *ir.Loop, workers int, pure, slice map[int]bool, edges []parEdg
 		}
 	}
 	bodyNodes = scheduleASAP(bodyNodes, local)
-
-	alloc := &regAlloc{next: 1}
-	regOf := map[int]isa.Reg{}
-	carryReg := map[carryKey]isa.Reg{}
-	constReg := map[int64]isa.Reg{}
-	collectRegs(bodyNodes, local, alloc, regOf, carryReg, constReg)
+	g.assign(bodyNodes, local)
 	// Lane dispatch compares the lane counter against 0..workers-2 and
 	// wraps it against workers; materialize those constants.
-	needConst := func(v int64) {
-		if _, ok := constReg[v]; !ok {
-			constReg[v] = alloc.take()
-		}
-	}
 	for w := 0; w < workers-1; w++ {
-		needConst(int64(w))
+		g.constant(int64(w))
 	}
-	needConst(int64(workers))
-	rLane := alloc.take()
-	rT := alloc.take()
-	if alloc.next > maxGenReg {
-		return nil, fmt.Errorf("dswp: %s needs %d registers, limit %d", name, alloc.next, maxGenReg)
+	g.constant(int64(workers))
+	rLane, rT := g.take(), g.take()
+	if err := g.prolog(name); err != nil {
+		return nil, err
 	}
-
-	emitConstProlog(b, constReg)
-	emitCarryProlog(b, carryReg)
 	b.MovI(rLane, 0)
 
+	// laneConsume receives the value of the current iteration from its
+	// worker's lane, queue base+lane.
 	laneConsume := func(dst isa.Reg, base int) {
 		done := b.FreshLabel("qdone")
 		for w := 0; w < workers-1; w++ {
 			next := b.FreshLabel("qnext")
-			b.CmpEQ(rT, rLane, constReg[int64(w)])
+			b.CmpEQ(rT, rLane, g.constant(int64(w)))
 			b.Beqz(rT, next)
 			b.Consume(dst, base+w)
 			b.B(done)
@@ -309,129 +284,27 @@ func genMerger(l *ir.Loop, workers int, pure, slice map[int]bool, edges []parEdg
 	b.Label("loop")
 	for _, e := range edges {
 		if !e.carried {
-			laneConsume(regOf[e.src], e.base)
+			laneConsume(g.regOf[e.src], e.base)
 		}
 	}
-	operand := operandFn(regOf, carryReg, constReg)
-	for _, n := range bodyNodes {
-		if err := emitNode(b, n, regOf, operand); err != nil {
-			return nil, err
-		}
+	if err := g.body(bodyNodes); err != nil {
+		return nil, err
 	}
-	emitCarryRefresh(b, carryReg, regOf, local)
+	g.refresh(local)
 	for _, e := range edges {
-		if !e.carried {
-			continue
-		}
-		var regs []isa.Reg
-		for _, k := range sortedCarryKeys(carryReg) {
-			if k.id == e.src {
-				regs = append(regs, carryReg[k])
-			}
-		}
-		laneConsume(regs[0], e.base)
-		for _, r := range regs[1:] {
-			b.Mov(r, regs[0])
+		if e.carried {
+			g.importCarried(e.src, func(dst isa.Reg) { laneConsume(dst, e.base) })
 		}
 	}
 	// Advance the lane counter, wrapping at workers.
 	b.AddI(rLane, rLane, 1)
-	b.CmpEQ(rT, rLane, constReg[int64(workers)])
+	b.CmpEQ(rT, rLane, g.constant(int64(workers)))
 	noWrap := b.FreshLabel("nowrap")
 	b.Beqz(rT, noWrap)
 	b.MovI(rLane, 0)
 	b.Label(noWrap)
 
-	b.Bnez(regOf[l.Exit.ID], "loop")
+	b.Bnez(g.regOf[l.Exit.ID], "loop")
 	b.Halt()
 	return b.Program()
-}
-
-// collectRegs walks the given nodes (in emission order) and allocates
-// value registers, carried registers, and constant registers, mirroring
-// the allocation pass in generate.
-func collectRegs(nodes []*ir.Node, local map[int]bool, alloc *regAlloc,
-	regOf map[int]isa.Reg, carryReg map[carryKey]isa.Reg, constReg map[int64]isa.Reg) {
-
-	for _, n := range nodes {
-		if n.Op != isa.St {
-			regOf[n.ID] = alloc.take()
-		}
-		for ai, a := range n.Args {
-			switch {
-			case a.Node == nil:
-				if !immFoldable(n.Op, ai) {
-					if _, ok := constReg[a.Const]; !ok {
-						constReg[a.Const] = alloc.take()
-					}
-				}
-			case a.Carried:
-				k := carryKey{a.Node.ID, a.Init}
-				if _, ok := carryReg[k]; !ok {
-					carryReg[k] = alloc.take()
-				}
-			default:
-				if !local[a.Node.ID] {
-					if _, ok := regOf[a.Node.ID]; !ok {
-						regOf[a.Node.ID] = alloc.take() // import target
-					}
-				}
-			}
-		}
-	}
-}
-
-// operandFn returns the operand-register resolver shared by the
-// parallel-stage generators.
-func operandFn(regOf map[int]isa.Reg, carryReg map[carryKey]isa.Reg, constReg map[int64]isa.Reg) func(*ir.Node, int) isa.Reg {
-	return func(n *ir.Node, ai int) isa.Reg {
-		a := n.Args[ai]
-		switch {
-		case a.Node == nil:
-			return constReg[a.Const]
-		case a.Carried:
-			return carryReg[carryKey{a.Node.ID, a.Init}]
-		default:
-			return regOf[a.Node.ID]
-		}
-	}
-}
-
-func emitConstProlog(b *asm.Builder, constReg map[int64]isa.Reg) {
-	vals := make([]int64, 0, len(constReg))
-	for v := range constReg {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	for _, v := range vals {
-		b.MovI(constReg[v], v)
-	}
-}
-
-func emitCarryProlog(b *asm.Builder, carryReg map[carryKey]isa.Reg) {
-	for _, k := range sortedCarryKeys(carryReg) {
-		b.MovI(carryReg[k], k.init)
-	}
-}
-
-func emitCarryRefresh(b *asm.Builder, carryReg map[carryKey]isa.Reg, regOf map[int]isa.Reg, local map[int]bool) {
-	for _, k := range sortedCarryKeys(carryReg) {
-		if local[k.id] {
-			b.Mov(carryReg[k], regOf[k.id])
-		}
-	}
-}
-
-func sortedCarryKeys(carryReg map[carryKey]isa.Reg) []carryKey {
-	keys := make([]carryKey, 0, len(carryReg))
-	for k := range carryReg {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].id != keys[j].id {
-			return keys[i].id < keys[j].id
-		}
-		return keys[i].init < keys[j].init
-	})
-	return keys
 }

@@ -184,15 +184,11 @@ type Controller struct {
 	depthMask int
 
 	// Stats.
-	WrFwdsSent     uint64
-	BulkAcksSent   uint64
-	ProbesSent     uint64
-	RecircRetries  uint64
-	PortConflicts  uint64
-	ProduceStalls  uint64 // produce resolutions deferred on full queue
-	ConsumeStalls  uint64 // consume resolutions deferred on empty queue
-	LoadsServiced  uint64
-	StoresServiced uint64
+	WrFwdsSent    uint64
+	BulkAcksSent  uint64
+	ProbesSent    uint64
+	RecircRetries uint64
+	ProduceStalls uint64 // produce resolutions deferred on full queue
 }
 
 func newController(id int, p Params, fab *Fabric) *Controller {
@@ -444,46 +440,50 @@ func (c *Controller) storeDone(e *ozEntry) {
 
 // OzQEntryInfo is a diagnostic snapshot of one OzQ entry.
 type OzQEntryInfo struct {
-	Kind      string
-	State     string
-	Addr      uint64
-	Q         int
-	Slot      uint64
-	ReadyAt   uint64
-	TimeoutAt uint64
+	Kind      string `json:"kind"`
+	State     string `json:"state"`
+	Addr      string `json:"addr"`
+	Q         int    `json:"q"`
+	Slot      uint64 `json:"slot"`
+	ReadyAt   uint64 `json:"ready_at"`
+	TimeoutAt uint64 `json:"timeout_at,omitempty"`
 }
 
 // QueueCounters is a diagnostic snapshot of one stream queue's cumulative
 // counters at this controller.
 type QueueCounters struct {
-	Q            int
-	SentCum      uint64
-	DoneCum      uint64
-	AckedCum     uint64
-	ForwardedCum uint64
-	ConsumeCum   uint64
-	AvailCum     uint64
-	ConsumedCum  uint64
-	ProbeOut     bool
+	Q            int    `json:"q"`
+	SentCum      uint64 `json:"sent"`
+	DoneCum      uint64 `json:"done"`
+	AckedCum     uint64 `json:"acked"`
+	ForwardedCum uint64 `json:"forwarded"`
+	ConsumeCum   uint64 `json:"consume_issued"`
+	AvailCum     uint64 `json:"avail"`
+	ConsumedCum  uint64 `json:"consumed"`
+	ProbeOut     bool   `json:"probe_out,omitempty"`
 }
 
 // Snapshot is a diagnostic snapshot of a controller's in-flight state,
 // used for deadlock forensics.
 type Snapshot struct {
-	ID           int
-	OzQ          []OzQEntryInfo
-	PendingLines int
-	Events       int
-	Queues       []QueueCounters // only queues with any traffic
+	// OzQ lists the in-flight ordered-transaction-queue entries (also the
+	// controller's MSHRs).
+	OzQ []OzQEntryInfo `json:"ozq,omitempty"`
+	// PendingLines counts lines with an in-flight bus transaction.
+	PendingLines int `json:"pending_lines"`
+	// PendingEvents counts scheduled controller callbacks.
+	PendingEvents int `json:"pending_events"`
+	// Queues holds the stream-queue counters with any traffic.
+	Queues []QueueCounters `json:"queues,omitempty"`
 }
 
 // Snapshot captures the controller's current OzQ and stream-queue state.
 func (c *Controller) Snapshot() Snapshot {
-	s := Snapshot{ID: c.id, PendingLines: len(c.mshrs), Events: c.events.Len()}
+	s := Snapshot{PendingLines: len(c.mshrs), PendingEvents: c.events.Len()}
 	for _, e := range c.ozq {
 		s.OzQ = append(s.OzQ, OzQEntryInfo{
 			Kind: e.kind.String(), State: e.state.String(),
-			Addr: e.addr, Q: e.q, Slot: e.slot,
+			Addr: fmt.Sprintf("%#x", e.addr), Q: e.q, Slot: e.slot,
 			ReadyAt: e.readyAt, TimeoutAt: e.timeoutAt,
 		})
 	}
@@ -561,7 +561,6 @@ func (c *Controller) tick(cycle uint64) {
 		switch e.state {
 		case stWaitPort:
 			if !c.takePort() {
-				c.PortConflicts++
 				continue
 			}
 			e.state = stAccess

@@ -62,7 +62,6 @@ func (c *Controller) resolveLoad(cycle uint64, e *ozEntry) {
 	if c.l2.Lookup(e.addr) != nil {
 		e.tok.Complete(cycle, c.fab.mem.Read8(e.addr))
 		e.state = stDone
-		c.LoadsServiced++
 		c.installL1(e.addr)
 		return
 	}
@@ -87,7 +86,6 @@ func (c *Controller) resolveStore(cycle uint64, e *ozEntry) {
 		e.tok.Complete(cycle, e.val)
 		e.state = stDone
 		c.storeDone(e)
-		c.StoresServiced++
 		c.afterStreamStore(cycle, e, line)
 	}
 }

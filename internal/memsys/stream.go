@@ -117,7 +117,6 @@ func (c *Controller) resolveConsume(cycle uint64, e *ozEntry) {
 	if c.availCum[e.q] <= e.slot {
 		// Queue empty: go dormant and arm the probe timeout that elicits
 		// a partial-line flush from the producer (stream termination).
-		c.ConsumeStalls++
 		e.state = stWaitSync
 		if e.timeoutAt == 0 {
 			e.timeoutAt = cycle + uint64(c.p.ConsumeTimeout)

@@ -172,11 +172,8 @@ type SyncArray struct {
 	refEpoch, refCount *uint64
 
 	// Stats.
-	Produces     uint64
-	Consumes     uint64
-	FullStalls   uint64 // produce attempts rejected (queue full)
-	EmptyStalls  uint64 // consume attempts rejected (no data)
-	MaxOccupancy int
+	FullStalls  uint64 // produce attempts rejected (queue full)
+	EmptyStalls uint64 // consume attempts rejected (no data)
 	// OccHist is a histogram of dedicated-store occupancy, recorded after
 	// every delivery and every consume.
 	OccHist stats.Hist
@@ -325,9 +322,6 @@ func (sa *SyncArray) tick(cycle uint64) {
 			}
 		} else {
 			q.push(m.value)
-			if q.occ() > sa.MaxOccupancy {
-				sa.MaxOccupancy = q.occ()
-			}
 			sa.OccHist.Observe(uint64(q.occ()))
 		}
 	}
@@ -443,7 +437,6 @@ func (sa *SyncArray) Produce(cycle uint64, q int, v uint64) (*port.Token, bool) 
 		return nil, false
 	}
 	qu.outstanding++
-	sa.Produces++
 	tok := sa.Tokens.Get(stats.PreL2)
 	tok.Complete(cycle+1, v)
 	return tok, true
@@ -466,7 +459,6 @@ func (sa *SyncArray) Consume(cycle uint64, q int) (*port.Token, bool) {
 		return nil, false
 	}
 	v := qu.pop()
-	sa.Consumes++
 	sa.OccHist.Observe(uint64(qu.occ()))
 	// Return the credit to the producer over the interconnect; if the
 	// credit path is saturated the credit queues without blocking the
@@ -510,18 +502,18 @@ func (sa *SyncArray) Outstanding(q int) int { return sa.queues[q].outstanding }
 
 // SAQueueInfo is a diagnostic snapshot of one queue's state.
 type SAQueueInfo struct {
-	Q           int
-	Occupancy   int // items resident in the dedicated store
-	Outstanding int // producer-side occupancy view (includes in-flight)
+	Q           int `json:"q"`
+	Occupancy   int `json:"occupancy"`   // items resident in the dedicated store
+	Outstanding int `json:"outstanding"` // producer-side occupancy view (includes in-flight)
 }
 
 // SASnapshot is a diagnostic snapshot of the synchronization array, used
 // for deadlock forensics.
 type SASnapshot struct {
-	InFlight       int
-	PendingCredits int
-	PendingData    int
-	Queues         []SAQueueInfo // only queues with visible state
+	InFlight       int           `json:"in_flight"`
+	PendingCredits int           `json:"pending_credits"`
+	PendingData    int           `json:"pending_data"`
+	Queues         []SAQueueInfo `json:"queues,omitempty"` // only queues with visible state
 }
 
 // Snapshot captures the array's current occupancy and in-flight state.

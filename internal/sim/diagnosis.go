@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hfstream/internal/bus"
 	"hfstream/internal/core"
 	"hfstream/internal/memsys"
 	"hfstream/internal/queue"
@@ -27,10 +28,10 @@ type Diagnosis struct {
 	// WatchdogIdle is the configured idle window.
 	WatchdogIdle uint64 `json:"watchdog_idle"`
 
-	Cores []CoreDiag `json:"cores"`
-	Bus   BusDiag    `json:"bus"`
+	Cores []CoreDiag   `json:"cores"`
+	Bus   bus.Snapshot `json:"bus"`
 	// SA is the synchronization-array state (HEAVYWT designs only).
-	SA *SADiag `json:"sync_array,omitempty"`
+	SA *queue.SASnapshot `json:"sync_array,omitempty"`
 
 	// FaultShots lists the injected faults that fired before the failure
 	// (empty without fault injection) — the first thing to read when a
@@ -41,78 +42,15 @@ type Diagnosis struct {
 	Events []string `json:"recent_events,omitempty"`
 }
 
-// CoreDiag describes one core and its L2 controller.
+// CoreDiag describes one core and, through the embedded snapshot, its L2
+// controller.
 type CoreDiag struct {
 	Core   int    `json:"core"`
 	Halted bool   `json:"halted"`
 	PC     int    `json:"pc"`
 	Stall  string `json:"stall"`
 	Issued uint64 `json:"issued"`
-
-	// OzQ lists the controller's in-flight ordered-transaction-queue
-	// entries (also its MSHRs).
-	OzQ []OzQDiag `json:"ozq,omitempty"`
-	// PendingLines counts lines with an in-flight bus transaction.
-	PendingLines int `json:"pending_lines"`
-	// PendingEvents counts scheduled controller callbacks.
-	PendingEvents int `json:"pending_events"`
-	// Queues holds the stream-queue counters with any traffic.
-	Queues []QueueDiag `json:"queues,omitempty"`
-}
-
-// OzQDiag is one OzQ entry.
-type OzQDiag struct {
-	Kind      string `json:"kind"`
-	State     string `json:"state"`
-	Addr      string `json:"addr"`
-	Q         int    `json:"q"`
-	Slot      uint64 `json:"slot"`
-	ReadyAt   uint64 `json:"ready_at"`
-	TimeoutAt uint64 `json:"timeout_at,omitempty"`
-}
-
-// QueueDiag is one stream queue's cumulative counters at one controller.
-type QueueDiag struct {
-	Q            int    `json:"q"`
-	SentCum      uint64 `json:"sent"`
-	DoneCum      uint64 `json:"done"`
-	AckedCum     uint64 `json:"acked"`
-	ForwardedCum uint64 `json:"forwarded"`
-	ConsumeCum   uint64 `json:"consume_issued"`
-	AvailCum     uint64 `json:"avail"`
-	ConsumedCum  uint64 `json:"consumed"`
-	ProbeOut     bool   `json:"probe_out,omitempty"`
-}
-
-// BusDiag is the shared bus state.
-type BusDiag struct {
-	AddrFree uint64       `json:"addr_free"`
-	DataFree uint64       `json:"data_free"`
-	Pending  []BusReqDiag `json:"pending,omitempty"`
-}
-
-// BusReqDiag is one queued (ungranted) bus request.
-type BusReqDiag struct {
-	Kind     string `json:"kind"`
-	Addr     string `json:"addr"`
-	Src      int    `json:"src"`
-	Q        int    `json:"q"`
-	SubmitAt uint64 `json:"submit_at"`
-}
-
-// SADiag is the synchronization-array state.
-type SADiag struct {
-	InFlight       int       `json:"in_flight"`
-	PendingCredits int       `json:"pending_credits"`
-	PendingData    int       `json:"pending_data"`
-	Queues         []SAQDiag `json:"queues,omitempty"`
-}
-
-// SAQDiag is one synchronization-array queue with visible state.
-type SAQDiag struct {
-	Q           int `json:"q"`
-	Occupancy   int `json:"occupancy"`
-	Outstanding int `json:"outstanding"`
+	memsys.Snapshot
 }
 
 // diagEventCap bounds the number of trace-ring events a Diagnosis keeps.
@@ -128,51 +66,19 @@ func diagnose(reason string, cycle, lastProgress, watchdog uint64,
 		WatchdogIdle: watchdog,
 	}
 	for _, c := range cores {
-		cd := CoreDiag{
-			Core:   c.ID(),
-			Halted: c.Halted(),
-			PC:     c.LastPC,
-			Stall:  c.LastStall.String(),
-			Issued: c.Issued,
-		}
-		snap := fab.Controller(c.ID()).Snapshot()
-		cd.PendingLines = snap.PendingLines
-		cd.PendingEvents = snap.Events
-		for _, e := range snap.OzQ {
-			cd.OzQ = append(cd.OzQ, OzQDiag{
-				Kind: e.Kind, State: e.State, Addr: fmt.Sprintf("%#x", e.Addr),
-				Q: e.Q, Slot: e.Slot, ReadyAt: e.ReadyAt, TimeoutAt: e.TimeoutAt,
-			})
-		}
-		for _, q := range snap.Queues {
-			cd.Queues = append(cd.Queues, QueueDiag{
-				Q: q.Q, SentCum: q.SentCum, DoneCum: q.DoneCum,
-				AckedCum: q.AckedCum, ForwardedCum: q.ForwardedCum,
-				ConsumeCum: q.ConsumeCum, AvailCum: q.AvailCum,
-				ConsumedCum: q.ConsumedCum, ProbeOut: q.ProbeOut,
-			})
-		}
-		d.Cores = append(d.Cores, cd)
-	}
-	b := fab.Bus()
-	d.Bus = BusDiag{AddrFree: b.AddrFree(), DataFree: b.DataFree()}
-	for _, r := range b.PendingRequests() {
-		d.Bus.Pending = append(d.Bus.Pending, BusReqDiag{
-			Kind: r.Kind.String(), Addr: fmt.Sprintf("%#x", r.Addr),
-			Src: r.Src, Q: r.Q, SubmitAt: r.SubmitAt,
+		d.Cores = append(d.Cores, CoreDiag{
+			Core:     c.ID(),
+			Halted:   c.Halted(),
+			PC:       c.LastPC,
+			Stall:    c.LastStall.String(),
+			Issued:   c.Issued,
+			Snapshot: fab.Controller(c.ID()).Snapshot(),
 		})
 	}
+	d.Bus = fab.Bus().Snapshot()
 	if sa != nil {
 		snap := sa.Snapshot()
-		sd := &SADiag{
-			InFlight:       snap.InFlight,
-			PendingCredits: snap.PendingCredits,
-			PendingData:    snap.PendingData,
-		}
-		for _, q := range snap.Queues {
-			sd.Queues = append(sd.Queues, SAQDiag{Q: q.Q, Occupancy: q.Occupancy, Outstanding: q.Outstanding})
-		}
-		d.SA = sd
+		d.SA = &snap
 	}
 	if cfg != nil {
 		d.FaultShots = cfg.Faults.ShotStrings()
