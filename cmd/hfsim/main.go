@@ -61,7 +61,7 @@ func main() {
 		single     = flag.Bool("single", false, "run the single-threaded baseline instead")
 		list       = flag.Bool("list", false, "list benchmarks and design points")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file of issue/stall/queue/bus events")
-		traceCap   = flag.Int("tracecap", 0, "trace ring capacity in events (0 = default 64k; older events are dropped)")
+		traceCap   = flag.Int("tracecap", 0, fmt.Sprintf("trace ring capacity in events of 40 bytes, at most %d (0 = default 64k; older events are dropped)", maxTraceCap))
 		metrics    = flag.String("metrics", "", "write the metrics JSON snapshot to this file (\"-\" for stdout)")
 		sample     = flag.Uint64("sample", 0, "sample throughput every N cycles and print sparklines")
 		csv        = flag.Bool("csv", false, "with -sample: emit the samples as CSV instead")
@@ -79,8 +79,12 @@ func main() {
 		return
 	}
 
-	// Resolved up front so that a bad name fails before any file is
-	// created, and because the report below prints from them.
+	// Resolved up front so that a bad name or capacity fails before any
+	// file is created, and because the report below prints from them.
+	if err := checkTraceCap(*traceCap); err != nil {
+		fmt.Fprintln(os.Stderr, "hfsim:", err)
+		os.Exit(1)
+	}
 	b, err := hfstream.BenchmarkByName(*benchName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfsim:", err)
@@ -200,6 +204,19 @@ func main() {
 	if *sample > 0 {
 		fmt.Print(res.TimeSeriesReport(*sample))
 	}
+}
+
+// maxTraceCap bounds -tracecap: 1<<24 events is a 640 MiB ring.
+const maxTraceCap = 1 << 24
+
+// checkTraceCap rejects a -tracecap the ring cannot be allocated for: a
+// negative one, or one past maxTraceCap, which would exhaust memory (or,
+// far enough past it, fail the allocation outright).
+func checkTraceCap(n int) error {
+	if n < 0 || n > maxTraceCap {
+		return fmt.Errorf("-tracecap %d is outside [0, %d] events (each is 40 bytes; 0 means %d)", n, maxTraceCap, trace.DefaultCap)
+	}
+	return nil
 }
 
 // role names what core i of an n-core run does, read off the design's

@@ -34,3 +34,19 @@ func TestRole(t *testing.T) {
 		}
 	}
 }
+
+// A -tracecap the ring cannot hold is refused before the run; at 1<<62
+// NewBuffer used to panic in makeslice.
+func TestCheckTraceCap(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		ok bool
+	}{
+		{0, true}, {1, true}, {4000000, true}, {1 << 24, true},
+		{-1, false}, {1<<24 + 1, false}, {4611686018427387904, false},
+	} {
+		if err := checkTraceCap(c.n); (err == nil) != c.ok {
+			t.Errorf("checkTraceCap(%d) = %v, want ok=%v", c.n, err, c.ok)
+		}
+	}
+}

@@ -145,7 +145,6 @@ type imeta struct {
 // Core executes one thread program against a memory port and an optional
 // streaming port.
 type Core struct {
-	id   int
 	p    Params
 	meta []imeta // predecoded Instrs, same indexing as the program's
 	pc   int
@@ -162,11 +161,12 @@ type Core struct {
 
 	inflight []*port.Token // fire-and-forget tokens (stores, fences, produces)
 
-	// halted, LastStall and the tracer's stallCur share one word: one more
-	// would take Core, with its allocation header, past 2 KiB.
+	// halted, LastStall, the tracer's stallCur and id share one word: one
+	// more would take Core, with its allocation header, past 2 KiB.
 	halted    bool
 	LastStall StallReason
 	stallCur  StallReason
+	id        int32
 
 	// Stats.
 	Cycles     uint64
@@ -192,6 +192,9 @@ type Core struct {
 
 	// Tracer, when non-nil, receives issue/retire/queue-op/stall events.
 	Tracer *trace.Buffer
+	// names holds the op names this core's events carry, resolved against
+	// Tracer; nil until the first traced event (see traceNames).
+	names *traceNames
 
 	// Tokens, when non-nil, is the run-scoped token arena; the core owns
 	// the tokens it tracks and returns each one as it collects it.
@@ -247,14 +250,14 @@ func New(id int, p Params, prog *isa.Program, memp port.Mem, strm port.Stream) *
 			lat:      uint64(in.Op.Latency()),
 		}
 	}
-	c := &Core{id: id, p: p, meta: meta, pc: 0, memp: memp, strm: strm,
+	c := &Core{id: int32(id), p: p, meta: meta, pc: 0, memp: memp, strm: strm,
 		nextDue: port.Pending}
 	c.waitEp, c.waitCnt = &c.waitSeen, &c.noCount
 	return c
 }
 
 // ID returns the core index.
-func (c *Core) ID() int { return c.id }
+func (c *Core) ID() int { return int(c.id) }
 
 // Reg returns the architectural value of register r (for tests).
 func (c *Core) Reg(r isa.Reg) uint64 { return c.regs[r] }
@@ -321,8 +324,8 @@ func (c *Core) collect(cycle uint64) {
 		c.pend[r] = nil
 		c.pendMask &^= 1 << uint(r)
 		if c.Tracer != nil {
-			c.Tracer.Add(trace.Event{Cycle: cycle, Kind: trace.KindRetire,
-				Core: c.id, PC: -1, Q: -1, Op: "writeback", Val: t.Value})
+			c.Tracer.Record(trace.KindRetire, cycle, 0, int(c.id), -1, -1,
+				c.traceNames().writeback, t.Value)
 		}
 		c.Tokens.Put(t)
 	}
@@ -636,8 +639,8 @@ func (c *Core) flushStallTrace(endCycle uint64) {
 	if dur == 0 {
 		dur = 1
 	}
-	c.Tracer.Add(trace.Event{Cycle: c.stallSince, Dur: dur, Kind: trace.KindStall,
-		Core: c.id, PC: c.pc, Q: -1, Op: c.stallCur.String()})
+	c.Tracer.Record(trace.KindStall, c.stallSince, dur, int(c.id), c.pc, -1,
+		c.traceNames().stalls[c.stallCur], 0)
 	c.stallSince = 0
 }
 
@@ -715,13 +718,48 @@ func (c *Core) note(cycle uint64, pc int, in *isa.Instr) {
 }
 
 func (c *Core) traceIssue(cycle uint64, pc int, in *isa.Instr) {
-	e := trace.Event{Cycle: cycle, Kind: trace.KindIssue, Core: c.id,
-		PC: pc, Q: -1, Op: in.Op.String()}
+	kind, q := trace.KindIssue, -1
 	if in.Op == isa.Produce || in.Op == isa.Consume {
-		e.Kind = trace.KindQueueOp
-		e.Q = in.Q
+		kind, q = trace.KindQueueOp, in.Q
 	}
-	c.Tracer.Add(e)
+	c.Tracer.Record(kind, cycle, 0, int(c.id), pc, q, c.traceNames().ops[in.Op], 0)
+}
+
+// numOps sizes traceNames.ops: Fence is the last opcode, and an instruction
+// past it never issues (isa.Eval panics on it).
+const numOps = isa.Fence + 1
+
+// traceNames are the op names a core's events carry — every mnemonic,
+// every stall reason and "writeback" — resolved once against buf, so that
+// recording an event looks no string up.
+type traceNames struct {
+	buf       *trace.Buffer
+	ops       [numOps]trace.Name
+	stalls    [NumStallReasons]trace.Name
+	writeback trace.Name
+}
+
+// traceNames returns the names resolved against the core's current
+// Tracer, resolving them when the Tracer is new to the core (a test may
+// attach one directly, or a core may be handed another).
+func (c *Core) traceNames() *traceNames {
+	if n := c.names; n != nil && n.buf == c.Tracer {
+		return n
+	}
+	return c.resolveTraceNames()
+}
+
+func (c *Core) resolveTraceNames() *traceNames {
+	b := c.Tracer
+	n := &traceNames{buf: b, writeback: b.Name("writeback")}
+	for op := range n.ops {
+		n.ops[op] = b.Name(isa.Op(op).String())
+	}
+	for r := range n.stalls {
+		n.stalls[r] = b.Name(StallReason(r).String())
+	}
+	c.names = n
+	return n
 }
 
 // drainBucket is where a halted core's drain cycle is charged: the Loc of

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"hfstream/internal/asm"
 	"hfstream/internal/isa"
@@ -279,5 +281,60 @@ func TestTracerCoalescesStallRuns(t *testing.T) {
 	}
 	if queueOps != 1 {
 		t.Errorf("got %d queue-op events, want 1", queueOps)
+	}
+}
+
+// A Core and its 8-byte allocation header fill the 2 048-byte size class;
+// one more word would move every core into the 2 304-byte one.
+func TestCoreSize(t *testing.T) {
+	if size := unsafe.Sizeof(Core{}); size > 2040 {
+		t.Errorf("Core is %d bytes, want at most 2040", size)
+	}
+}
+
+// traceNames.ops has a slot for every opcode: the one past it has no
+// mnemonic.
+func TestTraceNamesCoverEveryOp(t *testing.T) {
+	if s := isa.Op(numOps).String(); !strings.HasPrefix(s, "op(") {
+		t.Errorf("opcode %d is %q, past numOps = %d", numOps, s, numOps)
+	}
+}
+
+// The names a core records are resolved against the buffer it traces into
+// now: a core handed a second buffer, whose IDs differ from the first's,
+// resolves them again.
+func TestTracerSwapResolvesNames(t *testing.T) {
+	b := asm.NewBuilder("swap")
+	b.Ld(2, 0, 64)
+	b.AddI(3, 2, 1)
+	b.Halt()
+	c := New(3, DefaultParams(), b.MustProgram(), newFakeMem(5), nil)
+	first, second := trace.NewBuffer(64), trace.NewBuffer(64)
+	second.Name("taken")
+	c.Tracer = first
+	c.Tick(1)
+	c.Tracer = second
+	cycle := uint64(2)
+	for ; !c.Done(cycle); cycle++ {
+		c.Tick(cycle)
+	}
+	c.FinishTrace(cycle)
+	for _, tc := range []struct {
+		buf  *trace.Buffer
+		want string
+	}{
+		{first, "ld"},
+		{second, "writeback addi halt memory-token"},
+	} {
+		var ops []string
+		for _, e := range tc.buf.Events() {
+			if e.Core != 3 {
+				t.Errorf("event %+v: core %d, want 3", e, e.Core)
+			}
+			ops = append(ops, e.Op)
+		}
+		if got := strings.Join(ops, " "); got != tc.want {
+			t.Errorf("ops %q, want %q", got, tc.want)
+		}
 	}
 }

@@ -11,32 +11,46 @@ import (
 	"hfstream/internal/memsys"
 	"hfstream/internal/sim"
 	"hfstream/internal/workloads"
+	"hfstream/trace"
 )
 
-// BenchmarkRunCell times sim.Run alone on five cells of the evaluation:
+// BenchmarkRunCell times sim.Run alone on six cells of the evaluation:
 // a controller-queue design, software queues on a memory-bound kernel, a
-// four-stage synchronization-array chain, and two six-stage chains whose
-// cores spend most cycles on a refused queue operation: a full array
-// queue, and an OzQ full of dormant produces. The threads, the machine and
-// the input image are built once; every iteration runs on a fresh
-// copy-on-write fork of the image, as the experiment harness does.
+// four-stage synchronization-array chain, two six-stage chains whose
+// cores spend most cycles on a refused queue operation (a full array
+// queue, and an OzQ full of dormant produces), and one traced cell run the
+// way the spine's referee workload runs it: fast-forward off, into a fresh
+// trace.NewSink() ring each iteration, so its B/op is mostly the ring. The
+// threads, the machine and the input image are built once; every iteration
+// runs on a fresh copy-on-write fork of the image, as the experiment
+// harness does.
 func BenchmarkRunCell(b *testing.B) {
 	for _, cell := range []struct {
 		bench  string
 		design design.Config
+		sink   bool
 	}{
-		{"wc", design.SyncOptiConfig()},
-		{"mcf", design.ExistingConfig()},
-		{"fft2", design.HeavyWTConfig().WithCores(4)},
-		{"art", design.HeavyWTConfig().WithCores(6)},
-		{"equake", design.SyncOptiSCQ64Config().WithCores(6)},
+		{"wc", design.SyncOptiConfig(), false},
+		{"mcf", design.ExistingConfig(), false},
+		{"fft2", design.HeavyWTConfig().WithCores(4), false},
+		{"art", design.HeavyWTConfig().WithCores(6), false},
+		{"equake", design.SyncOptiSCQ64Config().WithCores(6), false},
+		{"adpcmdec", design.SyncOptiConfig(), true},
 	} {
-		b.Run(cell.bench+"/"+cell.design.Name(), func(b *testing.B) {
+		name := cell.bench + "/" + cell.design.Name()
+		if cell.sink {
+			name += "/sink"
+		}
+		b.Run(name, func(b *testing.B) {
 			cfg, base, threads := buildCell(b, cell.bench, cell.design)
+			cfg.DisableFastForward = cell.sink
 			b.ReportAllocs()
 			b.ResetTimer()
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
+				if cell.sink {
+					cfg.Trace = trace.NewSink()
+				}
 				res, err := sim.Run(cfg, base.Fork(), threads)
 				if err != nil {
 					b.Fatal(err)

@@ -2,8 +2,10 @@ package sim_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"hfstream/internal/bus"
 	"hfstream/internal/design"
 	"hfstream/internal/mem"
 	"hfstream/internal/sim"
@@ -75,6 +77,14 @@ func TestTraceRecordsRun(t *testing.T) {
 	}
 	if res.Trace != buf {
 		t.Error("Result.Trace does not expose the configured buffer")
+	}
+}
+
+// sim.Run resolves one trace name per bus kind up to bus.Probe, which must
+// therefore be the last kind.
+func TestBusProbeIsLastKind(t *testing.T) {
+	if s := (bus.Probe + 1).String(); !strings.HasPrefix(s, "Kind(") {
+		t.Errorf("bus kind after Probe is %q; sim.Run's trace hook has no name for it", s)
 	}
 }
 

@@ -367,10 +367,14 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 	if sa != nil {
 		sa.Tokens = fab.Tokens()
 	}
-	if cfg.Trace != nil {
+	if tr := cfg.Trace; tr != nil {
+		// Probe is the last bus kind; each kind's name is resolved once.
+		var kinds [bus.Probe + 1]trace.Name
+		for k := range kinds {
+			kinds[k] = tr.Name(bus.Kind(k).String())
+		}
 		fab.Bus().Trace = func(cycle uint64, k bus.Kind, src int, addr uint64) {
-			cfg.Trace.Add(trace.Event{Cycle: cycle, Kind: trace.KindBusGrant,
-				Core: src, PC: -1, Q: -1, Op: k.String(), Val: addr})
+			tr.Record(trace.KindBusGrant, cycle, 0, src, -1, -1, kinds[k], addr)
 		}
 	}
 
