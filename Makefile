@@ -2,6 +2,7 @@
 # proves and records the numbers (RESILIENCE.md for the chaos targets).
 #
 #   make tier1              build + vet + tests: the gate every PR keeps green
+#   make refcut-check       rerun the DSWP reference cut search against internal/dswp/testdata/refcuts.txt
 #   make spine-test         the nested bench/spine module's tests (tier1 does not enter it)
 #   make spine              the repository's benchmark, every workload (bench/spine/README.md)
 #   make spine-pairs BASE=<rev> WORKLOAD=<name>   ten parent/change pairs of it; fails on a loss beyond a BENCHMARK.json bound
@@ -36,7 +37,7 @@ GOLDEN_BENCHES = bzip2,adpcmdec
 # real regression. Raise it as coverage grows.
 COVERAGE_BASELINE = 72.0
 
-.PHONY: tier1 vet build test spine-test spine spine-pairs race coverage gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
+.PHONY: tier1 vet build test refcut-check spine-test spine spine-pairs race coverage gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
 
 tier1: build vet test
 
@@ -48,6 +49,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The partitioner's exhaustive reference search (about 15 s), rerun on every
+# case of internal/dswp/testdata/refcuts.txt. tier1 holds bestCut to the
+# file and never runs the reference.
+refcut-check:
+	$(GO) test -count=1 -tags refcut -run TestReferenceCutsPinned ./internal/dswp
 
 # bench/spine is its own module (replace hfstream => ../..), so `go test
 # ./...` at the root never compiles it; it builds against internal/exp,
@@ -105,7 +112,7 @@ gobench:
 # work, so a cost in decode, key, cache or encode is not diluted by a
 # simulation) and the peer tier (cluster3: nothing else gated runs
 # PeerGet/PeerPut) against the parent commit.
-ci: tier1 spine-test race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos-smoke chaos-cluster
+ci: tier1 refcut-check spine-test race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos-smoke chaos-cluster
 	$(MAKE) spine-pairs BASE=$(or $(BASE),HEAD~1) WORKLOAD=matrix2,ncore,serve_mix,serve_hot,cluster3 PAIRS=3
 
 fmtcheck:

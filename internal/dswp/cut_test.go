@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,55 +28,27 @@ func irKernels() []*workloads.Benchmark {
 	return out
 }
 
-// sameAsReference partitions l both ways and reports any difference in
-// outcome: the cut, the assignment, the queue routes, the thread programs.
-// cut is false when both agree that the loop has no n-stage partition.
-func sameAsReference(l *ir.Loop, n int) (cut bool, err error) {
-	got, gotCuts, gotErr := dswp.PartitionNCuts(l, n)
-	want, wantCuts, wantErr := dswp.PartitionNRef(l, n)
-	if (gotErr == nil) != (wantErr == nil) {
-		return false, fmt.Errorf("error %v, reference %v", gotErr, wantErr)
-	}
-	if gotErr != nil {
-		return false, nil
-	}
-	if !reflect.DeepEqual(gotCuts, wantCuts) {
-		return true, fmt.Errorf("cut %v, reference %v", gotCuts, wantCuts)
-	}
-	if !reflect.DeepEqual(got.Assignment, want.Assignment) {
-		return true, fmt.Errorf("assignment %v, reference %v", got.Assignment, want.Assignment)
-	}
-	if !reflect.DeepEqual(got.Routes, want.Routes) {
-		return true, fmt.Errorf("routes %v, reference %v", got.Routes, want.Routes)
-	}
-	if !reflect.DeepEqual(got.Threads, want.Threads) {
-		return true, fmt.Errorf("thread programs differ from the reference's")
-	}
-	return true, nil
-}
+// refCutsFile holds the exhaustive reference search's answer for every
+// case refCases enumerates. TestBestCutMatchesReference holds bestCut to
+// it; `make refcut-check` reruns the reference against it (refcut_test.go).
+const refCutsFile = "testdata/refcuts.txt"
 
-func TestBestCutMatchesReference(t *testing.T) {
+// refSeeds is the number of seeded random loops refcuts.txt covers.
+const refSeeds = 2000
+
+// refCases calls fn on every case of refcuts.txt, in the file's order: each
+// IR kernel at 2..8 stages, then random loops 1..refSeeds at 2..5 stages.
+// A random loop gets 0-2 random pins at each stage count (often
+// unsatisfiable, which both searches must agree on), and on even seeds an
+// exit condition that depends on a load, so the control slice is streamed
+// and its SCCs are forced into stage 0.
+func refCases(fn func(name string, l *ir.Loop, n int)) {
 	for _, b := range irKernels() {
 		for n := 2; n <= 8; n++ {
-			if testing.Short() && n >= 7 && (b.Name == "fir" || b.Name == "fft2") {
-				continue // the reference takes 0.4-5 s on each
-			}
-			if _, err := sameAsReference(b.Loop, n); err != nil {
-				t.Errorf("%s at %d stages: %v", b.Name, n, err)
-			}
+			fn(b.Name, b.Loop, n)
 		}
 	}
-
-	// Seeded random loops: 0-2 random pins (often unsatisfiable, which
-	// both searches must agree on), and on even seeds an exit condition
-	// that depends on a load, so the control slice is streamed and its
-	// SCCs are forced into stage 0.
-	seeds := 2000
-	if testing.Short() {
-		seeds = 300
-	}
-	valid := 0
-	for seed := 1; seed <= seeds; seed++ {
+	for seed := 1; seed <= refSeeds; seed++ {
 		l, _, _ := dswp.RandomLoop(uint32(seed), 40)
 		if seed%2 == 0 {
 			var ld *ir.Node
@@ -100,18 +73,66 @@ func TestBestCutMatchesReference(t *testing.T) {
 			for i := seed % 3; i > 0; i-- {
 				l.Pin(l.Body[next(len(l.Body))], next(n))
 			}
-			cut, err := sameAsReference(l, n)
-			if err != nil {
-				t.Fatalf("seed %d at %d stages, pins %v: %v", seed, n, l.Pins, err)
-			}
-			if cut {
-				valid++
-			}
+			fn(fmt.Sprintf("seed%d", seed), l, n)
 		}
 	}
-	if valid < seeds {
-		t.Errorf("only %d of %d random cases had a valid cut; the comparison is mostly vacuous", valid, 4*seeds)
+}
+
+// refLine renders one search's answer as its refcuts.txt line: the case,
+// the stage count, and the first free SCC of stages 1..n-1, or "none" when
+// the loop has no partition of that many stages.
+func refLine(name string, n int, cuts []int, err error) string {
+	if err != nil {
+		return fmt.Sprintf("%s %d none", name, n)
 	}
+	s := make([]string, len(cuts))
+	for i, c := range cuts {
+		s[i] = strconv.Itoa(c)
+	}
+	return fmt.Sprintf("%s %d %s", name, n, strings.Join(s, ","))
+}
+
+// checkRefCuts runs search on every case of refcuts.txt and fails at the
+// first answer that differs from the file's.
+func checkRefCuts(t *testing.T, search func(*ir.Loop, int) (*dswp.Result, []int, error)) {
+	raw, err := os.ReadFile(refCutsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	i, valid := 0, 0
+	refCases(func(name string, l *ir.Loop, n int) {
+		_, cuts, err := search(l, n)
+		if i >= len(want) {
+			t.Fatalf("%s ends after %d cases", refCutsFile, i)
+		}
+		if got := refLine(name, n, cuts, err); got != want[i] {
+			t.Fatalf("case %d is %q, %s has %q", i+1, got, refCutsFile, want[i])
+		}
+		if err == nil && strings.HasPrefix(name, "seed") {
+			valid++
+		}
+		i++
+	})
+	if i != len(want) {
+		t.Errorf("%d cases, %s has %d", i, refCutsFile, len(want))
+	}
+	if valid < refSeeds {
+		t.Errorf("only %d of %d random cases had a valid cut; the comparison is mostly vacuous", valid, 4*refSeeds)
+	}
+}
+
+// TestBestCutMatchesReference: bestCut picks the exhaustive reference's cut
+// on every case of refcuts.txt. Both searches hand their cut to
+// cutSpace.emit, so an equal cut is an equal assignment, equal queue routes
+// and equal thread programs.
+func TestBestCutMatchesReference(t *testing.T) {
+	checkRefCuts(t, dswp.PartitionNCuts)
 }
 
 // The cut of every kernel at every stage count, as the exhaustive search

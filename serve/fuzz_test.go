@@ -3,8 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"hfstream"
@@ -20,10 +18,12 @@ func strictly(data []byte, v any) bool {
 	return json.Valid(data) && dec.Decode(v) == nil
 }
 
-// FuzzDecodeBody feeds arbitrary bytes to the one function that reads a
+// FuzzDecodeBody feeds arbitrary bytes to the one function that decodes a
 // request body, as both body shapes: it never panics, it accepts exactly
 // the inputs that are one JSON value of the shape plus whitespace, and
 // an accepted spec, encoded again, is accepted again and keys the same.
+// The same bytes sent twice to one server get the same answer twice,
+// whether or not the second came from the server's spec memo.
 func FuzzDecodeBody(f *testing.F) {
 	// TestBodyMustBeOneJSONValue's table, and the fields that are gone.
 	for _, body := range []string{
@@ -42,20 +42,21 @@ func FuzzDecodeBody(f *testing.F) {
 	for _, body := range []string{"", "null", "{", "[]", `"wc"`, `{"bench":1}`, `{"bench":"wc","bench":"fir"}`} {
 		f.Add([]byte(body))
 	}
-	decode := func(data []byte, v any) error {
-		r := httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(data))
-		return decodeBody(httptest.NewRecorder(), r, v)
-	}
+	h := echoServer().Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > maxRequestBytes {
-			return // the size cap has its own test; the oracle has none
+			return // TestRequestSizeCap covers the cap; the oracle has none
+		}
+		first, second := answer(h, "/v1/run", string(data)), answer(h, "/v1/run", string(data))
+		if first != second {
+			t.Fatalf("body %q answered %+v, then %+v", data, first, second)
 		}
 		var sweep, wantSweep SweepRequest
-		if got, want := decode(data, &sweep) == nil, strictly(data, &wantSweep); got != want {
+		if got, want := decodeBody(data, &sweep) == nil, strictly(data, &wantSweep); got != want {
 			t.Fatalf("sweep body %q: accepted=%v, want %v", data, got, want)
 		}
 		var spec, wantSpec hfstream.Spec
-		if got, want := decode(data, &spec) == nil, strictly(data, &wantSpec); got != want {
+		if got, want := decodeBody(data, &spec) == nil, strictly(data, &wantSpec); got != want {
 			t.Fatalf("run body %q: accepted=%v, want %v", data, got, want)
 		} else if !got {
 			return
@@ -68,7 +69,7 @@ func FuzzDecodeBody(f *testing.F) {
 			t.Fatal(err)
 		}
 		var spec2 hfstream.Spec
-		if err := decode(again, &spec2); err != nil {
+		if err := decodeBody(again, &spec2); err != nil {
 			t.Fatalf("re-encoded body %s rejected: %v", again, err)
 		}
 		k1, err1 := spec.Key()

@@ -81,17 +81,19 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestRunHitAllocationCeiling: a cache hit decodes the spec, derives its
-// key, looks it up and writes the cached bytes — standard-library JSON
-// decoding, a memoized key and four header values. The ceiling fails as
-// soon as the hit path builds the benchmark it names (fft2: 78
-// allocations).
+// TestRunHitAllocationCeiling: a repeated /v1/run body is read into a
+// pooled buffer and found in the server's spec memo, so a cache hit decodes
+// no JSON and derives no key: what it still pays for is the request itself,
+// which this count includes, and the reply's two header values that vary.
+// The ceiling fails as soon as a hit decodes again (26 before the memo) or
+// builds the benchmark it names (fft2: 78 allocations).
 //
 // The stream and the sweep cell take the same resolve, and the benchmark's
 // hot workload takes neither, so each has a ceiling of its own. A streamed
 // hit that starts paying for the progress buffer, its goroutine or a
 // joined context — all of which wait for a simulation that is really about
-// to run — goes over. Each ceiling is the count measured when it was set.
+// to run — goes over. A sweep decodes its grid and keys its cells on every
+// request. Each ceiling is the count measured when it was set.
 func TestRunHitAllocationCeiling(t *testing.T) {
 	skipUnderRace(t)
 	s, h, _ := hotServer(t)
@@ -100,8 +102,8 @@ func TestRunHitAllocationCeiling(t *testing.T) {
 		name, path, body string
 		ceiling          float64
 	}{
-		{"/v1/run", "/v1/run", hitBody, 26},
-		{"streamed", "/v1/run?stream=ndjson", hitBody, 35},
+		{"/v1/run", "/v1/run", hitBody, 16},
+		{"streamed", "/v1/run?stream=ndjson", hitBody, 25},
 		{"one-cell /v1/sweep", "/v1/sweep", `{"benches":["fft2"],"designs":["SYNCOPTI_SC+Q64"]}`, 40},
 	} {
 		got := testing.AllocsPerRun(20, func() { serveDiscarded(h, c.path, c.body) })
@@ -118,14 +120,15 @@ func TestRunHitAllocationCeiling(t *testing.T) {
 // TestClientRunHitAllocationCeiling: client.Run on a hit, through a
 // transport that calls the handler, is the server's hit plus marshaling
 // the spec, building the request, recording the reply and reading its body
-// into one buffer of the declared length. A reply read that grows its
-// buffer, or a header that stops being shared, goes over.
+// into one buffer of the declared length (43 before the server's spec
+// memo). A reply read that grows its buffer, or a header that stops being
+// shared, goes over.
 func TestClientRunHitAllocationCeiling(t *testing.T) {
 	skipUnderRace(t)
 	_, h, body := hotServer(t)
 	cl := client.New("http://hot", client.WithHTTPClient(&http.Client{Transport: inproc{h}}))
 	ctx := context.Background()
-	const ceiling = 43
+	const ceiling = 33
 	got := testing.AllocsPerRun(20, func() {
 		res, err := cl.Run(ctx, hitSpec)
 		if err != nil || res.Cache != "hit" || len(res.Body) != len(body) {
@@ -183,7 +186,8 @@ func TestUnaryRepliesDeclareTheirLength(t *testing.T) {
 // BenchmarkRunHit prices a /v1/run cache hit: "server" is the handler
 // alone writing into a discarding ResponseWriter, "client" is client.Run
 // through a transport that calls the handler, which is serve_hot's op
-// without the benchmark's spans.
+// without the benchmark's spans. Every iteration sends the same body, so
+// the server answers it from its spec memo, as serve_hot's server does.
 func BenchmarkRunHit(b *testing.B) {
 	_, h, _ := hotServer(b)
 	b.Run("server", func(b *testing.B) {

@@ -32,6 +32,7 @@ import (
 	"net/url"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,9 +46,14 @@ const (
 	DefaultCacheBytes = 64 << 20
 	DefaultJobTimeout = 2 * time.Minute
 
-	// maxRequestBytes bounds a /v1/run request body; specs are tiny and an
-	// unbounded read is a trivial memory DoS.
+	// maxRequestBytes bounds a /v1/run or /v1/sweep request body; specs are
+	// tiny and an unbounded read is a trivial memory DoS.
 	maxRequestBytes = 1 << 20
+
+	// Server.memo's bounds, and the largest request buffer bodyBufs keeps.
+	memoBodyBytes = 256
+	memoEntries   = 4096
+	pooledBodyCap = 4 << 10
 )
 
 // Config parameterizes a Server. The zero value picks the defaults
@@ -78,6 +84,13 @@ type Server struct {
 	cache   *resultCache // nil when disabled
 	peer    Peer         // nil when not clustered
 	flights flightGroup
+
+	// memo maps a /v1/run body, byte for byte, to its spec and key. It holds
+	// only bodies that decoded and keyed cleanly, none over memoBodyBytes and
+	// at most memoEntries of them, and keeps each spec as decoded, not
+	// normalized, so every caller sees what a fresh decode gives it.
+	memoMu sync.RWMutex
+	memo   map[string]keyedSpec
 
 	draining atomic.Bool
 	start    time.Time
@@ -126,6 +139,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		pool:    exp.NewPool(cfg.Workers, cfg.QueueDepth),
 		peer:    cfg.Peer,
+		memo:    make(map[string]keyedSpec),
 		start:   time.Now(),
 		baseCtx: ctx,
 		cancel:  cancel,
@@ -257,13 +271,39 @@ func errorOutcome(status int, code, msg string, diag json.RawMessage) *outcome {
 	return &outcome{status: status, body: append(body, '\n')}
 }
 
-// decodeBody reads a request body that must be exactly one JSON value of
-// v's shape: no unknown field, at most maxRequestBytes, and nothing but
-// whitespace after the value. Decode alone stops at the end of the first
-// value, which would answer `{...} garbage` and `{...}{...}` as if only
-// the first object had been sent.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+// bodyBufs holds request-body buffers between requests. A buffer that grew
+// past pooledBodyCap is left to the collector rather than pooled, so one
+// large body does not stay pinned.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+func putBodyBuf(b *[]byte) {
+	if cap(*b) <= pooledBodyCap {
+		bodyBufs.Put(b)
+	}
+}
+
+// readBody reads r's whole body into *buf, reusing its capacity. A body
+// over maxRequestBytes fails with *http.MaxBytesError before any of it is
+// parsed, and the connection is closed after the reply. net/http stops a
+// body at its declared length, so one declared within the cap is read bare.
+func readBody(w http.ResponseWriter, r *http.Request, buf *[]byte) error {
+	body := r.Body
+	if r.ContentLength < 0 || r.ContentLength > maxRequestBytes {
+		body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	}
+	b := bytes.NewBuffer((*buf)[:0])
+	_, err := b.ReadFrom(body)
+	*buf = b.Bytes()
+	return err
+}
+
+// decodeBody decodes a request body that must be exactly one JSON value of
+// v's shape: no unknown field and nothing but whitespace after the value.
+// Decode alone stops at the end of the first value, which would answer
+// `{...} garbage` and `{...}{...}` as if only the first object had been
+// sent.
+func decodeBody(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -272,6 +312,51 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 		return errors.New("unexpected data after the JSON value")
 	}
 	return nil
+}
+
+// badBody answers a request body that could not be read or decoded.
+func badBody(err error) *outcome {
+	return errorOutcome(http.StatusBadRequest, codeBadRequest, "request body: "+err.Error(), nil)
+}
+
+// keyedSpec is a spec with its content key.
+type keyedSpec struct {
+	spec hfstream.Spec
+	key  string
+}
+
+// readSpec reads a /v1/run body and returns its spec and key: from the
+// memo for bytes the server has decoded before, otherwise by a strict
+// decode and Spec.Key, remembered while the body and the memo allow.
+func (s *Server) readSpec(w http.ResponseWriter, r *http.Request) (keyedSpec, *outcome) {
+	buf := bodyBufs.Get().(*[]byte)
+	defer putBodyBuf(buf)
+	if err := readBody(w, r, buf); err != nil {
+		return keyedSpec{}, badBody(err)
+	}
+	s.memoMu.RLock()
+	ks, ok := s.memo[string(*buf)]
+	s.memoMu.RUnlock()
+	if ok {
+		return ks, nil
+	}
+	var spec hfstream.Spec // declared here, so that only a miss moves it to the heap
+	if err := decodeBody(*buf, &spec); err != nil {
+		return keyedSpec{}, badBody(err)
+	}
+	key, err := spec.Key()
+	if err != nil {
+		return keyedSpec{}, errorOutcome(http.StatusBadRequest, codeBadRequest, err.Error(), nil)
+	}
+	ks = keyedSpec{spec, key}
+	if len(*buf) <= memoBodyBytes {
+		s.memoMu.Lock()
+		if len(s.memo) < memoEntries {
+			s.memo[string(*buf)] = ks
+		}
+		s.memoMu.Unlock()
+	}
+	return ks, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -290,22 +375,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unsupported stream mode %q (only ndjson)", stream), nil))
 		return
 	}
-	var spec hfstream.Spec
-	if err := decodeBody(w, r, &spec); err != nil {
-		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest, "request body: "+err.Error(), nil))
-		return
-	}
-	key, err := spec.Key()
-	if err != nil {
-		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest, err.Error(), nil))
+	ks, bad := s.readSpec(w, r)
+	if bad != nil {
+		writeOutcome(w, "", bad)
 		return
 	}
 	if stream == "ndjson" {
-		s.streamRun(w, r, q, key, spec)
+		s.streamRun(w, r, q, ks.key, ks.spec)
 		return
 	}
-	out := s.resolve(s.baseCtx, key, spec, nil)
-	writeOutcome(w, key, &out)
+	out := s.resolve(s.baseCtx, ks.key, ks.spec, nil)
+	writeOutcome(w, ks.key, &out)
 }
 
 // resolve answers one content key, and is the only way a run request, a

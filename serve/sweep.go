@@ -38,12 +38,6 @@ type SweepRequest struct {
 	Single bool `json:"single,omitempty"`
 }
 
-// sweepCell is one grid position: its normalized spec and content key.
-type sweepCell struct {
-	spec hfstream.Spec
-	key  string
-}
-
 // Cells returns the normalized specs of the request's grid, in the order
 // the server expands it — the cell universe a load generator draws from.
 func (req SweepRequest) Cells() ([]hfstream.Spec, error) {
@@ -58,11 +52,11 @@ func (req SweepRequest) Cells() ([]hfstream.Spec, error) {
 	return specs, nil
 }
 
-// expandSweep turns the request into its deduplicated cell list, in
-// deterministic grid order (benches outermost, then single, designs).
-// Any invalid name fails the whole sweep up front — nothing has streamed
-// yet, so the client gets a plain 400.
-func expandSweep(req SweepRequest) ([]sweepCell, error) {
+// expandSweep turns the request into its deduplicated cell list, each cell
+// a normalized spec and its key, in deterministic grid order (benches
+// outermost, then single, designs). Any invalid name fails the whole sweep
+// up front — nothing has streamed yet, so the client gets a plain 400.
+func expandSweep(req SweepRequest) ([]keyedSpec, error) {
 	benches := req.Benches
 	if len(benches) == 1 && benches[0] == "*" {
 		benches = nil // not benches[:0]: the request's slice is the caller's
@@ -91,7 +85,7 @@ func expandSweep(req SweepRequest) ([]sweepCell, error) {
 		return nil, fmt.Errorf("sweep grid too large: up to %d cells, max %d", n, maxSweepCells)
 	}
 
-	var cells []sweepCell
+	var cells []keyedSpec
 	seen := make(map[string]bool)
 	add := func(spec hfstream.Spec) error {
 		n, err := spec.Normalize()
@@ -104,7 +98,7 @@ func expandSweep(req SweepRequest) ([]sweepCell, error) {
 		}
 		if !seen[key] {
 			seen[key] = true
-			cells = append(cells, sweepCell{spec: n, key: key})
+			cells = append(cells, keyedSpec{spec: n, key: key})
 		}
 		return nil
 	}
@@ -125,7 +119,7 @@ func expandSweep(req SweepRequest) ([]sweepCell, error) {
 
 // cellResult pairs a finished cell with its outcome.
 type cellResult struct {
-	cell sweepCell
+	cell keyedSpec
 	out  outcome
 }
 
@@ -137,8 +131,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.sweeps.Add(1)
 	var req SweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeOutcome(w, "", errorOutcome(http.StatusBadRequest, codeBadRequest, "request body: "+err.Error(), nil))
+	buf := bodyBufs.Get().(*[]byte)
+	err := readBody(w, r, buf)
+	if err == nil {
+		err = decodeBody(*buf, &req)
+	}
+	putBodyBuf(buf)
+	if err != nil {
+		writeOutcome(w, "", badBody(err))
 		return
 	}
 	cells, err := expandSweep(req)
@@ -160,7 +160,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if coordinators > len(cells) {
 		coordinators = len(cells)
 	}
-	work := make(chan sweepCell)
+	work := make(chan keyedSpec)
 	results := make(chan cellResult)
 	for i := 0; i < coordinators; i++ {
 		go func() {
