@@ -17,7 +17,7 @@
 #   make serve-cluster      ring/peering under -race plus the cluster differential rows
 #   make scaling            the N-core differential under -race (EXPERIMENTS.md "Scaling curves")
 #   make load-smoke         hfload against in-process 1- and 3-replica clusters
-#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core, sim, dswp and serve layer benchmarks
+#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core, sim, dswp, serve and trace layer benchmarks
 #   make chaos              full fault-injection sweep (RESILIENCE.md)
 #   make chaos-smoke        the CI chaos corpus, fast-forward on and off
 #   make chaos-cluster      service-tier chaos smoke under -race
@@ -105,7 +105,7 @@ coverage:
 # and running.
 gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./internal/dswp ./serve
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./internal/dswp ./serve ./trace
 
 # The last step is CI's regression gate: the dual-core matrix, an N-core
 # cell, a service number, the cache-hit path alone (serve_hot: no kernel

@@ -61,7 +61,7 @@ func main() {
 		single     = flag.Bool("single", false, "run the single-threaded baseline instead")
 		list       = flag.Bool("list", false, "list benchmarks and design points")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file of issue/stall/queue/bus events")
-		traceCap   = flag.Int("tracecap", 0, fmt.Sprintf("trace ring capacity in events of 40 bytes, at most %d (0 = default 64k; older events are dropped)", maxTraceCap))
+		traceCap   = flag.Int("tracecap", 0, fmt.Sprintf("trace ring capacity in events, at most %d (0 = default 64k; older events are dropped); the ring is 40 bytes an event, and writing -trace adds 72 bytes a held event, 1792 MiB in all at the bound", maxTraceCap))
 		metrics    = flag.String("metrics", "", "write the metrics JSON snapshot to this file (\"-\" for stdout)")
 		sample     = flag.Uint64("sample", 0, "sample throughput every N cycles and print sparklines")
 		csv        = flag.Bool("csv", false, "with -sample: emit the samples as CSV instead")
@@ -206,7 +206,8 @@ func main() {
 	}
 }
 
-// maxTraceCap bounds -tracecap: 1<<24 events is a 640 MiB ring.
+// maxTraceCap bounds -tracecap: 1<<24 events is a 640 MiB ring, and
+// exporting a full one holds its 1 152 MiB of Events besides.
 const maxTraceCap = 1 << 24
 
 // checkTraceCap rejects a -tracecap the ring cannot be allocated for: a

@@ -2,6 +2,8 @@ package hfstream
 
 import (
 	"context"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 )
@@ -11,28 +13,46 @@ var pureExperiments = map[string]bool{
 	ExpTable1: true, ExpTable2: true, ExpFig3: true,
 }
 
-// TestRunExperimentAll smokes every registered experiment: each name must
-// resolve, run, and render non-empty output mentioning no error text. The
-// figure experiments simulate the full benchmark matrix, so -short keeps
-// to the pure tables.
+// TestRunExperimentAll resolves every registered experiment under a
+// canceled context, so that nothing is simulated: no name may come back
+// unknown, and the pure tables, having nothing to cancel, must return
+// exactly their pinned bytes. What the simulating rows render is pinned
+// byte for byte by internal/exp's TestCatalogGolden, so this test does not
+// run the catalog a second time.
 func TestRunExperimentAll(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, name := range ExperimentNames() {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			if testing.Short() && !pureExperiments[name] {
-				t.Skipf("%s simulates the full matrix; skipped in -short", name)
+			out, err := RunExperimentCtx(ctx, name)
+			var unknown errUnknownExperiment
+			if errors.As(err, &unknown) {
+				t.Fatalf("registered experiment does not resolve: %v", err)
 			}
-			out, err := RunExperiment(name)
-			if err != nil {
-				t.Fatal(err)
+			if !pureExperiments[name] {
+				return
 			}
-			if strings.TrimSpace(out) == "" {
-				t.Fatal("empty output")
-			}
-			if !strings.Contains(out, "\n") {
-				t.Errorf("output is a single line: %q", out)
+			want, rerr := os.ReadFile("internal/exp/testdata/experiments/" + name + ".txt")
+			if err != nil || rerr != nil || out != string(want) {
+				t.Errorf("under a canceled context: (%q, %v), want %q (%v)", out, err, want, rerr)
 			}
 		})
+	}
+}
+
+// TestRunExperimentCtxCanceled: a canceled context must abort every
+// simulating experiment with the cancellation instead of running its
+// matrix.
+func TestRunExperimentCtxCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range ExperimentNames() {
+		if pureExperiments[name] {
+			continue
+		}
+		if out, err := RunExperimentCtx(ctx, name); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a canceled context: (%d bytes, %v), want a cancellation", name, len(out), err)
+		}
 	}
 }
 
@@ -43,19 +63,5 @@ func TestRunExperimentUnknown(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "nope") {
 		t.Errorf("error %q does not name the bad experiment", err)
-	}
-}
-
-// A canceled context must abort figure experiments instead of running the
-// full matrix; pure table experiments finish regardless.
-func TestRunExperimentCtxCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunExperimentCtx(ctx, ExpFig9); err == nil {
-		t.Error("canceled fig9 did not fail")
-	}
-	out, err := RunExperimentCtx(ctx, ExpTable1)
-	if err != nil || out == "" {
-		t.Errorf("canceled table1 = (%q, %v), want output", out, err)
 	}
 }

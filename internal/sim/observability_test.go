@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -64,11 +65,11 @@ func TestTraceRecordsRun(t *testing.T) {
 		}
 	}
 
-	data, err := trace.ChromeJSON(buf.Events(), buf.Dropped())
-	if err != nil {
+	var data bytes.Buffer
+	if err := trace.WriteChrome(&data, buf.Events(), buf.Dropped()); err != nil {
 		t.Fatal(err)
 	}
-	parsed, _, err := trace.ReadChrome(data)
+	parsed, _, err := trace.ReadChrome(data.Bytes())
 	if err != nil {
 		t.Fatalf("exported trace does not round-trip: %v", err)
 	}

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // The exporter emits the Chrome trace_event "JSON object format": a
@@ -17,6 +19,8 @@ const (
 	pidBus   = 1
 )
 
+// chromeEvent and chromeTrace are the document's shape: ReadChrome decodes
+// into them, and WriteChrome writes their MarshalIndent rendering directly.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -34,80 +38,103 @@ type chromeTrace struct {
 	Dropped         uint64        `json:"droppedEvents,omitempty"`
 }
 
-func toChrome(e Event) chromeEvent {
-	ce := chromeEvent{
-		Name: e.Op,
-		Cat:  e.Kind.String(),
-		Ph:   "X",
-		Ts:   e.Cycle,
-		Dur:  e.Dur,
-		Pid:  pidCores,
-		Tid:  e.Core,
-		Args: map[string]any{"cycle": e.Cycle},
+// WriteChrome writes events, plus metadata naming the processes and the
+// core threads that appear in them, to w as a Chrome trace_event JSON
+// document. dropped, if non-zero, is recorded in the top-level
+// droppedEvents field.
+//
+// The bytes are json.MarshalIndent's rendering of a chromeTrace with a
+// one-space indent, written one event at a time: the exporter holds one
+// event's bytes and each distinct op's JSON string, never the document.
+func WriteChrome(w io.Writer, events []Event, dropped uint64) error {
+	bw := bufio.NewWriter(w) // keeps the first write error for Flush
+	bw.WriteString("{\n \"traceEvents\": [")
+	var line []byte // the element being written
+	sep := "\n"
+	emit := func() {
+		bw.WriteString(sep)
+		bw.Write(line)
+		sep = ",\n"
 	}
-	if ce.Dur == 0 {
-		ce.Dur = 1
+	meta := func(pid, tid int, key, name string) {
+		line = append(line[:0], "  {\n   \"name\": \""...)
+		line = append(line, key...)
+		line = append(line, "\",\n   \"ph\": \"M\",\n   \"ts\": 0,\n   \"pid\": "...)
+		line = strconv.AppendInt(line, int64(pid), 10)
+		line = append(line, ",\n   \"tid\": "...)
+		line = strconv.AppendInt(line, int64(tid), 10)
+		line = append(line, ",\n   \"args\": {\n    \"name\": \""...)
+		line = append(line, name...)
+		line = append(line, "\"\n   }\n  }"...)
+		emit()
 	}
-	if e.Kind == KindBusGrant {
-		ce.Pid = pidBus
-	}
-	if e.Kind == KindStall {
-		ce.Name = "stall:" + e.Op
-	}
-	ce.Args["op"] = e.Op
-	if e.PC >= 0 {
-		ce.Args["pc"] = e.PC
-	}
-	if e.Q >= 0 {
-		ce.Args["q"] = e.Q
-	}
-	if e.Val != 0 {
-		ce.Args["val"] = e.Val
-	}
-	return ce
-}
-
-// ChromeJSON serializes events (plus thread-naming metadata) as a Chrome
-// trace_event JSON document. dropped, if non-zero, is recorded in the
-// top-level droppedEvents field.
-func ChromeJSON(events []Event, dropped uint64) ([]byte, error) {
-	doc := chromeTrace{DisplayTimeUnit: "ms", Dropped: dropped}
-	// Name the processes and the core threads that appear in the events.
+	meta(pidCores, 0, "process_name", "cores")
+	meta(pidBus, 0, "process_name", "bus")
 	seen := map[int]bool{}
-	meta := func(pid, tid int, key, name string) chromeEvent {
-		return chromeEvent{
-			Name: key, Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": name},
-		}
-	}
-	doc.TraceEvents = append(doc.TraceEvents,
-		meta(pidCores, 0, "process_name", "cores"),
-		meta(pidBus, 0, "process_name", "bus"))
 	for _, e := range events {
 		if e.Kind == KindBusGrant || seen[e.Core] {
 			continue
 		}
 		seen[e.Core] = true
-		doc.TraceEvents = append(doc.TraceEvents,
-			meta(pidCores, e.Core, "thread_name", fmt.Sprintf("core %d", e.Core)))
+		meta(pidCores, e.Core, "thread_name", "core "+strconv.Itoa(e.Core))
 	}
+	quoted := map[string][]byte{} // op -> its JSON string
 	for _, e := range events {
-		doc.TraceEvents = append(doc.TraceEvents, toChrome(e))
+		op, ok := quoted[e.Op]
+		if !ok {
+			op, _ = json.Marshal(e.Op) // a string always marshals
+			quoted[e.Op] = op
+		}
+		line = append(line[:0], "  {\n   \"name\": "...)
+		if e.Kind == KindStall { // "stall:" needs no escaping
+			line = append(line, `"stall:`...)
+			line = append(line, op[1:]...)
+		} else {
+			line = append(line, op...)
+		}
+		line = append(line, ",\n   \"cat\": \""...)
+		line = append(line, e.Kind.String()...)
+		line = append(line, "\",\n   \"ph\": \"X\",\n   \"ts\": "...)
+		line = strconv.AppendUint(line, e.Cycle, 10)
+		line = append(line, ",\n   \"dur\": "...)
+		line = strconv.AppendUint(line, max(e.Dur, 1), 10)
+		pid := pidCores
+		if e.Kind == KindBusGrant {
+			pid = pidBus
+		}
+		line = append(line, ",\n   \"pid\": "...)
+		line = strconv.AppendInt(line, int64(pid), 10)
+		line = append(line, ",\n   \"tid\": "...)
+		line = strconv.AppendInt(line, int64(e.Core), 10)
+		line = append(line, ",\n   \"args\": {\n    \"cycle\": "...)
+		line = strconv.AppendUint(line, e.Cycle, 10)
+		line = append(line, ",\n    \"op\": "...)
+		line = append(line, op...)
+		if e.PC >= 0 {
+			line = append(line, ",\n    \"pc\": "...)
+			line = strconv.AppendInt(line, int64(e.PC), 10)
+		}
+		if e.Q >= 0 {
+			line = append(line, ",\n    \"q\": "...)
+			line = strconv.AppendInt(line, int64(e.Q), 10)
+		}
+		if e.Val != 0 {
+			line = append(line, ",\n    \"val\": "...)
+			line = strconv.AppendUint(line, e.Val, 10)
+		}
+		line = append(line, "\n   }\n  }"...)
+		emit()
 	}
-	return json.MarshalIndent(&doc, "", " ")
+	bw.WriteString("\n ],\n \"displayTimeUnit\": \"ms\"")
+	if dropped != 0 {
+		bw.WriteString(",\n \"droppedEvents\": ")
+		bw.Write(strconv.AppendUint(line[:0], dropped, 10))
+	}
+	bw.WriteString("\n}")
+	return bw.Flush()
 }
 
-// WriteChrome writes ChromeJSON(events, dropped) to w.
-func WriteChrome(w io.Writer, events []Event, dropped uint64) error {
-	buf, err := ChromeJSON(events, dropped)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadChrome parses a document produced by ChromeJSON back into events
+// ReadChrome parses a document produced by WriteChrome back into events
 // (metadata records are skipped). It exists so tests and tools can
 // round-trip traces without a browser.
 func ReadChrome(data []byte) ([]Event, uint64, error) {

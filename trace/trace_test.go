@@ -1,32 +1,46 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"testing"
 	"unsafe"
 )
 
+// A ring of capacity k fed n events holds the last min(n, k) of them,
+// oldest first, and counts the rest as dropped. This is what lets a test
+// derive any smaller ring's contents from one whole-run recording.
 func TestBufferKeepsLatest(t *testing.T) {
-	b := NewBuffer(4)
-	for i := 1; i <= 6; i++ {
-		b.Add(Event{Cycle: uint64(i), Kind: KindIssue, PC: i, Q: -1, Op: "add"})
-	}
-	if b.Cap() != 4 {
-		t.Errorf("cap = %d, want 4", b.Cap())
-	}
-	if b.Len() != 4 {
-		t.Errorf("len = %d, want 4", b.Len())
-	}
-	if b.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", b.Dropped())
-	}
-	evs := b.Events()
-	for i, want := range []uint64{3, 4, 5, 6} {
-		if evs[i].Cycle != want {
-			t.Errorf("event %d cycle = %d, want %d (oldest-first)", i, evs[i].Cycle, want)
+	for _, row := range []struct{ n, k int }{
+		{3, 4},   // n < k
+		{4, 4},   // n = k
+		{5, 4},   // n = k+1
+		{100, 7}, // n >> k: the ring wraps many times
+		{6, 1},   // k = 1
+	} {
+		b := NewBuffer(row.k)
+		var fed []Event
+		for i := 1; i <= row.n; i++ {
+			e := Event{Cycle: uint64(i), Kind: KindIssue, PC: i, Q: -1, Op: "add"}
+			fed = append(fed, e)
+			b.Add(e)
+		}
+		kept := min(row.n, row.k)
+		if b.Cap() != row.k || b.Len() != kept {
+			t.Errorf("n=%d k=%d: cap %d, len %d, want %d, %d", row.n, row.k, b.Cap(), b.Len(), row.k, kept)
+		}
+		if got, want := b.Events(), fed[row.n-kept:]; !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d k=%d: events are not the last %d fed, oldest first\n got %+v\nwant %+v", row.n, row.k, kept, got, want)
+		}
+		if want := uint64(max(0, row.n-row.k)); b.Dropped() != want {
+			t.Errorf("n=%d k=%d: dropped %d, want %d", row.n, row.k, b.Dropped(), want)
 		}
 	}
 }
@@ -60,10 +74,11 @@ func TestChromeRoundTrip(t *testing.T) {
 		{Cycle: 3, Dur: 7, Kind: KindStall, Core: 1, PC: 2, Q: -1, Op: "queue-empty"},
 		{Cycle: 9, Kind: KindRetire, Core: 1, PC: -1, Q: -1, Op: "writeback", Val: 41},
 	}
-	buf, err := ChromeJSON(events, 5)
-	if err != nil {
+	var out bytes.Buffer
+	if err := WriteChrome(&out, events, 5); err != nil {
 		t.Fatal(err)
 	}
+	buf := out.Bytes()
 
 	// The document must be the Chrome "JSON object format": a top-level
 	// object whose traceEvents entries all carry ph and a dur >= 1 for
@@ -106,6 +121,178 @@ func TestChromeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, events) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, events)
+	}
+}
+
+// referenceChrome is the exporter as it was first written: build every
+// event as a chromeEvent with an args map, then marshal and indent the
+// whole document. WriteChrome must produce its bytes exactly.
+func referenceChrome(events []Event, dropped uint64) ([]byte, error) {
+	doc := chromeTrace{DisplayTimeUnit: "ms", Dropped: dropped}
+	seen := map[int]bool{}
+	meta := func(pid, tid int, key, name string) chromeEvent {
+		return chromeEvent{
+			Name: key, Ph: "M", Pid: pid, Tid: tid,
+			Args: map[string]any{"name": name},
+		}
+	}
+	doc.TraceEvents = append(doc.TraceEvents,
+		meta(pidCores, 0, "process_name", "cores"),
+		meta(pidBus, 0, "process_name", "bus"))
+	for _, e := range events {
+		if e.Kind == KindBusGrant || seen[e.Core] {
+			continue
+		}
+		seen[e.Core] = true
+		doc.TraceEvents = append(doc.TraceEvents,
+			meta(pidCores, e.Core, "thread_name", fmt.Sprintf("core %d", e.Core)))
+	}
+	for _, e := range events {
+		ce := chromeEvent{
+			Name: e.Op, Cat: e.Kind.String(), Ph: "X", Ts: e.Cycle, Dur: e.Dur,
+			Pid: pidCores, Tid: e.Core, Args: map[string]any{"cycle": e.Cycle},
+		}
+		if ce.Dur == 0 {
+			ce.Dur = 1
+		}
+		if e.Kind == KindBusGrant {
+			ce.Pid = pidBus
+		}
+		if e.Kind == KindStall {
+			ce.Name = "stall:" + e.Op
+		}
+		ce.Args["op"] = e.Op
+		if e.PC >= 0 {
+			ce.Args["pc"] = e.PC
+		}
+		if e.Q >= 0 {
+			ce.Args["q"] = e.Q
+		}
+		if e.Val != 0 {
+			ce.Args["val"] = e.Val
+		}
+		doc.TraceEvents = append(doc.TraceEvents, ce)
+	}
+	return json.MarshalIndent(&doc, "", " ")
+}
+
+// hardOps are op strings JSON must escape or replace, plus the empty op.
+var hardOps = []string{`say "hi"`, `back\slash`, "<tag>", "a&b", "line\u2028sep", "né", "bad\xffutf8", ""}
+
+func checkAgainstReference(t *testing.T, name string, events []Event, dropped uint64) {
+	t.Helper()
+	want, err := referenceChrome(events, dropped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteChrome(&got, events, dropped); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s: WriteChrome differs from the reference\n got %s\nwant %s", name, got.Bytes(), want)
+	}
+}
+
+func TestWriteChromeMatchesReference(t *testing.T) {
+	var edge []Event
+	for i, op := range hardOps {
+		edge = append(edge, Event{Cycle: uint64(i), Kind: KindIssue, Core: i % 3, PC: 0, Q: -1, Op: op})
+	}
+	for k := Kind(0); k <= numKinds; k++ { // numKinds renders as "unknown"
+		for _, pq := range []int{-1, 0} {
+			for _, dur := range []uint64{0, 1} {
+				edge = append(edge, Event{Cycle: 0, Dur: dur, Kind: k, Core: int(k), PC: pq, Q: pq, Op: hardOps[int(k)%len(hardOps)]})
+			}
+		}
+	}
+	for _, dropped := range []uint64{0, 9} {
+		checkAgainstReference(t, fmt.Sprintf("edge cases, dropped %d", dropped), edge, dropped)
+		checkAgainstReference(t, fmt.Sprintf("no events, dropped %d", dropped), nil, dropped)
+	}
+
+	rng := rand.New(rand.NewSource(33))
+	ops := append([]string{"add", "queue-empty", "BusRdX", "writeback"}, hardOps...)
+	for i := 0; i < 300; i++ {
+		events := make([]Event, rng.Intn(40))
+		for j := range events {
+			events[j] = randomEvent(rng, ops)
+			// Few cores, and PC, Q and Val often at the values the
+			// exporter leaves out.
+			events[j].Core %= 4
+			if rng.Intn(2) == 0 {
+				events[j].PC, events[j].Q, events[j].Val = -1, -1, 0
+			}
+		}
+		checkAgainstReference(t, fmt.Sprintf("seed 33, case %d", i), events, uint64(rng.Intn(2)*rng.Intn(1000)))
+	}
+}
+
+// exportSample is a DefaultCap ring's worth of events shaped like a
+// simulator's: four cores, a few dozen ops, every kind.
+func exportSample() []Event {
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]string, 53)
+	for i := range ops {
+		ops[i] = "op" + strconv.Itoa(i)
+	}
+	events := make([]Event, DefaultCap)
+	for i := range events {
+		e := Event{Cycle: uint64(i), Kind: Kind(rng.Intn(int(numKinds))), Core: rng.Intn(4),
+			PC: -1, Q: -1, Op: ops[rng.Intn(len(ops))]}
+		switch e.Kind {
+		case KindIssue:
+			e.PC = rng.Intn(64)
+		case KindQueueOp:
+			e.PC, e.Q, e.Val = rng.Intn(64), rng.Intn(8), rng.Uint64()>>40
+		case KindRetire, KindBusGrant:
+			e.Val = rng.Uint64() >> 40
+		case KindStall:
+			e.Dur = uint64(1 + rng.Intn(100))
+		}
+		events[i] = e
+	}
+	return events
+}
+
+// An export holds one event's bytes at a time and each op's JSON string,
+// so its allocations do not grow with the event count. The document-
+// building exporter took about 14 allocations and 2 000 bytes an event.
+func TestWriteChromeAllocationCeiling(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates")
+			}
+		}
+	}
+	events := exportSample()
+	if err := WriteChrome(io.Discard, events, 1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WriteChrome(io.Discard, events, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(events))
+	if allocs := float64(after.Mallocs-before.Mallocs) / n; allocs > 0.25 {
+		t.Errorf("%.2f allocations an event, want at most 0.25", allocs)
+	}
+	if bytes := float64(after.TotalAlloc-before.TotalAlloc) / n; bytes > 32 {
+		t.Errorf("%.1f bytes allocated an event, want at most 32", bytes)
+	}
+}
+
+func BenchmarkWriteChrome(b *testing.B) {
+	events := exportSample()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteChrome(io.Discard, events, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,18 +1,17 @@
 package hfstream_test
 
 // The trace row of the differential battery. sim.Run fast-forwards a
-// traced run like any other, which is sound only while the trace itself
-// cannot tell the two kernels apart: a stall run must reach the sink as one
-// KindStall event with a duration however many cycles were jumped over,
-// and every other event must come from a cycle both kernels tick.
-// TestTraceFastForwardInvariant pins that on whole machines — the bytes
-// trace.WriteChrome emits, the ring's drop count and the metrics snapshot
-// must all be equal with and without WithoutFastForward — where
+// traced run like any other, which is sound only while the trace cannot
+// tell the kernels apart: a stall run must reach the sink as one KindStall
+// event however many cycles were jumped over, and every other event must
+// come from a cycle both kernels tick. wholeRun holds whole machines to
+// that on every traceCells() cell;
 // core.TestTracerCoalescesStallRuns checks one core in isolation.
 
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"hfstream"
@@ -24,6 +23,14 @@ import (
 type traceCell struct {
 	bench, design string
 	opts          []hfstream.RunOpt
+}
+
+// name is the cell's run name in testdata/trace_sha256.txt, less its ring.
+func (c traceCell) name() string {
+	if len(c.opts) != 0 {
+		return c.bench + "/" + c.design + "+faults"
+	}
+	return c.bench + "/" + c.design
 }
 
 // traceCells is both golden benchmarks on all seven designs, plus the
@@ -44,9 +51,13 @@ func traceCells() []traceCell {
 	)
 }
 
-// tracedRun runs one cell into a fresh ring of the given capacity and
-// returns the exported trace, the ring's drop count and the metrics bytes.
-func tracedRun(t *testing.T, c traceCell, ringCap int, extra ...hfstream.RunOpt) (chrome []byte, dropped uint64, metrics []byte) {
+// wholeRunCap is a ring every pinned run fits in: the longest, wc on
+// EXISTING, records 247 293 events.
+const wholeRunCap = 1 << 18
+
+// traceRun runs one cell into a fresh ring of the given capacity and
+// returns the ring and the metrics bytes.
+func traceRun(t *testing.T, c traceCell, ringCap int, extra ...hfstream.RunOpt) (*trace.Buffer, []byte) {
 	t.Helper()
 	b, err := hfstream.BenchmarkByName(c.bench)
 	if err != nil {
@@ -57,54 +68,96 @@ func tracedRun(t *testing.T, c traceCell, ringCap int, extra ...hfstream.RunOpt)
 		t.Fatal(err)
 	}
 	sink := trace.NewBuffer(ringCap)
-	var m, out bytes.Buffer
+	var m bytes.Buffer
 	opts := append([]hfstream.RunOpt{hfstream.WithTrace(sink), hfstream.WithMetrics(&m)}, c.opts...)
 	if _, err := hfstream.RunCtx(context.Background(), b, d, append(opts, extra...)...); err != nil {
 		t.Fatalf("%s/%s: %v", c.bench, c.design, err)
 	}
-	if err := trace.WriteChrome(&out, sink.Events(), sink.Dropped()); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes(), sink.Dropped(), m.Bytes()
+	return sink, m.Bytes()
 }
 
+// wholeRun records c into a whole-run ring per-cycle and, with ff, also
+// fast-forwarding; no ring may drop an event, and the two kernels must give
+// equal events and metrics. It returns the per-cycle events.
+func wholeRun(t *testing.T, c traceCell, ff bool) []trace.Event {
+	t.Helper()
+	ref, refMetrics := traceRun(t, c, wholeRunCap, hfstream.WithoutFastForward())
+	if ref.Dropped() != 0 {
+		t.Fatalf("%s/%s: a %d-event ring dropped %d events; the whole-run recording needs a larger one", c.bench, c.design, wholeRunCap, ref.Dropped())
+	}
+	events := ref.Events()
+	if ff {
+		got, metrics := traceRun(t, c, wholeRunCap)
+		if got.Dropped() != 0 || !slices.Equal(got.Events(), events) || !bytes.Equal(metrics, refMetrics) {
+			t.Errorf("%s/%s: fast-forwarding recorded %d events (%d dropped) and %d metrics bytes; per-cycle, %d events and %d bytes, and they are not equal",
+				c.bench, c.design, got.Len(), got.Dropped(), len(metrics), len(events), len(refMetrics))
+		}
+	}
+	return events
+}
+
+// cellRecording is what the trace tests keep of one traceCells() cell's
+// whole-run recordings: the pin of each ring size, keyed by capacity, and
+// the 1024-event ring derived from the run.
+type cellRecording struct {
+	pins     map[int]string
+	ring1024 *trace.Buffer
+}
+
+// recorded holds each cell recorded so far, by name, so that
+// TestTraceFastForwardInvariant and TestTraceBytesPinned simulate a cell
+// once per kernel between them.
+var recorded = map[string]cellRecording{}
+
+// recordCell records c on both kernels (wholeRun) once per test binary and
+// derives its pinned rings from the per-cycle events.
+func recordCell(t *testing.T, c traceCell) cellRecording {
+	t.Helper()
+	if r, ok := recorded[c.name()]; ok {
+		return r
+	}
+	events := wholeRun(t, c, true)
+	r := cellRecording{pins: map[int]string{}, ring1024: ringOf(events, 1024)}
+	whole := pin(t, events, wholeRunCap)
+	for _, k := range []int{wholeRunCap, 1024, trace.DefaultCap} {
+		r.pins[k] = whole
+		if len(events) > k {
+			r.pins[k] = pin(t, events, k)
+		}
+	}
+	recorded[c.name()] = r
+	return r
+}
+
+// TestTraceFastForwardInvariant holds the fast-forwarding kernel to the
+// per-cycle one on every traceCells() cell. whole-run requires equal event
+// lists and metrics from whole-run recordings that dropped nothing; every
+// smaller ring is then equal too, being derived from that list
+// (trace.TestBufferKeepsLatest). ring-1024 checks the derivation against
+// rings traced straight into a 1024-event buffer on both kernels.
 func TestTraceFastForwardInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full grid, traced twice per ring size")
+		t.Skip("full grid, traced once per kernel")
 	}
-	for _, ring := range []struct {
-		name string
-		cap  int
-		// whole: the ring must hold every event of the run, so the
-		// comparison covers the run from its first cycle.
-		whole bool
-	}{
-		{"whole-run", 1 << 18, true},
-		// A ring the runs overflow many times over: both kernels must have
-		// overwritten the same events.
-		{"ring-1024", 1024, false},
-	} {
-		t.Run(ring.name, func(t *testing.T) {
-			for _, c := range traceCells() {
-				ffTrace, ffDropped, ffMetrics := tracedRun(t, c, ring.cap)
-				refTrace, refDropped, refMetrics := tracedRun(t, c, ring.cap, hfstream.WithoutFastForward())
-				name := c.bench + "/" + c.design
-				if ring.whole && refDropped != 0 {
-					t.Errorf("%s: %d-event ring dropped %d events; the whole-run leg needs a larger one", name, ring.cap, refDropped)
-				}
-				if !ring.whole && refDropped == 0 {
-					t.Errorf("%s: a %d-event ring held the whole run; the overwrite path went uncompared", name, ring.cap)
-				}
-				if ffDropped != refDropped {
-					t.Errorf("%s: dropped %d events fast-forwarding, %d per-cycle", name, ffDropped, refDropped)
-				}
-				if !bytes.Equal(ffTrace, refTrace) {
-					t.Errorf("%s: trace differs between fast-forward and per-cycle kernels (%d vs %d bytes)", name, len(ffTrace), len(refTrace))
-				}
-				if !bytes.Equal(ffMetrics, refMetrics) {
-					t.Errorf("%s: metrics differ between fast-forward and per-cycle kernels", name)
+	t.Run("whole-run", func(t *testing.T) {
+		for _, c := range traceCells() {
+			recordCell(t, c)
+		}
+	})
+	t.Run("ring-1024", func(t *testing.T) {
+		for _, c := range traceCells() {
+			derived := recordCell(t, c).ring1024
+			if derived.Dropped() == 0 {
+				t.Errorf("%s: a 1024-event ring holds the whole run; the overwrite path goes uncompared", c.name())
+			}
+			if c.name() != "fft2/MPMC_Q64" {
+				continue
+			}
+			for _, extra := range [][]hfstream.RunOpt{nil, {hfstream.WithoutFastForward()}} {
+				if ring, _ := traceRun(t, c, 1024, extra...); !slices.Equal(ring.Events(), derived.Events()) || ring.Dropped() != derived.Dropped() {
+					t.Errorf("%s, fast-forward %t: a 1024-event ring differs from the one derived from the whole run", c.name(), extra == nil)
 				}
 			}
-		})
-	}
+		}
+	})
 }

@@ -11,57 +11,71 @@ import (
 	"hfstream/trace"
 )
 
-// traceBytePins is one line per traced run: the run's name, the sha256 of
-// trace.WriteChrome's output and the ring's drop count. The runs are every
-// traceCells() cell at three ring sizes (whole run, a ring overwritten many
-// times, DefaultCap) and the referee grid — bzip2, adpcmdec, equake and wc
-// on the seven designs, fast-forward off, into a trace.NewSink() ring.
-func traceBytePins(t *testing.T) []string {
-	var lines []string
-	pin := func(name string, c traceCell, ringCap int, extra ...hfstream.RunOpt) {
-		chrome, dropped, _ := tracedRun(t, c, ringCap, extra...)
-		lines = append(lines, fmt.Sprintf("%s %x %d", name, sha256.Sum256(chrome), dropped))
+// ringOf feeds a whole-run event list through a k-event ring: the ring the
+// run would have ended with traced straight into trace.NewBuffer(k), as a
+// ring keeps the last k events and counts the rest as dropped
+// (trace.TestBufferKeepsLatest).
+func ringOf(events []trace.Event, k int) *trace.Buffer {
+	ring := trace.NewBuffer(k)
+	for _, e := range events {
+		ring.Add(e)
 	}
-	for _, ringCap := range []int{1 << 18, 1024, trace.DefaultCap} {
-		for _, c := range traceCells() {
-			name := fmt.Sprintf("ring-%d/%s/%s", ringCap, c.bench, c.design)
-			if len(c.opts) != 0 {
-				name += "+faults"
-			}
-			pin(name, c, ringCap)
-		}
-	}
-	for _, bench := range []string{"bzip2", "adpcmdec", "equake", "wc"} {
-		for _, d := range hfstream.Designs() {
-			// A capacity of 0 is trace.NewSink()'s ring.
-			pin("referee/"+bench+"/"+d.Name(), traceCell{bench: bench, design: d.Name()}, 0, hfstream.WithoutFastForward())
-		}
-	}
-	return lines
+	return ring
 }
 
-// TestTraceBytesPinned compares the exported trace of every pinned run with
-// testdata/trace_sha256.txt, which was written before the ring's record
-// layout changed and is never regenerated: a change to the trace package or
-// to a producer that moves one byte of one exported trace, or one dropped
-// event, must explain itself here. TestTraceFastForwardInvariant compares
-// two kernels of one tree; this test compares the tree with its past.
+// pin feeds events through a k-event ring and returns the ring's line in
+// testdata/trace_sha256.txt: sha256 of trace.WriteChrome's output, and the
+// drop count.
+func pin(t *testing.T, events []trace.Event, k int) string {
+	t.Helper()
+	ring, h := ringOf(events, k), sha256.New()
+	if err := trace.WriteChrome(h, ring.Events(), ring.Dropped()); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x %d", h.Sum(nil), ring.Dropped())
+}
+
+// TestTraceBytesPinned holds every pinned run's export to
+// testdata/trace_sha256.txt, which is never regenerated: moving one byte of
+// one exported trace, or one dropped event, must explain itself here. The
+// runs are every traceCells() cell into rings of 1<<18 (the whole run),
+// 1024 and DefaultCap events, and four benchmarks on the seven designs,
+// fast-forward off, into a trace.NewSink() ring. Each cell is simulated
+// once per kernel (recordCell, shared with TestTraceFastForwardInvariant)
+// and every ring is derived from the whole-run list; a ring the run fits
+// in, and a referee row of a traceCells() cell, reuse a document already
+// hashed.
 func TestTraceBytesPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("79 traced runs, each exported and hashed")
+		t.Skip("50 traced runs, 54 exports")
 	}
 	raw, err := os.ReadFile("testdata/trace_sha256.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	got := traceBytePins(t)
-	if len(got) != len(want) {
-		t.Fatalf("%d pinned runs, want %d", len(got), len(want))
+	got := map[string]string{} // run name -> its pin
+	for _, c := range traceCells() {
+		for k, p := range recordCell(t, c).pins {
+			got[fmt.Sprintf("ring-%d/%s", k, c.name())] = p
+		}
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("got  %s\nwant %s", got[i], want[i])
+	for _, bench := range []string{"bzip2", "adpcmdec", "equake", "wc"} {
+		for _, d := range hfstream.Designs() {
+			p, ok := got[fmt.Sprintf("ring-%d/%s/%s", trace.DefaultCap, bench, d.Name())]
+			if !ok {
+				p = pin(t, wholeRun(t, traceCell{bench: bench, design: d.Name()}, false), trace.DefaultCap)
+			}
+			got["referee/"+bench+"/"+d.Name()] = p
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d pinned runs, want %d", len(got), len(want))
+	}
+	for _, line := range want {
+		name, p, _ := strings.Cut(line, " ")
+		if got[name] != p {
+			t.Errorf("%s: got %q, want %q", name, got[name], p)
 		}
 	}
 }
