@@ -15,7 +15,7 @@
 #   make serve-diff         served vs direct byte-identity (EXPERIMENTS.md "Differential battery")
 #   make serve-diff-noff    the same with HFSTREAM_NO_FASTFORWARD=1
 #   make serve-cluster      ring/peering under -race plus the cluster differential rows
-#   make scaling            the N-core differential under -race (EXPERIMENTS.md "Scaling curves")
+#   make scaling            the differential grid's runner and serve rows under -race, N-core cells included (EXPERIMENTS.md "Differential battery")
 #   make load-smoke         hfload against in-process 1- and 3-replica clusters
 #   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core, sim, dswp, serve and trace layer benchmarks
 #   make chaos              full fault-injection sweep (RESILIENCE.md)
@@ -31,11 +31,11 @@ GO ?= go
 GOLDEN_BENCHES = bzip2,adpcmdec
 
 # Total-statement coverage floor enforced by `make coverage`. The module
-# measured 74.6% when the baseline was recorded (PR 7, with the streaming
-# and sweep endpoints); the floor sits a couple of points under that so
-# timing-dependent branches don't flake the job, while still catching any
-# real regression. Raise it as coverage grows.
-COVERAGE_BASELINE = 72.0
+# measured 84.4% when the baseline was last raised; the floor sits a
+# couple of points under that so timing-dependent branches don't flake the
+# job, while still catching any real regression. Raise it as coverage
+# grows.
+COVERAGE_BASELINE = 82.0
 
 .PHONY: tier1 vet build test refcut-check spine-test spine spine-pairs race coverage gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
 
@@ -172,13 +172,13 @@ load-smoke:
 	$(GO) run ./cmd/hfload -scale 1,3 -duration 2s -conc 16 \
 		-out /tmp/hfload_smoke.json -min-peer-hits 1
 
-# The N-core scaling differential battery (scaling_differential_test.go):
-# fft2/equake x {2,3,4,6,8}-core chains and parallel-stage points, every
-# snapshot byte-identical across runner parallelism, fast-forward mode,
-# and a serve round trip — under the race detector, so the parallel
-# pool's interleavings are exercised while equality is asserted.
+# The differential grid's runner and serve rows (differential_test.go),
+# whose N-core cells are fft2/equake x {2,3,4,6,8}-core chains and
+# parallel-stage points: every snapshot byte-identical across runner
+# parallelism and a serve round trip — under the race detector, so the
+# parallel pool's interleavings are exercised while equality is asserted.
 scaling:
-	$(GO) test -count=1 -race -run 'TestScalingDifferential' .
+	$(GO) test -count=1 -race -run 'TestDifferential(SerialVsParallelRunner|ServeRoundTrip)' .
 
 # Full chaos sweep: 20 seeded workloads x 7 designs x (1 baseline +
 # 6 fault plans). Any failure prints a single-case replay command.

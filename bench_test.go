@@ -7,7 +7,8 @@ package hfstream
 //	go test -bench=. -benchmem
 //
 // reproduces the entire evaluation. Figure-level shape expectations
-// (who wins, by roughly what factor) are asserted in reproduce_test.go.
+// (who wins, by roughly what factor) are asserted in
+// internal/exp/shape_test.go.
 
 import (
 	"context"

@@ -1,26 +1,28 @@
 package hfstream_test
 
 // The differential battery: one test file asserting, over a grid of
-// small workloads x all seven designs, that every way of producing a
-// metrics snapshot yields byte-identical JSON —
+// small workloads x all seven designs plus the N-core machines, that every
+// way of producing a metrics snapshot yields byte-identical JSON —
 //
 //	(a) serial vs parallel experiment runner,
-//	(b) fast-forwarding kernel vs per-cycle kernel,
-//	(c) direct library API vs a serve/ HTTP round trip (cold, cached,
-//	    and the single-threaded and staged modes),
-//	(d) a 3-replica peered cluster vs the direct API, across the cold,
+//	(b) direct library API vs a serve/ HTTP round trip (cold, cached,
+//	    streamed, swept, and the staged modes),
+//	(c) a 3-replica peered cluster vs the direct API, across the cold,
 //	    local-hit, peer-fill and coalesced provenances, with each cell
 //	    simulated exactly once cluster-wide.
 //
-// Before this file the invariants were only checked pairwise in
-// scattered places (golden-check-noff in CI, runner tests); here they
-// are all pinned against one reference matrix. The grid uses the two
-// benchmarks the golden snapshots cover — the fastest of the nine — so
-// the battery stays cheap enough for tier 1. This file is an external
-// test (package hfstream_test) because it imports serve, which itself
-// imports hfstream. All HTTP traffic goes through the typed
-// serve/client package — the battery doubles as that client's
-// integration test.
+// Every row is diffed against one reference matrix, simulated once per
+// test binary. The dual-core half of the grid uses the two benchmarks the
+// golden snapshots cover — the fastest of the nine — so the battery stays
+// cheap enough for tier 1; the N-core half is two IR kernels x
+// {2,3,4,6,8} cores x the k-stage and parallel-stage design points, the
+// 3- to 8-stage DSWP chains and PS-DSWP replicated workers the dual-core
+// half cannot reach, each with auto-derived queue routes. Fast-forward on
+// vs off is internal/exp's TestRunsAreOrderIndependent, over a superset of
+// these cells. This file is an external test (package hfstream_test)
+// because it imports serve, which itself imports hfstream. All HTTP
+// traffic goes through the typed serve/client package — the battery
+// doubles as that client's integration test.
 
 import (
 	"bytes"
@@ -80,11 +82,39 @@ func annotatedJSON(t *testing.T, res *sim.Result, bench, designName string) []by
 	return buf
 }
 
+// scaleBenches are IR kernels whose dependence structure fills eight
+// pipeline stages and replicates for parallel-stage workers.
+var scaleBenches = []string{"fft2", "equake"}
+
+// scaleConfigs enumerates the N-core grid along the scaling study's axis
+// (exp.ScalingCores): each chain design at every count from the paper's 2
+// up, plus the parallel-stage point from 3 cores (its minimum: two
+// workers and a merger).
+func scaleConfigs() []design.Config {
+	var out []design.Config
+	for _, k := range exp.ScalingCores {
+		if k >= 2 {
+			out = append(out, design.SyncOptiSCQ64Config().WithCores(k), design.HeavyWTConfig().WithCores(k))
+		}
+		if k >= 3 {
+			out = append(out, design.MPMCQ64Config().WithCores(k))
+		}
+	}
+	return out
+}
+
+// diffJobs is the grid: the golden benchmarks single-threaded and on every
+// design, then the N-core cells.
 func diffJobs() []exp.Job {
 	var jobs []exp.Job
 	for _, bench := range diffBenches {
 		jobs = append(jobs, exp.Job{Bench: bench, Single: true})
 		for _, cfg := range diffConfigs() {
+			jobs = append(jobs, exp.Job{Bench: bench, Config: cfg})
+		}
+	}
+	for _, bench := range scaleBenches {
+		for _, cfg := range scaleConfigs() {
 			jobs = append(jobs, exp.Job{Bench: bench, Config: cfg})
 		}
 	}
@@ -99,14 +129,29 @@ func jobLabel(j exp.Job) string {
 	return j.Config.Name()
 }
 
-// referenceMatrix runs the full grid on a serial runner (the harness's
-// original mode) and returns annotated snapshots keyed by
-// "bench/design". The parallel, fast-forward-off and served variants are
-// all diffed against these bytes.
+// diffSpec is the served view of a grid cell: the public Spec a client
+// sends for it. Its reference-matrix key stays j.Name().
+func diffSpec(j exp.Job) hfstream.Spec {
+	if j.Single {
+		return hfstream.Spec{Bench: j.Bench, Single: true}
+	}
+	return hfstream.Spec{Bench: j.Bench, Design: j.Config.Name()}
+}
+
+// reference holds the grid's annotated snapshots once referenceMatrix has
+// simulated them.
+var reference map[string][]byte
+
+// referenceMatrix runs the full grid once per test binary on a serial
+// runner (the harness's original mode) and returns annotated snapshots
+// keyed by job name. The parallel and served variants are all diffed
+// against these bytes.
 func referenceMatrix(t *testing.T) map[string][]byte {
 	t.Helper()
-	jobs := diffJobs()
-	results := (&exp.Runner{Workers: 1}).Run(context.Background(), jobs)
+	if reference != nil {
+		return reference
+	}
+	results := (&exp.Runner{Workers: 1}).Run(context.Background(), diffJobs())
 	if err := exp.FirstErr(results); err != nil {
 		t.Fatal(err)
 	}
@@ -114,32 +159,8 @@ func referenceMatrix(t *testing.T) map[string][]byte {
 	for _, r := range results {
 		ref[r.Job.Name()] = annotatedJSON(t, r.Res, r.Job.Bench, jobLabel(r.Job))
 	}
+	reference = ref
 	return ref
-}
-
-// diffSpecCases is the served view of the grid: the same cells as
-// diffJobs, as public Specs keyed by the reference-matrix name.
-func diffSpecCases() []struct {
-	name string
-	spec hfstream.Spec
-} {
-	var cases []struct {
-		name string
-		spec hfstream.Spec
-	}
-	for _, bench := range diffBenches {
-		cases = append(cases, struct {
-			name string
-			spec hfstream.Spec
-		}{bench + "/single", hfstream.Spec{Bench: bench, Single: true}})
-		for _, d := range hfstream.Designs() {
-			cases = append(cases, struct {
-				name string
-				spec hfstream.Spec
-			}{bench + "/" + d.Name(), hfstream.Spec{Bench: bench, Design: d.Name()}})
-		}
-	}
-	return cases
 }
 
 func TestDifferentialSerialVsParallelRunner(t *testing.T) {
@@ -147,8 +168,7 @@ func TestDifferentialSerialVsParallelRunner(t *testing.T) {
 		t.Skip("full grid")
 	}
 	ref := referenceMatrix(t)
-	jobs := diffJobs()
-	results := (&exp.Runner{Workers: 4}).Run(context.Background(), jobs)
+	results := (&exp.Runner{Workers: 4}).Run(context.Background(), diffJobs())
 	if err := exp.FirstErr(results); err != nil {
 		t.Fatal(err)
 	}
@@ -156,38 +176,6 @@ func TestDifferentialSerialVsParallelRunner(t *testing.T) {
 		got := annotatedJSON(t, r.Res, r.Job.Bench, jobLabel(r.Job))
 		if !bytes.Equal(got, ref[r.Job.Name()]) {
 			t.Errorf("%s: parallel runner snapshot differs from serial", r.Job.Name())
-		}
-	}
-}
-
-func TestDifferentialFastForwardInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full grid")
-	}
-	ref := referenceMatrix(t)
-	ctx := context.Background()
-	for _, bench := range diffBenches {
-		b, err := hfstream.BenchmarkByName(bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var single bytes.Buffer
-		if _, err := hfstream.RunSingleThreadedCtx(ctx, b,
-			hfstream.WithMetrics(&single), hfstream.WithoutFastForward()); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(single.Bytes(), ref[bench+"/single"]) {
-			t.Errorf("%s/single: fast-forward-off snapshot differs", bench)
-		}
-		for _, d := range hfstream.Designs() {
-			var buf bytes.Buffer
-			if _, err := hfstream.RunCtx(ctx, b, d,
-				hfstream.WithMetrics(&buf), hfstream.WithoutFastForward()); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), ref[bench+"/"+d.Name()]) {
-				t.Errorf("%s/%s: fast-forward-off snapshot differs", bench, d.Name())
-			}
 		}
 	}
 }
@@ -212,20 +200,21 @@ func TestDifferentialServeRoundTrip(t *testing.T) {
 	defer ts.Close()
 	cl := client.New(ts.URL)
 
-	for _, c := range diffSpecCases() {
-		cold := mustRun(t, cl, c.spec)
+	for _, j := range diffJobs() {
+		name, spec := j.Name(), diffSpec(j)
+		cold := mustRun(t, cl, spec)
 		if cold.Cache != "miss" {
-			t.Fatalf("%s cold: cache=%q", c.name, cold.Cache)
+			t.Fatalf("%s cold: cache=%q", name, cold.Cache)
 		}
-		if !bytes.Equal(cold.Body, ref[c.name]) {
-			t.Errorf("%s: served body differs from direct API snapshot", c.name)
+		if !bytes.Equal(cold.Body, ref[name]) {
+			t.Errorf("%s: served body differs from direct API snapshot", name)
 		}
-		hot := mustRun(t, cl, c.spec)
+		hot := mustRun(t, cl, spec)
 		if hot.Cache != "hit" {
-			t.Fatalf("%s hot: cache=%q", c.name, hot.Cache)
+			t.Fatalf("%s hot: cache=%q", name, hot.Cache)
 		}
 		if !bytes.Equal(hot.Body, cold.Body) {
-			t.Errorf("%s: cached body differs from cold body", c.name)
+			t.Errorf("%s: cached body differs from cold body", name)
 		}
 	}
 }
@@ -328,29 +317,30 @@ func TestDifferentialStreamedRun(t *testing.T) {
 	defer ts.Close()
 	cl := client.New(ts.URL)
 
-	for _, c := range diffSpecCases() {
+	for _, j := range diffJobs() {
+		name, spec := j.Name(), diffSpec(j)
 		// Cold: a tight progress cadence maximizes interleaved events.
-		events := runStreamEvents(t, cl, c.spec, client.StreamOpts{ProgressEvery: 5000})
+		events := runStreamEvents(t, cl, spec, client.StreamOpts{ProgressEvery: 5000})
 		mev := metricsEvents(events)
 		if len(mev) != 1 || mev[0].Cache != "miss" {
-			t.Fatalf("%s cold: %d metrics events, cache=%q", c.name, len(mev), mev[0].Cache)
+			t.Fatalf("%s cold: %d metrics events, cache=%q", name, len(mev), mev[0].Cache)
 		}
-		if !bytes.Equal([]byte(mev[0].Body), ref[c.name]) {
-			t.Errorf("%s: streamed cold body differs from direct API snapshot", c.name)
+		if !bytes.Equal([]byte(mev[0].Body), ref[name]) {
+			t.Errorf("%s: streamed cold body differs from direct API snapshot", name)
 		}
 		// Cached: the hit must replay the identical bytes.
-		events = runStreamEvents(t, cl, c.spec, client.StreamOpts{})
+		events = runStreamEvents(t, cl, spec, client.StreamOpts{})
 		mev = metricsEvents(events)
 		if len(mev) != 1 || mev[0].Cache != "hit" {
-			t.Fatalf("%s hot: %d metrics events, cache=%q", c.name, len(mev), mev[0].Cache)
+			t.Fatalf("%s hot: %d metrics events, cache=%q", name, len(mev), mev[0].Cache)
 		}
-		if !bytes.Equal([]byte(mev[0].Body), ref[c.name]) {
-			t.Errorf("%s: streamed cached body differs from direct API snapshot", c.name)
+		if !bytes.Equal([]byte(mev[0].Body), ref[name]) {
+			t.Errorf("%s: streamed cached body differs from direct API snapshot", name)
 		}
 		// Non-streaming /run must agree byte for byte with the stream.
-		plain := mustRun(t, cl, c.spec)
+		plain := mustRun(t, cl, spec)
 		if !bytes.Equal(plain.Body, []byte(mev[0].Body)) {
-			t.Errorf("%s: non-streaming body differs from streamed body", c.name)
+			t.Errorf("%s: non-streaming body differs from streamed body", name)
 		}
 	}
 
@@ -532,9 +522,10 @@ func TestDifferentialCluster(t *testing.T) {
 	ref := referenceMatrix(t)
 	c := newDiffCluster(t, 3)
 
-	cases := diffSpecCases()
-	for _, cse := range cases {
-		norm, err := cse.spec.Normalize()
+	jobs := diffJobs()
+	for _, j := range jobs {
+		name, spec := j.Name(), diffSpec(j)
+		norm, err := spec.Normalize()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,51 +537,51 @@ func TestDifferentialCluster(t *testing.T) {
 		// would: cold traffic lands on the key's primary owner.
 		owners := c.Replicas[0].Peering.Owners(key)
 		if len(owners) != 2 {
-			t.Fatalf("%s: %d owners, want replication 2", cse.name, len(owners))
+			t.Fatalf("%s: %d owners, want replication 2", name, len(owners))
 		}
 		primary := c.index(t, owners[0])
 		secondary := c.index(t, owners[1])
 		nonOwner := 3 - primary - secondary // the remaining replica of {0,1,2}
 
-		cold := mustRun(t, c.clients[primary], cse.spec)
+		cold := mustRun(t, c.clients[primary], spec)
 		if cold.Cache != "miss" || cold.Key != key {
-			t.Fatalf("%s cold on owner: cache=%q key=%q want miss/%s", cse.name, cold.Cache, cold.Key, key)
+			t.Fatalf("%s cold on owner: cache=%q key=%q want miss/%s", name, cold.Cache, cold.Key, key)
 		}
-		if !bytes.Equal(cold.Body, ref[cse.name]) {
-			t.Errorf("%s: owner body differs from direct API snapshot", cse.name)
+		if !bytes.Equal(cold.Body, ref[name]) {
+			t.Errorf("%s: owner body differs from direct API snapshot", name)
 		}
 
 		// Let the async store publication reach the secondary owner, then
 		// read the key everywhere.
 		c.flush(t)
 
-		peerRes := mustRun(t, c.clients[nonOwner], cse.spec)
+		peerRes := mustRun(t, c.clients[nonOwner], spec)
 		if peerRes.Cache != "peer" {
-			t.Fatalf("%s on non-owner: cache=%q, want peer fill", cse.name, peerRes.Cache)
+			t.Fatalf("%s on non-owner: cache=%q, want peer fill", name, peerRes.Cache)
 		}
-		if !bytes.Equal(peerRes.Body, ref[cse.name]) {
-			t.Errorf("%s: peer-filled body differs from direct API snapshot", cse.name)
+		if !bytes.Equal(peerRes.Body, ref[name]) {
+			t.Errorf("%s: peer-filled body differs from direct API snapshot", name)
 		}
 
-		local := mustRun(t, c.clients[nonOwner], cse.spec)
+		local := mustRun(t, c.clients[nonOwner], spec)
 		if local.Cache != "hit" {
-			t.Fatalf("%s non-owner replay: cache=%q, want local hit after fill", cse.name, local.Cache)
+			t.Fatalf("%s non-owner replay: cache=%q, want local hit after fill", name, local.Cache)
 		}
-		if !bytes.Equal(local.Body, ref[cse.name]) {
-			t.Errorf("%s: post-fill local body differs from direct API snapshot", cse.name)
+		if !bytes.Equal(local.Body, ref[name]) {
+			t.Errorf("%s: post-fill local body differs from direct API snapshot", name)
 		}
 
-		replicated := mustRun(t, c.clients[secondary], cse.spec)
+		replicated := mustRun(t, c.clients[secondary], spec)
 		if replicated.Cache != "hit" {
-			t.Fatalf("%s on secondary owner: cache=%q, want replicated local hit", cse.name, replicated.Cache)
+			t.Fatalf("%s on secondary owner: cache=%q, want replicated local hit", name, replicated.Cache)
 		}
-		if !bytes.Equal(replicated.Body, ref[cse.name]) {
-			t.Errorf("%s: replicated body differs from direct API snapshot", cse.name)
+		if !bytes.Equal(replicated.Body, ref[name]) {
+			t.Errorf("%s: replicated body differs from direct API snapshot", name)
 		}
 	}
 
 	// Four requests per cell, one simulation per cell, cluster-wide.
-	if got, want := c.totalRuns(), uint64(len(cases)); got != want {
+	if got, want := c.totalRuns(), uint64(len(jobs)); got != want {
 		t.Errorf("cluster simulated %d times for %d cells, want one each", got, want)
 	}
 

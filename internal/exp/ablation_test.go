@@ -9,10 +9,7 @@ func TestAblationQLUShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationQLU(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "ablation-qlu").(*AblationResult)
 	// The paper ran QLU 1 and found QLU 8 "uniformly better".
 	for _, row := range r.Rows {
 		if row.Values[1] <= 1.0 {
@@ -28,10 +25,7 @@ func TestAblationCentralizedStoreShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationCentralizedStore(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "ablation-centralized-store").(*AblationResult)
 	c4 := r.Value("central (4cyc)")
 	c8 := r.Value("central (8cyc)")
 	if !(1.0 < c4 && c4 < c8) {
@@ -43,10 +37,7 @@ func TestAblationRegMappedShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationRegMapped(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "ablation-regmapped").(*AblationResult)
 	// Folding queue ops into instructions can only help (§3.1.3 predicts
 	// gains for resource-bound loops; others break even).
 	if g := r.Value("REGMAPPED"); g > 1.001 {
@@ -63,10 +54,7 @@ func TestAblationStreamCacheSizeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationStreamCacheSize(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "ablation-stream-cache").(*AblationResult)
 	none := r.Value("none")
 	paper := r.Value("64 (paper)")
 	big := r.Value("128")
@@ -86,10 +74,7 @@ func TestAblationBusPipeliningShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationBusPipelining(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "ablation-bus-pipelining").(*AblationResult)
 	cpb4 := r.Value("pipelined cpb4")
 	unpiped := r.Value("unpipelined cpb4")
 	if !(1.0 <= cpb4 && cpb4 < unpiped) {
@@ -101,10 +86,7 @@ func TestAblationNetQueueShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationNetQueue(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "ablation-netqueue").(*AblationResult)
 	// §3.5.3: nearby cores give bursty pipelines insufficient decoupling;
 	// the penalty must decay with separation. bzip2 is the bursty case.
 	var bz []float64
@@ -133,10 +115,7 @@ func TestAblationStagesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationStages(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "ablation-stages").(*ScalingResult)
 	improved := 0
 	for _, row := range r.Rows {
 		if !row.Cells[0].Supported || !row.Cells[1].Supported {
@@ -201,10 +180,7 @@ func TestAblationProbeTimeoutShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	r, err := AblationProbeTimeout(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "ablation-probe-timeout").(*AblationResult)
 	// Longer timeouts delay stream-termination flushes; they must never
 	// help and eventually hurt the nested benchmark.
 	def := r.Value("50 (default)")

@@ -25,11 +25,7 @@ func TestCatalogGolden(t *testing.T) {
 	dir := filepath.Join("testdata", "experiments")
 	for _, e := range Catalog {
 		t.Run(e.Name, func(t *testing.T) {
-			fig, err := e.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := fig.Table()
+			got := figure(t, e.Name).Table()
 			path := filepath.Join(dir, e.Name+".txt")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -53,6 +49,30 @@ func TestCatalogGolden(t *testing.T) {
 	if len(files) != len(Catalog) {
 		t.Errorf("%s holds %d files for %d catalog rows: delete the golden of a removed experiment", dir, len(files), len(Catalog))
 	}
+}
+
+// figures holds each catalog row run so far, by name, so that
+// TestCatalogGolden and every shape test read one run of a row.
+var figures = map[string]Figure{}
+
+// figure runs the catalog row called name once per test binary.
+func figure(t *testing.T, name string) Figure {
+	t.Helper()
+	if f, ok := figures[name]; ok {
+		return f
+	}
+	for _, e := range Catalog {
+		if e.Name == name {
+			f, err := e.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			figures[name] = f
+			return f
+		}
+	}
+	t.Fatalf("no catalog row %q", name)
+	return nil
 }
 
 // TestCatalogNames: a name is a file name, a RunExperiment argument and

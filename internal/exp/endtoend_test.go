@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -246,31 +245,5 @@ func TestRandomLoopsFastForwardDifferential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestNCoreGridFastForwardDifferential extends the licence to the grid the
-// ncore benchmark runs: seven IR kernels x the two chain families and the
-// parallel-stage family x 3, 4 and 6 cores. Most of its core cycles are a
-// queue operation the sync array or the OzQ refuses, which Core.Replay
-// charges without a Tick. Every cell's metrics snapshot must be the same
-// bytes with fast-forward on and off.
-func TestNCoreGridFastForwardDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("63 N-core cells, in both kernels")
-	}
-	if raceEnabled() {
-		t.Skip("too slow under the race detector; make scaling runs an N-core differential there")
-	}
-	for _, bench := range []string{"art", "equake", "adpcmdec", "epicdec", "wc", "fir", "fft2"} {
-		for _, family := range []design.Config{design.SyncOptiSCQ64Config(), design.HeavyWTConfig(), design.MPMCQ64Config()} {
-			for _, k := range []int{3, 4, 6} {
-				c := cell{bench, family.WithCores(k)}
-				on := metricsBytes(t, c, RunOpts{})
-				if off := metricsBytes(t, c, RunOpts{DisableFastForward: true}); !bytes.Equal(on, off) {
-					t.Errorf("%s/%s: fast-forward on and off differ:\non:\n%s\noff:\n%s", bench, c.cfg.Name(), on, off)
-				}
-			}
-		}
 	}
 }

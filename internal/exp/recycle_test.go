@@ -27,44 +27,70 @@ import (
 // released. These tests are the licence for that: whatever ran before, and
 // however it ended, a cell's metrics are the bytes a fresh process gives.
 
-type cell struct {
-	bench string
-	cfg   design.Config
-}
-
-// recycleCells is the paper's 63 dual-core cells plus six N-core cells whose
-// shapes scaling.txt pins: a six-core run recycles 13 arrays of three
-// geometries, a dual-core run five.
-func recycleCells() []cell {
-	var cells []cell
+// paperCells is the paper's 63 dual-core cells: every benchmark on every
+// standard design.
+func paperCells() []Job {
+	var cells []Job
 	for _, name := range workloads.Names() {
 		for _, cfg := range design.StandardConfigs() {
-			cells = append(cells, cell{name, cfg})
+			cells = append(cells, Job{Bench: name, Config: cfg})
 		}
 	}
-	for _, name := range []string{"fft2", "equake"} {
-		cells = append(cells,
-			cell{name, design.HeavyWTConfig().WithCores(4)},
-			cell{name, design.SyncOptiSCQ64Config().WithCores(3)},
-			cell{name, design.MPMCQ64Config().WithCores(6)})
+	return cells
+}
+
+// determinismCells is every cell tier-1 runs in both kernels: the paper's
+// dual-core cells, each benchmark's single-threaded baseline, the ncore
+// benchmark's grid (seven IR kernels x the two chain families and the
+// parallel-stage family x 3, 4 and 6 cores) and fft2 and equake at 8
+// cores — 141 cells. Without all, the N-core cells shrink to six whose
+// shapes scaling.txt pins (a six-core run recycles 13 arrays of three
+// geometries, a dual-core run five): one family per core count for fft2
+// and equake.
+func determinismCells(all bool) []Job {
+	cells := paperCells()
+	for _, name := range workloads.Names() {
+		cells = append(cells, Job{Bench: name, Single: true})
+	}
+	families := []design.Config{design.SyncOptiSCQ64Config(), design.HeavyWTConfig(), design.MPMCQ64Config()}
+	for _, name := range []string{"art", "equake", "adpcmdec", "epicdec", "wc", "fir", "fft2"} {
+		wide := name == "fft2" || name == "equake"
+		cores := []int{3, 4, 6}
+		if wide {
+			cores = append(cores, 8)
+		}
+		for f, family := range families {
+			for i, k := range cores {
+				if all || wide && i == f {
+					cells = append(cells, Job{Bench: name, Config: family.WithCores(k)})
+				}
+			}
+		}
 	}
 	return cells
 }
 
 // metricsBytes runs one cell and returns its annotated metrics snapshot,
 // the bytes hfexp -metrics writes and testdata/golden pins.
-func metricsBytes(t *testing.T, c cell, opts RunOpts) []byte {
+func metricsBytes(t *testing.T, j Job, opts RunOpts) []byte {
 	t.Helper()
-	b, err := workloads.ByName(c.bench)
+	b, err := workloads.ByName(j.Bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunBenchmarkOpts(context.Background(), b, c.cfg, opts)
+	var res *sim.Result
+	label := "single"
+	if j.Single {
+		res, err = RunSingleOpts(context.Background(), b, opts)
+	} else {
+		label = j.Config.Name()
+		res, err = RunBenchmarkOpts(context.Background(), b, j.Config, opts)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := res.Metrics()
-	m.Benchmark, m.Design = c.bench, c.cfg.Name()
+	m.Benchmark, m.Design = j.Bench, label
 	buf, err := sim.MetricsJSON(m)
 	if err != nil {
 		t.Fatal(err)
@@ -72,24 +98,22 @@ func metricsBytes(t *testing.T, c cell, opts RunOpts) []byte {
 	return buf
 }
 
-// TestRunsAreOrderIndependent runs every cell in two seeded shuffles, with
-// fast-forward on and off, in one process: each cell meets arrays and page
-// tables a different predecessor left behind, and must report the same
-// bytes every time. (The goldens anchor the values themselves.)
+// TestRunsAreOrderIndependent is the two-kernel determinism battery: it
+// runs every cell twice in one process, fast-forwarding in one seeded
+// shuffle and per-cycle in another, so each run meets arrays and page
+// tables a different predecessor left behind, in a different kernel, and
+// must report the same bytes. (The goldens anchor the values themselves.)
+// Under -short and -race the N-core cells shrink to six.
 func TestRunsAreOrderIndependent(t *testing.T) {
-	cells := recycleCells()
-	first := make([][]byte, len(cells))
-	for _, noFF := range []bool{false, true} {
-		for seed := int64(1); seed <= 2; seed++ {
-			for _, i := range rand.New(rand.NewSource(seed)).Perm(len(cells)) {
-				got := metricsBytes(t, cells[i], RunOpts{DisableFastForward: noFF})
-				if first[i] == nil {
-					first[i] = got
-				} else if !bytes.Equal(got, first[i]) {
-					t.Fatalf("%s/%s (shuffle %d, no fast-forward %v) differs from its first run:\n%s\nfirst:\n%s",
-						cells[i].bench, cells[i].cfg.Name(), seed, noFF, got, first[i])
-				}
-			}
+	cells := determinismCells(!testing.Short() && !raceEnabled())
+	ff := make([][]byte, len(cells))
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(cells)) {
+		ff[i] = metricsBytes(t, cells[i], RunOpts{})
+	}
+	for _, i := range rand.New(rand.NewSource(2)).Perm(len(cells)) {
+		if got := metricsBytes(t, cells[i], RunOpts{DisableFastForward: true}); !bytes.Equal(got, ff[i]) {
+			t.Errorf("%s: per-cycle run differs from the fast-forwarded one:\n%s\nfast-forwarded:\n%s",
+				cells[i].Name(), got, ff[i])
 		}
 	}
 }
@@ -106,7 +130,7 @@ func TestFailedRunsRecycleCleanly(t *testing.T) {
 	failures := []struct {
 		name string
 		fail func()
-		then cell
+		then Job
 	}{
 		{"deadlock", func() {
 			// The chaos corpus's first loss-class plan (seed 1, plan 1:
@@ -117,7 +141,7 @@ func TestFailedRunsRecycleCleanly(t *testing.T) {
 			if !errors.As(err, &dl) {
 				t.Fatalf("loss plan: error %v, want a DeadlockError", err)
 			}
-		}, cell{"bzip2", design.HeavyWTConfig()}},
+		}, Job{Bench: "bzip2", Config: design.HeavyWTConfig()}},
 		{"cancel", func() {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -127,7 +151,7 @@ func TestFailedRunsRecycleCleanly(t *testing.T) {
 			if !errors.As(err, &ce) || ce.Cycle < 2000 {
 				t.Fatalf("canceled mid-flight: error %v, want a CanceledError past cycle 2000", err)
 			}
-		}, cell{"adpcmdec", design.SyncOptiConfig()}},
+		}, Job{Bench: "adpcmdec", Config: design.SyncOptiConfig()}},
 		{"sync array rejected", func() {
 			// Past validate, past the fabric and its preload; NewSyncArray
 			// then refuses the unsorted route.
@@ -152,17 +176,17 @@ func TestFailedRunsRecycleCleanly(t *testing.T) {
 			if !errors.As(err, &ve) || !strings.Contains(err.Error(), "ascending") {
 				t.Fatalf("unsorted MPMC route: error %v, want NewSyncArray's ValidationError", err)
 			}
-		}, cell{"bzip2", design.SyncOptiSCQ64Config()}},
+		}, Job{Bench: "bzip2", Config: design.SyncOptiSCQ64Config()}},
 	}
 	for _, f := range failures {
 		f.fail()
 		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden",
-			MetricsFileName(f.then.bench, f.then.cfg.Name())))
+			MetricsFileName(f.then.Bench, f.then.Config.Name())))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := metricsBytes(t, f.then, RunOpts{}); !bytes.Equal(got, want) {
-			t.Errorf("after a %s, %s/%s is not its golden:\n%s", f.name, f.then.bench, f.then.cfg.Name(), got)
+			t.Errorf("after a %s, %s is not its golden:\n%s", f.name, f.then.Name(), got)
 		}
 	}
 }
@@ -227,16 +251,16 @@ func TestRunAllocationCeiling(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops a quarter of what it is given")
 	}
-	cells := recycleCells()[:63]
-	pass := func(cells []cell) uint64 {
+	cells := paperCells()
+	pass := func(cells []Job) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, c := range cells {
-			b, err := workloads.ByName(c.bench)
+			b, err := workloads.ByName(c.Bench)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := RunBenchmarkOpts(context.Background(), b, c.cfg, RunOpts{}); err != nil {
+			if _, err := RunBenchmarkOpts(context.Background(), b, c.Config, RunOpts{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -247,9 +271,9 @@ func TestRunAllocationCeiling(t *testing.T) {
 	if got := pass(cells) >> 10; got > 250 {
 		t.Errorf("the 63 dual-core cells allocate %d KiB per run on average, want at most 250", got)
 	}
-	mcf := make([]cell, 8)
+	mcf := make([]Job, 8)
 	for i := range mcf {
-		mcf[i] = cell{"mcf", design.ExistingConfig()}
+		mcf[i] = Job{Bench: "mcf", Config: design.ExistingConfig()}
 	}
 	if got := pass(mcf) >> 10; got > 256 {
 		t.Errorf("mcf/EXISTING allocates %d KiB per run, want at most 256", got)

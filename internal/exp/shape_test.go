@@ -1,26 +1,24 @@
-package hfstream
+package exp
 
-// reproduce_test asserts the qualitative shape of every headline result:
+// The shape tests assert the qualitative shape of every headline result:
 // who wins, by roughly what factor, and where the crossovers fall. The
 // bands are intentionally loose — the substrate is a from-scratch
 // simulator, not the authors' testbed — but each captures a claim the
-// paper makes. EXPERIMENTS.md records the exact measured values.
+// paper makes. EXPERIMENTS.md records the exact measured values. Each
+// reads its catalog rows through figure, so it checks the very run
+// TestCatalogGolden pins.
 
 import (
-	"context"
+	"slices"
+	"sort"
 	"testing"
-
-	"hfstream/internal/exp"
 )
 
 func TestShapeFig7DesignOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig7Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "fig7").(*BreakdownFigure)
 	heavy := r.NormTotal("HEAVYWT")
 	syncOpti := r.NormTotal("SYNCOPTI")
 	memOpti := r.NormTotal("MEMOPTI")
@@ -59,10 +57,7 @@ func TestShapeFig7WcIsWorstForSyncOpti(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig7Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "fig7").(*BreakdownFigure)
 	// The paper: "for wc, SYNCOPTI is almost twice as slow as HEAVYWT
 	// because the streaming loop is very tight, with three consume
 	// operations per iteration".
@@ -80,14 +75,30 @@ func TestShapeFig7WcIsWorstForSyncOpti(t *testing.T) {
 	}
 }
 
+// TestFig7ConsumerMatchesProducerOverall reproduces the paper's remark:
+// "the overall performance of the consumer core was the same as for the
+// producer, except that its component breakdowns differed".
+func TestFig7ConsumerMatchesProducerOverall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full matrix")
+	}
+	prod := figure(t, "fig7").(*BreakdownFigure)
+	cons := figure(t, "fig7-consumer").(*BreakdownFigure)
+	for _, name := range []string{"SYNCOPTI", "EXISTING"} {
+		p, c := prod.NormTotal(name), cons.NormTotal(name)
+		// Both cores finish the pipeline together, so totals track within
+		// a modest band even though their breakdowns differ.
+		if ratio := c / p; ratio < 0.75 || ratio > 1.33 {
+			t.Errorf("%s: consumer/producer norm ratio %.3f, want near 1", name, ratio)
+		}
+	}
+}
+
 func TestShapeFig6TransitTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig6Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "fig6").(*AblationResult)
 	// Headline: pipelined streaming tolerates a 10x transit-delay
 	// increase; overall the two bars are nearly identical.
 	if r.Geomean[1] > 1.10 {
@@ -115,10 +126,7 @@ func TestShapeFig8CommEvery5to20(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig8Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "fig8").(*Fig8Result)
 	// "communication occurring every 5 to 20 dynamic instructions" on
 	// average; individual benchmarks range wider (wc is ~1 per 2-3).
 	for _, g := range []float64{r.Geomean.Producer, r.Geomean.Consumer} {
@@ -127,20 +135,25 @@ func TestShapeFig8CommEvery5to20(t *testing.T) {
 			t.Errorf("geomean 1 comm per %.1f app instrs, want within [3, 20]", per)
 		}
 	}
-	// wc is the most communication-intensive benchmark.
-	var wc, minOther float64 = 0, 1e9
-	for _, row := range r.Rows {
-		avg := (row.Producer + row.Consumer) / 2
+	// wc, mcf and bzip2 communicate most often: theirs are the three
+	// highest average comm:app ratios.
+	avg := func(row Fig8Row) float64 { return (row.Producer + row.Consumer) / 2 }
+	rows := slices.Clone(r.Rows)
+	sort.Slice(rows, func(i, j int) bool { return avg(rows[i]) > avg(rows[j]) })
+	top := []string{rows[0].Benchmark, rows[1].Benchmark, rows[2].Benchmark}
+	slices.Sort(top)
+	if !slices.Equal(top, []string{"bzip2", "mcf", "wc"}) {
+		t.Errorf("the three highest average ratios are %v, want bzip2, mcf and wc", top)
+	}
+	var wc float64
+	for _, row := range rows {
 		if row.Benchmark == "wc" {
-			wc = avg
-		} else if avg < minOther {
-			minOther = avg
+			wc = avg(row)
 		}
 	}
 	if wc == 0 {
 		t.Fatal("wc missing")
 	}
-	_ = minOther
 	if 1/wc > 6 {
 		t.Errorf("wc communicates once per %.1f app instrs, want the tightest (<6)", 1/wc)
 	}
@@ -150,10 +163,7 @@ func TestShapeFig9Parallelization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig9Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figure(t, "fig9").(*Fig9Result)
 	// Paper: 29% geomean speedup of HEAVYWT over single-threaded.
 	if r.Geomean < 1.15 || r.Geomean > 1.65 {
 		t.Errorf("geomean speedup = %.3f, want in (1.15, 1.65) around the paper's 1.29", r.Geomean)
@@ -171,14 +181,8 @@ func TestShapeFig12StreamCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	f12, err := exp.Fig12Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f7, err := exp.Fig7Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f12 := figure(t, "fig12").(*Fig12Result)
+	f7 := figure(t, "fig7").(*BreakdownFigure)
 	scq64 := f12.Producer.NormTotal("SYNCOPTI_SC+Q64")
 	sc := f12.Producer.NormTotal("SYNCOPTI_SC")
 	syncOpti := f12.Producer.NormTotal("SYNCOPTI")
@@ -204,21 +208,9 @@ func TestShapeFig10and11BusSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	f7, err := exp.Fig7Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f10, err := exp.Fig10Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f11, err := exp.Fig11Ctx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := f7.NormTotal("EXISTING")
-	slow := f10.NormTotal("EXISTING")
-	wide := f11.NormTotal("EXISTING")
+	base := figure(t, "fig7").(*BreakdownFigure).NormTotal("EXISTING")
+	slow := figure(t, "fig10").(*BreakdownFigure).NormTotal("EXISTING")
+	wide := figure(t, "fig11").(*BreakdownFigure).NormTotal("EXISTING")
 	t.Logf("EXISTING vs HEAVYWT: baseline=%.3f cpb4=%.3f cpb4+wide=%.3f", base, slow, wide)
 
 	// A 4-cycle bus hurts the software designs more than HEAVYWT.

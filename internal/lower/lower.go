@@ -158,34 +158,12 @@ func LowerRoles(prog *isa.Program, layout queue.Layout, core int, roles map[int]
 		comm(isa.Instr{Op: isa.MovI, Rd: baseReg[q], Imm: int64(layout.SlotAddr(q, 0))})
 		comm(isa.Instr{Op: isa.MovI, Rd: offReg[q], Imm: off})
 	}
-	prologue := len(out.Instrs)
-
-	// First pass: map original instruction index -> lowered index.
+	// Emit, recording where each original instruction landed; a branch is
+	// copied with its original target and retargeted once every index is
+	// known.
 	newIndex := make([]int, len(prog.Instrs)+1)
-	idx := prologue
 	for i, in := range prog.Instrs {
-		newIndex[i] = idx
-		switch in.Op {
-		case isa.Produce:
-			if modes[in.Q].mpmc {
-				idx += mpmcProduceLen
-			} else {
-				idx += produceLen
-			}
-		case isa.Consume:
-			if modes[in.Q].mpmc {
-				idx += mpmcConsumeLen
-			} else {
-				idx += consumeLen(layout)
-			}
-		default:
-			idx++
-		}
-	}
-	newIndex[len(prog.Instrs)] = idx
-
-	// Second pass: emit.
-	for _, in := range prog.Instrs {
+		newIndex[i] = len(out.Instrs)
 		switch in.Op {
 		case isa.Produce:
 			m := modes[in.Q]
@@ -202,10 +180,13 @@ func LowerRoles(prog *isa.Program, layout queue.Layout, core int, roles map[int]
 				emitConsume(comm, in, offReg[in.Q], baseReg[in.Q], len(out.Instrs), layout)
 			}
 		default:
-			if in.Op.IsBranch() {
-				in.Imm = int64(newIndex[in.Imm])
-			}
 			emit(in)
+		}
+	}
+	newIndex[len(prog.Instrs)] = len(out.Instrs)
+	for i, in := range prog.Instrs {
+		if in.Op.IsBranch() {
+			out.Instrs[newIndex[i]].Imm = int64(newIndex[in.Imm])
 		}
 	}
 	// A trailing consume's skip branch lands one instruction past its
@@ -216,19 +197,6 @@ func LowerRoles(prog *isa.Program, layout queue.Layout, core int, roles map[int]
 	}
 	return out, nil
 }
-
-// produceLen is the emitted produce sequence length; the index mapping in
-// Lower depends on it. The consume length depends on the layout's QLU
-// (its batched flag clear writes one store per slot on the line).
-const produceLen = 12
-
-func consumeLen(layout queue.Layout) int { return 10 + layout.QLU }
-
-// mpmcProduceLen / mpmcConsumeLen size the ticket-striped sequences.
-const (
-	mpmcProduceLen = 9
-	mpmcConsumeLen = 9
-)
 
 // emitProduce writes the producer-side sequence. The spin checks the
 // guard slot one cache line ahead (a standard tuned-software-queue slip:

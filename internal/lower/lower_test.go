@@ -94,8 +94,9 @@ func TestLowerCommTagging(t *testing.T) {
 			comm++
 		}
 	}
-	// 2 produce sites x produceLen + 2 prologue movi per queue.
-	want := 2*produceLen + 2
+	// 2 produce sites x the 12-instruction sequence emitProduce documents
+	// + 2 prologue movi per queue.
+	want := 2*12 + 2
 	if comm != want {
 		t.Errorf("comm-tagged instrs = %d, want %d", comm, want)
 	}
