@@ -173,12 +173,12 @@ load-smoke:
 		-out /tmp/hfload_smoke.json -min-peer-hits 1
 
 # The differential grid's runner and serve rows (differential_test.go),
-# whose N-core cells are fft2/equake x {2,3,4,6,8}-core chains and
+# dual-core and TestScalingDifferential*, whose N-core cells are fft2/equake x {2,3,4,6,8}-core chains and
 # parallel-stage points: every snapshot byte-identical across runner
 # parallelism and a serve round trip — under the race detector, so the
 # parallel pool's interleavings are exercised while equality is asserted.
 scaling:
-	$(GO) test -count=1 -race -run 'TestDifferential(SerialVsParallelRunner|ServeRoundTrip)' .
+	$(GO) test -count=1 -race -run 'Test(Scaling)?Differential(SerialVsParallelRunner|ServeRoundTrip)' .
 
 # Full chaos sweep: 20 seeded workloads x 7 designs x (1 baseline +
 # 6 fault plans). Any failure prints a single-case replay command.

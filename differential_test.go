@@ -18,8 +18,9 @@ package hfstream_test
 // {2,3,4,6,8} cores x the k-stage and parallel-stage design points, the
 // 3- to 8-stage DSWP chains and PS-DSWP replicated workers the dual-core
 // half cannot reach, each with auto-derived queue routes. Fast-forward on
-// vs off is internal/exp's TestRunsAreOrderIndependent, over a superset of
-// these cells. This file is an external test (package hfstream_test)
+// vs off is internal/exp's two-kernel battery (TestRunsAreOrderIndependent
+// and TestNCoreGridFastForwardDifferential), over a superset of these
+// cells. This file is an external test (package hfstream_test)
 // because it imports serve, which itself imports hfstream. All HTTP
 // traffic goes through the typed serve/client package — the battery
 // doubles as that client's integration test.
@@ -103,9 +104,9 @@ func scaleConfigs() []design.Config {
 	return out
 }
 
-// diffJobs is the grid: the golden benchmarks single-threaded and on every
-// design, then the N-core cells.
-func diffJobs() []exp.Job {
+// dualJobs is the grid's dual-core half: the golden benchmarks
+// single-threaded and on every design.
+func dualJobs() []exp.Job {
 	var jobs []exp.Job
 	for _, bench := range diffBenches {
 		jobs = append(jobs, exp.Job{Bench: bench, Single: true})
@@ -113,6 +114,12 @@ func diffJobs() []exp.Job {
 			jobs = append(jobs, exp.Job{Bench: bench, Config: cfg})
 		}
 	}
+	return jobs
+}
+
+// scaleJobs is the grid's N-core half.
+func scaleJobs() []exp.Job {
+	var jobs []exp.Job
 	for _, bench := range scaleBenches {
 		for _, cfg := range scaleConfigs() {
 			jobs = append(jobs, exp.Job{Bench: bench, Config: cfg})
@@ -120,6 +127,9 @@ func diffJobs() []exp.Job {
 	}
 	return jobs
 }
+
+// diffJobs is the whole grid: the dual-core half, then the N-core half.
+func diffJobs() []exp.Job { return append(dualJobs(), scaleJobs()...) }
 
 // jobLabel mirrors the design annotation finishRun applies.
 func jobLabel(j exp.Job) string {
@@ -163,12 +173,12 @@ func referenceMatrix(t *testing.T) map[string][]byte {
 	return ref
 }
 
-func TestDifferentialSerialVsParallelRunner(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full grid")
-	}
+// checkParallelRunner runs jobs on a parallel runner and diffs every
+// snapshot against the serial reference.
+func checkParallelRunner(t *testing.T, jobs []exp.Job) {
+	t.Helper()
 	ref := referenceMatrix(t)
-	results := (&exp.Runner{Workers: 4}).Run(context.Background(), diffJobs())
+	results := (&exp.Runner{Workers: 4}).Run(context.Background(), jobs)
 	if err := exp.FirstErr(results); err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +188,20 @@ func TestDifferentialSerialVsParallelRunner(t *testing.T) {
 			t.Errorf("%s: parallel runner snapshot differs from serial", r.Job.Name())
 		}
 	}
+}
+
+func TestDifferentialSerialVsParallelRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full grid")
+	}
+	checkParallelRunner(t, dualJobs())
+}
+
+func TestScalingDifferentialSerialVsParallelRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N-core grid")
+	}
+	checkParallelRunner(t, scaleJobs())
 }
 
 // mustRun executes spec through the typed client and fails the test on
@@ -191,16 +215,16 @@ func mustRun(t *testing.T, cl *client.Client, spec hfstream.Spec) *client.RunRes
 	return res
 }
 
-func TestDifferentialServeRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full grid")
-	}
+// checkServeRoundTrip serves jobs cold and then cached, diffing every
+// body against the serial reference.
+func checkServeRoundTrip(t *testing.T, jobs []exp.Job) {
+	t.Helper()
 	ref := referenceMatrix(t)
 	ts := httptest.NewServer(serve.New(serve.Config{Workers: 2}).Handler())
 	defer ts.Close()
 	cl := client.New(ts.URL)
 
-	for _, j := range diffJobs() {
+	for _, j := range jobs {
 		name, spec := j.Name(), diffSpec(j)
 		cold := mustRun(t, cl, spec)
 		if cold.Cache != "miss" {
@@ -217,6 +241,20 @@ func TestDifferentialServeRoundTrip(t *testing.T) {
 			t.Errorf("%s: cached body differs from cold body", name)
 		}
 	}
+}
+
+func TestDifferentialServeRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full grid")
+	}
+	checkServeRoundTrip(t, dualJobs())
+}
+
+func TestScalingDifferentialServeRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N-core grid")
+	}
+	checkServeRoundTrip(t, scaleJobs())
 }
 
 func TestDifferentialServeStaged(t *testing.T) {

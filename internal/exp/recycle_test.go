@@ -98,24 +98,74 @@ func metricsBytes(t *testing.T, j Job, opts RunOpts) []byte {
 	return buf
 }
 
-// TestRunsAreOrderIndependent is the two-kernel determinism battery: it
-// runs every cell twice in one process, fast-forwarding in one seeded
+// batteryRun is one determinism cell's snapshot in each kernel.
+type batteryRun struct {
+	cell         Job
+	ff, perCycle []byte
+}
+
+// battery holds the determinism battery once determinism has run it.
+var battery []batteryRun
+
+// determinism is the two-kernel determinism battery, run once per test
+// binary: every cell twice in one process, fast-forwarding in one seeded
 // shuffle and per-cycle in another, so each run meets arrays and page
-// tables a different predecessor left behind, in a different kernel, and
-// must report the same bytes. (The goldens anchor the values themselves.)
+// tables a different predecessor left behind, in a different kernel.
 // Under -short and -race the N-core cells shrink to six.
-func TestRunsAreOrderIndependent(t *testing.T) {
+func determinism(t *testing.T) []batteryRun {
+	t.Helper()
+	if battery != nil {
+		return battery
+	}
 	cells := determinismCells(!testing.Short() && !raceEnabled())
-	ff := make([][]byte, len(cells))
+	runs := make([]batteryRun, len(cells))
 	for _, i := range rand.New(rand.NewSource(1)).Perm(len(cells)) {
-		ff[i] = metricsBytes(t, cells[i], RunOpts{})
+		runs[i] = batteryRun{cell: cells[i], ff: metricsBytes(t, cells[i], RunOpts{})}
 	}
 	for _, i := range rand.New(rand.NewSource(2)).Perm(len(cells)) {
-		if got := metricsBytes(t, cells[i], RunOpts{DisableFastForward: true}); !bytes.Equal(got, ff[i]) {
+		runs[i].perCycle = metricsBytes(t, cells[i], RunOpts{DisableFastForward: true})
+	}
+	battery = runs
+	return runs
+}
+
+// checkKernelsAgree fails for every battery cell keep selects whose
+// per-cycle snapshot differs from its fast-forwarded one.
+func checkKernelsAgree(t *testing.T, keep func(Job) bool) {
+	t.Helper()
+	checked := 0
+	for _, r := range determinism(t) {
+		if !keep(r.cell) {
+			continue
+		}
+		checked++
+		if !bytes.Equal(r.perCycle, r.ff) {
 			t.Errorf("%s: per-cycle run differs from the fast-forwarded one:\n%s\nfast-forwarded:\n%s",
-				cells[i].Name(), got, ff[i])
+				r.cell.Name(), r.perCycle, r.ff)
 		}
 	}
+	if checked == 0 {
+		t.Fatal("no battery cell selected")
+	}
+}
+
+// nCore reports whether a cell runs on more than the paper's two cores.
+func nCore(j Job) bool { return !j.Single && j.Config.Cores > 2 }
+
+// TestRunsAreOrderIndependent: the battery's dual-core and single-threaded
+// cells report the same bytes in both kernels, whatever ran before them.
+// (The goldens anchor the values themselves.)
+func TestRunsAreOrderIndependent(t *testing.T) {
+	checkKernelsAgree(t, func(j Job) bool { return !nCore(j) })
+}
+
+// TestNCoreGridFastForwardDifferential: the battery's N-core cells — the
+// grid the ncore benchmark runs plus fft2 and equake at 8 cores — report
+// the same bytes in both kernels. Most of their core cycles are a queue
+// operation the sync array or the OzQ refuses, which Core.Replay charges
+// without a Tick.
+func TestNCoreGridFastForwardDifferential(t *testing.T) {
+	checkKernelsAgree(t, nCore)
 }
 
 // TestFailedRunsRecycleCleanly: sim.Run releases its arrays on every exit,
