@@ -97,8 +97,9 @@ coverage:
 		{ echo "coverage regressed below the $(COVERAGE_BASELINE)% baseline"; exit 1; }
 
 # The layer benchmarks (core.Tick issuing and stalled, Replay against
-# Tick on a token and a full-queue stall, sim.Run on five cells plus one
-# traced the way the referee workload traces, whose B/op is the trace
+# Tick on a token and a full-queue stall, sim.Run on six cells — MEMOPTI's
+# among them, whose allocs/op show its forward queue — plus one traced
+# the way the referee workload traces, whose B/op is the trace
 # ring's cost, the DSWP partitioner on three shapes, a /v1/run cache hit on
 # the server alone and through the client) live beside the code, outside
 # the frozen bench/spine; CI runs the second line so they keep compiling

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -55,12 +56,39 @@ func TestCatalogGolden(t *testing.T) {
 // TestCatalogGolden and every shape test read one run of a row.
 var figures = map[string]Figure{}
 
-// figure runs the catalog row called name once per test binary.
+// catalogRuns holds every job a catalog row ran to a result, so that the
+// determinism battery's fast-forwarded half reads the cells the catalog
+// already simulated instead of simulating them again. It is keyed by the
+// whole job, not its name: Figures 10 and 11 rerun the standard designs'
+// names on other buses.
+var catalogRuns = struct {
+	sync.Mutex
+	m map[Job]JobResult
+}{m: map[Job]JobResult{}}
+
+// catalogRun returns the catalog's run of j, if one was recorded.
+func catalogRun(j Job) (JobResult, bool) {
+	catalogRuns.Lock()
+	defer catalogRuns.Unlock()
+	r, ok := catalogRuns.m[j]
+	return r, ok
+}
+
+// figure runs the catalog row called name once per test binary, recording
+// its jobs in catalogRuns.
 func figure(t *testing.T, name string) Figure {
 	t.Helper()
 	if f, ok := figures[name]; ok {
 		return f
 	}
+	SetProgress(func(_, _ int, r JobResult) {
+		if r.Err == nil {
+			catalogRuns.Lock()
+			catalogRuns.m[r.Job] = r
+			catalogRuns.Unlock()
+		}
+	})
+	defer SetProgress(nil)
 	for _, e := range Catalog {
 		if e.Name == name {
 			f, err := e.Run(context.Background())

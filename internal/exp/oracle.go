@@ -5,57 +5,143 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hfstream/internal/design"
+	"hfstream/internal/dswp"
 	"hfstream/internal/interp"
+	"hfstream/internal/isa"
 	"hfstream/internal/mem"
 	"hfstream/internal/workloads"
 )
 
-// The image cache memoizes, per benchmark name, the two images every
-// simulation of that benchmark needs: the input (what Setup writes) and the
-// oracle (what the functional interpreter makes of it). Both are pure
-// functions of the name — Setup and the interpreter are deterministic — so
-// one build per process suffices however many simulations run. A run takes
-// a copy-on-write fork of the input, which costs it only the pages it
-// writes; the oracle is such a fork too. Entries are created under a mutex
-// and computed under a sync.Once, so concurrent runner workers asking for
-// the same benchmark share a single build and block only on that
-// benchmark's entry, never on the whole cache.
+// The benchmark cache memoizes, per benchmark name, what every simulation
+// of that benchmark reads and none writes: the input image (what Setup
+// writes), the oracle image (what the functional interpreter makes of it)
+// and the programs of each pipeline shape (what plan partitions the loop
+// into). All are pure functions of the name and shape — Setup, the
+// interpreter and the partitioners are deterministic — so one build per
+// process suffices however many simulations run. A run takes a
+// copy-on-write fork of the input, which costs it only the pages it
+// writes; the oracle is such a fork too. The programs are shared as they
+// are: Execute validates and reads them, the software-queue lowering
+// builds new ones and the cores predecode into their own tables
+// (TestPlansStayReadOnly). Entries are created under a mutex and each
+// part is computed under its own sync.Once, so concurrent runner workers
+// asking for the same benchmark share a single build and block only on
+// that part of that benchmark's entry, never on the whole cache.
 
-type oracleEntry struct {
+type benchEntry struct {
 	once sync.Once
 	base *mem.Memory // input image: never written after Setup, only forked
 	img  *mem.Memory // oracle image: a fork of base after the interpreter ran
 	err  error
+
+	// plans holds each pipeline shape's programs, indexed by core count
+	// and then by chain (0) or parallel stage (1).
+	plans [design.MaxCores + 1][2]planEntry
 }
 
-var oracleCache = struct {
+// planEntry is one shape's programs, or the reason the benchmark cannot
+// take that shape; either is computed once.
+type planEntry struct {
+	once  sync.Once
+	progs []*isa.Program
+	err   error
+}
+
+var benchCache = struct {
 	sync.Mutex
-	m map[string]*oracleEntry
-}{m: make(map[string]*oracleEntry)}
+	m map[string]*benchEntry
+}{m: make(map[string]*benchEntry)}
 
-// oracleRuns counts functional-interpreter executions; the regression
-// tests assert exactly one per benchmark per process.
-var oracleRuns atomic.Uint64
+// oracleRuns counts functional-interpreter executions and planRuns
+// partitions; the regression tests assert one per benchmark, and one per
+// benchmark and shape, per process.
+var oracleRuns, planRuns atomic.Uint64
 
-// resetOracleCache drops all memoized images (tests only).
-func resetOracleCache() {
-	oracleCache.Lock()
-	oracleCache.m = make(map[string]*oracleEntry)
+// resetBenchCache drops all memoized images and programs (tests only).
+func resetBenchCache() {
+	benchCache.Lock()
+	benchCache.m = make(map[string]*benchEntry)
 	oracleRuns.Store(0)
-	oracleCache.Unlock()
+	planRuns.Store(0)
+	benchCache.Unlock()
 }
 
-// images returns the benchmark's cache entry, built on first use.
-func images(name string) *oracleEntry {
-	oracleCache.Lock()
-	e := oracleCache.m[name]
+// entry returns the benchmark's cache entry, creating it empty on first
+// use.
+func entry(name string) *benchEntry {
+	benchCache.Lock()
+	defer benchCache.Unlock()
+	e := benchCache.m[name]
 	if e == nil {
-		e = &oracleEntry{}
-		oracleCache.m[name] = e
+		e = &benchEntry{}
+		benchCache.m[name] = e
 	}
-	oracleCache.Unlock()
+	return e
+}
+
+// images returns the benchmark's cache entry with its images built.
+func images(name string) *benchEntry {
+	e := entry(name)
 	e.once.Do(func() { e.base, e.img, e.err = computeOracle(name) })
 	return e
+}
+
+// plan returns the programs that realize the shape cfg describes on
+// benchmark b (see partition), built once per process from a fresh
+// instance of the benchmark and shared read-only by every run of that
+// shape. Only cfg.Cores and cfg.Parallel select the programs.
+func plan(b *workloads.Benchmark, cfg design.Config) ([]*isa.Program, error) {
+	n := cfg.Cores
+	switch {
+	case n < 1 || n > design.MaxCores:
+		return nil, fmt.Errorf("core count %d out of range 1..%d", n, design.MaxCores)
+	case cfg.Parallel && n < 3:
+		return nil, fmt.Errorf("parallel-stage designs need Cores >= 3 (got %d)", n)
+	}
+	shape := 0
+	if cfg.Parallel {
+		shape = 1
+	}
+	p := &entry(b.Name).plans[n][shape]
+	p.once.Do(func() {
+		planRuns.Add(1)
+		fresh, err := workloads.ByName(b.Name)
+		if err != nil {
+			p.err = err
+			return
+		}
+		p.progs, p.err = partition(fresh, n, cfg.Parallel)
+	})
+	return p.progs, p.err
+}
+
+// partition turns a pipeline shape into the programs that realize it: one
+// core runs the unpartitioned loop, two the benchmark's own pipeline
+// (DSWP's two stages, or bzip2's hand partition), n >= 3 an n-stage DSWP
+// chain, and parallel n-1 replicated workers plus a merger.
+func partition(b *workloads.Benchmark, n int, parallel bool) ([]*isa.Program, error) {
+	switch {
+	case n == 1:
+		p, err := b.Single()
+		return []*isa.Program{p}, err
+	case n == 2:
+		pair, _, err := b.Pipelined()
+		return pair[:], err
+	case b.Loop == nil:
+		return nil, fmt.Errorf("hand-partitioned; %d-core shapes need an IR kernel", n)
+	}
+	var pr *dswp.Result
+	var err error
+	if parallel {
+		pr, err = dswp.PartitionParallel(b.Loop, n-1)
+	} else {
+		pr, err = dswp.PartitionN(b.Loop, n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return pr.Threads, nil
 }
 
 // Expected returns the oracle memory image for b: the single-threaded

@@ -79,15 +79,23 @@ func metricsBytes(t *testing.T, j Job, opts RunOpts) []byte {
 		t.Fatal(err)
 	}
 	var res *sim.Result
-	label := "single"
 	if j.Single {
 		res, err = RunSingleOpts(context.Background(), b, opts)
 	} else {
-		label = j.Config.Name()
 		res, err = RunBenchmarkOpts(context.Background(), b, j.Config, opts)
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	return snapshotBytes(t, j, res)
+}
+
+// snapshotBytes is the annotated metrics snapshot of j's result res.
+func snapshotBytes(t *testing.T, j Job, res *sim.Result) []byte {
+	t.Helper()
+	label := "single"
+	if !j.Single {
+		label = j.Config.Name()
 	}
 	m := res.Metrics()
 	m.Benchmark, m.Design = j.Bench, label
@@ -110,8 +118,11 @@ var battery []batteryRun
 // determinism is the two-kernel determinism battery, run once per test
 // binary: every cell twice in one process, fast-forwarding in one seeded
 // shuffle and per-cycle in another, so each run meets arrays and page
-// tables a different predecessor left behind, in a different kernel.
-// Under -short and -race the N-core cells shrink to six.
+// tables a different predecessor left behind, in a different kernel. A
+// cell a catalog row already ran (the dual-core matrix, the baselines and
+// the N-core cells the scaling rows share) takes that run as its
+// fast-forwarded half: the catalog's parallel runner gave it yet another
+// predecessor. Under -short and -race the N-core cells shrink to six.
 func determinism(t *testing.T) []batteryRun {
 	t.Helper()
 	if battery != nil {
@@ -120,7 +131,12 @@ func determinism(t *testing.T) []batteryRun {
 	cells := determinismCells(!testing.Short() && !raceEnabled())
 	runs := make([]batteryRun, len(cells))
 	for _, i := range rand.New(rand.NewSource(1)).Perm(len(cells)) {
-		runs[i] = batteryRun{cell: cells[i], ff: metricsBytes(t, cells[i], RunOpts{})}
+		runs[i].cell = cells[i]
+		if r, ok := catalogRun(cells[i]); ok {
+			runs[i].ff = snapshotBytes(t, cells[i], r.Res)
+		} else {
+			runs[i].ff = metricsBytes(t, cells[i], RunOpts{})
+		}
 	}
 	for _, i := range rand.New(rand.NewSource(2)).Perm(len(cells)) {
 		runs[i].perCycle = metricsBytes(t, cells[i], RunOpts{DisableFastForward: true})
@@ -317,7 +333,14 @@ func TestRunAllocationCeiling(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / uint64(len(cells))
 	}
-	pass(cells) // warm: base images, oracles, one set of arrays
+	// Warm the images, oracles, plans and one set of arrays, unless the
+	// catalog's rows already ran every cell in this process.
+	for _, c := range cells {
+		if _, ok := catalogRun(c); !ok {
+			pass(cells)
+			break
+		}
+	}
 	if got := pass(cells) >> 10; got > 250 {
 		t.Errorf("the 63 dual-core cells allocate %d KiB per run on average, want at most 250", got)
 	}
@@ -327,6 +350,42 @@ func TestRunAllocationCeiling(t *testing.T) {
 	}
 	if got := pass(mcf) >> 10; got > 256 {
 		t.Errorf("mcf/EXISTING allocates %d KiB per run, want at most 256", got)
+	}
+}
+
+// TestRunObjectAllocationCeiling counts the objects a warm run allocates:
+// the machine it simulates on and the pages it writes, not the programs
+// it runs (the benchmark cache plans each shape once) and not one array
+// per MEMOPTI write-forward (the forward queue reuses its own). Each
+// ceiling is about 20% over the count measured when it was set, given
+// beside it.
+func TestRunObjectAllocationCeiling(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops a quarter of what it is given")
+	}
+	for _, c := range []struct {
+		bench   string
+		cfg     design.Config
+		ceiling float64
+	}{
+		{"wc", design.SyncOptiConfig(), 200},               // measured 168
+		{"mcf", design.ExistingConfig(), 200},              // measured 165
+		{"fir", design.MemOptiConfig(), 230},               // measured 192
+		{"fft2", design.HeavyWTConfig().WithCores(4), 220}, // measured 185
+	} {
+		b, err := workloads.ByName(c.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := RunBenchmarkOpts(context.Background(), b, c.cfg, RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm: images, plan, one set of arrays
+		if got := testing.AllocsPerRun(4, run); got > c.ceiling {
+			t.Errorf("%s/%s allocates %.0f objects per run, want at most %.0f", c.bench, c.cfg.Name(), got, c.ceiling)
+		}
 	}
 }
 

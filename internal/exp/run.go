@@ -15,7 +15,6 @@ import (
 
 	"hfstream/fault"
 	"hfstream/internal/design"
-	"hfstream/internal/dswp"
 	"hfstream/internal/isa"
 	"hfstream/internal/lower"
 	"hfstream/internal/mem"
@@ -72,9 +71,10 @@ func RunSingleOpts(ctx context.Context, b *workloads.Benchmark, opts RunOpts) (*
 	return run(ctx, b, design.ExistingConfig().WithCores(1), "single", opts)
 }
 
-// run is the one path every simulation of a benchmark takes: plan the
-// shape, execute it over a fork of the benchmark's input image and check
-// the output against the oracle; label names the run in errors.
+// run is the one path every simulation of a benchmark takes: take the
+// shape's cached plan, execute it over a fork of the benchmark's input
+// image and check the output against the oracle; label names the run in
+// errors.
 func run(ctx context.Context, b *workloads.Benchmark, cfg design.Config, label string, opts RunOpts) (*sim.Result, error) {
 	fail := func(err error) (*sim.Result, error) {
 		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, label, err)
@@ -96,43 +96,6 @@ func run(ctx context.Context, b *workloads.Benchmark, cfg design.Config, label s
 		return fail(err)
 	}
 	return res, nil
-}
-
-// plan turns the shape cfg describes into the programs that realize it:
-// one core runs the unpartitioned loop, two the benchmark's own pipeline
-// (DSWP's two stages, or bzip2's hand partition), Cores >= 3 a Cores-stage
-// DSWP chain, and Parallel Cores-1 replicated workers plus a merger.
-func plan(b *workloads.Benchmark, cfg design.Config) ([]*isa.Program, error) {
-	var progs []*isa.Program
-	var err error
-	n := cfg.Cores
-	switch {
-	case n < 1 || n > design.MaxCores:
-		err = fmt.Errorf("core count %d out of range 1..%d", n, design.MaxCores)
-	case cfg.Parallel && n < 3:
-		err = fmt.Errorf("parallel-stage designs need Cores >= 3 (got %d)", n)
-	case n == 1:
-		var p *isa.Program
-		p, err = b.Single()
-		progs = []*isa.Program{p}
-	case n == 2:
-		var pair [2]*isa.Program
-		pair, _, err = b.Pipelined()
-		progs = pair[:]
-	case b.Loop == nil:
-		err = fmt.Errorf("hand-partitioned; %d-core shapes need an IR kernel", n)
-	default:
-		var pr *dswp.Result
-		if cfg.Parallel {
-			pr, err = dswp.PartitionParallel(b.Loop, n-1)
-		} else {
-			pr, err = dswp.PartitionN(b.Loop, n)
-		}
-		if err == nil {
-			progs = pr.Threads
-		}
-	}
-	return progs, err
 }
 
 // MPMCUnsupportedError reports a workload whose statically derived queue

@@ -16,15 +16,19 @@ import (
 
 // The runner fans independent (benchmark, design, variant) simulations
 // across a goroutine pool. Every figure/table of the evaluation is a grid
-// of share-nothing jobs — each worker resolves its own benchmark instance
-// and memory image — so regeneration scales with cores while results stay
-// in deterministic input order.
+// of jobs that share only read-only data — the benchmark cache's input
+// and oracle images and the programs of each shape (oracle.go) — while
+// each worker resolves its own benchmark instance and runs on its own
+// fork of the input image and its own machine, so regeneration scales
+// with cores while results stay in deterministic input order.
 
 // Job is one simulation: a benchmark run on a design point, or (with
 // Single) the single-threaded baseline on the EXISTING machine.
 type Job struct {
-	// Bench names the workload; each job resolves a fresh instance via
-	// workloads.ByName so concurrent jobs share no mutable state.
+	// Bench names the workload. Each job resolves a fresh instance via
+	// workloads.ByName and runs on its own image fork and machine; what
+	// concurrent jobs of one benchmark share, its images and the
+	// programs of each shape, is read-only and built once per process.
 	Bench  string
 	Config design.Config
 	// Single runs the unpartitioned baseline; Config is ignored.

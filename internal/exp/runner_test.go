@@ -3,12 +3,15 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hfstream/internal/design"
+	"hfstream/internal/isa"
 	"hfstream/internal/sim"
 	"hfstream/internal/workloads"
 )
@@ -138,8 +141,8 @@ func TestRunnerUnknownBenchmarkFails(t *testing.T) {
 // functional interpreter exactly once per benchmark no matter how many
 // simulations verify against it.
 func TestOracleRunsOncePerBenchmark(t *testing.T) {
-	resetOracleCache()
-	defer resetOracleCache()
+	resetBenchCache()
+	defer resetBenchCache()
 	b, err := workloads.ByName("wc")
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +175,8 @@ func TestOracleRunsOncePerBenchmark(t *testing.T) {
 // TestOracleCacheConcurrent hammers Expected from many goroutines (run
 // under -race): one interpreter execution, one shared image, no races.
 func TestOracleCacheConcurrent(t *testing.T) {
-	resetOracleCache()
-	defer resetOracleCache()
+	resetBenchCache()
+	defer resetBenchCache()
 	b, err := workloads.ByName("wc")
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +205,129 @@ func TestOracleCacheConcurrent(t *testing.T) {
 			t.Fatalf("goroutine %d saw different oracle output", i)
 		}
 	}
+}
+
+// TestPlanRunsOncePerShape: the cache partitions each benchmark shape
+// once however many simulations run it, concurrently or not. The seven
+// dual-core designs of wc share one plan, the baseline makes a second,
+// and a shape the benchmark cannot take is refused from the cache with
+// the error it was refused with the first time.
+func TestPlanRunsOncePerShape(t *testing.T) {
+	resetBenchCache()
+	defer resetBenchCache()
+	var jobs []Job
+	for _, cfg := range design.StandardConfigs() {
+		jobs = append(jobs, Job{Bench: "wc", Config: cfg})
+	}
+	if err := FirstErr((&Runner{Workers: len(jobs)}).Run(context.Background(), jobs)); err != nil {
+		t.Fatal(err)
+	}
+	if n := planRuns.Load(); n != 1 {
+		t.Errorf("seven concurrent designs of one shape planned %d times, want 1", n)
+	}
+	if err := FirstErr((&Runner{Workers: 1}).Run(context.Background(), []Job{{Bench: "wc", Single: true}})); err != nil {
+		t.Fatal(err)
+	}
+	if n := planRuns.Load(); n != 2 {
+		t.Errorf("wc's pipeline and baseline planned %d times, want 2", n)
+	}
+	for _, c := range []struct {
+		bench string
+		cfg   design.Config
+	}{
+		{"bzip2", design.HeavyWTConfig().WithCores(3)}, // hand-partitioned
+		{"epicdec", design.HeavyWTConfig().WithCores(8)},
+	} {
+		b, err := workloads.ByName(c.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := planRuns.Load()
+		_, first := plan(b, c.cfg)
+		_, second := plan(b, c.cfg)
+		if first == nil || second != first {
+			t.Errorf("%s/%s: errors %v then %v, want one error twice", c.bench, c.cfg.Name(), first, second)
+		}
+		if n := planRuns.Load() - before; n != 1 {
+			t.Errorf("%s/%s: planned %d times, want 1", c.bench, c.cfg.Name(), n)
+		}
+	}
+}
+
+// programsDigest hashes every field of every instruction of progs, in
+// order.
+func programsDigest(progs []*isa.Program) uint64 {
+	h := fnv.New64a()
+	for _, p := range progs {
+		fmt.Fprintf(h, "%s %d\n", p.Name, len(p.Instrs))
+		for _, in := range p.Instrs {
+			fmt.Fprintf(h, "%d %d %d %d %d %d %t\n", in.Op, in.Rd, in.Ra, in.Rb, in.Imm, in.Q, in.Comm)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestPlansStayReadOnly is the licence for sharing one plan among every
+// run of its shape: after the 63 dual-core cells and the parallel-stage
+// family at 3, 4 and 6 cores (software-queue lowering, SYNCOPTI's queue
+// controller, the synchronization array, replicated workers) have run on
+// the cached programs through the parallel Runner, every program in the
+// cache — theirs and any other test's — still reads as a fresh partition
+// of its shape. A cell a catalog row already ran is not run again: it ran
+// on the same cached programs, on the same kind of runner. Under -race a
+// write to a shared program is also a reported race.
+func TestPlansStayReadOnly(t *testing.T) {
+	jobs := paperCells()
+	for _, name := range workloads.Names() {
+		for _, k := range []int{3, 4, 6} {
+			jobs = append(jobs, Job{Bench: name, Config: design.MPMCQ64Config().WithCores(k)})
+		}
+	}
+	var todo []Job
+	for _, j := range jobs {
+		b, err := workloads.ByName(j.Bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan(b, j.Config); err != nil {
+			continue // a shape the kernel cannot fill
+		}
+		if _, ok := catalogRun(j); !ok {
+			todo = append(todo, j)
+		}
+	}
+	if err := FirstErr((&Runner{Workers: 4}).Run(context.Background(), todo)); err != nil {
+		t.Fatal(err)
+	}
+	benchCache.Lock()
+	defer benchCache.Unlock()
+	shapes := 0
+	for name, e := range benchCache.m {
+		b, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := range e.plans {
+			for shape := range e.plans[n] {
+				cached := e.plans[n][shape].progs
+				if cached == nil {
+					continue // never planned, or refused
+				}
+				fresh, err := partition(b, n, shape == 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if programsDigest(cached) != programsDigest(fresh) {
+					t.Errorf("%s, %d cores, parallel %t: the cached programs no longer match a fresh partition", name, n, shape == 1)
+				}
+				shapes++
+			}
+		}
+	}
+	if shapes == 0 {
+		t.Fatal("no cached plan to check")
+	}
+	t.Logf("%d cells run, %d cached shapes checked", len(todo), shapes)
 }
 
 // TestRunnerProgressReporting: the progress callback sees every job

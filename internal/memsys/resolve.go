@@ -288,8 +288,10 @@ func (c *Controller) afterStreamStore(cycle uint64, e *ozEntry, line *cache.Line
 // write-forwarding OzQ pollution).
 func (c *Controller) injectForwards(cycle uint64) {
 	for len(c.pendingForwards) > 0 && c.CanAccept() {
+		// Pop by copying down, so the backing array keeps its capacity
+		// and the next forward appends without allocating.
 		f := c.pendingForwards[0]
-		c.pendingForwards = c.pendingForwards[1:]
+		c.pendingForwards = c.pendingForwards[:copy(c.pendingForwards, c.pendingForwards[1:])]
 		e := c.alloc()
 		*e = ozEntry{
 			kind: opForward, state: stWaitPort, addr: f.lineAddr,

@@ -14,13 +14,15 @@ import (
 	"hfstream/trace"
 )
 
-// BenchmarkRunCell times sim.Run alone on six cells of the evaluation:
-// a controller-queue design, software queues on a memory-bound kernel, a
-// four-stage synchronization-array chain, two six-stage chains whose
-// cores spend most cycles on a refused queue operation (a full array
-// queue, and an OzQ full of dormant produces), and one traced cell run the
-// way the spine's referee workload runs it: fast-forward off, into a fresh
-// trace.NewSink() ring each iteration, so its B/op is mostly the ring. The
+// BenchmarkRunCell times sim.Run alone on seven cells of the evaluation:
+// a controller-queue design, software queues on a memory-bound kernel,
+// MEMOPTI's write-forwarding software queues (whose allocs/op show the
+// forward queue reusing its array), a four-stage synchronization-array
+// chain, two six-stage chains whose cores spend most cycles on a refused
+// queue operation (a full array queue, and an OzQ full of dormant
+// produces), and one traced cell run the way the spine's referee workload
+// runs it: fast-forward off, into a fresh trace.NewSink() ring each
+// iteration, so its B/op is mostly the ring. The
 // threads, the machine and the input image are built once; every iteration
 // runs on a fresh copy-on-write fork of the image, as the experiment
 // harness does.
@@ -32,6 +34,7 @@ func BenchmarkRunCell(b *testing.B) {
 	}{
 		{"wc", design.SyncOptiConfig(), false},
 		{"mcf", design.ExistingConfig(), false},
+		{"fir", design.MemOptiConfig(), false},
 		{"fft2", design.HeavyWTConfig().WithCores(4), false},
 		{"art", design.HeavyWTConfig().WithCores(6), false},
 		{"equake", design.SyncOptiSCQ64Config().WithCores(6), false},

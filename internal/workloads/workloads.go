@@ -141,7 +141,10 @@ func Check(name string) error {
 
 // ByName builds the named benchmark, or returns an error listing valid
 // names. Every call returns a fresh instance, so concurrent users share
-// no loop IR, program or setup closure.
+// no loop IR, program or setup closure. (The experiment harness keeps
+// per-process copies of what every run of a benchmark reads — its images
+// and the programs of each pipeline shape — built from an instance of
+// its own and shared read-only.)
 func ByName(name string) (*Benchmark, error) {
 	build, err := lookup(name)
 	if err != nil {
