@@ -109,12 +109,13 @@ gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./internal/dswp ./serve ./trace
 
 # The last step is CI's regression gate: the dual-core matrix, an N-core
-# cell, a service number, the cache-hit path alone (serve_hot: no kernel
-# work, so a cost in decode, key, cache or encode is not diluted by a
-# simulation) and the peer tier (cluster3: nothing else gated runs
-# PeerGet/PeerPut) against the parent commit.
+# cell, the per-cycle kernel (referee: nothing else gated runs sim.Run
+# with fast-forward off), a service number, the cache-hit path alone
+# (serve_hot: no kernel work, so a cost in decode, key, cache or encode is
+# not diluted by a simulation) and the peer tier (cluster3: nothing else
+# gated runs PeerGet/PeerPut) against the parent commit.
 ci: tier1 refcut-check spine-test race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos-smoke chaos-cluster
-	$(MAKE) spine-pairs BASE=$(or $(BASE),HEAD~1) WORKLOAD=matrix2,ncore,serve_mix,serve_hot,cluster3 PAIRS=3
+	$(MAKE) spine-pairs BASE=$(or $(BASE),HEAD~1) WORKLOAD=matrix2,ncore,referee,serve_mix,serve_hot,cluster3 PAIRS=3
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -110,7 +110,7 @@ func RunProgramsCtx(ctx context.Context, d Design, progs []*Program, init map[ui
 		image.Write8(a, v)
 	}
 	o := gatherOpts(opts)
-	res, err := exp.Execute(ctx, d.cfg, raw, image, nil, o.expOpts())
+	res, err := exp.Execute(ctx, d.cfg, raw, image, nil, o.RunOpts)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"hfstream/fault"
 	"hfstream/internal/design"
 	"hfstream/internal/isa"
 	"hfstream/internal/lower"
@@ -22,36 +21,14 @@ import (
 	"hfstream/internal/queue"
 	"hfstream/internal/sim"
 	"hfstream/internal/workloads"
-	"hfstream/trace"
 )
 
-// RunOpts bundles the optional observability knobs a run can enable.
-type RunOpts struct {
-	// SampleInterval enables the per-interval time series (0 = off).
-	SampleInterval uint64
-	// Trace, when non-nil, receives the structured event trace.
-	Trace *trace.Buffer
-	// Progress, when non-nil, is called from the cycle loop every
-	// ProgressEvery cycles (see sim.Config.Progress).
-	Progress      func(cycle, issued uint64)
-	ProgressEvery uint64
-	// Faults, when non-nil, is the per-run fault injector (see
-	// sim.Config.Faults); injectors carry per-run state.
-	Faults *fault.Injector
-	// DisableFastForward forces the per-cycle kernel loop (see
-	// sim.Config.DisableFastForward); outputs are identical either way.
-	DisableFastForward bool
-}
+// RunOpts are a run's controls: sampling, progress, tracing, faults and
+// the kernel mode, declared once as sim.RunOpts.
+type RunOpts sim.RunOpts
 
-// Apply copies the options onto a simulator config.
-func (o RunOpts) Apply(simCfg *sim.Config) {
-	simCfg.SampleInterval = o.SampleInterval
-	simCfg.Trace = o.Trace
-	simCfg.Progress = o.Progress
-	simCfg.ProgressEvery = o.ProgressEvery
-	simCfg.Faults = o.Faults
-	simCfg.DisableFastForward = o.DisableFastForward
-}
+// Apply sets the options on a simulator config.
+func (o RunOpts) Apply(simCfg *sim.Config) { simCfg.RunOpts = sim.RunOpts(o) }
 
 // RunBenchmarkOpts runs the pipelined version of b on the design point
 // and verifies the output region against the functional oracle. The

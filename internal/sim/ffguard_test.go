@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"hfstream/fault"
@@ -50,11 +51,11 @@ func TestCancelPreClosedInsideIdleSpan(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("error = %v (%T), want CanceledError", err, err)
 		}
-		// FF-off polls every cancelCheck interval, so the abort lands
-		// within a few thousand cycles. FF-on crosses the whole idle span
-		// in one jump (no wall-clock elapses mid-jump) and polls right
-		// after landing, so the abort cycle is bounded by the jump target
-		// — the watchdog window — instead.
+		// FF-off polls every 1024 cycles, so the abort lands within a few
+		// thousand cycles. FF-on crosses the whole idle span in one jump
+		// (no wall-clock elapses mid-jump) and polls on the landing cycle,
+		// so the abort cycle is bounded by the jump target — the watchdog
+		// window — instead.
 		limit := uint64(4096)
 		if !disableFF {
 			limit = cfg.WatchdogIdle + 2
@@ -223,9 +224,12 @@ func TestWatchdogWindowSweepExact(t *testing.T) {
 
 // TestUnquiescedExitCycleExact: the cores-done-but-fabric-stuck exit path
 // also rides the watchdog window; its Result.Cycles and diagnosis cycle
-// must be identical in both FF modes.
+// must be identical in both FF modes. Jumps cross the 3 000-cycle idle
+// tail, so the samples (every 97 cycles) and the progress reports (every
+// 101) must also match in both modes: each is taken on its exact cycle.
 func TestUnquiescedExitCycleExact(t *testing.T) {
-	run := func(disableFF bool) (uint64, uint64) {
+	type report struct{ cycle, issued uint64 }
+	run := func(disableFF bool) (uint64, uint64, []sim.Sample, []report) {
 		p := asm.NewBuilder("p1")
 		p.MovI(1, 7)
 		for i := 0; i < 4; i++ {
@@ -242,6 +246,10 @@ func TestUnquiescedExitCycleExact(t *testing.T) {
 		cfg.WatchdogIdle = 3000
 		cfg.DisableFastForward = disableFF
 		cfg.Faults = in
+		cfg.SampleInterval = 97
+		var reports []report
+		cfg.ProgressEvery = 101
+		cfg.Progress = func(cycle, issued uint64) { reports = append(reports, report{cycle, issued}) }
 		res, err := sim.Run(cfg, mem.New(), []sim.Thread{{Prog: p.MustProgram()}, {Prog: c.MustProgram()}})
 		if err != nil {
 			t.Fatalf("run failed: %v", err)
@@ -249,10 +257,20 @@ func TestUnquiescedExitCycleExact(t *testing.T) {
 		if !res.UnquiescedExit || res.Diagnosis == nil {
 			t.Fatal("expected an unquiesced exit with a diagnosis")
 		}
-		return res.Cycles, res.Diagnosis.Cycle
+		return res.Cycles, res.Diagnosis.Cycle, res.Samples, reports
 	}
-	onCycles, onDiag := run(false)
-	offCycles, offDiag := run(true)
+	onCycles, onDiag, onSamples, onReports := run(false)
+	offCycles, offDiag, offSamples, offReports := run(true)
+	if len(offSamples) != int(offCycles/97) || len(offReports) != int(offCycles/101) {
+		t.Fatalf("per-cycle run took %d samples and %d reports in %d cycles, want one per period",
+			len(offSamples), len(offReports), offCycles)
+	}
+	if !reflect.DeepEqual(onSamples, offSamples) {
+		t.Errorf("samples differ: %d with FF, %d without", len(onSamples), len(offSamples))
+	}
+	if !reflect.DeepEqual(onReports, offReports) {
+		t.Errorf("progress reports differ:\n with FF %v\n without %v", onReports, offReports)
+	}
 	if onCycles != offCycles {
 		t.Errorf("unquiesced exit at cycle %d with FF, %d without", onCycles, offCycles)
 	}

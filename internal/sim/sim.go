@@ -40,6 +40,21 @@ type Config struct {
 	// WatchdogIdle aborts if no instruction issues for this many
 	// consecutive cycles (0 = 100k), catching queue/coherence deadlocks.
 	WatchdogIdle uint64
+	// Cancel aborts the run when closed (typically wired to a
+	// context.Done channel by the experiment runner); Run then returns a
+	// *CanceledError. Cancel is polled at the first gate at or past each
+	// multiple of 1024 cycles, so after a jump it is polled on the
+	// landing cycle; no busy cycle pays for a select.
+	Cancel <-chan struct{}
+
+	RunOpts
+}
+
+// RunOpts are the controls a caller sets per run on top of the machine a
+// design point lowers to: sampling, progress, tracing, fault injection
+// and the kernel-mode switch. They are declared here once; the experiment
+// harness and the public options set them through this struct.
+type RunOpts struct {
 	// SampleInterval collects a throughput sample every N cycles
 	// (0 = off); see Result.Samples, TraceReport and CSV.
 	SampleInterval uint64
@@ -53,13 +68,6 @@ type Config struct {
 	// ProgressEvery is the Progress reporting period in cycles
 	// (0 = every 1M cycles when Progress is set).
 	ProgressEvery uint64
-
-	// Cancel aborts the run when closed (typically wired to a
-	// context.Done channel by the experiment runner); Run then returns a
-	// *CanceledError. The channel is polled every cancelCheckMask+1
-	// cycles, so cancellation latency is bounded without a per-cycle
-	// select on the hot loop.
-	Cancel <-chan struct{}
 
 	// Trace, when non-nil, receives structured issue/retire/queue-op/
 	// bus-grant/stall events from every core and the shared bus. The ring
@@ -86,7 +94,9 @@ type Config struct {
 	DisableFastForward bool
 }
 
-// cancelCheckMask throttles Cancel polling to every 1024th cycle.
+// cancelCheckMask sets the Cancel polling period: Cancel is polled at the
+// first gate at or past each multiple of 1024 cycles, so after a jump it
+// is polled on the landing cycle.
 const cancelCheckMask = 1023
 
 // Thread is one program plus its initial register file contents.
@@ -391,20 +401,29 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 	prevIssued := make([]uint64, len(cores))
 	coreDone := make([]bool, len(cores))
 	var prevGrants uint64
-	var unquiesced bool
 	var unquiescedDiag *Diagnosis
+	// The periodic duties share one gate. Sampling and progress are exact:
+	// each fires on its boundary cycle, so their minimum, nextExact, caps
+	// every jump. Cancel is polled (see cancelCheckMask) and never shortens
+	// a jump. A duty that is off never comes due, and a busy cycle tests
+	// only nextDue, the minimum of all three.
+	const never = ^uint64(0)
+	nextSample, nextReport, nextPoll := never, never, never
+	if cfg.SampleInterval > 0 {
+		nextSample = cfg.SampleInterval
+	}
+	if cfg.Progress != nil {
+		nextReport = progressEvery
+	}
+	if cfg.Cancel != nil {
+		nextPoll = cancelCheckMask + 1
+	}
+	nextDue := min(nextSample, nextReport, nextPoll)
 	for {
 		cycle++
 		if cycle > maxCycles {
 			d := diagnose("cycle budget exhausted", cycle, lastProgress, watchdog, cores, fab, sa, &cfg)
 			return nil, &DeadlockError{Cycle: cycle, Detail: d.String(), Diag: d}
-		}
-		if cfg.Cancel != nil && cycle&cancelCheckMask == 0 {
-			select {
-			case <-cfg.Cancel:
-				return nil, &CanceledError{Cycle: cycle}
-			default:
-			}
 		}
 		// Event-driven scheduling: with fast-forward on, components whose
 		// cached wake time says they cannot do anything this cycle are not
@@ -434,19 +453,34 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 			}
 		}
 		queueOcc.Observe(prodNow - consNow)
-		if cfg.SampleInterval > 0 && cycle%cfg.SampleInterval == 0 {
-			s := Sample{Cycle: cycle, Issued: make([]uint64, len(cores))}
-			for i, c := range cores {
-				s.Issued[i] = c.Issued - prevIssued[i]
-				prevIssued[i] = c.Issued
+		// The gate runs before the done, watchdog and jump checks, so a
+		// cancel that is due wins over a watchdog firing on the same cycle.
+		if cycle >= nextDue {
+			if cycle == nextSample {
+				s := Sample{Cycle: cycle, Issued: make([]uint64, len(cores))}
+				for i, c := range cores {
+					s.Issued[i] = c.Issued - prevIssued[i]
+					prevIssued[i] = c.Issued
+				}
+				g := fab.Bus().TotalGrants()
+				s.BusGrants = g - prevGrants
+				prevGrants = g
+				samples = append(samples, s)
+				nextSample += cfg.SampleInterval
 			}
-			g := fab.Bus().TotalGrants()
-			s.BusGrants = g - prevGrants
-			prevGrants = g
-			samples = append(samples, s)
-		}
-		if cfg.Progress != nil && cycle%progressEvery == 0 {
-			cfg.Progress(cycle, issuedNow)
+			if cycle == nextReport {
+				cfg.Progress(cycle, issuedNow)
+				nextReport += progressEvery
+			}
+			if cycle >= nextPoll {
+				select {
+				case <-cfg.Cancel:
+					return nil, &CanceledError{Cycle: cycle}
+				default:
+				}
+				nextPoll = (cycle | cancelCheckMask) + 1
+			}
+			nextDue = min(nextSample, nextReport, nextPoll)
 		}
 		if allDone && fab.Quiesced(cycle) && (sa == nil || sa.Drained()) {
 			break
@@ -463,7 +497,6 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 				// complete, so finish the run — but record the condition
 				// so callers can surface it instead of silently absorbing
 				// a fabric bug.
-				unquiesced = true
 				unquiescedDiag = diagnose("cores done but fabric never quiesced",
 					cycle, lastProgress, watchdog, cores, fab, sa, &cfg)
 				break
@@ -481,36 +514,16 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		// cycle replays this one exactly. Jump there in one step, charging
 		// each skipped cycle to the same stall buckets and counters the
 		// per-cycle loop would have. The jump is capped so the watchdog,
-		// cycle budget, and sampling boundaries fire on exactly the cycle
-		// they would without fast-forwarding.
-		wake := lastProgress + watchdog + 1
-		if m := maxCycles + 1; m < wake {
-			wake = m
-		}
-		if w := fab.NextWake(cycle); w < wake {
-			wake = w
-		}
+		// the cycle budget and the exact duties (nextExact) fire on exactly
+		// the cycle they would without fast-forwarding.
+		nextExact := min(nextSample, nextReport)
+		wake := min(lastProgress+watchdog+1, maxCycles+1, nextExact, fab.NextWake(cycle))
 		if sa != nil {
-			if w := sa.NextWake(cycle); w < wake {
-				wake = w
-			}
+			wake = min(wake, sa.NextWake(cycle))
 		}
 		for i, c := range cores {
-			if coreDone[i] {
-				continue
-			}
-			if w := c.NextWake(cycle); w < wake {
-				wake = w
-			}
-		}
-		if cfg.SampleInterval > 0 {
-			if b := cycle - cycle%cfg.SampleInterval + cfg.SampleInterval; b < wake {
-				wake = b
-			}
-		}
-		if cfg.Progress != nil {
-			if b := cycle - cycle%progressEvery + progressEvery; b < wake {
-				wake = b
+			if !coreDone[i] {
+				wake = min(wake, c.NextWake(cycle))
 			}
 		}
 		if wake <= cycle+1 {
@@ -525,13 +538,6 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		}
 		queueOcc.ObserveN(prodNow-consNow, n)
 		cycle += n
-		if cfg.Cancel != nil {
-			select {
-			case <-cfg.Cancel:
-				return nil, &CanceledError{Cycle: cycle}
-			default:
-			}
-		}
 	}
 
 	res := &Result{
@@ -539,7 +545,7 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		Samples:        samples,
 		Trace:          cfg.Trace,
 		QueueOcc:       queueOcc,
-		UnquiescedExit: unquiesced,
+		UnquiescedExit: unquiescedDiag != nil,
 		Diagnosis:      unquiescedDiag,
 		FaultShots:     cfg.Faults.ShotStrings(),
 	}

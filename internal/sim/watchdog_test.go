@@ -78,26 +78,29 @@ func TestMaxCyclesBudget(t *testing.T) {
 }
 
 // TestCancelAbortsRun: a closed Cancel channel stops even a spinning
-// program promptly with a CanceledError.
+// program with a CanceledError at the first poll, cycle 1024, in both
+// kernels.
 func TestCancelAbortsRun(t *testing.T) {
 	b := asm.NewBuilder("spin")
 	b.Label("loop")
 	b.AddI(1, 1, 1)
 	b.B("loop")
 
-	cancel := make(chan struct{})
-	close(cancel)
-	cfg := design.ExistingConfig().SimConfig()
-	cfg.Cancel = cancel
-	_, err := sim.Run(cfg, mem.New(), []sim.Thread{{Prog: b.MustProgram()}})
-	var ce *sim.CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("error = %v (%T), want CanceledError", err, err)
-	}
-	// The poll interval bounds how far a canceled run may get.
-	if ce.Cycle > 2048 {
-		t.Errorf("canceled only at cycle %d, want prompt abort", ce.Cycle)
-	}
+	ffModes(t, func(t *testing.T, disableFF bool) {
+		cancel := make(chan struct{})
+		close(cancel)
+		cfg := design.ExistingConfig().SimConfig()
+		cfg.Cancel = cancel
+		cfg.DisableFastForward = disableFF
+		_, err := sim.Run(cfg, mem.New(), []sim.Thread{{Prog: b.MustProgram()}})
+		var ce *sim.CanceledError
+		if !errors.As(err, &ce) {
+			t.Fatalf("error = %v (%T), want CanceledError", err, err)
+		}
+		if ce.Cycle != 1024 {
+			t.Errorf("canceled at cycle %d, want 1024", ce.Cycle)
+		}
+	})
 }
 
 // TestCancelUnusedDoesNotFire: an armed but never-closed Cancel channel

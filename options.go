@@ -22,13 +22,8 @@ type ProgressEvent struct {
 type RunOpt func(*runOpts)
 
 type runOpts struct {
-	trace          *trace.Sink
-	metrics        io.Writer
-	progress       func(ProgressEvent)
-	progressEvery  uint64
-	sampleInterval uint64
-	faults         *fault.Injector
-	noFastForward  bool
+	exp.RunOpts
+	metrics io.Writer
 }
 
 func gatherOpts(opts []RunOpt) runOpts {
@@ -37,23 +32,6 @@ func gatherOpts(opts []RunOpt) runOpts {
 		opt(&o)
 	}
 	return o
-}
-
-func (o runOpts) expOpts() exp.RunOpts {
-	e := exp.RunOpts{
-		SampleInterval:     o.sampleInterval,
-		Trace:              o.trace,
-		ProgressEvery:      o.progressEvery,
-		Faults:             o.faults,
-		DisableFastForward: o.noFastForward,
-	}
-	if o.progress != nil {
-		fn := o.progress
-		e.Progress = func(cycle, issued uint64) {
-			fn(ProgressEvent{Cycle: cycle, Instructions: issued})
-		}
-	}
-	return e
 }
 
 // WithTrace directs the run's cycle-level event stream — instruction
@@ -65,7 +43,7 @@ func (o runOpts) expOpts() exp.RunOpts {
 // so the trace and the reported results are the same bytes with and
 // without WithoutFastForward.
 func WithTrace(s *trace.Sink) RunOpt {
-	return func(o *runOpts) { o.trace = s }
+	return func(o *runOpts) { o.Trace = s }
 }
 
 // WithMetrics writes the run's machine-readable metrics snapshot — the
@@ -80,13 +58,20 @@ func WithMetrics(w io.Writer) RunOpt {
 // runs otherwise give no sign of life). fn must be fast and must not
 // block; it runs on the simulation goroutine.
 func WithProgress(fn func(ProgressEvent)) RunOpt {
-	return func(o *runOpts) { o.progress = fn }
+	return func(o *runOpts) {
+		o.Progress = nil
+		if fn != nil {
+			o.Progress = func(cycle, issued uint64) {
+				fn(ProgressEvent{Cycle: cycle, Instructions: issued})
+			}
+		}
+	}
 }
 
 // WithProgressInterval changes the WithProgress cadence to every n
 // simulated cycles (0 keeps the default).
 func WithProgressInterval(n uint64) RunOpt {
-	return func(o *runOpts) { o.progressEvery = n }
+	return func(o *runOpts) { o.ProgressEvery = n }
 }
 
 // WithFaults injects the seeded fault plan into the run: a fresh
@@ -97,7 +82,7 @@ func WithProgressInterval(n uint64) RunOpt {
 // an unquiesced exit carrying a populated Diagnosis. Use
 // WithFaultInjector to keep access to the fired-shot log.
 func WithFaults(p fault.Plan) RunOpt {
-	return func(o *runOpts) { o.faults = p.Injector() }
+	return func(o *runOpts) { o.Faults = p.Injector() }
 }
 
 // WithFaultInjector injects through a caller-built fault.Injector. The
@@ -105,7 +90,7 @@ func WithFaults(p fault.Plan) RunOpt {
 // return no Result — it can inspect Shots() and LossFired(). An injector
 // carries per-run state and must not be reused across runs.
 func WithFaultInjector(in *fault.Injector) RunOpt {
-	return func(o *runOpts) { o.faults = in }
+	return func(o *runOpts) { o.Faults = in }
 }
 
 // WithoutFastForward disables the kernel's idle-cycle fast-forward for
@@ -115,12 +100,12 @@ func WithFaultInjector(in *fault.Injector) RunOpt {
 // proof and for debugging. It is the per-run form of the process-wide
 // HFSTREAM_NO_FASTFORWARD environment variable.
 func WithoutFastForward() RunOpt {
-	return func(o *runOpts) { o.noFastForward = true }
+	return func(o *runOpts) { o.DisableFastForward = true }
 }
 
 // WithSampleInterval collects a throughput sample (per-core issue counts
 // and bus grants) every n cycles; render them with Result.TimeSeriesReport
 // or Result.TimeSeriesCSV.
 func WithSampleInterval(n uint64) RunOpt {
-	return func(o *runOpts) { o.sampleInterval = n }
+	return func(o *runOpts) { o.SampleInterval = n }
 }

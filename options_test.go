@@ -58,6 +58,15 @@ func TestRunCtxOptions(t *testing.T) {
 			t.Fatalf("progress event %d at cycle %d, want multiples of 10000", i, e.Cycle)
 		}
 	}
+
+	// WithProgress(nil) turns progress off, as the last option given.
+	if _, err := RunCtx(context.Background(), b, HeavyWT,
+		WithProgress(func(ProgressEvent) { t.Error("replaced progress callback fired") }),
+		WithProgress(nil),
+		WithProgressInterval(1_000),
+	); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRunCtxCanceled(t *testing.T) {

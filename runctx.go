@@ -15,7 +15,7 @@ import (
 // image is verified against the functional-interpreter oracle.
 func RunCtx(ctx context.Context, b Benchmark, d Design, opts ...RunOpt) (Result, error) {
 	o := gatherOpts(opts)
-	res, err := exp.RunBenchmarkOpts(ctx, b.b, d.cfg, o.expOpts())
+	res, err := exp.RunBenchmarkOpts(ctx, b.b, d.cfg, o.RunOpts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -26,7 +26,7 @@ func RunCtx(ctx context.Context, b Benchmark, d Design, opts ...RunOpt) (Result,
 // observability options (see RunCtx).
 func RunSingleThreadedCtx(ctx context.Context, b Benchmark, opts ...RunOpt) (Result, error) {
 	o := gatherOpts(opts)
-	res, err := exp.RunSingleOpts(ctx, b.b, o.expOpts())
+	res, err := exp.RunSingleOpts(ctx, b.b, o.RunOpts)
 	if err != nil {
 		return Result{}, err
 	}

@@ -32,8 +32,10 @@ package serve
 //
 // Cancellation: the run is executed under the HTTP request's context,
 // so a client disconnect closes sim.Config.Cancel and stops the
-// simulation within its polling bound (1024 cycles) — a canceled run
-// produces an error event with code "canceled" and is never cached.
+// simulation. Cancel is polled at the first gate at or past each multiple
+// of 1024 cycles, so after an idle-cycle jump it is polled on the landing
+// cycle. A canceled run produces an error event with code "canceled" and
+// is never cached.
 
 import (
 	"encoding/json"
