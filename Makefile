@@ -1,7 +1,7 @@
 # Developer targets, one line each; EXPERIMENTS.md says what each battery
 # proves and records the numbers (RESILIENCE.md for the chaos targets).
 #
-#   make tier1              build + vet + tests: the gate every PR keeps green
+#   make tier1              build + vet + tests, docs_test.go's paths, targets and -run patterns too: the gate every PR keeps green
 #   make refcut-check       rerun the DSWP reference cut search against internal/dswp/testdata/refcuts.txt
 #   make spine-test         the nested bench/spine module's tests (tier1 does not enter it)
 #   make spine              the repository's benchmark, every workload (bench/spine/README.md)

@@ -360,23 +360,24 @@ func fromSim(res *sim.Result) Result {
 		CommInstructions: res.IssuedComm,
 		CoreCycles:       res.CoreCycles,
 		IssueCycles:      res.IssueCycles,
-		BusGrants:        res.BusGrants,
-		BusBeats:         res.BusBeats,
-		BusArbWait:       res.BusArbWait,
-		L3Hits:           res.L3Hits,
-		L3Misses:         res.L3Misses,
-		MemAccesses:      res.MemAccesses,
-		WriteForwards:    res.WrFwds,
-		BulkAcks:         res.BulkAcks,
-		Probes:           res.Probes,
-		StreamCacheHits:  res.SCHits,
-		SAFullStalls:     res.SAFullStalls,
-		SAEmptyStalls:    res.SAEmptyStalls,
-		UnquiescedExit:   res.UnquiescedExit,
-		UnquiescedDetail: res.UnquiescedDetail,
+		BusGrants:        res.Bus.Grants,
+		BusBeats:         res.Bus.Beats,
+		BusArbWait:       res.Bus.ArbWait,
+		L3Hits:           res.Memory.L3Hits,
+		L3Misses:         res.Memory.L3Misses,
+		MemAccesses:      res.Memory.MemAccesses,
+		WriteForwards:    res.Streaming.WrFwds,
+		BulkAcks:         res.Streaming.BulkAcks,
+		Probes:           res.Streaming.Probes,
+		StreamCacheHits:  res.Streaming.SCHits,
+		SAFullStalls:     res.Streaming.SAFullStalls,
+		SAEmptyStalls:    res.Streaming.SAEmptyStalls,
 		Diagnosis:        res.Diagnosis,
 		FaultLog:         res.FaultShots,
 		res:              res,
+	}
+	if res.Diagnosis != nil {
+		out.UnquiescedExit, out.UnquiescedDetail = true, res.Diagnosis.String()
 	}
 	for _, bd := range res.Breakdowns {
 		out.Breakdowns = append(out.Breakdowns, fromStats(bd))

@@ -34,8 +34,6 @@ const (
 	// WriteForward pushes a streaming line from the producer's L2 into the
 	// consumer's L2 (MEMOPTI / SYNCOPTI).
 	WriteForward
-	// OccUpdate carries a SYNCOPTI occupancy-counter update.
-	OccUpdate
 	// BulkAck is the consumer's per-line consumption notification that
 	// updates the producer's occupancy tracker (SYNCOPTI).
 	BulkAck
@@ -58,8 +56,6 @@ func (k Kind) String() string {
 		return "Writeback"
 	case WriteForward:
 		return "WriteForward"
-	case OccUpdate:
-		return "OccUpdate"
 	case BulkAck:
 		return "BulkAck"
 	case Probe:
@@ -103,19 +99,11 @@ type Req struct {
 	Q    int    // stream queue number for streaming transactions
 	Slot uint64 // cumulative starting slot for streaming transactions
 
-	// Owner, if non-nil, receives the grant callbacks (preferred: no
-	// per-request closures). Ref is an opaque cookie the owner may use to
-	// carry extra context (e.g. the OzQ entry behind a forward).
+	// Owner, if non-nil, receives the grant callbacks. Ref is an opaque
+	// cookie the owner may use to carry extra context (e.g. the OzQ entry
+	// behind a forward).
 	Owner Owner
 	Ref   any
-
-	// Note, if non-nil and Owner is nil, is invoked at grant time with
-	// the Supplier constant describing who services the request.
-	Note func(supplier int)
-
-	// Done, if non-nil and Owner is nil, is invoked during grant
-	// processing with the future completion cycle (see Owner.ReqDone).
-	Done func(cycle uint64)
 
 	granted  bool
 	submitAt uint64
@@ -346,8 +334,6 @@ func (b *Bus) grant(cycle uint64, r *Req) {
 	}
 	if r.Owner != nil {
 		r.Owner.ReqDone(r, done)
-	} else if r.Done != nil {
-		r.Done(done)
 	}
 }
 

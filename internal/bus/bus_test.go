@@ -4,6 +4,12 @@ import (
 	"testing"
 )
 
+// doneOwner hands each request's completion cycle to a test's closure.
+type doneOwner func(r *Req, done uint64)
+
+func (doneOwner) ReqNote(*Req, int)             {}
+func (f doneOwner) ReqDone(r *Req, done uint64) { f(r, done) }
+
 func TestBeatsForBytes(t *testing.T) {
 	b := New(DefaultParams(), 2, nil)
 	cases := map[int]int{1: 1, 16: 1, 17: 2, 128: 8, 0: 0}
@@ -28,7 +34,7 @@ func TestGrantTiming(t *testing.T) {
 	handler := func(r *Req, grant uint64) (int, int) { return 10, 8 }
 	b := New(DefaultParams(), 1, handler)
 	b.Submit(0, &Req{Kind: Read, Addr: 0x1000, Src: 0,
-		Done: func(c uint64) { doneAt = c }})
+		Owner: doneOwner(func(_ *Req, c uint64) { doneAt = c })})
 	b.Tick(1)
 	// grant at 1; address phase (arb 1 + snoop 2) = 3; service 10;
 	// 8 beats at CPB 1 = 8 -> done at 1+3+10+8 = 22.
@@ -48,10 +54,9 @@ func TestRoundRobinFairness(t *testing.T) {
 	order := []int{}
 	handler := func(r *Req, grant uint64) (int, int) { return 0, 0 }
 	b := New(DefaultParams(), 2, handler)
+	own := doneOwner(func(r *Req, _ uint64) { order = append(order, r.Src) })
 	for i := 0; i < 4; i++ {
-		src := i % 2
-		s := src
-		b.Submit(0, &Req{Kind: Upgrade, Src: src, Done: func(uint64) { order = append(order, s) }})
+		b.Submit(0, &Req{Kind: Upgrade, Src: i % 2, Owner: own})
 	}
 	for c := uint64(1); c <= 10; c++ {
 		b.Tick(c)
@@ -75,13 +80,9 @@ func TestPipelinedVsUnpipelined(t *testing.T) {
 		var last uint64
 		handler := func(r *Req, grant uint64) (int, int) { return 5, 8 }
 		b := New(p, 1, handler)
+		own := doneOwner(func(_ *Req, c uint64) { last = max(last, c) })
 		for i := 0; i < 4; i++ {
-			b.Submit(0, &Req{Kind: Read, Src: 0, Addr: uint64(i * 128),
-				Done: func(c uint64) {
-					if c > last {
-						last = c
-					}
-				}})
+			b.Submit(0, &Req{Kind: Read, Src: 0, Addr: uint64(i * 128), Owner: own})
 		}
 		for c := uint64(1); c <= 200; c++ {
 			b.Tick(c)
@@ -101,7 +102,7 @@ func TestDataBusSerializes(t *testing.T) {
 	handler := func(r *Req, grant uint64) (int, int) { return 0, 8 }
 	b := New(DefaultParams(), 1, handler)
 	for i := 0; i < 3; i++ {
-		b.Submit(0, &Req{Kind: Read, Src: 0, Done: func(c uint64) { times = append(times, c) }})
+		b.Submit(0, &Req{Kind: Read, Src: 0, Owner: doneOwner(func(_ *Req, c uint64) { times = append(times, c) })})
 	}
 	for c := uint64(1); c <= 100; c++ {
 		b.Tick(c)
@@ -123,7 +124,7 @@ func TestCPBScalesLatency(t *testing.T) {
 		p.CPB = cpb
 		var done uint64
 		b := New(p, 1, func(r *Req, g uint64) (int, int) { return 0, 8 })
-		b.Submit(0, &Req{Kind: Read, Src: 0, Done: func(c uint64) { done = c }})
+		b.Submit(0, &Req{Kind: Read, Src: 0, Owner: doneOwner(func(_ *Req, c uint64) { done = c })})
 		b.Tick(1)
 		return done
 	}
@@ -169,20 +170,4 @@ func TestBadSourcePanics(t *testing.T) {
 		}
 	}()
 	b.Submit(0, &Req{Src: 7})
-}
-
-func TestNoteCallback(t *testing.T) {
-	noted := -1
-	h := func(r *Req, g uint64) (int, int) {
-		if r.Note != nil {
-			r.Note(SupplierMem)
-		}
-		return 0, 0
-	}
-	b := New(DefaultParams(), 1, h)
-	b.Submit(0, &Req{Kind: Read, Src: 0, Note: func(s int) { noted = s }})
-	b.Tick(1)
-	if noted != SupplierMem {
-		t.Errorf("Note got %d", noted)
-	}
 }

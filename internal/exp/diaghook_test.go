@@ -37,10 +37,7 @@ func TestDiagnosisHookReceivesForensics(t *testing.T) {
 					Diag:  &sim.Diagnosis{Reason: "watchdog"},
 				}
 			case "unquiesced":
-				return &sim.Result{
-					UnquiescedExit: true,
-					Diagnosis:      &sim.Diagnosis{Reason: "unquiesced"},
-				}, nil
+				return &sim.Result{Diagnosis: &sim.Diagnosis{Reason: "unquiesced"}}, nil
 			default:
 				return &sim.Result{}, nil
 			}

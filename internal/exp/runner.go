@@ -114,7 +114,7 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 				}
 			}
 			results[i] = JobResult{Job: j, Res: res, Err: err, Wall: time.Since(start)}
-			if res != nil && res.UnquiescedExit {
+			if res != nil && res.Diagnosis != nil {
 				warnf("%s: cores done but fabric never quiesced (run with hfsim for the fabric dump)", j.Name())
 				diagnosef(j.Name(), res.Diagnosis)
 			}

@@ -415,8 +415,8 @@ func TestRunnerSerialMatchesLegacyPath(t *testing.T) {
 	}
 }
 
-// TestWarnHookReceivesUnquiescedExit: a result flagged UnquiescedExit is
-// surfaced through the warn hook with the job name.
+// TestWarnHookReceivesUnquiescedExit: a result carrying an unquiesced
+// Diagnosis is surfaced through the warn hook with the job name.
 func TestWarnHookReceivesUnquiescedExit(t *testing.T) {
 	var mu sync.Mutex
 	var msgs []string
@@ -425,7 +425,7 @@ func TestWarnHookReceivesUnquiescedExit(t *testing.T) {
 	r := &Runner{
 		Workers: 1,
 		run: func(ctx context.Context, j Job) (*sim.Result, error) {
-			return &sim.Result{Cycles: 9, UnquiescedExit: true, UnquiescedDetail: "junk"}, nil
+			return &sim.Result{Cycles: 9, Diagnosis: &sim.Diagnosis{Reason: "junk"}}, nil
 		},
 	}
 	r.Run(context.Background(), []Job{{Bench: "wc", Config: design.HeavyWTConfig()}})

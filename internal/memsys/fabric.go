@@ -186,14 +186,6 @@ func (f *Fabric) writeback(cycle uint64, src int, addr uint64) {
 	f.submit(cycle, req)
 }
 
-func (f *Fabric) note(r *bus.Req, supplier int) {
-	if r.Owner != nil {
-		r.Owner.ReqNote(r, supplier)
-	} else if r.Note != nil {
-		r.Note(supplier)
-	}
-}
-
 // handle is the bus grant handler: it performs the snoop, applies
 // coherence state transitions, decides the supplier, and returns the
 // service latency plus data-phase occupancy.
@@ -231,18 +223,18 @@ func (f *Fabric) handle(r *bus.Req, grantCycle uint64) (serviceLat, beats int) {
 		}
 		f.ctrls[r.Src].install(grantCycle, r.Addr, st)
 		if remoteM {
-			f.note(r, bus.SupplierRemoteL2)
+			r.Owner.ReqNote(r, bus.SupplierRemoteL2)
 			return f.p.L2.Latency, fullBeats
 		}
 		if f.l3.Lookup(r.Addr) != nil {
 			f.L3Hits++
-			f.note(r, bus.SupplierL3)
+			r.Owner.ReqNote(r, bus.SupplierL3)
 			return f.p.L3.Latency, fullBeats
 		}
 		f.L3Misses++
 		f.MemAccesses++
 		f.l3.Insert(r.Addr, cache.Shared)
-		f.note(r, bus.SupplierMem)
+		r.Owner.ReqNote(r, bus.SupplierMem)
 		return f.p.L3.Latency + f.p.MemLat, fullBeats
 
 	case bus.Upgrade:
@@ -271,7 +263,7 @@ func (f *Fabric) handle(r *bus.Req, grantCycle uint64) (serviceLat, beats int) {
 		}
 		return f.p.L2.Latency, f.bus.BeatsForBytes(n)
 
-	case bus.BulkAck, bus.OccUpdate:
+	case bus.BulkAck:
 		return 0, 1
 
 	case bus.Probe:

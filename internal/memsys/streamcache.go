@@ -8,7 +8,7 @@ type streamCache struct {
 	capacity int
 	entries  map[uint64]uint64 // key(q,slot) -> value
 
-	Hits, MissesEmpty, FillsDropped uint64
+	Hits uint64
 }
 
 func newStreamCache(entries int) *streamCache {
@@ -19,11 +19,9 @@ func scKey(q int, slot uint64) uint64 { return uint64(q)<<32 | slot }
 
 // fill inserts an item; full caches drop fills.
 func (sc *streamCache) fill(q int, slot uint64, v uint64) {
-	if len(sc.entries) >= sc.capacity {
-		sc.FillsDropped++
-		return
+	if len(sc.entries) < sc.capacity {
+		sc.entries[scKey(q, slot)] = v
 	}
-	sc.entries[scKey(q, slot)] = v
 }
 
 // take returns and invalidates the entry for (q, slot) if present.
@@ -33,11 +31,6 @@ func (sc *streamCache) take(q int, slot uint64) (uint64, bool) {
 	if ok {
 		delete(sc.entries, k)
 		sc.Hits++
-		return v, true
 	}
-	sc.MissesEmpty++
-	return 0, false
+	return v, ok
 }
-
-// len returns the current occupancy.
-func (sc *streamCache) len() int { return len(sc.entries) }

@@ -75,7 +75,7 @@ func TestDelayFaultsPreserveResults(t *testing.T) {
 			if in.LossFired() {
 				t.Error("delay-class plan reported a loss shot")
 			}
-			if res.UnquiescedExit {
+			if res.Diagnosis != nil {
 				t.Error("delay-class run exited unquiesced")
 			}
 		})

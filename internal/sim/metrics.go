@@ -23,34 +23,45 @@ type Metrics struct {
 
 	Cores []CoreMetrics `json:"cores"`
 
-	Bus struct {
-		Grants  uint64 `json:"grants"`
-		Beats   uint64 `json:"beats"`
-		ArbWait uint64 `json:"arb_wait"`
-	} `json:"bus"`
-
-	Memory struct {
-		L2Hits      []uint64 `json:"l2_hits"`
-		L2Misses    []uint64 `json:"l2_misses"`
-		L3Hits      uint64   `json:"l3_hits"`
-		L3Misses    uint64   `json:"l3_misses"`
-		MemAccesses uint64   `json:"mem_accesses"`
-	} `json:"memory"`
-
-	Streaming struct {
-		WrFwds        []uint64 `json:"wr_fwds,omitempty"`
-		BulkAcks      []uint64 `json:"bulk_acks,omitempty"`
-		Probes        []uint64 `json:"probes,omitempty"`
-		SCHits        []uint64 `json:"sc_hits,omitempty"`
-		RecircRetries []uint64 `json:"recirc_retries,omitempty"`
-		SAFullStalls  uint64   `json:"sa_full_stalls,omitempty"`
-		SAEmptyStalls uint64   `json:"sa_empty_stalls,omitempty"`
-	} `json:"streaming"`
+	Bus       BusCounters       `json:"bus"`
+	Memory    MemoryCounters    `json:"memory"`
+	Streaming StreamingCounters `json:"streaming"`
 
 	// QueueOccupancy is the per-cycle histogram of stream items in flight
 	// end to end; SAOccupancy is the HEAVYWT dedicated-store histogram.
 	QueueOccupancy []HistBucket `json:"queue_occupancy,omitempty"`
 	SAOccupancy    []HistBucket `json:"sa_occupancy,omitempty"`
+}
+
+// BusCounters are the shared bus's totals over the run.
+type BusCounters struct {
+	Grants  uint64 `json:"grants"`
+	Beats   uint64 `json:"beats"`
+	ArbWait uint64 `json:"arb_wait"`
+}
+
+// MemoryCounters are the cache hierarchy's counters: per-core L2 hits and
+// misses, then the shared L3 and main memory.
+type MemoryCounters struct {
+	L2Hits      []uint64 `json:"l2_hits"`
+	L2Misses    []uint64 `json:"l2_misses"`
+	L3Hits      uint64   `json:"l3_hits"`
+	L3Misses    uint64   `json:"l3_misses"`
+	MemAccesses uint64   `json:"mem_accesses"`
+}
+
+// StreamingCounters are the streaming machinery's counters: per-core
+// forwards, bulk acks, probes, stream-cache hits and recirculation
+// retries, then the HEAVYWT synchronization array's stalls (zero unless
+// the design uses one).
+type StreamingCounters struct {
+	WrFwds        []uint64 `json:"wr_fwds,omitempty"`
+	BulkAcks      []uint64 `json:"bulk_acks,omitempty"`
+	Probes        []uint64 `json:"probes,omitempty"`
+	SCHits        []uint64 `json:"sc_hits,omitempty"`
+	RecircRetries []uint64 `json:"recirc_retries,omitempty"`
+	SAFullStalls  uint64   `json:"sa_full_stalls,omitempty"`
+	SAEmptyStalls uint64   `json:"sa_empty_stalls,omitempty"`
 }
 
 // CoreMetrics is one core's slice of the snapshot.
@@ -91,7 +102,7 @@ func histBuckets(h *stats.Hist) []HistBucket {
 
 // Metrics builds the snapshot for this result.
 func (r *Result) Metrics() *Metrics {
-	m := &Metrics{Cycles: r.Cycles, UnquiescedExit: r.UnquiescedExit}
+	m := &Metrics{Cycles: r.Cycles, UnquiescedExit: r.Diagnosis != nil}
 	for i := range r.Issued {
 		cm := CoreMetrics{
 			Issued:      r.Issued[i],
@@ -126,21 +137,7 @@ func (r *Result) Metrics() *Metrics {
 		}
 		m.Cores = append(m.Cores, cm)
 	}
-	m.Bus.Grants = r.BusGrants
-	m.Bus.Beats = r.BusBeats
-	m.Bus.ArbWait = r.BusArbWait
-	m.Memory.L2Hits = r.L2Hits
-	m.Memory.L2Misses = r.L2Misses
-	m.Memory.L3Hits = r.L3Hits
-	m.Memory.L3Misses = r.L3Misses
-	m.Memory.MemAccesses = r.MemAccesses
-	m.Streaming.WrFwds = r.WrFwds
-	m.Streaming.BulkAcks = r.BulkAcks
-	m.Streaming.Probes = r.Probes
-	m.Streaming.SCHits = r.SCHits
-	m.Streaming.RecircRetries = r.RecircRetries
-	m.Streaming.SAFullStalls = r.SAFullStalls
-	m.Streaming.SAEmptyStalls = r.SAEmptyStalls
+	m.Bus, m.Memory, m.Streaming = r.Bus, r.Memory, r.Streaming
 	occ := r.QueueOcc
 	m.QueueOccupancy = histBuckets(&occ)
 	if r.SAOcc != nil {

@@ -72,7 +72,7 @@ type RunOpts struct {
 	// Trace, when non-nil, receives structured issue/retire/queue-op/
 	// bus-grant/stall events from every core and the shared bus. The ring
 	// is bounded (see trace.NewBuffer), so tracing a long run keeps the
-	// most recent events; the same buffer is echoed on Result.Trace.
+	// most recent events.
 	// Attaching a trace does not change how the kernel runs: the events
 	// are the same bytes with fast-forwarding on and off.
 	Trace *trace.Buffer
@@ -142,43 +142,21 @@ type Result struct {
 	// delivery and consume (HEAVYWT only, nil otherwise).
 	SAOcc *stats.Hist
 
-	// Memory system counters.
-	BusGrants     uint64
-	BusBeats      uint64
-	BusArbWait    uint64
-	WrFwds        []uint64
-	BulkAcks      []uint64
-	Probes        []uint64
-	SCHits        []uint64
-	L2Hits        []uint64
-	L2Misses      []uint64
-	RecircRetries []uint64
-	L3Hits        uint64
-	L3Misses      uint64
-	MemAccesses   uint64
-
-	// HEAVYWT stats (zero unless UseSyncArray).
-	SAFullStalls  uint64
-	SAEmptyStalls uint64
+	// Bus, Memory and Streaming are the machine counters, in the same
+	// records the metrics snapshot marshals.
+	Bus       BusCounters
+	Memory    MemoryCounters
+	Streaming StreamingCounters
 
 	// Samples is the per-interval time series (empty unless
 	// Config.SampleInterval was set).
 	Samples []Sample
 
-	// Trace echoes Config.Trace (nil when tracing was off), so callers can
-	// export the events without keeping the config around.
-	Trace *trace.Buffer
-
-	// UnquiescedExit reports that every core halted but the memory
-	// fabric never quiesced within the watchdog window (in-flight junk
-	// such as an unconsumed forward). The run's outputs are still
-	// verified by the harness, but callers should surface the condition
-	// rather than swallow it; UnquiescedDetail carries the rendered
-	// Diagnosis captured at exit.
-	UnquiescedExit   bool
-	UnquiescedDetail string
-	// Diagnosis is the structured machine snapshot behind
-	// UnquiescedDetail (nil on a clean exit).
+	// Diagnosis is the machine snapshot taken when every core halted but
+	// the memory fabric never quiesced within the watchdog window (in-flight
+	// junk such as an unconsumed forward); nil on a clean exit. The run's
+	// outputs are still verified by the harness, but callers should surface
+	// the condition rather than swallow it.
 	Diagnosis *Diagnosis
 
 	// FaultShots lists the injected faults that fired during the run
@@ -541,17 +519,13 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 	}
 
 	res := &Result{
-		Cycles:         cycle,
-		Samples:        samples,
-		Trace:          cfg.Trace,
-		QueueOcc:       queueOcc,
-		UnquiescedExit: unquiescedDiag != nil,
-		Diagnosis:      unquiescedDiag,
-		FaultShots:     cfg.Faults.ShotStrings(),
+		Cycles:     cycle,
+		Samples:    samples,
+		QueueOcc:   queueOcc,
+		Diagnosis:  unquiescedDiag,
+		FaultShots: cfg.Faults.ShotStrings(),
 	}
-	if unquiescedDiag != nil {
-		res.UnquiescedDetail = unquiescedDiag.String()
-	}
+	st, mm := &res.Streaming, &res.Memory
 	for i, c := range cores {
 		c.FinishTrace(cycle + 1)
 		res.Breakdowns = append(res.Breakdowns, c.Breakdown)
@@ -564,23 +538,19 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		res.Produces = append(res.Produces, c.Produces)
 		res.Consumes = append(res.Consumes, c.Consumes)
 		ctrl := fab.Controller(i)
-		res.WrFwds = append(res.WrFwds, ctrl.WrFwdsSent)
-		res.BulkAcks = append(res.BulkAcks, ctrl.BulkAcksSent)
-		res.Probes = append(res.Probes, ctrl.ProbesSent)
-		res.SCHits = append(res.SCHits, ctrl.StreamCacheHits())
-		res.L2Hits = append(res.L2Hits, ctrl.L2().Hits)
-		res.L2Misses = append(res.L2Misses, ctrl.L2().Misses)
-		res.RecircRetries = append(res.RecircRetries, ctrl.RecircRetries)
+		st.WrFwds = append(st.WrFwds, ctrl.WrFwdsSent)
+		st.BulkAcks = append(st.BulkAcks, ctrl.BulkAcksSent)
+		st.Probes = append(st.Probes, ctrl.ProbesSent)
+		st.SCHits = append(st.SCHits, ctrl.StreamCacheHits())
+		st.RecircRetries = append(st.RecircRetries, ctrl.RecircRetries)
+		mm.L2Hits = append(mm.L2Hits, ctrl.L2().Hits)
+		mm.L2Misses = append(mm.L2Misses, ctrl.L2().Misses)
 	}
-	res.BusGrants = fab.Bus().TotalGrants()
-	res.BusBeats = fab.Bus().BeatsCarried
-	res.BusArbWait = fab.Bus().ArbWait
-	res.L3Hits = fab.L3Hits
-	res.L3Misses = fab.L3Misses
-	res.MemAccesses = fab.MemAccesses
+	b := fab.Bus()
+	res.Bus = BusCounters{Grants: b.TotalGrants(), Beats: b.BeatsCarried, ArbWait: b.ArbWait}
+	mm.L3Hits, mm.L3Misses, mm.MemAccesses = fab.L3Hits, fab.L3Misses, fab.MemAccesses
 	if sa != nil {
-		res.SAFullStalls = sa.FullStalls
-		res.SAEmptyStalls = sa.EmptyStalls
+		st.SAFullStalls, st.SAEmptyStalls = sa.FullStalls, sa.EmptyStalls
 		occ := sa.OccHist
 		res.SAOcc = &occ
 	}

@@ -86,7 +86,7 @@ func TestPipelineAllDesigns(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
 			res := runPipe(t, cfg, 500)
-			t.Logf("%s: %d cycles, bus grants %d", cfg.Name(), res.Cycles, res.BusGrants)
+			t.Logf("%s: %d cycles, bus grants %d", cfg.Name(), res.Cycles, res.Bus.Grants)
 			if res.Cycles == 0 {
 				t.Fatal("zero cycles")
 			}

@@ -119,8 +119,8 @@ func TestCancelUnusedDoesNotFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles == 0 || res.UnquiescedExit {
-		t.Errorf("unexpected result: cycles=%d unquiesced=%v", res.Cycles, res.UnquiescedExit)
+	if res.Cycles == 0 || res.Diagnosis != nil {
+		t.Errorf("unexpected result: cycles=%d unquiesced=%v", res.Cycles, res.Diagnosis != nil)
 	}
 }
 

@@ -100,8 +100,8 @@ func TestMemoryBehaviourCharacterization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MemAccesses < 500 {
-		t.Errorf("mcf made only %d memory accesses; its pool should exceed the L3", res.MemAccesses)
+	if res.Memory.MemAccesses < 500 {
+		t.Errorf("mcf made only %d memory accesses; its pool should exceed the L3", res.Memory.MemAccesses)
 	}
 	if share := res.Breakdowns[0].Share(4); share < 0.5 { // stats.Mem
 		t.Errorf("mcf producer MEM share = %.2f, want memory-bound", share)
@@ -115,8 +115,8 @@ func TestMemoryBehaviourCharacterization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MemAccesses > 50 {
-		t.Errorf("wc made %d memory accesses; its working set fits the caches", res.MemAccesses)
+	if res.Memory.MemAccesses > 50 {
+		t.Errorf("wc made %d memory accesses; its working set fits the caches", res.Memory.MemAccesses)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestStreamCacheActuallyHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := res.SCHits[0] + res.SCHits[1]
+	hits := res.Streaming.SCHits[0] + res.Streaming.SCHits[1]
 	if hits < uint64(b.Iterations)/2 {
 		t.Errorf("stream cache hits = %d over %d iterations", hits, b.Iterations)
 	}
@@ -179,7 +179,7 @@ func TestWriteForwardingActive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += res.WrFwds[0] + res.WrFwds[1]
+		total += res.Streaming.WrFwds[0] + res.Streaming.WrFwds[1]
 	}
 	if total == 0 {
 		t.Error("MEMOPTI never forwarded a line")
