@@ -36,7 +36,6 @@ type genCase struct {
 	programs []string
 	init     map[uint64]uint64
 	outAddrs []uint64
-	queues   int
 	counts   []int
 	mpmc     bool
 	nProd    int
@@ -58,9 +57,8 @@ func generate(seed int64) genCase {
 	rng := rand.New(rand.NewSource(seed))
 	nq := 1 + rng.Intn(2)
 	g := genCase{
-		name:   fmt.Sprintf("chaos-%d", seed),
-		init:   map[uint64]uint64{},
-		queues: nq,
+		name: fmt.Sprintf("chaos-%d", seed),
+		init: map[uint64]uint64{},
 	}
 	var prod, cons strings.Builder
 	prod.WriteString(fmt.Sprintf("; generated producer, seed %d\n", seed))
@@ -131,7 +129,6 @@ func generateMPMC(seed int64) genCase {
 	g := genCase{
 		name:   fmt.Sprintf("chaos-mpmc-%d", seed),
 		init:   map[uint64]uint64{},
-		queues: 1,
 		counts: []int{count},
 		mpmc:   true,
 		nProd:  p,

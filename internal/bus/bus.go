@@ -105,7 +105,6 @@ type Req struct {
 	Owner Owner
 	Ref   any
 
-	granted  bool
 	submitAt uint64
 }
 
@@ -303,7 +302,6 @@ func (b *Bus) tick(cycle uint64) {
 }
 
 func (b *Bus) grant(cycle uint64, r *Req) {
-	r.granted = true
 	b.Grants[r.Kind]++
 	if b.Trace != nil {
 		b.Trace(cycle, r.Kind, r.Src, r.Addr)

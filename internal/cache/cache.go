@@ -40,11 +40,10 @@ type Line struct {
 	State State
 	lru   uint64
 
-	// Stream metadata for write-forwarding (QLU-aware): bitmask of queue
+	// StreamWritten is the write-forwarding (QLU-aware) bitmask of queue
 	// slots on this line whose flag/data has been written since the line
-	// was last forwarded, and count of slots consumed.
-	StreamWritten  uint32
-	StreamConsumed uint32
+	// was last forwarded.
+	StreamWritten uint32
 }
 
 // Params configures a cache array.
@@ -90,7 +89,7 @@ type Cache struct {
 	clock     uint64
 
 	// Stats.
-	Hits, Misses, Evictions uint64
+	Hits, Misses uint64
 }
 
 // pools recycles released arrays, one sync.Pool per geometry: a simulation
@@ -131,7 +130,7 @@ func New(p Params) *Cache {
 // a cache that is dropped instead is ordinary garbage.
 func (c *Cache) Release() {
 	clear(c.lines)
-	c.clock, c.Hits, c.Misses, c.Evictions = 0, 0, 0, 0
+	c.clock, c.Hits, c.Misses = 0, 0, 0
 	poolFor(c.p).Put(c)
 }
 
@@ -181,10 +180,6 @@ func (c *Cache) Peek(addr uint64) *Line {
 type Victim struct {
 	Addr  uint64
 	State State
-	// Stream metadata travels with the victim so streaming lines evicted
-	// mid-fill can flush their occupancy info (paper §4.2).
-	StreamWritten  uint32
-	StreamConsumed uint32
 }
 
 // Insert installs addr's line in the given state, evicting the LRU way if
@@ -220,53 +215,23 @@ func (c *Cache) Insert(addr uint64, st State) (victim Victim, evicted bool) {
 		return Victim{}, false
 	}
 	// Evict LRU.
-	v := Victim{
-		Addr:           set[lruIdx].Addr,
-		State:          set[lruIdx].State,
-		StreamWritten:  set[lruIdx].StreamWritten,
-		StreamConsumed: set[lruIdx].StreamConsumed,
-	}
-	c.Evictions++
+	v := Victim{Addr: set[lruIdx].Addr, State: set[lruIdx].State}
 	set[lruIdx] = Line{Addr: la, State: st, lru: c.clock}
 	return v, true
 }
 
 // InsertRange installs n consecutive lines starting at base's line in the
-// given state, exactly as n sequential Insert calls would — same final
-// lines, LRU stamps, clock, and eviction count — but without replaying
-// inserts that cannot survive. Consecutive lines fill sets round-robin, so
-// the last sets*ways inserts alone overwrite every set completely; earlier
-// inserts only advance the clock and evict. The addresses must not already
-// be present (preload feeds it distinct, never-inserted lines).
+// given state, exactly as n sequential Insert calls would — same clock, and
+// in each set the same lines with the same states and LRU stamps, though
+// possibly in a different way order, which nothing observes (lookups go by
+// address, victims by unique LRU stamp) — but without replaying inserts
+// that cannot survive. Consecutive lines fill sets round-robin, so the last
+// sets*ways inserts alone overwrite every set completely; earlier inserts
+// only advance the clock. The addresses must not already be present
+// (preload feeds it distinct, never-inserted lines).
 func (c *Cache) InsertRange(base uint64, n int, st State) {
-	ways := c.p.Ways
-	sets := int(c.setMask) + 1
-	capLines := sets * ways
-	if n > capLines {
+	if capLines := (int(c.setMask) + 1) * c.p.Ways; n > capLines {
 		skip := n - capLines
-		// Account the skipped prefix: every insert beyond a set's capacity
-		// evicts. Set s receives k_s inserts in total; with its e_s already
-		// valid ways that is max(0, e_s+k_s-ways) evictions, of which the
-		// replayed suffix (exactly `ways` inserts per set, landing in a set
-		// it fully overwrites) observes max(0, e_s+min(k_s,ways)-ways) = e_s.
-		// Charge the rest here, before the clock advances past the prefix.
-		firstSet := int((base >> c.lineShift) & c.setMask)
-		for s := 0; s < sets; s++ {
-			// Inserts landing in set s across the whole range.
-			k := n / sets
-			if (s-firstSet+sets)%sets < n%sets {
-				k++
-			}
-			e := 0
-			for _, ln := range c.lines[s*ways : s*ways+ways] {
-				if ln.State != Invalid {
-					e++
-				}
-			}
-			if over := e + k - ways; over > 0 {
-				c.Evictions += uint64(over - e)
-			}
-		}
 		c.clock += uint64(skip)
 		base += uint64(skip) << c.lineShift
 		n = capLines

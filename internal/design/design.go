@@ -239,7 +239,6 @@ func (c Config) SimConfig() sim.Config {
 		// Conventional memory subsystem: nothing extra.
 	case MemOpti:
 		cfg.Mem.WriteForward = true
-		cfg.Mem.ForwardThroughOzQ = true
 	case SyncOpti:
 		cfg.Mem.WriteForward = true
 		cfg.Mem.HWQueues = true

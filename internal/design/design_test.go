@@ -44,10 +44,10 @@ func TestMechanismFlags(t *testing.T) {
 	if SyncOptiConfig().SoftwareQueues() || HeavyWTConfig().SoftwareQueues() {
 		t.Error("SYNCOPTI/HEAVYWT must not lower")
 	}
-	if c := MemOptiConfig().SimConfig(); !c.Mem.WriteForward || !c.Mem.ForwardThroughOzQ {
+	if c := MemOptiConfig().SimConfig(); !c.Mem.WriteForward || c.Mem.HWQueues {
 		t.Error("MEMOPTI flags wrong")
 	}
-	if c := SyncOptiConfig().SimConfig(); !c.Mem.HWQueues || !c.Mem.WriteForward || c.Mem.ForwardThroughOzQ {
+	if c := SyncOptiConfig().SimConfig(); !c.Mem.HWQueues || !c.Mem.WriteForward {
 		t.Error("SYNCOPTI flags wrong")
 	}
 	if c := HeavyWTConfig().SimConfig(); !c.UseSyncArray || c.Mem.HWQueues {

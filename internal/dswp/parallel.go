@@ -134,8 +134,6 @@ func PartitionParallel(l *ir.Loop, workers int) (*Result, error) {
 
 	res := &Result{
 		Stages:     workers + 1,
-		Parallel:   true,
-		Workers:    workers,
 		Assignment: map[int]int{},
 		QueueCount: len(edges) * workers,
 	}

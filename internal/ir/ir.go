@@ -24,8 +24,6 @@ type Node struct {
 	Region *mem.Region
 	// Off is the immediate displacement for memory accesses.
 	Off int64
-	// Name is an optional debugging label.
-	Name string
 }
 
 // Operand is one input of a node.
@@ -101,7 +99,6 @@ func (l *Loop) Store(region *mem.Region, addr Operand, off int64, val Operand) *
 func (l *Loop) Counter(init, step int64) *Node {
 	n := l.add(&Node{Op: isa.AddI})
 	n.Args = []Operand{{Node: n, Carried: true, Init: init}, {Const: step}}
-	n.Name = "ctr"
 	return n
 }
 
@@ -112,7 +109,6 @@ func (l *Loop) Counter(init, step int64) *Node {
 func (l *Loop) Acc(op isa.Op, x Operand, init int64) *Node {
 	n := l.add(&Node{Op: op})
 	n.Args = []Operand{x, {Node: n, Carried: true, Init: init}}
-	n.Name = "acc"
 	return n
 }
 

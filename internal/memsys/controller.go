@@ -169,14 +169,13 @@ type Controller struct {
 	consumedCum     []uint64 // consumes completed
 	probeOut        []bool   // a probe for this queue is in flight
 
-	// pendingForwards holds MEMOPTI write-forward work items waiting for
-	// a free OzQ slot.
-	pendingForwards []pendingFwd
+	// pendingForwards holds the line addresses of MEMOPTI write-forwards
+	// waiting for a free OzQ slot.
+	pendingForwards []uint64
 
 	sc *streamCache
 
-	portUsed  int
-	portCycle uint64
+	portUsed int
 
 	// depthMask is Layout.Depth-1 when the depth is a power of two (the
 	// standard configurations), letting the hot slot-index reduction mask
@@ -188,7 +187,6 @@ type Controller struct {
 	BulkAcksSent  uint64
 	ProbesSent    uint64
 	RecircRetries uint64
-	ProduceStalls uint64 // produce resolutions deferred on full queue
 }
 
 func newController(id int, p Params, fab *Fabric) *Controller {
@@ -525,7 +523,6 @@ func (c *Controller) Tick(cycle uint64) {
 
 func (c *Controller) tick(cycle uint64) {
 	c.runEvents(cycle)
-	c.portCycle = cycle
 	c.portUsed = 0
 
 	fenceBlocked := false // an incomplete fence has been seen in the scan

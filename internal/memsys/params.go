@@ -47,12 +47,11 @@ type Params struct {
 	Layout queue.Layout
 
 	// WriteForward enables QLU-aware write-forwarding of streaming lines
-	// to the consumer's L2 (MEMOPTI, SYNCOPTI).
+	// to the consumer's L2 (MEMOPTI, SYNCOPTI). Without HWQueues (MEMOPTI)
+	// the forwards go through the producer's OzQ, where they compete for L2
+	// ports; SYNCOPTI's forwarding logic is in the cache controller and
+	// bypasses the OzQ.
 	WriteForward bool
-	// ForwardThroughOzQ routes write-forward operations through the
-	// producer's OzQ where they compete for L2 ports (MEMOPTI). SYNCOPTI's
-	// forwarding logic is in the cache controller and bypasses the OzQ.
-	ForwardThroughOzQ bool
 	// HWQueues enables produce/consume instruction support in the L2
 	// controller with distributed occupancy counters (SYNCOPTI).
 	HWQueues bool

@@ -6,12 +6,6 @@ import (
 	"hfstream/internal/stats"
 )
 
-// pendingFwd is a MEMOPTI write-forward work item waiting for an OzQ slot.
-type pendingFwd struct {
-	lineAddr uint64
-	count    int
-}
-
 // mshr is one outstanding-miss slot: a line with a bus transaction in
 // flight, plus any snoop action deferred until the fill commits.
 type mshr struct {
@@ -275,10 +269,7 @@ func (c *Controller) afterStreamStore(cycle uint64, e *ozEntry, line *cache.Line
 	line.StreamWritten |= 1 << slotInLine
 	if popcount(line.StreamWritten) >= uint32(c.p.Layout.QLU) {
 		line.StreamWritten = 0
-		c.pendingForwards = append(c.pendingForwards, pendingFwd{
-			lineAddr: line.Addr,
-			count:    c.p.Layout.QLU,
-		})
+		c.pendingForwards = append(c.pendingForwards, line.Addr)
 		c.injectForwards(cycle)
 	}
 }
@@ -290,11 +281,11 @@ func (c *Controller) injectForwards(cycle uint64) {
 	for len(c.pendingForwards) > 0 && c.CanAccept() {
 		// Pop by copying down, so the backing array keeps its capacity
 		// and the next forward appends without allocating.
-		f := c.pendingForwards[0]
+		la := c.pendingForwards[0]
 		c.pendingForwards = c.pendingForwards[:copy(c.pendingForwards, c.pendingForwards[1:])]
 		e := c.alloc()
 		*e = ozEntry{
-			kind: opForward, state: stWaitPort, addr: f.lineAddr,
+			kind: opForward, state: stWaitPort, addr: la,
 			tok: c.newDonelessToken(), readyAt: cycle + 1,
 		}
 		c.push(e)

@@ -29,7 +29,6 @@ func (c *Controller) resolveProduce(cycle uint64, e *ozEntry) {
 		// Queue full: the producer also must not damage the consumer's
 		// spatial locality by wrapping onto a line that is still being
 		// consumed; bulk ACK granularity enforces exactly that.
-		c.ProduceStalls++
 		e.state = stWaitSync
 		e.tok.Loc = stats.PreL2
 		return

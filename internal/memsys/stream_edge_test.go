@@ -61,14 +61,12 @@ func TestSyncOptiSurvivesTinyL2(t *testing.T) {
 	const n = 24 // within the queue depth: the producer never blocks
 	done := 0
 	for i := 0; i < n; i++ {
-		for {
-			tok, ok := prod.Produce(r.cycle, 3, uint64(1000+i))
-			if ok {
-				r.wait(tok)
-				break
-			}
-			r.step(1)
-		}
+		var tok *port.Token
+		r.until(func() (ok bool) {
+			tok, ok = prod.Produce(r.cycle, 3, uint64(1000+i))
+			return ok
+		})
+		r.wait(tok)
 		// Interleave noise loads that thrash the consumer's tiny L2.
 		noise := cons.Load(r.cycle, uint64(0x40_0000+i*128))
 		r.wait(noise)
@@ -76,14 +74,10 @@ func TestSyncOptiSurvivesTinyL2(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		var tok *port.Token
-		for {
-			var ok bool
+		r.until(func() (ok bool) {
 			tok, ok = cons.Consume(r.cycle, 3)
-			if ok {
-				break
-			}
-			r.step(1)
-		}
+			return ok
+		})
 		r.wait(tok)
 		if tok.Value != uint64(1000+i) {
 			t.Fatalf("consume %d = %d, want %d (FIFO broken under eviction)", i, tok.Value, 1000+i)
@@ -126,7 +120,6 @@ func TestProbeWithNothingProduced(t *testing.T) {
 func TestMemOptiForwardSkippedIfLineStolen(t *testing.T) {
 	r := newRig(t, func(p *Params) {
 		p.WriteForward = true
-		p.ForwardThroughOzQ = true
 		p.L2Ports = 1 // starve the forward work item
 	})
 	prod, cons := r.fab.Controller(0), r.fab.Controller(1)
@@ -157,14 +150,10 @@ func TestManyFencesDrain(t *testing.T) {
 	var toks []*port.Token
 	var kinds []string
 	for i := 0; i < 6; i++ {
-		for !c.CanAccept() {
-			r.step(1)
-		}
+		r.until(c.CanAccept)
 		toks = append(toks, c.Store(r.cycle, uint64(0x50000+i*4096), uint64(i)))
 		kinds = append(kinds, "store")
-		for !c.CanAccept() {
-			r.step(1)
-		}
+		r.until(c.CanAccept)
 		toks = append(toks, c.Fence(r.cycle))
 		kinds = append(kinds, "fence")
 	}

@@ -179,7 +179,6 @@ func buildMcf() *Benchmark {
 	// ptr = load(ptr->next): the cyclic traversal SCC.
 	ptr := l.Load(&pool, ir.C(0), 0)
 	ptr.Args[0] = ir.Operand{Node: ptr, Carried: true, Init: int64(pool.Base)}
-	ptr.Name = "ptr"
 	cost := l.Load(&pool, ir.V(ptr), 8)
 	pot := l.Acc(isa.Add, ir.V(cost), 0)
 	chk := l.Acc(isa.Xor, ir.V(pot), 0)

@@ -73,7 +73,6 @@ type Config struct {
 // whether a fill/store bothers trying, so a stale state can never fail
 // a request, only cost a local simulation.
 type peerState struct {
-	id string
 	cl *client.Client
 	br breaker
 }
@@ -163,7 +162,7 @@ func New(cfg Config) (*Peering, error) {
 		if cfg.HTTPClient != nil {
 			opts = append(opts, client.WithHTTPClient(cfg.HTTPClient))
 		}
-		p.peers[id] = &peerState{id: id, cl: client.New(baseURL, opts...)}
+		p.peers[id] = &peerState{cl: client.New(baseURL, opts...)}
 	}
 	// Two store workers: enough to keep publication latency off the
 	// serving path without fanning out one goroutine per result.
