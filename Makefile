@@ -210,8 +210,8 @@ chaos-cluster:
 # as ordinary tests; -run '^$$' keeps a package's unit tests from running
 # ahead of its fuzz session.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParse -fuzztime 30s ./internal/asm
-	$(GO) test -fuzz=FuzzLower -fuzztime 30s ./internal/lower
+	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime 30s ./internal/asm
+	$(GO) test -run '^$$' -fuzz=FuzzLower -fuzztime 30s ./internal/lower
 	$(GO) test -run '^$$' -fuzz=FuzzSpec -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeBody -fuzztime 30s ./serve
 	$(GO) test -run '^$$' -fuzz=FuzzPartition -fuzztime 30s ./internal/dswp

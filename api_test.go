@@ -1,6 +1,7 @@
 package hfstream
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -292,6 +293,18 @@ func TestDesignKnobs(t *testing.T) {
 	}
 	if float64(slow.Cycles) < float64(fast.Cycles)*1.05 {
 		t.Errorf("bzip2 should slow down at 10-cycle transit: %d vs %d", slow.Cycles, fast.Cycles)
+	}
+	// A zero latency or consume-to-use distance falls back to the default
+	// machine. The whole result is compared: a zero-latency link is as
+	// fast in cycles, but its stall and occupancy counts differ.
+	for _, d := range []Design{HeavyWT.WithInterconnectLatency(0), CentralizedStore(0)} {
+		r, err := Run(b, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r, fast) {
+			t.Errorf("%s with a zero knob differs from HEAVYWT (%d vs %d cycles)", d.Name(), r.Cycles, fast.Cycles)
+		}
 	}
 
 	slowBus := Existing.WithBus(4, 16, true)

@@ -120,13 +120,15 @@ type Params struct {
 	WidthBytes int  // bytes transferred per data beat (Table 2: 16)
 	CPB        int  // CPU cycles per bus cycle (Table 2: 1; Figure 10: 4)
 	Pipelined  bool // 3-stage pipelined split-transaction bus when true
-	ArbLat     int  // arbitration latency in bus cycles (1)
-	SnoopLat   int  // address/snoop phase latency in bus cycles (2)
 }
+
+// addrPhase is a grant's address phase in bus cycles: one of arbitration
+// and two of address/snoop.
+const addrPhase = 1 + 2
 
 // DefaultParams returns the Table 2 baseline bus.
 func DefaultParams() Params {
-	return Params{WidthBytes: 16, CPB: 1, Pipelined: true, ArbLat: 1, SnoopLat: 2}
+	return Params{WidthBytes: 16, CPB: 1, Pipelined: true}
 }
 
 // Validate reports whether the parameters describe a constructible bus.
@@ -199,12 +201,6 @@ type Bus struct {
 func New(p Params, n int, h Handler) *Bus {
 	if p.WidthBytes <= 0 || p.CPB <= 0 {
 		panic(fmt.Sprintf("bus: bad params %+v", p))
-	}
-	if p.ArbLat <= 0 {
-		p.ArbLat = 1
-	}
-	if p.SnoopLat <= 0 {
-		p.SnoopLat = 1
 	}
 	return &Bus{
 		p:       p,
@@ -308,7 +304,6 @@ func (b *Bus) grant(cycle uint64, r *Req) {
 	}
 	b.ArbWait += cycle - r.submitAt
 	cpb := uint64(b.p.CPB)
-	addrPhase := uint64(b.p.ArbLat+b.p.SnoopLat) * cpb
 
 	serviceLat, beats := 0, 0
 	if b.handler != nil {
@@ -316,7 +311,7 @@ func (b *Bus) grant(cycle uint64, r *Req) {
 	}
 	b.BeatsCarried += uint64(beats)
 
-	ready := cycle + addrPhase + uint64(serviceLat) + b.Faults.BusDelay(cycle)
+	ready := cycle + addrPhase*cpb + uint64(serviceLat) + b.Faults.BusDelay(cycle)
 	done := ready
 	if beats > 0 {
 		start := max64(ready, b.dataFree)

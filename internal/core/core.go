@@ -23,9 +23,12 @@ import (
 	"hfstream/trace"
 )
 
+// IssueWidth is the number of instructions a core issues per cycle (the
+// paper's 6-issue Itanium 2).
+const IssueWidth = 6
+
 // Params configures a core.
 type Params struct {
-	IssueWidth          int
 	FUs                 [isa.NumFUs]int
 	MaxOutstandingLoads int
 
@@ -41,7 +44,6 @@ type Params struct {
 // DefaultParams returns the paper's Itanium 2 core configuration.
 func DefaultParams() Params {
 	return Params{
-		IssueWidth:          6,
 		FUs:                 [isa.NumFUs]int{isa.FUALU: 6, isa.FUMem: 4, isa.FUFP: 2, isa.FUBranch: 3},
 		MaxOutstandingLoads: 16,
 	}
@@ -235,9 +237,6 @@ type Core struct {
 // New builds a core running prog. strm may be nil for programs without
 // produce/consume instructions.
 func New(id int, p Params, prog *isa.Program, memp port.Mem, strm port.Stream) *Core {
-	if p.IssueWidth <= 0 {
-		p = DefaultParams()
-	}
 	meta := make([]imeta, len(prog.Instrs))
 	for i, in := range prog.Instrs {
 		meta[i] = imeta{
@@ -391,7 +390,7 @@ func (c *Core) Tick(cycle uint64) {
 	}
 
 	pc, meta := c.pc, c.meta
-	width, fus := c.p.IssueWidth, &c.p.FUs
+	fus := &c.p.FUs
 	issued := 0
 	commOnly := true
 	var fuUsed [isa.NumFUs]int
@@ -400,7 +399,7 @@ func (c *Core) Tick(cycle uint64) {
 	var stallWake uint64
 
 issueLoop:
-	for issued < width {
+	for issued < IssueWidth {
 		m := &meta[pc]
 		in := &m.in
 		fu := m.fu

@@ -38,10 +38,10 @@ const itemBytes = 8
 // Cost computes the hardware/OS cost model for the design point.
 func (c Config) Cost() HardwareCost {
 	hc := HardwareCost{Design: c.Name()}
-	queueStateBytes := c.NumQueues * c.QueueDepth * itemBytes
+	queueStateBytes := NumQueues * c.QueueDepth * itemBytes
 	// One occupancy/credit counter per queue per core, two cores; a
 	// counter is 2 bytes (counts to the queue depth).
-	counterBytes := c.NumQueues * 2 * 2
+	counterBytes := NumQueues * 2 * 2
 
 	switch c.Point {
 	case Existing:
@@ -50,7 +50,7 @@ func (c Config) Cost() HardwareCost {
 		// Write-forwarding needs a per-line fill bitmap and the (N, entry
 		// size) parameters in each L2 controller; count the bitmaps for
 		// the queue-region lines as counter state.
-		hc.CounterBytes = c.NumQueues * c.QueueDepth / c.QLU * 2 * 2
+		hc.CounterBytes = NumQueues * c.QueueDepth / c.QLU * 2 * 2
 	case SyncOpti:
 		hc.ISAChanges = true
 		hc.CounterBytes = counterBytes

@@ -56,7 +56,6 @@ type Config struct {
 	// Point.String(). It never carries the core count (see Name).
 	Label string
 
-	NumQueues  int // 64
 	QueueDepth int // 32 (64 in the Q64 variants)
 	QLU        int // 8 (16 in the Q64 variants)
 
@@ -96,6 +95,10 @@ type Config struct {
 	Parallel bool
 }
 
+// NumQueues is the number of architectural queues every design point's
+// layout provides.
+const NumQueues = 64
+
 // MaxCores is the largest machine the experiment layer is calibrated for.
 const MaxCores = 8
 
@@ -126,7 +129,6 @@ func (c Config) Name() string {
 func base(p Point) Config {
 	return Config{
 		Point:           p,
-		NumQueues:       64,
 		QueueDepth:      32,
 		QLU:             8,
 		InterconnectLat: 1,
@@ -218,7 +220,7 @@ func StandardConfigs() []Config {
 // Layout returns the queue layout implied by the configuration.
 func (c Config) Layout() queue.Layout {
 	return queue.Layout{
-		NumQueues: c.NumQueues,
+		NumQueues: NumQueues,
 		Depth:     c.QueueDepth,
 		QLU:       c.QLU,
 		LineBytes: 128,
@@ -248,7 +250,7 @@ func (c Config) SimConfig() sim.Config {
 		}
 	case HeavyWT:
 		cfg.UseSyncArray = true
-		sa := queue.DefaultSAParams(c.NumQueues, c.QueueDepth)
+		sa := queue.DefaultSAParams(NumQueues, c.QueueDepth)
 		sa.InterconnectLatency = c.InterconnectLat
 		if c.SAConsumeToUse > 0 {
 			sa.ConsumeToUse = c.SAConsumeToUse

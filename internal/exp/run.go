@@ -95,10 +95,6 @@ func (e *MPMCUnsupportedError) Error() string {
 		e.Design, e.Queues)
 }
 
-// maxQueues bounds the queue numbers a program may use: every design
-// point's layout has 64 queues.
-const maxQueues = 64
-
 // Execute simulates progs, one per core and at most design.MaxCores of
 // them, on cfg's machine over img, with the preload regions warmed into
 // the caches first. It is the one caller of sim.Run outside tests, and so
@@ -110,7 +106,7 @@ const maxQueues = 64
 // failure names its program and fails the call before anything runs.
 func Execute(ctx context.Context, cfg design.Config, progs []*isa.Program, img *mem.Memory, preload []mem.Region, opts RunOpts) (*sim.Result, error) {
 	for _, p := range progs {
-		if err := p.Validate(maxQueues); err != nil {
+		if err := p.Validate(design.NumQueues); err != nil {
 			return nil, &sim.ValidationError{Reason: err.Error()}
 		}
 	}
@@ -147,8 +143,8 @@ func Execute(ctx context.Context, cfg design.Config, progs []*isa.Program, img *
 }
 
 // topology reads the queue topology off the programs, which must have
-// passed Validate(maxQueues). mpmc holds each queue with more than one
-// producer or consumer, its cores in ascending order. routes is the
+// passed Validate(design.NumQueues). mpmc holds each queue with more than
+// one producer or consumer, its cores in ascending order. routes is the
 // fabric's route table, indexed by queue: each queue's lowest producing
 // and consuming core (0 and 1 for a side nothing uses; an MPMC queue's
 // route only steers the software-queue write-forward destination). The
@@ -156,7 +152,7 @@ func Execute(ctx context.Context, cfg design.Config, progs []*isa.Program, img *
 // byte-identical goldens, so routes is nil up to two cores, and an SPSC
 // run allocates nothing but the route table past them.
 func topology(progs []*isa.Program) (routes []memsys.QueueRoute, mpmc map[int]queue.MPMCRoute) {
-	var prod, cons [maxQueues]uint8 // bit t: core t produces/consumes
+	var prod, cons [design.NumQueues]uint8 // bit t: core t produces/consumes
 	top := -1
 	for t, p := range progs {
 		for _, in := range p.Instrs {

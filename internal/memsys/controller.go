@@ -372,7 +372,7 @@ func (c *Controller) Produce(cycle uint64, q int, v uint64) (*port.Token, bool) 
 	*e = ozEntry{
 		kind: opProduce, state: stWaitPort, q: q, slot: slot, val: v, tok: tok,
 		addr:    c.p.Layout.SlotAddr(q, c.slotIdx(slot)),
-		readyAt: cycle + uint64(c.p.StreamAddrGenLat),
+		readyAt: cycle + streamAddrGenLat,
 	}
 	c.push(e)
 	return tok, true
@@ -395,13 +395,13 @@ func (c *Controller) Consume(cycle uint64, q int) (*port.Token, bool) {
 	*e = ozEntry{
 		kind: opConsume, state: stWaitPort, q: q, slot: slot, tok: tok,
 		addr:    c.p.Layout.SlotAddr(q, c.slotIdx(slot)),
-		readyAt: cycle + uint64(c.p.StreamAddrGenLat),
+		readyAt: cycle + streamAddrGenLat,
 	}
 	if c.sc != nil {
 		if v, ok := c.sc.take(q, slot); ok {
 			// Stream-cache hit: data available at address-generation
 			// latency; the OzQ entry continues for bookkeeping only.
-			tok.Complete(cycle+uint64(c.p.StreamAddrGenLat), v)
+			tok.Complete(cycle+streamAddrGenLat, v)
 			e.scHit = true
 		}
 	}
@@ -551,7 +551,7 @@ func (c *Controller) tick(cycle uint64) {
 			// OzQ, consuming an L2 port on every retry (paper §4.4).
 			if c.takePort() {
 				c.RecircRetries++
-				e.readyAt = cycle + uint64(c.p.RecircInterval)
+				e.readyAt = cycle + recircInterval
 			}
 			continue
 		}
@@ -568,7 +568,7 @@ func (c *Controller) tick(cycle uint64) {
 				// recirculates n extra times before trying again.
 				c.RecircRetries += n
 				e.state = stWaitPort
-				e.readyAt = cycle + n*uint64(c.p.RecircInterval)
+				e.readyAt = cycle + n*recircInterval
 				continue
 			}
 			c.resolve(cycle, e)

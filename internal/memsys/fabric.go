@@ -235,7 +235,7 @@ func (f *Fabric) handle(r *bus.Req, grantCycle uint64) (serviceLat, beats int) {
 		f.MemAccesses++
 		f.l3.Insert(r.Addr, cache.Shared)
 		r.Owner.ReqNote(r, bus.SupplierMem)
-		return f.p.L3.Latency + f.p.MemLat, fullBeats
+		return f.p.L3.Latency + MemLat, fullBeats
 
 	case bus.Upgrade:
 		for i, c := range f.ctrls {

@@ -357,7 +357,7 @@ func TestStreamCacheHits(t *testing.T) {
 		if tok.Value != uint64(i) {
 			t.Fatalf("FIFO violated at %d", i)
 		}
-		if tok.DoneAt-start <= uint64(r.fab.Controller(1).p.StreamAddrGenLat) {
+		if tok.DoneAt-start <= streamAddrGenLat {
 			fast++
 		}
 	}

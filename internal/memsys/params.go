@@ -27,8 +27,6 @@ type Params struct {
 	L2 cache.Params // per-core L2: 256 KB, 8-way, 128 B, 5-9 cycles
 	L3 cache.Params // shared L3: 1.5 MB, 12-way, 128 B, >12 cycles
 
-	// MemLat is the main-memory access latency in cycles (141).
-	MemLat int
 	// Bus configures the shared L3 bus.
 	Bus bus.Params
 
@@ -38,10 +36,6 @@ type Params struct {
 	// L2Ports is the number of OzQ entries that may access the L2 array
 	// per cycle.
 	L2Ports int
-	// RecircInterval is the retry cadence, in cycles, of OzQ entries that
-	// recirculate (blocked by memory-fence ordering); each retry consumes
-	// an L2 port, modeling the paper's recirculation port pollution.
-	RecircInterval int
 
 	// Layout describes the streaming queue region.
 	Layout queue.Layout
@@ -55,9 +49,6 @@ type Params struct {
 	// HWQueues enables produce/consume instruction support in the L2
 	// controller with distributed occupancy counters (SYNCOPTI).
 	HWQueues bool
-	// StreamAddrGenLat is the stream-address-generation latency of
-	// produce/consume instructions, overlapped with the L1 access (2).
-	StreamAddrGenLat int
 	// StreamCacheEntries sizes the fully-associative stream cache
 	// (entries of one queue item each; paper: 1 KB = 64 entries).
 	// 0 disables the stream cache.
@@ -74,6 +65,19 @@ type Params struct {
 	QueueRoutes []QueueRoute
 }
 
+// MemLat is the main-memory access latency in cycles (Table 2).
+const MemLat = 141
+
+const (
+	// recircInterval is the retry cadence, in cycles, of OzQ entries that
+	// recirculate (blocked by memory-fence ordering); each retry consumes
+	// an L2 port, modeling the paper's recirculation port pollution.
+	recircInterval = 4
+	// streamAddrGenLat is the stream-address-generation latency of
+	// produce/consume instructions, overlapped with the L1 access.
+	streamAddrGenLat = 2
+)
+
 // QueueRoute names the cores on either end of one queue.
 type QueueRoute struct {
 	Producer int
@@ -83,17 +87,14 @@ type QueueRoute struct {
 // DefaultParams returns the Table 2 baseline with the given queue layout.
 func DefaultParams(layout queue.Layout) Params {
 	return Params{
-		L1:               cache.Params{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64, Latency: 1},
-		L2:               cache.Params{SizeBytes: 256 << 10, Ways: 8, LineBytes: 128, Latency: 5},
-		L3:               cache.Params{SizeBytes: 1536 << 10, Ways: 12, LineBytes: 128, Latency: 12},
-		MemLat:           141,
-		Bus:              bus.DefaultParams(),
-		OzQSize:          32,
-		L2Ports:          4,
-		RecircInterval:   4,
-		Layout:           layout,
-		StreamAddrGenLat: 2,
-		ConsumeTimeout:   50,
+		L1:             cache.Params{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64, Latency: 1},
+		L2:             cache.Params{SizeBytes: 256 << 10, Ways: 8, LineBytes: 128, Latency: 5},
+		L3:             cache.Params{SizeBytes: 1536 << 10, Ways: 12, LineBytes: 128, Latency: 12},
+		Bus:            bus.DefaultParams(),
+		OzQSize:        32,
+		L2Ports:        4,
+		Layout:         layout,
+		ConsumeTimeout: 50,
 	}
 }
 

@@ -42,7 +42,7 @@ func (c *Controller) resolve(cycle uint64, e *ozEntry) {
 
 func (c *Controller) retryLater(cycle uint64, e *ozEntry) {
 	e.state = stWaitPort
-	e.readyAt = cycle + uint64(c.p.RecircInterval)
+	e.readyAt = cycle + recircInterval
 }
 
 func (c *Controller) resolveLoad(cycle uint64, e *ozEntry) {

@@ -194,9 +194,7 @@ func TestSyncArrayLatencyDelaysArrival(t *testing.T) {
 }
 
 func TestSyncArrayLinkRate(t *testing.T) {
-	// A 12-cycle 3-stage pipelined link accepts a slot every 4 cycles
-	// (LinkWidth messages per slot); bursts beyond the egress buffer are
-	// rejected.
+	// Same-cycle burst: capped by the dedicated store's port budget.
 	p := DefaultSAParams(1, 1024)
 	p.InterconnectLatency = 12
 	sa := newSA(t, p)
@@ -206,27 +204,34 @@ func TestSyncArrayLinkRate(t *testing.T) {
 			accepted++
 		}
 	}
-	// Same-cycle burst: capped by the dedicated store's port budget.
-	if accepted != p.OpsPerCycle {
-		t.Errorf("burst accepted %d, want %d", accepted, p.OpsPerCycle)
+	if accepted != saOpsPerCycle {
+		t.Errorf("burst accepted %d, want %d", accepted, saOpsPerCycle)
 	}
-	// Sustained overdrive (4 attempts per cycle) saturates the link: the
-	// acceptance rate converges to width/interval = 2/4 msgs per cycle
-	// once the egress buffer fills, and backpressure is recorded.
-	accepted = 0
-	for c := uint64(2); c < 122; c++ {
-		sa.Tick(c)
-		for i := 0; i < 4; i++ {
-			if _, ok := sa.Produce(c, 0, 1); ok {
-				accepted++
+	// A 3-stage pipelined link of latency N accepts a slot of linkWidth
+	// messages every ceil(N/3) cycles. Four attempts per cycle overdrive
+	// every latency: over 120 cycles the link takes one message every
+	// ceil(N/3)/linkWidth cycles from cycle 1 on, the egress buffer
+	// absorbs egressEntries more, and every other attempt is backpressure.
+	for _, tc := range []struct{ lat, want int }{
+		{1, 244}, {2, 244}, {3, 244}, {4, 124}, {6, 124}, {10, 64}, {12, 64}, {40, 22},
+	} {
+		p.InterconnectLatency = tc.lat
+		sa := newSA(t, p)
+		accepted := 0
+		for c := uint64(1); c <= 120; c++ {
+			sa.Tick(c)
+			for i := 0; i < 4; i++ {
+				if _, ok := sa.Produce(c, 0, 1); ok {
+					accepted++
+				}
 			}
 		}
-	}
-	if accepted < 55 || accepted > 75 {
-		t.Errorf("sustained acceptance %d over 120 cycles, want ~60-70", accepted)
-	}
-	if sa.LinkBackpressure == 0 {
-		t.Error("expected link backpressure")
+		if accepted != tc.want {
+			t.Errorf("latency %d: accepted %d over 120 cycles, want %d", tc.lat, accepted, tc.want)
+		}
+		if sa.LinkBackpressure == 0 {
+			t.Errorf("latency %d: expected link backpressure", tc.lat)
+		}
 	}
 }
 
@@ -246,7 +251,7 @@ func TestSyncArrayOpsPerCycleBudget(t *testing.T) {
 		sa.Tick(cycle)
 		cycle++
 	}
-	// A single cycle admits at most OpsPerCycle operations.
+	// A single cycle admits at most saOpsPerCycle operations.
 	sa.Tick(cycle)
 	ok := 0
 	for i := 0; i < 10; i++ {
@@ -254,8 +259,8 @@ func TestSyncArrayOpsPerCycleBudget(t *testing.T) {
 			ok++
 		}
 	}
-	if ok > p.OpsPerCycle {
-		t.Errorf("%d ops serviced in one cycle, budget %d", ok, p.OpsPerCycle)
+	if ok > saOpsPerCycle {
+		t.Errorf("%d ops serviced in one cycle, budget %d", ok, saOpsPerCycle)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestSyncArrayRefusalBudgetNeverSticky(t *testing.T) {
 	p := DefaultSAParams(8, 32)
 	sa := newSA(t, p)
 	sa.Tick(1)
-	for q := 0; q < p.OpsPerCycle; q++ {
+	for q := 0; q < saOpsPerCycle; q++ {
 		if _, ok := sa.Produce(1, q, 1); !ok {
 			t.Fatalf("produce on q%d rejected within the budget", q)
 		}
@@ -73,7 +73,7 @@ func TestSyncArrayRefusalBudgetNeverSticky(t *testing.T) {
 	}
 	wantRefusal(t, sa, &sa.queues[7].epoch, &sa.EmptyStalls, true)
 	sa.Tick(2)
-	for q := 0; q < p.OpsPerCycle; q++ {
+	for q := 0; q < saOpsPerCycle; q++ {
 		if _, ok := sa.Produce(2, q, 2); !ok {
 			t.Fatalf("second produce on q%d rejected", q)
 		}
@@ -81,7 +81,7 @@ func TestSyncArrayRefusalBudgetNeverSticky(t *testing.T) {
 	for c := uint64(3); c < 8; c++ {
 		sa.Tick(c)
 	}
-	for q := 0; q < p.OpsPerCycle; q++ {
+	for q := 0; q < saOpsPerCycle; q++ {
 		if _, ok := sa.Consume(8, q); !ok {
 			t.Fatalf("consume on q%d rejected within the budget", q)
 		}

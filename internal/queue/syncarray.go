@@ -14,27 +14,12 @@ import (
 type SAParams struct {
 	NumQueues int
 	Depth     int // dedicated storage entries per queue
-	// OpsPerCycle is the number of concurrent operations the dedicated
-	// store can service per cycle (paper: 4).
-	OpsPerCycle int
 	// ConsumeToUse is the consume-to-use latency within the consuming core
 	// (paper: 1 cycle).
 	ConsumeToUse int
 	// InterconnectLatency is the end-to-end latency of the dedicated
 	// interconnect in cycles (paper default: 1; 10 in Figure 6).
 	InterconnectLatency int
-	// Pipelined selects a pipelined interconnect. An M-stage pipelined
-	// interconnect with end-to-end latency N accepts a new message every
-	// N/M cycles, and its in-flight stages act as extra queue storage
-	// (paper §3.3 and the Figure 6 discussion); a non-pipelined one
-	// accepts a message only every N cycles.
-	Pipelined bool
-	// Stages is the pipeline depth of the dedicated interconnect (3,
-	// matching the baseline bus).
-	Stages int
-	// LinkWidth is the number of messages one pipeline slot carries in
-	// each direction.
-	LinkWidth int
 	// MPMC maps logical queue IDs to multi-producer/multi-consumer routes.
 	// Each MPMC queue is realized as lcm(P,C) hidden SPSC lanes appended
 	// after NumQueues; cores reach them through per-core Port adapters that
@@ -43,17 +28,24 @@ type SAParams struct {
 	MPMC map[int]MPMCRoute
 }
 
+// The dedicated store and its interconnect (paper Table 2, §3.3). The
+// interconnect is pipelined: with linkStages stages and end-to-end latency
+// N it accepts a new slot every ceil(N/linkStages) cycles, each slot
+// carrying linkWidth messages per direction, and its in-flight stages act
+// as extra queue storage (the Figure 6 discussion).
+const (
+	saOpsPerCycle = 4 // concurrent operations the store services per cycle
+	linkStages    = 3 // matching the baseline bus
+	linkWidth     = 2
+)
+
 // DefaultSAParams returns the paper's HEAVYWT configuration.
 func DefaultSAParams(numQueues, depth int) SAParams {
 	return SAParams{
 		NumQueues:           numQueues,
 		Depth:               depth,
-		OpsPerCycle:         4,
 		ConsumeToUse:        1,
 		InterconnectLatency: 1,
-		Pipelined:           true,
-		Stages:              3,
-		LinkWidth:           2,
 	}
 }
 
@@ -134,6 +126,9 @@ type SyncArray struct {
 	// interconnect accepts a message (token bucket at the pipeline
 	// initiation rate; paper §3.3).
 	linkFree [numDirs]uint64
+	// msgQ4 is the link's initiation interval per message in
+	// quarter-cycles.
+	msgQ4 uint64
 	// pendingCredits holds credits the link could not accept yet; they
 	// drain in Tick so consumes never block on credit-path contention.
 	// pcHead indexes the front (same capacity-reuse scheme as saQueue).
@@ -184,12 +179,6 @@ func NewSyncArray(p SAParams) (*SyncArray, error) {
 	if p.NumQueues <= 0 || p.Depth <= 0 {
 		return nil, fmt.Errorf("queue: bad SA params %+v", p)
 	}
-	if p.OpsPerCycle <= 0 {
-		p.OpsPerCycle = 4
-	}
-	if p.ConsumeToUse <= 0 {
-		p.ConsumeToUse = 1
-	}
 	if p.InterconnectLatency <= 0 {
 		p.InterconnectLatency = 1
 	}
@@ -226,18 +215,16 @@ func NewSyncArray(p SAParams) (*SyncArray, error) {
 		}
 		total += lanes
 	}
-	return &SyncArray{p: p, queues: make([]saQueue, total), depths: depths, laneBase: laneBase, wakeAt: ^uint64(0)}, nil
+	interval := (p.InterconnectLatency + linkStages - 1) / linkStages
+	return &SyncArray{p: p, queues: make([]saQueue, total), depths: depths, laneBase: laneBase,
+		msgQ4: uint64(4 * interval / linkWidth), wakeAt: ^uint64(0)}, nil
 }
 
 // capacityOf returns physical queue q's effective producer-visible
-// capacity: its dedicated store depth plus, for a pipelined interconnect,
-// the in-flight stages (which buffer data and effectively extend the
-// queue).
+// capacity: its dedicated store depth plus the interconnect's in-flight
+// stages (which buffer data and effectively extend the queue).
 func (sa *SyncArray) capacityOf(q int) int {
-	if sa.p.Pipelined {
-		return sa.depths[q] + sa.p.InterconnectLatency
-	}
-	return sa.depths[q]
+	return sa.depths[q] + sa.p.InterconnectLatency
 }
 
 // noteWake lowers the cached wake time; every mutation that queues future
@@ -348,34 +335,6 @@ func (sa *SyncArray) NextWake(cycle uint64) uint64 {
 	return w
 }
 
-// msgCostQ4 is the interconnect initiation interval per message in
-// quarter-cycles: latency/stages for a pipelined network (one slot every
-// initiation interval, LinkWidth messages per slot), the full latency for
-// a non-pipelined one.
-func (sa *SyncArray) msgCostQ4() uint64 {
-	w := sa.p.LinkWidth
-	if w <= 0 {
-		w = 1
-	}
-	if !sa.p.Pipelined {
-		// A non-pipelined link carries one message per full traversal.
-		return uint64(4 * sa.p.InterconnectLatency)
-	}
-	stages := sa.p.Stages
-	if stages <= 0 {
-		stages = 3
-	}
-	interval := (sa.p.InterconnectLatency + stages - 1) / stages
-	if interval < 1 {
-		interval = 1
-	}
-	cost := uint64(4 * interval / w)
-	if cost < 1 {
-		cost = 1
-	}
-	return cost
-}
-
 // tryInject consumes link bandwidth in the given direction if available.
 func (sa *SyncArray) tryInject(cycle uint64, dir int) bool {
 	q4 := cycle * 4
@@ -386,7 +345,7 @@ func (sa *SyncArray) tryInject(cycle uint64, dir int) bool {
 	if next < q4 {
 		next = q4
 	}
-	sa.linkFree[dir] = next + sa.msgCostQ4()
+	sa.linkFree[dir] = next + sa.msgQ4
 	return true
 }
 
@@ -395,7 +354,7 @@ func (sa *SyncArray) takeBudget(cycle uint64) bool {
 		sa.budgetCycle = cycle
 		sa.budgetUsed = 0
 	}
-	if sa.budgetUsed >= sa.p.OpsPerCycle {
+	if sa.budgetUsed >= saOpsPerCycle {
 		return false
 	}
 	sa.budgetUsed++
