@@ -17,7 +17,7 @@
 #   make serve-cluster      ring/peering under -race plus the cluster differential rows
 #   make scaling            the differential grid's runner and serve rows under -race, N-core cells included (EXPERIMENTS.md "Differential battery")
 #   make load-smoke         hfload against in-process 1- and 3-replica clusters
-#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core, sim, dswp, serve and trace layer benchmarks
+#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core, sim, dswp, mem, serve and trace layer benchmarks
 #   make chaos              full fault-injection sweep (RESILIENCE.md)
 #   make chaos-smoke        the CI chaos corpus, fast-forward on and off
 #   make chaos-cluster      service-tier chaos smoke under -race
@@ -106,7 +106,7 @@ coverage:
 # and running.
 gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./internal/dswp ./serve ./trace
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./internal/dswp ./internal/mem ./serve ./trace
 
 # The last step is CI's regression gate: the dual-core matrix, an N-core
 # cell, the per-cycle kernel (referee: nothing else gated runs sim.Run

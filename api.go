@@ -61,7 +61,8 @@ func NetQueue(hops int) Design { return Design{design.NetQueueConfig(hops)} }
 
 // CentralizedStore returns the §3.5.2 centralized-dedicated-store variant
 // of HEAVYWT with the given consume-to-use latency (a central structure
-// sits farther from the consuming cores than a distributed one).
+// sits farther from the consuming cores than a distributed one). A run on
+// a latency below 1 fails with a *ValidationError.
 func CentralizedStore(consumeToUse int) Design {
 	return Design{design.CentralizedStoreConfig(consumeToUse)}
 }
@@ -153,7 +154,8 @@ const centralConsumeToUse = 4
 func (d Design) Name() string { return d.cfg.Name() }
 
 // WithInterconnectLatency returns a copy with the HEAVYWT dedicated
-// interconnect's end-to-end latency changed (paper Figure 6).
+// interconnect's end-to-end latency changed (paper Figure 6). A run on a
+// latency below 1 fails with a *ValidationError.
 func (d Design) WithInterconnectLatency(cycles int) Design {
 	d.cfg.InterconnectLat = cycles
 	return d

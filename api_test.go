@@ -1,7 +1,7 @@
 package hfstream
 
 import (
-	"reflect"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -294,16 +294,22 @@ func TestDesignKnobs(t *testing.T) {
 	if float64(slow.Cycles) < float64(fast.Cycles)*1.05 {
 		t.Errorf("bzip2 should slow down at 10-cycle transit: %d vs %d", slow.Cycles, fast.Cycles)
 	}
-	// A zero latency or consume-to-use distance falls back to the default
-	// machine. The whole result is compared: a zero-latency link is as
-	// fast in cycles, but its stall and occupancy counts differ.
-	for _, d := range []Design{HeavyWT.WithInterconnectLatency(0), CentralizedStore(0)} {
-		r, err := Run(b, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r, fast) {
-			t.Errorf("%s with a zero knob differs from HEAVYWT (%d vs %d cycles)", d.Name(), r.Cycles, fast.Cycles)
+	// A latency or consume-to-use distance below one cycle is no machine:
+	// the run fails validation and the error names the knob, rather than
+	// quietly running the default HEAVYWT.
+	for _, c := range []struct {
+		d    Design
+		knob string
+	}{
+		{HeavyWT.WithInterconnectLatency(0), "interconnect latency 0"},
+		{HeavyWT.WithInterconnectLatency(-3), "interconnect latency -3"},
+		{CentralizedStore(0), "consume-to-use latency 0"},
+		{CentralizedStore(-1), "consume-to-use latency -1"},
+	} {
+		_, err := Run(b, c.d)
+		var ve *ValidationError
+		if !errors.As(err, &ve) || !strings.Contains(err.Error(), c.knob) {
+			t.Errorf("%s: error %v, want a *ValidationError naming %q", c.d.Name(), err, c.knob)
 		}
 	}
 

@@ -76,9 +76,9 @@ type Config struct {
 	// register-mapped queues (paper §3.1.3): the queue operations fold
 	// into the defining/using instructions.
 	RegMappedQueues bool
-	// SAConsumeToUse overrides HEAVYWT's consume-to-use latency
-	// (0 = default 1 cycle). A centralized dedicated store (paper
-	// §3.5.2) sits farther from the cores than the distributed one.
+	// SAConsumeToUse is HEAVYWT's consume-to-use latency (paper: 1
+	// cycle). A centralized dedicated store (paper §3.5.2) sits farther
+	// from the cores than the distributed one.
 	SAConsumeToUse int
 	// ProbeTimeout overrides SYNCOPTI's partial-line probe timeout
 	// (0 = default).
@@ -132,6 +132,7 @@ func base(p Point) Config {
 		QueueDepth:      32,
 		QLU:             8,
 		InterconnectLat: 1,
+		SAConsumeToUse:  1,
 		BusCPB:          1,
 		BusWidth:        16,
 		BusPipelined:    true,
@@ -252,9 +253,7 @@ func (c Config) SimConfig() sim.Config {
 		cfg.UseSyncArray = true
 		sa := queue.DefaultSAParams(NumQueues, c.QueueDepth)
 		sa.InterconnectLatency = c.InterconnectLat
-		if c.SAConsumeToUse > 0 {
-			sa.ConsumeToUse = c.SAConsumeToUse
-		}
+		sa.ConsumeToUse = c.SAConsumeToUse
 		cfg.SA = sa
 		cfg.Core.RegMappedQueues = c.RegMappedQueues
 	}

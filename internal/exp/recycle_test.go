@@ -310,9 +310,12 @@ func TestConcurrentRunsLeaveBaseImageUntouched(t *testing.T) {
 
 // TestRunAllocationCeiling pins the gain as a regression: in steady state a
 // run allocates the pages it writes and its small machine objects, not its
-// input image (mcf: 6.1 MiB rebuilt per run before the images were forked)
-// and not its tag arrays (528 KiB per dual-core machine before they were
-// recycled).
+// input image (mcf: 6.1 MiB rebuilt per run before the images were forked),
+// not its tag arrays (528 KiB per dual-core machine before they were
+// recycled) and not a 32 KiB page per block it writes (107 and 119 KiB
+// before the pages shrank to 4 KiB). Each ceiling is about 20% over the
+// figure measured when it was set, given beside it; a garbage collection
+// that empties the array pool adds a few KiB to a pass.
 func TestRunAllocationCeiling(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops a quarter of what it is given")
@@ -341,15 +344,15 @@ func TestRunAllocationCeiling(t *testing.T) {
 			break
 		}
 	}
-	if got := pass(cells) >> 10; got > 250 {
-		t.Errorf("the 63 dual-core cells allocate %d KiB per run on average, want at most 250", got)
+	if got := pass(cells) >> 10; got > 72 { // measured 58
+		t.Errorf("the 63 dual-core cells allocate %d KiB per run on average, want at most 72", got)
 	}
 	mcf := make([]Job, 8)
 	for i := range mcf {
 		mcf[i] = Job{Bench: "mcf", Config: design.ExistingConfig()}
 	}
-	if got := pass(mcf) >> 10; got > 256 {
-		t.Errorf("mcf/EXISTING allocates %d KiB per run, want at most 256", got)
+	if got := pass(mcf) >> 10; got > 94 { // measured 78
+		t.Errorf("mcf/EXISTING allocates %d KiB per run, want at most 94", got)
 	}
 }
 

@@ -6,18 +6,25 @@ package mem
 
 import "fmt"
 
-// pageShift sizes a memory page at 4096 words (32 KiB), and
-// maxDirectPages caps the paged radix at 256 MiB of address space.
-// Workload images are laid out contiguously from a low base, so a paged
-// array keeps the functional memory sparse without putting a hash map on
-// the simulator's hottest path (every load/store resolution reads or
-// writes it); addresses beyond the cap fall back to a map so arbitrary
-// 64-bit addresses stay usable.
+// pageShift sizes a memory page at 512 words (4 KiB), and maxDirectPages
+// caps each paged window at 256 MiB of address space. Workload images are
+// laid out contiguously from a low base, so a paged array keeps the
+// functional memory sparse without putting a hash map on the simulator's
+// hottest path (every load/store resolution reads or writes it); addresses
+// beyond the cap fall back to a map so arbitrary 64-bit addresses stay
+// usable. The page is small because a fork copies a whole page on its first
+// write to it, and a run writes a few words into one or two 4 KiB blocks.
 const (
-	pageShift      = 12
-	pageMask       = 1<<pageShift - 1
-	maxDirectPages = 1 << 13
+	pageShift      = 9
+	pageWords      = 1 << pageShift
+	pageMask       = pageWords - 1
+	maxDirectPages = 1 << 16
 )
+
+// page is one page of words. Tables hold pages by pointer, 8 bytes an
+// entry, so a fork's copy of its parent's tables stays small, and a masked
+// index into the array needs no bounds check.
+type page [pageWords]uint64
 
 // Memory is a sparse 64-bit-word-addressable functional memory. Addresses
 // are byte addresses; accesses are 8-byte aligned words (the simulator's
@@ -29,9 +36,9 @@ const (
 // queue region sits at a fixed high base, far from the data image).
 // Anything outside both windows falls back to the far map.
 type Memory struct {
-	pages   [][]uint64 // low window: pages [0, maxDirectPages)
-	hiBase  uint64     // first page of the high window (valid when hiPages != nil)
-	hiPages [][]uint64 // high window: pages [hiBase, hiBase+maxDirectPages)
+	pages   []*page // low window: pages [0, maxDirectPages)
+	hiBase  uint64  // first page of the high window (valid when hiPages != nil)
+	hiPages []*page // high window: pages [hiBase, hiBase+maxDirectPages)
 	far     map[uint64]uint64
 
 	// owned and hiOwned mark, one bit per page of the window, the pages of
@@ -40,8 +47,6 @@ type Memory struct {
 	// image that is nobody's fork has no bitmaps).
 	owned, hiOwned []uint64
 }
-
-const pageWords = 1 << pageShift
 
 // New returns an empty memory image.
 func New() *Memory { return &Memory{} }
@@ -55,7 +60,7 @@ func (m *Memory) Fork() *Memory {
 	// One table and one bitmap, carved for both windows; the capacity
 	// limits make a window that grows reallocate instead of overrunning
 	// its neighbour.
-	table := make([][]uint64, n+h)
+	table := make([]*page, n+h)
 	copy(table, m.pages)
 	copy(table[n:], m.hiPages)
 	nw := (n + 63) / 64
@@ -104,7 +109,7 @@ func (m *Memory) Write8(addr, val uint64) {
 		if m.hiPages == nil {
 			// Anchor the high window at the first high page touched.
 			m.hiBase = pn
-			m.hiPages = make([][]uint64, 0, 16)
+			m.hiPages = make([]*page, 0, 16)
 		}
 		if pn -= m.hiBase; pn >= maxDirectPages {
 			if m.far == nil {
@@ -133,14 +138,16 @@ func owns(owned []uint64, i uint64) bool {
 // i (geometrically, so an image written front to back copies its table
 // O(log pages) times) and installs a page this image owns, a copy of the
 // parent's when it had one.
-func ownPage(table *[][]uint64, owned []uint64, i uint64) []uint64 {
+func ownPage(table *[]*page, owned []uint64, i uint64) *page {
 	t := *table
 	if i >= uint64(len(t)) {
-		t = append(t, make([][]uint64, i+1-uint64(len(t)))...)
+		t = append(t, make([]*page, i+1-uint64(len(t)))...)
 		*table = t
 	}
-	p := make([]uint64, pageWords)
-	copy(p, t[i])
+	p := new(page)
+	if q := t[i]; q != nil {
+		*p = *q
+	}
 	t[i] = p
 	if i>>6 < uint64(len(owned)) {
 		owned[i>>6] |= 1 << (i & 63)

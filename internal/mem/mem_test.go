@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMemoryReadWrite(t *testing.T) {
@@ -246,23 +248,64 @@ func TestForkProperty(t *testing.T) {
 	}
 }
 
+// mcfShaped returns a base image shaped like mcf's: a word in every 4 KiB
+// block from 1 MiB to 5 MiB, so the low window's table has 1 280 entries,
+// the first 256 of them empty.
+func mcfShaped() *Memory {
+	m := New()
+	for a := uint64(1 << 20); a < 5<<20; a += 4 << 10 {
+		m.Write8(a, a)
+	}
+	return m
+}
+
+// sink keeps a fork on the heap, where a run's fork lives.
+var sink *Memory
+
 // TestForkCopiesOnlyWrittenPages: the point of Fork is that a child pays
 // for the pages it writes, not for the image it starts from.
 func TestForkCopiesOnlyWrittenPages(t *testing.T) {
 	skipUnderRace(t)
-	parent := New()
-	for p := uint64(0); p < 128; p++ {
-		parent.Write8(p<<(pageShift+3), p+1)
-	}
+	parent := mcfShaped()
+	const p300, p2000 = 300 << (pageShift + 3), 2000 << (pageShift + 3)
 	got := testing.AllocsPerRun(10, func() {
 		c := parent.Fork()
-		c.Write8(5<<(pageShift+3)+8, 1) // copies page 5
-		c.Write8(5<<(pageShift+3)+16, 2)
-		c.Write8(200<<(pageShift+3), 3) // a page the parent never had
-		c.Write8(200<<(pageShift+3)+8, 4)
+		c.Write8(p300+8, 1) // copies page 300
+		c.Write8(p300+16, 2)
+		c.Write8(p2000, 3) // a page the parent never had
+		c.Write8(p2000+8, 4)
 	})
 	// Memory, table, bitmap; one copied page; the grown table and one new page.
 	if got > 6 {
 		t.Errorf("fork + writes to two pages cost %.0f allocations, want at most 6", got)
+	}
+
+	// In bytes, a fork that writes one word pays for one 4 KiB page, a table
+	// of 8-byte entries, its ownership bitmap and the Memory itself, plus up
+	// to 1 KiB the allocator adds (a pointerful table's header rounds it up
+	// a size class).
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sink = parent.Fork()
+		sink.Write8(2<<20, 1)
+	}
+	runtime.ReadMemStats(&after)
+	perFork := (after.TotalAlloc - before.TotalAlloc) / runs
+	if want := uint64(4<<10 + 1280*8 + 1280/64*8 + unsafe.Sizeof(Memory{}) + 1<<10); perFork > want {
+		t.Errorf("a fork of a 1 280-page image that writes one word allocates %d bytes, want at most %d", perFork, want)
+	}
+}
+
+// BenchmarkForkWrite times what a run pays for its image: fork an
+// mcf-sized base and write one word.
+func BenchmarkForkWrite(b *testing.B) {
+	parent := mcfShaped()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = parent.Fork()
+		sink.Write8(1<<20+uint64(i%1024)<<12, uint64(i))
 	}
 }

@@ -268,6 +268,14 @@ func TestSyncArrayBadParams(t *testing.T) {
 	if _, err := NewSyncArray(SAParams{}); err == nil {
 		t.Error("zero params accepted")
 	}
+	// A latency below one cycle is refused, not clamped to the default.
+	lat, c2u := DefaultSAParams(1, 4), DefaultSAParams(1, 4)
+	lat.InterconnectLatency, c2u.ConsumeToUse = 0, 0
+	for _, p := range []SAParams{lat, c2u} {
+		if _, err := NewSyncArray(p); err == nil {
+			t.Errorf("latencies %d/%d accepted", p.InterconnectLatency, p.ConsumeToUse)
+		}
+	}
 }
 
 // Property: any interleaving of produces and consumes preserves per-queue

@@ -179,8 +179,11 @@ func NewSyncArray(p SAParams) (*SyncArray, error) {
 	if p.NumQueues <= 0 || p.Depth <= 0 {
 		return nil, fmt.Errorf("queue: bad SA params %+v", p)
 	}
-	if p.InterconnectLatency <= 0 {
-		p.InterconnectLatency = 1
+	if p.InterconnectLatency < 1 {
+		return nil, fmt.Errorf("queue: interconnect latency %d, want at least 1 cycle", p.InterconnectLatency)
+	}
+	if p.ConsumeToUse < 1 {
+		return nil, fmt.Errorf("queue: consume-to-use latency %d, want at least 1 cycle", p.ConsumeToUse)
 	}
 	total := p.NumQueues
 	depths := make([]int, p.NumQueues, p.NumQueues)
