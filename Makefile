@@ -17,7 +17,7 @@
 #   make serve-cluster      ring/peering under -race plus the cluster differential rows
 #   make scaling            the differential grid's runner and serve rows under -race, N-core cells included (EXPERIMENTS.md "Differential battery")
 #   make load-smoke         hfload against in-process 1- and 3-replica clusters
-#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core, sim, dswp, mem, serve and trace layer benchmarks
+#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core, sim, dswp, mem, memsys, serve and trace layer benchmarks
 #   make chaos              full fault-injection sweep (RESILIENCE.md)
 #   make chaos-smoke        the CI chaos corpus, fast-forward on and off
 #   make chaos-cluster      service-tier chaos smoke under -race
@@ -100,13 +100,14 @@ coverage:
 # Tick on a token and a full-queue stall, sim.Run on six cells — MEMOPTI's
 # among them, whose allocs/op show its forward queue — plus one traced
 # the way the referee workload traces, whose B/op is the trace
-# ring's cost, the DSWP partitioner on three shapes, a /v1/run cache hit on
+# ring's cost, the DSWP partitioner on three shapes, one L2 controller
+# Tick over a steady SYNCOPTI OzQ of ten entries, a /v1/run cache hit on
 # the server alone and through the client) live beside the code, outside
 # the frozen bench/spine; CI runs the second line so they keep compiling
 # and running.
 gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./internal/dswp ./internal/mem ./serve ./trace
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./internal/dswp ./internal/mem ./internal/memsys ./serve ./trace
 
 # The last step is CI's regression gate: the dual-core matrix, an N-core
 # cell, the per-cycle kernel (referee: nothing else gated runs sim.Run

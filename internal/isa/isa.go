@@ -68,7 +68,11 @@ const (
 	// Streaming and ordering primitives.
 	Produce // queue Q <- ra
 	Consume // rd <- queue Q
-	Fence   // full memory barrier
+	// Fence orders the memory operations that enter the L2 controller's
+	// OzQ: no younger one proceeds until every older one completes. An
+	// L1-hit load never enters the OzQ, so it passes an incomplete fence;
+	// the op is not a full barrier (DESIGN.md "Memory ordering").
+	Fence
 
 	numOps
 )

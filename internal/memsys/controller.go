@@ -127,7 +127,7 @@ type Controller struct {
 	events  evq.Queue[event]
 	reqFree []*bus.Req // recycled bus requests (recyclable once ReqDone returns)
 
-	// epoch counts the compact passes that retired an entry, the only way
+	// epoch counts the ticks whose OzQ walk retired an entry, the only way
 	// the OzQ shrinks (see Refusal).
 	epoch uint64
 
@@ -137,10 +137,6 @@ type Controller struct {
 	// Tick recomputes it from live state. The wake-gated kernel skips
 	// Tick calls before it.
 	wakeAt uint64
-	// scanWake accumulates the OzQ entries' wake contributions during the
-	// tick's compact pass (see entryWake); Tick combines it with the event
-	// queue's minimum to recompute wakeAt without a dedicated scan.
-	scanWake uint64
 
 	// stores lists the OzQ's incomplete store entries in seq order, so the
 	// store-to-load ordering check on every load walks only the (few)
@@ -289,8 +285,8 @@ func (c *Controller) CanAccept() bool { return len(c.ozq) < c.p.OzQSize }
 
 // Refusal implements port.Refuser. The controller refuses an operation
 // only when its OzQ is full, at no cost and with no counter, and the OzQ
-// only shrinks when compact retires an entry, so the refusal repeats while
-// epoch holds still.
+// only shrinks when Tick's walk retires an entry, so the refusal repeats
+// while epoch holds still.
 func (c *Controller) Refusal() (epoch, count *uint64, sticky bool) { return &c.epoch, nil, true }
 
 // slotIdx reduces a cumulative slot index modulo the queue depth.
@@ -310,8 +306,9 @@ func (c *Controller) push(e *ozEntry) *ozEntry {
 }
 
 // alloc returns a zeroed OzQ entry, reusing a retired one when possible.
-// Entries are recycled in compact once they reach stDone; nothing holds a
-// reference past that point (tokens are separate objects the core owns).
+// Entries are recycled at the end of the Tick walk that finds them in
+// stDone; nothing holds a reference past that point (tokens are separate
+// objects the core owns).
 func (c *Controller) alloc() *ozEntry {
 	if n := len(c.free); n > 0 {
 		e := c.free[n-1]
@@ -505,76 +502,96 @@ func (c *Controller) Quiesced() bool {
 }
 
 // Tick advances the controller one cycle. Call after the bus has ticked.
+//
+// One walk over the OzQ steps every entry and swaps the survivors down in
+// seq order, so ozq[:k] always holds exactly the older entries still in
+// flight and len(ozq) holds still until the walk ends. Two facts make the
+// single walk exact. Stepping an entry completes no other entry: stDone is
+// set only on the entry being stepped, or by evForwardDone in runEvents
+// before the walk starts; so a fence completes when k == 0, and a
+// survivor's wake is final once folded. And wakeStream during the walk
+// wakes only younger entries, which the walk has not reached yet, because
+// produce and consume slots are issued in seq order and complete in slot
+// order.
 func (c *Controller) Tick(cycle uint64) {
-	c.scanWake = ^uint64(0)
-	c.tick(cycle)
-	// compact (the last full pass of the tick) folded the surviving OzQ
-	// entries' wake contributions into scanWake, so recomputing the cached
-	// wake needs no extra scan.
-	w := c.events.Min()
-	if c.scanWake < w {
-		w = c.scanWake
-	}
-	if w <= cycle {
-		w = cycle + 1
-	}
-	c.wakeAt = w
-}
-
-func (c *Controller) tick(cycle uint64) {
 	c.runEvents(cycle)
 	c.portUsed = 0
+	// The wake is recomputed from live state: the walk folds in each
+	// survivor, and push folds in the forwards injected during the tick.
+	c.wakeAt = ^uint64(0)
 
-	fenceBlocked := false // an incomplete fence has been seen in the scan
-	for _, e := range c.ozq {
-		switch e.state {
-		case stDone, stWaitFill:
-			continue
-		case stWaitSync:
+	fenceBlocked := false // an incomplete fence is older than the entry
+	n, k := len(c.ozq), 0
+	// Indexed, not ranged: a forward injected mid-walk may move ozq's
+	// backing array.
+	for i := 0; i < n; i++ {
+		e := c.ozq[i]
+		switch {
+		case e.state == stDone, e.state == stWaitFill:
+		case e.state == stWaitSync:
 			c.tickDormant(cycle, e)
-			continue
-		}
-		if e.kind == opFence {
-			if !c.olderIncomplete(e.seq) {
+		case e.kind == opFence:
+			if k == 0 {
+				// Nothing older is in flight.
 				e.state = stDone
 				e.tok.Complete(cycle, 0)
 			} else {
 				fenceBlocked = true
 			}
-			continue
-		}
-		if e.readyAt > cycle {
-			continue
-		}
-		if fenceBlocked {
+		case e.readyAt > cycle:
+		case fenceBlocked:
 			// Memory-fence ordering: the entry recirculates through the
 			// OzQ, consuming an L2 port on every retry (paper §4.4).
 			if c.takePort() {
 				c.RecircRetries++
 				e.readyAt = cycle + recircInterval
 			}
+		case e.state == stWaitPort:
+			if c.takePort() {
+				e.state = stAccess
+				e.readyAt = cycle + uint64(c.p.L2.Latency)
+			}
+		default: // stAccess
+			if storm := c.fab.faults.RecircStorm(cycle); storm > 0 {
+				// Injected fault: the resolution loses its port and
+				// recirculates storm extra times before trying again.
+				c.RecircRetries += storm
+				e.state = stWaitPort
+				e.readyAt = cycle + storm*recircInterval
+			} else {
+				c.resolve(cycle, e)
+			}
+		}
+		if e.state == stDone {
 			continue
 		}
-		switch e.state {
-		case stWaitPort:
-			if !c.takePort() {
-				continue
-			}
-			e.state = stAccess
-			e.readyAt = cycle + uint64(c.p.L2.Latency)
-		case stAccess:
-			if n := c.fab.faults.RecircStorm(cycle); n > 0 {
-				// Injected fault: the resolution loses its port and
-				// recirculates n extra times before trying again.
-				c.RecircRetries += n
-				e.state = stWaitPort
-				e.readyAt = cycle + n*recircInterval
-				continue
-			}
-			c.resolve(cycle, e)
+		c.noteWake(entryWake(e))
+		// Swap rather than copy down, so every entry stays in the OzQ
+		// exactly once for wakeStream; most ticks retire nothing and
+		// write nothing here.
+		if k != i {
+			c.ozq[k], c.ozq[i] = e, c.ozq[k]
 		}
+		k++
 	}
-	c.compact(cycle)
+	if k < n {
+		for _, e := range c.ozq[k:n] {
+			if e.kind == opForward {
+				// Hardware-generated work items own their doneless token;
+				// recycle it with the slot (cores recycle all the others).
+				c.fab.tokens.Put(e.tok)
+			}
+			*e = ozEntry{}
+			c.free = append(c.free, e)
+		}
+		c.ozq = append(c.ozq[:k], c.ozq[n:]...)
+		c.epoch++
+	}
+	c.injectForwards(cycle)
+	c.noteWake(c.events.Min())
+	if c.wakeAt <= cycle {
+		c.wakeAt = cycle + 1
+	}
 }
 
 func (c *Controller) runEvents(cycle uint64) {
@@ -600,18 +617,6 @@ func (c *Controller) takePort() bool {
 	return true
 }
 
-func (c *Controller) olderIncomplete(seq uint64) bool {
-	for _, e := range c.ozq {
-		if e.seq >= seq {
-			return false
-		}
-		if e.state != stDone {
-			return true
-		}
-	}
-	return false
-}
-
 // entryWake returns the cycle at which e can make progress on its own:
 // its retry/access-completion cycle, or a dormant consume's probe timeout.
 // Entries waiting on a bus fill or on queue synchronization are event-
@@ -629,48 +634,4 @@ func entryWake(e *ozEntry) uint64 {
 		}
 	}
 	return ^uint64(0)
-}
-
-func (c *Controller) compact(cycle uint64) {
-	w := c.scanWake
-	// Read-only prescan: most ticks retire nothing, and rewriting the
-	// whole queue of pointers costs a write barrier per entry.
-	i, n := 0, len(c.ozq)
-	for i < n {
-		e := c.ozq[i]
-		if e.state == stDone {
-			break
-		}
-		if v := entryWake(e); v < w {
-			w = v
-		}
-		i++
-	}
-	if i == n {
-		c.scanWake = w
-		c.injectForwards(cycle)
-		return
-	}
-	c.epoch++
-	kept := c.ozq[:i]
-	for ; i < n; i++ {
-		e := c.ozq[i]
-		if e.state != stDone {
-			if v := entryWake(e); v < w {
-				w = v
-			}
-			kept = append(kept, e)
-		} else {
-			if e.kind == opForward {
-				// Hardware-generated work items own their doneless token;
-				// recycle it with the slot (cores recycle all the others).
-				c.fab.tokens.Put(e.tok)
-			}
-			*e = ozEntry{}
-			c.free = append(c.free, e)
-		}
-	}
-	c.ozq = kept
-	c.scanWake = w
-	c.injectForwards(cycle)
 }

@@ -14,13 +14,13 @@ func testLayout() queue.Layout {
 }
 
 type rig struct {
-	t     *testing.T
+	t     testing.TB
 	fab   *Fabric
 	img   *mem.Memory
 	cycle uint64
 }
 
-func newRig(t *testing.T, mutate func(*Params)) *rig {
+func newRig(t testing.TB, mutate func(*Params)) *rig {
 	t.Helper()
 	p := DefaultParams(testLayout())
 	if mutate != nil {
@@ -183,8 +183,27 @@ func TestFenceOrdersStores(t *testing.T) {
 	fe := c.Fence(r.cycle)
 	st2 := c.Store(r.cycle, 0x5000, 2)
 	r.wait(st2)
-	if !(st1.DoneAt <= fe.DoneAt && fe.DoneAt <= st2.DoneAt) {
+	// The fence completes in the same OzQ walk that retires its last older
+	// entry, not a tick later.
+	if !(st1.DoneAt == fe.DoneAt && fe.DoneAt <= st2.DoneAt) {
 		t.Errorf("ordering violated: st1@%d fence@%d st2@%d", st1.DoneAt, fe.DoneAt, st2.DoneAt)
+	}
+}
+
+// TestL1HitLoadPassesFence pins what a fence does not order: an L1-hit
+// load never enters the OzQ, so it completes ahead of an older fence that
+// is still waiting on a store miss.
+func TestL1HitLoadPassesFence(t *testing.T) {
+	r := newRig(t, nil)
+	c := r.fab.Controller(0)
+	r.step(1)
+	r.wait(c.Load(r.cycle, 0x8000)) // bring the line into the L1
+	st := c.Store(r.cycle, 0x4000, 1)
+	fe := c.Fence(r.cycle)
+	ld := c.Load(r.cycle, 0x8000)
+	r.wait(fe)
+	if !(ld.DoneAt < st.DoneAt && st.DoneAt == fe.DoneAt) {
+		t.Errorf("want the L1-hit load before the store and the fence: load@%d store@%d fence@%d", ld.DoneAt, st.DoneAt, fe.DoneAt)
 	}
 }
 
@@ -228,6 +247,28 @@ func TestOzQBackpressure(t *testing.T) {
 	}
 	if !c.CanAccept() {
 		t.Error("OzQ never drained")
+	}
+
+	// A walk that retires several entries moves the epoch once: stores to
+	// four words of one cold line merge on one miss and commit together
+	// when its fill arrives.
+	r.until(func() bool { return len(c.ozq) == 0 })
+	for i := 0; i < 4; i++ {
+		c.Store(r.cycle, uint64(0x9000+8*i), uint64(i))
+	}
+	several := false
+	for i := 0; i < 2000 && len(c.ozq) > 0; i++ {
+		n, seen := len(c.ozq), c.epoch
+		r.step(1)
+		if retired := n - len(c.ozq); retired > 0 {
+			if c.epoch != seen+1 {
+				t.Fatalf("cycle %d: retiring %d entries moved the epoch by %d, want 1", r.cycle, retired, c.epoch-seen)
+			}
+			several = several || retired > 1
+		}
+	}
+	if !several {
+		t.Error("no tick retired the merged stores together")
 	}
 }
 
@@ -383,6 +424,24 @@ func TestMemOptiForwardTriggersOnFullLine(t *testing.T) {
 		r.wait(d)
 		f := prod.Store(r.cycle, layout.FlagAddr(0, s), 1)
 		r.wait(f)
+	}
+	// The last flag store hit its Modified line and committed in the OzQ
+	// walk, which injected the forward behind it: the walk must not step
+	// the forward on that tick, and the recomputed wake must cover it.
+	var fwd *ozEntry
+	for _, e := range prod.ozq {
+		if e.kind == opForward {
+			fwd = e
+		}
+	}
+	if fwd == nil {
+		t.Fatal("no forward in the OzQ after the line's last flag store")
+	}
+	if fwd.state != stWaitPort || fwd.readyAt != r.cycle+1 {
+		t.Errorf("cycle %d: forward %v ready at %d, want wait-port ready at %d", r.cycle, fwd.state, fwd.readyAt, r.cycle+1)
+	}
+	if prod.WakeAt() > fwd.readyAt {
+		t.Errorf("WakeAt() = %d, after the forward's ready cycle %d", prod.WakeAt(), fwd.readyAt)
 	}
 	r.step(1000)
 	if prod.WrFwdsSent != 1 {

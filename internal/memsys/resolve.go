@@ -289,11 +289,6 @@ func (c *Controller) injectForwards(cycle uint64) {
 			tok: c.newDonelessToken(), readyAt: cycle + 1,
 		}
 		c.push(e)
-		if e.readyAt < c.scanWake {
-			// Forwards injected after compact's pass still count toward
-			// the tick's recomputed wake.
-			c.scanWake = e.readyAt
-		}
 	}
 }
 
@@ -310,7 +305,7 @@ func (c *Controller) resolveForward(cycle uint64, e *ozEntry) {
 	}
 	e.state = stWaitFill
 	c.WrFwdsSent++
-	// The entry rides along as Ref: it stays in stWaitFill (so compact
+	// The entry rides along as Ref: it stays in stWaitFill (so Tick's walk
 	// cannot recycle it) until the scheduled evForwardDone retires it.
 	req := c.newReq()
 	req.Kind, req.Addr, req.Src, req.Aux = bus.WriteForward, e.addr, c.id, c.p.Layout.QLU

@@ -9,7 +9,7 @@ import (
 
 // newDonelessToken returns a token nobody waits on (hardware-generated
 // OzQ work items still carry one so shared code paths stay uniform); it
-// is recycled by compact when the work item's slot retires.
+// is recycled by Tick's walk when the work item's slot retires.
 func (c *Controller) newDonelessToken() *port.Token { return c.fab.tokens.Get(stats.L2) }
 
 // ---- SYNCOPTI produce path ----
