@@ -9,6 +9,7 @@
 #   make race               race-detector pass over mem, cache, memsys, exp, sim and serve
 #   make coverage           coverage.out, failing under COVERAGE_BASELINE
 #   make fmtcheck           gofmt -l must print nothing
+#   make inline-check       the hot path's small functions (INLINE_FUNCS) must still inline
 #   make golden             regenerate testdata/golden/ and internal/exp/testdata/experiments/ (EXPERIMENTS.md "Golden metrics snapshots", "Golden experiments")
 #   make golden-check       rebuild the snapshots in a temp dir and diff them; re-render every experiment and compare
 #   make golden-check-noff  the same with HFSTREAM_NO_FASTFORWARD=1
@@ -37,7 +38,7 @@ GOLDEN_BENCHES = bzip2,adpcmdec
 # grows.
 COVERAGE_BASELINE = 82.0
 
-.PHONY: tier1 vet build test refcut-check spine-test spine spine-pairs race coverage gobench ci fmtcheck golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
+.PHONY: tier1 vet build test refcut-check spine-test spine spine-pairs race coverage gobench ci fmtcheck inline-check golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
 
 tier1: build vet test
 
@@ -115,12 +116,31 @@ gobench:
 # (serve_hot: no kernel work, so a cost in decode, key, cache or encode is
 # not diluted by a simulation) and the peer tier (cluster3: nothing else
 # gated runs PeerGet/PeerPut) against the parent commit.
-ci: tier1 refcut-check spine-test race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos-smoke chaos-cluster
+ci: tier1 refcut-check spine-test race coverage fmtcheck inline-check golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos-smoke chaos-cluster
 	$(MAKE) spine-pairs BASE=$(or $(BASE),HEAD~1) WORKLOAD=matrix2,ncore,referee,serve_mix,serve_hot,cluster3 PAIRS=3
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# The kernel's per-cycle calls that must stay inlined. Each one's guard
+# decides the common, nothing-to-do case at the call site, so a tick pays
+# a compare and no call; an edit that pushes one past the compiler's
+# inline budget fails here, naming the function.
+INLINE_FUNCS = '(*Core).Done' '(*Core).Replay' '(*Core).FastForward' \
+	'(*Core).NextWake' '(*Core).note' '(*Core).noteStall' \
+	'(*Core).flushStallTrace' '(*Core).track' \
+	'(*Controller).WakeAt' '(*Controller).noteWake' \
+	'(*Controller).CanAccept' '(*Controller).takePort' 'entryWake' \
+	'(*Token).Done' '(*Token).Complete'
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/core ./internal/memsys ./internal/port 2>&1) || \
+		{ echo "$$out"; exit 1; }; \
+	can=$$(echo "$$out" | sed -n 's/^.*: can inline //p'); fail=0; \
+	for f in $(INLINE_FUNCS); do \
+		echo "$$can" | grep -qxF "$$f" || { echo "no longer inlines: $$f"; fail=1; }; \
+	done; \
+	[ $$fail = 0 ] && echo "hot path inlines"
 
 # Two sets of goldens: full metrics snapshots for GOLDEN_BENCHES, and the
 # rendered table of every exp.Catalog row (all nine benchmarks, every

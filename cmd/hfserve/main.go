@@ -72,10 +72,13 @@ import (
 // (and capped by MaxBytesReader), so seconds are generous. There is no
 // write timeout: ?stream=ndjson and /v1/sweep responses live as long as
 // their simulations, and the read deadline is lifted once the body is in.
+// The API reads no header past a few short ones, so a header block over
+// maxHeaderBytes (net/http's default is 1 MB) is answered 431.
 const (
 	readHeaderTimeout = 5 * time.Second
 	readTimeout       = 15 * time.Second
 	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
 )
 
 func newHTTPServer(h http.Handler) *http.Server {
@@ -84,6 +87,7 @@ func newHTTPServer(h http.Handler) *http.Server {
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }
 

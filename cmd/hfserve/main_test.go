@@ -105,3 +105,54 @@ func TestStalledHeadersAreCutOffStreamsAreNot(t *testing.T) {
 		t.Fatalf("stream lasted %v over %d events: too short to have outlived the %v budgets", lived, events, budget)
 	}
 }
+
+// TestHeaderFloodIsRefused: a request whose header block is larger than
+// the server's header budget is answered 431 and its connection closed,
+// and the server goes on answering.
+func TestHeaderFloodIsRefused(t *testing.T) {
+	s := serve.New(serve.Config{Workers: 1})
+	srv := newHTTPServer(s.Handler())
+	if srv.MaxHeaderBytes != maxHeaderBytes {
+		t.Fatalf("MaxHeaderBytes = %d, want %d", srv.MaxHeaderBytes, maxHeaderBytes)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback listener here: %v", err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	addr := ln.Addr().String()
+
+	flood, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood.SetDeadline(time.Now().Add(10 * time.Second))
+	// The server answers and hangs up before it has read the whole block,
+	// so the write may fail; the reply is what is checked.
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		io.WriteString(flood, "GET /v1/healthz HTTP/1.1\r\nHost: x\r\nX-Flood: "+
+			strings.Repeat("a", 2*maxHeaderBytes)+"\r\n\r\n")
+	}()
+	resp, err := http.ReadResponse(bufio.NewReader(flood), nil)
+	flood.Close()
+	<-wrote
+	if err != nil {
+		t.Fatalf("no reply to a %d-byte header block: %v", 2*maxHeaderBytes, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("a %d-byte header block got %s, want 431", 2*maxHeaderBytes, resp.Status)
+	}
+
+	health, err := http.Get("http://" + addr + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/healthz after the flood: %s", health.Status)
+	}
+}

@@ -268,10 +268,13 @@ func (c *Core) SetReg(r isa.Reg, v uint64) { c.regs[r] = v }
 func (c *Core) Halted() bool { return c.halted }
 
 // Done reports whether the core halted and all its operations drained.
-func (c *Core) Done(cycle uint64) bool {
-	if !c.halted {
-		return false
-	}
+// The halted test sits here, so that Done inlines and a running core's
+// tick pays one compare for it.
+func (c *Core) Done(cycle uint64) bool { return c.halted && c.drained(cycle) }
+
+// drained reports whether every operation of the halted core completed by
+// cycle.
+func (c *Core) drained(cycle uint64) bool {
 	// nextDue is the exact earliest completion over tracked tokens, so an
 	// earlier cycle with anything still tracked cannot have drained.
 	if cycle < c.nextDue && (c.pendMask != 0 || len(c.inflight) != 0) {
@@ -615,25 +618,34 @@ func (c *Core) refused(r port.Refuser) {
 	}
 }
 
-// noteStall extends or starts the current stall run for the tracer.
+// noteStall extends or starts the current stall run for the tracer. It
+// inlines, so an untraced stall, or one that extends the run, costs its
+// compares and no call.
 func (c *Core) noteStall(cycle uint64, r StallReason) {
-	if c.Tracer == nil {
-		return
+	if c.Tracer != nil && (c.stallSince == 0 || c.stallCur != r) {
+		c.startStall(cycle, r)
 	}
-	if c.stallSince != 0 && c.stallCur == r {
-		return
-	}
+}
+
+// startStall ends the tracer's stall run, if any, and starts one of
+// reason r at cycle.
+func (c *Core) startStall(cycle uint64, r StallReason) {
 	c.flushStallTrace(cycle)
 	c.stallSince = cycle
 	c.stallCur = r
 }
 
 // flushStallTrace emits the in-progress stall run, if any, as one event
-// covering [stallSince, endCycle).
+// covering [stallSince, endCycle). It inlines, so an issuing cycle with no
+// run to end costs its compares and no call.
 func (c *Core) flushStallTrace(endCycle uint64) {
-	if c.Tracer == nil || c.stallSince == 0 {
-		return
+	if c.Tracer != nil && c.stallSince != 0 {
+		c.emitStall(endCycle)
 	}
+}
+
+// emitStall records the stall run as one event ending at endCycle.
+func (c *Core) emitStall(endCycle uint64) {
 	dur := endCycle - c.stallSince
 	if dur == 0 {
 		dur = 1

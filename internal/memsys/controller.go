@@ -507,14 +507,21 @@ func (c *Controller) Quiesced() bool {
 // seq order, so ozq[:k] always holds exactly the older entries still in
 // flight and len(ozq) holds still until the walk ends. Two facts make the
 // single walk exact. Stepping an entry completes no other entry: stDone is
-// set only on the entry being stepped, or by evForwardDone in runEvents
-// before the walk starts; so a fence completes when k == 0, and a
-// survivor's wake is final once folded. And wakeStream during the walk
-// wakes only younger entries, which the walk has not reached yet, because
-// produce and consume slots are issued in seq order and complete in slot
-// order.
+// set only on the entry being stepped, or in runEvents before the walk
+// starts, by evForwardDone or by fill resolving the entries that waited on
+// the line; so a fence completes when k == 0, and a survivor's wake is
+// final once folded. And wakeStream during the walk wakes only younger
+// entries, which the walk has not reached yet, because produce and consume
+// slots are issued in seq order and complete in slot order.
+//
+// An entry in stWaitFill, or dormant in stWaitSync with no probe timeout,
+// waits for an event that names it (its fill, evForwardDone, or the
+// wakeStream that moves it to stWaitPort), so the walk passes it as a
+// survivor with no step and no wake: its entryWake is ^0.
 func (c *Controller) Tick(cycle uint64) {
-	c.runEvents(cycle)
+	if c.events.Min() <= cycle {
+		c.runEvents(cycle)
+	}
 	c.portUsed = 0
 	// The wake is recomputed from live state: the walk folds in each
 	// survivor, and push folds in the forwards injected during the tick.
@@ -527,9 +534,14 @@ func (c *Controller) Tick(cycle uint64) {
 	for i := 0; i < n; i++ {
 		e := c.ozq[i]
 		switch {
-		case e.state == stDone, e.state == stWaitFill:
+		case e.state == stWaitFill, e.state == stWaitSync && e.timeoutAt == 0:
+			goto survive
+		case e.state == stDone:
+			continue
 		case e.state == stWaitSync:
-			c.tickDormant(cycle, e)
+			if cycle >= e.timeoutAt {
+				c.tickDormant(cycle, e)
+			}
 		case e.kind == opFence:
 			if k == 0 {
 				// Nothing older is in flight.
@@ -566,6 +578,7 @@ func (c *Controller) Tick(cycle uint64) {
 			continue
 		}
 		c.noteWake(entryWake(e))
+	survive:
 		// Swap rather than copy down, so every entry stays in the OzQ
 		// exactly once for wakeStream; most ticks retire nothing and
 		// write nothing here.
@@ -587,19 +600,19 @@ func (c *Controller) Tick(cycle uint64) {
 		c.ozq = append(c.ozq[:k], c.ozq[n:]...)
 		c.epoch++
 	}
-	c.injectForwards(cycle)
+	if len(c.pendingForwards) > 0 {
+		c.injectForwards(cycle)
+	}
 	c.noteWake(c.events.Min())
 	if c.wakeAt <= cycle {
 		c.wakeAt = cycle + 1
 	}
 }
 
+// runEvents runs every event due by cycle. Tick calls it only when one is
+// due: most ticks have none, and popping by value would still copy an
+// event out to learn that.
 func (c *Controller) runEvents(cycle uint64) {
-	// Most ticks have nothing due; popping by value would still copy an
-	// event out to learn that.
-	if c.events.Min() > cycle {
-		return
-	}
 	for {
 		ev, ok := c.events.PopDue(cycle)
 		if !ok {

@@ -535,3 +535,59 @@ func TestControllerSnapshotNonEmpty(t *testing.T) {
 		t.Errorf("snapshot misses the in-flight produce: %+v", s)
 	}
 }
+
+// An entry waiting on its fill, or dormant with no probe timeout, folds no
+// wake into WakeAt: the controller wakes for the event that names it. A
+// dormant consume with a timeout keeps WakeAt at that timeout and sends
+// its probe on exactly that cycle.
+func TestWaitingEntryFoldsNoWake(t *testing.T) {
+	t.Run("wait-fill", func(t *testing.T) {
+		r := newRig(t, nil)
+		c := r.fab.Controller(0)
+		r.step(1)
+		tok := c.Load(r.cycle, 0x1000)
+		r.until(func() bool { return len(c.ozq) == 1 && c.ozq[0].state == stWaitFill })
+		for c.events.Len() == 0 {
+			if w := c.WakeAt(); w != ^uint64(0) {
+				t.Fatalf("cycle %d: WakeAt %d before the bus grants the miss, want ^0", r.cycle, w)
+			}
+			r.step(1)
+		}
+		fillAt := c.events.Min()
+		if w := c.WakeAt(); w != fillAt {
+			t.Fatalf("cycle %d: WakeAt %d after the grant, want the fill's cycle %d", r.cycle, w, fillAt)
+		}
+		if r.wait(tok); tok.DoneAt != fillAt {
+			t.Fatalf("load completed at %d, want the fill's cycle %d", tok.DoneAt, fillAt)
+		}
+	})
+	t.Run("wait-sync", func(t *testing.T) {
+		r := newRig(t, func(p *Params) {
+			syncParams(p)
+			p.ConsumeTimeout = 40
+		})
+		c := r.fab.Controller(1)
+		r.step(1)
+		if _, ok := c.Consume(r.cycle, 1); !ok {
+			t.Fatal("consume rejected")
+		}
+		r.until(func() bool { return c.ozq[0].state == stWaitSync })
+		e := c.ozq[0]
+		timeout := e.timeoutAt
+		if timeout != r.cycle+40 {
+			t.Fatalf("cycle %d: probe timeout %d, want %d", r.cycle, timeout, r.cycle+40)
+		}
+		for r.cycle < timeout {
+			if w := c.WakeAt(); w != timeout {
+				t.Fatalf("cycle %d: WakeAt %d, want the probe timeout %d", r.cycle, w, timeout)
+			}
+			if c.ProbesSent != 0 {
+				t.Fatalf("cycle %d: probe sent before the timeout %d", r.cycle, timeout)
+			}
+			r.step(1)
+		}
+		if c.ProbesSent != 1 {
+			t.Fatalf("cycle %d: %d probes sent at the timeout, want 1", r.cycle, c.ProbesSent)
+		}
+	})
+}

@@ -181,11 +181,9 @@ func (c *Controller) onBulkAck(cycle uint64, q, n int) {
 
 // ---- dormant entries, probes and wakes ----
 
-// tickDormant checks the probe timeout of dormant consumes.
+// tickDormant handles a dormant consume whose probe timeout is due. Tick
+// calls it only then; only a consume ever arms timeoutAt.
 func (c *Controller) tickDormant(cycle uint64, e *ozEntry) {
-	if e.kind != opConsume || e.timeoutAt == 0 || cycle < e.timeoutAt {
-		return
-	}
 	if c.availCum[e.q] > e.slot {
 		// Data arrived; the wake already requeued us (or will).
 		e.timeoutAt = 0
