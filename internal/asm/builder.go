@@ -5,6 +5,7 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 
 	"hfstream/internal/isa"
 )
@@ -30,6 +31,10 @@ type fixup struct {
 func NewBuilder(name string) *Builder {
 	return &Builder{name: name, labels: make(map[string]int)}
 }
+
+// Grow makes room for n more instructions, so that emitting them does not
+// reallocate.
+func (b *Builder) Grow(n int) { b.instrs = slices.Grow(b.instrs, n) }
 
 // Len returns the number of instructions emitted so far.
 func (b *Builder) Len() int { return len(b.instrs) }

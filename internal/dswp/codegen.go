@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strconv"
 
 	"hfstream/internal/asm"
 	"hfstream/internal/ir"
@@ -20,47 +20,27 @@ const maxGenReg = 50
 // direct imports at the top of the body, exports at its end, carried
 // imports after the refresh, and the loop condition computed locally or
 // received from its owner.
-func generate(l *ir.Loop, th, stages int, assign map[int]int, slice map[int]bool,
+func generate(l *ir.Loop, th, stages int, assign []int, slice []bool,
 	replicable bool, edges []crossEdge, condQueues []int) (*isa.Program, error) {
 
-	name := fmt.Sprintf("%s.t%d", l.Name, th)
-	g := newEmitter(name)
+	name := l.Name + ".t" + strconv.Itoa(th)
+	g := newEmitter(name, len(l.Body))
 	b := g.b
 
-	local := map[int]bool{}
+	local := make([]bool, len(l.Body))
+	bodyNodes := make([]*ir.Node, 0, len(l.Body))
 	for _, n := range l.Body {
 		t, repl := threadOf(n.ID, assign, slice, replicable)
 		if repl || t == th {
 			local[n.ID] = true
+			bodyNodes = append(bodyNodes, n)
 		}
 	}
-
-	// Queue lookup for this stage: which cross edges it produces, and
-	// which it consumes (edges carry their consuming stage).
-	produces := map[int][]crossEdge{} // src node -> edges (this stage is source)
-	consumesDirect := []crossEdge{}
-	consumesCarried := []crossEdge{}
-	for _, e := range edges {
-		switch {
-		case local[e.src]:
-			produces[e.src] = append(produces[e.src], e)
-		case e.dest == th:
-			if e.carried {
-				consumesCarried = append(consumesCarried, e)
-			} else {
-				consumesDirect = append(consumesDirect, e)
-			}
-		}
-	}
-	sort.Slice(consumesDirect, func(i, j int) bool { return consumesDirect[i].queue < consumesDirect[j].queue })
-	sort.Slice(consumesCarried, func(i, j int) bool { return consumesCarried[i].queue < consumesCarried[j].queue })
-
-	var bodyNodes []*ir.Node
-	for _, n := range l.Body {
-		if !local[n.ID] {
-			continue
-		}
-		bodyNodes = append(bodyNodes, n)
+	// edges are in queue order, edges[i].queue == i. This stage produces
+	// the edges whose source it computes, and consumes those whose
+	// consuming stage it is.
+	consumes := func(e crossEdge, carried bool) bool {
+		return !local[e.src] && e.dest == th && e.carried == carried
 	}
 	// List-schedule the body by ASAP level so independent work fills the
 	// latency shadows of FP and load chains — the in-order core stalls at
@@ -78,8 +58,10 @@ func generate(l *ir.Loop, th, stages int, assign map[int]int, slice map[int]bool
 	}
 
 	b.Label("loop")
-	for _, e := range consumesDirect {
-		b.Consume(g.regOf[e.src], e.queue)
+	for _, e := range edges {
+		if consumes(e, false) {
+			b.Consume(g.regOf[e.src], e.queue)
+		}
 	}
 	if err := g.body(bodyNodes); err != nil {
 		return nil, err
@@ -88,13 +70,10 @@ func generate(l *ir.Loop, th, stages int, assign map[int]int, slice map[int]bool
 	// Produces go at the end of the body, in queue order: a produce stalls
 	// issue until its operand is ready, so emitting it mid-body would
 	// serialize the independent work behind it on the in-order core.
-	var sends []crossEdge
-	for _, n := range bodyNodes {
-		sends = append(sends, produces[n.ID]...)
-	}
-	sort.Slice(sends, func(i, j int) bool { return sends[i].queue < sends[j].queue })
-	for _, e := range sends {
-		b.Produce(e.queue, g.regOf[e.src])
+	for _, e := range edges {
+		if local[e.src] {
+			b.Produce(e.queue, g.regOf[e.src])
+		}
 	}
 	if condStreamed && local[l.Exit.ID] {
 		// The control owner feeds every other stage its copy.
@@ -106,8 +85,10 @@ func generate(l *ir.Loop, th, stages int, assign map[int]int, slice map[int]bool
 	}
 
 	g.refresh(local)
-	for _, e := range consumesCarried {
-		g.importCarried(e.src, func(dst isa.Reg) { b.Consume(dst, e.queue) })
+	for _, e := range edges {
+		if consumes(e, true) {
+			g.importCarried(e.src, func(dst isa.Reg) { b.Consume(dst, e.queue) })
+		}
 	}
 
 	// Loop back-edge.
@@ -124,12 +105,12 @@ func generate(l *ir.Loop, th, stages int, assign map[int]int, slice map[int]bool
 	return b.Program()
 }
 
-// scheduleASAP orders body nodes by earliest-start level over local
-// same-iteration dependence chains, interleaving independent chains so
-// the in-order pipeline can hide operation latency. Dependences are
+// scheduleASAP orders body nodes, in place, by earliest-start level over
+// local same-iteration dependence chains, interleaving independent chains
+// so the in-order pipeline can hide operation latency. Dependences are
 // preserved: a consumer's level always exceeds its producer's.
-func scheduleASAP(nodes []*ir.Node, local map[int]bool) []*ir.Node {
-	level := make(map[int]int, len(nodes))
+func scheduleASAP(nodes []*ir.Node, local []bool) []*ir.Node {
+	level := make([]int, len(local))
 	for _, n := range nodes { // ID order is topological for these deps
 		lv := 0
 		for _, a := range n.Args {
@@ -142,15 +123,10 @@ func scheduleASAP(nodes []*ir.Node, local map[int]bool) []*ir.Node {
 		}
 		level[n.ID] = lv
 	}
-	out := append([]*ir.Node(nil), nodes...)
-	sort.SliceStable(out, func(i, j int) bool {
-		li, lj := level[out[i].ID], level[out[j].ID]
-		if li != lj {
-			return li < lj
-		}
-		return out[i].ID < out[j].ID
+	slices.SortStableFunc(nodes, func(x, y *ir.Node) int {
+		return cmp.Or(cmp.Compare(level[x.ID], level[y.ID]), cmp.Compare(x.ID, y.ID))
 	})
-	return out
+	return nodes
 }
 
 // carryKey identifies one carried-value register: two carried uses of
@@ -169,21 +145,24 @@ type carryKey struct {
 // where its imports come from and its exports go, and control of its own.
 //
 // newEmitter returns it by value so the maps live in the generator's frame;
-// the thread name stays out of the struct for the same reason.
+// the thread name stays out of the struct for the same reason. nodes, the
+// loop's node count, sizes regOf and the builder.
 type emitter struct {
 	b        *asm.Builder
-	next     isa.Reg         // r0 is never allocated
-	regOf    map[int]isa.Reg // node values: local results and direct imports
+	next     isa.Reg   // r0 is never allocated
+	regOf    []isa.Reg // by node ID: local results and direct imports, 0 for none
 	carryReg map[carryKey]isa.Reg
 	constReg map[int64]isa.Reg
 	carried  []carryKey // carryReg's keys in prologue order, set by prolog
 }
 
-func newEmitter(name string) emitter {
+func newEmitter(name string, nodes int) emitter {
+	b := asm.NewBuilder(name)
+	b.Grow(2 * nodes)
 	return emitter{
-		b:        asm.NewBuilder(name),
+		b:        b,
 		next:     1,
-		regOf:    map[int]isa.Reg{},
+		regOf:    make([]isa.Reg, nodes),
 		carryReg: map[carryKey]isa.Reg{},
 		constReg: map[int64]isa.Reg{},
 	}
@@ -207,7 +186,7 @@ func (g *emitter) constant(v int64) isa.Reg {
 
 // assign takes a register for each value node, in emission order, and for
 // each constant, carried value and import target its operands read.
-func (g *emitter) assign(nodes []*ir.Node, local map[int]bool) {
+func (g *emitter) assign(nodes []*ir.Node, local []bool) {
 	for _, n := range nodes {
 		if n.Op != isa.St {
 			g.regOf[n.ID] = g.take()
@@ -224,7 +203,7 @@ func (g *emitter) assign(nodes []*ir.Node, local map[int]bool) {
 					g.carryReg[k] = g.take()
 				}
 			case !local[a.Node.ID]:
-				if _, ok := g.regOf[a.Node.ID]; !ok {
+				if g.regOf[a.Node.ID] == 0 {
 					g.regOf[a.Node.ID] = g.take()
 				}
 			}
@@ -238,7 +217,8 @@ func (g *emitter) prolog(name string) error {
 	if g.next > maxGenReg {
 		return fmt.Errorf("dswp: %s needs %d registers, limit %d", name, g.next, maxGenReg)
 	}
-	vals := make([]int64, 0, len(g.constReg))
+	var buf [16]int64 // enough for most threads' constants
+	vals := buf[:0]
 	for v := range g.constReg {
 		vals = append(vals, v)
 	}
@@ -308,7 +288,7 @@ func (g *emitter) operand(n *ir.Node, ai int) isa.Reg {
 
 // refresh copies each locally computed carried value into its carry
 // register for the next iteration.
-func (g *emitter) refresh(local map[int]bool) {
+func (g *emitter) refresh(local []bool) {
 	for _, k := range g.carried {
 		if local[k.id] {
 			g.b.Mov(g.carryReg[k], g.regOf[k.id])
@@ -352,9 +332,5 @@ func Single(l *ir.Loop) (*isa.Program, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	assign := map[int]int{}
-	for _, n := range l.Body {
-		assign[n.ID] = 0
-	}
-	return generate(l, 0, 1, assign, map[int]bool{}, false, nil, nil)
+	return generate(l, 0, 1, make([]int, len(l.Body)), nil, false, nil, nil)
 }

@@ -68,26 +68,22 @@ func (sp *cutSpace) bestCut() []int {
 		}
 	}
 
-	// A dense view of the loop by body position: which free SCC a node
+	// A dense view of the loop by node ID: which free SCC a node
 	// belongs to (m for the forced ones, everywhere for the replicated
 	// slice), its weight, and its non-constant operands.
 	const everywhere = -1
-	posOf := make(map[int]int, body)
-	for p, nd := range l.Body {
-		posOf[nd.ID] = p
-	}
 	where := make([]int, body)
 	for p := range where {
 		where[p] = everywhere
 	}
 	for i, comp := range sp.free {
 		for _, id := range comp {
-			where[posOf[id]] = i
+			where[id] = i
 		}
 	}
 	for _, comp := range sp.forced {
 		for _, id := range comp {
-			where[posOf[id]] = m
+			where[id] = m
 		}
 	}
 	type use struct {
@@ -108,7 +104,7 @@ func (sp *cutSpace) bestCut() []int {
 		weight[p] = nd.Weight()
 		for _, a := range nd.Args {
 			if a.Node != nil {
-				uses = append(uses, use{src: posOf[a.Node.ID], carried: a.Carried})
+				uses = append(uses, use{src: a.Node.ID, carried: a.Carried})
 			}
 		}
 		usesAt[p+1] = len(uses)

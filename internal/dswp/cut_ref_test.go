@@ -129,7 +129,7 @@ func violatesPins(l *ir.Loop, assign map[int]int) bool {
 // width) and its dependence-chain bound, plus per-queue COMM-OP cost for
 // the values it imports and exports.
 func stageCost(l *ir.Loop, nodeByID map[int]*ir.Node, assign map[int]int,
-	th int, slice map[int]bool, replicable bool) float64 {
+	th int, slice []bool, replicable bool) float64 {
 
 	width := 3.0 // effective sustained issue on the in-order core
 	work := 0
@@ -137,7 +137,7 @@ func stageCost(l *ir.Loop, nodeByID map[int]*ir.Node, assign map[int]int,
 	maxChain := 0
 	comm := map[[3]int]bool{} // (src, carriedBit, dest) endpoints touching th
 	for _, n := range l.Body {
-		nt, repl := threadOf(n.ID, assign, slice, replicable)
+		nt, repl := refThreadOf(n.ID, assign, slice, replicable)
 		if !repl && nt != th {
 			// Still scan its operands for edges produced by this stage.
 			if !repl {
@@ -145,7 +145,7 @@ func stageCost(l *ir.Loop, nodeByID map[int]*ir.Node, assign map[int]int,
 					if a.Node == nil || a.Node.ID == n.ID {
 						continue
 					}
-					st, slocal := threadOf(a.Node.ID, assign, slice, replicable)
+					st, slocal := refThreadOf(a.Node.ID, assign, slice, replicable)
 					if !slocal && st == th && st != nt {
 						cb := 0
 						if a.Carried {
@@ -166,7 +166,7 @@ func stageCost(l *ir.Loop, nodeByID map[int]*ir.Node, assign map[int]int,
 			if pd, ok := depth[a.Node.ID]; ok && pd > d {
 				d = pd
 			}
-			st, slocal := threadOf(a.Node.ID, assign, slice, replicable)
+			st, slocal := refThreadOf(a.Node.ID, assign, slice, replicable)
 			if !repl && !slocal && st != th {
 				cb := 0
 				if a.Carried {
@@ -186,4 +186,13 @@ func stageCost(l *ir.Loop, nodeByID map[int]*ir.Node, assign map[int]int,
 		cost = float64(maxChain)
 	}
 	return cost + 1.5*float64(len(comm))
+}
+
+// refThreadOf is threadOf over the reference's assignment map, in which a
+// node it does not list is in stage 0.
+func refThreadOf(id int, assign map[int]int, slice []bool, replicable bool) (int, bool) {
+	if replicable && slice[id] {
+		return -1, true
+	}
+	return assign[id], false
 }

@@ -1,8 +1,10 @@
 package dswp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"hfstream/internal/ir"
 	"hfstream/internal/isa"
@@ -45,34 +47,24 @@ func PartitionParallel(l *ir.Loop, workers int) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	nodeByID := map[int]*ir.Node{}
-	for _, nd := range l.Body {
-		nodeByID[nd.ID] = nd
-	}
 	slice := exitSlice(l)
-	for id := range slice {
-		if op := nodeByID[id].Op; op == isa.Ld || op == isa.St {
+	for _, nd := range l.Body {
+		if slice[nd.ID] && (nd.Op == isa.Ld || nd.Op == isa.St) {
 			return nil, fmt.Errorf("dswp: loop %s: exit slice touches memory; cannot replicate control across workers", l.Name)
 		}
 	}
 
-	// Regions the loop stores to: loads from them are ordered against the
-	// stores (the same conservative rule buildPDG uses) and must stay on
-	// the merger.
-	storedRegion := map[string]bool{}
-	for _, nd := range l.Body {
-		if nd.Op == isa.St && nd.Region != nil {
-			storedRegion[nd.Region.Name] = true
-		}
-	}
-
 	// Classify in ID order (topological for same-iteration data deps).
-	pure := map[int]bool{}
+	// Loads from a region the loop stores to are ordered against the
+	// stores (the same conservative rule buildPDG uses) and stay on the
+	// merger.
+	pure := make([]bool, len(l.Body))
+	anyPure := false
 	for _, nd := range l.Body {
 		if slice[nd.ID] || nd.Op == isa.St {
 			continue
 		}
-		if nd.Op == isa.Ld && (nd.Region == nil || storedRegion[nd.Region.Name]) {
+		if nd.Op == isa.Ld && (nd.Region == nil || storesTo(l.Body, nd.Region.Name)) {
 			continue
 		}
 		ok := true
@@ -89,9 +81,10 @@ func PartitionParallel(l *ir.Loop, workers int) (*Result, error) {
 		}
 		if ok {
 			pure[nd.ID] = true
+			anyPure = true
 		}
 	}
-	if len(pure) == 0 {
+	if !anyPure {
 		return nil, fmt.Errorf("dswp: loop %s has no replicable parallel work (every node is control, memory-ordered, or loop-carried)", l.Name)
 	}
 
@@ -101,7 +94,7 @@ func PartitionParallel(l *ir.Loop, workers int) (*Result, error) {
 		src     int
 		carried bool
 	}
-	seen := map[ekey]bool{}
+	seen := make([]bool, 2*len(l.Body)) // by 2*source+carried
 	var eks []ekey
 	for _, nd := range l.Body {
 		if slice[nd.ID] || pure[nd.ID] {
@@ -111,21 +104,21 @@ func PartitionParallel(l *ir.Loop, workers int) (*Result, error) {
 			if a.Node == nil || !pure[a.Node.ID] {
 				continue
 			}
-			k := ekey{src: a.Node.ID, carried: a.Carried}
+			k := 2 * a.Node.ID
+			if a.Carried {
+				k++
+			}
 			if !seen[k] {
 				seen[k] = true
-				eks = append(eks, k)
+				eks = append(eks, ekey{src: a.Node.ID, carried: a.Carried})
 			}
 		}
 	}
 	if len(eks) == 0 {
 		return nil, fmt.Errorf("dswp: loop %s: parallel work feeds nothing on the merger; a parallel partition would be dead code", l.Name)
 	}
-	sort.Slice(eks, func(i, j int) bool {
-		if eks[i].src != eks[j].src {
-			return eks[i].src < eks[j].src
-		}
-		return !eks[i].carried && eks[j].carried
+	slices.SortFunc(eks, func(x, y ekey) int {
+		return cmp.Or(cmp.Compare(x.src, y.src), compareBool(x.carried, y.carried))
 	})
 	edges := make([]parEdge, len(eks))
 	for i, k := range eks {
@@ -134,8 +127,10 @@ func PartitionParallel(l *ir.Loop, workers int) (*Result, error) {
 
 	res := &Result{
 		Stages:     workers + 1,
-		Assignment: map[int]int{},
+		Assignment: make(map[int]int, len(l.Body)),
 		QueueCount: len(edges) * workers,
+		Routes:     make([]QueueRoute, 0, len(edges)*workers),
+		Threads:    make([]*isa.Program, 0, workers+1),
 	}
 	for _, nd := range l.Body {
 		switch {
@@ -147,7 +142,6 @@ func PartitionParallel(l *ir.Loop, workers int) (*Result, error) {
 			res.Assignment[nd.ID] = workers
 		}
 	}
-	sort.Ints(res.Replicated)
 	for range edges {
 		for w := 0; w < workers; w++ {
 			res.Routes = append(res.Routes, QueueRoute{Producer: w, Consumer: workers})
@@ -181,13 +175,13 @@ type parEdge struct {
 // every iteration; the parallel body runs only on this worker's turns
 // (iterations congruent to w mod workers), gated by a countdown register
 // so turn dispatch costs two instructions per skipped iteration.
-func genWorker(l *ir.Loop, w, workers int, pure, slice map[int]bool, edges []parEdge) (*isa.Program, error) {
-	name := fmt.Sprintf("%s.w%d", l.Name, w)
-	g := newEmitter(name)
+func genWorker(l *ir.Loop, w, workers int, pure, slice []bool, edges []parEdge) (*isa.Program, error) {
+	name := l.Name + ".w" + strconv.Itoa(w)
+	g := newEmitter(name, len(l.Body))
 	b := g.b
 
-	local := map[int]bool{}
-	var sliceNodes, pureNodes []*ir.Node
+	local := make([]bool, len(l.Body))
+	sliceNodes, pureNodes := make([]*ir.Node, 0, len(l.Body)), make([]*ir.Node, 0, len(l.Body))
 	for _, n := range l.Body {
 		switch {
 		case slice[n.ID]:
@@ -236,13 +230,13 @@ func genWorker(l *ir.Loop, w, workers int, pure, slice map[int]bool, edges []par
 // genMerger emits the merger's program (thread `workers`): replicated
 // exit slice, round-robin lane consumes for every imported value, and
 // the sequential merge body in original iteration order.
-func genMerger(l *ir.Loop, workers int, pure map[int]bool, edges []parEdge) (*isa.Program, error) {
+func genMerger(l *ir.Loop, workers int, pure []bool, edges []parEdge) (*isa.Program, error) {
 	name := l.Name + ".m"
-	g := newEmitter(name)
+	g := newEmitter(name, len(l.Body))
 	b := g.b
 
-	local := map[int]bool{}
-	var bodyNodes []*ir.Node
+	local := make([]bool, len(l.Body))
+	bodyNodes := make([]*ir.Node, 0, len(l.Body))
 	for _, n := range l.Body {
 		if !pure[n.ID] {
 			local[n.ID] = true

@@ -1,8 +1,9 @@
 package dswp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hfstream/internal/ir"
 	"hfstream/internal/isa"
@@ -79,9 +80,9 @@ type cutSpace struct {
 	// forced SCCs hold a non-replicable exit slice and stay in stage 0
 	// (control flows forward only); free SCCs are assigned by the cut.
 	forced, free [][]int
-	// slice is the exit node's backward closure; when replicable (no
-	// memory operations) every thread recomputes it.
-	slice      map[int]bool
+	// slice marks, by node ID, the exit node's backward closure; when
+	// replicable (no memory operations) every thread recomputes it.
+	slice      []bool
 	replicable bool
 }
 
@@ -101,7 +102,8 @@ func newCutSpace(l *ir.Loop, n int) (*cutSpace, error) {
 	// Replicable control slice: the backward closure of the exit node, if
 	// it contains no memory operations, is cheap to recompute in every
 	// thread (the DSWP branch-replication rule).
-	sp := &cutSpace{l: l, n: n, slice: exitSlice(l), replicable: true}
+	sp := &cutSpace{l: l, n: n, slice: exitSlice(l), replicable: true,
+		forced: make([][]int, 0, len(comps)), free: make([][]int, 0, len(comps))}
 	for _, nd := range l.Body {
 		if sp.slice[nd.ID] && (nd.Op == isa.Ld || nd.Op == isa.St) {
 			sp.replicable = false
@@ -154,12 +156,9 @@ func fillStages(stageOf, cuts []int) {
 // emit generates the thread programs of the partition a cut describes.
 func (sp *cutSpace) emit(cuts []int) (*Result, error) {
 	l, n, slice, replicable := sp.l, sp.n, sp.slice, sp.replicable
-	assign := map[int]int{}
-	for _, comp := range sp.forced {
-		for _, id := range comp {
-			assign[id] = 0
-		}
-	}
+	// assign is each node's stage by ID: 0 for the forced SCCs, and for
+	// the replicated slice, which threadOf answers first.
+	assign := make([]int, len(l.Body))
 	stageOf := make([]int, len(sp.free))
 	fillStages(stageOf, cuts)
 	for i, comp := range sp.free {
@@ -169,14 +168,10 @@ func (sp *cutSpace) emit(cuts []int) (*Result, error) {
 	}
 
 	// Cross-partition dependences become queues: one per
-	// (source, carried, consuming stage) triple.
-	type qkey struct {
-		src     int
-		carried bool
-		dest    int
-	}
-	queueOf := map[qkey]int{}
-	var edges []crossEdge
+	// (source, carried, consuming stage) triple; seen is indexed by
+	// (2*source+carried)*n + consuming stage.
+	seen := make([]bool, 2*len(l.Body)*n)
+	edges := make([]crossEdge, 0, len(l.Body))
 	for _, nd := range l.Body {
 		nt, local := threadOf(nd.ID, assign, slice, replicable)
 		if local {
@@ -190,23 +185,20 @@ func (sp *cutSpace) emit(cuts []int) (*Result, error) {
 			if slocal || st == nt {
 				continue
 			}
-			k := qkey{src: a.Node.ID, carried: a.Carried, dest: nt}
-			if _, ok := queueOf[k]; !ok {
-				queueOf[k] = 0 // numbered below
-				edges = append(edges, crossEdge{src: k.src, carried: k.carried, dest: k.dest})
+			k := 2 * a.Node.ID
+			if a.Carried {
+				k++
+			}
+			if k = k*n + nt; !seen[k] {
+				seen[k] = true // numbered below
+				edges = append(edges, crossEdge{src: a.Node.ID, carried: a.Carried, dest: nt})
 			}
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].src != edges[j].src {
-			return edges[i].src < edges[j].src
-		}
-		if edges[i].dest != edges[j].dest {
-			return edges[i].dest < edges[j].dest
-		}
-		return !edges[i].carried && edges[j].carried
+	slices.SortFunc(edges, func(x, y crossEdge) int {
+		return cmp.Or(cmp.Compare(x.src, y.src), cmp.Compare(x.dest, y.dest), compareBool(x.carried, y.carried))
 	})
-	var routes []QueueRoute
+	routes := make([]QueueRoute, 0, len(edges)+n-1)
 	for i := range edges {
 		edges[i].queue = i
 		routes = append(routes, QueueRoute{Producer: assign[edges[i].src], Consumer: edges[i].dest})
@@ -233,17 +225,24 @@ func (sp *cutSpace) emit(cuts []int) (*Result, error) {
 
 	res := &Result{
 		Stages:       n,
-		Assignment:   assign,
+		Assignment:   make(map[int]int, len(l.Body)),
 		QueueCount:   queueCount,
 		Routes:       routes,
 		CondStreamed: condStreamed,
+		Threads:      make([]*isa.Program, 0, n),
 	}
-	for id := range slice {
-		if replicable {
-			res.Replicated = append(res.Replicated, id)
+	for _, nd := range l.Body {
+		if st, repl := threadOf(nd.ID, assign, slice, replicable); !repl {
+			res.Assignment[nd.ID] = st
 		}
 	}
-	sort.Ints(res.Replicated)
+	if replicable {
+		for id, in := range slice {
+			if in {
+				res.Replicated = append(res.Replicated, id)
+			}
+		}
+	}
 
 	for th := 0; th < n; th++ {
 		prog, err := generate(l, th, n, assign, slice, replicable, edges, condQueues)
@@ -255,31 +254,43 @@ func (sp *cutSpace) emit(cuts []int) (*Result, error) {
 	return res, nil
 }
 
+// compareBool orders false before true.
+func compareBool(x, y bool) int {
+	switch {
+	case x == y:
+		return 0
+	case x:
+		return 1
+	}
+	return -1
+}
+
 // threadOf returns the stage of a node and whether it is replicated
 // (present in every thread).
-func threadOf(id int, assign map[int]int, slice map[int]bool, replicable bool) (int, bool) {
+func threadOf(id int, assign []int, slice []bool, replicable bool) (int, bool) {
 	if replicable && slice[id] {
 		return -1, true
 	}
 	return assign[id], false
 }
 
-// exitSlice returns the backward closure of the loop's exit node over data
-// dependences (carried edges included).
-func exitSlice(l *ir.Loop) map[int]bool {
-	slice := map[int]bool{}
-	var visit func(n *ir.Node)
-	visit = func(n *ir.Node) {
-		if slice[n.ID] {
-			return
-		}
-		slice[n.ID] = true
-		for _, a := range n.Args {
-			if a.Node != nil {
-				visit(a.Node)
-			}
+// exitSlice marks, by node ID, the backward closure of the loop's exit
+// node over data dependences (carried edges included).
+func exitSlice(l *ir.Loop) []bool {
+	slice := make([]bool, len(l.Body))
+	markSlice(slice, l.Exit)
+	return slice
+}
+
+// markSlice marks n and, unless already marked, its operands' closure.
+func markSlice(slice []bool, n *ir.Node) {
+	if slice[n.ID] {
+		return
+	}
+	slice[n.ID] = true
+	for _, a := range n.Args {
+		if a.Node != nil {
+			markSlice(slice, a.Node)
 		}
 	}
-	visit(l.Exit)
-	return slice
 }

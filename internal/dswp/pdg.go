@@ -7,7 +7,8 @@
 package dswp
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hfstream/internal/ir"
 	"hfstream/internal/isa"
@@ -16,28 +17,39 @@ import (
 // pdg is the program dependence graph over loop body nodes: data
 // dependences (including loop-carried) plus conservative memory
 // dependences that force same-region conflicting accesses into one SCC.
+// It is indexed by node ID, which a valid loop makes the body position:
+// succ[id] lists the nodes id's value or memory order reaches, each once.
 type pdg struct {
 	nodes []*ir.Node
-	succ  map[int][]int
+	succ  [][]int
 }
 
 func buildPDG(l *ir.Loop) *pdg {
-	g := &pdg{nodes: l.Body, succ: make(map[int][]int)}
-	add := func(from, to int) {
-		if from == to {
-			return
-		}
-		for _, s := range g.succ[from] {
-			if s == to {
-				return
-			}
-		}
-		g.succ[from] = append(g.succ[from], to)
+	g := &pdg{nodes: l.Body, succ: make([][]int, len(l.Body))}
+	// Every row is carved from one array sized by a counting pass over
+	// the same edges, so adding an edge never allocates.
+	count := make([]int, len(l.Body))
+	total := 0
+	g.edges(func(from, to int) { count[from]++; total++ })
+	backing := make([]int, total)
+	for id, c := range count {
+		g.succ[id], backing = backing[:0:c], backing[c:]
 	}
+	g.edges(func(from, to int) {
+		if !slices.Contains(g.succ[from], to) {
+			g.succ[from] = append(g.succ[from], to)
+		}
+	})
+	return g
+}
+
+// edges calls add for every dependence between two distinct nodes,
+// possibly more than once.
+func (g *pdg) edges(add func(from, to int)) {
 	// Data dependences.
-	for _, n := range l.Body {
+	for _, n := range g.nodes {
 		for _, a := range n.Args {
-			if a.Node != nil {
+			if a.Node != nil && a.Node != n {
 				add(a.Node.ID, n.ID)
 			}
 		}
@@ -46,41 +58,40 @@ func buildPDG(l *ir.Loop) *pdg {
 	// same region are tied into a cycle so they stay in one thread. This
 	// is conservative but matches how kernels are authored (thread-crossing
 	// data flows through explicit dependences, not through memory).
-	byRegion := map[string][]*ir.Node{}
-	for _, n := range l.Body {
-		if n.Region != nil {
-			byRegion[n.Region.Name] = append(byRegion[n.Region.Name], n)
-		}
-	}
-	for _, accs := range byRegion {
-		hasStore := false
-		for _, n := range accs {
-			if n.Op == isa.St {
-				hasStore = true
-				break
-			}
-		}
-		if !hasStore {
+	for i, a := range g.nodes {
+		if a.Region == nil || !storesTo(g.nodes, a.Region.Name) {
 			continue
 		}
-		for i := 0; i < len(accs); i++ {
-			for j := i + 1; j < len(accs); j++ {
-				add(accs[i].ID, accs[j].ID)
-				add(accs[j].ID, accs[i].ID)
+		for _, b := range g.nodes[i+1:] {
+			if b.Region != nil && b.Region.Name == a.Region.Name {
+				add(a.ID, b.ID)
+				add(b.ID, a.ID)
 			}
 		}
 	}
-	return g
 }
 
-// sccs returns the strongly connected components in topological order of
-// the condensation (every edge goes from an earlier to a later SCC).
+// storesTo reports whether any of the nodes stores to the named region.
+func storesTo(nodes []*ir.Node, region string) bool {
+	for _, n := range nodes {
+		if n.Op == isa.St && n.Region != nil && n.Region.Name == region {
+			return true
+		}
+	}
+	return false
+}
+
+// sccs returns the strongly connected components, as sorted node IDs, in
+// topological order of the condensation (every edge goes from an earlier
+// to a later SCC).
 func (g *pdg) sccs() [][]int {
-	index := map[int]int{}
-	low := map[int]int{}
-	onStack := map[int]bool{}
-	var stack []int
-	var comps [][]int
+	n := len(g.nodes)
+	index := make([]int, n) // 0: not yet visited
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	stack := make([]int, 0, n)
+	ids := make([]int, 0, n) // every component's IDs, back to back
+	comps := make([][]int, 0, n)
 	counter := 0
 
 	var strongconnect func(v int)
@@ -91,41 +102,37 @@ func (g *pdg) sccs() [][]int {
 		stack = append(stack, v)
 		onStack[v] = true
 		for _, w := range g.succ[v] {
-			if _, seen := index[w]; !seen {
+			if index[w] == 0 {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
+				low[v] = min(low[v], low[w])
 			} else if onStack[w] && index[w] < low[v] {
 				low[v] = index[w]
 			}
 		}
 		if low[v] == index[v] {
-			var comp []int
+			start := len(ids)
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				ids = append(ids, w)
 				if w == v {
 					break
 				}
 			}
-			sort.Ints(comp)
+			comp := ids[start:len(ids):len(ids)]
+			slices.Sort(comp)
 			comps = append(comps, comp)
 		}
 	}
-	for _, n := range g.nodes {
-		if _, seen := index[n.ID]; !seen {
-			strongconnect(n.ID)
+	for v := range g.nodes {
+		if index[v] == 0 {
+			strongconnect(v)
 		}
 	}
 	// Tarjan emits SCCs in reverse topological order; reverse them.
-	out := make([][]int, 0, len(comps))
-	for i := len(comps) - 1; i >= 0; i-- {
-		out = append(out, comps[i])
-	}
-	return sortByLevel(out, g)
+	slices.Reverse(comps)
+	return sortByLevel(comps, g)
 }
 
 // sortByLevel refines the topological order of the condensation by ASAP
@@ -134,7 +141,7 @@ func (g *pdg) sccs() [][]int {
 // (accumulators, stores) last. Ties break on smallest node ID, keeping
 // the order deterministic.
 func sortByLevel(comps [][]int, g *pdg) [][]int {
-	compOf := map[int]int{}
+	compOf := make([]int, len(g.nodes))
 	for ci, comp := range comps {
 		for _, id := range comp {
 			compOf[id] = ci
@@ -156,11 +163,8 @@ func sortByLevel(comps [][]int, g *pdg) [][]int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if level[idx[a]] != level[idx[b]] {
-			return level[idx[a]] < level[idx[b]]
-		}
-		return comps[idx[a]][0] < comps[idx[b]][0]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(level[a], level[b]), cmp.Compare(comps[a][0], comps[b][0]))
 	})
 	out := make([][]int, 0, len(comps))
 	for _, i := range idx {

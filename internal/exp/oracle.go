@@ -19,17 +19,22 @@ import (
 // and the programs of each pipeline shape (what plan partitions the loop
 // into). All are pure functions of the name and shape — Setup, the
 // interpreter and the partitioners are deterministic — so one build per
-// process suffices however many simulations run. A run takes a
-// copy-on-write fork of the input, which costs it only the pages it
-// writes; the oracle is such a fork too. The programs are shared as they
-// are: Execute validates and reads them, the software-queue lowering
-// builds new ones and the cores predecode into their own tables
+// process suffices however many simulations run, and all are built from
+// one instance of the benchmark that the entry keeps and hands to no one.
+// A run takes a copy-on-write fork of the input, which costs it only the
+// pages it writes; the oracle is such a fork too. The programs are shared
+// as they are: Execute validates and reads them, the software-queue
+// lowering builds new ones and the cores predecode into their own tables
 // (TestPlansStayReadOnly). Entries are created under a mutex and each
 // part is computed under its own sync.Once, so concurrent runner workers
 // asking for the same benchmark share a single build and block only on
 // that part of that benchmark's entry, never on the whole cache.
 
 type benchEntry struct {
+	instOnce sync.Once
+	inst     *workloads.Benchmark
+	instErr  error
+
 	once sync.Once
 	base *mem.Memory // input image: never written after Setup, only forked
 	img  *mem.Memory // oracle image: a fork of base after the interpreter ran
@@ -80,17 +85,31 @@ func entry(name string) *benchEntry {
 	return e
 }
 
+// instance returns the entry's own instance of the benchmark, built on
+// first use. The images and plans only read it.
+func (e *benchEntry) instance(name string) (*workloads.Benchmark, error) {
+	e.instOnce.Do(func() { e.inst, e.instErr = workloads.ByName(name) })
+	return e.inst, e.instErr
+}
+
 // images returns the benchmark's cache entry with its images built.
 func images(name string) *benchEntry {
 	e := entry(name)
-	e.once.Do(func() { e.base, e.img, e.err = computeOracle(name) })
+	e.once.Do(func() {
+		b, err := e.instance(name)
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.base, e.img, e.err = computeOracle(b)
+	})
 	return e
 }
 
 // plan returns the programs that realize the shape cfg describes on
-// benchmark b (see partition), built once per process from a fresh
-// instance of the benchmark and shared read-only by every run of that
-// shape. Only cfg.Cores and cfg.Parallel select the programs.
+// benchmark b (see partition), built once per process from the cache
+// entry's instance of the benchmark and shared read-only by every run of
+// that shape. Only cfg.Cores and cfg.Parallel select the programs.
 func plan(b *workloads.Benchmark, cfg design.Config) ([]*isa.Program, error) {
 	n := cfg.Cores
 	switch {
@@ -103,15 +122,16 @@ func plan(b *workloads.Benchmark, cfg design.Config) ([]*isa.Program, error) {
 	if cfg.Parallel {
 		shape = 1
 	}
-	p := &entry(b.Name).plans[n][shape]
+	e := entry(b.Name)
+	p := &e.plans[n][shape]
 	p.once.Do(func() {
 		planRuns.Add(1)
-		fresh, err := workloads.ByName(b.Name)
+		own, err := e.instance(b.Name)
 		if err != nil {
 			p.err = err
 			return
 		}
-		p.progs, p.err = partition(fresh, n, cfg.Parallel)
+		p.progs, p.err = partition(own, n, cfg.Parallel)
 	})
 	return p.progs, p.err
 }
@@ -153,14 +173,10 @@ func Expected(b *workloads.Benchmark) (*mem.Memory, error) {
 	return e.img, e.err
 }
 
-// computeOracle builds both images from a fresh benchmark instance so they
-// never share mutable state (programs, setup closures) with simulations of
-// the same benchmark on sibling goroutines.
-func computeOracle(name string) (base, oracle *mem.Memory, err error) {
-	b, err := workloads.ByName(name)
-	if err != nil {
-		return nil, nil, err
-	}
+// computeOracle builds both images from the cache entry's instance of the
+// benchmark, so they never share mutable state (programs, setup closures)
+// with simulations of the same benchmark on sibling goroutines.
+func computeOracle(b *workloads.Benchmark) (base, oracle *mem.Memory, err error) {
 	prog, err := b.Single()
 	if err != nil {
 		return nil, nil, err

@@ -126,17 +126,20 @@ func Carried(n *Node, init int64) Operand {
 // SetExit designates the loop-continuation condition node.
 func (l *Loop) SetExit(n *Node) { l.Exit = n }
 
-// Validate checks structural invariants: exit set, operands belong to the
-// body, memory nodes have regions.
+// Validate checks structural invariants: exit set, each node's ID is its
+// body position (as the builder methods assign them), operands belong to
+// the body, memory nodes have regions. Passes over a valid loop may index
+// per-node tables by ID.
 func (l *Loop) Validate() error {
 	if l.Exit == nil {
 		return fmt.Errorf("ir: loop %s has no exit condition", l.Name)
 	}
-	ids := map[int]bool{}
-	for _, n := range l.Body {
-		ids[n.ID] = true
+	for p, n := range l.Body {
+		if n.ID != p {
+			return fmt.Errorf("ir: loop %s node %d sits at body position %d", l.Name, n.ID, p)
+		}
 	}
-	if !ids[l.Exit.ID] {
+	if !l.has(l.Exit) {
 		return fmt.Errorf("ir: loop %s exit node not in body", l.Name)
 	}
 	for _, n := range l.Body {
@@ -144,7 +147,7 @@ func (l *Loop) Validate() error {
 			return fmt.Errorf("ir: loop %s node %d: memory op without region", l.Name, n.ID)
 		}
 		for _, a := range n.Args {
-			if a.Node != nil && !ids[a.Node.ID] {
+			if a.Node != nil && !l.has(a.Node) {
 				return fmt.Errorf("ir: loop %s node %d: operand references foreign node %d",
 					l.Name, n.ID, a.Node.ID)
 			}
@@ -155,6 +158,11 @@ func (l *Loop) Validate() error {
 		}
 	}
 	return nil
+}
+
+// has reports whether n is a node of the body.
+func (l *Loop) has(n *Node) bool {
+	return n.ID >= 0 && n.ID < len(l.Body) && l.Body[n.ID] == n
 }
 
 // Weight estimates a node's per-iteration cycle cost for partition

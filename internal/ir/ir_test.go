@@ -37,6 +37,19 @@ func TestValidateTopologicalOrder(t *testing.T) {
 	}
 }
 
+// Passes index per-node tables by ID, so a body whose IDs are not its
+// positions (here, one with its first node cut off) is rejected.
+func TestValidateIDsArePositions(t *testing.T) {
+	l := NewLoop("t")
+	l.Counter(0, 1)
+	c := l.Counter(0, 1)
+	l.SetExit(c)
+	l.Body = l.Body[1:]
+	if err := l.Validate(); err == nil {
+		t.Error("node 1 at body position 0 accepted")
+	}
+}
+
 func TestValidateMemNeedsRegion(t *testing.T) {
 	l := NewLoop("t")
 	n := l.Op(isa.Ld, C(0x1000))
