@@ -18,7 +18,8 @@
 #   make serve-cluster      ring/peering under -race plus the cluster differential rows
 #   make scaling            the differential grid's runner and serve rows under -race, N-core cells included (EXPERIMENTS.md "Differential battery")
 #   make load-smoke         hfload against in-process 1- and 3-replica clusters
-#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then the core, sim, dswp, mem, memsys, serve and trace layer benchmarks
+#   make gobench            one `go test -bench` pass over the reproduction benchmarks, then gobench-layers
+#   make gobench-layers     the core, sim, dswp, mem, memsys, serve and trace layer benchmarks at 100x (CI runs it)
 #   make chaos              full fault-injection sweep (RESILIENCE.md)
 #   make chaos-smoke        the CI chaos corpus, fast-forward on and off
 #   make chaos-cluster      service-tier chaos smoke under -race
@@ -38,7 +39,7 @@ GOLDEN_BENCHES = bzip2,adpcmdec
 # grows.
 COVERAGE_BASELINE = 82.0
 
-.PHONY: tier1 vet build test refcut-check spine-test spine spine-pairs race coverage gobench ci fmtcheck inline-check golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
+.PHONY: tier1 vet build test refcut-check spine-test spine spine-pairs race coverage gobench gobench-layers ci fmtcheck inline-check golden golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling chaos chaos-smoke chaos-cluster fuzz-smoke
 
 tier1: build vet test
 
@@ -104,10 +105,14 @@ coverage:
 # ring's cost, the DSWP partitioner on three shapes, one L2 controller
 # Tick over a steady SYNCOPTI OzQ of ten entries, a /v1/run cache hit on
 # the server alone and through the client) live beside the code, outside
-# the frozen bench/spine; CI runs the second line so they keep compiling
+# the frozen bench/spine; CI runs gobench-layers so they keep compiling
 # and running.
 gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(MAKE) gobench-layers
+
+# The layer benchmarks alone, the line CI runs.
+gobench-layers:
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./internal/dswp ./internal/mem ./internal/memsys ./serve ./trace
 
 # The last step is CI's regression gate: the dual-core matrix, an N-core
@@ -132,9 +137,10 @@ INLINE_FUNCS = '(*Core).Done' '(*Core).Replay' '(*Core).FastForward' \
 	'(*Core).flushStallTrace' '(*Core).track' \
 	'(*Controller).WakeAt' '(*Controller).noteWake' \
 	'(*Controller).CanAccept' '(*Controller).takePort' 'entryWake' \
-	'(*Token).Done' '(*Token).Complete'
+	'(*Token).Done' '(*Token).Complete' '(*Bus).WakeAt' '(*SyncArray).WakeAt' \
+	'(*fifo[uint64]).push' '(*fifo[uint64]).pop' '(*fifo[uint64]).len'
 inline-check:
-	@out=$$($(GO) build -gcflags=-m ./internal/core ./internal/memsys ./internal/port 2>&1) || \
+	@out=$$($(GO) build -gcflags=-m ./internal/core ./internal/memsys ./internal/port ./internal/bus ./internal/queue 2>&1) || \
 		{ echo "$$out"; exit 1; }; \
 	can=$$(echo "$$out" | sed -n 's/^.*: can inline //p'); fail=0; \
 	for f in $(INLINE_FUNCS); do \

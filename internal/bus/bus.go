@@ -226,11 +226,9 @@ func (b *Bus) Submit(cycle uint64, r *Req) {
 	b.queues[r.Src].push(r)
 	r.submitAt = cycle
 	// The earliest possible grant is the next tick (components submit
-	// after the bus has ticked this cycle); Tick tightens the wake to the
-	// real address-path availability.
-	if cycle+1 < b.wakeAt {
-		b.wakeAt = cycle + 1
-	}
+	// after the bus has ticked this cycle), and none comes before the
+	// address path frees: the wake nextWake computes for a queued request.
+	b.wakeAt = min(b.wakeAt, max(cycle+1, b.addrFree))
 }
 
 // Idle reports whether the bus has no queued requests and both paths free.
@@ -244,30 +242,29 @@ func (b *Bus) Idle(cycle uint64) bool {
 }
 
 // WakeAt returns the cached earliest cycle at which ticking the bus can
-// have any effect (grant a request or drain a path and flip Idle). The
-// wake-gated kernel skips Tick calls before it; ticking earlier is
-// harmless, just wasted work.
+// have any effect (grant a request or drain a path and flip Idle):
+// ^uint64(0) when nothing is pending. Tick recomputes it and Submit lowers
+// it, so after a cycle's ticks and submits it is the bus's next wake. The
+// wake-gated kernel skips Tick calls before it and jumps no further;
+// ticking earlier is harmless, just wasted work.
 func (b *Bus) WakeAt() uint64 { return b.wakeAt }
 
-// NextWake returns the earliest future cycle at which the bus can change
-// state on its own: the next grant opportunity when requests are queued,
-// or the cycle its address/data paths drain (which can flip Idle and so
-// let the machine quiesce). Returns ^uint64(0) when nothing is pending.
-func (b *Bus) NextWake(cycle uint64) uint64 {
+// nextWake returns the earliest cycle after cycle at which the bus can
+// change state on its own: the next grant opportunity when requests are
+// queued, or the cycle its address/data paths drain (which can flip Idle
+// and so let the machine quiesce).
+func (b *Bus) nextWake(cycle uint64) uint64 {
 	for i := range b.queues {
 		if b.queues[i].len() > 0 {
-			if b.addrFree > cycle {
-				return b.addrFree
-			}
-			return cycle + 1
+			return max(cycle+1, b.addrFree)
 		}
 	}
 	w := ^uint64(0)
 	if b.addrFree > cycle {
 		w = b.addrFree
 	}
-	if b.dataFree > cycle && b.dataFree < w {
-		w = b.dataFree
+	if b.dataFree > cycle {
+		w = min(w, b.dataFree)
 	}
 	return w
 }
@@ -276,7 +273,7 @@ func (b *Bus) NextWake(cycle uint64) uint64 {
 // when the address path is free.
 func (b *Bus) Tick(cycle uint64) {
 	b.tick(cycle)
-	b.wakeAt = b.NextWake(cycle)
+	b.wakeAt = b.nextWake(cycle)
 }
 
 func (b *Bus) tick(cycle uint64) {
@@ -314,7 +311,7 @@ func (b *Bus) grant(cycle uint64, r *Req) {
 	ready := cycle + addrPhase*cpb + uint64(serviceLat) + b.Faults.BusDelay(cycle)
 	done := ready
 	if beats > 0 {
-		start := max64(ready, b.dataFree)
+		start := max(ready, b.dataFree)
 		done = start + uint64(beats)*cpb
 		b.dataFree = done
 	}
@@ -369,11 +366,4 @@ func (b *Bus) TotalGrants() uint64 {
 		t += g
 	}
 	return t
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -171,3 +171,55 @@ func TestBadSourcePanics(t *testing.T) {
 	}()
 	b.Submit(0, &Req{Src: 7})
 }
+
+// TestSubmitWakesWhenTheAddressPathFrees: a request submitted while the
+// address path is busy cannot be granted before it frees, so Submit lowers
+// the cached wake to addrFree, not to the next cycle.
+func TestSubmitWakesWhenTheAddressPathFrees(t *testing.T) {
+	p := DefaultParams()
+	p.CPB = 4
+	b := New(p, 2, func(r *Req, g uint64) (int, int) { return 0, 0 })
+	b.Submit(0, &Req{Kind: Upgrade, Src: 0})
+	b.Tick(1) // grant: the address path is busy until 1+CPB
+	addrFree := b.Snapshot().AddrFree
+	if addrFree != 5 {
+		t.Fatalf("addrFree = %d, want 5", addrFree)
+	}
+	b.Submit(1, &Req{Kind: Upgrade, Src: 1})
+	if w := b.WakeAt(); w != addrFree {
+		t.Errorf("WakeAt() = %d after a submit at 1, want addrFree = %d", w, addrFree)
+	}
+}
+
+// TestWakeAtIsNextWake drives the bus the way the wake-gated kernel does —
+// Tick only once WakeAt is due, then the cycle's submits — and requires
+// the cached wake to equal nextWake at the end of every cycle, which is
+// what lets the kernel's jump read WakeAt instead of recomputing it.
+func TestWakeAtIsNextWake(t *testing.T) {
+	for _, p := range []Params{
+		DefaultParams(),
+		{WidthBytes: 16, CPB: 4, Pipelined: true},
+		{WidthBytes: 16, CPB: 2, Pipelined: false},
+	} {
+		rng := uint32(p.CPB)
+		next := func(n uint32) uint32 {
+			rng = rng*1664525 + 1013904223
+			return (rng >> 8) % n
+		}
+		b := New(p, 3, func(r *Req, g uint64) (int, int) { return int(next(12)), int(next(9)) })
+		for cycle := uint64(1); cycle <= 2000; cycle++ {
+			if b.WakeAt() <= cycle {
+				b.Tick(cycle)
+			}
+			for n := next(4); n > 2; n-- {
+				b.Submit(cycle, &Req{Kind: Read, Src: int(next(3))})
+			}
+			if got, want := b.WakeAt(), b.nextWake(cycle); got != want {
+				t.Fatalf("%+v cycle %d: WakeAt() = %d, nextWake = %d", p, cycle, got, want)
+			}
+		}
+		if b.TotalGrants() == 0 {
+			t.Fatalf("%+v: nothing granted", p)
+		}
+	}
+}

@@ -104,7 +104,7 @@ func (s StallReason) String() string {
 
 // StallCycles accumulates zero-issue cycles by blocking reason. The
 // StallNone slot is unused; reasons from StallOperand through StallHalted
-// sum to the core's total stall cycles (Cycles - IssueCycles).
+// sum to the core's total stall cycles (Cycles() - IssueCycles).
 type StallCycles [NumStallReasons]uint64
 
 // Total sums stall cycles across every reason.
@@ -170,17 +170,18 @@ type Core struct {
 	stallCur  StallReason
 	id        int32
 
-	// Stats.
-	Cycles     uint64
+	// Stats. Each active cycle is counted once by reason (an issue cycle
+	// or a stall reason) and once by region (the issue split or
+	// StallRegions); Cycles and Breakdown are derived from them.
 	Issued     uint64
 	IssuedComm uint64
-	Breakdown  stats.Breakdown
-	LastPC     int
 
 	// IssueCycles counts cycles in which at least one instruction issued;
-	// every other active cycle is a stall, so
-	// Stalls.Total() == Cycles - IssueCycles always holds.
+	// every other active cycle is a stall.
 	IssueCycles uint64
+	// CommIssueCycles counts the issue cycles that issued only
+	// communication-overhead instructions (charged to PostL2).
+	CommIssueCycles uint64
 	// Stalls attributes each zero-issue cycle to its blocking reason
 	// (drain cycles after halt count as StallHalted).
 	Stalls StallCycles
@@ -263,6 +264,23 @@ func (c *Core) Reg(r isa.Reg) uint64 { return c.regs[r] }
 
 // SetReg initializes register r before the program starts.
 func (c *Core) SetReg(r isa.Reg, v uint64) { c.regs[r] = v }
+
+// PC returns the index of the next instruction to issue.
+func (c *Core) PC() int { return c.pc }
+
+// Cycles returns the core's active cycles: each one either issued or
+// stalled, and it stops counting once the core halted and drained.
+func (c *Core) Cycles() uint64 { return c.IssueCycles + c.Stalls.Total() }
+
+// Breakdown attributes every active cycle to one region: each stall to
+// its StallRegions bucket, an issue cycle with application work to PreL2
+// and a comm-only issue cycle to PostL2.
+func (c *Core) Breakdown() stats.Breakdown {
+	b := c.StallRegions
+	b.Add(stats.PreL2, c.IssueCycles-c.CommIssueCycles)
+	b.Add(stats.PostL2, c.CommIssueCycles)
+	return b
+}
 
 // Halted reports whether the program executed its halt instruction.
 func (c *Core) Halted() bool { return c.halted }
@@ -377,13 +395,11 @@ func (c *Core) Tick(cycle uint64) {
 	if c.Done(cycle) {
 		return
 	}
-	c.Cycles++
 	if c.halted {
 		// Draining: charge the pending token of the lowest-numbered
 		// register, else the first incomplete fire-and-forget token in
 		// issue order (drainBucket).
 		b := c.drainBucket(cycle)
-		c.Breakdown.Add(b, 1)
 		c.Stalls[StallHalted]++
 		c.StallRegions.Add(b, 1)
 		c.noteStall(cycle, StallHalted)
@@ -567,42 +583,37 @@ issueLoop:
 
 	c.pc = pc
 	c.LastStall = stall
-	c.LastPC = pc
-	switch {
-	case issued == 0:
-		b := stats.PreL2
-		if stallTok != nil {
-			b = stallTok.Loc
-		}
-		c.Breakdown.Add(b, 1)
-		c.Stalls[stall]++
-		c.StallRegions.Add(b, 1)
-		c.lastStallBucket = b
-		c.stallTok = stallTok
-		var ref port.Refuser
-		switch stall {
-		case StallOperand:
-			c.stallWake, c.waitEp = stallWake, &c.waitSeen
-		case StallToken, StallWAW, StallLoadLimit:
-			c.stallWake, c.waitEp = ^uint64(0), &c.waitSeen
-		case StallQueueFull, StallQueueEmpty:
-			ref, _ = c.strm.(port.Refuser)
-		case StallOzQFull, StallFence:
-			ref, _ = c.memp.(port.Refuser)
-		}
-		if ref != nil {
-			c.refused(ref)
-		}
-		c.noteStall(cycle, stall)
-	case commOnly:
-		c.Breakdown.Add(stats.PostL2, 1)
+	if issued > 0 {
 		c.IssueCycles++
+		if commOnly {
+			c.CommIssueCycles++
+		}
 		c.flushStallTrace(cycle)
-	default:
-		c.Breakdown.Add(stats.PreL2, 1)
-		c.IssueCycles++
-		c.flushStallTrace(cycle)
+		return
 	}
+	b := stats.PreL2
+	if stallTok != nil {
+		b = stallTok.Loc
+	}
+	c.Stalls[stall]++
+	c.StallRegions.Add(b, 1)
+	c.lastStallBucket = b
+	c.stallTok = stallTok
+	var ref port.Refuser
+	switch stall {
+	case StallOperand:
+		c.stallWake, c.waitEp = stallWake, &c.waitSeen
+	case StallToken, StallWAW, StallLoadLimit:
+		c.stallWake, c.waitEp = ^uint64(0), &c.waitSeen
+	case StallQueueFull, StallQueueEmpty:
+		ref, _ = c.strm.(port.Refuser)
+	case StallOzQFull, StallFence:
+		ref, _ = c.memp.(port.Refuser)
+	}
+	if ref != nil {
+		c.refused(ref)
+	}
+	c.noteStall(cycle, stall)
 }
 
 // refused records the port refusal the zero-issue cycle stalled on: the
@@ -667,8 +678,6 @@ func (c *Core) FinishTrace(endCycle uint64) { c.flushStallTrace(endCycle) }
 // idle fast-forward, or Replay) guarantees that nothing the core observes
 // can change during the skipped cycles.
 func (c *Core) FastForward(n uint64) {
-	c.Cycles += n
-	c.Breakdown.Add(c.lastStallBucket, n)
 	c.Stalls[c.LastStall] += n
 	c.StallRegions.Add(c.lastStallBucket, n)
 	*c.waitCnt += n

@@ -84,7 +84,7 @@ func run(t *testing.T, c *Core, maxCycles uint64) uint64 {
 			return cycle
 		}
 	}
-	t.Fatalf("core did not finish in %d cycles (pc=%d stall=%v)", maxCycles, c.LastPC, c.LastStall)
+	t.Fatalf("core did not finish in %d cycles (pc=%d stall=%v)", maxCycles, c.PC(), c.LastStall)
 	return 0
 }
 
@@ -283,9 +283,23 @@ func TestBreakdownSumsToCycles(t *testing.T) {
 	b.Bnez(4, "top")
 	b.Halt()
 	c := New(0, DefaultParams(), b.MustProgram(), m, nil)
-	run(t, c, 10000)
-	if c.Breakdown.Total() != c.Cycles {
-		t.Errorf("breakdown total %d != cycles %d", c.Breakdown.Total(), c.Cycles)
+	// A cycle is active when the core has not yet halted and drained at
+	// its start; Tick counts exactly those.
+	var active uint64
+	for cycle := uint64(1); !c.Done(cycle - 1); cycle++ {
+		if cycle > 10000 {
+			t.Fatal("core did not finish")
+		}
+		if !c.Done(cycle) {
+			active++
+		}
+		c.Tick(cycle)
+	}
+	if c.Cycles() != active {
+		t.Errorf("cycles %d != %d active ticks", c.Cycles(), active)
+	}
+	if bd := c.Breakdown(); bd.Total() != c.Cycles() {
+		t.Errorf("breakdown total %d != cycles %d", bd.Total(), c.Cycles())
 	}
 }
 
@@ -301,8 +315,17 @@ func TestCommOnlyCyclesArePostL2(t *testing.T) {
 	b.Halt()
 	c := New(0, DefaultParams(), b.MustProgram(), newFakeMem(1), nil)
 	run(t, c, 100)
-	if c.Breakdown.Cycles[stats.PostL2] == 0 {
-		t.Error("expected PostL2 cycles for comm-only issue")
+	if c.CommIssueCycles == 0 {
+		t.Error("expected comm-only issue cycles")
+	}
+	// Every issue cycle of a comm-only program is comm-only (halt issues
+	// alone in the last one), and PostL2 holds those and no stall.
+	if c.CommIssueCycles != c.IssueCycles {
+		t.Errorf("CommIssueCycles = %d, want IssueCycles = %d", c.CommIssueCycles, c.IssueCycles)
+	}
+	issueShare := c.Breakdown().Cycles[stats.PostL2] - c.StallRegions.Cycles[stats.PostL2]
+	if c.CommIssueCycles != issueShare {
+		t.Errorf("CommIssueCycles = %d, PostL2 issue share = %d", c.CommIssueCycles, issueShare)
 	}
 }
 

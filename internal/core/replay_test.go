@@ -258,7 +258,7 @@ func TestReplayLockstep(t *testing.T) {
 			drained := false
 			for cycle := uint64(1); ; cycle++ {
 				if cycle > 500 {
-					t.Fatalf("did not finish (pc=%d stall=%v)", ticked.LastPC, ticked.LastStall)
+					t.Fatalf("did not finish (pc=%d stall=%v)", ticked.PC(), ticked.LastStall)
 				}
 				for i := range mems {
 					if tc.release != nil {
@@ -334,13 +334,14 @@ func assertSameRefusals(t *testing.T, cycle uint64, s [2]*refusingStream) {
 
 func assertSameCounters(t *testing.T, cycle uint64, a, b *Core) {
 	t.Helper()
-	if a.Cycles != b.Cycles || a.Breakdown != b.Breakdown || a.Stalls != b.Stalls ||
-		a.StallRegions != b.StallRegions || a.LastStall != b.LastStall || a.LastPC != b.LastPC {
+	if a.Cycles() != b.Cycles() || a.Breakdown() != b.Breakdown() || a.Stalls != b.Stalls ||
+		a.StallRegions != b.StallRegions || a.IssueCycles != b.IssueCycles ||
+		a.CommIssueCycles != b.CommIssueCycles || a.LastStall != b.LastStall || a.PC() != b.PC() {
 		t.Fatalf("cycle %d: ticked and replayed cores differ:\n"+
 			"ticked   cycles=%d stalls=%v regions=%v breakdown=%v last=%v pc=%d\n"+
 			"replayed cycles=%d stalls=%v regions=%v breakdown=%v last=%v pc=%d",
-			cycle, a.Cycles, a.Stalls, a.StallRegions.Cycles, a.Breakdown.Cycles, a.LastStall, a.LastPC,
-			b.Cycles, b.Stalls, b.StallRegions.Cycles, b.Breakdown.Cycles, b.LastStall, b.LastPC)
+			cycle, a.Cycles(), a.Stalls, a.StallRegions.Cycles, a.Breakdown().Cycles, a.LastStall, a.PC(),
+			b.Cycles(), b.Stalls, b.StallRegions.Cycles, b.Breakdown().Cycles, b.LastStall, b.PC())
 	}
 }
 

@@ -16,8 +16,11 @@ import (
 // stall reason and one machine region.
 func checkStallInvariant(t *testing.T, c *Core) {
 	t.Helper()
-	if got, want := c.Stalls.Total(), c.Cycles-c.IssueCycles; got != want {
-		t.Errorf("Stalls.Total() = %d, want Cycles-IssueCycles = %d", got, want)
+	if got, want := c.Stalls.Total(), c.Cycles()-c.IssueCycles; got != want {
+		t.Errorf("Stalls.Total() = %d, want Cycles()-IssueCycles = %d", got, want)
+	}
+	if bd := c.Breakdown(); bd.Total() != c.Cycles() {
+		t.Errorf("Breakdown().Total() = %d, want Cycles() = %d", bd.Total(), c.Cycles())
 	}
 	if c.StallRegions.Total() != c.Stalls.Total() {
 		t.Errorf("StallRegions total %d != Stalls total %d",

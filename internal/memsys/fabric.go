@@ -120,19 +120,17 @@ func (f *Fabric) TickDue(cycle uint64, force bool) {
 	}
 }
 
-// NextWake returns the earliest future cycle at which any part of the
-// memory subsystem can change state without a new request from a core:
-// the bus's next grant/drain cycle or any controller's next event, retry,
-// or probe timeout. Returns ^uint64(0) when the whole fabric is dormant.
-func (f *Fabric) NextWake(cycle uint64) uint64 {
-	// The cached per-controller wakes are exact after this cycle's TickDue
-	// (a ticked controller just recomputed; an unticked one had nothing to
-	// do and every work-creating mutation lowers the cache), so no rescans.
-	w := f.bus.NextWake(cycle)
+// WakeAt returns the earliest cycle at which any part of the memory
+// subsystem can change state without a new request from a core: the
+// minimum of the bus's and every controller's cached wake, ^uint64(0)
+// when the whole fabric is dormant. TickDue gates each component on the
+// same caches; after a cycle's ticks they are exact (a ticked component
+// just recomputed its own, an unticked one had nothing to do, and every
+// work-creating mutation lowers the cache), so no component rescans.
+func (f *Fabric) WakeAt() uint64 {
+	w := f.bus.WakeAt()
 	for _, c := range f.ctrls {
-		if c.wakeAt < w {
-			w = c.wakeAt
-		}
+		w = min(w, c.wakeAt)
 	}
 	return w
 }

@@ -324,3 +324,95 @@ func TestSyncArrayFIFOProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFIFO steps one fifo through interleaved pushes and pops across its
+// two policy points: a push into a full array with consumed headroom
+// compacts in place (the capacity holds), and a pop that empties it resets
+// both ends.
+func TestFIFO(t *testing.T) {
+	f := fifo[int]{buf: make([]int, 0, 4)}
+	steps := []struct {
+		op   string // "push" or "pop"
+		v    int    // the value pushed, or the value pop must return
+		len  int
+		head int
+		cap  int
+	}{
+		{"push", 1, 1, 0, 4},
+		{"push", 2, 2, 0, 4},
+		{"push", 3, 3, 0, 4},
+		{"pop", 1, 2, 1, 4},
+		{"push", 4, 3, 1, 4}, // fills the array: len(buf) == cap
+		{"pop", 2, 2, 2, 4},
+		{"push", 5, 3, 0, 4}, // full with headroom: compact, no growth
+		{"push", 6, 4, 0, 4},
+		{"pop", 3, 3, 1, 4},
+		{"pop", 4, 2, 2, 4},
+		{"pop", 5, 1, 3, 4},
+		{"pop", 6, 0, 0, 4}, // emptied: reset
+		{"push", 7, 1, 0, 4},
+		{"pop", 7, 0, 0, 4},
+		{"push", 8, 1, 0, 4},
+		{"push", 9, 2, 0, 4},
+		{"push", 10, 3, 0, 4},
+		{"push", 11, 4, 0, 4},
+		{"push", 12, 5, 0, 8}, // full with no headroom: append grows
+		{"pop", 8, 4, 1, 8},
+	}
+	for i, s := range steps {
+		switch s.op {
+		case "push":
+			f.push(s.v)
+		case "pop":
+			if got := f.pop(); got != s.v {
+				t.Fatalf("step %d: pop = %d, want %d", i, got, s.v)
+			}
+		}
+		if f.len() != s.len || f.head != s.head || cap(f.buf) != s.cap {
+			t.Fatalf("step %d (%s %d): len %d head %d cap %d, want %d %d %d",
+				i, s.op, s.v, f.len(), f.head, cap(f.buf), s.len, s.head, s.cap)
+		}
+	}
+}
+
+// TestSyncArrayWakeAtIsNextWake drives the array the way the wake-gated
+// kernel does — Tick only once WakeAt is due, then the cycle's produces
+// and consumes — and requires the cached wake to equal nextWake at the
+// end of every cycle, which is what lets the kernel's jump read WakeAt.
+func TestSyncArrayWakeAtIsNextWake(t *testing.T) {
+	for _, lat := range []int{1, 4, 10} {
+		p := DefaultSAParams(2, 4)
+		p.InterconnectLatency = lat
+		sa, err := NewSyncArray(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := uint32(lat)
+		next := func(n uint32) uint32 {
+			rng = rng*1664525 + 1013904223
+			return (rng >> 8) % n
+		}
+		var produced, consumed int
+		for cycle := uint64(1); cycle <= 3000; cycle++ {
+			if sa.WakeAt() <= cycle {
+				sa.Tick(cycle)
+			}
+			for n := next(6); n > 0; n-- {
+				q := int(next(2))
+				if next(2) == 0 {
+					if _, ok := sa.Produce(cycle, q, cycle); ok {
+						produced++
+					}
+				} else if _, ok := sa.Consume(cycle, q); ok {
+					consumed++
+				}
+			}
+			if got, want := sa.WakeAt(), sa.nextWake(cycle); got != want {
+				t.Fatalf("latency %d cycle %d: WakeAt() = %d, nextWake = %d", lat, cycle, got, want)
+			}
+		}
+		if produced == 0 || consumed == 0 {
+			t.Fatalf("latency %d: %d produced, %d consumed", lat, produced, consumed)
+		}
+	}
+}

@@ -61,11 +61,8 @@ type saQueue struct {
 	// Producer-side view: items sent minus credits received. Conservative
 	// (an item in flight counts as occupying the queue).
 	outstanding int
-	// Consumer-side FIFO resident in the dedicated store. head indexes the
-	// front so pops reuse the backing array instead of sliding the slice
-	// (fifo = fifo[1:] reallocates on nearly every push).
-	fifo []uint64
-	head int
+	// items is the consumer-side FIFO resident in the dedicated store.
+	items fifo[uint64]
 	// epoch counts the data and credit deliveries to this queue: its
 	// occupancy only rises, and its producer's outstanding count only
 	// falls, through one of them, so a full or empty refusal repeats for
@@ -73,27 +70,32 @@ type saQueue struct {
 	epoch uint64
 }
 
-// occ returns the queue's resident occupancy.
-func (q *saQueue) occ() int { return len(q.fifo) - q.head }
-
-// push appends to the FIFO, compacting consumed headroom first so the
-// backing array is reused.
-func (q *saQueue) push(v uint64) {
-	if q.head > 0 && len(q.fifo) == cap(q.fifo) {
-		n := copy(q.fifo, q.fifo[q.head:])
-		q.fifo = q.fifo[:n]
-		q.head = 0
-	}
-	q.fifo = append(q.fifo, v)
+// fifo is a head-indexed queue: pop advances head instead of re-slicing
+// (q = q[1:] would creep forward and reallocate on nearly every push),
+// push compacts the consumed headroom only when the backing array is
+// full, and a pop that empties it resets both ends, so a steady queue
+// reuses one array for the whole run.
+type fifo[T any] struct {
+	buf  []T
+	head int
 }
 
-// pop removes and returns the front item (the caller checks occupancy).
-func (q *saQueue) pop() uint64 {
-	v := q.fifo[q.head]
-	q.head++
-	if q.head == len(q.fifo) {
-		q.fifo = q.fifo[:0]
-		q.head = 0
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+		f.head = 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the front item (the caller checks len).
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
 	}
 	return v
 }
@@ -129,17 +131,14 @@ type SyncArray struct {
 	// msgQ4 is the link's initiation interval per message in
 	// quarter-cycles.
 	msgQ4 uint64
-	// pendingCredits holds credits the link could not accept yet; they
-	// drain in Tick so consumes never block on credit-path contention.
-	// pcHead indexes the front (same capacity-reuse scheme as saQueue).
-	pendingCredits []int
-	pcHead         int
+	// pendingCredits holds credits (queue numbers) the link could not
+	// accept yet; they drain in Tick so consumes never block on
+	// credit-path contention.
+	pendingCredits fifo[int]
 	// pendingData is the small network-interface egress buffer on the
 	// data path: short produce bursts absorb here; once it fills, produce
-	// operations back up in the processor pipeline (paper §3.2). pdHead
-	// indexes the front.
-	pendingData []saMessage
-	pdHead      int
+	// operations back up in the processor pipeline (paper §3.2).
+	pendingData fifo[saMessage]
 
 	// consumeBudget tracks dedicated-store port usage in the current cycle.
 	budgetCycle uint64
@@ -239,7 +238,8 @@ func (sa *SyncArray) noteWake(at uint64) {
 }
 
 // WakeAt returns the earliest cycle at which Tick can do anything
-// (^uint64(0) when the array is dormant).
+// (^uint64(0) when the array is dormant). Tick recomputes it and Produce
+// and Consume lower it, so the kernel's gate and its jump both read it.
 func (sa *SyncArray) WakeAt() uint64 { return sa.wakeAt }
 
 // Tick delivers interconnect messages due at the given cycle and drains
@@ -248,32 +248,21 @@ func (sa *SyncArray) WakeAt() uint64 { return sa.wakeAt }
 // says nothing can happen).
 func (sa *SyncArray) Tick(cycle uint64) {
 	sa.tick(cycle)
-	sa.wakeAt = sa.NextWake(cycle)
+	sa.wakeAt = sa.nextWake(cycle)
 }
 
 func (sa *SyncArray) tick(cycle uint64) {
-	for sa.pcHead < len(sa.pendingCredits) && sa.tryInject(cycle, dirCredit) {
-		q := sa.pendingCredits[sa.pcHead]
-		sa.pcHead++
+	for sa.pendingCredits.len() > 0 && sa.tryInject(cycle, dirCredit) {
 		sa.inflight = append(sa.inflight, saMessage{
 			deliverAt: cycle + uint64(sa.p.InterconnectLatency),
-			q:         q,
+			q:         sa.pendingCredits.pop(),
 			credit:    true,
 		})
 	}
-	if sa.pcHead == len(sa.pendingCredits) {
-		sa.pendingCredits = sa.pendingCredits[:0]
-		sa.pcHead = 0
-	}
-	for sa.pdHead < len(sa.pendingData) && sa.tryInject(cycle, dirData) {
-		m := sa.pendingData[sa.pdHead]
-		sa.pdHead++
+	for sa.pendingData.len() > 0 && sa.tryInject(cycle, dirData) {
+		m := sa.pendingData.pop()
 		m.deliverAt = cycle + uint64(sa.p.InterconnectLatency)
 		sa.inflight = append(sa.inflight, m)
-	}
-	if sa.pdHead == len(sa.pendingData) {
-		sa.pendingData = sa.pendingData[:0]
-		sa.pdHead = 0
 	}
 	kept := sa.inflight[:0]
 	for _, m := range sa.inflight {
@@ -311,19 +300,19 @@ func (sa *SyncArray) tick(cycle uint64) {
 				panic(fmt.Sprintf("queue: SA credit underflow on q%d", m.q))
 			}
 		} else {
-			q.push(m.value)
-			sa.OccHist.Observe(uint64(q.occ()))
+			q.items.push(m.value)
+			sa.OccHist.Observe(uint64(q.items.len()))
 		}
 	}
 	sa.inflight = kept
 }
 
-// NextWake returns the earliest future cycle at which the array can
+// nextWake returns the earliest cycle after cycle at which the array can
 // change state on its own: the next in-flight message delivery, or the
 // very next cycle when queued credits/data are waiting to drain onto the
 // link. Returns ^uint64(0) when the array is idle.
-func (sa *SyncArray) NextWake(cycle uint64) uint64 {
-	if sa.pcHead < len(sa.pendingCredits) || sa.pdHead < len(sa.pendingData) {
+func (sa *SyncArray) nextWake(cycle uint64) uint64 {
+	if sa.pendingCredits.len() > 0 || sa.pendingData.len() > 0 {
 		return cycle + 1
 	}
 	w := ^uint64(0)
@@ -379,17 +368,12 @@ func (sa *SyncArray) Produce(cycle uint64, q int, v uint64) (*port.Token, bool) 
 	}
 	msg := saMessage{q: q, value: v}
 	switch {
-	case sa.pdHead == len(sa.pendingData) && sa.tryInject(cycle, dirData):
+	case sa.pendingData.len() == 0 && sa.tryInject(cycle, dirData):
 		msg.deliverAt = cycle + uint64(sa.p.InterconnectLatency)
 		sa.inflight = append(sa.inflight, msg)
 		sa.noteWake(msg.deliverAt)
-	case len(sa.pendingData)-sa.pdHead < egressEntries:
-		if sa.pdHead > 0 && len(sa.pendingData) == cap(sa.pendingData) {
-			n := copy(sa.pendingData, sa.pendingData[sa.pdHead:])
-			sa.pendingData = sa.pendingData[:n]
-			sa.pdHead = 0
-		}
-		sa.pendingData = append(sa.pendingData, msg)
+	case sa.pendingData.len() < egressEntries:
+		sa.pendingData.push(msg)
 		sa.noteWake(cycle + 1)
 	default:
 		// Not sticky: the attempt took a unit of this cycle's port
@@ -411,7 +395,7 @@ const egressEntries = 4
 // dedicated store yet.
 func (sa *SyncArray) Consume(cycle uint64, q int) (*port.Token, bool) {
 	qu := &sa.queues[q]
-	if qu.occ() == 0 {
+	if qu.items.len() == 0 {
 		sa.EmptyStalls++
 		sa.refEpoch, sa.refCount = &qu.epoch, &sa.EmptyStalls
 		return nil, false
@@ -420,8 +404,8 @@ func (sa *SyncArray) Consume(cycle uint64, q int) (*port.Token, bool) {
 		sa.refEpoch, sa.refCount = nil, nil
 		return nil, false
 	}
-	v := qu.pop()
-	sa.OccHist.Observe(uint64(qu.occ()))
+	v := qu.items.pop()
+	sa.OccHist.Observe(uint64(qu.items.len()))
 	// Return the credit to the producer over the interconnect; if the
 	// credit path is saturated the credit queues without blocking the
 	// consume itself.
@@ -433,12 +417,7 @@ func (sa *SyncArray) Consume(cycle uint64, q int) (*port.Token, bool) {
 		})
 		sa.noteWake(cycle + uint64(sa.p.InterconnectLatency))
 	} else {
-		if sa.pcHead > 0 && len(sa.pendingCredits) == cap(sa.pendingCredits) {
-			n := copy(sa.pendingCredits, sa.pendingCredits[sa.pcHead:])
-			sa.pendingCredits = sa.pendingCredits[:n]
-			sa.pcHead = 0
-		}
-		sa.pendingCredits = append(sa.pendingCredits, q)
+		sa.pendingCredits.push(q)
 		sa.noteWake(cycle + 1)
 	}
 	tok := sa.Tokens.Get(stats.PreL2)
@@ -457,7 +436,7 @@ func (sa *SyncArray) Refusal() (epoch, count *uint64, sticky bool) {
 
 // Occupancy returns the number of items resident in queue q's dedicated
 // store (excludes in-flight items).
-func (sa *SyncArray) Occupancy(q int) int { return sa.queues[q].occ() }
+func (sa *SyncArray) Occupancy(q int) int { return sa.queues[q].items.len() }
 
 // Outstanding returns the producer-side occupancy view for queue q.
 func (sa *SyncArray) Outstanding(q int) int { return sa.queues[q].outstanding }
@@ -482,15 +461,16 @@ type SASnapshot struct {
 func (sa *SyncArray) Snapshot() SASnapshot {
 	s := SASnapshot{
 		InFlight:       len(sa.inflight),
-		PendingCredits: len(sa.pendingCredits) - sa.pcHead,
-		PendingData:    len(sa.pendingData) - sa.pdHead,
+		PendingCredits: sa.pendingCredits.len(),
+		PendingData:    sa.pendingData.len(),
 	}
 	for i := range sa.queues {
-		if sa.queues[i].occ() == 0 && sa.queues[i].outstanding == 0 {
+		q := &sa.queues[i]
+		if q.items.len() == 0 && q.outstanding == 0 {
 			continue
 		}
 		s.Queues = append(s.Queues, SAQueueInfo{
-			Q: i, Occupancy: sa.queues[i].occ(), Outstanding: sa.queues[i].outstanding,
+			Q: i, Occupancy: q.items.len(), Outstanding: q.outstanding,
 		})
 	}
 	return s
@@ -498,11 +478,11 @@ func (sa *SyncArray) Snapshot() SASnapshot {
 
 // Drained reports whether all queues are empty with nothing in flight.
 func (sa *SyncArray) Drained() bool {
-	if len(sa.inflight) > 0 || sa.pcHead < len(sa.pendingCredits) || sa.pdHead < len(sa.pendingData) {
+	if len(sa.inflight) > 0 || sa.pendingCredits.len() > 0 || sa.pendingData.len() > 0 {
 		return false
 	}
 	for i := range sa.queues {
-		if sa.queues[i].occ() > 0 || sa.queues[i].outstanding > 0 {
+		if sa.queues[i].items.len() > 0 || sa.queues[i].outstanding > 0 {
 			return false
 		}
 	}

@@ -69,7 +69,7 @@ func diagnose(reason string, cycle, lastProgress, watchdog uint64,
 		d.Cores = append(d.Cores, CoreDiag{
 			Core:     c.ID(),
 			Halted:   c.Halted(),
-			PC:       c.LastPC,
+			PC:       c.PC(),
 			Stall:    c.LastStall.String(),
 			Issued:   c.Issued,
 			Snapshot: fab.Controller(c.ID()).Snapshot(),

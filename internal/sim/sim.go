@@ -495,9 +495,9 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		// the cycle budget and the exact duties (nextExact) fire on exactly
 		// the cycle they would without fast-forwarding.
 		nextExact := min(nextSample, nextReport)
-		wake := min(lastProgress+watchdog+1, maxCycles+1, nextExact, fab.NextWake(cycle))
+		wake := min(lastProgress+watchdog+1, maxCycles+1, nextExact, fab.WakeAt())
 		if sa != nil {
-			wake = min(wake, sa.NextWake(cycle))
+			wake = min(wake, sa.WakeAt())
 		}
 		for i, c := range cores {
 			if !coreDone[i] {
@@ -528,10 +528,10 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 	st, mm := &res.Streaming, &res.Memory
 	for i, c := range cores {
 		c.FinishTrace(cycle + 1)
-		res.Breakdowns = append(res.Breakdowns, c.Breakdown)
+		res.Breakdowns = append(res.Breakdowns, c.Breakdown())
 		res.Issued = append(res.Issued, c.Issued)
 		res.IssuedComm = append(res.IssuedComm, c.IssuedComm)
-		res.CoreCycles = append(res.CoreCycles, c.Cycles)
+		res.CoreCycles = append(res.CoreCycles, c.Cycles())
 		res.IssueCycles = append(res.IssueCycles, c.IssueCycles)
 		res.Stalls = append(res.Stalls, c.Stalls)
 		res.StallRegions = append(res.StallRegions, c.StallRegions)
