@@ -135,8 +135,9 @@ type Result struct {
 	Consumes []uint64
 
 	// QueueOcc is a per-cycle histogram of the number of stream items in
-	// flight end to end (produced but not yet consumed, across all queues
-	// and designs).
+	// flight end to end: issued produces minus issued consumes, summed
+	// over all queues and clamped at 0, since a consume issued ahead of
+	// its produce holds no item.
 	QueueOcc stats.Hist
 	// SAOcc is the dedicated-store occupancy histogram, recorded at each
 	// delivery and consume (HEAVYWT only, nil otherwise).
@@ -430,7 +431,13 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 				allDone = false
 			}
 		}
-		queueOcc.Observe(prodNow - consNow)
+		// A consume issued before its produce (a SYNCOPTI consumer runs
+		// ahead into its OzQ) holds no item in flight.
+		var inFlight uint64
+		if prodNow > consNow {
+			inFlight = prodNow - consNow
+		}
+		queueOcc.Observe(inFlight)
 		// The gate runs before the done, watchdog and jump checks, so a
 		// cancel that is due wins over a watchdog firing on the same cycle.
 		if cycle >= nextDue {
@@ -514,7 +521,7 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 				c.FastForward(n)
 			}
 		}
-		queueOcc.ObserveN(prodNow-consNow, n)
+		queueOcc.ObserveN(inFlight, n)
 		cycle += n
 	}
 
