@@ -138,7 +138,8 @@ INLINE_FUNCS = '(*Core).Done' '(*Core).Replay' '(*Core).FastForward' \
 	'(*Controller).WakeAt' '(*Controller).noteWake' \
 	'(*Controller).CanAccept' '(*Controller).takePort' 'entryWake' \
 	'(*Token).Done' '(*Token).Complete' '(*Bus).WakeAt' '(*SyncArray).WakeAt' \
-	'(*fifo[uint64]).push' '(*fifo[uint64]).pop' '(*fifo[uint64]).len'
+	'(*fifo[uint64]).push' '(*fifo[uint64]).pop' '(*fifo[uint64]).len' \
+	'(*streamCache).take' '(*streamCache).fill'
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/core ./internal/memsys ./internal/port ./internal/bus ./internal/queue 2>&1) || \
 		{ echo "$$out"; exit 1; }; \

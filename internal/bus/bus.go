@@ -154,7 +154,14 @@ type srcQueue struct {
 
 func (q *srcQueue) len() int { return len(q.reqs) - q.head }
 
-func (q *srcQueue) push(r *Req) { q.reqs = append(q.reqs, r) }
+// push appends r. A source that submits anything mostly has a few
+// requests waiting at once, so its first array holds four.
+func (q *srcQueue) push(r *Req) {
+	if q.reqs == nil {
+		q.reqs = make([]*Req, 0, 4)
+	}
+	q.reqs = append(q.reqs, r)
+}
 
 func (q *srcQueue) pop() *Req {
 	r := q.reqs[q.head]

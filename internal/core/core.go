@@ -250,8 +250,10 @@ func New(id int, p Params, prog *isa.Program, memp port.Mem, strm port.Stream) *
 			lat:      uint64(in.Op.Latency()),
 		}
 	}
+	// Most cores hold a few fire-and-forget tokens at once; starting
+	// inflight at four skips its one- and two-entry arrays.
 	c := &Core{id: int32(id), p: p, meta: meta, pc: 0, memp: memp, strm: strm,
-		nextDue: port.Pending}
+		inflight: make([]*port.Token, 0, 4), nextDue: port.Pending}
 	c.waitEp, c.waitCnt = &c.waitSeen, &c.noCount
 	return c
 }

@@ -45,9 +45,17 @@ func (q *Queue[T]) Min() uint64 {
 	return q.h[0].at
 }
 
+// firstCap is the heap's first allocation: an owner that schedules
+// anything mostly holds a few events at once, so the queue starts there
+// rather than growing through one and two entries.
+const firstCap = 4
+
 // Push schedules v to become due at cycle at.
 func (q *Queue[T]) Push(at uint64, v T) {
 	q.seq++
+	if q.h == nil {
+		q.h = make([]item[T], 0, firstCap)
+	}
 	q.h = append(q.h, item[T]{at: at, seq: q.seq, v: v})
 	q.up(len(q.h) - 1)
 }

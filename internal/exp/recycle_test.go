@@ -371,10 +371,12 @@ func TestRunObjectAllocationCeiling(t *testing.T) {
 		cfg     design.Config
 		ceiling float64
 	}{
-		{"wc", design.SyncOptiConfig(), 200},               // measured 168
-		{"mcf", design.ExistingConfig(), 200},              // measured 165
-		{"fir", design.MemOptiConfig(), 230},               // measured 192
-		{"fft2", design.HeavyWTConfig().WithCores(4), 220}, // measured 185
+		{"wc", design.SyncOptiConfig(), 132},                     // measured 110
+		{"mcf", design.ExistingConfig(), 132},                    // measured 110
+		{"fir", design.MemOptiConfig(), 162},                     // measured 135
+		{"fft2", design.HeavyWTConfig().WithCores(4), 122},       // measured 102
+		{"fft2", design.SyncOptiSCQ64Config().WithCores(6), 506}, // measured 422
+		{"equake", design.MPMCQ64Config().WithCores(6), 203},     // measured 169
 	} {
 		b, err := workloads.ByName(c.bench)
 		if err != nil {

@@ -187,6 +187,11 @@ type Controller struct {
 
 func newController(id int, p Params, fab *Fabric) *Controller {
 	nq := p.Layout.NumQueues
+	// One array per side, not one per counter: at 64 queues the four
+	// producer counters fill the 2 KiB size class and the three consumer
+	// counters the 1.5 KiB one, where all seven would round up to 4 KiB.
+	prod, cons := make([]uint64, 4*nq), make([]uint64, 3*nq)
+	cut := func(a []uint64, i int) []uint64 { return a[i*nq : (i+1)*nq : (i+1)*nq] }
 	c := &Controller{
 		id:  id,
 		p:   p,
@@ -194,22 +199,26 @@ func newController(id int, p Params, fab *Fabric) *Controller {
 		l1:  cache.New(p.L1),
 		l2:  cache.New(p.L2),
 
-		sentCum:         make([]uint64, nq),
-		doneCum:         make([]uint64, nq),
-		ackedCum:        make([]uint64, nq),
-		forwardedCum:    make([]uint64, nq),
-		consumeIssueCum: make([]uint64, nq),
-		availCum:        make([]uint64, nq),
-		consumedCum:     make([]uint64, nq),
+		sentCum:         cut(prod, 0),
+		doneCum:         cut(prod, 1),
+		ackedCum:        cut(prod, 2),
+		forwardedCum:    cut(prod, 3),
+		consumeIssueCum: cut(cons, 0),
+		availCum:        cut(cons, 1),
+		consumedCum:     cut(cons, 2),
 		probeOut:        make([]bool, nq),
-		wakeAt:          ^uint64(0),
-		depthMask:       -1,
+		// Most controllers hold a few entries at once; starting the OzQ
+		// and its free list at four skips their one- and two-entry arrays.
+		ozq:       make([]*ozEntry, 0, 4),
+		free:      make([]*ozEntry, 0, 4),
+		wakeAt:    ^uint64(0),
+		depthMask: -1,
 	}
 	if d := p.Layout.Depth; d&(d-1) == 0 {
 		c.depthMask = d - 1
 	}
 	if p.StreamCacheEntries > 0 {
-		c.sc = newStreamCache(p.StreamCacheEntries)
+		c.sc = newStreamCache(p.StreamCacheEntries, nq, p.Layout.Depth)
 	}
 	return c
 }

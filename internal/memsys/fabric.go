@@ -46,8 +46,9 @@ func NewFabric(p Params, m *mem.Memory, n int) (*Fabric, error) {
 	}
 	f := &Fabric{p: p, mem: m, l3: cache.New(p.L3), tokens: port.NewTokenPool()}
 	f.bus = bus.New(p.Bus, n, f.handle)
-	for i := 0; i < n; i++ {
-		f.ctrls = append(f.ctrls, newController(i, p, f))
+	f.ctrls = make([]*Controller, n)
+	for i := range f.ctrls {
+		f.ctrls[i] = newController(i, p, f)
 	}
 	return f, nil
 }

@@ -19,7 +19,8 @@ type SAPort struct {
 	// prodTick / consTick count this core's completed produces/consumes
 	// per logical MPMC queue. They advance only on success, so a stalled
 	// operation retries the same lane — the dispatch is a pure function
-	// of the core's own operation count, never of timing.
+	// of the core's own operation count, never of timing. Only MPMC
+	// queues write them, so each is made on its first write.
 	prodTick map[int]uint64
 	consTick map[int]uint64
 }
@@ -27,12 +28,7 @@ type SAPort struct {
 // Port returns core's view of the array. The same SyncArray backs every
 // port; per-core state is only the ticket counters.
 func (sa *SyncArray) Port(core int) *SAPort {
-	return &SAPort{
-		sa:       sa,
-		core:     core,
-		prodTick: make(map[int]uint64),
-		consTick: make(map[int]uint64),
-	}
+	return &SAPort{sa: sa, core: core}
 }
 
 // Refusal implements port.Refuser. A core asks right after its own refused
@@ -56,6 +52,9 @@ func (p *SAPort) Produce(cycle uint64, q int, v uint64) (*port.Token, bool) {
 	lane := int(ticket % uint64(r.LaneCount()))
 	tok, done := p.sa.Produce(cycle, p.sa.laneBase[q]+lane, v)
 	if done {
+		if p.prodTick == nil {
+			p.prodTick = make(map[int]uint64)
+		}
 		p.prodTick[q] = n + 1
 	}
 	return tok, done
@@ -77,6 +76,9 @@ func (p *SAPort) Consume(cycle uint64, q int) (*port.Token, bool) {
 	lane := int(ticket % uint64(r.LaneCount()))
 	tok, done := p.sa.Consume(cycle, p.sa.laneBase[q]+lane)
 	if done {
+		if p.consTick == nil {
+			p.consTick = make(map[int]uint64)
+		}
 		p.consTick[q] = n + 1
 	}
 	return tok, done

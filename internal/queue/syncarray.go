@@ -78,16 +78,30 @@ type saQueue struct {
 type fifo[T any] struct {
 	buf  []T
 	head int
+	// limit bounds the items the FIFO ever holds (0: unbounded). Many
+	// queues never hold a second item; one that does is likely to fill,
+	// so its second array is allocated at limit.
+	limit int
 }
 
 func (f *fifo[T]) len() int { return len(f.buf) - f.head }
 
 func (f *fifo[T]) push(v T) {
-	if f.head > 0 && len(f.buf) == cap(f.buf) {
-		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
-		f.head = 0
+	if len(f.buf) == cap(f.buf) {
+		f.makeRoom()
 	}
 	f.buf = append(f.buf, v)
+}
+
+// makeRoom frees a slot in a full array: it compacts the consumed
+// headroom, or, with none, grows a one-item array straight to limit.
+func (f *fifo[T]) makeRoom() {
+	if f.head > 0 {
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+		f.head = 0
+	} else if n := len(f.buf); n > 0 && n < f.limit {
+		f.buf = append(make([]T, 0, f.limit), f.buf...)
+	}
 }
 
 // pop removes and returns the front item (the caller checks len).
@@ -116,10 +130,6 @@ type SyncArray struct {
 	queues   []saQueue
 	inflight []saMessage
 
-	// depths holds each physical queue's dedicated-store depth: p.Depth
-	// for the first NumQueues entries, Depth/lcm(P,C) (min 1) for MPMC
-	// lane sub-queues appended after them.
-	depths []int
 	// laneBase maps a logical MPMC queue ID to the physical ID of its
 	// first lane.
 	laneBase map[int]int
@@ -185,10 +195,6 @@ func NewSyncArray(p SAParams) (*SyncArray, error) {
 		return nil, fmt.Errorf("queue: consume-to-use latency %d, want at least 1 cycle", p.ConsumeToUse)
 	}
 	total := p.NumQueues
-	depths := make([]int, p.NumQueues, p.NumQueues)
-	for i := range depths {
-		depths[i] = p.Depth
-	}
 	laneBase := make(map[int]int, len(p.MPMC))
 	mpmcQs := make([]int, 0, len(p.MPMC))
 	for q := range p.MPMC {
@@ -206,28 +212,34 @@ func NewSyncArray(p SAParams) (*SyncArray, error) {
 		if !r.IsMPMC() {
 			continue // 1:1 route: the plain FIFO already has the semantics
 		}
-		lanes := r.LaneCount()
-		laneCap := p.Depth / lanes
-		if laneCap < 1 {
-			laneCap = 1
-		}
 		laneBase[q] = total
-		for l := 0; l < lanes; l++ {
-			depths = append(depths, laneCap)
+		total += r.LaneCount()
+	}
+	// A queue's capacity is its dedicated-store depth plus the
+	// interconnect's in-flight stages (which buffer data and effectively
+	// extend the queue): p.Depth for the first NumQueues queues,
+	// Depth/lcm(P,C) (min 1) for the MPMC lane sub-queues after them. It
+	// bounds the items the queue's FIFO ever holds.
+	queues := make([]saQueue, total)
+	for q := range queues {
+		queues[q].items.limit = p.Depth + p.InterconnectLatency
+	}
+	for q, base := range laneBase {
+		lanes := p.MPMC[q].LaneCount()
+		for l := range lanes {
+			queues[base+l].items.limit = max(p.Depth/lanes, 1) + p.InterconnectLatency
 		}
-		total += lanes
 	}
 	interval := (p.InterconnectLatency + linkStages - 1) / linkStages
-	return &SyncArray{p: p, queues: make([]saQueue, total), depths: depths, laneBase: laneBase,
-		msgQ4: uint64(4 * interval / linkWidth), wakeAt: ^uint64(0)}, nil
+	sa := &SyncArray{p: p, queues: queues, laneBase: laneBase,
+		msgQ4: uint64(4 * interval / linkWidth), wakeAt: ^uint64(0)}
+	sa.pendingData.limit = egressEntries
+	return sa, nil
 }
 
 // capacityOf returns physical queue q's effective producer-visible
-// capacity: its dedicated store depth plus the interconnect's in-flight
-// stages (which buffer data and effectively extend the queue).
-func (sa *SyncArray) capacityOf(q int) int {
-	return sa.depths[q] + sa.p.InterconnectLatency
-}
+// capacity (see NewSyncArray).
+func (sa *SyncArray) capacityOf(q int) int { return sa.queues[q].items.limit }
 
 // noteWake lowers the cached wake time; every mutation that queues future
 // work for Tick must call it.

@@ -533,25 +533,30 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		FaultShots: cfg.Faults.ShotStrings(),
 	}
 	st, mm := &res.Streaming, &res.Memory
+	// The per-core slices are cut at their final length from one backing
+	// array per element type; the capacity limit keeps an append to one
+	// from writing into the next.
+	n := len(cores)
+	u64 := make([]uint64, 13*n)
+	cut := func() []uint64 { s := u64[:n:n]; u64 = u64[n:]; return s }
+	res.Issued, res.IssuedComm, res.CoreCycles, res.IssueCycles = cut(), cut(), cut(), cut()
+	res.Produces, res.Consumes = cut(), cut()
+	st.WrFwds, st.BulkAcks, st.Probes, st.SCHits, st.RecircRetries = cut(), cut(), cut(), cut(), cut()
+	mm.L2Hits, mm.L2Misses = cut(), cut()
+	bds := make([]stats.Breakdown, 2*n)
+	res.Breakdowns, res.StallRegions = bds[:n:n], bds[n:]
+	res.Stalls = make([]core.StallCycles, n)
 	for i, c := range cores {
 		c.FinishTrace(cycle + 1)
-		res.Breakdowns = append(res.Breakdowns, c.Breakdown())
-		res.Issued = append(res.Issued, c.Issued)
-		res.IssuedComm = append(res.IssuedComm, c.IssuedComm)
-		res.CoreCycles = append(res.CoreCycles, c.Cycles())
-		res.IssueCycles = append(res.IssueCycles, c.IssueCycles)
-		res.Stalls = append(res.Stalls, c.Stalls)
-		res.StallRegions = append(res.StallRegions, c.StallRegions)
-		res.Produces = append(res.Produces, c.Produces)
-		res.Consumes = append(res.Consumes, c.Consumes)
+		res.Breakdowns[i] = c.Breakdown()
+		res.Issued[i], res.IssuedComm[i] = c.Issued, c.IssuedComm
+		res.CoreCycles[i], res.IssueCycles[i] = c.Cycles(), c.IssueCycles
+		res.Stalls[i], res.StallRegions[i] = c.Stalls, c.StallRegions
+		res.Produces[i], res.Consumes[i] = c.Produces, c.Consumes
 		ctrl := fab.Controller(i)
-		st.WrFwds = append(st.WrFwds, ctrl.WrFwdsSent)
-		st.BulkAcks = append(st.BulkAcks, ctrl.BulkAcksSent)
-		st.Probes = append(st.Probes, ctrl.ProbesSent)
-		st.SCHits = append(st.SCHits, ctrl.StreamCacheHits())
-		st.RecircRetries = append(st.RecircRetries, ctrl.RecircRetries)
-		mm.L2Hits = append(mm.L2Hits, ctrl.L2().Hits)
-		mm.L2Misses = append(mm.L2Misses, ctrl.L2().Misses)
+		st.WrFwds[i], st.BulkAcks[i], st.Probes[i] = ctrl.WrFwdsSent, ctrl.BulkAcksSent, ctrl.ProbesSent
+		st.SCHits[i], st.RecircRetries[i] = ctrl.StreamCacheHits(), ctrl.RecircRetries
+		mm.L2Hits[i], mm.L2Misses[i] = ctrl.L2().Hits, ctrl.L2().Misses
 	}
 	b := fab.Bus()
 	res.Bus = BusCounters{Grants: b.TotalGrants(), Beats: b.BeatsCarried, ArbWait: b.ArbWait}
