@@ -19,7 +19,7 @@
 #   make scaling            the differential grid's runner and serve rows under -race, N-core cells included (EXPERIMENTS.md "Differential battery")
 #   make load-smoke         hfload against in-process 1- and 3-replica clusters
 #   make gobench            one `go test -bench` pass over the reproduction benchmarks, then gobench-layers
-#   make gobench-layers     the core, sim, dswp, mem, memsys, serve and trace layer benchmarks at 100x (CI runs it)
+#   make gobench-layers     the core, sim, dswp, mem, memsys, serve and trace layer benchmarks at 100x, sim on one P (CI runs it)
 #   make chaos              full fault-injection sweep (RESILIENCE.md)
 #   make chaos-smoke        the CI chaos corpus, fast-forward on and off
 #   make chaos-cluster      service-tier chaos smoke under -race
@@ -111,9 +111,12 @@ gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 	$(MAKE) gobench-layers
 
-# The layer benchmarks alone, the line CI runs.
+# The layer benchmarks alone, the line CI runs. internal/sim runs on one P:
+# with two, cache.New's pool misses an array released on the other P, so
+# BenchmarkRunCell's B/op would not repeat.
 gobench-layers:
-	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/sim ./internal/dswp ./internal/mem ./internal/memsys ./serve ./trace
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/core ./internal/dswp ./internal/mem ./internal/memsys ./serve ./trace
+	$(GO) test -run '^$$' -bench . -benchtime 100x -cpu 1 ./internal/sim
 
 # The last step is CI's regression gate: the dual-core matrix, an N-core
 # cell, the per-cycle kernel (referee: nothing else gated runs sim.Run

@@ -153,13 +153,15 @@ type Controller struct {
 	// are few, so a linear table beats a hash map on the snoop/fill path.
 	mshrs []mshr
 
-	// Producer-side per-queue stream state (cumulative item counts).
+	// Per-queue stream state, one entry for each queue the run's programs
+	// can name; nil without hardware queues. Producer side (cumulative
+	// item counts):
 	sentCum      []uint64 // produce slots assigned at issue
 	doneCum      []uint64 // produces completed (data written)
 	ackedCum     []uint64 // items bulk-acked by the consumer
 	forwardedCum []uint64 // items covered by forwards/probe flushes
 
-	// Consumer-side per-queue stream state.
+	// Consumer side.
 	consumeIssueCum []uint64 // consume slots assigned at issue
 	availCum        []uint64 // items made available by forwards/probes
 	consumedCum     []uint64 // consumes completed
@@ -185,13 +187,9 @@ type Controller struct {
 	RecircRetries uint64
 }
 
-func newController(id int, p Params, fab *Fabric) *Controller {
-	nq := p.Layout.NumQueues
-	// One array per side, not one per counter: at 64 queues the four
-	// producer counters fill the 2 KiB size class and the three consumer
-	// counters the 1.5 KiB one, where all seven would round up to 4 KiB.
-	prod, cons := make([]uint64, 4*nq), make([]uint64, 3*nq)
-	cut := func(a []uint64, i int) []uint64 { return a[i*nq : (i+1)*nq : (i+1)*nq] }
+// newController builds core id's controller. With hardware queues it keeps
+// stream state for queues [0, queues): the run's programs name no other.
+func newController(id int, p Params, fab *Fabric, queues int) *Controller {
 	c := &Controller{
 		id:  id,
 		p:   p,
@@ -199,14 +197,6 @@ func newController(id int, p Params, fab *Fabric) *Controller {
 		l1:  cache.New(p.L1),
 		l2:  cache.New(p.L2),
 
-		sentCum:         cut(prod, 0),
-		doneCum:         cut(prod, 1),
-		ackedCum:        cut(prod, 2),
-		forwardedCum:    cut(prod, 3),
-		consumeIssueCum: cut(cons, 0),
-		availCum:        cut(cons, 1),
-		consumedCum:     cut(cons, 2),
-		probeOut:        make([]bool, nq),
 		// Most controllers hold a few entries at once; starting the OzQ
 		// and its free list at four skips their one- and two-entry arrays.
 		ozq:       make([]*ozEntry, 0, 4),
@@ -217,8 +207,18 @@ func newController(id int, p Params, fab *Fabric) *Controller {
 	if d := p.Layout.Depth; d&(d-1) == 0 {
 		c.depthMask = d - 1
 	}
+	if !p.HWQueues {
+		return c
+	}
+	// The seven counters are cut from one array; the capacity limit keeps
+	// an append to one from writing into the next.
+	cum := make([]uint64, 7*queues)
+	cut := func() []uint64 { s := cum[:queues:queues]; cum = cum[queues:]; return s }
+	c.sentCum, c.doneCum, c.ackedCum, c.forwardedCum = cut(), cut(), cut(), cut()
+	c.consumeIssueCum, c.availCum, c.consumedCum = cut(), cut(), cut()
+	c.probeOut = make([]bool, queues)
 	if p.StreamCacheEntries > 0 {
-		c.sc = newStreamCache(p.StreamCacheEntries, nq, p.Layout.Depth)
+		c.sc = newStreamCache(p.StreamCacheEntries, queues, p.Layout.Depth)
 	}
 	return c
 }

@@ -36,19 +36,31 @@ type Fabric struct {
 	L3Misses    uint64
 }
 
-// NewFabric builds the memory subsystem for n cores.
+// NewFabric builds the memory subsystem for n cores, with stream state for
+// every queue of the layout.
 func NewFabric(p Params, m *mem.Memory, n int) (*Fabric, error) {
+	return NewFabricQueues(p, m, n, p.Layout.NumQueues)
+}
+
+// NewFabricQueues builds the memory subsystem for n cores whose programs
+// name only queues [0, queues): with hardware queues, each controller keeps
+// its per-queue stream state for those alone. The layout, and so every
+// slot address, is the same whatever the count.
+func NewFabricQueues(p Params, m *mem.Memory, n, queues int) (*Fabric, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("memsys: need at least one core, got %d", n)
 	}
+	if queues < 0 || queues > p.Layout.NumQueues {
+		return nil, fmt.Errorf("memsys: %d queues outside [0,%d]", queues, p.Layout.NumQueues)
+	}
 	f := &Fabric{p: p, mem: m, l3: cache.New(p.L3), tokens: port.NewTokenPool()}
 	f.bus = bus.New(p.Bus, n, f.handle)
 	f.ctrls = make([]*Controller, n)
 	for i := range f.ctrls {
-		f.ctrls[i] = newController(i, p, f)
+		f.ctrls[i] = newController(i, p, f, queues)
 	}
 	return f, nil
 }

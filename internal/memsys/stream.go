@@ -89,13 +89,15 @@ func (c *Controller) streamForwardDone(r *bus.Req, done uint64) {
 // acceptStreamForward installs forwarded queue items at the consumer:
 // the line lands in the L2, the occupancy counter advances, and the
 // stream cache is filled by reverse-mapping the line to (queue, slot)
-// pairs (paper §5).
+// pairs (paper §5). A delayed forward can land after a probe flush let
+// its slots' consumes finish; those slots are never read again, so they
+// are not filled.
 func (c *Controller) acceptStreamForward(cycle uint64, q int, start uint64, count int) {
 	for i := 0; i < count; i++ {
 		slotCum := start + uint64(i)
 		addr := c.p.Layout.SlotAddr(q, c.slotIdx(slotCum))
 		c.install(cycle, c.l2.LineAddr(addr), cache.Shared)
-		if c.sc != nil {
+		if c.sc != nil && slotCum >= c.consumedCum[q] {
 			c.sc.fill(q, slotCum, c.fab.mem.Read8(addr))
 		}
 	}

@@ -3,6 +3,7 @@ package memsys
 import (
 	"testing"
 
+	"hfstream/internal/mem"
 	"hfstream/internal/port"
 	"hfstream/internal/queue"
 )
@@ -206,5 +207,44 @@ func TestStreamDrainedAccounting(t *testing.T) {
 	r.wait(ctok)
 	if !streamDrained(cons) {
 		t.Fatal("completed consume but not drained")
+	}
+}
+
+// TestStreamStateSizedByQueues builds fabrics for three queues: a
+// controller with hardware queues keeps stream state for exactly those,
+// one without keeps none, and a count past the layout is refused.
+func TestStreamStateSizedByQueues(t *testing.T) {
+	const queues = 3
+	for _, hw := range []bool{true, false} {
+		p := DefaultParams(testLayout())
+		p.HWQueues, p.WriteForward, p.StreamCacheEntries = hw, true, 16
+		fab, err := NewFabricQueues(p, mem.New(), 2, queues)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if hw {
+			want = queues
+		}
+		c := fab.Controller(1)
+		for name, n := range map[string]int{
+			"sentCum": len(c.sentCum), "doneCum": len(c.doneCum), "ackedCum": len(c.ackedCum),
+			"forwardedCum": len(c.forwardedCum), "consumeIssueCum": len(c.consumeIssueCum),
+			"availCum": len(c.availCum), "consumedCum": len(c.consumedCum), "probeOut": len(c.probeOut),
+		} {
+			if n != want {
+				t.Errorf("HWQueues=%v: %s holds %d queues, want %d", hw, name, n, want)
+			}
+		}
+		switch {
+		case hw && (c.sc == nil || len(c.sc.cells) != queues):
+			t.Errorf("the stream cache is not sized for %d queues", queues)
+		case !hw && c.sc != nil:
+			t.Error("a controller without hardware queues has a stream cache")
+		}
+	}
+	p := DefaultParams(testLayout())
+	if _, err := NewFabricQueues(p, mem.New(), 2, p.Layout.NumQueues+1); err == nil {
+		t.Error("a queue count past the layout was accepted")
 	}
 }

@@ -9,12 +9,11 @@ package memsys
 // queue keeps its entries in one array indexed by slot modulo the queue
 // depth, allocated on the queue's first fill. Two slots that share a cell
 // are never both unconsumed: the producer reaches slot s+depth only after
-// the bulk ACK for s. When they meet, the smaller slot is dead (its fill
-// landed after its consume finished): like any stale entry it keeps its
-// unit of n, but it is never stored and never taken.
+// the bulk ACK for s. The controller fills only unconsumed slots, and a
+// consume takes its slot's entry, so a cell never holds a stale one.
 type streamCache struct {
 	capacity int
-	n        int // entries held, dead ones included
+	n        int // entries held
 	depth    uint64
 	cells    [][]scCell // per queue, nil until its first fill
 
@@ -40,9 +39,7 @@ func (sc *streamCache) fill(q int, slot uint64, v uint64) {
 	if c.tag != slot+1 {
 		sc.n++
 	}
-	if c.tag <= slot+1 { // a larger tag means this slot is the dead one
-		*c = scCell{slot + 1, v}
-	}
+	*c = scCell{slot + 1, v}
 }
 
 // take returns and invalidates the entry for (q, slot) if present.

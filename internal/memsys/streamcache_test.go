@@ -35,14 +35,13 @@ func (sc *mapStreamCache) take(q int, slot uint64) (uint64, bool) {
 // scPair drives the slot-indexed cache and the map reference with the same
 // operations and fails on the first difference: a hit or miss, a value, a
 // fill dropped by one and kept by the other (the entry counts part), or
-// the hit count.
+// the hit count. Two live slots meeting in one cell would also show: the
+// slot-indexed cache would count both and keep one.
 type scPair struct {
 	t   *testing.T
 	got *streamCache
 	ref *mapStreamCache
 	ops int
-	// deadFills counts fills whose cell already held a later slot.
-	deadFills int
 }
 
 func newSCPair(t *testing.T, capacity, queues, depth int) *scPair {
@@ -61,11 +60,6 @@ func (p *scPair) check(op string) {
 
 func (p *scPair) fill(q int, slot, v uint64) {
 	p.t.Helper()
-	if cells := p.got.cells[q]; cells != nil {
-		if cells[slot%p.got.depth].tag > slot+1 {
-			p.deadFills++
-		}
-	}
 	p.got.fill(q, slot, v)
 	p.ref.fill(q, slot, v)
 	p.check(fmt.Sprintf("fill q%d slot %d", q, slot))
@@ -84,35 +78,33 @@ func (p *scPair) take(q int, slot uint64) bool {
 
 func scValue(q int, slot uint64) uint64 { return uint64(q)<<48 | slot }
 
-// TestStreamCacheDeadEntry is the clash the slot index must settle: slot
-// s's fill lands after slot s+depth's (a delayed forward whose consume a
-// probe flush already finished). Slot s is dead, so nothing takes it
-// again; slot s+depth must stay and hit, and s keeps its unit of the
-// count as the map's stale key does.
-func TestStreamCacheDeadEntry(t *testing.T) {
-	const depth = 32
-	for _, late := range []bool{true, false} {
-		t.Run(fmt.Sprintf("dead-fill-last=%v", late), func(t *testing.T) {
-			p := newSCPair(t, 8, 2, depth)
-			if late {
-				p.fill(1, depth, scValue(1, depth))
-				p.fill(1, 0, scValue(1, 0))
-			} else {
-				p.fill(1, 0, scValue(1, 0))
-				p.fill(1, depth, scValue(1, depth))
-			}
-			if !p.take(1, depth) {
-				t.Fatalf("slot %d missed after the dead slot 0 shared its cell", depth)
-			}
-			// The dead entry still counts: seven more fills fill the cache.
-			for s := uint64(depth + 1); s < depth+8; s++ {
-				p.fill(1, s, scValue(1, s))
-			}
-			p.fill(1, depth+8, scValue(1, depth+8)) // dropped: full
-			if p.take(1, depth+8) {
-				t.Fatal("a fill into the full cache was kept")
-			}
-		})
+// TestStreamCacheSkipsConsumedSlot holds the consumer to filling only live
+// slots: a forward that lands after a probe flush let its slots' consumes
+// finish stores nothing and takes none of the cache's capacity, so the
+// next capacity live slots are all kept and hit.
+func TestStreamCacheSkipsConsumedSlot(t *testing.T) {
+	const capacity, q = 4, 1
+	r := newRig(t, func(p *Params) {
+		syncParams(p)
+		p.StreamCacheEntries = capacity
+	})
+	c := r.fab.Controller(1)
+	c.consumedCum[q] = 8
+	c.availCum[q] = 8
+	c.acceptStreamForward(r.cycle, q, 0, 8) // the late forward: slots 0-7, all consumed
+	if c.sc.n != 0 {
+		t.Fatalf("the late forward holds %d entries, want 0", c.sc.n)
+	}
+	for s := uint64(0); s < 8; s++ {
+		if _, ok := c.sc.take(q, s); ok {
+			t.Fatalf("consumed slot %d was stored", s)
+		}
+	}
+	c.acceptStreamForward(r.cycle, q, 8, capacity)
+	for s := uint64(8); s < 8+capacity; s++ {
+		if v, ok := c.sc.take(q, s); !ok || v != r.img.Read8(c.p.Layout.SlotAddr(q, c.slotIdx(s))) {
+			t.Fatalf("live slot %d: take = %d,%v after the late forward", s, v, ok)
+		}
 	}
 }
 
@@ -136,10 +128,9 @@ func TestStreamCacheRefill(t *testing.T) {
 // the producer runs at most depth slots past the last bulk ACK, and
 // forwards carry QLU-sized batches (or a probe flush's partial one) that
 // arrive late and out of order. A consume may finish before its batch
-// arrives, as a probe flush lets it, so late fills land on dead slots,
-// some after the slot depth later. Dead entries keep their count for
-// good, so a cache that collects capacity of them drops every later fill:
-// the hits and the dead fills are required of each configuration's seeds
+// arrives, as a probe flush lets it; like acceptStreamForward, the
+// protocol then skips the consumed slots' fills on both sides. The hits
+// and the skipped fills are required of each configuration's seeds
 // together, not of every run.
 func TestStreamCacheMatchesMapModel(t *testing.T) {
 	const qlu, queues = 8, 3
@@ -147,15 +138,14 @@ func TestStreamCacheMatchesMapModel(t *testing.T) {
 		for _, depth := range []int{32, 64} {
 			t.Run(fmt.Sprintf("cap%d/depth%d", capacity, depth), func(t *testing.T) {
 				var hits uint64
-				var deadFills int
+				var skipped int
 				for seed := int64(1); seed <= 20; seed++ {
 					p := newSCPair(t, capacity, queues, depth)
-					runSCProtocol(p, rand.New(rand.NewSource(seed)), qlu)
+					skipped += runSCProtocol(p, rand.New(rand.NewSource(seed)), qlu)
 					hits += p.got.Hits
-					deadFills += p.deadFills
 				}
-				if hits == 0 || deadFills == 0 {
-					t.Fatalf("%d hits and %d dead fills over 20 seeds: the runs exercised too little", hits, deadFills)
+				if hits == 0 || skipped == 0 {
+					t.Fatalf("%d hits and %d skipped late fills over 20 seeds: the runs exercised too little", hits, skipped)
 				}
 			})
 		}
@@ -169,7 +159,9 @@ type scBatch struct {
 	slow  bool // a delayed forward: it waits out many others
 }
 
-func runSCProtocol(p *scPair, rng *rand.Rand, qlu int) {
+// runSCProtocol runs one seeded protocol and returns how many fills it
+// skipped because their slot's consume had finished.
+func runSCProtocol(p *scPair, rng *rand.Rand, qlu int) (skipped int) {
 	depth := int(p.got.depth)
 	var inFlight []scBatch
 	type stream struct {
@@ -213,10 +205,12 @@ func runSCProtocol(p *scPair, rng *rand.Rand, qlu int) {
 			inFlight = inFlight[:len(inFlight)-1]
 			for k := 0; k < b.n; k++ {
 				slot := b.start + uint64(k)
-				p.fill(b.q, slot, scValue(b.q, slot))
-				if slot >= st[b.q].finished {
-					st[b.q].arrived[slot] = true
+				if slot < st[b.q].finished {
+					skipped++
+					continue
 				}
+				p.fill(b.q, slot, scValue(b.q, slot))
+				st[b.q].arrived[slot] = true
 			}
 		case 3: // a consume issues: the stream cache serves it or not
 			if s.issued < s.finished+4 {
@@ -238,4 +232,5 @@ func runSCProtocol(p *scPair, rng *rand.Rand, qlu int) {
 			}
 		}
 	}
+	return skipped
 }

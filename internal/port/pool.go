@@ -2,8 +2,13 @@ package port
 
 import "hfstream/internal/stats"
 
-// tokenSlabSize is the bump-allocation granularity of a TokenPool.
-const tokenSlabSize = 256
+// A TokenPool bump-allocates its first firstSlabSize tokens from one small
+// slab, sized for the few dozen tokens most runs hold at once, and any
+// later ones from slabs of tokenSlabSize.
+const (
+	firstSlabSize = 64
+	tokenSlabSize = 256
+)
 
 // TokenPool is a per-run token arena: tokens are bump-allocated from
 // slabs and recycled through a free list, replacing the per-operation
@@ -20,8 +25,9 @@ const tokenSlabSize = 256
 //
 // Pools are not safe for concurrent use; each simulation run owns one.
 type TokenPool struct {
-	slab []Token
-	free []*Token
+	slab   []Token
+	free   []*Token
+	carved bool // the first slab has been made
 }
 
 // NewTokenPool returns an empty pool.
@@ -42,7 +48,11 @@ func (p *TokenPool) Get(loc stats.Bucket) *Token {
 		return t
 	}
 	if len(p.slab) == 0 {
-		p.slab = make([]Token, tokenSlabSize)
+		n := tokenSlabSize
+		if !p.carved {
+			n, p.carved = firstSlabSize, true
+		}
+		p.slab = make([]Token, n)
 	}
 	t := &p.slab[0]
 	p.slab = p.slab[1:]

@@ -211,40 +211,43 @@ func (e *CanceledError) Error() string {
 
 // validate rejects configurations and programs that would otherwise trip
 // internal invariants (nil stream backends, unroutable queues, bad bus
-// parameters) with a typed *ValidationError before any cycle runs.
-func validate(cfg *Config, threads []Thread) error {
+// parameters) with a typed *ValidationError before any cycle runs. It
+// returns the number of queues the programs can name: one more than the
+// highest queue any produce or consume names, 0 when none does.
+func validate(cfg *Config, threads []Thread) (int, error) {
 	if len(threads) == 0 {
-		return &ValidationError{Reason: "no threads"}
+		return 0, &ValidationError{Reason: "no threads"}
 	}
 	// Prog.Validate bounds every queue number by the layout's NumQueues, so
 	// a slice remembers the ones in use; walking it names the lowest
 	// offending queue whatever order the programs used them in.
 	usedQs := make([]bool, max(cfg.Mem.Layout.NumQueues, 0))
-	anyQ := false
+	queues := 0
 	for i, t := range threads {
 		if t.Prog == nil {
-			return &ValidationError{Reason: fmt.Sprintf("thread %d: nil program", i)}
+			return 0, &ValidationError{Reason: fmt.Sprintf("thread %d: nil program", i)}
 		}
 		if err := t.Prog.Validate(len(usedQs)); err != nil {
-			return &ValidationError{Reason: err.Error()}
+			return 0, &ValidationError{Reason: err.Error()}
 		}
 		if err := t.Prog.CheckEnd(); err != nil {
-			return &ValidationError{Reason: fmt.Sprintf("thread %d: %v", i, err)}
+			return 0, &ValidationError{Reason: fmt.Sprintf("thread %d: %v", i, err)}
 		}
 		for _, in := range t.Prog.Instrs {
 			if in.Op == isa.Produce || in.Op == isa.Consume {
-				usedQs[in.Q], anyQ = true, true
+				usedQs[in.Q] = true
+				queues = max(queues, in.Q+1)
 			}
 		}
 	}
-	if anyQ && !cfg.UseSyncArray && !cfg.Mem.HWQueues {
-		return &ValidationError{Reason: "program uses produce/consume but the design has neither " +
+	if queues > 0 && !cfg.UseSyncArray && !cfg.Mem.HWQueues {
+		return 0, &ValidationError{Reason: "program uses produce/consume but the design has neither " +
 			"hardware queues nor a synchronization array (lower to software queues first)"}
 	}
 	if cfg.UseSyncArray {
 		for q, used := range usedQs {
 			if used && q >= cfg.SA.NumQueues {
-				return &ValidationError{Reason: fmt.Sprintf(
+				return 0, &ValidationError{Reason: fmt.Sprintf(
 					"queue %d out of range: synchronization array has %d queues", q, cfg.SA.NumQueues)}
 			}
 		}
@@ -254,7 +257,7 @@ func validate(cfg *Config, threads []Thread) error {
 			for _, side := range [2][]int{r.Producers, r.Consumers} {
 				for _, c := range side {
 					if c < 0 || c >= len(threads) {
-						return &ValidationError{Reason: fmt.Sprintf(
+						return 0, &ValidationError{Reason: fmt.Sprintf(
 							"queue %d MPMC route references core %d outside [0,%d)", q, c, len(threads))}
 					}
 				}
@@ -268,25 +271,26 @@ func validate(cfg *Config, threads []Thread) error {
 				continue
 			}
 			if q >= len(cfg.Mem.QueueRoutes) {
-				return &ValidationError{Reason: fmt.Sprintf(
+				return 0, &ValidationError{Reason: fmt.Sprintf(
 					"queue %d has no route: %d cores need explicit QueueRoutes", q, len(threads))}
 			}
 			r := cfg.Mem.QueueRoutes[q]
 			if r.Producer < 0 || r.Producer >= len(threads) || r.Consumer < 0 || r.Consumer >= len(threads) {
-				return &ValidationError{Reason: fmt.Sprintf(
+				return 0, &ValidationError{Reason: fmt.Sprintf(
 					"queue %d route (%d -> %d) references cores outside [0,%d)",
 					q, r.Producer, r.Consumer, len(threads))}
 			}
 		}
 	}
-	return nil
+	return queues, nil
 }
 
 // Run executes the given threads on the configured machine and returns
 // the result. The memory image carries workload data and receives all
 // stores; callers own pre-population and post-run inspection.
 func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
-	if err := validate(&cfg, threads); err != nil {
+	queues, err := validate(&cfg, threads)
+	if err != nil {
 		return nil, err
 	}
 	maxCycles := cfg.MaxCycles
@@ -302,7 +306,7 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		progressEvery = 1_000_000
 	}
 
-	fab, err := memsys.NewFabric(cfg.Mem, image, len(threads))
+	fab, err := memsys.NewFabricQueues(cfg.Mem, image, len(threads), queues)
 	if err != nil {
 		return nil, &ValidationError{Reason: err.Error()}
 	}

@@ -14,29 +14,35 @@ import (
 const resultAddr = 0x1000
 
 // producerProg produces 1..n on queue 0 followed by a zero sentinel.
-func producerProg(n int64) *isa.Program {
+func producerProg(n int64) *isa.Program { return producerProgOn(0, n) }
+
+// producerProgOn is producerProg on queue q.
+func producerProgOn(q int, n int64) *isa.Program {
 	b := asm.NewBuilder("producer")
 	b.MovI(1, 1) // r1 = i
 	b.MovI(2, n) // r2 = n
 	b.MovI(3, 1) // r3 = 1
 	b.Label("loop")
-	b.Produce(0, 1)   // produce i
+	b.Produce(q, 1)   // produce i
 	b.Add(1, 1, 3)    // i++
 	b.CmpLT(4, 2, 1)  // r4 = n < i
 	b.Beqz(4, "loop") // while i <= n
 	b.MovI(5, 0)
-	b.Produce(0, 5) // sentinel
+	b.Produce(q, 5) // sentinel
 	b.Halt()
 	return b.MustProgram()
 }
 
 // consumerProg sums queue 0 until the zero sentinel, storing the sum.
-func consumerProg() *isa.Program {
+func consumerProg() *isa.Program { return consumerProgOn(0) }
+
+// consumerProgOn is consumerProg on queue q.
+func consumerProgOn(q int) *isa.Program {
 	b := asm.NewBuilder("consumer")
 	b.MovI(1, 0) // r1 = acc
 	b.MovI(2, resultAddr)
 	b.Label("loop")
-	b.Consume(3, 0)
+	b.Consume(3, q)
 	b.Beqz(3, "done")
 	b.Add(1, 1, 3)
 	b.B("loop")
@@ -48,7 +54,13 @@ func consumerProg() *isa.Program {
 
 func runPipe(t *testing.T, cfg design.Config, n int64) *sim.Result {
 	t.Helper()
-	prod, cons := producerProg(n), consumerProg()
+	return runPipeOn(t, cfg, 0, n)
+}
+
+// runPipeOn is runPipe with the pipeline on queue q.
+func runPipeOn(t *testing.T, cfg design.Config, q int, n int64) *sim.Result {
+	t.Helper()
+	prod, cons := producerProgOn(q, n), consumerProgOn(q)
 	if cfg.SoftwareQueues() {
 		var err error
 		prod, err = lower.Lower(prod, cfg.Layout())
@@ -89,6 +101,22 @@ func TestPipelineAllDesigns(t *testing.T) {
 			t.Logf("%s: %d cycles, bus grants %d", cfg.Name(), res.Cycles, res.Bus.Grants)
 			if res.Cycles == 0 {
 				t.Fatal("zero cycles")
+			}
+		})
+	}
+}
+
+// TestLastQueueAlone runs a SYNCOPTI pipeline whose only queue is the
+// layout's last. The controllers keep stream state only for the queues the
+// programs can name, so this run needs all of them, and it must take the
+// cycles the same pipeline takes on queue 0.
+func TestLastQueueAlone(t *testing.T) {
+	for _, cfg := range []design.Config{design.SyncOptiConfig(), design.SyncOptiSCQ64Config()} {
+		t.Run(cfg.Name(), func(t *testing.T) {
+			last := cfg.Layout().NumQueues - 1
+			first, alone := runPipeOn(t, cfg, 0, 500), runPipeOn(t, cfg, last, 500)
+			if first.Cycles != alone.Cycles {
+				t.Errorf("queue %d takes %d cycles, queue 0 %d", last, alone.Cycles, first.Cycles)
 			}
 		})
 	}
