@@ -78,33 +78,48 @@ func (p *scPair) take(q int, slot uint64) bool {
 
 func scValue(q int, slot uint64) uint64 { return uint64(q)<<48 | slot }
 
-// TestStreamCacheSkipsConsumedSlot holds the consumer to filling only live
-// slots: a forward that lands after a probe flush let its slots' consumes
-// finish stores nothing and takes none of the cache's capacity, so the
-// next capacity live slots are all kept and hit.
-func TestStreamCacheSkipsConsumedSlot(t *testing.T) {
+// TestStreamCacheDeadEntry is the clash a late forward brings: slot 0's
+// fill lands before or after slot depth's, though a probe flush already
+// let slot 0's consume finish. The consumer skips the dead fill, so it
+// stores nothing and takes none of the cache's capacity: slot depth, which
+// shares its cell, stays and hits, and capacity live slots are all kept.
+func TestStreamCacheDeadEntry(t *testing.T) {
 	const capacity, q = 4, 1
-	r := newRig(t, func(p *Params) {
-		syncParams(p)
-		p.StreamCacheEntries = capacity
-	})
-	c := r.fab.Controller(1)
-	c.consumedCum[q] = 8
-	c.availCum[q] = 8
-	c.acceptStreamForward(r.cycle, q, 0, 8) // the late forward: slots 0-7, all consumed
-	if c.sc.n != 0 {
-		t.Fatalf("the late forward holds %d entries, want 0", c.sc.n)
-	}
-	for s := uint64(0); s < 8; s++ {
-		if _, ok := c.sc.take(q, s); ok {
-			t.Fatalf("consumed slot %d was stored", s)
-		}
-	}
-	c.acceptStreamForward(r.cycle, q, 8, capacity)
-	for s := uint64(8); s < 8+capacity; s++ {
-		if v, ok := c.sc.take(q, s); !ok || v != r.img.Read8(c.p.Layout.SlotAddr(q, c.slotIdx(s))) {
-			t.Fatalf("live slot %d: take = %d,%v after the late forward", s, v, ok)
-		}
+	for _, late := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dead-fill-last=%v", late), func(t *testing.T) {
+			r := newRig(t, func(p *Params) {
+				syncParams(p)
+				p.StreamCacheEntries = capacity
+			})
+			c := r.fab.Controller(1)
+			depth := uint64(c.p.Layout.Depth)
+			c.consumedCum[q] = 1 // slot 0 finished by a probe flush
+			if late {
+				c.acceptStreamForward(r.cycle, q, depth, 1)
+				c.acceptStreamForward(r.cycle, q, 0, 1)
+			} else {
+				c.acceptStreamForward(r.cycle, q, 0, 1)
+				c.acceptStreamForward(r.cycle, q, depth, 1)
+			}
+			if c.sc.n != 1 {
+				t.Fatalf("the cache holds %d entries after the dead fill, want 1", c.sc.n)
+			}
+			c.acceptStreamForward(r.cycle, q, depth+1, capacity) // the last is dropped: full
+			if c.sc.n != capacity {
+				t.Fatalf("the cache holds %d entries, want %d", c.sc.n, capacity)
+			}
+			if _, ok := c.sc.take(q, 0); ok {
+				t.Fatal("the consumed slot 0 was stored")
+			}
+			for s := depth; s < depth+capacity; s++ {
+				if v, ok := c.sc.take(q, s); !ok || v != r.img.Read8(c.p.Layout.SlotAddr(q, c.slotIdx(s))) {
+					t.Fatalf("live slot %d: take = %d,%v after the dead fill", s, v, ok)
+				}
+			}
+			if _, ok := c.sc.take(q, depth+capacity); ok {
+				t.Fatal("a fill into the full cache was kept")
+			}
+		})
 	}
 }
 
