@@ -221,9 +221,10 @@ func Benchmarks() []Benchmark {
 }
 
 // BenchmarkByName resolves a workload by name (art, equake, mcf, bzip2,
-// adpcmdec, epicdec, wc, fir, fft2).
+// adpcmdec, epicdec, wc, fir, fft2). Every call returns the process's one
+// instance of the workload, which a Benchmark only reads.
 func BenchmarkByName(name string) (Benchmark, error) {
-	b, err := workloads.ByName(name)
+	b, err := workloads.Shared(name)
 	if err != nil {
 		return Benchmark{}, err
 	}

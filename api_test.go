@@ -185,6 +185,27 @@ func TestBenchmarksRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkByName hands every caller the process's one instance of a
+// workload (a served miss used to rebuild it), and an unknown name keeps
+// the catalog's error text.
+func TestBenchmarkByNameShares(t *testing.T) {
+	a, err := BenchmarkByName("fft2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BenchmarkByName("fft2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.b != b.b {
+		t.Error("two BenchmarkByName calls built two instances")
+	}
+	const want = `workloads: unknown benchmark "nope" (have: art equake mcf bzip2 adpcmdec epicdec wc fir fft2)`
+	if _, err := BenchmarkByName("nope"); err == nil || err.Error() != want {
+		t.Errorf("unknown name: %v\nwant: %s", err, want)
+	}
+}
+
 func TestExtensionDesigns(t *testing.T) {
 	b, err := BenchmarkByName("epicdec")
 	if err != nil {

@@ -61,7 +61,7 @@ func main() {
 		single     = flag.Bool("single", false, "run the single-threaded baseline instead")
 		list       = flag.Bool("list", false, "list benchmarks and design points")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file of issue/stall/queue/bus events")
-		traceCap   = flag.Int("tracecap", 0, fmt.Sprintf("trace ring capacity in events, at most %d (0 = default 64k; older events are dropped); the ring is 40 bytes an event, and writing -trace adds 72 bytes a held event, 1792 MiB in all at the bound", maxTraceCap))
+		traceCap   = flag.Int("tracecap", 0, fmt.Sprintf("trace ring capacity in events, at most %d (0 = default 64k; older events are dropped); the ring is 24 bytes an event, and writing -trace adds 72 bytes a held event, 1536 MiB in all at the bound", maxTraceCap))
 		metrics    = flag.String("metrics", "", "write the metrics JSON snapshot to this file (\"-\" for stdout)")
 		sample     = flag.Uint64("sample", 0, "sample throughput every N cycles and print sparklines")
 		csv        = flag.Bool("csv", false, "with -sample: emit the samples as CSV instead")
@@ -206,7 +206,7 @@ func main() {
 	}
 }
 
-// maxTraceCap bounds -tracecap: 1<<24 events is a 640 MiB ring, and
+// maxTraceCap bounds -tracecap: 1<<24 events is a 384 MiB ring, and
 // exporting a full one holds its 1 152 MiB of Events besides.
 const maxTraceCap = 1 << 24
 
@@ -215,7 +215,7 @@ const maxTraceCap = 1 << 24
 // far enough past it, fail the allocation outright).
 func checkTraceCap(n int) error {
 	if n < 0 || n > maxTraceCap {
-		return fmt.Errorf("-tracecap %d is outside [0, %d] events (each is 40 bytes; 0 means %d)", n, maxTraceCap, trace.DefaultCap)
+		return fmt.Errorf("-tracecap %d is outside [0, %d] events (each is 24 bytes; 0 means %d)", n, maxTraceCap, trace.DefaultCap)
 	}
 	return nil
 }

@@ -20,7 +20,8 @@ import (
 // into). All are pure functions of the name and shape — Setup, the
 // interpreter and the partitioners are deterministic — so one build per
 // process suffices however many simulations run, and all are built from
-// one instance of the benchmark that the entry keeps and hands to no one.
+// the benchmark's one shared instance (workloads.Shared), which nothing
+// writes.
 // A run takes a copy-on-write fork of the input, which costs it only the
 // pages it writes; the oracle is such a fork too. The programs are shared
 // as they are: Execute validates and reads them, the software-queue
@@ -31,10 +32,6 @@ import (
 // that part of that benchmark's entry, never on the whole cache.
 
 type benchEntry struct {
-	instOnce sync.Once
-	inst     *workloads.Benchmark
-	instErr  error
-
 	once sync.Once
 	base *mem.Memory // input image: never written after Setup, only forked
 	img  *mem.Memory // oracle image: a fork of base after the interpreter ran
@@ -85,18 +82,11 @@ func entry(name string) *benchEntry {
 	return e
 }
 
-// instance returns the entry's own instance of the benchmark, built on
-// first use. The images and plans only read it.
-func (e *benchEntry) instance(name string) (*workloads.Benchmark, error) {
-	e.instOnce.Do(func() { e.inst, e.instErr = workloads.ByName(name) })
-	return e.inst, e.instErr
-}
-
 // images returns the benchmark's cache entry with its images built.
 func images(name string) *benchEntry {
 	e := entry(name)
 	e.once.Do(func() {
-		b, err := e.instance(name)
+		b, err := workloads.Shared(name)
 		if err != nil {
 			e.err = err
 			return
@@ -107,9 +97,9 @@ func images(name string) *benchEntry {
 }
 
 // plan returns the programs that realize the shape cfg describes on
-// benchmark b (see partition), built once per process from the cache
-// entry's instance of the benchmark and shared read-only by every run of
-// that shape. Only cfg.Cores and cfg.Parallel select the programs.
+// benchmark b (see partition), built once per process from the
+// benchmark's shared instance and shared read-only by every run of that
+// shape. Only cfg.Cores and cfg.Parallel select the programs.
 func plan(b *workloads.Benchmark, cfg design.Config) ([]*isa.Program, error) {
 	n := cfg.Cores
 	switch {
@@ -126,12 +116,12 @@ func plan(b *workloads.Benchmark, cfg design.Config) ([]*isa.Program, error) {
 	p := &e.plans[n][shape]
 	p.once.Do(func() {
 		planRuns.Add(1)
-		own, err := e.instance(b.Name)
+		sb, err := workloads.Shared(b.Name)
 		if err != nil {
 			p.err = err
 			return
 		}
-		p.progs, p.err = partition(own, n, cfg.Parallel)
+		p.progs, p.err = partition(sb, n, cfg.Parallel)
 	})
 	return p.progs, p.err
 }
@@ -173,9 +163,8 @@ func Expected(b *workloads.Benchmark) (*mem.Memory, error) {
 	return e.img, e.err
 }
 
-// computeOracle builds both images from the cache entry's instance of the
-// benchmark, so they never share mutable state (programs, setup closures)
-// with simulations of the same benchmark on sibling goroutines.
+// computeOracle builds both images from the benchmark's shared instance,
+// which it only reads.
 func computeOracle(b *workloads.Benchmark) (base, oracle *mem.Memory, err error) {
 	prog, err := b.Single()
 	if err != nil {

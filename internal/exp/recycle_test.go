@@ -20,6 +20,7 @@ import (
 	"hfstream/internal/queue"
 	"hfstream/internal/sim"
 	"hfstream/internal/workloads"
+	"hfstream/trace"
 )
 
 // A run starts from storage other runs have used: a copy-on-write fork of
@@ -316,7 +317,9 @@ func TestConcurrentRunsLeaveBaseImageUntouched(t *testing.T) {
 // before the pages shrank to 4 KiB), and not stream state for queues its
 // programs never name or a token slab for a machine far larger than its
 // own (58 KiB for the dual-core cells and 78 for mcf before both were
-// sized by use). Each ceiling is about 20% over the figure measured when
+// sized by use). A traced run allocates a fresh trace ring, and with it
+// 24 bytes an event, not 40 (2 653 KiB for adpcmdec before the ring's
+// record shrank). Each ceiling is about 20% over the figure measured when
 // it was set, given beside it; a garbage collection that empties the
 // array pool adds a few KiB to a pass.
 func TestRunAllocationCeiling(t *testing.T) {
@@ -324,7 +327,7 @@ func TestRunAllocationCeiling(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops a quarter of what it is given")
 	}
 	cells := paperCells()
-	pass := func(cells []Job) uint64 {
+	pass := func(cells []Job, traced bool) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, c := range cells {
@@ -332,7 +335,11 @@ func TestRunAllocationCeiling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := RunBenchmarkOpts(context.Background(), b, c.Config, RunOpts{}); err != nil {
+			var opts RunOpts
+			if traced {
+				opts.Trace = trace.NewSink()
+			}
+			if _, err := RunBenchmarkOpts(context.Background(), b, c.Config, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -343,29 +350,31 @@ func TestRunAllocationCeiling(t *testing.T) {
 	// catalog's rows already ran every cell in this process.
 	for _, c := range cells {
 		if _, ok := catalogRun(c); !ok {
-			pass(cells)
+			pass(cells, false)
 			break
 		}
 	}
-	if got := pass(cells) >> 10; got > 51 { // measured 42
+	if got := pass(cells, false) >> 10; got > 51 { // measured 42
 		t.Errorf("the 63 dual-core cells allocate %d KiB per run on average, want at most 51", got)
 	}
 	for _, c := range []struct {
 		bench   string
 		cfg     design.Config
+		traced  bool
 		ceiling uint64
 	}{
-		{"mcf", design.ExistingConfig(), 76},                     // measured 63
-		{"fft2", design.HeavyWTConfig().WithCores(4), 48},        // measured 40
-		{"fft2", design.SyncOptiSCQ64Config().WithCores(6), 154}, // measured 128
-		{"equake", design.MPMCQ64Config().WithCores(6), 72},      // measured 60
+		{"mcf", design.ExistingConfig(), false, 76},                     // measured 63
+		{"fft2", design.HeavyWTConfig().WithCores(4), false, 48},        // measured 40
+		{"fft2", design.SyncOptiSCQ64Config().WithCores(6), false, 154}, // measured 128
+		{"equake", design.MPMCQ64Config().WithCores(6), false, 72},      // measured 60
+		{"adpcmdec", design.SyncOptiConfig(), true, 1886},               // measured 1572
 	} {
 		runs := make([]Job, 8)
 		for i := range runs {
 			runs[i] = Job{Bench: c.bench, Config: c.cfg}
 		}
-		pass(runs[:1]) // warm: images, plan, one set of arrays
-		if got := pass(runs) >> 10; got > c.ceiling {
+		pass(runs[:1], c.traced) // warm: images, plan, one set of arrays
+		if got := pass(runs, c.traced) >> 10; got > c.ceiling {
 			t.Errorf("%s/%s allocates %d KiB per run, want at most %d", c.bench, c.cfg.Name(), got, c.ceiling)
 		}
 	}

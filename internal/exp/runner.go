@@ -18,17 +18,18 @@ import (
 // across a goroutine pool. Every figure/table of the evaluation is a grid
 // of jobs that share only read-only data — the benchmark cache's input
 // and oracle images and the programs of each shape (oracle.go) — while
-// each worker resolves its own benchmark instance and runs on its own
+// each worker reads the benchmark's one shared instance and runs on its own
 // fork of the input image and its own machine, so regeneration scales
 // with cores while results stay in deterministic input order.
 
 // Job is one simulation: a benchmark run on a design point, or (with
 // Single) the single-threaded baseline on the EXISTING machine.
 type Job struct {
-	// Bench names the workload. Each job resolves a fresh instance via
-	// workloads.ByName and runs on its own image fork and machine; what
-	// concurrent jobs of one benchmark share, its images and the
-	// programs of each shape, is read-only and built once per process.
+	// Bench names the workload. Each job reads the benchmark's shared
+	// instance (workloads.Shared) and runs on its own image fork and
+	// machine; what concurrent jobs of one benchmark share, the instance,
+	// its images and the programs of each shape, is read-only and built
+	// once per process.
 	Bench  string
 	Config design.Config
 	// Single runs the unpartitioned baseline; Config is ignored.
@@ -135,9 +136,9 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 	return results
 }
 
-// runJob executes one job on a freshly resolved benchmark.
+// runJob executes one job on the benchmark's shared instance.
 func runJob(ctx context.Context, j Job) (*sim.Result, error) {
-	b, err := workloads.ByName(j.Bench)
+	b, err := workloads.Shared(j.Bench)
 	if err != nil {
 		return nil, err
 	}

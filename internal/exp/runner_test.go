@@ -135,6 +135,16 @@ func TestRunnerUnknownBenchmarkFails(t *testing.T) {
 	if results[0].Err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
+	// The error is the catalog's, and the name never enters the cache.
+	if _, want := workloads.ByName("no-such-bench"); results[0].Err.Error() != want.Error() {
+		t.Errorf("error %q, want %q", results[0].Err, want)
+	}
+	benchCache.Lock()
+	_, cached := benchCache.m["no-such-bench"]
+	benchCache.Unlock()
+	if cached {
+		t.Error("an unknown benchmark has a cache entry")
+	}
 }
 
 // TestOracleRunsOncePerBenchmark: the memoized cache must run the

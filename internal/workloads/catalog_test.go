@@ -39,8 +39,8 @@ func TestCatalogIsTheTable(t *testing.T) {
 	}
 }
 
-// TestByNameBuildsAFreshInstance: exp.Runner's workers and the oracle each
-// take their own benchmark so that they share no mutable state.
+// TestByNameBuildsAFreshInstance: each ByName caller (hfdswp, the scaling
+// grid) gets an instance of its own, sharing no mutable state.
 func TestByNameBuildsAFreshInstance(t *testing.T) {
 	for _, name := range workloads.Names() {
 		a, err := workloads.ByName(name)
@@ -71,6 +71,32 @@ func TestByNameBuildsAFreshInstance(t *testing.T) {
 	}
 }
 
+// TestSharedIsOneInstance: Shared hands every caller the same instance of
+// a benchmark, not ByName's fresh one, and answers an unknown name with
+// ByName's error.
+func TestSharedIsOneInstance(t *testing.T) {
+	for _, name := range workloads.Names() {
+		a, err := workloads.Shared(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := workloads.Shared(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b || a.Name != name {
+			t.Errorf("%s: two Shared calls returned %p (%s) and %p", name, a, a.Name, b)
+		}
+		if fresh, _ := workloads.ByName(name); fresh == a {
+			t.Errorf("%s: ByName returned the shared instance", name)
+		}
+	}
+	_, want := workloads.ByName("nope")
+	if b, err := workloads.Shared("nope"); b != nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("Shared(nope): %v, %v\nwant: %v", b, err, want)
+	}
+}
+
 // TestUnknownNameError pins the text: it travels in HTTP 400 bodies.
 func TestUnknownNameError(t *testing.T) {
 	const want = `workloads: unknown benchmark "nope" (have: art equake mcf bzip2 adpcmdec epicdec wc fir fft2)`
@@ -79,6 +105,9 @@ func TestUnknownNameError(t *testing.T) {
 	}
 	if b, err := workloads.ByName("nope"); b != nil || err == nil || err.Error() != want {
 		t.Errorf("ByName: %v, %v\nwant: %s", b, err, want)
+	}
+	if b, err := workloads.Shared("nope"); b != nil || err == nil || err.Error() != want {
+		t.Errorf("Shared: %v, %v\nwant: %s", b, err, want)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"hfstream/internal/dswp"
 	"hfstream/internal/ir"
@@ -121,15 +122,15 @@ func Names() []string {
 	return names
 }
 
-// lookup finds the named benchmark's build function without calling it;
+// lookup finds the named benchmark's catalog index without building it;
 // the error lists the valid names.
-func lookup(name string) (func() *Benchmark, error) {
-	for _, e := range catalog {
+func lookup(name string) (int, error) {
+	for i, e := range catalog {
 		if e.name == name {
-			return e.build, nil
+			return i, nil
 		}
 	}
-	return nil, fmt.Errorf("workloads: unknown benchmark %q (have: %s)", name, strings.Join(Names(), " "))
+	return -1, fmt.Errorf("workloads: unknown benchmark %q (have: %s)", name, strings.Join(Names(), " "))
 }
 
 // Check returns nil when name is a benchmark and ByName's error when it
@@ -141,16 +142,35 @@ func Check(name string) error {
 
 // ByName builds the named benchmark, or returns an error listing valid
 // names. Every call returns a fresh instance, so concurrent users share
-// no loop IR, program or setup closure. (The experiment harness keeps
-// per-process copies of what every run of a benchmark reads — its images
-// and the programs of each pipeline shape — built from an instance of
-// its own and shared read-only.)
+// no loop IR, program or setup closure. A caller that only reads the
+// benchmark takes Shared's instance instead.
 func ByName(name string) (*Benchmark, error) {
-	build, err := lookup(name)
+	i, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return build(), nil
+	return catalog[i].build(), nil
+}
+
+// shared holds each catalog entry's process-wide instance (see Shared).
+var shared [len(catalog)]struct {
+	once sync.Once
+	b    *Benchmark
+}
+
+// Shared returns the process's one instance of the named benchmark, built
+// on first use, or ByName's error; an unknown name is never cached. Every
+// caller shares the instance, so none may write it: the experiment
+// harness builds the benchmark's images and programs from it and its runs
+// read its regions, and the public API wraps it in read-only accessors.
+func Shared(name string) (*Benchmark, error) {
+	i, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	s := &shared[i]
+	s.once.Do(func() { s.b = catalog[i].build() })
+	return s.b, nil
 }
 
 // All builds the nine benchmarks in the paper's figure order.

@@ -3,7 +3,7 @@
 // bounded ring buffer, and exports them in Chrome's trace_event JSON format
 // so a run can be inspected in about:tracing or Perfetto.
 //
-// Recording is bounded and costs 40 bytes an event in a ring the garbage
+// Recording is bounded and costs 24 bytes an event in a ring the garbage
 // collector never scans: the ring keeps the most recent events and counts
 // how many older ones it overwrote, so tracing a long run costs a fixed
 // amount of memory and the tail of the execution (usually the interesting
@@ -92,7 +92,7 @@ type Sink = Buffer
 func NewSink() *Sink { return NewBuffer(0) }
 
 // DefaultCap is the ring capacity used when NewBuffer is given a
-// non-positive one (64k events, 2 560 KiB).
+// non-positive one (64k events, 1 536 KiB).
 const DefaultCap = 1 << 16
 
 // Name is an op name resolved by one Buffer: the ID its records carry in
@@ -111,23 +111,36 @@ const overflowOp = "(too many op names)"
 // "writeback").
 const namesHint = 64
 
-// rec is one event as the ring stores it: Event with the op as a Name and
-// the indices as int32, in 40 bytes and without a pointer, so the ring is
-// allocated and left alone by the garbage collector as plain memory.
+// rec is one event in 24 bytes without a pointer, so the ring is plain
+// memory the garbage collector never scans. x holds whichever one of Dur,
+// Val and Q the event sets; tag packs the Kind (kindMask), which field x
+// holds (xDur, xVal or xQ) and tagWide. An event that sets two of them, or
+// whose Kind or Core does not fit, is wide: wide[i] holds the rest of slot
+// i's fields. The simulator records no wide event.
 type rec struct {
-	cycle, dur, val uint64
-	pc, core, q     int32
-	op              Name
-	kind            Kind
+	cycle, x uint64
+	pc       int32
+	op       Name
+	tag      uint8
+	core     int8
+}
+
+const kindMask, xDur, xVal, xQ, tagWide = 7, 1 << 3, 2 << 3, 3 << 3, 1 << 5
+
+// wideRec is what a wide event's rec has no room for.
+type wideRec struct {
+	dur, val uint64
+	core, q  int32
+	kind     Kind
 }
 
 // Buffer is a bounded ring of events, safe for single-goroutine use (the
 // simulator's cycle loop). When full it overwrites the oldest event.
 type Buffer struct {
 	evs     []rec
-	start   int // index of the oldest event
-	n       int // live event count
-	dropped uint64
+	wide    []wideRec // nil until the first wide event; indexed like evs
+	next    int       // the slot the next event goes in
+	written uint64    // events ever recorded
 
 	// names[id] is the op Name id stands for; ids inverts it.
 	names []string
@@ -170,19 +183,27 @@ func (b *Buffer) Name(op string) Name {
 // be a Name this buffer returned. core, pc and q are stored as int32, as
 // Add describes.
 func (b *Buffer) Record(kind Kind, cycle, dur uint64, core, pc, q int, op Name, val uint64) {
-	r := rec{cycle: cycle, dur: dur, val: val,
-		pc: int32(pc), core: int32(core), q: int32(q), op: op, kind: kind}
-	if b.n < len(b.evs) {
-		// The oldest event stays at index 0 until the ring first fills.
-		b.evs[b.n] = r
-		b.n++
-		return
+	i := b.next
+	if b.next++; b.next == len(b.evs) {
+		b.next = 0
 	}
-	b.evs[b.start] = r
-	if b.start++; b.start == len(b.evs) {
-		b.start = 0
+	b.written++
+	// set has a bit for each of Dur, Val and Q the event sets, worked out
+	// without a branch because consecutive events take different shapes.
+	qs := uint64(q + 1) // 0 when Q is -1
+	qs = (qs | -qs) >> 63
+	set := (dur|-dur)>>63 | (val|-val)>>63<<1 | qs<<2
+	x := dur | val | uint64(q)&-qs
+	tag := uint8(kind) | uint8(set-set>>2)<<3 // set 1, 2 or 4: xDur, xVal or xQ
+	r := &b.evs[i]
+	r.cycle, r.x, r.pc, r.op, r.tag, r.core = cycle, x, int32(pc), op, tag, int8(core)
+	if set&(set-1) != 0 || kind > kindMask || int(int8(core)) != core {
+		r.tag = tagWide
+		if b.wide == nil {
+			b.wide = make([]wideRec, len(b.evs))
+		}
+		b.wide[i] = wideRec{dur: dur, val: val, core: int32(core), q: int32(q), kind: kind}
 	}
-	b.dropped++
 }
 
 // Add records an event, evicting the oldest if the ring is full. It is
@@ -198,21 +219,35 @@ func (b *Buffer) Add(e Event) {
 }
 
 // Len returns the number of live events.
-func (b *Buffer) Len() int { return b.n }
+func (b *Buffer) Len() int { return int(min(b.written, uint64(len(b.evs)))) }
 
 // Cap returns the ring capacity.
 func (b *Buffer) Cap() int { return len(b.evs) }
 
 // Dropped returns how many events were overwritten after the ring filled.
-func (b *Buffer) Dropped() uint64 { return b.dropped }
+func (b *Buffer) Dropped() uint64 { return b.written - uint64(b.Len()) }
 
 // Events returns the live events oldest-first.
 func (b *Buffer) Events() []Event {
-	out := make([]Event, b.n)
+	out := make([]Event, b.Len())
+	start := (b.next - len(out) + len(b.evs)) % len(b.evs) // the oldest event's slot
 	for i := range out {
-		r := &b.evs[(b.start+i)%len(b.evs)]
-		out[i] = Event{Cycle: r.cycle, Dur: r.dur, Kind: r.kind,
-			Core: int(r.core), PC: int(r.pc), Q: int(r.q), Op: b.names[r.op], Val: r.val}
+		j := (start + i) % len(b.evs)
+		r := &b.evs[j]
+		e := Event{Cycle: r.cycle, Kind: Kind(r.tag & kindMask), Core: int(r.core),
+			PC: int(r.pc), Q: -1, Op: b.names[r.op]}
+		switch r.tag &^ kindMask {
+		case xDur:
+			e.Dur = r.x
+		case xVal:
+			e.Val = r.x
+		case xQ:
+			e.Q = int(int32(r.x))
+		case tagWide:
+			w := &b.wide[j]
+			e.Dur, e.Val, e.Core, e.Q, e.Kind = w.dur, w.val, int(w.core), int(w.q), w.kind
+		}
+		out[i] = e
 	}
 	return out
 }

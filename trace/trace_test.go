@@ -387,12 +387,12 @@ func TestNameBound(t *testing.T) {
 }
 
 // The ring's element type must stay small and pointer-free: that is what
-// keeps a DefaultCap ring at 2 560 KiB and out of the garbage collector's
+// keeps a DefaultCap ring at 1 536 KiB and out of the garbage collector's
 // scan.
 func TestRecordIsPointerFree(t *testing.T) {
 	var r rec
-	if size := unsafe.Sizeof(r); size > 40 {
-		t.Errorf("ring element is %d bytes, want at most 40", size)
+	if size := unsafe.Sizeof(r); size > 24 {
+		t.Errorf("ring element is %d bytes, want at most 24", size)
 	}
 	var walk func(reflect.Type) bool
 	walk = func(ty reflect.Type) bool {
@@ -411,7 +411,110 @@ func TestRecordIsPointerFree(t *testing.T) {
 		}
 		return false
 	}
-	if ty := reflect.TypeOf(NewBuffer(1).evs).Elem(); walk(ty) {
-		t.Errorf("ring element %v holds a pointer", ty)
+	for _, ty := range []reflect.Type{reflect.TypeOf(rec{}), reflect.TypeOf(wideRec{})} {
+		if walk(ty) {
+			t.Errorf("ring element %v holds a pointer", ty)
+		}
+	}
+}
+
+// simulatorShapes are the argument shapes the simulator's producers hand
+// Record: an issue, a queue op, a retire, a stall run and a bus grant.
+var simulatorShapes = []struct {
+	name string
+	kind Kind
+	dur  uint64
+	core int
+	pc   int
+	q    int
+	val  uint64
+}{
+	{"issue", KindIssue, 0, 3, 17, -1, 0},
+	{"queue-op", KindQueueOp, 0, 1, 4, 63, 0},
+	{"retire", KindRetire, 0, 0, -1, -1, 1<<64 - 1},
+	{"stall", KindStall, 1 << 40, 7, 9, -1, 0},
+	{"bus-grant", KindBusGrant, 0, -1, -1, -1, 0x7fff_ffc0},
+}
+
+// Every event the simulator records fits the compact form: a run never
+// makes the wide slice.
+func TestSimulatorShapesStayCompact(t *testing.T) {
+	for _, s := range simulatorShapes {
+		b := NewBuffer(4)
+		b.Record(s.kind, 12, s.dur, s.core, s.pc, s.q, b.Name(s.name), s.val)
+		if b.wide != nil {
+			t.Errorf("%s: the event made wide storage", s.name)
+		}
+		want := Event{Cycle: 12, Dur: s.dur, Kind: s.kind, Core: s.core, PC: s.pc, Q: s.q, Op: s.name, Val: s.val}
+		if got := b.Events(); len(got) != 1 || got[0] != want {
+			t.Errorf("%s: reads back %+v, want %+v", s.name, got, want)
+		}
+	}
+}
+
+// Wide and compact events share the ring: over several wraps each reads
+// back exactly, and a wide slot a compact event overwrites reads back
+// compact.
+func TestWideAndCompactInterleave(t *testing.T) {
+	for _, ringCap := range []int{1, 7, 64} {
+		rng := rand.New(rand.NewSource(int64(100 + ringCap)))
+		b := NewBuffer(ringCap)
+		var all []Event
+		for i := 0; i < 6*ringCap+5; i++ {
+			s := simulatorShapes[rng.Intn(len(simulatorShapes))]
+			e := Event{Cycle: uint64(i), Dur: s.dur, Kind: s.kind, Core: s.core, PC: s.pc, Q: s.q, Val: s.val}
+			// Half the events are made wide, each for one reason.
+			switch rng.Intn(10) {
+			case 0:
+				e.Dur, e.Val, e.Q = uint64(1+rng.Intn(9)), rng.Uint64()|1, -1
+			case 1:
+				e.Dur, e.Val, e.Q = uint64(1+rng.Intn(9)), 0, rng.Intn(8)
+			case 2:
+				e.Dur, e.Val, e.Q = 0, rng.Uint64()|1, rng.Intn(8)
+			case 3: // a Core past int8
+				e.Core = []int{128, -129, 1 << 20}[rng.Intn(3)]
+			case 4: // a Kind past the tag's three bits
+				e.Kind = Kind(8 + rng.Intn(248))
+			}
+			e.Op = "op" + strconv.Itoa(rng.Intn(5))
+			all = append(all, e)
+			b.Add(e)
+		}
+		if b.wide == nil {
+			t.Fatalf("cap %d: no wide storage after wide events", ringCap)
+		}
+		if got, want := b.Events(), all[len(all)-ringCap:]; !reflect.DeepEqual(got, want) {
+			t.Errorf("cap %d: events differ from the last %d recorded\n got %+v\nwant %+v", ringCap, ringCap, got, want)
+		}
+
+		// Overwrite every slot, wide ones included, with compact events.
+		compact := Event{Kind: KindIssue, Core: 2, PC: 5, Q: -1, Op: "add"}
+		for i := 0; i < ringCap; i++ {
+			compact.Cycle = uint64(1000 + i)
+			b.Add(compact)
+		}
+		for i, e := range b.Events() {
+			compact.Cycle = uint64(1000 + i)
+			if e != compact {
+				t.Errorf("cap %d: overwritten slot %d reads back %+v, want %+v", ringCap, i, e, compact)
+			}
+		}
+	}
+}
+
+// BenchmarkRecord records the simulator's five event shapes round-robin
+// into a DefaultCap ring, which wraps every 64k events.
+func BenchmarkRecord(b *testing.B) {
+	buf := NewSink()
+	names := make([]Name, len(simulatorShapes))
+	for i, s := range simulatorShapes {
+		names[i] = buf.Name(s.name)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(simulatorShapes)
+		s := &simulatorShapes[k]
+		buf.Record(s.kind, uint64(i), s.dur, s.core, s.pc, s.q, names[k], s.val)
 	}
 }
