@@ -6,7 +6,7 @@
 #   make spine-test         the nested bench/spine module's tests (tier1 does not enter it)
 #   make spine              the repository's benchmark, every workload (bench/spine/README.md)
 #   make spine-pairs BASE=<rev> WORKLOAD=<name>   ten parent/change pairs of it; fails on a loss beyond a BENCHMARK.json bound
-#   make race               race-detector pass over mem, cache, memsys, exp, sim and serve
+#   make race               race-detector pass over mem, cache, memsys, workloads, exp, sim and serve
 #   make coverage           coverage.out, failing under COVERAGE_BASELINE
 #   make fmtcheck           gofmt -l must print nothing
 #   make inline-check       the hot path's small functions (INLINE_FUNCS) must still inline
@@ -82,12 +82,14 @@ PAIRS ?= 10
 spine-pairs:
 	$(GO) run ./bench/pairs -base "$(BASE)" -workload "$(WORKLOAD)" -pairs $(PAIRS) -out "$(OUT)"
 
-# mem, cache and memsys are listed by name because the tree's one shared
-# read-only image (mem.Fork's parent) and one process-wide pool (cache.New)
-# live there; through internal/exp alone their own tests would not run.
+# mem, cache, memsys and workloads are listed by name because the tree's
+# one shared read-only image (mem.Fork's parent), one process-wide pool
+# (cache.New) and one instance per benchmark (workloads.Shared, read by
+# concurrent runner workers) live there; through internal/exp alone their
+# own tests would not run.
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/mem/... ./internal/cache/... ./internal/memsys/... ./internal/exp/... ./internal/sim/... ./serve/...
+	$(GO) test -race ./internal/mem/... ./internal/cache/... ./internal/memsys/... ./internal/workloads/... ./internal/exp/... ./internal/sim/... ./serve/...
 
 # The profile lands in coverage.out, which is git-ignored (see
 # .gitignore) — inspect it with `go tool cover -html=coverage.out`.

@@ -210,11 +210,13 @@ type Benchmark struct {
 	b *workloads.Benchmark
 }
 
-// Benchmarks returns the nine workloads in the paper's figure order.
+// Benchmarks returns the nine workloads in the paper's figure order, each
+// the instance BenchmarkByName returns.
 func Benchmarks() []Benchmark {
-	all := workloads.All()
-	out := make([]Benchmark, len(all))
-	for i, b := range all {
+	names := workloads.Names()
+	out := make([]Benchmark, len(names))
+	for i, name := range names {
+		b, _ := workloads.Shared(name) // a catalog name cannot fail
 		out[i] = Benchmark{b}
 	}
 	return out
@@ -358,35 +360,37 @@ func (r Result) CommRatio(i int) float64 {
 
 func fromSim(res *sim.Result) Result {
 	out := Result{
-		Cycles:           res.Cycles,
-		Instructions:     res.Issued,
-		CommInstructions: res.IssuedComm,
-		CoreCycles:       res.CoreCycles,
-		IssueCycles:      res.IssueCycles,
-		BusGrants:        res.Bus.Grants,
-		BusBeats:         res.Bus.Beats,
-		BusArbWait:       res.Bus.ArbWait,
-		L3Hits:           res.Memory.L3Hits,
-		L3Misses:         res.Memory.L3Misses,
-		MemAccesses:      res.Memory.MemAccesses,
-		WriteForwards:    res.Streaming.WrFwds,
-		BulkAcks:         res.Streaming.BulkAcks,
-		Probes:           res.Streaming.Probes,
-		StreamCacheHits:  res.Streaming.SCHits,
-		SAFullStalls:     res.Streaming.SAFullStalls,
-		SAEmptyStalls:    res.Streaming.SAEmptyStalls,
-		Diagnosis:        res.Diagnosis,
-		FaultLog:         res.FaultShots,
-		res:              res,
+		Cycles:          res.Cycles,
+		BusGrants:       res.Bus.Grants,
+		BusBeats:        res.Bus.Beats,
+		BusArbWait:      res.Bus.ArbWait,
+		L3Hits:          res.Memory.L3Hits,
+		L3Misses:        res.Memory.L3Misses,
+		MemAccesses:     res.Memory.MemAccesses,
+		WriteForwards:   res.Streaming.WrFwds,
+		BulkAcks:        res.Streaming.BulkAcks,
+		Probes:          res.Streaming.Probes,
+		StreamCacheHits: res.Streaming.SCHits,
+		SAFullStalls:    res.Streaming.SAFullStalls,
+		SAEmptyStalls:   res.Streaming.SAEmptyStalls,
+		Diagnosis:       res.Diagnosis,
+		FaultLog:        res.FaultShots,
+		res:             res,
 	}
 	if res.Diagnosis != nil {
 		out.UnquiescedExit, out.UnquiescedDetail = true, res.Diagnosis.String()
 	}
-	for _, bd := range res.Breakdowns {
-		out.Breakdowns = append(out.Breakdowns, fromStats(bd))
-	}
-	for i := range res.Stalls {
-		out.StallSummaries = append(out.StallSummaries, res.Stalls[i].Summary())
+	// The four per-core counts are cut from one array.
+	n := len(res.Cores)
+	u64 := make([]uint64, 4*n)
+	cut := func() []uint64 { s := u64[:n:n]; u64 = u64[n:]; return s }
+	out.Instructions, out.CommInstructions, out.CoreCycles, out.IssueCycles = cut(), cut(), cut(), cut()
+	out.Breakdowns, out.StallSummaries = make([]Breakdown, n), make([]string, n)
+	for i := range res.Cores {
+		c := &res.Cores[i]
+		out.Instructions[i], out.CommInstructions[i] = c.Issued, c.IssuedComm
+		out.CoreCycles[i], out.IssueCycles[i] = c.Cycles(), c.IssueCycles
+		out.Breakdowns[i], out.StallSummaries[i] = fromStats(c.Breakdown()), c.Stalls.Summary()
 	}
 	return out
 }

@@ -206,6 +206,52 @@ func TestBenchmarkByNameShares(t *testing.T) {
 	}
 }
 
+// Benchmarks() lists the instances BenchmarkByName returns, so listing the
+// suite builds nothing a run has not built already.
+func TestBenchmarksShareByName(t *testing.T) {
+	for _, b := range Benchmarks() {
+		one, err := BenchmarkByName(b.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.b != b.b {
+			t.Errorf("%s: Benchmarks() and BenchmarkByName wrap two instances", b.Name())
+		}
+	}
+}
+
+// fromSim copies the per-core counts with three allocations, one array
+// cut into four slices, the breakdowns and the stall summaries, plus what
+// each summary's text takes; the ceilings are the measured counts. Growing
+// the two slices by append took 25 allocations at two cores and 33 at
+// four.
+func TestFromSimAllocations(t *testing.T) {
+	b, err := BenchmarkByName("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		design  string // "" for the single-threaded baseline
+		ceiling float64
+	}{{"", 12}, {"SYNCOPTI", 24}, {"HEAVYWT_4CORE", 30}} {
+		var res Result
+		if c.design == "" {
+			res, err = RunSingleThreaded(b)
+		} else {
+			var d Design
+			if d, err = DesignByName(c.design); err == nil {
+				res, err = Run(b, d)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", c.design, err)
+		}
+		if got := testing.AllocsPerRun(20, func() { fromSim(res.res) }); got > c.ceiling {
+			t.Errorf("%q: fromSim made %.0f allocations, want at most %.0f", c.design, got, c.ceiling)
+		}
+	}
+}
+
 func TestExtensionDesigns(t *testing.T) {
 	b, err := BenchmarkByName("epicdec")
 	if err != nil {

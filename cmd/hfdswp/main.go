@@ -48,19 +48,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var list []*workloads.Benchmark
+	names := workloads.Names()
 	if *benchName != "" {
-		b, err := workloads.ByName(*benchName)
+		names = []string{*benchName}
+	}
+	for _, name := range names {
+		b, err := workloads.Shared(name)
 		if err != nil {
 			fmt.Fprintln(stderr, "hfdswp:", err)
 			return 1
 		}
-		list = []*workloads.Benchmark{b}
-	} else {
-		list = workloads.All()
-	}
-
-	for _, b := range list {
 		if b.Loop == nil {
 			fmt.Fprintf(stdout, "%-10s hand-partitioned (nested loop); no IR to inspect\n", b.Name)
 			if *runSim {

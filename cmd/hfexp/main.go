@@ -79,34 +79,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	exp.SetParallelism(*workers)
-	exp.SetWarnHook(func(msg string) {
-		fmt.Fprintln(stderr, "hfexp: warning:", msg)
-	})
-	// Capture the first forensic snapshot any job produces: jobs run
-	// concurrently, and one bad machine is enough to explain a grid
-	// failure. Exit status 3 distinguishes "a simulation deadlocked or
-	// never quiesced" from usage errors.
-	var diagMu sync.Mutex
-	var firstDiag *sim.Diagnosis
-	var firstDiagJob string
-	exp.SetDiagnosisHook(func(job string, d *sim.Diagnosis) {
-		diagMu.Lock()
-		defer diagMu.Unlock()
-		if firstDiag == nil {
-			firstDiag, firstDiagJob = d, job
-		}
-	})
+	obs := &observer{w: stderr, progress: *progress}
+	exp.SetProgress(obs.report)
 	// status is the exit status for a run that otherwise ends with code:
-	// a machine diagnosis, reported here, overrides it with 3.
+	// a machine diagnosis, reported here, overrides it with 3, which
+	// distinguishes "a simulation deadlocked or never quiesced" from usage
+	// errors.
 	status := func(code int) int {
-		diagMu.Lock()
-		defer diagMu.Unlock()
-		if firstDiag == nil {
+		job, diag := obs.first()
+		if diag == nil {
 			return code
 		}
-		fmt.Fprintf(stderr, "hfexp: %s produced a machine diagnosis:\n%s", firstDiagJob, firstDiag.String())
+		fmt.Fprintf(stderr, "hfexp: %s produced a machine diagnosis:\n%s", job, diag.String())
 		if *diagnose != "" {
-			buf, err := sim.DiagnosisJSON(firstDiag)
+			buf, err := sim.DiagnosisJSON(diag)
 			if err != nil {
 				fmt.Fprintln(stderr, "hfexp:", err)
 			} else if *diagnose == "-" {
@@ -119,20 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 3
 	}
-	var report func(done, total int, r exp.JobResult)
-	if *progress {
-		report = func(done, total int, r exp.JobResult) {
-			if r.Err != nil {
-				fmt.Fprintf(stderr, "[%d/%d] %-28s FAILED after %7.1fms: %v\n",
-					done, total, r.Job.Name(), float64(r.Wall.Microseconds())/1000, r.Err)
-				return
-			}
-			fmt.Fprintf(stderr, "[%d/%d] %-28s %9d cycles  %7.1fms\n",
-				done, total, r.Job.Name(), r.Res.Cycles, float64(r.Wall.Microseconds())/1000)
-		}
-	}
-	exp.SetProgress(report)
-
 	if *metrics != "" {
 		var names []string
 		if *benches != "" {
@@ -169,4 +141,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, out)
 	}
 	return status(0)
+}
+
+// observer is hfexp's one exp.SetProgress callback. It warns of each job
+// that finished with an unquiesced fabric, keeps the first machine
+// diagnosis any job produced (one bad machine is enough to explain a grid
+// failure), and prints a progress line per job when progress is set. Each
+// runner serializes its calls, but two experiments' runners may report at
+// once, hence the lock.
+type observer struct {
+	w        io.Writer
+	progress bool
+
+	mu   sync.Mutex
+	job  string // the job of diag
+	diag *sim.Diagnosis
+}
+
+func (o *observer) report(done, total int, r exp.JobResult) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var diag *sim.Diagnosis
+	var dl *sim.DeadlockError
+	if r.Res != nil && r.Res.Diagnosis != nil {
+		diag = r.Res.Diagnosis
+		fmt.Fprintf(o.w, "hfexp: warning: %s: cores done but fabric never quiesced (run with hfsim for the fabric dump)\n", r.Job.Name())
+	} else if errors.As(r.Err, &dl) {
+		diag = dl.Diag
+	}
+	if diag != nil && o.diag == nil {
+		o.job, o.diag = r.Job.Name(), diag
+	}
+	switch {
+	case !o.progress:
+	case r.Err != nil:
+		fmt.Fprintf(o.w, "[%d/%d] %-28s FAILED after %7.1fms: %v\n",
+			done, total, r.Job.Name(), float64(r.Wall.Microseconds())/1000, r.Err)
+	default:
+		fmt.Fprintf(o.w, "[%d/%d] %-28s %9d cycles  %7.1fms\n",
+			done, total, r.Job.Name(), r.Res.Cycles, float64(r.Wall.Microseconds())/1000)
+	}
+}
+
+// first returns the first diagnosis reported and its job's name, or nil.
+func (o *observer) first() (string, *sim.Diagnosis) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.job, o.diag
 }

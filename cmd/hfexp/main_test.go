@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
+	"hfstream/internal/design"
 	"hfstream/internal/exp"
+	"hfstream/internal/sim"
 )
 
 // hfexp runs the command in-process and returns its exit status, stdout
@@ -91,5 +94,49 @@ func TestChartsCoverFig12(t *testing.T) {
 	}
 	if n := strings.Count(stdout, "legend:"); n != 2 {
 		t.Errorf("-charts -fig12 drew %d charts, want the producer's and the consumer's:\n%s", n, stdout)
+	}
+}
+
+// TestObserverReportsDiagnoses: the progress observer is how hfexp learns
+// of a bad machine. A deadlocked job's *sim.DeadlockError and an
+// unquiesced job's Res.Diagnosis both reach it with the job's name, the
+// first one is kept, only the unquiesced exit prints a warning, and a
+// clean job adds nothing. Progress lines print only under -progress.
+func TestObserverReportsDiagnoses(t *testing.T) {
+	hw := design.HeavyWTConfig()
+	results := []exp.JobResult{
+		{Job: exp.Job{Bench: "wc", Config: hw},
+			Err: fmt.Errorf("run: %w", &sim.DeadlockError{Cycle: 42, Diag: &sim.Diagnosis{Reason: "watchdog"}})},
+		{Job: exp.Job{Bench: "fir", Config: hw},
+			Res: &sim.Result{Cycles: 9, Diagnosis: &sim.Diagnosis{Reason: "unquiesced"}}},
+		{Job: exp.Job{Bench: "mcf", Single: true}, Res: &sim.Result{Cycles: 7}},
+	}
+	const warning = "hfexp: warning: fir/HEAVYWT: cores done but fabric never quiesced (run with hfsim for the fabric dump)\n"
+	for _, progress := range []bool{false, true} {
+		var out bytes.Buffer
+		o := &observer{w: &out, progress: progress}
+		if _, d := o.first(); d != nil {
+			t.Fatalf("a fresh observer holds diagnosis %q", d.Reason)
+		}
+		for i, r := range results {
+			o.report(i+1, len(results), r)
+		}
+		if job, d := o.first(); d == nil || job != "wc/HEAVYWT" || d.Reason != "watchdog" {
+			t.Errorf("progress=%v: first diagnosis %+v from %q, want the deadlock's from wc/HEAVYWT", progress, d, job)
+		}
+		got := out.String()
+		if !progress && got != warning {
+			t.Errorf("progress=false: want the warning alone, %q, got:\n%s", warning, got)
+		}
+		if progress {
+			if strings.Count(got, "warning") != 1 || !strings.Contains(got, warning) {
+				t.Errorf("progress=true: want the one warning %q, got:\n%s", warning, got)
+			}
+			for _, want := range []string{"[1/3] wc/HEAVYWT", "FAILED after", "[2/3] fir/HEAVYWT", "[3/3] mcf/single"} {
+				if !strings.Contains(got, want) {
+					t.Errorf("progress lines miss %q:\n%s", want, got)
+				}
+			}
+		}
 	}
 }

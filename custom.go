@@ -56,12 +56,13 @@ type CustomRun struct {
 // Read returns the 8-byte word at addr in the final memory image.
 func (c *CustomRun) Read(addr uint64) uint64 { return c.image.Read8(addr) }
 
-// maxCustomCores is the largest machine RunPrograms can build. Queue
-// routing does not rely on the implicit dual-core peer mapping: exp.Execute
-// derives each queue's producer/consumer cores by a static scan of the
-// programs and hands them to the fabric as explicit routes, so any core
-// count up to the cap works. The cap itself just bounds the machines the
-// experiment layer is calibrated for.
+// maxCustomCores is the largest machine RunPrograms can build. A
+// dual-core run routes its queues by the fabric's implicit peer mapping
+// (each core's peer is the other), as the benchmarks' pipelines do. Past
+// two cores exp.Execute derives each queue's producer/consumer cores by a
+// static scan of the programs and hands them to the fabric as explicit
+// routes, so any core count up to the cap works. The cap itself just
+// bounds the machines the experiment layer is calibrated for.
 const maxCustomCores = design.MaxCores
 
 // CoreCountError reports a RunPrograms call with more programs than the

@@ -144,6 +144,58 @@ type imeta struct {
 	lat      uint64
 }
 
+// Counters is one core's statistics, the record sim.Result copies whole.
+// Each active cycle is counted once by reason (an issue cycle or a stall
+// reason) and once by region (the issue split or StallRegions); Cycles
+// and Breakdown are derived from them.
+type Counters struct {
+	// Issued and IssuedComm are dynamic instruction counts (total, and
+	// communication-overhead only).
+	Issued     uint64
+	IssuedComm uint64
+
+	// IssueCycles counts cycles in which at least one instruction issued;
+	// every other active cycle is a stall.
+	IssueCycles uint64
+	// CommIssueCycles counts the issue cycles that issued only
+	// communication-overhead instructions (charged to PostL2).
+	CommIssueCycles uint64
+	// Stalls attributes each zero-issue cycle to its blocking reason
+	// (drain cycles after halt count as StallHalted).
+	Stalls StallCycles
+	// StallRegions attributes the same zero-issue cycles to the machine
+	// region responsible (the blocking token's location; PreL2 for purely
+	// core-local hazards), so StallRegions totals equal Stalls totals.
+	StallRegions stats.Breakdown
+	// Produces and Consumes count successfully issued queue operations.
+	Produces uint64
+	Consumes uint64
+}
+
+// Cycles returns the core's active cycles: each one either issued or
+// stalled, and it stops counting once the core halted and drained.
+func (c *Counters) Cycles() uint64 { return c.IssueCycles + c.Stalls.Total() }
+
+// Breakdown attributes every active cycle to one region: each stall to
+// its StallRegions bucket, an issue cycle with application work to PreL2
+// and a comm-only issue cycle to PostL2.
+func (c *Counters) Breakdown() stats.Breakdown {
+	b := c.StallRegions
+	b.Add(stats.PreL2, c.IssueCycles-c.CommIssueCycles)
+	b.Add(stats.PostL2, c.CommIssueCycles)
+	return b
+}
+
+// CommRatio returns the dynamic communication-to-application
+// instruction ratio (paper Figure 8), 0 without application work.
+func (c *Counters) CommRatio() float64 {
+	app := c.Issued - c.IssuedComm
+	if app == 0 {
+		return 0
+	}
+	return float64(c.IssuedComm) / float64(app)
+}
+
 // Core executes one thread program against a memory port and an optional
 // streaming port.
 type Core struct {
@@ -170,28 +222,9 @@ type Core struct {
 	stallCur  StallReason
 	id        int32
 
-	// Stats. Each active cycle is counted once by reason (an issue cycle
-	// or a stall reason) and once by region (the issue split or
-	// StallRegions); Cycles and Breakdown are derived from them.
-	Issued     uint64
-	IssuedComm uint64
-
-	// IssueCycles counts cycles in which at least one instruction issued;
-	// every other active cycle is a stall.
-	IssueCycles uint64
-	// CommIssueCycles counts the issue cycles that issued only
-	// communication-overhead instructions (charged to PostL2).
-	CommIssueCycles uint64
-	// Stalls attributes each zero-issue cycle to its blocking reason
-	// (drain cycles after halt count as StallHalted).
-	Stalls StallCycles
-	// StallRegions attributes the same zero-issue cycles to the machine
-	// region responsible (the blocking token's location; PreL2 for purely
-	// core-local hazards), so StallRegions totals equal Stalls totals.
-	StallRegions stats.Breakdown
-	// Produces and Consumes count successfully issued queue operations.
-	Produces uint64
-	Consumes uint64
+	// Counters holds the statistics; Tick counts into its fields and its
+	// Cycles, Breakdown and CommRatio are promoted to Core.
+	Counters
 
 	// Tracer, when non-nil, receives issue/retire/queue-op/stall events.
 	Tracer *trace.Buffer
@@ -269,20 +302,6 @@ func (c *Core) SetReg(r isa.Reg, v uint64) { c.regs[r] = v }
 
 // PC returns the index of the next instruction to issue.
 func (c *Core) PC() int { return c.pc }
-
-// Cycles returns the core's active cycles: each one either issued or
-// stalled, and it stops counting once the core halted and drained.
-func (c *Core) Cycles() uint64 { return c.IssueCycles + c.Stalls.Total() }
-
-// Breakdown attributes every active cycle to one region: each stall to
-// its StallRegions bucket, an issue cycle with application work to PreL2
-// and a comm-only issue cycle to PostL2.
-func (c *Core) Breakdown() stats.Breakdown {
-	b := c.StallRegions
-	b.Add(stats.PreL2, c.IssueCycles-c.CommIssueCycles)
-	b.Add(stats.PostL2, c.CommIssueCycles)
-	return b
-}
 
 // Halted reports whether the program executed its halt instruction.
 func (c *Core) Halted() bool { return c.halted }

@@ -287,11 +287,20 @@ func TestTracerCoalescesStallRuns(t *testing.T) {
 	}
 }
 
-// A Core and its 8-byte allocation header fill the 2 048-byte size class;
-// one more word would move every core into the 2 304-byte one.
+// A Core and its 8-byte allocation header fit the 2 048-byte size class
+// with room for nine more words; one past that would move every core into
+// the 2 304-byte one. The size and Counters' place in it are pinned
+// exactly, so a change to the layout is made on purpose.
 func TestCoreSize(t *testing.T) {
-	if size := unsafe.Sizeof(Core{}); size > 2040 {
-		t.Errorf("Core is %d bytes, want at most 2040", size)
+	var c Core
+	if size := unsafe.Sizeof(c); size != 1968 {
+		t.Errorf("Core is %d bytes, want 1968", size)
+	}
+	if off := unsafe.Offsetof(c.Counters); off != 1688 {
+		t.Errorf("Counters starts at byte %d, want 1688", off)
+	}
+	if end := unsafe.Offsetof(c.Counters) + unsafe.Sizeof(c.Counters); end != 1872 {
+		t.Errorf("Counters ends at byte %d, want 1872", end)
 	}
 }
 

@@ -204,9 +204,10 @@ func AblationProbeTimeout(ctx context.Context) (*AblationResult, error) {
 // is the scaling study on other axes, so it is the same coreStudy.
 func AblationStages(ctx context.Context) (*ScalingResult, error) {
 	var benches []string
-	for _, b := range workloads.All() {
-		if b.Loop != nil { // bzip2's nested loop is hand-partitioned: two cores only
-			benches = append(benches, b.Name)
+	for _, name := range workloads.Names() {
+		// bzip2's nested loop is hand-partitioned: two cores only.
+		if b, _ := workloads.Shared(name); b.Loop != nil {
+			benches = append(benches, name)
 		}
 	}
 	return coreStudy(ctx,

@@ -53,7 +53,7 @@ func breakdownOf(title string, configs []design.Config, grid [][]*sim.Result, co
 		row := BreakdownRow{Benchmark: name}
 		var base float64
 		for ci, cfg := range configs {
-			bd := grid[bi][ci].Breakdowns[coreIdx]
+			bd := grid[bi][ci].Cores[coreIdx].Breakdown()
 			total := float64(bd.Total())
 			if ci == 0 {
 				base = total
@@ -165,8 +165,8 @@ func Fig8Ctx(ctx context.Context) (*Fig8Result, error) {
 	}
 	var gp, gc []float64
 	for bi, name := range workloads.Names() {
-		r := grid[bi][0]
-		row := Fig8Row{Benchmark: name, Producer: r.CommRatio(0), Consumer: r.CommRatio(1)}
+		cores := grid[bi][0].Cores
+		row := Fig8Row{Benchmark: name, Producer: cores[0].CommRatio(), Consumer: cores[1].CommRatio()}
 		res.Rows = append(res.Rows, row)
 		gp = append(gp, row.Producer)
 		gc = append(gc, row.Consumer)

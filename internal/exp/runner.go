@@ -2,8 +2,6 @@ package exp
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,7 +59,9 @@ type Runner struct {
 	// fails with a *sim.CanceledError without disturbing its siblings.
 	Timeout time.Duration
 	// Progress, when set, is called after each job completes with the
-	// number of finished jobs so far; calls are serialized.
+	// number of finished jobs so far; calls are serialized. The result is
+	// where a caller finds a job's machine diagnosis: Res.Diagnosis for an
+	// unquiesced exit, a *sim.DeadlockError's Diag for a deadlock.
 	Progress func(done, total int, r JobResult)
 
 	// run overrides job execution (tests only; nil = runJob).
@@ -115,14 +115,6 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 				}
 			}
 			results[i] = JobResult{Job: j, Res: res, Err: err, Wall: time.Since(start)}
-			if res != nil && res.Diagnosis != nil {
-				warnf("%s: cores done but fabric never quiesced (run with hfsim for the fabric dump)", j.Name())
-				diagnosef(j.Name(), res.Diagnosis)
-			}
-			var dl *sim.DeadlockError
-			if errors.As(err, &dl) && dl.Diag != nil {
-				diagnosef(j.Name(), dl.Diag)
-			}
 			if r.Progress != nil {
 				progressMu.Lock()
 				done++
@@ -164,8 +156,6 @@ func FirstErr(results []JobResult) error {
 var (
 	defaultWorkers atomic.Int32 // 0 = GOMAXPROCS
 	progressHook   atomic.Value // func(done, total int, r JobResult)
-	warnHook       atomic.Value // func(string)
-	diagHook       atomic.Value // func(job string, d *sim.Diagnosis)
 )
 
 // SetParallelism sets the worker count used by the package-level figure
@@ -178,31 +168,6 @@ func Parallelism() int { return int(defaultWorkers.Load()) }
 // SetProgress installs a per-job completion callback for the package-level
 // figure functions (nil disables).
 func SetProgress(f func(done, total int, r JobResult)) { progressHook.Store(&f) }
-
-// SetWarnHook installs the sink for non-fatal harness warnings, e.g. a
-// simulation that finished with an unquiesced fabric (nil discards them).
-func SetWarnHook(f func(msg string)) { warnHook.Store(&f) }
-
-func warnf(format string, args ...interface{}) {
-	if p, _ := warnHook.Load().(*func(string)); p != nil && *p != nil {
-		(*p)(fmt.Sprintf(format, args...))
-	}
-}
-
-// SetDiagnosisHook installs the sink for structured deadlock forensics: it
-// receives the job name and the *sim.Diagnosis whenever a job deadlocks or
-// exits unquiesced (nil discards them). Calls may arrive concurrently from
-// worker goroutines.
-func SetDiagnosisHook(f func(job string, d *sim.Diagnosis)) { diagHook.Store(&f) }
-
-func diagnosef(job string, d *sim.Diagnosis) {
-	if d == nil {
-		return
-	}
-	if p, _ := diagHook.Load().(*func(string, *sim.Diagnosis)); p != nil && *p != nil {
-		(*p)(job, d)
-	}
-}
 
 // newRunner returns a Runner honoring the package-level knobs.
 func newRunner() *Runner {

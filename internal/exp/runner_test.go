@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -422,29 +421,5 @@ func TestRunnerSerialMatchesLegacyPath(t *testing.T) {
 	}
 	if results[0].Res.Cycles != direct.Cycles {
 		t.Errorf("runner %d cycles, direct %d", results[0].Res.Cycles, direct.Cycles)
-	}
-}
-
-// TestWarnHookReceivesUnquiescedExit: a result carrying an unquiesced
-// Diagnosis is surfaced through the warn hook with the job name.
-func TestWarnHookReceivesUnquiescedExit(t *testing.T) {
-	var mu sync.Mutex
-	var msgs []string
-	SetWarnHook(func(m string) { mu.Lock(); msgs = append(msgs, m); mu.Unlock() })
-	defer SetWarnHook(nil)
-	r := &Runner{
-		Workers: 1,
-		run: func(ctx context.Context, j Job) (*sim.Result, error) {
-			return &sim.Result{Cycles: 9, Diagnosis: &sim.Diagnosis{Reason: "junk"}}, nil
-		},
-	}
-	r.Run(context.Background(), []Job{{Bench: "wc", Config: design.HeavyWTConfig()}})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(msgs) != 1 {
-		t.Fatalf("warn calls = %d, want 1", len(msgs))
-	}
-	if want := "wc/HEAVYWT"; !strings.Contains(msgs[0], want) {
-		t.Errorf("warning %q missing job name %q", msgs[0], want)
 	}
 }

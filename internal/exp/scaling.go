@@ -75,7 +75,7 @@ func coreStudy(ctx context.Context, title string, benches []string, designs []de
 	type slot struct{ row, cell, job int }
 	var slots []slot
 	for _, bname := range benches {
-		b, err := workloads.ByName(bname)
+		b, err := workloads.Shared(bname)
 		if err != nil {
 			return nil, err
 		}

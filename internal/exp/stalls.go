@@ -45,14 +45,14 @@ func StallBreakdown(ctx context.Context) (*StallFigure, error) {
 		for coreIdx := 0; coreIdx < 2; coreIdx++ {
 			row := StallRow{Design: cfg.Name(), Core: coreIdx}
 			for _, byConfig := range grid {
-				res := byConfig[ci]
-				row.Cycles += res.CoreCycles[coreIdx]
-				row.IssueCycles += res.IssueCycles[coreIdx]
-				for r := range res.Stalls[coreIdx] {
-					row.Stalls[r] += res.Stalls[coreIdx][r]
+				c := &byConfig[ci].Cores[coreIdx]
+				row.Cycles += c.Cycles()
+				row.IssueCycles += c.IssueCycles
+				for r := range c.Stalls {
+					row.Stalls[r] += c.Stalls[r]
 				}
 				for b := stats.Bucket(0); b < stats.NumBuckets; b++ {
-					row.Regions.Add(b, res.StallRegions[coreIdx].Cycles[b])
+					row.Regions.Add(b, c.StallRegions.Cycles[b])
 				}
 			}
 			fig.Rows = append(fig.Rows, row)

@@ -68,7 +68,7 @@ func BenchmarkRunCell(b *testing.B) {
 // buildCell plans a cell the way the experiment harness does: the
 // benchmark's own pipeline on two cores, a DSWP chain past two, software
 // queues lowered.
-func buildCell(b *testing.B, bench string, d design.Config) (sim.Config, *mem.Memory, []sim.Thread) {
+func buildCell(b testing.TB, bench string, d design.Config) (sim.Config, *mem.Memory, []sim.Thread) {
 	bm, err := workloads.ByName(bench)
 	if err != nil {
 		b.Fatal(err)

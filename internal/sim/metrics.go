@@ -103,32 +103,34 @@ func histBuckets(h *stats.Hist) []HistBucket {
 // Metrics builds the snapshot for this result.
 func (r *Result) Metrics() *Metrics {
 	m := &Metrics{Cycles: r.Cycles, UnquiescedExit: r.Diagnosis != nil}
-	for i := range r.Issued {
+	for i := range r.Cores {
+		c := &r.Cores[i]
 		cm := CoreMetrics{
-			Issued:      r.Issued[i],
-			IssuedComm:  r.IssuedComm[i],
-			CommRatio:   r.CommRatio(i),
-			Cycles:      r.CoreCycles[i],
-			IssueCycles: r.IssueCycles[i],
-			StallCycles: r.Stalls[i].Total(),
-			Produces:    r.Produces[i],
-			Consumes:    r.Consumes[i],
+			Issued:      c.Issued,
+			IssuedComm:  c.IssuedComm,
+			CommRatio:   c.CommRatio(),
+			Cycles:      c.Cycles(),
+			IssueCycles: c.IssueCycles,
+			StallCycles: c.Stalls.Total(),
+			Produces:    c.Produces,
+			Consumes:    c.Consumes,
 			Regions:     map[string]uint64{},
 		}
-		if r.CoreCycles[i] > 0 {
-			cm.IPC = float64(r.Issued[i]) / float64(r.CoreCycles[i])
+		if cm.Cycles > 0 {
+			cm.IPC = float64(c.Issued) / float64(cm.Cycles)
 		}
 		for reason := core.StallReason(1); reason < core.NumStallReasons; reason++ {
-			if n := r.Stalls[i][reason]; n > 0 {
+			if n := c.Stalls[reason]; n > 0 {
 				if cm.Stalls == nil {
 					cm.Stalls = map[string]uint64{}
 				}
 				cm.Stalls[reason.String()] = n
 			}
 		}
+		bd := c.Breakdown()
 		for b := stats.Bucket(0); b < stats.NumBuckets; b++ {
-			cm.Regions[b.String()] = r.Breakdowns[i].Cycles[b]
-			if n := r.StallRegions[i].Cycles[b]; n > 0 {
+			cm.Regions[b.String()] = bd.Cycles[b]
+			if n := c.StallRegions.Cycles[b]; n > 0 {
 				if cm.StallRegions == nil {
 					cm.StallRegions = map[string]uint64{}
 				}

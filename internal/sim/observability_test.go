@@ -14,24 +14,55 @@ import (
 )
 
 // TestStallAttributionInvariant checks the acceptance identity on every
-// standard design point: per core, stall cycles by reason sum to total
-// cycles minus issued-slot cycles, and the per-region stall view agrees.
+// standard design point: per core, the per-region stall view charges as
+// many cycles as the per-reason one. That stall cycles are total cycles
+// minus issue cycles holds by construction: Counters.Cycles() is their sum.
 func TestStallAttributionInvariant(t *testing.T) {
 	for _, cfg := range design.StandardConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
 			res := runPipe(t, cfg, 300)
-			for i := range res.Stalls {
-				stall := res.Stalls[i].Total()
-				if want := res.CoreCycles[i] - res.IssueCycles[i]; stall != want {
-					t.Errorf("core %d: stall total %d != cycles %d - issue cycles %d",
-						i, stall, res.CoreCycles[i], res.IssueCycles[i])
-				}
-				if got := res.StallRegions[i].Total(); got != stall {
+			for i := range res.Cores {
+				c := &res.Cores[i]
+				stall := c.Stalls.Total()
+				if got := c.StallRegions.Total(); got != stall {
 					t.Errorf("core %d: stall regions total %d != stall total %d", i, got, stall)
 				}
 			}
 		})
+	}
+}
+
+// Breakdowns, the copy the frozen benchmark reads, is each core's
+// Cores[i].Breakdown(), and no core counts a cycle past the run's end, on
+// a dual-core cell and a six-stage chain.
+func TestCoresAgreeWithBreakdowns(t *testing.T) {
+	for _, cell := range []struct {
+		bench  string
+		design design.Config
+	}{
+		{"wc", design.SyncOptiConfig()},
+		{"equake", design.SyncOptiSCQ64Config().WithCores(6)},
+	} {
+		cfg, base, threads := buildCell(t, cell.bench, cell.design)
+		res, err := sim.Run(cfg, base.Fork(), threads)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", cell.bench, cell.design.Name(), err)
+		}
+		if len(res.Cores) != len(threads) || len(res.Breakdowns) != len(threads) {
+			t.Fatalf("%s/%s: %d cores, %d breakdowns for %d threads", cell.bench, cell.design.Name(),
+				len(res.Cores), len(res.Breakdowns), len(threads))
+		}
+		for i := range res.Cores {
+			c := &res.Cores[i]
+			if bd := c.Breakdown(); res.Breakdowns[i] != bd {
+				t.Errorf("%s/%s core %d: Breakdowns %v, Cores' Breakdown() %v",
+					cell.bench, cell.design.Name(), i, res.Breakdowns[i], bd)
+			}
+			if n := c.Cycles(); n == 0 || n > res.Cycles {
+				t.Errorf("%s/%s core %d: %d active cycles of %d", cell.bench, cell.design.Name(), i, n, res.Cycles)
+			}
+		}
 	}
 }
 

@@ -42,8 +42,8 @@ func TestSampling(t *testing.T) {
 	}
 	// Samples cover most of the run's instructions (the tail after the
 	// last interval is not sampled).
-	if total < res.Issued[0]*8/10 {
-		t.Errorf("samples cover %d of %d instructions", total, res.Issued[0])
+	if total < res.Cores[0].Issued*8/10 {
+		t.Errorf("samples cover %d of %d instructions", total, res.Cores[0].Issued)
 	}
 	if ipc := res.Samples[2].IPC(0, 100); ipc <= 0 || ipc > 6 {
 		t.Errorf("IPC %v out of range", ipc)

@@ -110,29 +110,13 @@ type Result struct {
 	// Cycles is the total execution time: the cycle at which every core
 	// had halted and drained.
 	Cycles uint64
-	// Breakdowns holds each core's stall/issue breakdown; buckets sum to
-	// the core's active cycles.
+	// Cores holds each core's counters at the end of the run. A core's
+	// Cycles() stops counting once it halted and drained, so it can
+	// undercut Cycles.
+	Cores []core.Counters
+	// Breakdowns holds Cores[i].Breakdown() for each core. Nothing in this
+	// module reads it; the frozen benchmark module (bench/spine) does.
 	Breakdowns []stats.Breakdown
-	// Issued and IssuedComm are per-core dynamic instruction counts
-	// (total, and communication-overhead only).
-	Issued     []uint64
-	IssuedComm []uint64
-
-	// CoreCycles is each core's active cycle count (it stops counting once
-	// halted and drained, so it can undercut Cycles).
-	CoreCycles []uint64
-	// IssueCycles counts each core's cycles with at least one instruction
-	// issued; CoreCycles[i] - IssueCycles[i] is core i's total stall time.
-	IssueCycles []uint64
-	// Stalls attributes each core's zero-issue cycles to the blocking
-	// reason; Stalls[i].Total() == CoreCycles[i] - IssueCycles[i].
-	Stalls []core.StallCycles
-	// StallRegions attributes the same zero-issue cycles to the machine
-	// region responsible (paper Figure 6's delay decomposition).
-	StallRegions []stats.Breakdown
-	// Produces and Consumes are per-core issued queue-operation counts.
-	Produces []uint64
-	Consumes []uint64
 
 	// QueueOcc is a per-cycle histogram of the number of stream items in
 	// flight end to end: issued produces minus issued consumes, summed
@@ -163,16 +147,6 @@ type Result struct {
 	// FaultShots lists the injected faults that fired during the run
 	// (empty without fault injection).
 	FaultShots []string
-}
-
-// CommRatio returns core i's dynamic communication-to-application
-// instruction ratio (paper Figure 8).
-func (r *Result) CommRatio(i int) float64 {
-	app := r.Issued[i] - r.IssuedComm[i]
-	if app == 0 {
-		return 0
-	}
-	return float64(r.IssuedComm[i]) / float64(app)
 }
 
 // DeadlockError reports a simulation that stopped making progress.
@@ -537,26 +511,19 @@ func Run(cfg Config, image *mem.Memory, threads []Thread) (*Result, error) {
 		FaultShots: cfg.Faults.ShotStrings(),
 	}
 	st, mm := &res.Streaming, &res.Memory
-	// The per-core slices are cut at their final length from one backing
-	// array per element type; the capacity limit keeps an append to one
-	// from writing into the next.
+	// The controllers' per-core slices are cut at their final length from
+	// one backing array; the capacity limit keeps an append to one from
+	// writing into the next.
 	n := len(cores)
-	u64 := make([]uint64, 13*n)
+	u64 := make([]uint64, 7*n)
 	cut := func() []uint64 { s := u64[:n:n]; u64 = u64[n:]; return s }
-	res.Issued, res.IssuedComm, res.CoreCycles, res.IssueCycles = cut(), cut(), cut(), cut()
-	res.Produces, res.Consumes = cut(), cut()
 	st.WrFwds, st.BulkAcks, st.Probes, st.SCHits, st.RecircRetries = cut(), cut(), cut(), cut(), cut()
 	mm.L2Hits, mm.L2Misses = cut(), cut()
-	bds := make([]stats.Breakdown, 2*n)
-	res.Breakdowns, res.StallRegions = bds[:n:n], bds[n:]
-	res.Stalls = make([]core.StallCycles, n)
+	res.Cores, res.Breakdowns = make([]core.Counters, n), make([]stats.Breakdown, n)
 	for i, c := range cores {
 		c.FinishTrace(cycle + 1)
+		res.Cores[i] = c.Counters
 		res.Breakdowns[i] = c.Breakdown()
-		res.Issued[i], res.IssuedComm[i] = c.Issued, c.IssuedComm
-		res.CoreCycles[i], res.IssueCycles[i] = c.Cycles(), c.IssueCycles
-		res.Stalls[i], res.StallRegions[i] = c.Stalls, c.StallRegions
-		res.Produces[i], res.Consumes[i] = c.Produces, c.Consumes
 		ctrl := fab.Controller(i)
 		st.WrFwds[i], st.BulkAcks[i], st.Probes[i] = ctrl.WrFwdsSent, ctrl.BulkAcksSent, ctrl.ProbesSent
 		st.SCHits[i], st.RecircRetries[i] = ctrl.StreamCacheHits(), ctrl.RecircRetries

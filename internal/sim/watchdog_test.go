@@ -215,7 +215,8 @@ func TestBreakdownsSumToCoreCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, bd := range res.Breakdowns {
+	for i := range res.Cores {
+		bd := res.Cores[i].Breakdown()
 		if bd.Total() == 0 {
 			t.Errorf("core %d: empty breakdown", i)
 		}

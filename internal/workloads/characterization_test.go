@@ -23,7 +23,7 @@ func TestCommunicationFrequencyBand(t *testing.T) {
 				t.Fatal(err)
 			}
 			for core := 0; core < 2; core++ {
-				r := res.CommRatio(core)
+				r := res.Cores[core].CommRatio()
 				if r <= 0 {
 					t.Fatalf("core %d has no communication", core)
 				}
@@ -103,8 +103,8 @@ func TestMemoryBehaviourCharacterization(t *testing.T) {
 	if res.Memory.MemAccesses < 500 {
 		t.Errorf("mcf made only %d memory accesses; its pool should exceed the L3", res.Memory.MemAccesses)
 	}
-	if share := res.Breakdowns[0].Share(4); share < 0.5 { // stats.Mem
-		t.Errorf("mcf producer MEM share = %.2f, want memory-bound", share)
+	if bd := res.Cores[0].Breakdown(); bd.Share(4) < 0.5 { // stats.Mem
+		t.Errorf("mcf producer MEM share = %.2f, want memory-bound", bd.Share(4))
 	}
 
 	wc, err := workloads.ByName("wc")

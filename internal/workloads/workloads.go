@@ -142,8 +142,9 @@ func Check(name string) error {
 
 // ByName builds the named benchmark, or returns an error listing valid
 // names. Every call returns a fresh instance, so concurrent users share
-// no loop IR, program or setup closure. A caller that only reads the
-// benchmark takes Shared's instance instead.
+// no loop IR, program or setup closure. Tests and the benchmark module
+// (bench/spine) use it; the program's own code only reads benchmarks and
+// takes Shared's instance instead.
 func ByName(name string) (*Benchmark, error) {
 	i, err := lookup(name)
 	if err != nil {
@@ -173,7 +174,9 @@ func Shared(name string) (*Benchmark, error) {
 	return s.b, nil
 }
 
-// All builds the nine benchmarks in the paper's figure order.
+// All builds the nine benchmarks in the paper's figure order, each a fresh
+// instance as ByName's. Like ByName it serves tests and bench/spine; the
+// program reads Shared's instances, in Names' order.
 func All() []*Benchmark {
 	all := make([]*Benchmark, len(catalog))
 	for i, e := range catalog {

@@ -67,7 +67,7 @@ func TestAllDesignsAllBenchmarks(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Logf("%s on %s: %d cycles, comm ratio p=%.2f c=%.2f",
-					b.Name, cfg.Name(), res.Cycles, res.CommRatio(0), res.CommRatio(1))
+					b.Name, cfg.Name(), res.Cycles, res.Cores[0].CommRatio(), res.Cores[1].CommRatio())
 			})
 		}
 	}
