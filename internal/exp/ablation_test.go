@@ -142,8 +142,8 @@ func TestAblationStagesShape(t *testing.T) {
 
 // TestAblationStagesRunsOnTheRunner: the stage-depth study is a grid like
 // any other, so every simulation it makes goes through Runner.Run — fanned
-// out under -j, reported under -progress, and in reach of the warn and
-// diagnosis hooks (TestDiagnosisHookReceivesForensics). It used to call
+// out under -j, reported under -progress, and its diagnoses reach the
+// progress observer (TestDiagnosisHookReceivesForensics). It used to call
 // plan/execute inline and report nothing.
 func TestAblationStagesRunsOnTheRunner(t *testing.T) {
 	if testing.Short() {

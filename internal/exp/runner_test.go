@@ -423,3 +423,28 @@ func TestRunnerSerialMatchesLegacyPath(t *testing.T) {
 		t.Errorf("runner %d cycles, direct %d", results[0].Res.Cycles, direct.Cycles)
 	}
 }
+
+// TestWarnHookReceivesUnquiescedExit: a result carrying an unquiesced
+// Diagnosis reaches the progress observer once, as a success with the
+// job's name, so hfexp can print its warning.
+func TestWarnHookReceivesUnquiescedExit(t *testing.T) {
+	var seen []JobResult // Progress calls are serialized
+	SetProgress(func(_, _ int, jr JobResult) { seen = append(seen, jr) })
+	defer SetProgress(nil)
+	r := newRunner()
+	r.Workers = 1
+	r.run = func(ctx context.Context, j Job) (*sim.Result, error) {
+		return &sim.Result{Cycles: 9, Diagnosis: &sim.Diagnosis{Reason: "junk"}}, nil
+	}
+	r.Run(context.Background(), []Job{{Bench: "wc", Config: design.HeavyWTConfig()}})
+	if len(seen) != 1 {
+		t.Fatalf("observer calls = %d, want 1", len(seen))
+	}
+	jr := seen[0]
+	if want := "wc/HEAVYWT"; jr.Job.Name() != want {
+		t.Errorf("observed job %q, want %q", jr.Job.Name(), want)
+	}
+	if jr.Err != nil || jr.Res == nil || jr.Res.Diagnosis == nil || jr.Res.Diagnosis.Reason != "junk" {
+		t.Errorf("observed result %+v (err %v), want a success carrying the unquiesced diagnosis", jr.Res, jr.Err)
+	}
+}
